@@ -24,10 +24,16 @@ race-conform:
 	$(GO) test -race -count 4 -run 'TestParallelMatchesSerial|TestResourceCheck' ./internal/conformance/
 
 # fuzz runs a short coverage-guided smoke over the virtual network's queue
-# operations (send/deliver/drop/duplicate against a model oracle).
+# operations (send/deliver/drop/duplicate against a model oracle) and over
+# the decoders of checkpoint bytes: the snapshot envelope reader, the
+# delta-block payload parser, and the frontier-record reader (no panic, no
+# allocation sized from a count the input cannot back).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/vnet/ -fuzz FuzzQueueOps -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzParseDeltaPayload$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzFrontierRecords$$' -fuzztime $(FUZZTIME)
 
 # docs is the documentation gate: gofmt cleanliness, go vet, doc comments
 # on every exported identifier in the audited packages, and unbroken
@@ -49,23 +55,28 @@ checktrace:
 	$(GO) run ./scripts/checktrace -metrics "$$tmp/metrics.json" "$$tmp/trace.jsonl" && \
 	grep -q '## Action coverage' "$$tmp/report.md"
 
-# soak exercises the out-of-core path end to end: a GOMEMLIMIT-capped
-# raftbase-family run under a deliberately tiny -mem-budget, so the
-# fingerprint set must spill shards to disk, with a tight checkpoint
-# cadence so the incremental delta log engages; then a resume leg reloads
-# the committed base+delta chain and rebuilds the frontier by guided
-# replay. checktrace -require asserts the spill and delta counters actually
-# moved — a soak that fits comfortably in RAM proves nothing.
+# soak exercises the out-of-core path end to end, once per state-codec
+# family (craft for raftbase, then zabkeeper): a GOMEMLIMIT-capped run under
+# a deliberately tiny -mem-budget, so the fingerprint set and the frontier
+# must spill to disk, with a tight checkpoint cadence so the incremental
+# delta log engages; then a resume leg reloads the committed base+delta
+# chain, frontier states included, and explores on. checktrace -require
+# asserts the spill and delta counters actually moved — a soak that fits
+# comfortably in RAM proves nothing.
 soak:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	GOMEMLIMIT=512MiB $(GO) run ./cmd/sandtable check -system craft -fixed -max-states 30000 -deadline 120s \
-		-mem-budget 256KiB -spill-dir "$$tmp/spill" -checkpoint "$$tmp/ck" -checkpoint-states 5000 \
-		-metrics-out "$$tmp/metrics.json" -trace-out "$$tmp/trace.jsonl" >/dev/null && \
-	$(GO) run ./scripts/checktrace -metrics "$$tmp/metrics.json" \
-		-require fpset.spilled_entries -require checkpoint.deltas "$$tmp/trace.jsonl" && \
-	GOMEMLIMIT=512MiB $(GO) run ./cmd/sandtable check -system craft -fixed -max-states 40000 -deadline 120s \
-		-mem-budget 256KiB -spill-dir "$$tmp/spill" -checkpoint "$$tmp/ck" -resume >/dev/null && \
-	echo "soak: spill + delta checkpoint + resume OK"
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for sys in craft zabkeeper; do \
+		mkdir "$$tmp/$$sys"; \
+		run() { GOMEMLIMIT=512MiB $(GO) run ./cmd/sandtable check -system $$sys -fixed -deadline 120s \
+			-mem-budget 256KiB -spill-dir "$$tmp/$$sys/spill" -checkpoint "$$tmp/$$sys/ck" "$$@" >/dev/null; }; \
+		run -max-states 30000 -checkpoint-states 5000 \
+			-metrics-out "$$tmp/$$sys/metrics.json" -trace-out "$$tmp/$$sys/trace.jsonl"; \
+		$(GO) run ./scripts/checktrace -metrics "$$tmp/$$sys/metrics.json" \
+			-require fpset.spilled_entries -require explorer.frontier_spilled_entries \
+			-require checkpoint.deltas "$$tmp/$$sys/trace.jsonl"; \
+		run -max-states 40000 -resume; \
+	done; \
+	echo "soak: spill + delta checkpoint + resume OK (craft, zabkeeper)"
 
 # cluster proves the distributed-equivalence guarantee end to end on real
 # sockets: a 3-process localhost TCP run of a violating craft configuration

@@ -140,9 +140,9 @@ func BenchmarkTable3Exploration(b *testing.B) {
 // under a memory budget far below its working set, so BENCH_explorer.json
 // tracks what the out-of-core path costs: the budgeted run spills frozen
 // fingerprint-set shards to sorted disk runs at every level boundary and
-// answers dedup probes through the min/max+bloom-gated disk index. (The
-// distributed-system specs carry no spec.StateCodec, so the frontier stays
-// in RAM here; the fingerprint set is what grows without bound anyway.)
+// answers dedup probes through the min/max+bloom-gated disk index, and the
+// frontier spills as sorted runs of spec.StateCodec-encoded states (every
+// distributed-system spec carries the codec) that are merge-read back.
 func BenchmarkSpillExploration(b *testing.B) {
 	sys, err := integrations.Get("craft")
 	if err != nil {

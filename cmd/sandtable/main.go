@@ -392,9 +392,6 @@ func runCheck(args []string) error {
 		if budget > 0 {
 			return fmt.Errorf("check: -mem-budget is not supported with -peers (partitioning already divides the footprint)")
 		}
-		if *resume && *ckDir == "" {
-			return fmt.Errorf("check: cluster resume requires -checkpoint <dir> on every peer")
-		}
 	}
 	st, err := sf.session()
 	if err != nil {

@@ -1,6 +1,7 @@
 package explorer
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -10,47 +11,53 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/fp"
 	"github.com/sandtable-go/sandtable/internal/fpset"
 	"github.com/sandtable-go/sandtable/internal/obs"
-	"github.com/sandtable-go/sandtable/internal/spec"
+	"github.com/sandtable-go/sandtable/internal/transport"
 )
 
 // CheckpointOptions configures periodic exploration snapshots — the
 // reproduction of TLC's checkpointing, which lets a machine-day-scale run
-// survive interruption. The zero value disables checkpointing.
+// survive interruption. The zero value disables checkpointing. Checkpointing
+// needs states to round-trip through bytes, so the machine must implement
+// spec.StateCodec (every in-tree system does); one that does not gets a
+// "config-error" result.
 //
 // A snapshot is written at BFS level boundaries (where the frontier is
 // well-defined and expansion workers are quiescent) whenever the cadence is
 // due: every Interval of wall-clock time and/or every EveryStates newly
 // discovered distinct states, whichever fires first (both zero with a Dir
-// set defaults to a 60-second interval). The file contains the fingerprint
-// set, the frontier (as fingerprints), and the run's counters, wrapped in a
-// versioned, checksummed envelope and written atomically (temp file +
-// rename), so a crash mid-write never corrupts the previous snapshot.
+// set defaults to a 60-second interval). A snapshot holds the run's
+// counters, the frontier as codec-encoded states, and the fingerprint set,
+// in a versioned, checksummed envelope written atomically (temp file +
+// fsync + rename), so a crash mid-write never corrupts the previous one.
+// After the first full snapshot, later checkpoints append delta blocks (see
+// delta.go) until the log outgrows the base.
 //
-// Resume rebuilds the frontier deterministically by guided replay: it
-// re-expands the already-explored interior of the state graph, following
-// only edges recorded in the snapshot's fingerprint set, and verifies the
-// rebuilt frontier matches the snapshot exactly. BFS exploration is
+// Resume reloads the frontier states as written — no part of the explored
+// interior is re-expanded — and proves the snapshot self-consistent before
+// continuing: every frontier state must canonicalize to its recorded
+// fingerprint and be in the fingerprint set at the snapshot's depth, and the
+// set must hold no other state at that depth. BFS exploration is
 // deterministic (see the package comment), so a resumed run reports the
 // same distinct-state count and the same counterexample as an uninterrupted
 // run with the same options.
 type CheckpointOptions struct {
 	// Dir is the snapshot directory ("" disables checkpointing). The
-	// current snapshot is Dir/checkpoint.snap.
+	// current snapshot is Dir/checkpoint.snap (distributed runs:
+	// Dir/peer-<id>/cluster-<depth>.snap, committed by
+	// Dir/cluster-manifest.json).
 	Dir string
 	// Interval is the minimum wall-clock time between snapshots.
 	Interval time.Duration
 	// EveryStates writes a snapshot every N newly discovered states.
 	EveryStates int
-	// Resume loads Dir/checkpoint.snap before exploring and continues from
-	// it. A missing, corrupt, or incompatible snapshot fails the run
-	// (Result.Err) rather than silently starting over.
+	// Resume loads the committed checkpoint in Dir before exploring and
+	// continues from it. A missing, corrupt, or incompatible snapshot fails
+	// the run (Result.Err) rather than silently starting over.
 	Resume bool
 	// Label identifies the model for compatibility checking, e.g.
 	// "system/config/budget/bugs". A snapshot written under one label
@@ -62,25 +69,89 @@ type CheckpointOptions struct {
 
 func (o *CheckpointOptions) enabled() bool { return o.Dir != "" }
 
+// newCadence builds the Due/Emit bookkeeping for the checkpoint cadence: an
+// obs.Reporter with a no-op callback, used purely for its clock.
+func (o *CheckpointOptions) newCadence() *obs.Reporter {
+	interval := o.Interval
+	if interval == 0 && o.EveryStates == 0 {
+		interval = 60 * time.Second
+	}
+	return obs.NewReporter(func(obs.Progress) {}, interval, o.EveryStates)
+}
+
 // snapFile is the current snapshot name within CheckpointOptions.Dir.
 const snapFile = "checkpoint.snap"
 
-// snapMagic and snapVersion identify the envelope format. Version bumps
-// whenever the byte layout or header semantics change; old versions are
-// rejected (re-run from scratch rather than risking a wrong resume).
+// snapMagic and snapVersion identify the envelope format, shared by base
+// snapshots and per-peer cluster snapshots; the version also stamps commit
+// records and cluster manifests. It bumps whenever the byte layout or header
+// semantics change; other versions are rejected (re-run from scratch rather
+// than risking a wrong resume). Version 2 stores the frontier as encoded
+// states; version 1 stored fingerprints and rebuilt the states by replay.
 const (
 	snapMagic   = "SNDTBLCK"
-	snapVersion = 1
+	snapVersion = 2
 )
 
-// snapshotHeader is the JSON head of a snapshot file: model identity for
-// compatibility checking plus every Result counter needed to continue.
+// runIdentity is what has to match for persisted or remote state to belong
+// to this run: snapshots, cluster manifests and peers' hello messages all
+// carry one.
+type runIdentity struct {
+	Label      string `json:"label,omitempty"`
+	Machine    string `json:"machine"`
+	Symmetry   bool   `json:"symmetry"`
+	InitDigest uint64 `json:"init_digest"`
+	// Peers and Partition are the cluster shape; zero in single-process runs.
+	Peers     int `json:"peers,omitempty"`
+	Partition int `json:"partition_version,omitempty"`
+}
+
+// identity computes this run's identity. The init digest fingerprints the
+// machine's initial states so a different configuration, budget, or defect
+// set is caught even when the label matches; XOR of per-state hashes makes
+// it independent of Init's order.
+func (c *Checker) identity() runIdentity {
+	id := runIdentity{Label: c.opts.Checkpoint.Label, Machine: c.m.Name(), Symmetry: c.sym != nil}
+	h := fp.New()
+	for _, s := range c.m.Init() {
+		h.Reset()
+		h.WriteUint64(c.canonicalFP(s))
+		id.InitDigest ^= h.Sum()
+	}
+	if cl := c.cluster; cl != nil {
+		id.Peers, id.Partition = cl.peers, transport.PartitionVersion
+	}
+	return id
+}
+
+// checkIdentity refuses state at path written under a different identity.
+// An empty label on either side matches any label.
+func (c *Checker) checkIdentity(path string, got runIdentity) error {
+	want := c.ident
+	switch {
+	case got.Machine != want.Machine:
+		return fmt.Errorf("%s: checkpoint is for machine %q, this run checks %q", path, got.Machine, want.Machine)
+	case got.Symmetry != want.Symmetry:
+		return fmt.Errorf("%s: checkpoint symmetry=%v, this run uses %v", path, got.Symmetry, want.Symmetry)
+	case want.Label != "" && got.Label != "" && want.Label != got.Label:
+		return fmt.Errorf("%s: checkpoint label %q, this run is %q", path, got.Label, want.Label)
+	case got.InitDigest != want.InitDigest:
+		return fmt.Errorf("%s: initial-state digest mismatch (different config, budget, or defect set)", path)
+	case got.Peers != want.Peers:
+		return fmt.Errorf("%s: checkpoint is for %d peers, this run has %d (0 = single process; repartitioning is not supported)", path, got.Peers, want.Peers)
+	case got.Partition != want.Partition:
+		return fmt.Errorf("%s: checkpoint partition version %d, this build uses %d", path, got.Partition, want.Partition)
+	}
+	return nil
+}
+
+// snapshotHeader is the JSON head of a snapshot or delta block: the run
+// identity plus every Result counter needed to continue.
 type snapshotHeader struct {
-	Version        int             `json:"version"`
-	Label          string          `json:"label,omitempty"`
-	Machine        string          `json:"machine"`
-	Symmetry       bool            `json:"symmetry"`
-	InitDigest     uint64          `json:"init_digest"`
+	Version int `json:"version"`
+	runIdentity
+	// PeerID is the writing peer's index (cluster snapshots; Peers > 0).
+	PeerID         int             `json:"peer_id,omitempty"`
 	Depth          int             `json:"depth"`
 	DistinctStates int             `json:"distinct_states"`
 	Transitions    int64           `json:"transitions"`
@@ -92,8 +163,9 @@ type snapshotHeader struct {
 	Violations     []snapViolation `json:"violations,omitempty"`
 }
 
-// snapViolation persists a violation found before the snapshot (only
-// relevant with StopAtFirstViolation off). The error survives as text.
+// snapViolation is a violation in transit: persisted in snapshots (only
+// relevant with StopAtFirstViolation off) and exchanged between cluster
+// peers. The error survives as text.
 type snapViolation struct {
 	Invariant string `json:"invariant"`
 	Error     string `json:"error"`
@@ -101,159 +173,387 @@ type snapViolation struct {
 	FP        uint64 `json:"fp"`
 }
 
-// snapshot is a decoded checkpoint: header, rebuilt frontier, and the
-// restored fingerprint set (already installed into the Checker).
+func snapViolationOf(v *Violation) snapViolation {
+	return snapViolation{Invariant: v.Invariant, Error: v.Err.Error(), Depth: v.Depth, FP: v.fp}
+}
+
+func (v snapViolation) violation() *Violation {
+	return &Violation{Invariant: v.Invariant, Err: errors.New(v.Error), Depth: v.Depth, fp: v.FP}
+}
+
+// header assembles the snapshot header for the level boundary at depth.
+// viols are the violations to persist: all of them in a single-process run,
+// this peer's share in a cluster.
+func (c *Checker) header(res *Result, depth int, elapsed time.Duration, viols []snapViolation) snapshotHeader {
+	hdr := snapshotHeader{
+		Version:        snapVersion,
+		runIdentity:    c.ident,
+		Depth:          depth,
+		DistinctStates: res.DistinctStates,
+		Transitions:    res.Transitions,
+		DedupHits:      res.DedupHits,
+		MaxQueueLen:    res.MaxQueueLen,
+		MaxDepth:       res.MaxDepth,
+		GoalReached:    res.GoalReached,
+		ElapsedNs:      int64(elapsed),
+		Violations:     viols,
+	}
+	if cl := c.cluster; cl != nil {
+		hdr.PeerID = cl.self
+	}
+	return hdr
+}
+
+// restoreInto seeds a resumed run's result with the counters the snapshot
+// recorded. Violations stay with the caller: a cluster peer restores only
+// its own share.
+func (h *snapshotHeader) restoreInto(res *Result, cover *obs.Cover) {
+	res.Resumed = true
+	res.DistinctStates = h.DistinctStates
+	res.Transitions = h.Transitions
+	res.DedupHits = h.DedupHits
+	res.MaxQueueLen = h.MaxQueueLen
+	res.MaxDepth = h.MaxDepth
+	res.GoalReached = h.GoalReached
+	if cover != nil {
+		// Levels before the snapshot were profiled by the interrupted
+		// session; this profile covers the continuation only.
+		cover.ResumedAtDepth = h.Depth
+	}
+}
+
+// snapshot is a parsed snapshot file. Its frontier section stays encoded, as
+// a delta block's does: a resume folds the committed delta chain into header
+// and section first, and restoreFrontier then decodes whichever frontier
+// survived — once.
 type snapshot struct {
-	header   snapshotHeader
+	header        snapshotHeader
+	frontierCount uint64
+	frontierRecs  []byte
+	// frontier is the decoded, verified level (set by restoreFrontier).
 	frontier []frontierEntry
+	set      *fpset.Set
+	// crc and size identify the file as the base of a delta chain.
+	crc  uint32
+	size int64
 }
 
-func (s *snapshot) violations() []*Violation {
-	var out []*Violation
-	for _, v := range s.header.Violations {
-		out = append(out, &Violation{
-			Invariant: v.Invariant,
-			Err:       errors.New(v.Error),
-			Depth:     v.Depth,
-			fp:        v.FP,
-		})
+// ckWriterWrap wraps every checkpoint writer (snapshot, delta append, commit
+// record, manifest). Production leaves it as the identity; fault-injection
+// tests swap it to simulate ENOSPC/partial writes.
+var ckWriterWrap = func(w io.Writer) io.Writer { return w }
+
+// atomicWrite produces path via temp file + fsync + rename, then
+// best-effort fsyncs the directory so the rename itself is durable: a crash
+// or failed write never leaves a torn file under the final name.
+func atomicWrite(path string, write func(w io.Writer) error) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-	return out
+	tmp, err := os.CreateTemp(dir, "ck-*.tmp")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		tmp.Close()
+		os.Remove(tmp.Name()) // no-op after successful rename
+	}()
+	if err := write(ckWriterWrap(tmp)); err != nil {
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
+	return nil
 }
 
-// initDigest fingerprints the machine's initial states (canonical, sorted
-// by insertion into a running hash of the sorted fingerprint multiset) so a
-// resume under a different configuration, budget, or defect set is caught
-// even when the label matches.
-func (c *Checker) initDigest() uint64 {
-	var fps []uint64
-	for _, s := range c.m.Init() {
-		fps = append(fps, c.canonicalFP(s))
-	}
-	// Order-insensitive combine: initial-state order is an implementation
-	// detail; XOR of per-fp hashes ignores it.
-	h := fp.New()
-	var acc uint64
-	for _, f := range fps {
-		h.Reset()
-		h.WriteUint64(f)
-		acc ^= h.Sum()
-	}
-	return acc
+// countingWriter tracks bytes written so the snapshot writer can report the
+// file size without a Stat round trip.
+type countingWriter struct {
+	w io.Writer
+	n int64
 }
 
-// checkpointer drives the snapshot cadence for one run, reusing the obs
-// reporter clock/cadence machinery (a Reporter with the write callback as
-// its ProgressFunc), and tracks the incremental chain: the current base
-// snapshot plus the committed delta log appended to it (see delta.go).
+func (cw *countingWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
+	cw.n += int64(n)
+	return n, err
+}
+
+// writeSnapshot is the one snapshot writer: it serialises the level boundary
+// described by hdr — lf is the frontier awaiting expansion — into path
+// atomically, returning the file size and trailing CRC (the identity delta
+// commits refer to). Layout:
+//
+//	magic[8] version[u32] headerLen[u32] headerJSON
+//	frontierCount[u64] frontier records (see frontier.go)
+//	fpset stream (see fpset.WriteTo)
+//	crc32[u32] of everything prior (IEEE)
+func (c *Checker) writeSnapshot(path string, hdr snapshotHeader, lf *levelFrontier) (size int64, sum uint32, err error) {
+	hb, err := json.Marshal(hdr)
+	if err != nil {
+		return 0, 0, err
+	}
+	err = atomicWrite(path, func(dst io.Writer) error {
+		crc := crc32.NewIEEE()
+		cw := &countingWriter{w: io.MultiWriter(dst, crc)}
+		bw := bufio.NewWriterSize(cw, 1<<16)
+		head := append([]byte(nil), snapMagic...)
+		head = binary.LittleEndian.AppendUint32(head, snapVersion)
+		head = binary.LittleEndian.AppendUint32(head, uint32(len(hb)))
+		head = append(head, hb...)
+		head = binary.LittleEndian.AppendUint64(head, uint64(lf.size()))
+		if _, err := bw.Write(head); err != nil {
+			return err
+		}
+		if err := lf.writeRecords(bw, c.codec); err != nil {
+			return err
+		}
+		if _, err := c.visited.WriteTo(bw); err != nil {
+			return err
+		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		sum = crc.Sum32()
+		_, err := dst.Write(binary.LittleEndian.AppendUint32(nil, sum))
+		size = cw.n + 4
+		return err
+	})
+	return size, sum, err
+}
+
+// readSnapshot is the one snapshot reader: it checks the envelope (length,
+// checksum, magic, version), then the header against this run's identity,
+// and only then delimits the frontier section and decodes the fingerprint
+// set — a snapshot of a different model is refused by name, not by a codec
+// error. raw is hostile: every count and length is bounded by the bytes that
+// remain before anything is sized from it.
+func (c *Checker) readSnapshot(path string, raw []byte) (*snapshot, error) {
+	const fixed = len(snapMagic) + 4 + 4 // up to the header
+	if len(raw) < fixed+8+4 {
+		return nil, fmt.Errorf("%s: truncated snapshot (%d bytes)", path, len(raw))
+	}
+	body := raw[:len(raw)-4]
+	sum := binary.LittleEndian.Uint32(raw[len(raw)-4:])
+	if crc32.ChecksumIEEE(body) != sum {
+		return nil, fmt.Errorf("%s: checksum mismatch (snapshot corrupt)", path)
+	}
+	if string(body[:len(snapMagic)]) != snapMagic {
+		return nil, fmt.Errorf("%s: not a sandtable checkpoint", path)
+	}
+	if v := binary.LittleEndian.Uint32(body[len(snapMagic):]); v != snapVersion {
+		return nil, fmt.Errorf("%s: snapshot version %d, this build reads %d", path, v, snapVersion)
+	}
+	hlen := int64(binary.LittleEndian.Uint32(body[len(snapMagic)+4:]))
+	body = body[fixed:]
+	if hlen+8 > int64(len(body)) {
+		return nil, fmt.Errorf("%s: truncated header", path)
+	}
+	snap := &snapshot{crc: sum, size: int64(len(raw))}
+	if err := json.Unmarshal(body[:hlen], &snap.header); err != nil {
+		return nil, fmt.Errorf("%s: header: %w", path, err)
+	}
+	if err := c.checkIdentity(path, snap.header.runIdentity); err != nil {
+		return nil, err
+	}
+	snap.frontierCount = binary.LittleEndian.Uint64(body[hlen:])
+	recs, rest, err := splitFrontierRecords(body[hlen+8:], snap.frontierCount)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	snap.frontierRecs = recs
+	if snap.set, err = fpset.Read(bytes.NewReader(rest), c.opts.FPSetShards); err != nil {
+		return nil, fmt.Errorf("%s: fingerprint set: %w", path, err)
+	}
+	return snap, nil
+}
+
+// loadSnapshot reads the snapshot at path and installs its fingerprint set.
+func (c *Checker) loadSnapshot(path string) (*snapshot, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := c.readSnapshot(path, raw)
+	if err != nil {
+		return nil, err
+	}
+	c.visited = snap.set
+	return snap, nil
+}
+
+// restoreFrontier decodes the snapshot's frontier section, puts it into level
+// order and proves it is the level boundary the header claims, against the
+// installed fingerprint set: every state canonicalizes to its recorded
+// fingerprint and was discovered at the header's depth, no fingerprint
+// repeats, and the set holds nothing else at that depth. A snapshot that
+// passes its checksum but fails here would otherwise resume into a silently
+// wrong search.
+func (c *Checker) restoreFrontier(snap *snapshot) error {
+	frontier, err := readFrontier(snap.frontierRecs, snap.frontierCount, c.codec)
+	if err != nil {
+		return err
+	}
+	snap.frontierRecs = nil // release the file bytes
+	depth := snap.header.Depth
+	sortFrontier(frontier)
+	for i, fe := range frontier {
+		if i > 0 && fe.fp == frontier[i-1].fp {
+			return fmt.Errorf("frontier repeats state %#x", fe.fp)
+		}
+		if got := c.canonicalFP(fe.state); got != fe.fp {
+			return fmt.Errorf("frontier state recorded as %#x canonicalizes to %#x", fe.fp, got)
+		}
+		if e, ok := c.visited.Lookup(fe.fp); !ok || int(e.Depth) != depth {
+			return fmt.Errorf("frontier state %#x is not in the fingerprint set at depth %d", fe.fp, depth)
+		}
+	}
+	c.countCanon(int64(len(frontier)))
+	atDepth := 0
+	if err := c.visited.RangeNewer(int32(depth-1), func(uint64, fpset.Edge) bool {
+		atDepth++
+		return true
+	}); err != nil {
+		return err
+	}
+	if atDepth != len(frontier) {
+		return fmt.Errorf("fingerprint set holds %d states at depth %d, frontier has %d", atDepth, depth, len(frontier))
+	}
+	snap.frontier = frontier
+	return nil
+}
+
+// resume loads Dir/checkpoint.snap, applies the committed delta chain (see
+// delta.go) — each block adds the fingerprints discovered since the previous
+// checkpoint and replaces the header and frontier with its own — and
+// decodes and verifies the frontier left standing, so a resume costs
+// O(that frontier) state decodes however long the chain. It returns the
+// chain so the run's checkpointer keeps appending to it instead of
+// rewriting the base.
+func (c *Checker) resume() (*snapshot, *ckChain, error) {
+	dir := c.opts.Checkpoint.Dir
+	path := filepath.Join(dir, snapFile)
+	snap, err := c.loadSnapshot(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	blocks, commit, err := loadDeltaChain(dir, snap.crc)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	chain := &ckChain{baseCRC: snap.crc, baseBytes: snap.size}
+	if commit != nil {
+		chain.deltaBytes, chain.deltaCount = commit.DeltaBytes, commit.Deltas
+	}
+	for i := range blocks {
+		blocks[i].applyTo(snap.set)
+	}
+	if n := len(blocks); n > 0 {
+		last := blocks[n-1]
+		snap.header, snap.frontierCount, snap.frontierRecs = last.header, last.frontierCount, last.frontierRecs
+		path = filepath.Join(dir, deltaFile)
+	}
+	chain.depth = snap.header.Depth
+	if err := c.restoreFrontier(snap); err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return snap, chain, nil
+}
+
+// ckChain is a committed checkpoint chain: the base snapshot's identity plus
+// the delta log appended to it.
+type ckChain struct {
+	baseCRC    uint32
+	baseBytes  int64
+	deltaBytes int64
+	deltaCount int
+	// depth is the level the last committed checkpoint covers; the next
+	// delta carries fingerprint-set entries with Depth in (depth, new depth].
+	depth int
+}
+
+// checkpointer drives the single-process snapshot cadence and the
+// incremental chain: a full snapshot when there is no base yet or the delta
+// log has outgrown the base (compaction: fresh base, chain reset), an
+// appended delta block otherwise.
 type checkpointer struct {
-	opts     CheckpointOptions
-	reporter *obs.Reporter
+	dir     string
+	cadence *obs.Reporter
 	// warn is the run's user-facing progress reporter; checkpoint failures
 	// surface there as warnings instead of aborting the run.
 	warn    *obs.Reporter
 	metrics *runMetrics
 	tracer  *obs.Tracer
-
-	// Chain state. haveBase is false until a full snapshot has been
-	// written (or adopted from a resume); afterwards checkpoints append
-	// deltas until the log outgrows the base, which triggers a compaction
-	// (fresh full snapshot, chain reset).
-	haveBase   bool
-	baseCRC    uint32
-	baseBytes  int64
-	deltaBytes int64
-	deltaCount int
-	// lastDepth is the depth covered by the last committed checkpoint;
-	// the next delta carries entries with Depth in (lastDepth, depth].
-	lastDepth int
+	// chain is nil until a full snapshot has been written or a resume
+	// adopted one.
+	chain *ckChain
 }
 
-// ckChainState carries a resumed delta chain from resume() to the
-// checkpointer, so a resumed run keeps appending instead of rewriting.
-type ckChainState struct {
-	baseCRC    uint32
-	baseBytes  int64
-	deltaBytes int64
-	deltaCount int
-	depth      int
-}
-
-// ckWriterWrap wraps every checkpoint writer (base snapshot, delta append,
-// commit record). Production leaves it as the identity; fault-injection
-// tests swap it to simulate ENOSPC/partial writes.
-var ckWriterWrap = func(w io.Writer) io.Writer { return w }
-
-// newCheckpointer returns nil when checkpointing is disabled. Called after
-// resume so an existing committed chain is adopted.
-func (c *Checker) newCheckpointer(metrics *runMetrics, warn *obs.Reporter) *checkpointer {
+// newCheckpointer returns nil when checkpointing is disabled. chain is the
+// committed chain a resume loaded (nil for a fresh run).
+func (c *Checker) newCheckpointer(metrics *runMetrics, warn *obs.Reporter, chain *ckChain) *checkpointer {
 	o := c.opts.Checkpoint
 	if !o.enabled() {
 		return nil
 	}
-	interval := o.Interval
-	if interval == 0 && o.EveryStates == 0 {
-		interval = 60 * time.Second
-	}
-	ck := &checkpointer{opts: o, metrics: metrics, tracer: c.opts.Tracer, warn: warn}
-	if ch := c.ckChain; ch != nil {
-		ck.haveBase = true
-		ck.baseCRC = ch.baseCRC
-		ck.baseBytes = ch.baseBytes
-		ck.deltaBytes = ch.deltaBytes
-		ck.deltaCount = ch.deltaCount
-		ck.lastDepth = ch.depth
-	}
-	// The ProgressFunc is a sentinel: the reporter is used purely for its
-	// Due/Emit cadence bookkeeping; the snapshot write happens in
-	// maybeWrite between Due and Emit.
-	ck.reporter = obs.NewReporter(func(obs.Progress) {}, interval, o.EveryStates)
-	return ck
+	return &checkpointer{dir: o.Dir, cadence: o.newCadence(), warn: warn, metrics: metrics, tracer: c.opts.Tracer, chain: chain}
 }
 
-// maybeWrite advances the checkpoint chain if the cadence is due: a full
-// snapshot when there is no base yet or the delta log has outgrown the base
-// (compaction), an appended delta block otherwise. Write failures do not
-// abort the exploration: the previous committed chain stays valid, the
-// error is recorded as a trace event plus a checkpoint.errors tick, and a
-// warning reaches the progress reporter.
+// maybeWrite advances the checkpoint chain if the cadence is due. Write
+// failures do not abort the exploration: the previous committed chain stays
+// valid, the error is recorded as a trace event plus a checkpoint.errors
+// tick, and a warning reaches the progress reporter.
 func (ck *checkpointer) maybeWrite(c *Checker, res *Result, depth int, lf *levelFrontier, elapsed time.Duration) {
-	if !ck.reporter.Due(res.DistinctStates) {
+	if !ck.cadence.Due(res.DistinctStates) {
 		return
 	}
 	var stop func()
 	if c.opts.Metrics != nil {
 		stop = c.opts.Metrics.StartPhase("checkpoint")
 	}
-	fps, err := lf.fps(nil)
+	viols := make([]snapViolation, len(res.Violations))
+	for i, v := range res.Violations {
+		viols[i] = snapViolationOf(v)
+	}
+	hdr := c.header(res, depth, elapsed, viols)
 	kind := "full"
-	if err == nil {
-		if full := !ck.haveBase || ck.deltaBytes > ck.baseBytes; full {
-			compaction := ck.haveBase
-			var size int64
-			var crc uint32
-			if size, crc, err = writeSnapshot(ck.opts, c, res, depth, fps, elapsed); err == nil {
-				// Retire the old chain. If a crash lands between the
-				// snapshot rename and these removes, the stale chain's
-				// base CRC no longer matches and resume ignores it.
-				os.Remove(filepath.Join(ck.opts.Dir, commitFile))
-				os.Remove(filepath.Join(ck.opts.Dir, deltaFile))
-				ck.haveBase, ck.baseCRC, ck.baseBytes = true, crc, size
-				ck.deltaBytes, ck.deltaCount = 0, 0
-				if compaction && ck.metrics != nil {
-					ck.metrics.ckCompactions.Inc()
-				}
+	var err error
+	if ch := ck.chain; ch == nil || ch.deltaBytes > ch.baseBytes {
+		var size int64
+		var crc uint32
+		if size, crc, err = c.writeSnapshot(filepath.Join(ck.dir, snapFile), hdr, lf); err == nil {
+			// Retire the old chain. If a crash lands between the snapshot
+			// rename and these removes, the stale chain's base CRC no
+			// longer matches and resume ignores it.
+			os.Remove(filepath.Join(ck.dir, commitFile))
+			os.Remove(filepath.Join(ck.dir, deltaFile))
+			if ch != nil && ck.metrics != nil {
+				ck.metrics.ckCompactions.Inc()
 			}
-		} else {
-			kind = "delta"
-			var blockLen int64
-			if blockLen, err = ck.appendDelta(c, res, depth, fps, elapsed); err == nil {
-				ck.deltaBytes += blockLen
-				ck.deltaCount++
-				if ck.metrics != nil {
-					ck.metrics.ckDeltas.Inc()
-					ck.metrics.ckDeltaBytes.Add(blockLen)
-				}
+			ck.chain = &ckChain{baseCRC: crc, baseBytes: size, depth: depth}
+		}
+	} else {
+		kind = "delta"
+		var blockLen int64
+		if blockLen, err = ck.appendDelta(c, hdr, lf); err == nil {
+			ch.deltaBytes += blockLen
+			ch.deltaCount++
+			ch.depth = depth
+			if ck.metrics != nil {
+				ck.metrics.ckDeltas.Inc()
+				ck.metrics.ckDeltaBytes.Add(blockLen)
 			}
 		}
 	}
@@ -273,334 +573,11 @@ func (ck *checkpointer) maybeWrite(c *Checker, res *Result, depth int, lf *level
 		}
 		ck.warn.Warnf("checkpoint failed (previous checkpoint still valid): %v", err)
 	} else {
-		ck.lastDepth = depth
 		res.Checkpoints++
 		if ck.metrics != nil {
 			ck.metrics.checkpoints.Inc()
 		}
 	}
 	ck.tracer.Emit(obs.Event{Layer: "spec", Kind: "checkpoint", Node: -1, Detail: detail})
-	ck.reporter.Emit(obs.Progress{DistinctStates: res.DistinctStates})
-}
-
-// buildHeader assembles the snapshot header shared by full snapshots and
-// delta blocks.
-func buildHeader(o CheckpointOptions, c *Checker, res *Result, depth int, elapsed time.Duration) snapshotHeader {
-	hdr := snapshotHeader{
-		Version:        snapVersion,
-		Label:          o.Label,
-		Machine:        c.m.Name(),
-		Symmetry:       c.sym != nil,
-		InitDigest:     c.initDigest(),
-		Depth:          depth,
-		DistinctStates: res.DistinctStates,
-		Transitions:    res.Transitions,
-		DedupHits:      res.DedupHits,
-		MaxQueueLen:    res.MaxQueueLen,
-		MaxDepth:       res.MaxDepth,
-		GoalReached:    res.GoalReached,
-		ElapsedNs:      int64(elapsed),
-	}
-	for _, v := range res.Violations {
-		hdr.Violations = append(hdr.Violations, snapViolation{
-			Invariant: v.Invariant, Error: v.Err.Error(), Depth: v.Depth, FP: v.fp,
-		})
-	}
-	return hdr
-}
-
-// writeSnapshot serialises the run state into Dir/checkpoint.snap via an
-// atomic rename, returning the file size and trailing CRC (the base
-// identity delta commits refer to). Layout:
-//
-//	magic[8] version[u32] headerLen[u32] headerJSON
-//	frontierCount[u64] frontierFP[u64]...
-//	fpset stream (see fpset.WriteTo)
-//	crc32[u32] of everything prior (IEEE)
-func writeSnapshot(o CheckpointOptions, c *Checker, res *Result, depth int, fps []uint64, elapsed time.Duration) (int64, uint32, error) {
-	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
-		return 0, 0, err
-	}
-	tmp, err := os.CreateTemp(o.Dir, "checkpoint-*.tmp")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer func() {
-		tmp.Close()
-		os.Remove(tmp.Name()) // no-op after successful rename
-	}()
-
-	hb, err := json.Marshal(buildHeader(o, c, res, depth, elapsed))
-	if err != nil {
-		return 0, 0, err
-	}
-
-	crc := crc32.NewIEEE()
-	dst := ckWriterWrap(tmp)
-	cw := &countingWriter{w: io.MultiWriter(dst, crc)}
-	w := io.Writer(cw)
-	var scratch [8]byte
-	if _, err := w.Write([]byte(snapMagic)); err != nil {
-		return 0, 0, err
-	}
-	binary.LittleEndian.PutUint32(scratch[:4], snapVersion)
-	if _, err := w.Write(scratch[:4]); err != nil {
-		return 0, 0, err
-	}
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(hb)))
-	if _, err := w.Write(scratch[:4]); err != nil {
-		return 0, 0, err
-	}
-	if _, err := w.Write(hb); err != nil {
-		return 0, 0, err
-	}
-	binary.LittleEndian.PutUint64(scratch[:], uint64(len(fps)))
-	if _, err := w.Write(scratch[:]); err != nil {
-		return 0, 0, err
-	}
-	for _, f := range fps {
-		binary.LittleEndian.PutUint64(scratch[:], f)
-		if _, err := w.Write(scratch[:]); err != nil {
-			return 0, 0, err
-		}
-	}
-	if _, err := c.visited.WriteTo(w); err != nil {
-		return 0, 0, err
-	}
-	sum := crc.Sum32()
-	binary.LittleEndian.PutUint32(scratch[:4], sum)
-	if _, err := dst.Write(scratch[:4]); err != nil {
-		return 0, 0, err
-	}
-	if err := tmp.Sync(); err != nil {
-		return 0, 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, 0, err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(o.Dir, snapFile)); err != nil {
-		return 0, 0, err
-	}
-	return cw.n + 4, sum, nil
-}
-
-// countingWriter tracks bytes written so the checkpointer can size the base
-// without a Stat round trip.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// resume loads Dir/checkpoint.snap, verifies integrity and model
-// compatibility, installs the fingerprint set, applies the committed delta
-// chain (see delta.go), and rebuilds the frontier at the chain's final
-// depth.
-func (c *Checker) resume() error {
-	o := c.opts.Checkpoint
-	path := filepath.Join(o.Dir, snapFile)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(raw) < len(snapMagic)+4+4+8+4 {
-		return fmt.Errorf("%s: truncated snapshot (%d bytes)", path, len(raw))
-	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	baseCRC := binary.LittleEndian.Uint32(tail)
-	if got := crc32.ChecksumIEEE(body); got != baseCRC {
-		return fmt.Errorf("%s: checksum mismatch (snapshot corrupt)", path)
-	}
-	r := body
-	if string(r[:len(snapMagic)]) != snapMagic {
-		return fmt.Errorf("%s: not a sandtable checkpoint", path)
-	}
-	r = r[len(snapMagic):]
-	if v := binary.LittleEndian.Uint32(r[:4]); v != snapVersion {
-		return fmt.Errorf("%s: snapshot version %d, this build reads %d", path, v, snapVersion)
-	}
-	r = r[4:]
-	hlen := int(binary.LittleEndian.Uint32(r[:4]))
-	r = r[4:]
-	if hlen > len(r) {
-		return fmt.Errorf("%s: truncated header", path)
-	}
-	var hdr snapshotHeader
-	if err := json.Unmarshal(r[:hlen], &hdr); err != nil {
-		return fmt.Errorf("%s: header: %w", path, err)
-	}
-	r = r[hlen:]
-
-	// Compatibility: the snapshot must describe this exact model.
-	if hdr.Machine != c.m.Name() {
-		return fmt.Errorf("%s: snapshot is for machine %q, this run checks %q", path, hdr.Machine, c.m.Name())
-	}
-	if hdr.Symmetry != (c.sym != nil) {
-		return fmt.Errorf("%s: snapshot symmetry=%v, this run uses %v", path, hdr.Symmetry, c.sym != nil)
-	}
-	if o.Label != "" && hdr.Label != "" && o.Label != hdr.Label {
-		return fmt.Errorf("%s: snapshot label %q, this run is %q", path, hdr.Label, o.Label)
-	}
-	if got := c.initDigest(); got != hdr.InitDigest {
-		return fmt.Errorf("%s: initial-state digest mismatch (different config, budget, or defect set)", path)
-	}
-
-	if len(r) < 8 {
-		return fmt.Errorf("%s: truncated frontier", path)
-	}
-	fcount := binary.LittleEndian.Uint64(r[:8])
-	r = r[8:]
-	if uint64(len(r)) < 8*fcount {
-		return fmt.Errorf("%s: truncated frontier (%d of %d entries)", path, len(r)/8, fcount)
-	}
-	wantFrontier := make(map[uint64]bool, fcount)
-	for i := uint64(0); i < fcount; i++ {
-		wantFrontier[binary.LittleEndian.Uint64(r[:8])] = true
-		r = r[8:]
-	}
-	set, err := fpset.Read(bytes.NewReader(r), c.opts.FPSetShards)
-	if err != nil {
-		return fmt.Errorf("%s: fingerprint set: %w", path, err)
-	}
-	c.visited = set
-
-	// Apply the committed delta chain on top of the base: each block adds
-	// the fingerprints discovered since the previous checkpoint and
-	// replaces the frontier and counters with its own.
-	blocks, commit, err := loadDeltaChain(o.Dir, baseCRC)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	for _, blk := range blocks {
-		for _, rec := range blk.recs {
-			set.Insert(rec.fp, rec.parent, rec.depth)
-		}
-		hdr = blk.header
-		wantFrontier = make(map[uint64]bool, len(blk.fps))
-		for _, f := range blk.fps {
-			wantFrontier[f] = true
-		}
-	}
-	chain := &ckChainState{baseCRC: baseCRC, baseBytes: int64(len(raw)), depth: hdr.Depth}
-	if commit != nil {
-		chain.deltaBytes = commit.DeltaBytes
-		chain.deltaCount = commit.Deltas
-	}
-	c.ckChain = chain
-
-	frontier, err := c.rebuildFrontier(hdr.Depth, wantFrontier)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	c.restored = &snapshot{header: hdr, frontier: frontier}
-	return nil
-}
-
-// rebuildFrontier re-derives the frontier *states* for the snapshot's
-// frontier fingerprints by guided replay: specification states are not
-// generically serialisable, but exploration is deterministic, so walking
-// the recorded state graph forward from the initial states — expanding only
-// states whose recorded depth matches the replay level — reproduces the
-// frontier exactly. The interior's Next/fingerprint work is re-done; the
-// frontier level and everything beyond it (usually the bulk of an
-// interrupted run) is not.
-func (c *Checker) rebuildFrontier(depth int, want map[uint64]bool) ([]frontierEntry, error) {
-	workers := c.opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	// Level 0: the deduplicated initial states.
-	var cur []frontierEntry
-	seen := make(map[uint64]bool)
-	for _, s := range c.m.Init() {
-		f := c.canonicalFP(s)
-		if seen[f] {
-			continue
-		}
-		seen[f] = true
-		cur = append(cur, frontierEntry{state: s, fp: f})
-	}
-	for d := 1; d <= depth; d++ {
-		var next []frontierEntry
-		seen = make(map[uint64]bool) // a level's dedup is local to the level
-		const block = 1 << 14
-		for lo := 0; lo < len(cur); lo += block {
-			hi := min(lo+block, len(cur))
-			recs := c.replayExpand(cur[lo:hi], workers)
-			c.countCanon(int64(len(recs))) // replay canonicalizations, folded serially
-			for k := lo; k < hi; k++ {
-				cur[k].state = nil
-			}
-			for _, rec := range recs {
-				e, ok := c.visited.Lookup(rec.fp)
-				if !ok {
-					return nil, fmt.Errorf("replay reached state %#x absent from the snapshot's fingerprint set", rec.fp)
-				}
-				if int(e.Depth) != d || seen[rec.fp] {
-					continue
-				}
-				seen[rec.fp] = true
-				next = append(next, rec)
-			}
-		}
-		cur = next
-	}
-	if len(cur) != len(want) {
-		return nil, fmt.Errorf("rebuilt frontier has %d states, snapshot recorded %d", len(cur), len(want))
-	}
-	for _, fe := range cur {
-		if !want[fe.fp] {
-			return nil, fmt.Errorf("rebuilt frontier state %#x is not in the snapshot frontier", fe.fp)
-		}
-	}
-	sortFrontier(cur)
-	return cur, nil
-}
-
-// replayExpand computes successor (state, fingerprint) pairs for guided
-// replay, fanning Next/canonicalFP across workers without touching the
-// fingerprint set.
-func (c *Checker) replayExpand(entries []frontierEntry, workers int) []frontierEntry {
-	expandOne := func(fes []frontierEntry) []frontierEntry {
-		var out []frontierEntry
-		var buf []spec.Succ    // goroutine-local, reused across the slice
-		var sc fp.OrbitScratch // goroutine-local orbit-hash scratch
-		for _, fe := range fes {
-			buf = c.nextInto(fe.state, buf[:0])
-			for i := range buf {
-				f, _ := c.canonicalFPScratch(buf[i].State, &sc)
-				out = append(out, frontierEntry{state: buf[i].State, fp: f})
-			}
-		}
-		return out
-	}
-	if len(entries) < 2*workers || workers == 1 {
-		return expandOne(entries)
-	}
-	outs := make([][]frontierEntry, workers)
-	var wg sync.WaitGroup
-	size := (len(entries) + workers - 1) / workers
-	for i := 0; i < workers; i++ {
-		lo := i * size
-		hi := min(lo+size, len(entries))
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			outs[i] = expandOne(entries[lo:hi])
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	var all []frontierEntry
-	for _, o := range outs {
-		all = append(all, o...)
-	}
-	return all
+	ck.cadence.Emit(obs.Progress{DistinctStates: res.DistinctStates})
 }

@@ -2,12 +2,16 @@ package explorer
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/sandtable-go/sandtable/internal/obs"
+	"github.com/sandtable-go/sandtable/internal/spec"
+	"github.com/sandtable-go/sandtable/internal/specs/toy"
 )
 
 // interrupt runs the machine with checkpointing on and a depth bound that
@@ -213,6 +217,85 @@ func TestResumeFailsLoudly(t *testing.T) {
 			t.Errorf("label-mismatch error = %v", err)
 		}
 	})
+}
+
+// TestResumeDoesNotReexplore pins what a resume costs: restoring a depth-d
+// snapshot and stopping at MaxDepth d generates no transitions at all and
+// canonicalizes each frontier state exactly once (the load-time proof that
+// the state hashes to its recorded fingerprint) — nothing of the explored
+// interior is touched.
+func TestResumeDoesNotReexplore(t *testing.T) {
+	const d = 3
+	dir := t.TempDir()
+	first := interrupt(t, dir, d, true, Options{Symmetry: true, Cover: true})
+	frontier := first.Cover.Levels[d].Fresh
+
+	if _, err := os.Stat(filepath.Join(dir, commitFile)); err != nil {
+		t.Fatalf("want a delta chain on disk, so the base frontier is one resume must skip: %v", err)
+	}
+
+	reg := obs.NewRegistry()
+	m := &decodeCounter{LostUpdate: &toy.LostUpdate{N: 3, Atomic: true}}
+	resumed := NewChecker(m, Options{
+		Symmetry: true, MaxDepth: d, Metrics: reg,
+		Checkpoint: CheckpointOptions{Dir: dir, Resume: true},
+	}).Run()
+	if resumed.Err != nil || resumed.StopReason != "max-depth" {
+		t.Fatalf("resumed run: err=%v stop=%s, want a clean max-depth stop", resumed.Err, resumed.StopReason)
+	}
+	if resumed.Transitions != first.Transitions || resumed.DistinctStates != first.DistinctStates {
+		t.Errorf("resume did work: transitions %d -> %d, distinct %d -> %d",
+			first.Transitions, resumed.Transitions, first.DistinctStates, resumed.DistinctStates)
+	}
+	if got, _ := reg.Snapshot()["explorer.canonical.orbit"].(int64); got != int64(frontier) || frontier == 0 {
+		t.Errorf("resume canonicalized %d states, want exactly the %d frontier states", got, frontier)
+	}
+	if m.decoded != frontier {
+		t.Errorf("resume decoded %d states, want exactly the %d frontier states", m.decoded, frontier)
+	}
+}
+
+// decodeCounter counts the states a run decodes.
+type decodeCounter struct {
+	*toy.LostUpdate
+	decoded int
+}
+
+func (m *decodeCounter) DecodeState(src []byte) (spec.State, []byte, error) {
+	m.decoded++
+	return m.LostUpdate.DecodeState(src)
+}
+
+// TestResumeRejectsForgedFrontier: a snapshot whose checksum is valid but
+// whose frontier lies — a record's state does not hash to the fingerprint
+// recorded beside it — must fail the resume, never seed a wrong search.
+func TestResumeRejectsForgedFrontier(t *testing.T) {
+	dir := t.TempDir()
+	interrupt(t, dir, 2, true, Options{})
+	path := filepath.Join(dir, snapFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// First frontier record: past magic, version, header length, header and
+	// frontier count, then fp[8] encLen[4]. The toy encoding opens with Mem
+	// as a one-byte varint; flipping a value bit yields another decodable
+	// state.
+	hlen := int(binary.LittleEndian.Uint32(raw[len(snapMagic)+4:]))
+	state := len(snapMagic) + 4 + 4 + hlen + 8 + frontierRecHeader
+	raw[state] ^= 0x02
+	body := raw[:len(raw)-4]
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(body))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res := NewChecker(newToy(3, true), Options{Checkpoint: CheckpointOptions{Dir: dir, Resume: true}}).Run()
+	if res.StopReason != "checkpoint-error" || res.Err == nil || !strings.Contains(res.Err.Error(), "canonicalizes") {
+		t.Fatalf("forged frontier: stop=%s err=%v, want checkpoint-error naming the mismatched state", res.StopReason, res.Err)
+	}
+	if res.DistinctStates != 0 {
+		t.Fatalf("failed resume explored %d states", res.DistinctStates)
+	}
 }
 
 // TestCheckpointObservability checks the side channels: the checkpoints

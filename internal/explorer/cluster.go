@@ -58,12 +58,12 @@ import (
 // two actions reaching the same state within one level race for the fresh
 // credit in per-action stats (totals are unaffected either way).
 //
-// Checkpoints are per-peer snapshots written at the same level on every peer
-// (the coordinator drives the cadence through the data barrier), committed
-// cluster-wide by a manifest the coordinator writes only after a resolve
-// barrier confirms every peer's snapshot succeeded. Resume loads the
-// manifest depth on every peer and re-validates compatibility at the hello
-// barrier.
+// Checkpoints are per-peer snapshots (the single-process envelope, see
+// checkpoint.go) written at the same level on every peer (the coordinator
+// drives the cadence through the data barrier), committed cluster-wide by a
+// manifest the coordinator writes only after a resolve barrier confirms
+// every peer's snapshot succeeded. Resume loads the manifest depth on every
+// peer and re-validates compatibility at the hello barrier.
 
 // PeerOptions configures one peer of a distributed exploration.
 type PeerOptions struct {
@@ -92,7 +92,6 @@ type clusterCand struct {
 // clusterCtx is the per-run distributed context hung off the Checker.
 type clusterCtx struct {
 	conn      transport.Conn
-	codec     spec.StateCodec
 	self      int
 	peers     int
 	actions   []string
@@ -106,16 +105,11 @@ func (cl *clusterCtx) exchange(blocks [][]byte, summary []byte) ([][]byte, [][]b
 	return cl.conn.Exchange(tag, blocks, summary)
 }
 
-// clusterHello is the first-barrier summary: every peer's model identity,
+// clusterHello is the first-barrier summary: every peer's run identity,
 // validated all-to-all before any exploration.
 type clusterHello struct {
-	Label       string `json:"label,omitempty"`
-	Machine     string `json:"machine"`
-	Symmetry    bool   `json:"symmetry"`
-	InitDigest  uint64 `json:"init_digest"`
-	Peers       int    `json:"peers"`
-	Partition   int    `json:"partition_version"`
-	ResumeDepth int    `json:"resume_depth"` // -1 for a fresh run
+	runIdentity
+	ResumeDepth int `json:"resume_depth"` // -1 for a fresh run
 }
 
 // clusterData is the data-barrier summary. Only the coordinator's instance
@@ -207,9 +201,8 @@ func (c *Checker) runCluster() *Result {
 		return res
 	}
 
-	codec, ok := c.m.(spec.StateCodec)
-	if !ok {
-		return fail("config-error", fmt.Errorf("cluster: machine %q does not implement spec.StateCodec (states cannot cross peers)", c.m.Name()))
+	if c.codec == nil {
+		return fail("config-error", c.errNoCodec("cluster"))
 	}
 	actions := spec.DeclaredActions(c.m)
 	if len(actions) == 0 {
@@ -223,13 +216,14 @@ func (c *Checker) runCluster() *Result {
 	}
 
 	cl := &clusterCtx{
-		conn: conn, codec: codec, self: conn.Self(), peers: conn.Peers(),
+		conn: conn, self: conn.Self(), peers: conn.Peers(),
 		actions: actions, actionIdx: make(map[string]uint16, len(actions)),
 	}
 	for i, a := range actions {
 		cl.actionIdx[a] = uint16(i)
 	}
 	c.cluster = cl
+	c.ident = c.identity()
 
 	workers := c.opts.Workers
 	if workers <= 0 {
@@ -246,14 +240,13 @@ func (c *Checker) runCluster() *Result {
 	// Resume before the hello barrier so the loaded depth is validated
 	// against every peer's.
 	resumeDepth := -1
-	var restored *clusterRestore
+	var restored *snapshot
 	if c.opts.Checkpoint.Resume {
-		r, err := c.loadClusterSnapshot(cl)
-		if err != nil {
+		var err error
+		if restored, err = c.loadClusterSnapshot(cl); err != nil {
 			return fail("checkpoint-error", fmt.Errorf("resume: %w", err))
 		}
-		restored = r
-		resumeDepth = r.header.Depth
+		resumeDepth = restored.header.Depth
 	}
 
 	if c.opts.Cover {
@@ -264,12 +257,7 @@ func (c *Checker) runCluster() *Result {
 	// Hello barrier: all-to-all compatibility check. The transport handshake
 	// already validated the run digest and cluster size for TCP; this covers
 	// the in-process mesh too and produces better errors.
-	hello := clusterHello{
-		Label: c.opts.Checkpoint.Label, Machine: c.m.Name(), Symmetry: c.sym != nil,
-		InitDigest: c.initDigest(), Peers: cl.peers,
-		Partition: transport.PartitionVersion, ResumeDepth: resumeDepth,
-	}
-	hb, err := json.Marshal(hello)
+	hb, err := json.Marshal(clusterHello{runIdentity: c.ident, ResumeDepth: resumeDepth})
 	if err != nil {
 		return fail("config-error", err)
 	}
@@ -285,9 +273,7 @@ func (c *Checker) runCluster() *Result {
 		if err := json.Unmarshal(raw, &h); err != nil {
 			return fail("config-error", fmt.Errorf("cluster hello from peer %d: %w", q, err))
 		}
-		if h.Machine != hello.Machine || h.Symmetry != hello.Symmetry ||
-			h.InitDigest != hello.InitDigest || h.Label != hello.Label ||
-			h.Peers != hello.Peers || h.Partition != hello.Partition {
+		if h.runIdentity != c.ident {
 			return fail("config-error", fmt.Errorf("cluster: peer %d runs an incompatible model or configuration", q))
 		}
 		if h.ResumeDepth != resumeDepth {
@@ -301,21 +287,11 @@ func (c *Checker) runCluster() *Result {
 	var ownViols []snapViolation // cumulative violations found at this peer
 
 	if restored != nil {
-		hdr := restored.header
-		res.Resumed = true
-		res.DistinctStates = hdr.DistinctStates
-		res.Transitions = hdr.Transitions
-		res.DedupHits = hdr.DedupHits
-		res.MaxQueueLen = hdr.MaxQueueLen
-		res.MaxDepth = hdr.MaxDepth
-		res.GoalReached = hdr.GoalReached
+		hdr := &restored.header
+		hdr.restoreInto(res, c.cover)
 		ownViols = hdr.Violations
 		restoredElapsed = time.Duration(hdr.ElapsedNs)
-		depth = hdr.Depth
-		frontier = restored.frontier
-		if c.cover != nil {
-			c.cover.ResumedAtDepth = depth
-		}
+		depth, frontier = hdr.Depth, restored.frontier
 	} else {
 		// Init seeding: every peer canonicalises every initial state (they
 		// are few) but keeps only its own share. A duplicate initial state
@@ -341,7 +317,7 @@ func (c *Checker) runCluster() *Result {
 				res.GoalReached = true
 			}
 			if v := checkInvariants(invs, s, 0, f); v != nil {
-				ownViols = append(ownViols, snapViolation{Invariant: v.Invariant, Error: v.Err.Error(), Depth: 0, FP: f})
+				ownViols = append(ownViols, snapViolationOf(v))
 			}
 		}
 		sortFrontier(frontier)
@@ -484,7 +460,14 @@ func (c *Checker) runCluster() *Result {
 
 		ckErr := ""
 		if coord.Checkpoint {
-			if err := c.writeClusterSnapshot(cl, res, depth, frontier, ownViols, restoredElapsed+time.Since(start)); err != nil {
+			hdr := c.header(res, depth, restoredElapsed+time.Since(start), ownViols)
+			var err error
+			if dir := c.opts.Checkpoint.Dir; dir == "" {
+				err = fmt.Errorf("checkpoint requested by coordinator but this peer has no checkpoint dir")
+			} else {
+				_, _, err = c.writeSnapshot(clusterSnapPath(dir, cl.self, depth), hdr, newMemFrontier(frontier))
+			}
+			if err != nil {
 				ckErr = err.Error()
 				reporter.Warnf("cluster checkpoint failed at depth %d (previous checkpoint still valid): %v", depth, err)
 				if metrics != nil {
@@ -514,7 +497,7 @@ func (c *Checker) runCluster() *Result {
 					metrics.checkpoints.Inc()
 				}
 				if cl.self == 0 {
-					if err := c.writeClusterManifest(cl, depth); err != nil {
+					if err := c.writeClusterManifest(depth); err != nil {
 						reporter.Warnf("cluster manifest write failed at depth %d: %v", depth, err)
 					} else {
 						ck.pruneBelow = depth
@@ -599,9 +582,7 @@ func (c *Checker) runCluster() *Result {
 	sortSnapViolations(allViols)
 	res.Violations = res.Violations[:0]
 	for _, v := range allViols {
-		res.Violations = append(res.Violations, &Violation{
-			Invariant: v.Invariant, Err: errors.New(v.Error), Depth: v.Depth, fp: v.FP,
-		})
+		res.Violations = append(res.Violations, v.violation())
 	}
 
 	metrics.publish(c, res, gFrontier, depth, c.visited)
@@ -778,7 +759,7 @@ func (c *Checker) buildClusterBlocks(cands []clusterCand) ([][]byte, []clusterCa
 			for k := i; k < j; k++ {
 				wire = append(wire, transport.Candidate{
 					FP: cands[k].fp, Parent: cands[k].parent, Action: cands[k].action,
-					State: cl.codec.AppendState(nil, cands[k].state),
+					State: c.codec.AppendState(nil, cands[k].state),
 				})
 			}
 			payload, err := transport.EncodeBlock(wire)
@@ -841,7 +822,7 @@ func (c *Checker) clusterMerge(cl *clusterCtx, res *Result, depth int, selfCands
 			if st == nil {
 				var rest []byte
 				var derr error
-				st, rest, derr = cl.codec.DecodeState(lead.enc)
+				st, rest, derr = c.codec.DecodeState(lead.enc)
 				if derr != nil {
 					return nil, nil, fmt.Errorf("cluster: decode state %#x at depth %d: %w", lead.fp, depth, derr)
 				}
@@ -854,7 +835,7 @@ func (c *Checker) clusterMerge(cl *clusterCtx, res *Result, depth int, selfCands
 				res.GoalReached = true
 			}
 			if v := checkInvariants(invs, st, depth, lead.fp); v != nil {
-				viols = append(viols, snapViolation{Invariant: v.Invariant, Error: v.Err.Error(), Depth: depth, FP: lead.fp})
+				viols = append(viols, snapViolationOf(v))
 			}
 		} else {
 			res.DedupHits++

@@ -1,70 +1,36 @@
 package explorer
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
-	"github.com/sandtable-go/sandtable/internal/fpset"
 	"github.com/sandtable-go/sandtable/internal/obs"
-	"github.com/sandtable-go/sandtable/internal/transport"
 )
 
-// Cluster checkpoints are simpler than single-process ones: no delta chain,
-// just a full per-peer snapshot at a level barrier, all peers at the same
-// depth. The commit point is the coordinator's manifest, written only after
-// a resolve barrier confirms every peer's snapshot succeeded — a crash
-// between snapshots and manifest leaves the previous manifest (and the
-// snapshots it references) authoritative. Peer snapshots are depth-stamped
-// (peer-<id>/cluster-<depth>.snap) so an uncommitted write never clobbers
-// the committed one; depths below the manifest are pruned on the
-// coordinator's instruction, one committed level later.
-//
-// Unlike single-process snapshots, cluster snapshots store the frontier
-// *states* (via the machine's StateCodec, which cluster mode requires
-// anyway), so resume needs no guided replay: each peer reloads exactly its
-// shard and the cluster restarts at the manifest depth after the hello
-// barrier re-validates compatibility.
+// Cluster checkpoints are per-peer snapshots — the same envelope, writer and
+// reader as single-process ones (checkpoint.go), with no delta chain — taken
+// at a level barrier, all peers at the same depth. The commit point is the
+// coordinator's manifest, written only after a resolve barrier confirms every
+// peer's snapshot succeeded — a crash between snapshots and manifest leaves
+// the previous manifest (and the snapshots it references) authoritative. Peer
+// snapshots are depth-stamped (peer-<id>/cluster-<depth>.snap) so an
+// uncommitted write never clobbers the committed one; depths below the
+// manifest are pruned on the coordinator's instruction, one committed level
+// later. Resume reloads exactly each peer's shard and the cluster restarts at
+// the manifest depth after the hello barrier re-validates compatibility.
 
-const (
-	clusterSnapMagic    = "SNDTBLCP"
-	clusterSnapVersion  = 1
-	clusterManifestFile = "cluster-manifest.json"
-)
-
-// clusterSnapHeader extends the single-process header with the peer's
-// coordinates in the partition.
-type clusterSnapHeader struct {
-	snapshotHeader
-	PeerID    int `json:"peer_id"`
-	Peers     int `json:"peers"`
-	Partition int `json:"partition_version"`
-}
+const clusterManifestFile = "cluster-manifest.json"
 
 // clusterManifest is the cluster-wide commit record: the depth at which
-// every peer holds a validated snapshot, plus the model identity resume
+// every peer holds a validated snapshot, plus the run identity resume
 // re-checks.
 type clusterManifest struct {
-	Version    int    `json:"version"`
-	Label      string `json:"label,omitempty"`
-	Machine    string `json:"machine"`
-	Symmetry   bool   `json:"symmetry"`
-	InitDigest uint64 `json:"init_digest"`
-	Peers      int    `json:"peers"`
-	Partition  int    `json:"partition_version"`
-	Depth      int    `json:"depth"`
-}
-
-// clusterRestore is a loaded per-peer snapshot.
-type clusterRestore struct {
-	header   clusterSnapHeader
-	frontier []frontierEntry
+	Version int `json:"version"`
+	runIdentity
+	Depth int `json:"depth"`
 }
 
 // clusterCheckpointer is the coordinator's cadence state. Only peer 0 holds
@@ -83,13 +49,7 @@ func (c *Checker) newClusterCheckpointer() *clusterCheckpointer {
 	if !o.enabled() {
 		return nil
 	}
-	interval := o.Interval
-	if interval == 0 && o.EveryStates == 0 {
-		interval = 60 * time.Second
-	}
-	// Sentinel reporter, used purely for Due/Emit cadence bookkeeping —
-	// the same pattern as the single-process checkpointer.
-	return &clusterCheckpointer{cadence: obs.NewReporter(func(obs.Progress) {}, interval, o.EveryStates)}
+	return &clusterCheckpointer{cadence: o.newCadence()}
 }
 
 func (k *clusterCheckpointer) due(gDistinct int) bool {
@@ -108,130 +68,17 @@ func clusterSnapPath(dir string, peer, depth int) string {
 	return filepath.Join(clusterPeerDir(dir, peer), fmt.Sprintf("cluster-%06d.snap", depth))
 }
 
-// writeClusterSnapshot writes this peer's shard at the given depth:
-// header, encoded frontier states, fingerprint set, CRC tail — temp file
-// plus rename, so a torn write is never mistaken for a snapshot.
-func (c *Checker) writeClusterSnapshot(cl *clusterCtx, res *Result, depth int, frontier []frontierEntry, viols []snapViolation, elapsed time.Duration) error {
-	o := c.opts.Checkpoint
-	if !o.enabled() {
-		return fmt.Errorf("checkpoint requested by coordinator but this peer has no checkpoint dir")
-	}
-	dir := clusterPeerDir(o.Dir, cl.self)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	hdr := clusterSnapHeader{
-		snapshotHeader: buildHeader(o, c, res, depth, elapsed),
-		PeerID:         cl.self,
-		Peers:          cl.peers,
-		Partition:      transport.PartitionVersion,
-	}
-	hdr.Version = clusterSnapVersion
-	hdr.Violations = viols
-
-	tmp, err := os.CreateTemp(dir, "cluster-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := writeClusterSnapshotTo(tmp, cl, c.visited, hdr, frontier); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), clusterSnapPath(o.Dir, cl.self, depth))
-}
-
-func writeClusterSnapshotTo(dst io.Writer, cl *clusterCtx, set *fpset.Set, hdr clusterSnapHeader, frontier []frontierEntry) error {
-	hb, err := json.Marshal(hdr)
-	if err != nil {
-		return err
-	}
-	crc := crc32.NewIEEE()
-	w := io.MultiWriter(dst, crc)
-	var scratch [8]byte
-	if _, err := w.Write([]byte(clusterSnapMagic)); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(scratch[:4], clusterSnapVersion)
-	if _, err := w.Write(scratch[:4]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(hb)))
-	if _, err := w.Write(scratch[:4]); err != nil {
-		return err
-	}
-	if _, err := w.Write(hb); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(scratch[:], uint64(len(frontier)))
-	if _, err := w.Write(scratch[:]); err != nil {
-		return err
-	}
-	var enc []byte
-	for i := range frontier {
-		enc = cl.codec.AppendState(enc[:0], frontier[i].state)
-		binary.LittleEndian.PutUint64(scratch[:], frontier[i].fp)
-		if _, err := w.Write(scratch[:]); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(enc)))
-		if _, err := w.Write(scratch[:4]); err != nil {
-			return err
-		}
-		if _, err := w.Write(enc); err != nil {
-			return err
-		}
-	}
-	if _, err := set.WriteTo(w); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(scratch[:4], crc.Sum32())
-	_, err = dst.Write(scratch[:4])
-	return err
-}
-
 // writeClusterManifest commits the cluster checkpoint at depth. Coordinator
 // only, called after a resolve barrier confirmed every peer's snapshot.
-func (c *Checker) writeClusterManifest(cl *clusterCtx, depth int) error {
-	o := c.opts.Checkpoint
-	man := clusterManifest{
-		Version:    clusterSnapVersion,
-		Label:      o.Label,
-		Machine:    c.m.Name(),
-		Symmetry:   c.sym != nil,
-		InitDigest: c.initDigest(),
-		Peers:      cl.peers,
-		Partition:  transport.PartitionVersion,
-		Depth:      depth,
-	}
-	raw, err := json.MarshalIndent(man, "", "  ")
+func (c *Checker) writeClusterManifest(depth int) error {
+	raw, err := json.MarshalIndent(clusterManifest{Version: snapVersion, runIdentity: c.ident, Depth: depth}, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(o.Dir, "manifest-*.tmp")
-	if err != nil {
+	return atomicWrite(filepath.Join(c.opts.Checkpoint.Dir, clusterManifestFile), func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(raw, '\n')); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(o.Dir, clusterManifestFile))
+	})
 }
 
 // pruneClusterSnaps deletes this peer's snapshots below the last committed
@@ -258,9 +105,9 @@ func (c *Checker) pruneClusterSnaps(cl *clusterCtx, below int) {
 // depth, validating the manifest and the snapshot against the running
 // configuration. Called before the hello barrier, which then cross-checks
 // that every peer resumed from the same depth.
-func (c *Checker) loadClusterSnapshot(cl *clusterCtx) (*clusterRestore, error) {
-	o := c.opts.Checkpoint
-	mpath := filepath.Join(o.Dir, clusterManifestFile)
+func (c *Checker) loadClusterSnapshot(cl *clusterCtx) (*snapshot, error) {
+	dir := c.opts.Checkpoint.Dir
+	mpath := filepath.Join(dir, clusterManifestFile)
 	mraw, err := os.ReadFile(mpath)
 	if err != nil {
 		return nil, err
@@ -269,102 +116,25 @@ func (c *Checker) loadClusterSnapshot(cl *clusterCtx) (*clusterRestore, error) {
 	if err := json.Unmarshal(mraw, &man); err != nil {
 		return nil, fmt.Errorf("%s: %w", mpath, err)
 	}
-	if man.Version != clusterSnapVersion {
-		return nil, fmt.Errorf("%s: manifest version %d, this build reads %d", mpath, man.Version, clusterSnapVersion)
+	if man.Version != snapVersion {
+		return nil, fmt.Errorf("%s: manifest version %d, this build reads %d", mpath, man.Version, snapVersion)
 	}
-	if man.Machine != c.m.Name() {
-		return nil, fmt.Errorf("%s: checkpoint is for machine %q, this run checks %q", mpath, man.Machine, c.m.Name())
+	if err := c.checkIdentity(mpath, man.runIdentity); err != nil {
+		return nil, err
 	}
-	if man.Symmetry != (c.sym != nil) {
-		return nil, fmt.Errorf("%s: checkpoint symmetry=%v, this run uses %v", mpath, man.Symmetry, c.sym != nil)
-	}
-	if o.Label != "" && man.Label != "" && o.Label != man.Label {
-		return nil, fmt.Errorf("%s: checkpoint label %q, this run is %q", mpath, man.Label, o.Label)
-	}
-	if got := c.initDigest(); got != man.InitDigest {
-		return nil, fmt.Errorf("%s: initial-state digest mismatch (different config, budget, or defect set)", mpath)
-	}
-	if man.Peers != cl.peers {
-		return nil, fmt.Errorf("%s: checkpoint is for %d peers, this cluster has %d (repartitioning is not supported)", mpath, man.Peers, cl.peers)
-	}
-	if man.Partition != transport.PartitionVersion {
-		return nil, fmt.Errorf("%s: checkpoint partition version %d, this build uses %d", mpath, man.Partition, transport.PartitionVersion)
-	}
-
-	path := clusterSnapPath(o.Dir, cl.self, man.Depth)
-	raw, err := os.ReadFile(path)
+	path := clusterSnapPath(dir, cl.self, man.Depth)
+	snap, err := c.loadSnapshot(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < len(clusterSnapMagic)+4+4+8+4 {
-		return nil, fmt.Errorf("%s: truncated snapshot (%d bytes)", path, len(raw))
+	if snap.header.PeerID != cl.self {
+		return nil, fmt.Errorf("%s: snapshot belongs to peer %d, this is peer %d", path, snap.header.PeerID, cl.self)
 	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if got := crc32.ChecksumIEEE(body); got != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("%s: checksum mismatch (snapshot corrupt)", path)
+	if snap.header.Depth != man.Depth {
+		return nil, fmt.Errorf("%s: snapshot depth %d, manifest committed %d", path, snap.header.Depth, man.Depth)
 	}
-	r := body
-	if string(r[:len(clusterSnapMagic)]) != clusterSnapMagic {
-		return nil, fmt.Errorf("%s: not a sandtable cluster checkpoint", path)
+	if err := c.restoreFrontier(snap); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	r = r[len(clusterSnapMagic):]
-	if v := binary.LittleEndian.Uint32(r[:4]); v != clusterSnapVersion {
-		return nil, fmt.Errorf("%s: snapshot version %d, this build reads %d", path, v, clusterSnapVersion)
-	}
-	r = r[4:]
-	hlen := int(binary.LittleEndian.Uint32(r[:4]))
-	r = r[4:]
-	if hlen > len(r) {
-		return nil, fmt.Errorf("%s: truncated header", path)
-	}
-	var hdr clusterSnapHeader
-	if err := json.Unmarshal(r[:hlen], &hdr); err != nil {
-		return nil, fmt.Errorf("%s: header: %w", path, err)
-	}
-	r = r[hlen:]
-	if hdr.PeerID != cl.self || hdr.Peers != cl.peers {
-		return nil, fmt.Errorf("%s: snapshot is peer %d of %d, this peer is %d of %d", path, hdr.PeerID, hdr.Peers, cl.self, cl.peers)
-	}
-	if hdr.Partition != transport.PartitionVersion {
-		return nil, fmt.Errorf("%s: snapshot partition version %d, this build uses %d", path, hdr.Partition, transport.PartitionVersion)
-	}
-	if hdr.Depth != man.Depth {
-		return nil, fmt.Errorf("%s: snapshot depth %d, manifest committed %d", path, hdr.Depth, man.Depth)
-	}
-	if hdr.Machine != c.m.Name() || hdr.Symmetry != (c.sym != nil) || hdr.InitDigest != man.InitDigest {
-		return nil, fmt.Errorf("%s: snapshot does not match the manifest's model identity", path)
-	}
-
-	if len(r) < 8 {
-		return nil, fmt.Errorf("%s: truncated frontier", path)
-	}
-	fcount := binary.LittleEndian.Uint64(r[:8])
-	r = r[8:]
-	frontier := make([]frontierEntry, 0, fcount)
-	for i := uint64(0); i < fcount; i++ {
-		if len(r) < 12 {
-			return nil, fmt.Errorf("%s: truncated frontier entry %d", path, i)
-		}
-		f := binary.LittleEndian.Uint64(r[:8])
-		elen := int(binary.LittleEndian.Uint32(r[8:12]))
-		r = r[12:]
-		if elen > len(r) {
-			return nil, fmt.Errorf("%s: truncated state for %#x", path, f)
-		}
-		st, rest, err := cl.codec.DecodeState(r[:elen])
-		if err != nil {
-			return nil, fmt.Errorf("%s: decode state %#x: %w", path, f, err)
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("%s: state %#x: %d trailing bytes", path, f, len(rest))
-		}
-		r = r[elen:]
-		frontier = append(frontier, frontierEntry{state: st, fp: f})
-	}
-	set, err := fpset.Read(bytes.NewReader(r), c.opts.FPSetShards)
-	if err != nil {
-		return nil, fmt.Errorf("%s: fingerprint set: %w", path, err)
-	}
-	c.visited = set
-	return &clusterRestore{header: hdr, frontier: frontier}, nil
+	return snap, nil
 }

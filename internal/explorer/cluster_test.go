@@ -12,6 +12,7 @@ import (
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/specs/raftbase"
+	"github.com/sandtable-go/sandtable/internal/specs/zabkeeper"
 	"github.com/sandtable-go/sandtable/internal/transport"
 	"github.com/sandtable-go/sandtable/internal/vnet"
 )
@@ -41,6 +42,17 @@ func bugMachine() *raftbase.Machine {
 		Config: spec.Config{Name: "n3w1", Nodes: 3, Workload: []string{"v1"}},
 		Budget: spec.Budget{Name: "eq", MaxTimeouts: 2, MaxRequests: 1, MaxBuffer: 2, MaxCompactions: 1},
 	})
+}
+
+// zabMachine is a fully-exhaustible two-node zabkeeper model with a crash
+// and a restart: 7647 distinct states over 28 levels, widest level 749 (past
+// the frontier spill floor), leaders elected, histories synced and
+// committed — every part of the zabkeeper StateCodec on the wire and on disk.
+func zabMachine() spec.Machine {
+	return zabkeeper.New(
+		spec.Config{Name: "n2w1", Nodes: 2, Workload: []string{"v1"}},
+		spec.Budget{Name: "eq", MaxTimeouts: 3, MaxRequests: 2, MaxCrashes: 1, MaxRestarts: 1, MaxBuffer: 3},
+		bugdb.NoBugs())
 }
 
 // Cover detail level for clusterSig. coverFull includes the per-action
@@ -134,47 +146,64 @@ func runClusterPeers(peers int, opts func(i int) Options, wrap func(i int, c tra
 }
 
 // eqOrBug picks the machine for the run: the options carry a marker in
-// Checkpoint.Label ("bug" → bugMachine) so runClusterPeers stays generic.
+// Checkpoint.Label ("bug" → bugMachine, "zab" → zabMachine) so
+// runClusterPeers stays generic.
 func eqOrBug(o Options) spec.Machine {
-	if strings.HasPrefix(o.Checkpoint.Label, "bug") {
+	switch {
+	case strings.HasPrefix(o.Checkpoint.Label, "bug"):
 		return bugMachine()
+	case strings.HasPrefix(o.Checkpoint.Label, "zab"):
+		return zabMachine()
 	}
 	return eqMachine()
 }
 
 func TestClusterEquivalenceExhaustive(t *testing.T) {
-	// Canonical reference: single-process W=1. W>1 single-process runs must
-	// match it on every worker-count-deterministic dimension (coverTotals).
-	refRes := NewChecker(eqMachine(), Options{Workers: 1, Cover: true}).Run()
-	if refRes.Err != nil {
-		t.Fatalf("single-process w=1: %v", refRes.Err)
-	}
-	ref, refTotals := clusterSig(refRes, coverFull), clusterSig(refRes, coverTotals)
-	if !strings.Contains(ref, "stop=exhausted") {
-		t.Fatalf("reference run not exhaustive:\n%s", ref)
-	}
-	for _, w := range []int{2, 4} {
-		res := NewChecker(eqMachine(), Options{Workers: w, Cover: true}).Run()
-		if sig := clusterSig(res, coverTotals); sig != refTotals {
-			t.Fatalf("single-process signature differs at w=%d:\n%s\nvs\n%s", w, sig, refTotals)
-		}
-	}
-	// Cluster runs reproduce the full canonical profile — including the
-	// per-action fresh split — at every peer count and worker count.
-	for _, peers := range []int{1, 2, 3} {
-		for _, w := range []int{1, 2} {
-			results := runClusterPeers(peers, func(int) Options {
-				return Options{Workers: w, Cover: true, Checkpoint: CheckpointOptions{Label: "eq"}}
-			}, nil)
-			for i, res := range results {
-				if res.Err != nil {
-					t.Fatalf("p=%d w=%d peer %d: %v (stop=%s)", peers, w, i, res.Err, res.StopReason)
-				}
-				if sig := clusterSig(res, coverFull); sig != ref {
-					t.Errorf("p=%d w=%d peer %d signature differs:\n%s\nwant:\n%s", peers, w, i, sig, ref)
+	for _, tc := range []struct {
+		label string
+		peers []int
+	}{
+		{"eq", []int{1, 2, 3}},
+		{"zab", []int{2}},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			opts := func(w int) Options {
+				return Options{Workers: w, Cover: true, Checkpoint: CheckpointOptions{Label: tc.label}}
+			}
+			// Canonical reference: single-process W=1. W>1 single-process
+			// runs must match it on every worker-count-deterministic
+			// dimension (coverTotals).
+			refRes := NewChecker(eqOrBug(opts(1)), opts(1)).Run()
+			if refRes.Err != nil {
+				t.Fatalf("single-process w=1: %v", refRes.Err)
+			}
+			ref, refTotals := clusterSig(refRes, coverFull), clusterSig(refRes, coverTotals)
+			if !strings.Contains(ref, "stop=exhausted") {
+				t.Fatalf("reference run not exhaustive:\n%s", ref)
+			}
+			for _, w := range []int{2, 4} {
+				res := NewChecker(eqOrBug(opts(w)), opts(w)).Run()
+				if sig := clusterSig(res, coverTotals); sig != refTotals {
+					t.Fatalf("single-process signature differs at w=%d:\n%s\nvs\n%s", w, sig, refTotals)
 				}
 			}
-		}
+			// Cluster runs reproduce the full canonical profile — including
+			// the per-action fresh split — at every peer count and worker
+			// count.
+			for _, peers := range tc.peers {
+				for _, w := range []int{1, 2} {
+					results := runClusterPeers(peers, func(int) Options { return opts(w) }, nil)
+					for i, res := range results {
+						if res.Err != nil {
+							t.Fatalf("p=%d w=%d peer %d: %v (stop=%s)", peers, w, i, res.Err, res.StopReason)
+						}
+						if sig := clusterSig(res, coverFull); sig != ref {
+							t.Errorf("p=%d w=%d peer %d signature differs:\n%s\nwant:\n%s", peers, w, i, sig, ref)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -285,6 +314,11 @@ func TestClusterConfigErrors(t *testing.T) {
 	res := NewChecker(noCodec{newToy(3, false)}, Options{Peer: &PeerOptions{Conn: transport.NewMesh(1)[0]}}).Run()
 	if res.StopReason != "config-error" || res.Err == nil {
 		t.Fatalf("toy machine: stop=%s err=%v, want config-error", res.StopReason, res.Err)
+	}
+	// Nor can it checkpoint: the same named error, not a fallback path.
+	res = NewChecker(noCodec{newToy(3, false)}, Options{Checkpoint: CheckpointOptions{Dir: t.TempDir(), EveryStates: 1}}).Run()
+	if res.StopReason != "config-error" || res.Err == nil || res.DistinctStates != 0 {
+		t.Fatalf("checkpoint without codec: stop=%s err=%v distinct=%d, want config-error before exploring", res.StopReason, res.Err, res.DistinctStates)
 	}
 	// MemBudget is incompatible with distributed runs.
 	res = NewChecker(eqMachine(), Options{MemBudget: 1 << 20, Peer: &PeerOptions{Conn: transport.NewMesh(1)[0]}}).Run()

@@ -1,7 +1,7 @@
 package explorer
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"github.com/sandtable-go/sandtable/internal/fpset"
 )
@@ -19,11 +18,12 @@ import (
 // delta block to an append-only log instead of rewriting the whole set:
 //
 //	checkpoint.delta  — delta blocks:
-//	    magic[8]="SNDTBLDL" payloadLen[u32] crc32[u32 of payload] payload
+//	    magic[8]="SNDTBLDL" payloadLen[u64] crc32[u32 of payload] payload
 //	    payload: headerLen[u32] headerJSON (full snapshotHeader at the
-//	             delta's depth) frontierCount[u64] frontierFP[u64]...
-//	             recordCount[u64] fpset records (20 bytes each: fp, parent,
-//	             depth) for every entry with Depth in (prevDepth, depth]
+//	             delta's depth) recordCount[u64] fpset records (20 bytes
+//	             each: fp, parent, depth) for every entry with Depth in
+//	             (prevDepth, depth] frontierCount[u64] frontier records
+//	             (see frontier.go) to the end of the payload
 //	checkpoint.commit — JSON commit record naming the number of valid bytes
 //	    of the delta log, written via temp file + fsync + atomic rename
 //	    after the delta append is synced.
@@ -69,127 +69,123 @@ type commitRecord struct {
 	Depth int `json:"depth"`
 }
 
-// deltaBlock is one decoded block of the delta log.
+// deltaBlock is one parsed block of the delta log. Both sections stay
+// encoded: a resume inserts the records straight into the fingerprint set
+// and decodes only the last block's frontier.
 type deltaBlock struct {
 	header snapshotHeader
-	fps    []uint64
-	recs   []deltaRec
+	// recs holds the fpset records, deltaRecSize bytes each.
+	recs          []byte
+	frontierCount uint64
+	frontierRecs  []byte
 }
 
-// deltaRec is one fpset record carried by a delta block.
-type deltaRec struct {
-	fp, parent uint64
-	depth      int32
+// deltaRecSize is one fpset record in a delta block: fp, parent, depth.
+const deltaRecSize = 8 + 8 + 4
+
+// applyTo inserts the block's fingerprint-set records into set.
+func (b *deltaBlock) applyTo(set *fpset.Set) {
+	le := binary.LittleEndian
+	for p := b.recs; len(p) > 0; p = p[deltaRecSize:] {
+		set.Insert(le.Uint64(p[0:8]), le.Uint64(p[8:16]), int32(le.Uint32(p[16:20])))
+	}
 }
 
-// appendDelta builds and appends one delta block covering (prevDepth,
-// depth], starting at byte offset committed of the delta log, and publishes
-// it with a commit record. Returns the block's byte length. On error the
-// previously committed chain is untouched (a partial append beyond the
-// committed length is overwritten by the next attempt and truncated by
-// recovery).
-func (ck *checkpointer) appendDelta(c *Checker, res *Result, depth int, fps []uint64, elapsed time.Duration) (int64, error) {
-	hdr := buildHeader(ck.opts, c, res, depth, elapsed)
+// deltaBlockHead is the fixed head of a delta block: magic, payload length,
+// payload CRC.
+const deltaBlockHead = 8 + 8 + 4
+
+// appendDelta appends one delta block — hdr, the fingerprint-set entries
+// newer than the chain's depth, and the frontier lf — at the chain's
+// committed length, and publishes it with a commit record. Returns the
+// block's byte length. The frontier streams to the file (a spilled level
+// never comes back into RAM), so the head is written last, over a
+// placeholder. On error the previously committed chain is untouched (a
+// partial append beyond the committed length is overwritten by the next
+// attempt and truncated by recovery).
+func (ck *checkpointer) appendDelta(c *Checker, hdr snapshotHeader, lf *levelFrontier) (int64, error) {
+	ch := ck.chain
 	hb, err := json.Marshal(hdr)
 	if err != nil {
 		return 0, err
 	}
-	var payload bytes.Buffer
-	var scratch [20]byte
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(hb)))
-	payload.Write(scratch[:4])
-	payload.Write(hb)
-	binary.LittleEndian.PutUint64(scratch[:8], uint64(len(fps)))
-	payload.Write(scratch[:8])
-	for _, f := range fps {
-		binary.LittleEndian.PutUint64(scratch[:8], f)
-		payload.Write(scratch[:8])
-	}
-	var recs bytes.Buffer
+	le := binary.LittleEndian
+	pre := le.AppendUint32(nil, uint32(len(hb)))
+	pre = append(pre, hb...)
+	countAt := len(pre)
+	pre = le.AppendUint64(pre, 0)
 	count := uint64(0)
-	rerr := c.visited.RangeNewer(int32(ck.lastDepth), func(fp uint64, e fpset.Edge) bool {
-		binary.LittleEndian.PutUint64(scratch[0:8], fp)
-		binary.LittleEndian.PutUint64(scratch[8:16], e.Parent)
-		binary.LittleEndian.PutUint32(scratch[16:20], uint32(e.Depth))
-		recs.Write(scratch[:20])
+	rerr := c.visited.RangeNewer(int32(ch.depth), func(fp uint64, e fpset.Edge) bool {
+		pre = le.AppendUint64(pre, fp)
+		pre = le.AppendUint64(pre, e.Parent)
+		pre = le.AppendUint32(pre, uint32(e.Depth))
 		count++
 		return true
 	})
 	if rerr != nil {
 		return 0, fmt.Errorf("delta records: %w", rerr)
 	}
-	binary.LittleEndian.PutUint64(scratch[:8], count)
-	payload.Write(scratch[:8])
-	payload.Write(recs.Bytes())
+	le.PutUint64(pre[countAt:], count)
+	pre = le.AppendUint64(pre, uint64(lf.size()))
 
-	f, err := os.OpenFile(filepath.Join(ck.opts.Dir, deltaFile), os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(filepath.Join(ck.dir, deltaFile), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	if _, err := f.Seek(ck.deltaBytes, io.SeekStart); err != nil {
+	if _, err := f.Seek(ch.deltaBytes, io.SeekStart); err != nil {
 		return 0, err
 	}
 	w := ckWriterWrap(f)
-	var head [16]byte
-	copy(head[:8], deltaMagic)
-	binary.LittleEndian.PutUint32(head[8:12], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(head[12:16], crc32.ChecksumIEEE(payload.Bytes()))
+	var head [deltaBlockHead]byte
 	if _, err := w.Write(head[:]); err != nil {
 		return 0, err
 	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
+	crc := crc32.NewIEEE()
+	cw := &countingWriter{w: io.MultiWriter(w, crc)}
+	bw := bufio.NewWriterSize(cw, 1<<16)
+	if _, err := bw.Write(pre); err != nil {
+		return 0, err
+	}
+	if err := lf.writeRecords(bw, c.codec); err != nil {
+		return 0, err
+	}
+	if err := bw.Flush(); err != nil {
+		return 0, err
+	}
+	copy(head[:8], deltaMagic)
+	le.PutUint64(head[8:16], uint64(cw.n))
+	le.PutUint32(head[16:20], crc.Sum32())
+	if _, err := f.WriteAt(head[:], ch.deltaBytes); err != nil {
 		return 0, err
 	}
 	if err := f.Sync(); err != nil {
 		return 0, err
 	}
-	blockLen := int64(16 + payload.Len())
+	blockLen := deltaBlockHead + cw.n
 	rec := commitRecord{
 		Version:    snapVersion,
-		BaseCRC:    ck.baseCRC,
-		DeltaBytes: ck.deltaBytes + blockLen,
-		Deltas:     ck.deltaCount + 1,
-		Depth:      depth,
+		BaseCRC:    ch.baseCRC,
+		DeltaBytes: ch.deltaBytes + blockLen,
+		Deltas:     ch.deltaCount + 1,
+		Depth:      hdr.Depth,
 	}
-	if err := writeCommit(ck.opts.Dir, rec); err != nil {
+	if err := writeCommit(ck.dir, rec); err != nil {
 		return 0, err
 	}
 	return blockLen, nil
 }
 
-// writeCommit publishes a commit record atomically (temp + fsync + rename),
-// then best-effort fsyncs the directory so the rename itself is durable.
+// writeCommit publishes a commit record atomically.
 func writeCommit(dir string, rec commitRecord) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, "commit-*.tmp")
-	if err != nil {
+	return atomicWrite(filepath.Join(dir, commitFile), func(w io.Writer) error {
+		_, err := w.Write(b)
 		return err
-	}
-	defer func() {
-		tmp.Close()
-		os.Remove(tmp.Name()) // no-op after successful rename
-	}()
-	if _, err := ckWriterWrap(tmp).Write(b); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, commitFile)); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	})
 }
 
 // loadDeltaChain reads and validates the committed delta chain for a base
@@ -242,24 +238,24 @@ func loadDeltaChain(dir string, baseCRC uint32) ([]deltaBlock, *commitRecord, er
 	}
 	var blocks []deltaBlock
 	for len(raw) > 0 {
-		if len(raw) < 16 || string(raw[:8]) != deltaMagic {
+		if len(raw) < deltaBlockHead || string(raw[:8]) != deltaMagic {
 			return nil, nil, fmt.Errorf("%s: bad delta block magic at offset %d", deltaPath, rec.DeltaBytes-int64(len(raw)))
 		}
-		plen := int(binary.LittleEndian.Uint32(raw[8:12]))
-		want := binary.LittleEndian.Uint32(raw[12:16])
-		if len(raw) < 16+plen {
+		plen := binary.LittleEndian.Uint64(raw[8:16])
+		want := binary.LittleEndian.Uint32(raw[16:20])
+		raw = raw[deltaBlockHead:]
+		if uint64(len(raw)) < plen {
 			return nil, nil, fmt.Errorf("%s: truncated committed delta block", deltaPath)
 		}
-		payload := raw[16 : 16+plen]
-		if got := crc32.ChecksumIEEE(payload); got != want {
+		if got := crc32.ChecksumIEEE(raw[:plen]); got != want {
 			return nil, nil, fmt.Errorf("%s: delta block checksum mismatch (log corrupt)", deltaPath)
 		}
-		blk, err := parseDeltaPayload(payload)
+		blk, err := parseDeltaPayload(raw[:plen])
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", deltaPath, err)
 		}
 		blocks = append(blocks, blk)
-		raw = raw[16+plen:]
+		raw = raw[plen:]
 	}
 	if len(blocks) != rec.Deltas {
 		return nil, nil, fmt.Errorf("%s: %d blocks committed, %d found", deltaPath, rec.Deltas, len(blocks))
@@ -267,49 +263,30 @@ func loadDeltaChain(dir string, baseCRC uint32) ([]deltaBlock, *commitRecord, er
 	return blocks, &rec, nil
 }
 
+// parseDeltaPayload splits one CRC-checked block payload into its sections.
+// The bytes are still hostile (a checksum is not a proof of origin): every
+// count is bounded by what remains before it is used.
 func parseDeltaPayload(p []byte) (deltaBlock, error) {
 	var blk deltaBlock
+	le := binary.LittleEndian
 	if len(p) < 4 {
 		return blk, fmt.Errorf("truncated delta header")
 	}
-	hlen := int(binary.LittleEndian.Uint32(p[:4]))
+	hlen := uint64(le.Uint32(p))
 	p = p[4:]
-	if len(p) < hlen {
+	if uint64(len(p)) < hlen+8 {
 		return blk, fmt.Errorf("truncated delta header")
 	}
 	if err := json.Unmarshal(p[:hlen], &blk.header); err != nil {
 		return blk, fmt.Errorf("delta header: %w", err)
 	}
-	p = p[hlen:]
-	if len(p) < 8 {
-		return blk, fmt.Errorf("truncated delta frontier")
+	rcount := le.Uint64(p[hlen:])
+	p = p[hlen+8:]
+	if rcount > uint64(len(p))/deltaRecSize || uint64(len(p))-deltaRecSize*rcount < 8 {
+		return blk, fmt.Errorf("truncated delta records: %d bytes for %d records", len(p), rcount)
 	}
-	fcount := binary.LittleEndian.Uint64(p[:8])
-	p = p[8:]
-	if uint64(len(p)) < 8*fcount {
-		return blk, fmt.Errorf("truncated delta frontier")
-	}
-	blk.fps = make([]uint64, 0, fcount)
-	for i := uint64(0); i < fcount; i++ {
-		blk.fps = append(blk.fps, binary.LittleEndian.Uint64(p[:8]))
-		p = p[8:]
-	}
-	if len(p) < 8 {
-		return blk, fmt.Errorf("truncated delta records")
-	}
-	rcount := binary.LittleEndian.Uint64(p[:8])
-	p = p[8:]
-	if uint64(len(p)) != 20*rcount {
-		return blk, fmt.Errorf("delta records: %d bytes for %d records", len(p), rcount)
-	}
-	blk.recs = make([]deltaRec, 0, rcount)
-	for i := uint64(0); i < rcount; i++ {
-		blk.recs = append(blk.recs, deltaRec{
-			fp:     binary.LittleEndian.Uint64(p[0:8]),
-			parent: binary.LittleEndian.Uint64(p[8:16]),
-			depth:  int32(binary.LittleEndian.Uint32(p[16:20])),
-		})
-		p = p[20:]
-	}
+	blk.recs, p = p[:deltaRecSize*rcount], p[deltaRecSize*rcount:]
+	blk.frontierCount = le.Uint64(p)
+	blk.frontierRecs = p[8:]
 	return blk, nil
 }

@@ -23,7 +23,8 @@
 // (depth, fingerprint) order.
 //
 // Long runs can snapshot their fingerprint set and frontier to disk and be
-// resumed after an interruption; see CheckpointOptions.
+// resumed after an interruption; see CheckpointOptions. There is one
+// snapshot format (checkpoint.go) for single-process and distributed runs.
 package explorer
 
 import (
@@ -101,7 +102,8 @@ type Options struct {
 	// the exploration's two big structures. Over budget, the fingerprint
 	// set spills frozen entries to sorted disk runs (any machine), and the
 	// BFS frontier spills to disk runs when the machine implements
-	// spec.StateCodec (without the codec only the fingerprint set spills).
+	// spec.StateCodec (every in-tree system does; without the codec only
+	// the fingerprint set spills).
 	// Results are identical to an unbudgeted run — see frontier.go and
 	// fpset/spill.go for the determinism argument. The CLI exposes this as
 	// -mem-budget and defaults it from GOMEMLIMIT.
@@ -195,8 +197,10 @@ type Result struct {
 	Exhausted bool
 	// StopReason explains why the run ended ("exhausted", "violation",
 	// "max-states", "deadline", "max-depth", "canceled" — Options.Context
-	// was canceled — "checkpoint-error", "spill-error" — a disk failure
-	// reading back a spilled frontier).
+	// was canceled — "checkpoint-error", "config-error" — the options ask
+	// for something the machine cannot do — "spill-error" — a disk failure
+	// reading back a spilled frontier; distributed runs add
+	// "transport-error").
 	StopReason string
 	// Resumed reports whether the run continued from a snapshot.
 	Resumed bool
@@ -206,9 +210,10 @@ type Result struct {
 	// Options.Cover): which actions fired, which never did, how each BFS
 	// level spent its work.
 	Cover *obs.Cover
-	// Err carries a fatal configuration error (today: a failed resume —
-	// missing, corrupt, or incompatible snapshot). When non-nil the other
-	// fields are zero and StopReason is "checkpoint-error".
+	// Err carries the fatal error behind a "checkpoint-error" (a failed
+	// resume — missing, corrupt, or incompatible snapshot), "config-error",
+	// "spill-error" or "transport-error" stop. For the first two the other
+	// fields are zero.
 	Err error
 }
 
@@ -285,8 +290,8 @@ type Checker struct {
 	// ptab is the cached permutation table for the machine's arity (nil
 	// with symmetry off).
 	ptab *spec.PermTable
-	// osc is the serial-path orbit scratch (init seeding, checkpoint
-	// rebuild, trace reconstruction); expansion workers carry their own.
+	// osc is the serial-path orbit scratch (init seeding, resume
+	// verification, trace reconstruction); expansion workers carry their own.
 	osc fp.OrbitScratch
 	// canonOrbit / canonFlat count canonicalizations served by the
 	// incremental orbit path vs the flat per-permutation path. Published as
@@ -301,11 +306,13 @@ type Checker struct {
 	// barriers, never directly.
 	cover *obs.Cover
 
-	// restored carries state loaded from a snapshot (nil for fresh runs).
-	restored *snapshot
-	// ckChain carries the committed checkpoint chain a resume loaded, so
-	// the run's checkpointer keeps appending deltas to it.
-	ckChain *ckChainState
+	// codec is non-nil when states round-trip through bytes
+	// (spec.StateCodec) — what frontier spill, checkpoints and cluster
+	// exchange all need; resolved once here like bm.
+	codec spec.StateCodec
+	// ident is the run identity checkpoints and peers are matched against;
+	// set by Run when either is in play.
+	ident runIdentity
 
 	// cluster is the distributed-run context (nil for single-process runs);
 	// see cluster.go.
@@ -316,6 +323,7 @@ type Checker struct {
 func NewChecker(m spec.Machine, opts Options) *Checker {
 	c := &Checker{m: m, opts: opts, visited: fpset.New(opts.FPSetShards)}
 	c.bm, _ = m.(spec.BufferedMachine)
+	c.codec, _ = m.(spec.StateCodec)
 	if opts.Symmetry {
 		if sym, ok := m.(spec.Symmetric); ok && sym.NumNodes() > 1 {
 			c.sym = sym
@@ -358,8 +366,7 @@ func (c *Checker) canonicalFP(s spec.State) uint64 {
 // produced the minimum — i.e. whether symmetry reduction actually collapsed
 // this state onto a representative (the coverage profiler's symmetry-hit
 // signal). Serial-path wrapper over canonicalFPScratch using the checker's
-// own scratch; concurrent callers (expansion workers, checkpoint replay)
-// must pass their own.
+// own scratch; concurrent callers (expansion workers) must pass their own.
 func (c *Checker) canonicalFPReduced(s spec.State) (uint64, bool) {
 	return c.canonicalFPScratch(s, &c.osc)
 }
@@ -521,43 +528,38 @@ func (c *Checker) Run() *Result {
 	depth := 0
 	var restoredElapsed time.Duration
 
-	if c.opts.Checkpoint.Resume {
-		if err := c.resume(); err != nil {
-			res.Err = fmt.Errorf("resume: %w", err)
-			res.StopReason = "checkpoint-error"
-			return res
-		}
-	}
-	// Built after resume so it can adopt the restored delta chain and keep
-	// appending to it instead of rewriting a full base snapshot.
-	ck := c.newCheckpointer(metrics, reporter)
-
 	if c.opts.Cover {
 		res.Cover = obs.NewCover("bfs", spec.DeclaredActions(c.m))
 		c.cover = res.Cover
 	}
 
-	if c.restored != nil {
-		// Continue from the snapshot: counters, depth, and the rebuilt
-		// frontier replace the init-state seeding below.
-		snap := c.restored
-		res.Resumed = true
-		res.DistinctStates = snap.header.DistinctStates
-		res.Transitions = snap.header.Transitions
-		res.DedupHits = snap.header.DedupHits
-		res.MaxQueueLen = snap.header.MaxQueueLen
-		res.MaxDepth = snap.header.MaxDepth
-		res.GoalReached = snap.header.GoalReached
-		res.Violations = snap.violations()
-		restoredElapsed = time.Duration(snap.header.ElapsedNs)
-		depth = snap.header.Depth
-		frontier = snap.frontier
-		c.restored = nil
-		if c.cover != nil {
-			// Levels before the snapshot were profiled by the interrupted
-			// session; this profile covers the continuation only.
-			c.cover.ResumedAtDepth = depth
+	// chain is the committed checkpoint chain a resume loaded; the run's
+	// checkpointer adopts it and keeps appending deltas instead of rewriting
+	// a full base snapshot.
+	var chain *ckChain
+	if o := c.opts.Checkpoint; o.enabled() || o.Resume {
+		if c.codec == nil {
+			res.Err = c.errNoCodec("checkpoint")
+			res.StopReason = "config-error"
+			return res
 		}
+		c.ident = c.identity()
+	}
+	if c.opts.Checkpoint.Resume {
+		// Continue from the snapshot: counters, depth, and the verified
+		// frontier replace the init-state seeding below.
+		snap, ch, err := c.resume()
+		if err != nil {
+			res.Err = fmt.Errorf("resume: %w", err)
+			res.StopReason = "checkpoint-error"
+			return res
+		}
+		snap.header.restoreInto(res, c.cover)
+		for _, v := range snap.header.Violations {
+			res.Violations = append(res.Violations, v.violation())
+		}
+		restoredElapsed = time.Duration(snap.header.ElapsedNs)
+		depth, frontier, chain = snap.header.Depth, snap.frontier, ch
 	} else {
 		seen := make(map[uint64]bool)
 		for _, s := range c.m.Init() {
@@ -588,6 +590,7 @@ func (c *Checker) Run() *Result {
 			})
 		}
 	}
+	ck := c.newCheckpointer(metrics, reporter, chain)
 
 	stop := ""
 	deadline := time.Time{}
@@ -718,7 +721,7 @@ func (c *Checker) Run() *Result {
 			// a time — exactly the sequence the in-RAM path would expand.
 			var rerr error
 			var cur *frontierCursor
-			if cur, rerr = lf.cursor(); rerr == nil {
+			if cur, rerr = lf.cursor(c.codec); rerr == nil {
 				buf := make([]frontierEntry, 0, block)
 				for {
 					if buf, rerr = cur.nextBlock(buf[:0], block); rerr != nil || len(buf) == 0 {
@@ -825,6 +828,12 @@ func (c *Checker) Run() *Result {
 		v.Trace = c.reconstruct(v)
 	}
 	return res
+}
+
+// errNoCodec is the configuration error for a feature that has to move
+// states through bytes on a machine that cannot.
+func (c *Checker) errNoCodec(feature string) error {
+	return fmt.Errorf("%s: machine %q does not implement spec.StateCodec", feature, c.m.Name())
 }
 
 // canceled reports whether Options.Context has been canceled — the

@@ -2,6 +2,7 @@ package explorer
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -24,13 +25,23 @@ import (
 // Frontier spilling needs states to round-trip through bytes, so it is only
 // available on machines implementing spec.StateCodec; the fingerprint set
 // (which dominates long runs) spills regardless.
+//
+// A frontier entry has one on-disk form, the frontier record
+//
+//	fp[u64] encLen[u32] encoded-state bytes
+//
+// shared by spill runs, base snapshots, delta blocks and per-peer cluster
+// snapshots (see checkpoint.go): one writer, one reader, and a disk-backed
+// level is checkpointed by copying its run files verbatim.
+
+// frontierRecHeader is the fixed part of a frontier record.
+const frontierRecHeader = 12
 
 // levelFrontier is one BFS level awaiting expansion: a sorted in-RAM tail
 // plus zero or more sorted disk runs.
 type levelFrontier struct {
 	mem   []frontierEntry
 	runs  []*frontierRun
-	codec spec.StateCodec
 	total int
 }
 
@@ -53,25 +64,133 @@ func (lf *levelFrontier) discard() {
 	lf.runs = nil
 }
 
-// fps appends every fingerprint in the level to dst — the checkpoint
-// writer's view of the frontier. Disk runs are streamed without decoding
-// states.
-func (lf *levelFrontier) fps(dst []uint64) ([]uint64, error) {
-	for _, fe := range lf.mem {
-		dst = append(dst, fe.fp)
+// writeRecords writes the whole level as frontier records — the checkpoint
+// writer's view of the frontier: the in-RAM tail is encoded, disk runs are
+// copied byte for byte. The records are each run's order, not the level's;
+// readers sort.
+func (lf *levelFrontier) writeRecords(w io.Writer, codec spec.StateCodec) error {
+	if _, err := writeFrontierRecords(w, lf.mem, codec); err != nil {
+		return err
 	}
 	for _, r := range lf.runs {
-		var err error
-		if dst, err = r.appendFPs(dst); err != nil {
-			return nil, err
+		f, err := os.Open(r.path)
+		if err != nil {
+			return err
+		}
+		n, err := io.Copy(w, f)
+		f.Close()
+		if err != nil {
+			return err
+		}
+		if n != r.bytes {
+			return fmt.Errorf("frontier run %s: %d bytes on disk, %d when written", r.path, n, r.bytes)
 		}
 	}
-	return dst, nil
+	return nil
 }
 
-// frontierRun is one immutable sorted spill run of a level. Record layout:
-// fp[u64] encLen[u32] encoded-state bytes. Runs are session scratch —
-// recreated by replay after a crash, never recovered.
+// writeFrontierRecords encodes entries onto w as frontier records, one Write
+// per record (callers buffer), returning the bytes written.
+func writeFrontierRecords(w io.Writer, entries []frontierEntry, codec spec.StateCodec) (int64, error) {
+	var hdr [frontierRecHeader]byte // placeholder, patched once the length is known
+	var rec []byte
+	total := int64(0)
+	for _, fe := range entries {
+		rec = codec.AppendState(append(rec[:0], hdr[:]...), fe.state)
+		binary.LittleEndian.PutUint64(rec[0:8], fe.fp)
+		binary.LittleEndian.PutUint32(rec[8:12], uint32(len(rec)-frontierRecHeader))
+		if _, err := w.Write(rec); err != nil {
+			return total, err
+		}
+		total += int64(len(rec))
+	}
+	return total, nil
+}
+
+// frontierRecReader decodes frontier records from a stream. Record bytes
+// come back from disk, so they are treated as hostile: remain is the number
+// of bytes the source can still supply, and every length is checked against
+// it before anything is sized from it.
+type frontierRecReader struct {
+	r      io.Reader
+	codec  spec.StateCodec
+	remain int64
+	enc    []byte
+}
+
+// next decodes one record.
+func (rr *frontierRecReader) next() (frontierEntry, error) {
+	var hdr [frontierRecHeader]byte
+	if rr.remain < frontierRecHeader {
+		return frontierEntry{}, fmt.Errorf("frontier record: %w", io.ErrUnexpectedEOF)
+	}
+	if _, err := io.ReadFull(rr.r, hdr[:]); err != nil {
+		return frontierEntry{}, fmt.Errorf("frontier record: %w", err)
+	}
+	rr.remain -= frontierRecHeader
+	f := binary.LittleEndian.Uint64(hdr[0:8])
+	n := int64(binary.LittleEndian.Uint32(hdr[8:12]))
+	if n > rr.remain {
+		return frontierEntry{}, fmt.Errorf("frontier record %#x: state length %d exceeds the %d bytes left", f, n, rr.remain)
+	}
+	if int64(cap(rr.enc)) < n {
+		rr.enc = make([]byte, n)
+	}
+	rr.enc = rr.enc[:n]
+	if _, err := io.ReadFull(rr.r, rr.enc); err != nil {
+		return frontierEntry{}, fmt.Errorf("frontier record %#x: %w", f, err)
+	}
+	rr.remain -= n
+	st, rest, err := rr.codec.DecodeState(rr.enc)
+	if err != nil {
+		return frontierEntry{}, fmt.Errorf("frontier record %#x: %w", f, err)
+	}
+	if len(rest) != 0 {
+		return frontierEntry{}, fmt.Errorf("frontier record %#x: %d trailing bytes", f, len(rest))
+	}
+	return frontierEntry{state: st, fp: f}, nil
+}
+
+// splitFrontierRecords delimits the first count records of p by walking
+// their headers — no state is decoded — and returns them and what follows.
+func splitFrontierRecords(p []byte, count uint64) (recs, rest []byte, err error) {
+	rest = p
+	for i := uint64(0); i < count; i++ {
+		if len(rest) < frontierRecHeader {
+			return nil, nil, fmt.Errorf("frontier record %d of %d: %w", i, count, io.ErrUnexpectedEOF)
+		}
+		n := uint64(binary.LittleEndian.Uint32(rest[8:]))
+		if left := uint64(len(rest) - frontierRecHeader); n > left {
+			return nil, nil, fmt.Errorf("frontier record %d: state length %d exceeds the %d bytes left", i, n, left)
+		}
+		rest = rest[frontierRecHeader+n:]
+	}
+	return p[:len(p)-len(rest)], rest, nil
+}
+
+// readFrontier decodes recs, which must be exactly count records.
+func readFrontier(recs []byte, count uint64, codec spec.StateCodec) ([]frontierEntry, error) {
+	if count > uint64(len(recs))/frontierRecHeader {
+		return nil, fmt.Errorf("frontier: %d records cannot fit in %d bytes", count, len(recs))
+	}
+	rr := &frontierRecReader{r: bytes.NewReader(recs), codec: codec, remain: int64(len(recs))}
+	out := make([]frontierEntry, 0, count)
+	for i := uint64(0); i < count; i++ {
+		fe, err := rr.next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, fe)
+	}
+	if rr.remain != 0 {
+		return nil, fmt.Errorf("frontier: %d bytes follow the %d records", rr.remain, count)
+	}
+	return out, nil
+}
+
+// frontierRun is one immutable sorted spill run of a level, a file of
+// frontier records. Runs are session scratch: a checkpoint copies their
+// bytes, a resumed run never reads the files themselves.
 type frontierRun struct {
 	path  string
 	count int
@@ -85,56 +204,18 @@ func writeFrontierRun(path string, entries []frontierEntry, codec spec.StateCode
 		return nil, err
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	var hdr [12]byte
-	var enc []byte
-	total := int64(0)
-	for _, fe := range entries {
-		enc = codec.AppendState(enc[:0], fe.state)
-		binary.LittleEndian.PutUint64(hdr[0:8], fe.fp)
-		binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(enc)))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			f.Close()
-			os.Remove(path)
-			return nil, err
-		}
-		if _, err := bw.Write(enc); err != nil {
-			f.Close()
-			os.Remove(path)
-			return nil, err
-		}
-		total += 12 + int64(len(enc))
+	total, err := writeFrontierRecords(bw, entries, codec)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		os.Remove(path)
 		return nil, err
 	}
 	return &frontierRun{path: path, count: len(entries), bytes: total}, nil
-}
-
-// appendFPs streams only the fingerprints of a run.
-func (r *frontierRun) appendFPs(dst []uint64) ([]uint64, error) {
-	f, err := os.Open(r.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var hdr [12]byte
-	for i := 0; i < r.count; i++ {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return nil, fmt.Errorf("frontier run %s: %w", r.path, err)
-		}
-		dst = append(dst, binary.LittleEndian.Uint64(hdr[0:8]))
-		if _, err := br.Discard(int(binary.LittleEndian.Uint32(hdr[8:12]))); err != nil {
-			return nil, fmt.Errorf("frontier run %s: %w", r.path, err)
-		}
-	}
-	return dst, nil
 }
 
 // frontierCursor merge-reads a spilled level back in global fingerprint
@@ -147,10 +228,10 @@ type frontierCursor struct {
 
 // cursor opens the level for merged sequential reading. Callers must close
 // it. In-RAM levels do not need a cursor (iterate lf.mem directly).
-func (lf *levelFrontier) cursor() (*frontierCursor, error) {
+func (lf *levelFrontier) cursor(codec spec.StateCodec) (*frontierCursor, error) {
 	c := &frontierCursor{mem: lf.mem}
 	for _, r := range lf.runs {
-		rd, err := newFrontierRunReader(r, lf.codec)
+		rd, err := newFrontierRunReader(r, codec)
 		if err != nil {
 			c.close()
 			return nil, err
@@ -196,13 +277,11 @@ func (c *frontierCursor) nextBlock(buf []frontierEntry, n int) ([]frontierEntry,
 
 // frontierRunReader streams one run, decoding states as it goes.
 type frontierRunReader struct {
-	f     *os.File
-	br    *bufio.Reader
-	codec spec.StateCodec
-	left  int
-	enc   []byte
-	cur   frontierEntry
-	ok    bool
+	f    *os.File
+	recs frontierRecReader
+	left int
+	cur  frontierEntry
+	ok   bool
 }
 
 func newFrontierRunReader(r *frontierRun, codec spec.StateCodec) (*frontierRunReader, error) {
@@ -210,7 +289,11 @@ func newFrontierRunReader(r *frontierRun, codec spec.StateCodec) (*frontierRunRe
 	if err != nil {
 		return nil, err
 	}
-	rd := &frontierRunReader{f: f, br: bufio.NewReaderSize(f, 1<<16), codec: codec, left: r.count}
+	rd := &frontierRunReader{
+		f:    f,
+		recs: frontierRecReader{r: bufio.NewReaderSize(f, 1<<16), codec: codec, remain: r.bytes},
+		left: r.count,
+	}
 	if err := rd.advance(); err != nil {
 		f.Close()
 		return nil, err
@@ -225,25 +308,12 @@ func (rd *frontierRunReader) advance() error {
 		rd.ok = false
 		return nil
 	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(rd.br, hdr[:]); err != nil {
-		return fmt.Errorf("frontier run: %w", err)
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[8:12]))
-	if cap(rd.enc) < n {
-		rd.enc = make([]byte, n)
-	}
-	rd.enc = rd.enc[:n]
-	if _, err := io.ReadFull(rd.br, rd.enc); err != nil {
-		return fmt.Errorf("frontier run: %w", err)
-	}
-	st, _, err := rd.codec.DecodeState(rd.enc)
+	fe, err := rd.recs.next()
 	if err != nil {
-		return fmt.Errorf("frontier run decode: %w", err)
+		return err
 	}
 	rd.left--
-	rd.cur = frontierEntry{state: st, fp: binary.LittleEndian.Uint64(hdr[0:8])}
-	rd.ok = true
+	rd.cur, rd.ok = fe, true
 	return nil
 }
 
@@ -304,6 +374,5 @@ func (sk *frontierSink) finish(next []frontierEntry) *levelFrontier {
 	if sk == nil || len(sk.runs) == 0 {
 		return newMemFrontier(next)
 	}
-	lf := &levelFrontier{mem: next, runs: sk.runs, codec: sk.mc.codec, total: len(next) + sk.spilled}
-	return lf
+	return &levelFrontier{mem: next, runs: sk.runs, total: len(next) + sk.spilled}
 }

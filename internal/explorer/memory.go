@@ -62,8 +62,8 @@ func (c *Checker) newMemController(metrics *runMetrics, reporter *obs.Reporter) 
 	}
 	// A fresh private directory per run: concurrent runs never collide, and
 	// stale directories left by a kill -9 are inert (spill files are session
-	// scratch, rebuilt from checkpoints on resume, so leftovers are never
-	// read — only disk-space litter the user can delete).
+	// scratch — a checkpoint carries its own copy of the frontier — so
+	// leftovers are never read, only disk-space litter the user can delete).
 	dir, err := os.MkdirTemp(base, "sandtable-spill-")
 	if err != nil {
 		return nil, err
@@ -82,7 +82,7 @@ func (c *Checker) newMemController(metrics *runMetrics, reporter *obs.Reporter) 
 		budget: budget, dir: dir,
 		m: metrics, reporter: reporter, tracer: c.opts.Tracer,
 	}
-	if codec, ok := c.m.(spec.StateCodec); ok {
+	if codec := c.codec; codec != nil {
 		mc.codec = codec
 		// Estimate the resident cost of one frontier entry from an encoded
 		// init state (encoding length ≈ state payload; ×3 for the decoded

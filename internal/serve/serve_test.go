@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -392,6 +393,38 @@ func TestCancelLeavesResumableCheckpoint(t *testing.T) {
 	st3 := submit(t, hs.URL, bad)
 	if fin3 := waitTerminal(t, hs.URL, st3.ID, 30*time.Second); fin3.State != StateFailed {
 		t.Errorf("mismatched resume state = %s, want failed", fin3.State)
+	}
+}
+
+// TestResumeFromBaseOnlyCheckpoint: a job whose last checkpoint was a full
+// snapshot has no commit record (none exists before the first delta, and
+// every compaction removes it) and must still be resumable. The budget stops
+// the job right after its first checkpoint, so the outcome is deterministic.
+func TestResumeFromBaseOnlyCheckpoint(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	spec := mediumSpec()
+	spec.Nodes = 3
+	spec.MaxStates = 5000
+	spec.CheckpointStates = 5000
+	st := submit(t, hs.URL, spec)
+	fin := waitTerminal(t, hs.URL, st.ID, 60*time.Second)
+	if fin.State != StateDone || fin.Result["checkpoints"] != float64(1) {
+		t.Fatalf("first job: state %s, checkpoints %v, want done with exactly 1", fin.State, fin.Result["checkpoints"])
+	}
+	if !slices.Contains(fin.Artifacts, CheckpointDir+"/checkpoint.snap") || slices.Contains(fin.Artifacts, CheckpointDir+"/checkpoint.commit") {
+		t.Fatalf("want a base snapshot and no commit record, got %v", fin.Artifacts)
+	}
+
+	res := spec
+	res.MaxStates = 20_000
+	res.CheckpointStates = 0
+	res.ResumeFrom = st.ID
+	fin2 := waitTerminal(t, hs.URL, submit(t, hs.URL, res).ID, 60*time.Second)
+	if fin2.State != StateDone || fin2.Result["resumed"] != true {
+		t.Fatalf("resumed job: state %s (error %q), resumed %v", fin2.State, fin2.Error, fin2.Result["resumed"])
+	}
+	if ds, _ := fin2.Result["distinct_states"].(float64); ds < 20_000 {
+		t.Errorf("resumed job explored %v states, want >= 20000", ds)
 	}
 }
 

@@ -171,16 +171,21 @@ func DeclaredActions(m Machine) []string {
 
 // StateCodec is an optional Machine capability: states round-trip through a
 // compact binary encoding. States are deliberately NOT generically
-// serialisable (Vars() is for humans, not round-trips), so out-of-core
-// features that must park live states on disk — the explorer's frontier
-// spill under a memory budget — are only available on machines that opt in
-// here. The contract is
+// serialisable (Vars() is for humans, not round-trips), so the features that
+// must move live states through bytes — the explorer's frontier spill under
+// a memory budget, its checkpoints, and the exchange between cluster peers —
+// are only available on machines that opt in here (every in-tree family
+// does). The contract, property-tested by spectest.AssertCodecRoundTrip, is
 //
 //	DecodeState(AppendState(nil, s)).Fingerprint() == s.Fingerprint()
 //
 // and the decoded state must be behaviourally identical to the original
 // (same successors, same invariant verdicts). The encoding is private to the
-// machine and never persisted across runs, so it carries no versioning.
+// machine and carries no versioning of its own: checkpoints persist it
+// inside a versioned envelope bound to the machine's identity, and a resume
+// re-fingerprints every decoded state against the value recorded beside it.
+// DecodeState sees bytes from disk and from peers, so it must reject
+// malformed input with an error, never a panic (see Decoder).
 type StateCodec interface {
 	// AppendState appends s's encoding to dst and returns the extended
 	// slice (append-style, so callers can batch many states into one

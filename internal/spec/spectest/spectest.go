@@ -6,11 +6,16 @@
 // recycled across calls and when it arrives with a non-empty prefix — and
 // the spec.OrbitHasher contract: the incremental min-of-orbit canonical
 // fingerprint must equal the reference computed by materialising every
-// permuted state.
+// permuted state — and the spec.StateCodec contract: states survive an
+// encode/decode round trip with their identity and behaviour intact, and
+// malformed encodings are rejected rather than mis-decoded.
 package spectest
 
 import (
+	"bytes"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/sandtable-go/sandtable/internal/fp"
@@ -159,5 +164,112 @@ func compareSuccs(t *testing.T, m spec.Machine, want, got []spec.Succ, skip int)
 			t.Fatalf("%s: successor %d state fingerprint mismatch: Next %#x, AppendNext %#x",
 				m.Name(), i, w, g)
 		}
+	}
+}
+
+// AssertCodecRoundTrip drives `walks` seeded random walks of up to `depth`
+// steps over m (which must implement spec.StateCodec) and, at every visited
+// state s, asserts the codec contract the explorer's frontier spill, cluster
+// exchange, and checkpoints rely on:
+//
+//   - DecodeState(AppendState(nil, s)) has s's fingerprint, the same
+//     rendered variables, and the same successor fingerprints, and consumes
+//     the whole encoding;
+//   - bytes following an encoding come back untouched as the remainder (the
+//     batching contract: many states in one buffer);
+//   - every strict prefix of an encoding fails to decode — no silent short
+//     reads;
+//   - a single corrupted byte either fails to decode or yields a state that
+//     hashes (plain and under every node permutation) without panicking.
+func AssertCodecRoundTrip(t *testing.T, m spec.Machine, walks, depth int, seed int64) {
+	t.Helper()
+	codec, ok := m.(spec.StateCodec)
+	if !ok {
+		t.Fatalf("%s does not implement spec.StateCodec", m.Name())
+	}
+	succFPs := func(s spec.State) []uint64 {
+		var fps []uint64
+		for _, su := range m.Next(s) {
+			fps = append(fps, su.State.Fingerprint())
+		}
+		slices.Sort(fps)
+		return fps
+	}
+	trailer := []byte{0xde, 0xad, 0xbe, 0xef}
+	rng := rand.New(rand.NewSource(seed))
+	checked := 0
+	for w := 0; w < walks; w++ {
+		inits := m.Init()
+		cur := inits[rng.Intn(len(inits))]
+		for d := 0; d <= depth; d++ {
+			enc := codec.AppendState(nil, cur)
+			dec, rest, err := codec.DecodeState(append(enc[:len(enc):len(enc)], trailer...))
+			if err != nil {
+				t.Fatalf("%s: decode at walk %d depth %d: %v", m.Name(), w, d, err)
+			}
+			if !bytes.Equal(rest, trailer) {
+				t.Fatalf("%s: decode returned remainder %x, want the %x that followed the encoding", m.Name(), rest, trailer)
+			}
+			if got, want := dec.Fingerprint(), cur.Fingerprint(); got != want {
+				t.Fatalf("%s: fingerprint %#x after round trip, want %#x", m.Name(), got, want)
+			}
+			if got, want := dec.Vars(), cur.Vars(); !maps.Equal(got, want) {
+				t.Fatalf("%s: Vars differ after round trip:\n got %v\nwant %v", m.Name(), got, want)
+			}
+			if got, want := succFPs(dec), succFPs(cur); !slices.Equal(got, want) {
+				t.Fatalf("%s: successor sets differ after round trip (%d vs %d successors)", m.Name(), len(got), len(want))
+			}
+			for cut := 0; cut < len(enc); cut++ {
+				if _, _, err := codec.DecodeState(enc[:cut]); err == nil {
+					t.Fatalf("%s: %d-byte prefix of a %d-byte encoding decoded without error", m.Name(), cut, len(enc))
+				}
+			}
+			// Hostile bytes (the expensive check, so sampled): nudge every
+			// byte of the encoding both ways. Whatever DecodeState still
+			// accepts must survive the canonical hashing a resume runs to
+			// vet it; a panic here fails the test.
+			if d%4 == 0 {
+				mut := slices.Clone(enc)
+				for i, b := range enc {
+					for _, v := range [...]byte{b - 1, b + 1} {
+						mut[i] = v
+						if dec, _, err := codec.DecodeState(mut); err == nil {
+							canonicalFP(m, dec)
+						}
+					}
+					mut[i] = b
+				}
+			}
+			checked++
+			succs := m.Next(cur)
+			if len(succs) == 0 {
+				break
+			}
+			cur = succs[rng.Intn(len(succs))].State
+		}
+	}
+	if checked == 0 {
+		t.Fatalf("%s: no states checked", m.Name())
+	}
+}
+
+// canonicalFP hashes s the way the explorer does: through every symmetry
+// capability m offers.
+func canonicalFP(m spec.Machine, s spec.State) {
+	s.Fingerprint()
+	sym, ok := m.(spec.Symmetric)
+	if !ok {
+		return
+	}
+	pt := spec.PermTableFor(sym.NumNodes())
+	if oh, ok := m.(spec.OrbitHasher); ok {
+		oh.OrbitFingerprint(s, pt, fp.NewOrbitScratch())
+	}
+	fast, _ := m.(spec.FastSymmetric)
+	for _, p := range pt.NonIdentity {
+		if fast != nil {
+			fast.PermutedFingerprint(s, p)
+		}
+		sym.Permute(s, p).Fingerprint()
 	}
 }

@@ -136,137 +136,49 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 	vs(s.LastReadVal)
 	vs(s.LastReadWant)
 	vb(s.LastReadBad)
-	// spec.Counters, field by field (keep in sync with Counters.Hash).
-	c := &s.Counters
-	vi(c.Timeouts)
-	vi(c.Crashes)
-	vi(c.Restarts)
-	vi(c.Requests)
-	vi(c.Partitions)
-	vi(c.Drops)
-	vi(c.Duplicates)
-	vi(c.Compactions)
-	vi(c.DirtyCrashes)
+	dst = s.Counters.AppendTo(dst)
 	vs(s.Viol.Flag)
 	return dst
 }
 
-// stateDecoder walks one encoded state; the first error sticks and every
-// subsequent read returns zero values, so call sites stay linear.
-type stateDecoder struct {
-	src []byte
-	err error
-}
-
-func (d *stateDecoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("raftbase: decode state: truncated %s", what)
-	}
-}
-
-func (d *stateDecoder) int(what string) int {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.src)
-	if n <= 0 {
-		d.fail(what)
-		return 0
-	}
-	d.src = d.src[n:]
-	return int(v)
-}
-
-func (d *stateDecoder) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.src)
-	if n <= 0 {
-		d.fail(what)
-		return 0
-	}
-	d.src = d.src[n:]
-	return v
-}
-
-func (d *stateDecoder) bool(what string) bool {
-	if d.err != nil {
-		return false
-	}
-	if len(d.src) == 0 {
-		d.fail(what)
-		return false
-	}
-	b := d.src[0]
-	d.src = d.src[1:]
-	return b != 0
-}
-
-func (d *stateDecoder) str(what string) string {
-	ln := d.uvarint(what)
-	if d.err != nil {
-		return ""
-	}
-	if ln > uint64(len(d.src)) {
-		d.fail(what)
-		return ""
-	}
-	s := string(d.src[:ln])
-	d.src = d.src[ln:]
-	return s
-}
-
-func (d *stateDecoder) entries(what string) []Entry {
-	ln := d.uvarint(what)
-	if d.err != nil || ln == 0 {
-		return nil
-	}
-	if ln > uint64(len(d.src)) {
-		d.fail(what)
+// decodeEntries, decodeBoolRow and decodeIntRow read the composite shapes
+// AppendState writes. Entry counts are bounded by the remaining input
+// (spec.Decoder.Len) before any slice is sized from them; a non-nil per-node
+// row must be exactly n long (spec.Decoder.Row).
+func decodeEntries(d *spec.Decoder, what string) []Entry {
+	ln := d.Len(what)
+	if ln == 0 {
 		return nil
 	}
 	es := make([]Entry, ln)
 	for i := range es {
-		es[i].Term = d.int(what)
-		es[i].Value = d.str(what)
+		es[i].Term = d.Int(what)
+		es[i].Value = d.Str(what)
 	}
-	if d.err != nil {
+	if d.Err != nil {
 		return nil
 	}
 	return es
 }
 
-func (d *stateDecoder) boolRow(what string) []bool {
-	code := d.uvarint(what)
-	if d.err != nil || code == 0 {
+func decodeBoolRow(d *spec.Decoder, what string, n int) []bool {
+	if !d.Row(what, n) {
 		return nil
 	}
-	ln := code - 1
-	if ln > uint64(len(d.src)) {
-		d.fail(what)
-		return nil
-	}
-	row := make([]bool, ln)
+	row := make([]bool, n)
 	for i := range row {
-		row[i] = d.bool(what)
+		row[i] = d.Bool(what)
 	}
 	return row
 }
 
-func (d *stateDecoder) intRow(what string) []int {
-	code := d.uvarint(what)
-	if d.err != nil || code == 0 {
+func decodeIntRow(d *spec.Decoder, what string, n int) []int {
+	if !d.Row(what, n) {
 		return nil
 	}
-	ln := code - 1
-	if ln > uint64(len(d.src)) {
-		d.fail(what)
-		return nil
-	}
-	row := make([]int, ln)
+	row := make([]int, n)
 	for i := range row {
-		row[i] = d.int(what)
+		row[i] = d.Int(what)
 	}
 	return row
 }
@@ -278,96 +190,75 @@ func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 	s.snapshots = m.opt.Snapshots
 	s.kv = m.opt.KV
 	s.durability = m.opt.Budget.MaxDirtyCrashes > 0
-	d := &stateDecoder{src: src}
+	d := &spec.Decoder{Src: src}
 
 	for i := 0; i < n; i++ {
-		s.Role[i] = d.int("role")
-		s.Term[i] = d.int("term")
-		s.VotedFor[i] = d.int("votedFor")
-		s.Commit[i] = d.int("commit")
-		s.SnapIdx[i] = d.int("snapIdx")
-		s.SnapTerm[i] = d.int("snapTerm")
-		s.DurTerm[i] = d.int("durTerm")
-		s.DurVote[i] = d.int("durVote")
-		s.Up[i] = d.bool("up")
+		s.Role[i] = d.Int("role")
+		s.Term[i] = d.Int("term")
+		s.VotedFor[i] = d.Node("votedFor", n)
+		s.Commit[i] = d.Int("commit")
+		s.SnapIdx[i] = d.Int("snapIdx")
+		s.SnapTerm[i] = d.Int("snapTerm")
+		s.DurTerm[i] = d.Int("durTerm")
+		s.DurVote[i] = d.Node("durVote", n)
+		s.Up[i] = d.Bool("up")
 	}
 	for i := 0; i < n; i++ {
-		s.Log[i] = d.entries("log")
-		s.DurLog[i] = d.entries("durLog")
-		s.Votes[i] = d.boolRow("votes")
-		s.PreVotes[i] = d.boolRow("preVotes")
-		s.Next[i] = d.intRow("next")
-		s.Match[i] = d.intRow("match")
+		s.Log[i] = decodeEntries(d, "log")
+		s.DurLog[i] = decodeEntries(d, "durLog")
+		s.Votes[i] = decodeBoolRow(d, "votes", n)
+		s.PreVotes[i] = decodeBoolRow(d, "preVotes", n)
+		s.Next[i] = decodeIntRow(d, "next", n)
+		s.Match[i] = decodeIntRow(d, "match", n)
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			s.Cut[i][j] = d.bool("cut")
-			s.Part[i][j] = d.bool("part")
-			qn := d.uvarint("chan")
-			if d.err != nil {
-				break
-			}
-			if qn > uint64(len(d.src)) {
-				d.fail("chan")
-				break
-			}
+			s.Cut[i][j] = d.Bool("cut")
+			s.Part[i][j] = d.Bool("part")
+			qn := d.Len("chan")
 			if qn == 0 {
 				continue
 			}
 			q := make([]Msg, qn)
 			for k := range q {
 				msg := &q[k]
-				if len(d.src) == 0 {
-					d.fail("msg type")
-					break
-				}
-				code := d.src[0]
-				d.src = d.src[1:]
+				code := d.Byte("msg type")
 				if int(code) >= len(msgTypes) {
-					if d.err == nil {
-						d.err = fmt.Errorf("raftbase: decode state: unknown message type code %d", code)
-					}
+					d.Failf("unknown message type code %d", code)
 					break
 				}
 				msg.Type = msgTypes[code]
-				msg.Term = d.int("msg term")
-				msg.LastIndex = d.int("msg lastIndex")
-				msg.LastTerm = d.int("msg lastTerm")
-				msg.Pre = d.bool("msg pre")
-				msg.Granted = d.bool("msg granted")
-				msg.PrevIndex = d.int("msg prevIndex")
-				msg.PrevTerm = d.int("msg prevTerm")
-				msg.Entries = d.entries("msg entries")
-				msg.Commit = d.int("msg commit")
-				msg.Flag = d.bool("msg flag")
-				msg.NextIndex = d.int("msg nextIndex")
-				msg.Retry = d.bool("msg retry")
-				msg.SnapIndex = d.int("msg snapIndex")
-				msg.SnapTerm = d.int("msg snapTerm")
+				msg.Term = d.Int("msg term")
+				msg.LastIndex = d.Int("msg lastIndex")
+				msg.LastTerm = d.Int("msg lastTerm")
+				msg.Pre = d.Bool("msg pre")
+				msg.Granted = d.Bool("msg granted")
+				msg.PrevIndex = d.Int("msg prevIndex")
+				msg.PrevTerm = d.Int("msg prevTerm")
+				msg.Entries = decodeEntries(d, "msg entries")
+				msg.Commit = d.Int("msg commit")
+				msg.Flag = d.Bool("msg flag")
+				msg.NextIndex = d.Int("msg nextIndex")
+				msg.Retry = d.Bool("msg retry")
+				msg.SnapIndex = d.Int("msg snapIndex")
+				msg.SnapTerm = d.Int("msg snapTerm")
 			}
 			s.Chan[i][j] = q
 		}
 	}
-	s.Committed = d.entries("committed")
-	s.SnapConflictInstall = d.bool("snapConflictInstall")
-	s.LastReadNode = d.int("lastReadNode")
-	s.LastReadKey = d.str("lastReadKey")
-	s.LastReadVal = d.str("lastReadVal")
-	s.LastReadWant = d.str("lastReadWant")
-	s.LastReadBad = d.bool("lastReadBad")
-	c := &s.Counters
-	c.Timeouts = d.int("timeouts")
-	c.Crashes = d.int("crashes")
-	c.Restarts = d.int("restarts")
-	c.Requests = d.int("requests")
-	c.Partitions = d.int("partitions")
-	c.Drops = d.int("drops")
-	c.Duplicates = d.int("duplicates")
-	c.Compactions = d.int("compactions")
-	c.DirtyCrashes = d.int("dirtyCrashes")
-	s.Viol.Flag = d.str("violation")
-	if d.err != nil {
-		return nil, nil, d.err
+	s.Committed = decodeEntries(d, "committed")
+	s.SnapConflictInstall = d.Bool("snapConflictInstall")
+	if s.LastReadNode = d.Node("lastReadNode", n); s.LastReadNode < 0 {
+		d.Failf("lastReadNode %d: not a node", s.LastReadNode)
 	}
-	return s, d.src, nil
+	s.LastReadKey = d.Str("lastReadKey")
+	s.LastReadVal = d.Str("lastReadVal")
+	s.LastReadWant = d.Str("lastReadWant")
+	s.LastReadBad = d.Bool("lastReadBad")
+	s.Counters.Decode(d)
+	s.Viol.Flag = d.Str("violation")
+	if d.Err != nil {
+		return nil, nil, fmt.Errorf("raftbase: %w", d.Err)
+	}
+	return s, d.Src, nil
 }

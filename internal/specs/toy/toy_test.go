@@ -20,3 +20,11 @@ func TestAppendNextMatchesNext(t *testing.T) {
 		spectest.AssertBufferedEquiv(t, m, 20, 10, 3)
 	}
 }
+
+// TestCodecRoundTrip property-tests the spec.StateCodec contract on both toy
+// variants.
+func TestCodecRoundTrip(t *testing.T) {
+	for _, m := range []*toy.LostUpdate{{N: 3}, {N: 3, Atomic: true}} {
+		spectest.AssertCodecRoundTrip(t, m, 20, 10, 7)
+	}
+}
