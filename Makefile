@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-conform fuzz docs checktrace soak cluster serve-smoke ci ci-bench bench benchdiff clean
+.PHONY: all build vet test race race-conform fuzz docs checktrace soak cluster serve-smoke ci ci-bench bench benchdiff loc clean
 
 all: ci
 
@@ -160,6 +160,14 @@ bench:
 benchdiff:
 	BENCH_OUT=.bench_fresh.json ./scripts/bench.sh 1
 	$(GO) run ./scripts/benchdiff BENCH_explorer.json .bench_fresh.json
+
+# loc prints the non-test Go lines of every package directory (benchmark/
+# excluded) and their total: the figure CHANGES.md quotes when a PR reports
+# a size reduction, so a reviewer reproduces it with one command.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 clean:
 	rm -f BENCH_explorer.json BENCH_explorer_metrics.json .bench_fresh.json .bench_fresh_metrics.json

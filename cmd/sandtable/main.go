@@ -15,13 +15,16 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
@@ -422,6 +425,18 @@ func runCheck(args []string) error {
 	opts.ProgressInterval = o.interval
 	opts.Metrics = o.reg
 	opts.Tracer = o.tracer
+	// The first SIGINT/SIGTERM cancels the run cooperatively: it stops at the
+	// next safepoint with "stop: canceled" (a cluster peer takes the whole
+	// cluster with it at the next level barrier), the summary and artifacts
+	// are written as usual and the last checkpoint stays resumable.
+	// Unregistering on that signal restores the default action, so a second
+	// one exits immediately.
+	ctx, unregister := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, func() {
+		unregister()
+		fmt.Fprintln(os.Stderr, "sandtable: interrupted — stopping at the next safepoint (signal again to exit immediately)")
+	})
+	opts.Context = ctx
 	coordinator := true
 	if len(peerAddrs) > 0 {
 		// Every peer must agree on the run configuration before any state

@@ -67,8 +67,6 @@ type CheckpointOptions struct {
 	Label string
 }
 
-func (o *CheckpointOptions) enabled() bool { return o.Dir != "" }
-
 // newCadence builds the Due/Emit bookkeeping for the checkpoint cadence: an
 // obs.Reporter with a no-op callback, used purely for its clock.
 func (o *CheckpointOptions) newCadence() *obs.Reporter {
@@ -173,8 +171,14 @@ type snapViolation struct {
 	FP        uint64 `json:"fp"`
 }
 
-func snapViolationOf(v *Violation) snapViolation {
-	return snapViolation{Invariant: v.Invariant, Error: v.Err.Error(), Depth: v.Depth, FP: v.fp}
+// snapViolationsOf converts a run's violation list for a snapshot header or a
+// barrier summary.
+func snapViolationsOf(vs []*Violation) []snapViolation {
+	out := make([]snapViolation, len(vs))
+	for i, v := range vs {
+		out[i] = snapViolation{Invariant: v.Invariant, Error: v.Err.Error(), Depth: v.Depth, FP: v.fp}
+	}
+	return out
 }
 
 func (v snapViolation) violation() *Violation {
@@ -182,9 +186,9 @@ func (v snapViolation) violation() *Violation {
 }
 
 // header assembles the snapshot header for the level boundary at depth.
-// viols are the violations to persist: all of them in a single-process run,
+// own are the violations to persist: all of them in a single-process run,
 // this peer's share in a cluster.
-func (c *Checker) header(res *Result, depth int, elapsed time.Duration, viols []snapViolation) snapshotHeader {
+func (c *Checker) header(res *Result, depth int, elapsed time.Duration, own []*Violation) snapshotHeader {
 	hdr := snapshotHeader{
 		Version:        snapVersion,
 		runIdentity:    c.ident,
@@ -196,7 +200,7 @@ func (c *Checker) header(res *Result, depth int, elapsed time.Duration, viols []
 		MaxDepth:       res.MaxDepth,
 		GoalReached:    res.GoalReached,
 		ElapsedNs:      int64(elapsed),
-		Violations:     viols,
+		Violations:     snapViolationsOf(own),
 	}
 	if cl := c.cluster; cl != nil {
 		hdr.PeerID = cl.self
@@ -435,14 +439,19 @@ func (c *Checker) restoreFrontier(snap *snapshot) error {
 	return nil
 }
 
-// resume loads Dir/checkpoint.snap, applies the committed delta chain (see
-// delta.go) — each block adds the fingerprints discovered since the previous
-// checkpoint and replaces the header and frontier with its own — and
-// decodes and verifies the frontier left standing, so a resume costs
-// O(that frontier) state decodes however long the chain. It returns the
-// chain so the run's checkpointer keeps appending to it instead of
-// rewriting the base.
+// resume loads the committed checkpoint. In a cluster that is this peer's
+// shard at the manifest depth, with no chain. Otherwise it is
+// Dir/checkpoint.snap with the committed delta chain (see delta.go) applied —
+// each block adds the fingerprints discovered since the previous checkpoint
+// and replaces the header and frontier with its own — and the frontier left
+// standing decoded and verified, so a resume costs O(that frontier) state
+// decodes however long the chain. It returns the chain so the run's
+// checkpointer keeps appending to it instead of rewriting the base.
 func (c *Checker) resume() (*snapshot, *ckChain, error) {
+	if c.cluster != nil {
+		snap, err := c.loadClusterSnapshot()
+		return snap, nil, err
+	}
 	dir := c.opts.Checkpoint.Dir
 	path := filepath.Join(dir, snapFile)
 	snap, err := c.loadSnapshot(path)
@@ -484,10 +493,12 @@ type ckChain struct {
 	depth int
 }
 
-// checkpointer drives the single-process snapshot cadence and the
-// incremental chain: a full snapshot when there is no base yet or the delta
-// log has outgrown the base (compaction: fresh base, chain reset), an
-// appended delta block otherwise.
+// checkpointer holds the snapshot cadence and does the writing, for both
+// kinds of run. Single-process: a full snapshot when there is no base yet or
+// the delta log has outgrown the base (compaction: fresh base, chain reset),
+// an appended delta block otherwise. Cluster: a depth-stamped full snapshot
+// of this peer's shard, committed by the coordinator's manifest (see
+// cluster_checkpoint.go). dir == "" is checkpointing disabled.
 type checkpointer struct {
 	dir     string
 	cadence *obs.Reporter
@@ -497,40 +508,31 @@ type checkpointer struct {
 	metrics *runMetrics
 	tracer  *obs.Tracer
 	// chain is nil until a full snapshot has been written or a resume
-	// adopted one.
+	// adopted one (always nil in a cluster).
 	chain *ckChain
 }
 
-// newCheckpointer returns nil when checkpointing is disabled. chain is the
-// committed chain a resume loaded (nil for a fresh run).
-func (c *Checker) newCheckpointer(metrics *runMetrics, warn *obs.Reporter, chain *ckChain) *checkpointer {
-	o := c.opts.Checkpoint
-	if !o.enabled() {
-		return nil
-	}
-	return &checkpointer{dir: o.Dir, cadence: o.newCadence(), warn: warn, metrics: metrics, tracer: c.opts.Tracer, chain: chain}
+// due reports whether the cadence asks for a snapshot at a global distinct
+// count of distinct.
+func (ck *checkpointer) due(distinct int) bool {
+	return ck.dir != "" && ck.cadence.Due(distinct)
 }
 
-// maybeWrite advances the checkpoint chain if the cadence is due. Write
-// failures do not abort the exploration: the previous committed chain stays
-// valid, the error is recorded as a trace event plus a checkpoint.errors
-// tick, and a warning reaches the progress reporter.
-func (ck *checkpointer) maybeWrite(c *Checker, res *Result, depth int, lf *levelFrontier, elapsed time.Duration) {
-	if !ck.cadence.Due(res.DistinctStates) {
-		return
-	}
-	var stop func()
-	if c.opts.Metrics != nil {
-		stop = c.opts.Metrics.StartPhase("checkpoint")
-	}
-	viols := make([]snapViolation, len(res.Violations))
-	for i, v := range res.Violations {
-		viols[i] = snapViolationOf(v)
-	}
-	hdr := c.header(res, depth, elapsed, viols)
+// write snapshots the level boundary at depth and returns the failure text
+// ("" on success). Failures do not abort the exploration: the previous
+// committed checkpoint stays valid, the error is recorded as a trace event
+// plus a checkpoint.errors tick, and a warning reaches the progress reporter.
+func (ck *checkpointer) write(c *Checker, res *Result, depth int, lf *levelFrontier, own []*Violation, elapsed time.Duration) string {
+	stop := c.opts.Metrics.StartPhase("checkpoint")
+	hdr := c.header(res, depth, elapsed, own)
 	kind := "full"
 	var err error
-	if ch := ck.chain; ch == nil || ch.deltaBytes > ch.baseBytes {
+	switch ch := ck.chain; {
+	case ck.dir == "":
+		err = errors.New("checkpoint requested by coordinator but this peer has no checkpoint dir")
+	case c.cluster != nil:
+		_, _, err = c.writeSnapshot(clusterSnapPath(ck.dir, c.cluster.self, depth), hdr, lf)
+	case ch == nil || ch.deltaBytes > ch.baseBytes:
 		var size int64
 		var crc uint32
 		if size, crc, err = c.writeSnapshot(filepath.Join(ck.dir, snapFile), hdr, lf); err == nil {
@@ -544,7 +546,7 @@ func (ck *checkpointer) maybeWrite(c *Checker, res *Result, depth int, lf *level
 			}
 			ck.chain = &ckChain{baseCRC: crc, baseBytes: size, depth: depth}
 		}
-	} else {
+	default:
 		kind = "delta"
 		var blockLen int64
 		if blockLen, err = ck.appendDelta(c, hdr, lf); err == nil {
@@ -557,27 +559,43 @@ func (ck *checkpointer) maybeWrite(c *Checker, res *Result, depth int, lf *level
 			}
 		}
 	}
-	if stop != nil {
-		stop()
-	}
+	stop()
 	detail := map[string]string{
 		"kind":     kind,
 		"depth":    fmt.Sprint(depth),
 		"distinct": fmt.Sprint(res.DistinctStates),
 		"frontier": fmt.Sprint(lf.size()),
 	}
+	msg := ""
 	if err != nil {
-		detail["error"] = err.Error()
+		msg = err.Error()
+		detail["error"] = msg
 		if ck.metrics != nil {
 			ck.metrics.ckErrors.Inc()
 		}
 		ck.warn.Warnf("checkpoint failed (previous checkpoint still valid): %v", err)
-	} else {
+	}
+	ck.tracer.Emit(obs.Event{Layer: "spec", Kind: "checkpoint", Node: -1, Detail: detail})
+	return msg
+}
+
+// settle closes a checkpoint attempt once the level is resolved. It counts
+// only if every peer's snapshot succeeded (g.ckErr; a solo run is its own
+// only peer), which is also when a coordinator commits the cluster
+// checkpoint with its manifest; the cadence restarts either way.
+func (ck *checkpointer) settle(c *Checker, res *Result, depth int, g levelView) {
+	if g.ckErr == "" {
 		res.Checkpoints++
 		if ck.metrics != nil {
 			ck.metrics.checkpoints.Inc()
 		}
+		if cl := c.cluster; cl != nil && cl.self == 0 {
+			if err := c.writeClusterManifest(depth); err != nil {
+				ck.warn.Warnf("cluster manifest write failed at depth %d: %v", depth, err)
+			} else {
+				cl.pruneBelow = depth
+			}
+		}
 	}
-	ck.tracer.Emit(obs.Event{Layer: "spec", Kind: "checkpoint", Node: -1, Detail: detail})
-	ck.cadence.Emit(obs.Progress{DistinctStates: res.DistinctStates})
+	ck.cadence.Emit(obs.Progress{DistinctStates: g.distinct})
 }

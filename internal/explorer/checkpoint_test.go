@@ -3,6 +3,7 @@ package explorer
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -300,46 +301,65 @@ func TestResumeRejectsForgedFrontier(t *testing.T) {
 
 // TestCheckpointObservability checks the side channels: the checkpoints
 // counter in the metrics registry, the "checkpoint" tracer events, and the
-// checkpoint phase timer.
+// checkpoint phase timer — the same for a single-process snapshot and for
+// every peer's snapshot in a cluster, which go through one call site.
 func TestCheckpointObservability(t *testing.T) {
-	reg := obs.NewRegistry()
-	var buf bytes.Buffer
-	tr := obs.NewTracer(&buf)
-	dir := t.TempDir()
-	res := NewChecker(newToy(3, true), Options{
-		Metrics:    reg,
-		Tracer:     tr,
-		MaxDepth:   3,
-		Checkpoint: CheckpointOptions{Dir: dir, EveryStates: 1},
-	}).Run()
-	if res.Checkpoints == 0 {
-		t.Fatal("no checkpoints written")
-	}
-	snap := reg.Snapshot()
-	if got := snap["checkpoints"].(int64); got != int64(res.Checkpoints) {
-		t.Errorf("checkpoints counter = %v, want %d", got, res.Checkpoints)
-	}
-	if _, ok := snap["phase.checkpoint_ns"]; !ok {
-		t.Errorf("no checkpoint phase timer in snapshot: %v", snap)
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	evs, err := obs.ReadEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckEvents := 0
-	for _, ev := range evs {
-		if ev.Kind == "checkpoint" {
-			ckEvents++
-			if ev.Detail["depth"] == "" || ev.Detail["frontier"] == "" {
-				t.Errorf("checkpoint event missing detail: %+v", ev)
+	for _, peers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("peers=%d", peers), func(t *testing.T) {
+			dir := t.TempDir()
+			regs := make([]*obs.Registry, peers)
+			bufs := make([]bytes.Buffer, peers)
+			trs := make([]*obs.Tracer, peers)
+			opts := func(i int) Options {
+				regs[i], trs[i] = obs.NewRegistry(), obs.NewTracer(&bufs[i])
+				return Options{
+					Metrics:    regs[i],
+					Tracer:     trs[i],
+					MaxDepth:   3,
+					Checkpoint: CheckpointOptions{Dir: dir, EveryStates: 1},
+				}
 			}
-		}
-	}
-	if ckEvents != res.Checkpoints {
-		t.Errorf("tracer saw %d checkpoint events, result counted %d", ckEvents, res.Checkpoints)
+			results := []*Result{nil}
+			if peers == 1 {
+				results[0] = NewChecker(eqMachine(), opts(0)).Run()
+			} else {
+				results = runClusterPeers(peers, opts, nil)
+			}
+			for i, res := range results {
+				if res.Err != nil {
+					t.Fatalf("peer %d: %v", i, res.Err)
+				}
+				if res.Checkpoints == 0 {
+					t.Fatalf("peer %d: no checkpoints written", i)
+				}
+				snap := regs[i].Snapshot()
+				if got := snap["checkpoints"].(int64); got != int64(res.Checkpoints) {
+					t.Errorf("peer %d: checkpoints counter = %v, want %d", i, got, res.Checkpoints)
+				}
+				if _, ok := snap["phase.checkpoint_ns"]; !ok {
+					t.Errorf("peer %d: no checkpoint phase timer in snapshot: %v", i, snap)
+				}
+				if err := trs[i].Flush(); err != nil {
+					t.Fatal(err)
+				}
+				evs, err := obs.ReadEvents(&bufs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				ckEvents := 0
+				for _, ev := range evs {
+					if ev.Kind == "checkpoint" {
+						ckEvents++
+						if ev.Detail["kind"] == "" || ev.Detail["depth"] == "" || ev.Detail["distinct"] == "" || ev.Detail["frontier"] == "" {
+							t.Errorf("peer %d: checkpoint event missing detail: %+v", i, ev)
+						}
+					}
+				}
+				if ckEvents != res.Checkpoints {
+					t.Errorf("peer %d: tracer saw %d checkpoint events, result counted %d", i, ckEvents, res.Checkpoints)
+				}
+			}
+		})
 	}
 }
 

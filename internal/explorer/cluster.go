@@ -5,10 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"strconv"
-	"time"
 
 	"github.com/sandtable-go/sandtable/internal/fpset"
 	"github.com/sandtable-go/sandtable/internal/obs"
@@ -16,29 +13,23 @@ import (
 	"github.com/sandtable-go/sandtable/internal/transport"
 )
 
-// Distributed level-synchronous BFS. The fingerprint space is partitioned
-// across peers by transport.Owner (contiguous slices of the Mix64-remixed
-// space, balanced even for symmetry-reduced min-of-orbit fingerprints), and
-// every peer runs the same loop:
+// The cluster side of the level loop. Checker.Run (explorer.go) is the only
+// BFS loop; a distributed run goes through it and meets the other peers at
+// four seams, methods on *clusterCtx that are the identity on a nil receiver
+// (a single-process run marshals nothing and runs no transport code): hello
+// before exploring, seal (data barrier) and resolve (summary barrier) per
+// level, final at the end — each documented at its method. The barrier tag
+// sequence is hello, resolve(0), then data + resolve per level, final. The
+// fingerprint space is partitioned by transport.Owner (contiguous slices of
+// the Mix64-remixed space, balanced even for symmetry-reduced min-of-orbit
+// fingerprints).
 //
-//  1. Expand its share of the frontier. Workers never insert into the
-//     fingerprint set during expansion; each successor either hits the local
-//     set (owned + already visited → a dedup hit, counted immediately) or is
-//     buffered as a candidate (fp, parent, action, state).
-//  2. Fold the workers' candidates: one survivor per fingerprint, smallest
-//     parent wins, losers count as dedup hits. This is pure wire-volume
-//     reduction — the owner-side merge would pick the same survivor.
-//  3. DATA barrier: candidates are routed to their owners as sorted,
-//     compressed blocks (transport.EncodeBlock). The coordinator's barrier
-//     summary carries the checkpoint cadence decision.
-//  4. Owner merge: local + inbound candidates are sorted by (fp, parent) and
-//     merged per fingerprint group — smallest parent inserts, the rest are
-//     dedup hits. Fresh states join the next frontier (fp-sorted by
-//     construction) and are goal/invariant-checked here, at their owner.
-//  5. RESOLVE barrier: summary-only exchange of cumulative counters,
-//     next-frontier sizes, and violations. Every peer computes the same
-//     global stop decision from the same summaries, so the cluster always
-//     stops at the same level without any coordinator round trip.
+// The other thing a Conn selects is the dedup strategy. Cluster workers never
+// insert during expansion (expandChunkCluster): a successor either hits the
+// local shard (owned + already visited → a dedup hit, counted immediately)
+// or is buffered as a candidate (fp, parent, action, state), folded to one
+// survivor per fingerprint at the block drain (expandPool.fold) and inserted
+// by its owner's serial merge inside seal.
 //
 // Determinism argument. A parent fingerprint is expanded by exactly one peer
 // (its owner), so within one fingerprint's candidate group all parents are
@@ -57,13 +48,6 @@ import (
 // is strictly more deterministic than single-process W>1 collection, where
 // two actions reaching the same state within one level race for the fresh
 // credit in per-action stats (totals are unaffected either way).
-//
-// Checkpoints are per-peer snapshots (the single-process envelope, see
-// checkpoint.go) written at the same level on every peer (the coordinator
-// drives the cadence through the data barrier), committed cluster-wide by a
-// manifest the coordinator writes only after a resolve barrier confirms
-// every peer's snapshot succeeded. Resume loads the manifest depth on every
-// peer and re-validates compatibility at the hello barrier.
 
 // PeerOptions configures one peer of a distributed exploration.
 type PeerOptions struct {
@@ -75,7 +59,7 @@ type PeerOptions struct {
 }
 
 // invalidAction marks a fired action missing from the declared vocabulary;
-// the drain turns it into a run-fatal configuration error.
+// seal turns it into a run-fatal configuration error.
 const invalidAction = ^uint16(0)
 
 // clusterCand is one buffered candidate successor. Locally generated
@@ -89,20 +73,69 @@ type clusterCand struct {
 	enc    []byte
 }
 
-// clusterCtx is the per-run distributed context hung off the Checker.
+// clusterCtx is the per-run distributed context hung off the Checker; nil in
+// a single-process run, where every seam below is the identity.
 type clusterCtx struct {
+	c         *Checker
+	res       *Result
 	conn      transport.Conn
 	self      int
 	peers     int
 	actions   []string
 	actionIdx map[string]uint16
 	seq       uint64 // next barrier tag; every peer calls Exchange in lockstep
+	// pruneBelow is the last committed manifest depth (set on the coordinator
+	// by checkpointer.settle): peers may delete snapshots below it.
+	pruneBelow int
 }
 
-func (cl *clusterCtx) exchange(blocks [][]byte, summary []byte) ([][]byte, [][]byte, error) {
+// joinCluster validates that the machine and options can run distributed and
+// hangs the context for conn off the checker.
+func (c *Checker) joinCluster(conn transport.Conn, res *Result) *fatal {
+	if c.codec == nil {
+		return &fatal{"config-error", c.errNoCodec("cluster")}
+	}
+	actions := spec.DeclaredActions(c.m)
+	if len(actions) == 0 {
+		return &fatal{"config-error", fmt.Errorf("cluster: machine %q does not declare its action vocabulary (spec.ActionLister)", c.m.Name())}
+	}
+	if len(actions) > 0xFFFF {
+		return &fatal{"config-error", fmt.Errorf("cluster: %d declared actions exceed the wire format's 65535 limit", len(actions))}
+	}
+	if c.opts.MemBudget > 0 {
+		return &fatal{"config-error", errors.New("cluster: MemBudget is not supported in distributed runs (partitioning already divides the footprint)")}
+	}
+	cl := &clusterCtx{
+		c: c, res: res, conn: conn, self: conn.Self(), peers: conn.Peers(),
+		actions: actions, actionIdx: make(map[string]uint16, len(actions)),
+	}
+	for i, a := range actions {
+		cl.actionIdx[a] = uint16(i)
+	}
+	c.opts.Metrics.Gauge("transport.peers").Set(int64(cl.peers))
+	c.opts.Metrics.Gauge("transport.peer_id").Set(int64(cl.self))
+	c.cluster = cl
+	return nil
+}
+
+// owns reports whether this process is where fingerprint f is stored and
+// expanded — always, without a cluster.
+func (cl *clusterCtx) owns(f uint64) bool {
+	return cl == nil || transport.Owner(f, cl.peers) == cl.self
+}
+
+func (cl *clusterCtx) exchange(blocks [][]byte, summary any) ([][]byte, [][]byte, error) {
+	raw, err := json.Marshal(summary)
+	if err != nil {
+		return nil, nil, err
+	}
 	tag := cl.seq
 	cl.seq++
-	return cl.conn.Exchange(tag, blocks, summary)
+	return cl.conn.Exchange(tag, blocks, raw)
+}
+
+func transportErr(format string, args ...any) *fatal {
+	return &fatal{"transport-error", fmt.Errorf(format, args...)}
 }
 
 // clusterHello is the first-barrier summary: every peer's run identity,
@@ -131,6 +164,7 @@ type clusterResolve struct {
 	NextFrontier int             `json:"next_frontier"`
 	GoalReached  bool            `json:"goal_reached,omitempty"`
 	DeadlineHit  bool            `json:"deadline_hit,omitempty"`
+	Canceled     bool            `json:"canceled,omitempty"`
 	CkErr        string          `json:"ck_err,omitempty"`
 	Violations   []snapViolation `json:"violations,omitempty"` // cumulative, own share
 }
@@ -147,564 +181,208 @@ type clusterFinal struct {
 	Cover       *obs.Cover      `json:"cover,omitempty"`
 }
 
-// clusterGlobals is the cluster-wide view a resolve barrier establishes.
-type clusterGlobals struct {
-	distinct int
-	frontier int
-	goal     bool
-	deadline bool
-	ckAllOK  bool
-	viols    []snapViolation
-}
-
-// sortSnapViolations orders violations by (depth, fp, invariant) — the same
-// total order sortViolations applies.
-func sortSnapViolations(vs []snapViolation) {
-	slices.SortFunc(vs, func(a, b snapViolation) int {
-		if c := cmp.Compare(a.Depth, b.Depth); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.FP, b.FP); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Invariant, b.Invariant)
-	})
-}
-
-// lookupEdge resolves a fingerprint's parent edge, probing the owning peer
-// when the fingerprint is not local — the trace-reconstruction path of a
-// distributed run (coordinator only; other peers answer via ServeProbes).
-func (c *Checker) lookupEdge(f uint64) (fpset.Edge, bool) {
-	if cl := c.cluster; cl != nil {
-		if owner := transport.Owner(f, cl.peers); owner != cl.self {
-			parent, depth, ok, err := cl.conn.Probe(owner, f)
-			if err != nil || !ok {
-				return fpset.Edge{}, false
-			}
-			return fpset.Edge{Parent: parent, Depth: depth}, true
-		}
+// hello is the all-to-all compatibility check before any exploration. The
+// transport handshake already validated the run digest and cluster size for
+// TCP; this covers the in-process mesh too and produces better errors.
+func (cl *clusterCtx) hello(resumeDepth int) *fatal {
+	if cl == nil {
+		return nil
 	}
-	return c.visited.Lookup(f)
-}
-
-// runCluster is the distributed counterpart of Run; see the file comment for
-// the protocol and the determinism argument.
-func (c *Checker) runCluster() *Result {
-	start := time.Now()
-	res := &Result{}
-	conn := c.opts.Peer.Conn
-	defer conn.Close()
-
-	fail := func(reason string, err error) *Result {
-		res.Err = err
-		res.StopReason = reason
-		return res
-	}
-
-	if c.codec == nil {
-		return fail("config-error", c.errNoCodec("cluster"))
-	}
-	actions := spec.DeclaredActions(c.m)
-	if len(actions) == 0 {
-		return fail("config-error", fmt.Errorf("cluster: machine %q does not declare its action vocabulary (spec.ActionLister)", c.m.Name()))
-	}
-	if len(actions) > 0xFFFF {
-		return fail("config-error", fmt.Errorf("cluster: %d declared actions exceed the wire format's 65535 limit", len(actions)))
-	}
-	if c.opts.MemBudget > 0 {
-		return fail("config-error", errors.New("cluster: MemBudget is not supported in distributed runs (partitioning already divides the footprint)"))
-	}
-
-	cl := &clusterCtx{
-		conn: conn, self: conn.Self(), peers: conn.Peers(),
-		actions: actions, actionIdx: make(map[string]uint16, len(actions)),
-	}
-	for i, a := range actions {
-		cl.actionIdx[a] = uint16(i)
-	}
-	c.cluster = cl
-	c.ident = c.identity()
-
-	workers := c.opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	reporter := c.opts.newReporter()
-	metrics := newRunMetrics(c.opts.Metrics)
-	if c.opts.Metrics != nil {
-		c.opts.Metrics.Gauge("transport.peers").Set(int64(cl.peers))
-		c.opts.Metrics.Gauge("transport.peer_id").Set(int64(cl.self))
-	}
-	invs := c.m.Invariants()
-
-	// Resume before the hello barrier so the loaded depth is validated
-	// against every peer's.
-	resumeDepth := -1
-	var restored *snapshot
-	if c.opts.Checkpoint.Resume {
-		var err error
-		if restored, err = c.loadClusterSnapshot(cl); err != nil {
-			return fail("checkpoint-error", fmt.Errorf("resume: %w", err))
-		}
-		resumeDepth = restored.header.Depth
-	}
-
-	if c.opts.Cover {
-		res.Cover = obs.NewCover("bfs", actions)
-		c.cover = res.Cover
-	}
-
-	// Hello barrier: all-to-all compatibility check. The transport handshake
-	// already validated the run digest and cluster size for TCP; this covers
-	// the in-process mesh too and produces better errors.
-	hb, err := json.Marshal(clusterHello{runIdentity: c.ident, ResumeDepth: resumeDepth})
+	_, sums, err := cl.exchange(nil, clusterHello{runIdentity: cl.c.ident, ResumeDepth: resumeDepth})
 	if err != nil {
-		return fail("config-error", err)
+		return transportErr("cluster hello: %w", err)
 	}
-	_, hsums, err := cl.exchange(nil, hb)
-	if err != nil {
-		return fail("transport-error", fmt.Errorf("cluster hello: %w", err))
-	}
-	for q, raw := range hsums {
+	for q, raw := range sums {
 		if q == cl.self {
 			continue
 		}
 		var h clusterHello
 		if err := json.Unmarshal(raw, &h); err != nil {
-			return fail("config-error", fmt.Errorf("cluster hello from peer %d: %w", q, err))
+			return &fatal{"config-error", fmt.Errorf("cluster hello from peer %d: %w", q, err)}
 		}
-		if h.runIdentity != c.ident {
-			return fail("config-error", fmt.Errorf("cluster: peer %d runs an incompatible model or configuration", q))
+		if h.runIdentity != cl.c.ident {
+			return &fatal{"config-error", fmt.Errorf("cluster: peer %d runs an incompatible model or configuration", q)}
 		}
 		if h.ResumeDepth != resumeDepth {
-			return fail("config-error", fmt.Errorf("cluster: peer %d resumes from depth %d, this peer from %d", q, h.ResumeDepth, resumeDepth))
+			return &fatal{"config-error", fmt.Errorf("cluster: peer %d resumes from depth %d, this peer from %d", q, h.ResumeDepth, resumeDepth)}
 		}
 	}
+	return nil
+}
 
-	depth := 0
-	var frontier []frontierEntry
-	var restoredElapsed time.Duration
-	var ownViols []snapViolation // cumulative violations found at this peer
-
-	if restored != nil {
-		hdr := &restored.header
-		hdr.restoreInto(res, c.cover)
-		ownViols = hdr.Violations
-		restoredElapsed = time.Duration(hdr.ElapsedNs)
-		depth, frontier = hdr.Depth, restored.frontier
-	} else {
-		// Init seeding: every peer canonicalises every initial state (they
-		// are few) but keeps only its own share. A duplicate initial state
-		// is a dedup hit at the owner of its fingerprint, so the global sum
-		// matches a single-process run.
-		seen := make(map[uint64]bool)
-		for _, s := range c.m.Init() {
-			f := c.canonicalFP(s)
-			c.countCanon(1)
-			if seen[f] {
-				if transport.Owner(f, cl.peers) == cl.self {
-					res.DedupHits++
-				}
-				continue
-			}
-			seen[f] = true
-			if transport.Owner(f, cl.peers) != cl.self {
-				continue
-			}
-			c.visited.Insert(f, f, 0)
-			frontier = append(frontier, frontierEntry{state: s, fp: f})
-			if c.opts.Goal != nil && c.opts.Goal(s) {
-				res.GoalReached = true
-			}
-			if v := checkInvariants(invs, s, 0, f); v != nil {
-				ownViols = append(ownViols, snapViolationOf(v))
-			}
-		}
-		sortFrontier(frontier)
-		res.DistinctStates = len(frontier)
-		res.MaxQueueLen = len(frontier)
-		if c.cover != nil {
-			c.cover.Levels = append(c.cover.Levels, obs.LevelStats{
-				Depth: 0, Frontier: len(frontier), Fresh: len(frontier),
-			})
-		}
+// seal turns the level's folded candidates into this peer's share of the
+// next frontier (appended to next, fp-sorted by construction) and its
+// violations at depth (appended to viols): candidates are routed to their
+// owners as sorted, compressed blocks (transport.EncodeBlock) over the data
+// barrier, then merged with the inbound ones. ckDue goes in as this peer's
+// cadence reading and comes out as the coordinator's, carried by its barrier
+// summary, so the whole cluster snapshots at the same level.
+func (cl *clusterCtx) seal(p *expandPool, depth int, next []frontierEntry, viols []*Violation, ckDue bool) ([]frontierEntry, []*Violation, bool, *fatal) {
+	if cl == nil {
+		return next, viols, ckDue, nil
 	}
-
-	// Depth-0 resolve: establishes the global frontier size, distinct count,
-	// and violation set, putting fresh and resumed runs on the same footing.
-	gl, err := c.clusterResolveBarrier(cl, res, len(frontier), ownViols, false, "")
+	if p.badAction {
+		return nil, nil, false, &fatal{"config-error", fmt.Errorf("cluster: machine %q fired an action absent from its declared vocabulary", cl.c.m.Name())}
+	}
+	// One (owner, fp) sort groups the per-owner blocks contiguously, each
+	// internally in the fp order AppendBlock requires. (Owner remixes the
+	// fingerprint to undo the min-of-orbit bias of symmetry reduction, so it
+	// is not monotone in fp and the owner key must be sorted on explicitly.)
+	slices.SortFunc(p.cands, func(a, b clusterCand) int {
+		if r := cmp.Compare(transport.Owner(a.fp, cl.peers), transport.Owner(b.fp, cl.peers)); r != 0 {
+			return r
+		}
+		return cmp.Compare(a.fp, b.fp)
+	})
+	blocks, selfCands, err := cl.buildBlocks(p.cands)
 	if err != nil {
-		return fail("transport-error", fmt.Errorf("cluster resolve at depth %d: %w", depth, err))
+		return nil, nil, false, transportErr("cluster: encode blocks at depth %d: %w", depth, err)
 	}
-	gDistinct, gFrontier, gViols := gl.distinct, gl.frontier, gl.viols
-	gDeadline := gl.deadline
-
-	deadline := time.Time{}
-	if c.opts.Deadline > 0 {
-		deadline = start.Add(c.opts.Deadline)
-	}
-
-	pool := c.newExpandPool(workers, invs)
-	defer pool.close()
-
-	ck := c.newClusterCheckpointer()
-	if ck != nil && restored != nil {
-		ck.pruneBelow = resumeDepth
-	}
-
-	stop := ""
-	for gFrontier > 0 {
-		// Stop checks mirror the single-process loop top, evaluated on the
-		// globals every peer derived from the same resolve summaries — so
-		// every peer takes the same branch. Max-states and deadline are
-		// level-granular here (single-process checks them mid-level), a
-		// documented divergence for those stop reasons only.
-		if c.opts.StopAtFirstViolation && len(gViols) > 0 {
-			stop = "violation"
-			break
-		}
-		if c.opts.MaxDepth > 0 && depth >= c.opts.MaxDepth {
-			stop = "max-depth"
-			break
-		}
-		if c.opts.MaxStates > 0 && gDistinct >= c.opts.MaxStates {
-			stop = "max-states"
-			break
-		}
-		if gDeadline {
-			stop = "deadline"
-			break
-		}
-
-		depth++
-
-		var baseTrans, baseDedup, baseProbes int64
-		var expanded int
-		if c.cover != nil {
-			baseTrans, baseDedup = res.Transitions, res.DedupHits
-			baseProbes = c.visited.Stats().Probes
-			expanded = len(frontier)
-		}
-
-		// Expand the local frontier into candidate buffers (no inserts).
-		byFP := make(map[uint64]int, 2*len(frontier))
-		var cands []clusterCand
-		const block = 1 << 14
-		for lo := 0; lo < len(frontier); lo += block {
-			hi := min(lo+block, len(frontier))
-			pool.expand(frontier[lo:hi], depth)
-			for k := lo; k < hi; k++ {
-				frontier[k].state = nil
-			}
-			if err := pool.drainClusterInto(res, depth, byFP, &cands); err != nil {
-				return fail("config-error", err)
-			}
-			queueLen := (len(frontier) - hi) + len(cands)
-			if queueLen > res.MaxQueueLen {
-				res.MaxQueueLen = queueLen
-			}
-			metrics.publish(c, res, queueLen, depth, c.visited)
-			reporter.Maybe(obs.Progress{
-				DistinctStates: res.DistinctStates,
-				QueueLen:       queueLen,
-				Transitions:    res.Transitions,
-				DedupHits:      res.DedupHits,
-				Depth:          depth,
-			})
-		}
-		// Route candidates to their owners: one (owner, fp) sort groups the
-		// per-owner blocks contiguously, each internally in the fp order
-		// AppendBlock requires. (Owner remixes the fingerprint to undo the
-		// min-of-orbit bias of symmetry reduction, so it is not monotone in
-		// fp and the owner key must be sorted on explicitly.)
-		slices.SortFunc(cands, func(a, b clusterCand) int {
-			if r := cmp.Compare(transport.Owner(a.fp, cl.peers), transport.Owner(b.fp, cl.peers)); r != 0 {
-				return r
-			}
-			return cmp.Compare(a.fp, b.fp)
-		})
-		blocks, selfCands, err := c.buildClusterBlocks(cands)
-		if err != nil {
-			return fail("transport-error", fmt.Errorf("cluster: encode blocks at depth %d: %w", depth, err))
-		}
-
-		data := clusterData{}
-		if cl.self == 0 && ck != nil {
-			data.Checkpoint = ck.due(gDistinct)
-			data.PruneBelow = ck.pruneBelow
-		}
-		draw, err := json.Marshal(data)
-		if err != nil {
-			return fail("config-error", err)
-		}
-		in, dsums, err := cl.exchange(blocks, draw)
-		if err != nil {
-			return fail("transport-error", fmt.Errorf("cluster: data barrier at depth %d: %w", depth, err))
-		}
-		coord := data
-		if cl.self != 0 {
-			if err := json.Unmarshal(dsums[0], &coord); err != nil {
-				return fail("transport-error", fmt.Errorf("cluster: coordinator summary at depth %d: %w", depth, err))
-			}
-		}
-
-		next, levelViols, err := c.clusterMerge(cl, res, depth, selfCands, in, invs)
-		if err != nil {
-			return fail("transport-error", err)
-		}
-		ownViols = append(ownViols, levelViols...)
-		frontier = next
-		if len(frontier) > res.MaxQueueLen {
-			res.MaxQueueLen = len(frontier)
-		}
-
-		ckErr := ""
-		if coord.Checkpoint {
-			hdr := c.header(res, depth, restoredElapsed+time.Since(start), ownViols)
-			var err error
-			if dir := c.opts.Checkpoint.Dir; dir == "" {
-				err = fmt.Errorf("checkpoint requested by coordinator but this peer has no checkpoint dir")
-			} else {
-				_, _, err = c.writeSnapshot(clusterSnapPath(dir, cl.self, depth), hdr, newMemFrontier(frontier))
-			}
-			if err != nil {
-				ckErr = err.Error()
-				reporter.Warnf("cluster checkpoint failed at depth %d (previous checkpoint still valid): %v", depth, err)
-				if metrics != nil {
-					metrics.ckErrors.Inc()
-				}
-			}
-		}
-		if coord.PruneBelow > 0 {
-			c.pruneClusterSnaps(cl, coord.PruneBelow)
-		}
-
-		deadlineHit := !deadline.IsZero() && time.Now().After(deadline)
-		gl, err := c.clusterResolveBarrier(cl, res, len(frontier), ownViols, deadlineHit, ckErr)
-		if err != nil {
-			return fail("transport-error", fmt.Errorf("cluster resolve at depth %d: %w", depth, err))
-		}
-		gDistinct, gFrontier, gViols, gDeadline = gl.distinct, gl.frontier, gl.viols, gl.deadline
-		if gFrontier > 0 {
-			res.MaxDepth = depth
-		}
-		ckDone := false
-		if coord.Checkpoint {
-			if gl.ckAllOK {
-				res.Checkpoints++
-				ckDone = true
-				if metrics != nil {
-					metrics.checkpoints.Inc()
-				}
-				if cl.self == 0 {
-					if err := c.writeClusterManifest(depth); err != nil {
-						reporter.Warnf("cluster manifest write failed at depth %d: %v", depth, err)
-					} else {
-						ck.pruneBelow = depth
-					}
-				}
-			}
-			if cl.self == 0 {
-				ck.emit(gDistinct)
-			}
-		}
-
-		c.opts.Tracer.Emit(obs.Event{
-			Layer: "spec", Kind: "level", Node: -1,
-			Detail: map[string]string{
-				"depth":       strconv.Itoa(depth),
-				"distinct":    strconv.Itoa(gDistinct),
-				"queue":       strconv.Itoa(gFrontier),
-				"transitions": strconv.FormatInt(res.Transitions, 10),
-				"dedup_hits":  strconv.FormatInt(res.DedupHits, 10),
-				"peer":        strconv.Itoa(cl.self),
-			},
-		})
-		if c.cover != nil {
-			c.cover.Levels = append(c.cover.Levels, obs.LevelStats{
-				Depth:       depth,
-				Frontier:    expanded,
-				Fresh:       len(frontier),
-				Transitions: res.Transitions - baseTrans,
-				Dedup:       res.DedupHits - baseDedup,
-				Violations:  len(levelViols),
-				FpsetProbes: c.visited.Stats().Probes - baseProbes,
-				Checkpoint:  ckDone,
-			})
-		}
-	}
-
-	if stop == "" {
-		if len(gViols) > 0 && c.opts.StopAtFirstViolation {
-			stop = "violation"
-		} else {
-			stop = "exhausted"
-			res.Exhausted = true
-		}
-	}
-	res.StopReason = stop
-	res.Duration = restoredElapsed + time.Since(start)
-
-	// Final barrier: every peer assembles the same global Result.
-	fin := clusterFinal{
-		Distinct: res.DistinctStates, Transitions: res.Transitions,
-		DedupHits: res.DedupHits, MaxQueueLen: res.MaxQueueLen,
-		GoalReached: res.GoalReached, Violations: ownViols, Cover: res.Cover,
-	}
-	fraw, err := json.Marshal(fin)
-	if err != nil {
-		return fail("config-error", err)
-	}
-	_, fsums, err := cl.exchange(nil, fraw)
-	if err != nil {
-		return fail("transport-error", fmt.Errorf("cluster final barrier: %w", err))
-	}
-	allViols := append([]snapViolation(nil), ownViols...)
-	for q := range fsums {
-		if q == cl.self {
-			continue
-		}
-		var f clusterFinal
-		if err := json.Unmarshal(fsums[q], &f); err != nil {
-			return fail("transport-error", fmt.Errorf("cluster final summary from peer %d: %w", q, err))
-		}
-		res.DistinctStates += f.Distinct
-		res.Transitions += f.Transitions
-		res.DedupHits += f.DedupHits
-		// MaxQueueLen is summed: per-peer high-water marks are concurrent
-		// structural measures with no meaningful global maximum; the sum
-		// bounds the cluster's peak frontier footprint.
-		res.MaxQueueLen += f.MaxQueueLen
-		res.GoalReached = res.GoalReached || f.GoalReached
-		allViols = append(allViols, f.Violations...)
-		res.Cover.Merge(f.Cover)
-	}
-	sortSnapViolations(allViols)
-	res.Violations = res.Violations[:0]
-	for _, v := range allViols {
-		res.Violations = append(res.Violations, v.violation())
-	}
-
-	metrics.publish(c, res, gFrontier, depth, c.visited)
-	if c.opts.Progress != nil {
-		reporter.Emit(obs.Progress{
-			DistinctStates: res.DistinctStates,
-			QueueLen:       gFrontier,
-			Transitions:    res.Transitions,
-			DedupHits:      res.DedupHits,
-			Depth:          depth,
-			Final:          true,
-		})
-	}
-
-	// Trace reconstruction needs parent edges from every shard, so the
-	// coordinator probes the other peers, which serve lookups until the
-	// coordinator says goodbye. Non-coordinator results carry the same
-	// violations without traces.
+	coord := clusterData{}
 	if cl.self == 0 {
-		for _, v := range res.Violations {
-			v.Trace = c.reconstruct(v)
+		coord = clusterData{Checkpoint: ckDue, PruneBelow: cl.pruneBelow}
+	}
+	in, sums, err := cl.exchange(blocks, coord)
+	if err != nil {
+		return nil, nil, false, transportErr("cluster: data barrier at depth %d: %w", depth, err)
+	}
+	if cl.self != 0 {
+		if err := json.Unmarshal(sums[0], &coord); err != nil {
+			return nil, nil, false, transportErr("cluster: coordinator summary at depth %d: %w", depth, err)
 		}
-		if err := conn.Bye(); err != nil && res.Err == nil {
-			res.Err = fmt.Errorf("cluster shutdown: %w", err)
+	}
+	if next, viols, err = cl.merge(p.invs, depth, selfCands, in, next, viols); err != nil {
+		return nil, nil, false, &fatal{"transport-error", err}
+	}
+	// merge appended inbound candidates into the spare capacity: clear it all.
+	clear(p.cands[:cap(p.cands)])
+	p.cands = p.cands[:0]
+	clear(p.byFP)
+	if len(next) > cl.res.MaxQueueLen {
+		cl.res.MaxQueueLen = len(next)
+	}
+	if coord.PruneBelow > 0 {
+		cl.c.pruneClusterSnaps(cl, coord.PruneBelow)
+	}
+	return next, viols, coord.Checkpoint, nil
+}
+
+// resolve runs one summary-only barrier and folds every peer's summary into
+// the global view. Every peer derives the same globals from the same
+// summaries, so the cluster takes each stop decision at the same level
+// without a coordinator round trip.
+func (cl *clusterCtx) resolve(depth int, own []*Violation, local levelView) (levelView, *fatal) {
+	if cl == nil {
+		return local, nil
+	}
+	res := cl.res
+	sum := clusterResolve{
+		Distinct: local.distinct, Transitions: res.Transitions,
+		DedupHits: res.DedupHits, NextFrontier: local.frontier,
+		GoalReached: res.GoalReached, DeadlineHit: local.deadline, Canceled: local.canceled,
+		CkErr: local.ckErr, Violations: snapViolationsOf(own),
+	}
+	_, sums, err := cl.exchange(nil, sum)
+	if err != nil {
+		return local, transportErr("cluster resolve at depth %d: %w", depth, err)
+	}
+	var g levelView
+	for q := range sums {
+		s := sum
+		if q != cl.self {
+			s = clusterResolve{}
+			if err := json.Unmarshal(sums[q], &s); err != nil {
+				return local, transportErr("cluster: resolve summary from peer %d at depth %d: %w", q, depth, err)
+			}
 		}
-	} else {
-		err := conn.ServeProbes(func(f uint64) (uint64, int32, bool) {
+		g.distinct += s.Distinct
+		g.frontier += s.NextFrontier
+		// Detection happens at the owner and each state violates at most
+		// once, so per-peer cumulative lists are disjoint.
+		g.violations += len(s.Violations)
+		g.deadline = g.deadline || s.DeadlineHit
+		g.canceled = g.canceled || s.Canceled
+		if g.ckErr == "" {
+			g.ckErr = s.CkErr
+		}
+	}
+	return g, nil
+}
+
+// final ends the run: the last barrier, from which every peer assembles the
+// same global Result, then trace reconstruction. That needs parent edges from
+// every shard, so the coordinator probes the other peers, which serve lookups
+// until it says goodbye; their results carry the same violations without
+// traces. Without a cluster own is already every violation and every edge is
+// local.
+func (cl *clusterCtx) final(c *Checker, res *Result, own []*Violation) *fatal {
+	if cl != nil {
+		fin := clusterFinal{
+			Distinct: res.DistinctStates, Transitions: res.Transitions,
+			DedupHits: res.DedupHits, MaxQueueLen: res.MaxQueueLen,
+			GoalReached: res.GoalReached, Violations: snapViolationsOf(own), Cover: res.Cover,
+		}
+		_, sums, err := cl.exchange(nil, fin)
+		if err != nil {
+			return transportErr("cluster final barrier: %w", err)
+		}
+		for q := range sums {
+			if q == cl.self {
+				continue
+			}
+			var f clusterFinal
+			if err := json.Unmarshal(sums[q], &f); err != nil {
+				return transportErr("cluster final summary from peer %d: %w", q, err)
+			}
+			res.DistinctStates += f.Distinct
+			res.Transitions += f.Transitions
+			res.DedupHits += f.DedupHits
+			// MaxQueueLen is summed: per-peer high-water marks are concurrent
+			// structural measures with no meaningful global maximum; the sum
+			// bounds the cluster's peak frontier footprint.
+			res.MaxQueueLen += f.MaxQueueLen
+			res.GoalReached = res.GoalReached || f.GoalReached
+			for _, v := range f.Violations {
+				own = append(own, v.violation())
+			}
+			res.Cover.Merge(f.Cover)
+		}
+		sortViolations(own)
+	}
+	res.Violations = own
+	if cl != nil && cl.self != 0 {
+		err := cl.conn.ServeProbes(func(f uint64) (uint64, int32, bool) {
 			e, ok := c.visited.Lookup(f)
 			return e.Parent, e.Depth, ok
 		})
 		if err != nil && res.Err == nil {
 			res.Err = fmt.Errorf("cluster probe service: %w", err)
 		}
+		return nil
 	}
-	return res
-}
-
-// clusterResolveBarrier runs one summary-only barrier and folds every peer's
-// summary into the global view.
-func (c *Checker) clusterResolveBarrier(cl *clusterCtx, res *Result, nextFrontier int, ownViols []snapViolation, deadlineHit bool, ckErr string) (*clusterGlobals, error) {
-	sum := clusterResolve{
-		Distinct: res.DistinctStates, Transitions: res.Transitions,
-		DedupHits: res.DedupHits, NextFrontier: nextFrontier,
-		GoalReached: res.GoalReached, DeadlineHit: deadlineHit,
-		CkErr: ckErr, Violations: ownViols,
+	for _, v := range res.Violations {
+		v.Trace = c.reconstruct(v)
 	}
-	raw, err := json.Marshal(sum)
-	if err != nil {
-		return nil, err
-	}
-	_, sums, err := cl.exchange(nil, raw)
-	if err != nil {
-		return nil, err
-	}
-	g := &clusterGlobals{ckAllOK: true}
-	for q := range sums {
-		s := sum
-		if q != cl.self {
-			s = clusterResolve{}
-			if err := json.Unmarshal(sums[q], &s); err != nil {
-				return nil, fmt.Errorf("cluster: resolve summary from peer %d: %w", q, err)
-			}
+	if cl != nil {
+		if err := cl.conn.Bye(); err != nil && res.Err == nil {
+			res.Err = fmt.Errorf("cluster shutdown: %w", err)
 		}
-		g.distinct += s.Distinct
-		g.frontier += s.NextFrontier
-		g.goal = g.goal || s.GoalReached
-		g.deadline = g.deadline || s.DeadlineHit
-		if s.CkErr != "" {
-			g.ckAllOK = false
-		}
-		// Detection happens at the owner and each state violates at most
-		// once, so per-peer cumulative lists are disjoint: concatenation is
-		// already a set.
-		g.viols = append(g.viols, s.Violations...)
-	}
-	sortSnapViolations(g.viols)
-	return g, nil
-}
-
-// drainClusterInto folds every worker's counters and candidate buffers into
-// the level accumulator, keeping one candidate per fingerprint (smallest
-// parent wins; a losing candidate is a dedup hit, observed non-fresh, exactly
-// as the owner-side merge would score it). Equal parents can only come from
-// the same worker — a parent is expanded once — so generation order breaks
-// the tie, matching single-process insertion order.
-func (p *expandPool) drainClusterInto(res *Result, depth int, byFP map[uint64]int, cands *[]clusterCand) error {
-	c := p.c
-	cl := c.cluster
-	cover := c.cover
-	for _, w := range p.ws {
-		cover.MergeWorker(w.wc)
-		out := &w.out
-		// As in drainInto: successors processed == canonicalizations, folded
-		// at the barrier so the counter stays off the hot path.
-		c.countCanon(out.work)
-		res.Transitions += out.work
-		res.DedupHits += out.dedup
-		for _, cand := range out.cands {
-			if cand.action == invalidAction {
-				return fmt.Errorf("cluster: machine %q fired an action absent from its declared vocabulary", c.m.Name())
-			}
-			if idx, ok := byFP[cand.fp]; ok {
-				prev := &(*cands)[idx]
-				loser := cand
-				if cand.parent < prev.parent {
-					loser = *prev
-					*prev = cand
-				}
-				res.DedupHits++
-				cover.Observe(cl.actions[loser.action], depth, false)
-			} else {
-				byFP[cand.fp] = len(*cands)
-				*cands = append(*cands, cand)
-			}
-		}
-		for i := range out.cands {
-			out.cands[i].state = nil
-		}
-		out.cands = out.cands[:0]
-		out.work, out.dedup = 0, 0
 	}
 	return nil
+}
+
+// lookupEdge resolves a fingerprint's parent edge, probing the owning peer
+// when the fingerprint is not local — the trace-reconstruction path of a
+// distributed run (coordinator only; other peers answer via ServeProbes).
+func (c *Checker) lookupEdge(f uint64) (fpset.Edge, bool) {
+	if cl := c.cluster; !cl.owns(f) {
+		parent, depth, ok, err := cl.conn.Probe(transport.Owner(f, cl.peers), f)
+		if err != nil || !ok {
+			return fpset.Edge{}, false
+		}
+		return fpset.Edge{Parent: parent, Depth: depth}, true
+	}
+	return c.visited.Lookup(f)
 }
 
 // expandChunkCluster is the cluster-mode worker loop: successors are scored
@@ -724,7 +402,7 @@ func (w *expandWorker) expandChunkCluster(entries []frontierEntry, depth int) {
 			if reduced {
 				w.wc.SymmetryHit()
 			}
-			if transport.Owner(f, cl.peers) == cl.self && c.visited.Contains(f) {
+			if cl.owns(f) && c.visited.Contains(f) {
 				out.dedup++
 				w.wc.Observe(su.Event.Action, depth, false)
 				continue
@@ -738,10 +416,9 @@ func (w *expandWorker) expandChunkCluster(entries []frontierEntry, depth int) {
 	}
 }
 
-// buildClusterBlocks splits the (owner, fp)-sorted candidate list into the
-// local share and one encoded wire block per remote owner.
-func (c *Checker) buildClusterBlocks(cands []clusterCand) ([][]byte, []clusterCand, error) {
-	cl := c.cluster
+// buildBlocks splits the (owner, fp)-sorted candidate list into the local
+// share and one encoded wire block per remote owner.
+func (cl *clusterCtx) buildBlocks(cands []clusterCand) ([][]byte, []clusterCand, error) {
 	blocks := make([][]byte, cl.peers)
 	var selfCands []clusterCand
 	var wire []transport.Candidate
@@ -759,7 +436,7 @@ func (c *Checker) buildClusterBlocks(cands []clusterCand) ([][]byte, []clusterCa
 			for k := i; k < j; k++ {
 				wire = append(wire, transport.Candidate{
 					FP: cands[k].fp, Parent: cands[k].parent, Action: cands[k].action,
-					State: c.codec.AppendState(nil, cands[k].state),
+					State: cl.c.codec.AppendState(nil, cands[k].state),
 				})
 			}
 			payload, err := transport.EncodeBlock(wire)
@@ -773,11 +450,12 @@ func (c *Checker) buildClusterBlocks(cands []clusterCand) ([][]byte, []clusterCa
 	return blocks, selfCands, nil
 }
 
-// clusterMerge merges this peer's local candidates with the inbound blocks:
-// sort by (fp, parent), insert the minimum parent of each fingerprint group,
-// score the rest as dedup hits, and goal/invariant-check the fresh states.
-// The returned next frontier is fp-sorted by construction.
-func (c *Checker) clusterMerge(cl *clusterCtx, res *Result, depth int, selfCands []clusterCand, in [][]byte, invs []spec.Invariant) ([]frontierEntry, []snapViolation, error) {
+// merge merges this peer's local candidates with the inbound blocks: sort by
+// (fp, parent), insert the minimum parent of each fingerprint group, score
+// the rest as dedup hits, and goal/invariant-check the fresh states, which are
+// appended to next in fp order.
+func (cl *clusterCtx) merge(invs []spec.Invariant, depth int, selfCands []clusterCand, in [][]byte, next []frontierEntry, viols []*Violation) ([]frontierEntry, []*Violation, error) {
+	c, res := cl.c, cl.res
 	merged := selfCands
 	for q, payload := range in {
 		if q == cl.self || len(payload) == 0 {
@@ -788,6 +466,9 @@ func (c *Checker) clusterMerge(cl *clusterCtx, res *Result, depth int, selfCands
 			return nil, nil, fmt.Errorf("cluster: block from peer %d at depth %d: %w", q, depth, err)
 		}
 		for i := range wcands {
+			if int(wcands[i].Action) >= len(cl.actions) {
+				return nil, nil, fmt.Errorf("cluster: candidate %#x from peer %d carries action index %d outside the shared table", wcands[i].FP, q, wcands[i].Action)
+			}
 			merged = append(merged, clusterCand{
 				fp: wcands[i].FP, parent: wcands[i].Parent,
 				action: wcands[i].Action, enc: wcands[i].State,
@@ -802,8 +483,6 @@ func (c *Checker) clusterMerge(cl *clusterCtx, res *Result, depth int, selfCands
 	})
 	cover := c.cover
 	goal := c.opts.Goal
-	var next []frontierEntry
-	var viols []snapViolation
 	i := 0
 	for i < len(merged) {
 		j := i + 1
@@ -811,9 +490,6 @@ func (c *Checker) clusterMerge(cl *clusterCtx, res *Result, depth int, selfCands
 			j++
 		}
 		lead := &merged[i]
-		if int(lead.action) >= len(cl.actions) {
-			return nil, nil, fmt.Errorf("cluster: candidate %#x carries action index %d outside the shared table", lead.fp, lead.action)
-		}
 		fresh := c.visited.Insert(lead.fp, lead.parent, int32(depth))
 		cover.Observe(cl.actions[lead.action], depth, fresh)
 		if fresh {
@@ -835,15 +511,12 @@ func (c *Checker) clusterMerge(cl *clusterCtx, res *Result, depth int, selfCands
 				res.GoalReached = true
 			}
 			if v := checkInvariants(invs, st, depth, lead.fp); v != nil {
-				viols = append(viols, snapViolationOf(v))
+				viols = append(viols, v)
 			}
 		} else {
 			res.DedupHits++
 		}
 		for k := i + 1; k < j; k++ {
-			if int(merged[k].action) >= len(cl.actions) {
-				return nil, nil, fmt.Errorf("cluster: candidate %#x carries action index %d outside the shared table", merged[k].fp, merged[k].action)
-			}
 			res.DedupHits++
 			cover.Observe(cl.actions[merged[k].action], depth, false)
 		}

@@ -6,21 +6,22 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"github.com/sandtable-go/sandtable/internal/obs"
 )
 
-// Cluster checkpoints are per-peer snapshots — the same envelope, writer and
-// reader as single-process ones (checkpoint.go), with no delta chain — taken
-// at a level barrier, all peers at the same depth. The commit point is the
-// coordinator's manifest, written only after a resolve barrier confirms every
-// peer's snapshot succeeded — a crash between snapshots and manifest leaves
-// the previous manifest (and the snapshots it references) authoritative. Peer
-// snapshots are depth-stamped (peer-<id>/cluster-<depth>.snap) so an
-// uncommitted write never clobbers the committed one; depths below the
-// manifest are pruned on the coordinator's instruction, one committed level
-// later. Resume reloads exactly each peer's shard and the cluster restarts at
-// the manifest depth after the hello barrier re-validates compatibility.
+// Cluster checkpoints are per-peer snapshots — the same envelope, writer,
+// reader, cadence and call site as single-process ones (checkpoint.go), with
+// no delta chain — taken at a level barrier, all peers at the same depth: the
+// coordinator reads the cadence against the previous level's global distinct
+// count and its decision travels in the data-barrier summary. The commit
+// point is the coordinator's manifest, written only after a resolve barrier
+// confirms every peer's snapshot succeeded — a crash between snapshots and
+// manifest leaves the previous manifest (and the snapshots it references)
+// authoritative. Peer snapshots are depth-stamped
+// (peer-<id>/cluster-<depth>.snap) so an uncommitted write never clobbers the
+// committed one; depths below the manifest are pruned on the coordinator's
+// instruction, one committed level later. Resume reloads exactly each peer's
+// shard and the cluster restarts at the manifest depth after the hello
+// barrier re-validates compatibility.
 
 const clusterManifestFile = "cluster-manifest.json"
 
@@ -31,33 +32,6 @@ type clusterManifest struct {
 	Version int `json:"version"`
 	runIdentity
 	Depth int `json:"depth"`
-}
-
-// clusterCheckpointer is the coordinator's cadence state. Only peer 0 holds
-// one with a live reporter; the decision travels to the other peers in the
-// data-barrier summary, so the whole cluster snapshots at the same level.
-// The cadence is evaluated against the previous level's global distinct
-// count (the freshest number available before expansion), one level staler
-// than the single-process trigger.
-type clusterCheckpointer struct {
-	cadence    *obs.Reporter
-	pruneBelow int
-}
-
-func (c *Checker) newClusterCheckpointer() *clusterCheckpointer {
-	o := c.opts.Checkpoint
-	if !o.enabled() {
-		return nil
-	}
-	return &clusterCheckpointer{cadence: o.newCadence()}
-}
-
-func (k *clusterCheckpointer) due(gDistinct int) bool {
-	return k.cadence.Due(gDistinct)
-}
-
-func (k *clusterCheckpointer) emit(gDistinct int) {
-	k.cadence.Emit(obs.Progress{DistinctStates: gDistinct})
 }
 
 func clusterPeerDir(dir string, peer int) string {
@@ -105,8 +79,8 @@ func (c *Checker) pruneClusterSnaps(cl *clusterCtx, below int) {
 // depth, validating the manifest and the snapshot against the running
 // configuration. Called before the hello barrier, which then cross-checks
 // that every peer resumed from the same depth.
-func (c *Checker) loadClusterSnapshot(cl *clusterCtx) (*snapshot, error) {
-	dir := c.opts.Checkpoint.Dir
+func (c *Checker) loadClusterSnapshot() (*snapshot, error) {
+	cl, dir := c.cluster, c.opts.Checkpoint.Dir
 	mpath := filepath.Join(dir, clusterManifestFile)
 	mraw, err := os.ReadFile(mpath)
 	if err != nil {
@@ -136,5 +110,6 @@ func (c *Checker) loadClusterSnapshot(cl *clusterCtx) (*snapshot, error) {
 	if err := c.restoreFrontier(snap); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	cl.pruneBelow = man.Depth
 	return snap, nil
 }

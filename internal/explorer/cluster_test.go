@@ -1,6 +1,7 @@
 package explorer
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
+	"github.com/sandtable-go/sandtable/internal/obs"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/specs/raftbase"
 	"github.com/sandtable-go/sandtable/internal/specs/zabkeeper"
@@ -305,6 +307,76 @@ func TestClusterKillAndResume(t *testing.T) {
 	}
 }
 
+// cancelConn cancels its peer's context on the way into barrier cancelAt and
+// otherwise forwards: a Ctrl-C landing on one process mid-run.
+type cancelConn struct {
+	transport.Conn
+	cancelAt uint64
+	cancel   context.CancelFunc
+}
+
+func (c *cancelConn) Exchange(tag uint64, blocks [][]byte, summary []byte) ([][]byte, [][]byte, error) {
+	if tag == c.cancelAt {
+		c.cancel()
+	}
+	return c.Conn.Exchange(tag, blocks, summary)
+}
+
+// TestClusterCancelStopsEveryPeer: canceling one peer's Options.Context stops
+// the whole cluster at the same level with "canceled" — the flag travels in
+// the resolve summary — and the manifest committed on the way stays
+// resumable to the uninterrupted result.
+func TestClusterCancelStopsEveryPeer(t *testing.T) {
+	ref := NewChecker(eqMachine(), Options{Workers: 2}).Run()
+	refSig := clusterSig(ref, coverNone)
+
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Peer 1 is canceled entering the data barrier of level 5 (tags: hello 0,
+	// resolve 1, then data 2k and resolve 2k+1 for level k); peer 0 has no
+	// context at all.
+	const level = 5
+	results := runClusterPeers(2, func(i int) Options {
+		o := Options{Workers: 2, Checkpoint: CheckpointOptions{Dir: dir, EveryStates: 1, Label: "eq"}}
+		if i == 1 {
+			o.Context = ctx
+		}
+		return o
+	}, func(i int, c transport.Conn) transport.Conn {
+		if i == 1 {
+			return &cancelConn{Conn: c, cancelAt: 2 * level, cancel: cancel}
+		}
+		return c
+	})
+	for i, res := range results {
+		if res.Err != nil {
+			t.Fatalf("peer %d: %v (stop=%s)", i, res.Err, res.StopReason)
+		}
+		if res.StopReason != "canceled" || res.Exhausted {
+			t.Errorf("peer %d: stop=%s exhausted=%v, want canceled", i, res.StopReason, res.Exhausted)
+		}
+		if res.MaxDepth != level {
+			t.Errorf("peer %d stopped at depth %d, want %d", i, res.MaxDepth, level)
+		}
+		if sig := clusterSig(res, coverNone); sig != clusterSig(results[0], coverNone) {
+			t.Errorf("peer %d result differs from peer 0:\n%s\nvs\n%s", i, sig, clusterSig(results[0], coverNone))
+		}
+	}
+
+	results = runClusterPeers(2, func(int) Options {
+		return Options{Workers: 2, Checkpoint: CheckpointOptions{Dir: dir, EveryStates: 1, Label: "eq", Resume: true}}
+	}, nil)
+	for i, res := range results {
+		if res.Err != nil {
+			t.Fatalf("resumed peer %d: %v (stop=%s)", i, res.Err, res.StopReason)
+		}
+		if sig := clusterSig(res, coverNone); !res.Resumed || sig != refSig {
+			t.Errorf("resumed peer %d (resumed=%v) signature differs:\n%s\nwant:\n%s", i, res.Resumed, sig, refSig)
+		}
+	}
+}
+
 // noCodec strips every optional capability off a machine, leaving the bare
 // spec.Machine interface.
 type noCodec struct{ spec.Machine }
@@ -324,5 +396,42 @@ func TestClusterConfigErrors(t *testing.T) {
 	res = NewChecker(eqMachine(), Options{MemBudget: 1 << 20, Peer: &PeerOptions{Conn: transport.NewMesh(1)[0]}}).Run()
 	if res.StopReason != "config-error" || res.Err == nil {
 		t.Fatalf("mem-budget: stop=%s err=%v, want config-error", res.StopReason, res.Err)
+	}
+}
+
+// TestSoloSeamsAreIdentity guards "the P=1 seam costs nothing" in tier-1:
+// without a Conn the cluster context is nil, every seam hands back what it
+// was given (a nil context has no Conn to call Exchange on — reaching for one
+// would panic here), and a run registers no transport.* metric.
+func TestSoloSeamsAreIdentity(t *testing.T) {
+	var cl *clusterCtx
+	if f := cl.hello(3); f != nil {
+		t.Fatalf("hello: %v", f.err)
+	}
+	if !cl.owns(0) || !cl.owns(^uint64(0)) {
+		t.Error("a solo run must own every fingerprint")
+	}
+	next := []frontierEntry{{fp: 2}, {fp: 1}}
+	viols := []*Violation{{Invariant: "x"}}
+	gotNext, gotViols, due, f := cl.seal(nil, 1, next, viols, true)
+	if f != nil || !due || len(gotNext) != 2 || &gotNext[0] != &next[0] || len(gotViols) != 1 || gotViols[0] != viols[0] {
+		t.Errorf("seal changed its input: next=%v viols=%v due=%v fatal=%v", gotNext, gotViols, due, f)
+	}
+	local := levelView{distinct: 7, frontier: 3, violations: 1, deadline: true, canceled: true, ckErr: "disk full"}
+	if g, f := cl.resolve(1, viols, local); f != nil || g != local {
+		t.Errorf("resolve = %+v (fatal %v), want the local view %+v", g, f, local)
+	}
+
+	for _, peer := range []*PeerOptions{nil, {}} {
+		reg := obs.NewRegistry()
+		res := NewChecker(eqMachine(), Options{Workers: 2, Metrics: reg, Peer: peer}).Run()
+		if res.Err != nil || !res.Exhausted {
+			t.Fatalf("solo run: stop=%s err=%v", res.StopReason, res.Err)
+		}
+		for key := range reg.Snapshot() {
+			if strings.HasPrefix(key, "transport.") {
+				t.Errorf("solo run (Peer=%v) registered %s", peer, key)
+			}
+		}
 	}
 }

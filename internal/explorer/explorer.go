@@ -80,8 +80,9 @@ type Options struct {
 	// MaxStates and Deadline) and ends the run with StopReason "canceled".
 	// A level cut short by cancellation is never snapshotted, so the last
 	// complete-level checkpoint stays valid and the run remains resumable.
-	// Ignored by distributed (Peer) runs, whose stop decisions must be
-	// cluster-global.
+	// In a distributed (Peer) run the safepoint is the level barrier: each
+	// peer reports its context's state in the resolve summary, so canceling
+	// any one peer stops every peer at the same level.
 	Context context.Context
 	// StopAtFirstViolation halts at the first invariant violation (the
 	// default SandTable workflow: confirm one bug, fix, re-run). The stop is
@@ -356,26 +357,22 @@ func (c *Checker) nextInto(s spec.State, buf []spec.Succ) []spec.Succ {
 
 // canonicalFP returns the symmetry-reduced fingerprint of s: the minimum
 // fingerprint over all node permutations (with symmetry off it is the plain
-// fingerprint).
+// fingerprint). Serial-path wrapper over canonicalFPScratch using the
+// checker's own scratch; concurrent callers (expansion workers) must pass
+// their own.
 func (c *Checker) canonicalFP(s spec.State) uint64 {
-	fp, _ := c.canonicalFPReduced(s)
+	fp, _ := c.canonicalFPScratch(s, &c.osc)
 	return fp
-}
-
-// canonicalFPReduced is canonicalFP plus whether a non-identity permutation
-// produced the minimum — i.e. whether symmetry reduction actually collapsed
-// this state onto a representative (the coverage profiler's symmetry-hit
-// signal). Serial-path wrapper over canonicalFPScratch using the checker's
-// own scratch; concurrent callers (expansion workers) must pass their own.
-func (c *Checker) canonicalFPReduced(s spec.State) (uint64, bool) {
-	return c.canonicalFPScratch(s, &c.osc)
 }
 
 // canonicalFPScratch computes the canonical fingerprint with caller-owned
 // orbit scratch: the incremental orbit path when the machine provides it
 // (one digest pass + cheap combines, no allocations), otherwise the flat
 // path (plain fingerprint, then one full rehash per non-identity
-// permutation via PermutedFingerprint or a materialised Permute).
+// permutation via PermutedFingerprint or a materialised Permute). The bool
+// reports whether a non-identity permutation produced the minimum, i.e.
+// whether symmetry reduction collapsed this state onto a representative (the
+// coverage profiler's symmetry-hit signal).
 func (c *Checker) canonicalFPScratch(s spec.State, sc *fp.OrbitScratch) (uint64, bool) {
 	if c.orbit != nil {
 		return c.orbit.OrbitFingerprint(s, c.ptab, sc)
@@ -509,74 +506,122 @@ func (o *Options) newReporter() *obs.Reporter {
 	return r
 }
 
-// Run performs the breadth-first search and returns the result.
+// fatal is an error that ends the run under the named Result.StopReason.
+type fatal struct {
+	reason string
+	err    error
+}
+
+// levelView is a level boundary as this process sees it (what goes into the
+// resolve seam) or as the whole cluster does (what comes out). In a
+// single-process run the two are the same value.
+type levelView struct {
+	distinct, frontier, violations int
+	deadline, canceled             bool
+	// ckErr is this peer's checkpoint failure going in, any peer's coming out.
+	ckErr string
+}
+
+// Run performs the breadth-first search and returns the result. It is the
+// only level loop: a distributed run goes through the same statements and
+// meets the other peers at the four *clusterCtx seams (hello, seal, resolve,
+// final — see cluster.go), each the identity on a nil receiver. A Conn also
+// selects the dedup strategy: solo workers probe-and-insert as they expand,
+// cluster workers buffer candidates that seal routes and merges serially.
 func (c *Checker) Run() *Result {
-	if c.opts.Peer != nil && c.opts.Peer.Conn != nil {
-		return c.runCluster()
-	}
 	start := time.Now()
 	res := &Result{}
+	fail := func(f *fatal) *Result {
+		res.Err, res.StopReason = f.err, f.reason
+		return res
+	}
+	if p := c.opts.Peer; p != nil && p.Conn != nil {
+		defer p.Conn.Close()
+		if f := c.joinCluster(p.Conn, res); f != nil {
+			return fail(f)
+		}
+	}
+	cl := c.cluster
+	// A solo run's own counters are the whole truth, so it may act on them
+	// between barriers (mid-level stops, skipping a snapshot when it is about
+	// to end); a peer's are a share, and it acts only on resolved globals.
+	solo := cl == nil
+
 	workers := c.opts.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
 	reporter := c.opts.newReporter()
 	metrics := newRunMetrics(c.opts.Metrics)
-
 	invs := c.m.Invariants()
-	var frontier []frontierEntry
-	depth := 0
-	var restoredElapsed time.Duration
 
 	if c.opts.Cover {
 		res.Cover = obs.NewCover("bfs", spec.DeclaredActions(c.m))
 		c.cover = res.Cover
 	}
 
-	// chain is the committed checkpoint chain a resume loaded; the run's
-	// checkpointer adopts it and keeps appending deltas instead of rewriting
-	// a full base snapshot.
-	var chain *ckChain
-	if o := c.opts.Checkpoint; o.enabled() || o.Resume {
+	if o := c.opts.Checkpoint; !solo || o.Dir != "" || o.Resume {
 		if c.codec == nil {
-			res.Err = c.errNoCodec("checkpoint")
-			res.StopReason = "config-error"
-			return res
+			return fail(&fatal{"config-error", c.errNoCodec("checkpoint")})
 		}
 		c.ident = c.identity()
 	}
+	// Resume comes before the hello barrier, which checks the loaded depth
+	// against every peer's. chain is the committed delta chain a solo resume
+	// found; the checkpointer adopts it and keeps appending.
+	var snap *snapshot
+	var chain *ckChain
+	resumeDepth := -1
 	if c.opts.Checkpoint.Resume {
-		// Continue from the snapshot: counters, depth, and the verified
-		// frontier replace the init-state seeding below.
-		snap, ch, err := c.resume()
-		if err != nil {
-			res.Err = fmt.Errorf("resume: %w", err)
-			res.StopReason = "checkpoint-error"
-			return res
+		var err error
+		if snap, chain, err = c.resume(); err != nil {
+			return fail(&fatal{"checkpoint-error", fmt.Errorf("resume: %w", err)})
 		}
-		snap.header.restoreInto(res, c.cover)
-		for _, v := range snap.header.Violations {
-			res.Violations = append(res.Violations, v.violation())
+		resumeDepth = snap.header.Depth
+	}
+	if f := cl.hello(resumeDepth); f != nil {
+		return fail(f)
+	}
+
+	depth := 0
+	var frontier []frontierEntry
+	var restoredElapsed time.Duration
+	// own is every violation found by this process, in (depth, fp) order: all
+	// of them in a solo run, this peer's share in a cluster.
+	var own []*Violation
+	if snap != nil {
+		// Counters, depth and the verified frontier replace init seeding.
+		hdr := &snap.header
+		hdr.restoreInto(res, c.cover)
+		for _, v := range hdr.Violations {
+			own = append(own, v.violation())
 		}
-		restoredElapsed = time.Duration(snap.header.ElapsedNs)
-		depth, frontier, chain = snap.header.Depth, snap.frontier, ch
+		restoredElapsed = time.Duration(hdr.ElapsedNs)
+		depth, frontier = hdr.Depth, snap.frontier
 	} else {
+		// Every peer canonicalises every initial state (they are few) and
+		// keeps the ones it owns; a duplicate is a dedup hit at its owner, so
+		// the cluster-wide sum matches a single-process run.
 		seen := make(map[uint64]bool)
 		for _, s := range c.m.Init() {
 			fp := c.canonicalFP(s)
 			c.countCanon(1)
-			if seen[fp] {
+			dup := seen[fp]
+			seen[fp] = true
+			if !cl.owns(fp) {
+				continue
+			}
+			if dup {
 				res.DedupHits++
 				continue
 			}
-			seen[fp] = true
 			c.visited.Insert(fp, fp, 0)
 			frontier = append(frontier, frontierEntry{state: s, fp: fp})
 			if c.opts.Goal != nil && c.opts.Goal(s) {
 				res.GoalReached = true
 			}
 			if v := checkInvariants(invs, s, 0, fp); v != nil {
-				res.Violations = append(res.Violations, v)
+				own = append(own, v)
 			}
 		}
 		sortFrontier(frontier)
@@ -590,12 +635,29 @@ func (c *Checker) Run() *Result {
 			})
 		}
 	}
-	ck := c.newCheckpointer(metrics, reporter, chain)
+	lf := newMemFrontier(frontier)
+	frontier = nil
 
-	stop := ""
 	deadline := time.Time{}
 	if c.opts.Deadline > 0 {
 		deadline = start.Add(c.opts.Deadline)
+	}
+	view := func(ckErr string) levelView {
+		return levelView{
+			distinct: res.DistinctStates, frontier: lf.size(), violations: len(own),
+			deadline: !deadline.IsZero() && time.Now().After(deadline),
+			canceled: c.canceled(), ckErr: ckErr,
+		}
+	}
+	// The depth-0 resolve puts fresh and resumed runs, solo and clustered, on
+	// the same footing: g is the global view every stop decision reads.
+	g, f := cl.resolve(depth, own, view(""))
+	if f != nil {
+		return fail(f)
+	}
+	ck := &checkpointer{
+		dir: c.opts.Checkpoint.Dir, cadence: c.opts.Checkpoint.newCadence(),
+		warn: reporter, metrics: metrics, tracer: c.opts.Tracer, chain: chain,
 	}
 
 	// The pool's goroutines live for the whole run; blocks are fed to them,
@@ -608,9 +670,7 @@ func (c *Checker) Run() *Result {
 	// spilled fingerprints.
 	memctl, err := c.newMemController(metrics, reporter)
 	if err != nil {
-		res.Err = fmt.Errorf("mem-budget: %w", err)
-		res.StopReason = "spill-error"
-		return res
+		return fail(&fatal{"spill-error", fmt.Errorf("mem-budget: %w", err)})
 	}
 	defer memctl.close(c.visited)
 
@@ -619,28 +679,24 @@ func (c *Checker) Run() *Result {
 	// turnover allocates nothing. (Levels that spill to disk opt out of the
 	// recycling; they are dominated by I/O anyway.)
 	var spare []frontierEntry
-	lf := newMemFrontier(frontier)
-	frontier = nil
 
-	for lf.size() > 0 {
-		if c.canceled() {
+	stop := ""
+	for g.frontier > 0 {
+		res.MaxDepth = depth // the deepest level with a non-empty global frontier
+		// The stop ladder reads the resolved globals, so every peer takes the
+		// same branch at the same level.
+		if g.canceled {
 			stop = "canceled"
-			break
-		}
-		if c.opts.StopAtFirstViolation && len(res.Violations) > 0 {
+		} else if c.opts.StopAtFirstViolation && g.violations > 0 {
 			stop = "violation"
-			break
-		}
-		if c.opts.MaxDepth > 0 && depth >= c.opts.MaxDepth {
+		} else if c.opts.MaxDepth > 0 && depth >= c.opts.MaxDepth {
 			stop = "max-depth"
-			break
-		}
-		if c.opts.MaxStates > 0 && res.DistinctStates >= c.opts.MaxStates {
+		} else if c.opts.MaxStates > 0 && g.distinct >= c.opts.MaxStates {
 			stop = "max-states"
-			break
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		} else if g.deadline {
 			stop = "deadline"
+		}
+		if stop != "" {
 			break
 		}
 
@@ -648,25 +704,18 @@ func (c *Checker) Run() *Result {
 
 		// Level baselines for the coverage profile: per-level deltas are
 		// differences of run totals taken at the level boundaries.
-		var baseTrans, baseDedup, baseProbes int64
-		var baseCk, expanded int
-		if c.cover != nil {
-			baseTrans, baseDedup = res.Transitions, res.DedupHits
-			baseProbes = c.visited.Stats().Probes
-			baseCk = res.Checkpoints
-			expanded = lf.size()
-		}
+		baseDistinct, baseTrans, baseDedup := res.DistinctStates, res.Transitions, res.DedupHits
+		baseProbes := c.visited.Stats().Probes
+		baseCk, expanded := res.Checkpoints, lf.size()
 
 		// Expand the level in bounded blocks so memory holds at most one
-		// block's successors at a time. Workers probe-and-insert into the
-		// sharded fingerprint set concurrently — deduplication, parent-edge
-		// recording, and invariant checking all happen inside the workers;
-		// the serial part of a block is only appending the fresh states and
-		// folding counters.
+		// block's successors at a time. Deduplication (solo) or candidate
+		// buffering (cluster) happens inside the workers; the serial part of
+		// a block is only folding their output and counters.
 		const block = 1 << 14
 		next := spare[:0]
 		var levelViolations []*Violation
-		sink := memctl.newSink(depth)
+		sink := memctl.newSink()
 		consumed := 0
 		stopLevel := false
 
@@ -682,22 +731,21 @@ func (c *Checker) Run() *Result {
 			for k := range entries {
 				entries[k].state = nil
 			}
-			pool.drainInto(res, &next, &levelViolations)
+			pool.drainInto(res, depth, &next, &levelViolations)
 			consumed += len(entries)
 			next = sink.maybeSpill(next)
 			memctl.blockTick(c, depth)
-			queueLen := (lf.size() - consumed) + sink.spilledCount() + len(next)
+			queueLen := (lf.size() - consumed) + sink.spilledCount() + len(next) + len(pool.cands)
 			if queueLen > res.MaxQueueLen {
 				res.MaxQueueLen = queueLen
 			}
 			metrics.publish(c, res, queueLen, depth, c.visited)
-			reporter.Maybe(obs.Progress{
-				DistinctStates: res.DistinctStates,
-				QueueLen:       queueLen,
-				Transitions:    res.Transitions,
-				DedupHits:      res.DedupHits,
-				Depth:          depth,
-			})
+			reporter.Maybe(res.progress(queueLen, depth))
+			// Block-granular stops for a solo run only; a cluster stops at
+			// level granularity (a documented divergence for these reasons).
+			if !solo {
+				return false
+			}
 			if c.opts.MaxStates > 0 && res.DistinctStates >= c.opts.MaxStates {
 				return true
 			}
@@ -735,7 +783,7 @@ func (c *Checker) Run() *Result {
 			}
 			if rerr != nil {
 				sortViolations(levelViolations)
-				res.Violations = append(res.Violations, levelViolations...)
+				own = append(own, levelViolations...)
 				res.Err = fmt.Errorf("frontier spill: %w", rerr)
 				stop = "spill-error"
 				lf.discard()
@@ -744,10 +792,17 @@ func (c *Checker) Run() *Result {
 		}
 		partialLevel := stopLevel && consumed < lf.size()
 
+		// Seal the level. The checkpoint cadence is read before the seam (the
+		// coordinator's decision travels with the data barrier), against the
+		// last resolved global count plus what this process inserted since.
+		ckNow := ck.due(g.distinct + res.DistinctStates - baseDistinct)
+		if next, levelViolations, ckNow, f = cl.seal(pool, depth, next, levelViolations, ckNow); f != nil {
+			return fail(f)
+		}
 		// Violations within a level are ordered by state fingerprint so the
 		// reported counterexample does not depend on scheduling.
 		sortViolations(levelViolations)
-		res.Violations = append(res.Violations, levelViolations...)
+		own = append(own, levelViolations...)
 		// The next frontier is sorted by fingerprint: with a deterministic
 		// level order, block composition — and therefore every block-level
 		// stop decision above — is identical across runs and worker counts.
@@ -760,27 +815,36 @@ func (c *Checker) Run() *Result {
 			lf.discard()
 		}
 		lf = sink.finish(next)
-		if lf.size() > 0 {
-			res.MaxDepth = depth
-		}
-		c.opts.Tracer.Emit(obs.Event{
-			Layer: "spec", Kind: "level", Node: -1,
-			Detail: map[string]string{
-				"depth":       strconv.Itoa(depth),
-				"distinct":    strconv.Itoa(res.DistinctStates),
-				"queue":       strconv.Itoa(lf.size()),
-				"transitions": strconv.FormatInt(res.Transitions, 10),
-				"dedup_hits":  strconv.FormatInt(res.DedupHits, 10),
-			},
-		})
+
 		// Level boundary: the frontier is well-defined and workers are
-		// quiescent — write a snapshot when the checkpoint cadence is due.
-		// A level cut short by a mid-level stop (max-states, deadline) is
-		// never snapshotted: its frontier is incomplete, and the run is
-		// ending anyway. The previous complete-level snapshot stays valid.
-		if ck != nil && !partialLevel && lf.size() > 0 && (len(res.Violations) == 0 || !c.opts.StopAtFirstViolation) {
-			ck.maybeWrite(c, res, depth, lf, restoredElapsed+time.Since(start))
+		// quiescent — snapshot it when the cadence is due. A solo run that
+		// sees it is ending (a level cut short mid-way, whose frontier is
+		// incomplete; nothing left to expand; a violation it stops at) keeps
+		// the previous complete-level snapshot instead. Peers always follow
+		// the coordinator, or the manifest could commit a depth one never wrote.
+		ending := solo && (partialLevel || lf.size() == 0 || c.opts.StopAtFirstViolation && len(own) > 0)
+		ckNow = ckNow && !ending
+		ckErr := ""
+		if ckNow {
+			ckErr = ck.write(c, res, depth, lf, own, restoredElapsed+time.Since(start))
 		}
+		if g, f = cl.resolve(depth, own, view(ckErr)); f != nil {
+			return fail(f)
+		}
+		if ckNow {
+			ck.settle(c, res, depth, g)
+		}
+		detail := map[string]string{
+			"depth":       strconv.Itoa(depth),
+			"distinct":    strconv.Itoa(g.distinct),
+			"queue":       strconv.Itoa(g.frontier),
+			"transitions": strconv.FormatInt(res.Transitions, 10),
+			"dedup_hits":  strconv.FormatInt(res.DedupHits, 10),
+		}
+		if !solo {
+			detail["peer"] = strconv.Itoa(cl.self)
+		}
+		c.opts.Tracer.Emit(obs.Event{Layer: "spec", Kind: "level", Node: -1, Detail: detail})
 		if c.cover != nil {
 			c.cover.Levels = append(c.cover.Levels, obs.LevelStats{
 				Depth:       depth,
@@ -796,38 +860,41 @@ func (c *Checker) Run() *Result {
 	}
 
 	if stop == "" {
-		if len(res.Violations) > 0 && c.opts.StopAtFirstViolation {
+		stop = "exhausted"
+		if g.violations > 0 && c.opts.StopAtFirstViolation {
 			stop = "violation"
-		} else {
-			stop = "exhausted"
-			res.Exhausted = true
+		} else if g.canceled {
+			// A cancel that landed on the final block would otherwise read as
+			// a completed search; an interrupted run never claims exhaustion.
+			stop = "canceled"
 		}
 	}
-	if stop == "exhausted" && c.canceled() {
-		// A cancel that landed on the final block would otherwise read as a
-		// completed search; an interrupted run must never claim exhaustion.
-		stop = "canceled"
-		res.Exhausted = false
-	}
-	res.StopReason = stop
+	res.StopReason, res.Exhausted = stop, stop == "exhausted"
 	res.Duration = restoredElapsed + time.Since(start)
 
-	metrics.publish(c, res, lf.size(), depth, c.visited)
-	if c.opts.Progress != nil {
-		reporter.Emit(obs.Progress{
-			DistinctStates: res.DistinctStates,
-			QueueLen:       lf.size(),
-			Transitions:    res.Transitions,
-			DedupHits:      res.DedupHits,
-			Depth:          depth,
-			Final:          true,
-		})
+	// Assemble the global result and reconstruct (or serve) the traces, then
+	// publish: the last gauges and progress line carry cluster-wide totals.
+	if f := cl.final(c, res, own); f != nil {
+		return fail(f)
 	}
-
-	for _, v := range res.Violations {
-		v.Trace = c.reconstruct(v)
+	metrics.publish(c, res, g.frontier, depth, c.visited)
+	if c.opts.Progress != nil {
+		last := res.progress(g.frontier, depth)
+		last.Final = true
+		reporter.Emit(last)
 	}
 	return res
+}
+
+// progress is the run's state as a progress report.
+func (r *Result) progress(queueLen, depth int) obs.Progress {
+	return obs.Progress{
+		DistinctStates: r.DistinctStates,
+		QueueLen:       queueLen,
+		Transitions:    r.Transitions,
+		DedupHits:      r.DedupHits,
+		Depth:          depth,
+	}
 }
 
 // errNoCodec is the configuration error for a feature that has to move
@@ -869,8 +936,8 @@ type chunkOut struct {
 	dedup int64
 	viols []*Violation
 	goal  bool
-	// cands accumulates cluster-mode candidate successors (see cluster.go);
-	// unused in single-process runs.
+	// cands is what the cluster strategy produces instead of fresh, viols
+	// and goal: uninserted candidate successors (see cluster.go).
 	cands []clusterCand
 }
 
@@ -912,10 +979,20 @@ type expandPool struct {
 	invs []spec.Invariant
 	ws   []*expandWorker
 	jobs []chan *expandJob // one channel per background worker (ws[1:])
+
+	// Cluster strategy only: the level's folded candidates awaiting seal (one
+	// per fingerprint, indexed by byFP), and whether a worker fired an action
+	// outside the declared vocabulary, which seal turns into a config error.
+	cands     []clusterCand
+	byFP      map[uint64]int
+	badAction bool
 }
 
 func (c *Checker) newExpandPool(workers int, invs []spec.Invariant) *expandPool {
 	p := &expandPool{c: c, invs: invs, ws: make([]*expandWorker, workers)}
+	if c.cluster != nil {
+		p.byFP = make(map[uint64]int)
+	}
 	for i := range p.ws {
 		p.ws[i] = &expandWorker{c: c}
 		if c.cover != nil {
@@ -964,10 +1041,12 @@ func (p *expandPool) expand(entries []frontierEntry, depth int) {
 }
 
 // drainInto folds every worker's accumulators into the caller's level state
-// and resets them for the next block. The fresh slices keep their capacity;
-// their state pointers are cleared so drained states do not outlive the
-// level in worker-owned memory.
-func (p *expandPool) drainInto(res *Result, next *[]frontierEntry, viols *[]*Violation) {
+// and resets them for the next block — whichever strategy filled them: a solo
+// worker leaves fresh states, violations and the goal bit, a cluster worker
+// leaves candidates, and the other side's fields are empty. The slices keep
+// their capacity; their state pointers are cleared so drained states do not
+// outlive the level in worker-owned memory.
+func (p *expandPool) drainInto(res *Result, depth int, next *[]frontierEntry, viols *[]*Violation) {
 	cover := p.c.cover
 	for _, w := range p.ws {
 		cover.MergeWorker(w.wc)
@@ -985,11 +1064,38 @@ func (p *expandPool) drainInto(res *Result, next *[]frontierEntry, viols *[]*Vio
 			res.GoalReached = true
 		}
 		*viols = append(*viols, out.viols...)
-		for i := range out.fresh {
-			out.fresh[i].state = nil
-		}
-		out.fresh = out.fresh[:0]
+		p.fold(res, depth, out.cands)
+		clear(out.fresh)
+		clear(out.cands)
+		out.fresh, out.cands = out.fresh[:0], out.cands[:0]
 		out.work, out.dedup, out.viols, out.goal = 0, 0, nil, false
+	}
+}
+
+// fold adds one worker's candidates to the level's, keeping one per
+// fingerprint: smallest parent wins, and the loser is a dedup hit, observed
+// non-fresh, exactly as the owner-side merge would score it — this is pure
+// wire-volume reduction. Equal parents can only come from the same worker (a
+// parent is expanded once), so generation order breaks the tie, matching
+// single-process insertion order.
+func (p *expandPool) fold(res *Result, depth int, cands []clusterCand) {
+	for _, cand := range cands {
+		if cand.action == invalidAction {
+			p.badAction = true
+			continue
+		}
+		idx, ok := p.byFP[cand.fp]
+		if !ok {
+			p.byFP[cand.fp] = len(p.cands)
+			p.cands = append(p.cands, cand)
+			continue
+		}
+		loser := cand
+		if prev := &p.cands[idx]; cand.parent < prev.parent {
+			loser, *prev = *prev, cand
+		}
+		res.DedupHits++
+		p.c.cover.Observe(p.c.cluster.actions[loser.action], depth, false)
 	}
 }
 
@@ -1012,8 +1118,8 @@ func (w *expandWorker) run(p *expandPool, job *expandJob) {
 	}
 }
 
-// expandChunkAny dispatches a sub-chunk to the single-process or cluster
-// expansion path.
+// expandChunkAny dispatches a sub-chunk to the run's dedup strategy — per
+// sub-chunk, never per successor.
 func (w *expandWorker) expandChunkAny(p *expandPool, entries []frontierEntry, depth int) {
 	if w.c.cluster != nil {
 		w.expandChunkCluster(entries, depth)

@@ -153,6 +153,18 @@ func TestMaxStatesAndDeadlineStops(t *testing.T) {
 	if res.StopReason == "" {
 		t.Error("missing stop reason under deadline")
 	}
+	// Where a single-process -max-states run stops is part of the contract
+	// (the benchmark's -compare treats a moved count as fatal): the bound is
+	// checked at block boundaries, so the run overshoots to the end of the
+	// block, identically at every worker count. Values are the parent
+	// commit's (f28e4c3).
+	for _, w := range []int{1, 2, 4} {
+		res := NewChecker(eqMachine(), Options{Workers: w, MaxStates: 500}).Run()
+		if res.StopReason != "max-states" || res.DistinctStates != 671 || res.Transitions != 1156 || res.MaxDepth != 9 {
+			t.Errorf("w=%d: stop=%s distinct=%d transitions=%d maxdepth=%d, want max-states 671 1156 9",
+				w, res.StopReason, res.DistinctStates, res.Transitions, res.MaxDepth)
+		}
+	}
 }
 
 func TestMaxDepthBoundsSearch(t *testing.T) {

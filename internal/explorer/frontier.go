@@ -322,7 +322,6 @@ func (rd *frontierRunReader) advance() error {
 // All methods are nil-receiver-safe (a nil sink is the unbudgeted path).
 type frontierSink struct {
 	mc      *memController
-	depth   int
 	runs    []*frontierRun
 	spilled int
 }

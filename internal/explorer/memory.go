@@ -104,11 +104,11 @@ func (c *Checker) newMemController(metrics *runMetrics, reporter *obs.Reporter) 
 
 // newSink starts the next-level accumulator for one BFS level (nil when
 // frontier spilling is unavailable).
-func (mc *memController) newSink(depth int) *frontierSink {
+func (mc *memController) newSink() *frontierSink {
 	if mc == nil || mc.frontierChunk == 0 {
 		return nil
 	}
-	return &frontierSink{mc: mc, depth: depth}
+	return &frontierSink{mc: mc}
 }
 
 // blockTick runs the budget checks at an expansion block boundary: spill
