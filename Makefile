@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-conform fuzz docs checktrace soak cluster serve-smoke ci ci-bench bench benchdiff loc clean
+.PHONY: all build vet test race race-conform fuzz docs checktrace soak cluster serve-smoke ci loc clean
 
 all: ci
 
@@ -141,26 +141,6 @@ serve-smoke:
 # distributed-equivalence gate, and the checking-as-a-service smoke.
 ci: build vet docs race race-conform fuzz checktrace soak cluster serve-smoke
 
-# ci-bench is ci plus a soft performance gate: a fresh single-count benchmark
-# run diffed against the committed BENCH_explorer.json baseline. The `-`
-# prefix makes it advisory — benchmark noise on shared CI boxes must not
-# fail the build, but the delta table lands in the log for perf-sensitive
-# changes (canonicalization, fingerprint set, frontier) to be eyeballed.
-ci-bench: ci
-	-$(MAKE) benchdiff
-
-# bench runs the Table 3 exploration benchmark and writes BENCH_explorer.json
-# (see scripts/bench.sh for the JSON shape).
-bench:
-	./scripts/bench.sh
-
-# benchdiff runs a fresh single-count benchmark into a scratch file and
-# prints per-system throughput / bytes-per-op / allocs-per-op deltas against
-# the committed BENCH_explorer.json, without overwriting the baseline.
-benchdiff:
-	BENCH_OUT=.bench_fresh.json ./scripts/bench.sh 1
-	$(GO) run ./scripts/benchdiff BENCH_explorer.json .bench_fresh.json
-
 # loc prints the non-test Go lines of every package directory (benchmark/
 # excluded) and their total: the figure CHANGES.md quotes when a PR reports
 # a size reduction, so a reviewer reproduces it with one command.
@@ -169,5 +149,6 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
+# clean removes what `go run ./benchmark` leaves behind (both git-ignored).
 clean:
-	rm -f BENCH_explorer.json BENCH_explorer_metrics.json .bench_fresh.json .bench_fresh_metrics.json
+	rm -rf .bench_build benchmark/out

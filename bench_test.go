@@ -11,16 +11,13 @@ package sandtable_bench
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
-	"github.com/sandtable-go/sandtable/internal/conformance"
 	"github.com/sandtable-go/sandtable/internal/experiments"
 	"github.com/sandtable-go/sandtable/internal/explorer"
-	"github.com/sandtable-go/sandtable/internal/fp"
 	"github.com/sandtable-go/sandtable/internal/integrations"
 	"github.com/sandtable-go/sandtable/internal/ranking"
 	"github.com/sandtable-go/sandtable/internal/replay"
@@ -85,9 +82,9 @@ func BenchmarkTable2Bugs(b *testing.B) {
 // throughput over a capped prefix of its experiment-#1 space (the full
 // exhaustive runs are `cmd/experiments -table 3`; capping keeps the whole
 // benchmark suite inside the default go-test timeout). Each system runs at
-// three worker counts — 1, 4, and NumCPU ("max") — so BENCH_explorer.json
-// tracks both single-worker probe-table speed and the scaling of the
-// concurrent probe-and-insert fingerprint set. The coverage profiler
+// three worker counts — 1, 4, and NumCPU ("max") — so the rows show both
+// single-worker probe-table speed and the scaling of the concurrent
+// probe-and-insert fingerprint set. The coverage profiler
 // (Options.Cover) stays on, matching how `sandtable check` runs and gating
 // the profiler's hot-path overhead.
 func BenchmarkTable3Exploration(b *testing.B) {
@@ -132,91 +129,6 @@ func BenchmarkTable3Exploration(b *testing.B) {
 					b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 				})
 			}
-		})
-	}
-}
-
-// BenchmarkSpillExploration contrasts in-RAM exploration with the same run
-// under a memory budget far below its working set, so BENCH_explorer.json
-// tracks what the out-of-core path costs: the budgeted run spills frozen
-// fingerprint-set shards to sorted disk runs at every level boundary and
-// answers dedup probes through the min/max+bloom-gated disk index, and the
-// frontier spills as sorted runs of spec.StateCodec-encoded states (every
-// distributed-system spec carries the codec) that are merge-read back.
-func BenchmarkSpillExploration(b *testing.B) {
-	sys, err := integrations.Get("craft")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := spec.Config{Name: "n3w2", Nodes: 3, Workload: []string{"v1", "v2"}}
-	for _, m := range []struct {
-		label  string
-		budget int64
-	}{
-		{"inram", 0},
-		{"spill", 256 << 10},
-	} {
-		m := m
-		b.Run(m.label, func(b *testing.B) {
-			var perSec float64
-			for i := 0; i < b.N; i++ {
-				st := sandtable.New(sys, cfg, experiments.Exp1Budget("craft"), bugdb.NoBugs())
-				res := st.Check(explorer.Options{
-					Symmetry: true, StopAtFirstViolation: true,
-					MaxStates: 60_000, Workers: 4, Cover: true,
-					MemBudget: m.budget, SpillDir: b.TempDir(),
-				})
-				if v := res.FirstViolation(); v != nil {
-					b.Fatalf("bug-fixed spec violated %s: %v", v.Invariant, v.Err)
-				}
-				perSec = res.StatesPerSecond()
-			}
-			b.ReportMetric(perSec, "states/s")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-		})
-	}
-}
-
-// BenchmarkConformance measures conformance-checking throughput (§3.2: walk
-// generation plus implementation-level replay on a fresh cluster per walk)
-// at 1, 4, and NumCPU replay workers, so scripts/bench.sh records the
-// parallel replay pool's scaling in BENCH_explorer.json alongside the
-// explorer sweep. The report is identical at every worker count (see
-// conformance.Options.Workers); only wall-clock changes.
-func BenchmarkConformance(b *testing.B) {
-	sys, err := integrations.Get("gosyncobj")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := spec.Config{Name: "n3w2", Nodes: 3, Workload: []string{"v1", "v2"}}
-	workerRuns := []struct {
-		label   string
-		workers int
-	}{
-		{"w1", 1},
-		{"w4", 4},
-		{"wmax", runtime.NumCPU()},
-	}
-	for _, wr := range workerRuns {
-		wr := wr
-		b.Run(wr.label, func(b *testing.B) {
-			var perSec float64
-			for i := 0; i < b.N; i++ {
-				st := sandtable.New(sys, cfg, sys.DefaultBudget, bugdb.NoBugs())
-				rep, err := st.Conform(conformance.Options{
-					Walks: 300, WalkDepth: 30, Seed: 1, Workers: wr.workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !rep.Passed() {
-					b.Fatalf("aligned pair diverged: %v", rep.Discrepancy)
-				}
-				perSec = float64(rep.EventsChecked) / rep.Duration.Seconds()
-			}
-			b.ReportMetric(perSec, "events/s")
-			b.ReportMetric(float64(wr.workers), "workers")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 		})
 	}
 }
@@ -379,119 +291,5 @@ func BenchmarkAblationRanking(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// sampleStates collects up to n distinct states from seeded random walks
-// over m — a workload-shaped corpus for the canonicalization benchmark
-// (states at many depths, not just the bushy initial levels).
-func sampleStates(m spec.Machine, n int, seed int64) []spec.State {
-	rng := rand.New(rand.NewSource(seed))
-	var out []spec.State
-	for len(out) < n {
-		inits := m.Init()
-		cur := inits[rng.Intn(len(inits))]
-		for d := 0; d < 60 && len(out) < n; d++ {
-			out = append(out, cur)
-			succs := m.Next(cur)
-			if len(succs) == 0 {
-				break
-			}
-			cur = succs[rng.Intn(len(succs))].State
-		}
-	}
-	return out
-}
-
-// BenchmarkCanonicalization isolates the min-of-orbit canonical fingerprint
-// — the per-successor cost symmetry reduction adds to every state the
-// explorer touches — and contrasts the two pipelines on the same sampled
-// states: `flat` recomputes a full fingerprint per non-identity permutation
-// (PermutedFingerprint), `orbit` digests the state once and recombines
-// sub-digests per permutation (spec.OrbitHasher with reused scratch, the
-// explorer's worker configuration). The ratio of the two ns/op columns is
-// the canonicalization speedup the PR-level gate tracks; allocs/op on the
-// orbit path should be zero.
-func BenchmarkCanonicalization(b *testing.B) {
-	cfg := spec.Config{Name: "n3w2", Nodes: 3, Workload: []string{"v1", "v2"}}
-	fams := []struct {
-		name string
-		mk   func(b *testing.B) spec.Machine
-	}{
-		{"gosyncobj", func(b *testing.B) spec.Machine { return benchMachine(b, "gosyncobj", cfg) }},
-		{"craft", func(b *testing.B) spec.Machine { return benchMachine(b, "craft", cfg) }},
-		{"zabkeeper", func(b *testing.B) spec.Machine { return benchMachine(b, "zabkeeper", cfg) }},
-		{"toy", func(b *testing.B) spec.Machine { return &toy.LostUpdate{N: 3} }},
-	}
-	for _, f := range fams {
-		f := f
-		m := f.mk(b)
-		sym := m.(spec.Symmetric)
-		oh := m.(spec.OrbitHasher)
-		fast, _ := m.(spec.FastSymmetric)
-		pt := spec.PermTableFor(sym.NumNodes())
-		states := sampleStates(m, 512, 17)
-		b.Run(f.name+"/flat", func(b *testing.B) {
-			b.ReportAllocs()
-			var sink uint64
-			for i := 0; i < b.N; i++ {
-				s := states[i%len(states)]
-				min := s.Fingerprint()
-				for _, p := range pt.NonIdentity {
-					var pf uint64
-					if fast != nil {
-						pf = fast.PermutedFingerprint(s, p)
-					} else {
-						pf = sym.Permute(s, p).Fingerprint()
-					}
-					if pf < min {
-						min = pf
-					}
-				}
-				sink ^= min
-			}
-			benchSink = sink
-		})
-		b.Run(f.name+"/orbit", func(b *testing.B) {
-			b.ReportAllocs()
-			sc := fp.NewOrbitScratch()
-			var sink uint64
-			for i := 0; i < b.N; i++ {
-				s := states[i%len(states)]
-				min, _ := oh.OrbitFingerprint(s, pt, sc)
-				sink ^= min
-			}
-			benchSink = sink
-		})
-	}
-}
-
-// benchSink defeats dead-code elimination in tight benchmark loops.
-var benchSink uint64
-
-// benchMachine builds one integration system's bug-fixed spec machine.
-func benchMachine(b *testing.B, name string, cfg spec.Config) spec.Machine {
-	b.Helper()
-	sys, err := integrations.Get(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sandtable.New(sys, cfg, sys.DefaultBudget, bugdb.NoBugs()).Machine()
-}
-
-// BenchmarkExplorerThroughput reports the raw distinct-state throughput of
-// the specification-level explorer (the quantity behind the paper's 10^9
-// states/machine-day headline).
-func BenchmarkExplorerThroughput(b *testing.B) {
-	sys, err := integrations.Get("gosyncobj")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := spec.Config{Name: "n2w2", Nodes: 2, Workload: []string{"v1", "v2"}}
-	budget := spec.Budget{Name: "big", MaxTimeouts: 6, MaxCrashes: 1, MaxRestarts: 1, MaxRequests: 2, MaxPartitions: 1, MaxBuffer: 4}
-	for i := 0; i < b.N; i++ {
-		st := sandtable.New(sys, cfg, budget, bugdb.NoBugs())
-		res := st.Check(explorer.Options{Symmetry: true, MaxStates: 120000, StopAtFirstViolation: true})
-		b.ReportMetric(res.StatesPerSecond(), "states/s")
 	}
 }

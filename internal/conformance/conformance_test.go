@@ -11,6 +11,7 @@ import (
 	"github.com/sandtable-go/sandtable/internal/fp"
 	"github.com/sandtable-go/sandtable/internal/obs"
 	"github.com/sandtable-go/sandtable/internal/spec"
+	"github.com/sandtable-go/sandtable/internal/spec/spectest"
 	"github.com/sandtable-go/sandtable/internal/trace"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
@@ -49,11 +50,12 @@ func (m *counterMachine) Init() []spec.State {
 	return []spec.State{&counterState{vals: make([]int, m.n)}}
 }
 
-func (m *counterMachine) Next(st spec.State) []spec.Succ {
+func (m *counterMachine) Next(st spec.State) []spec.Succ { return m.AppendNext(st, nil) }
+
+func (m *counterMachine) AppendNext(st spec.State, out []spec.Succ) []spec.Succ {
 	s := st.(*counterState)
-	var out []spec.Succ
 	if !s.counters.CanRequest(m.budget) {
-		return nil
+		return out
 	}
 	for i := 0; i < m.n; i++ {
 		n := &counterState{vals: append([]int(nil), s.vals...), counters: s.counters}
@@ -65,6 +67,35 @@ func (m *counterMachine) Next(st spec.State) []spec.Succ {
 		})
 	}
 	return out
+}
+
+func (m *counterMachine) Actions() []string { return []string{"Increment"} }
+
+// The fake declares nothing to permute.
+func (m *counterMachine) NumNodes() int                            { return 1 }
+func (m *counterMachine) Permute(s spec.State, _ []int) spec.State { return s }
+func (m *counterMachine) OrbitFingerprint(s spec.State, _ *spec.PermTable, _ *fp.OrbitScratch) (uint64, bool) {
+	return s.Fingerprint(), false
+}
+
+// Only the request counter moves, and it is the sum of the values.
+func (m *counterMachine) AppendState(dst []byte, st spec.State) []byte {
+	for _, v := range st.(*counterState).vals {
+		dst = append(dst, byte(v))
+	}
+	return dst
+}
+
+func (m *counterMachine) DecodeState(src []byte) (spec.State, []byte, error) {
+	if len(src) < m.n {
+		return nil, nil, fmt.Errorf("counter: truncated state")
+	}
+	s := &counterState{vals: make([]int, m.n)}
+	for i := range s.vals {
+		s.vals[i] = int(src[i])
+		s.counters.Requests += s.vals[i]
+	}
+	return s, src[m.n:], nil
 }
 
 func (m *counterMachine) Invariants() []spec.Invariant { return nil }
@@ -98,6 +129,10 @@ func target(n int, skew bool, resource func(*engine.Cluster) error) *Target {
 		},
 		ResourceCheck: resource,
 	}
+}
+
+func TestFakeHonoursContract(t *testing.T) {
+	spectest.AssertContract(t, &counterMachine{n: 2, budget: spec.Budget{MaxRequests: 5}}, 10, 6, 1)
 }
 
 func TestConformingPairPasses(t *testing.T) {

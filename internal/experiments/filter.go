@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 
-	"github.com/sandtable-go/sandtable/internal/fp"
 	"github.com/sandtable-go/sandtable/internal/spec"
 )
 
@@ -35,59 +34,15 @@ func (f *filteredMachine) Invariants() []spec.Invariant {
 	return out
 }
 
-// NumNodes implements spec.Symmetric by delegation (symmetry off when the
-// wrapped machine is not symmetric).
-func (f *filteredMachine) NumNodes() int {
-	if sym, ok := f.Machine.(spec.Symmetric); ok {
-		return sym.NumNodes()
-	}
-	return 1
-}
-
-// Permute implements spec.Symmetric by delegation.
-func (f *filteredMachine) Permute(s spec.State, perm []int) spec.State {
-	if sym, ok := f.Machine.(spec.Symmetric); ok {
-		return sym.Permute(s, perm)
-	}
-	return s
-}
-
-// PermutedFingerprint implements spec.FastSymmetric by delegation.
-func (f *filteredMachine) PermutedFingerprint(s spec.State, perm []int) uint64 {
-	if fast, ok := f.Machine.(spec.FastSymmetric); ok {
-		return fast.PermutedFingerprint(s, perm)
-	}
-	return f.Permute(s, perm).Fingerprint()
-}
-
-// OrbitFingerprint implements spec.OrbitHasher by delegation, so filtering
-// invariants does not silently drop the wrapped machine's incremental
-// canonicalization path. When the wrapped machine lacks the fast path the
-// wrapper falls back to the flat min-of-orbit — same contract, one
-// PermutedFingerprint per permutation.
-func (f *filteredMachine) OrbitFingerprint(s spec.State, perms *spec.PermTable, scratch *fp.OrbitScratch) (uint64, bool) {
-	if oh, ok := f.Machine.(spec.OrbitHasher); ok {
-		return oh.OrbitFingerprint(s, perms, scratch)
-	}
-	plain := s.Fingerprint()
-	min := plain
-	for _, p := range perms.NonIdentity {
-		if pf := f.PermutedFingerprint(s, p); pf < min {
-			min = pf
-		}
-	}
-	return min, min != plain
-}
-
 // goalMachine wraps a machine replacing its invariants with a single
 // "goal reached" pseudo-violation, turning BFS into shortest-trace
 // goal-directed search (the counterexample IS the directed scenario).
 func goalMachine(m spec.Machine, name string, goal func(spec.State) bool) spec.Machine {
-	return &goalWrapper{filteredMachine: filteredMachine{Machine: m}, name: name, goal: goal}
+	return &goalWrapper{Machine: m, name: name, goal: goal}
 }
 
 type goalWrapper struct {
-	filteredMachine
+	spec.Machine
 	name string
 	goal func(spec.State) bool
 }

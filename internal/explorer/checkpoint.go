@@ -109,7 +109,7 @@ type runIdentity struct {
 // set is caught even when the label matches; XOR of per-state hashes makes
 // it independent of Init's order.
 func (c *Checker) identity() runIdentity {
-	id := runIdentity{Label: c.opts.Checkpoint.Label, Machine: c.m.Name(), Symmetry: c.sym != nil}
+	id := runIdentity{Label: c.opts.Checkpoint.Label, Machine: c.m.Name(), Symmetry: c.ptab != nil}
 	h := fp.New()
 	for _, s := range c.m.Init() {
 		h.Reset()
@@ -321,7 +321,7 @@ func (c *Checker) writeSnapshot(path string, hdr snapshotHeader, lf *levelFronti
 		if _, err := bw.Write(head); err != nil {
 			return err
 		}
-		if err := lf.writeRecords(bw, c.codec); err != nil {
+		if err := lf.writeRecords(bw, c.m); err != nil {
 			return err
 		}
 		if _, err := c.visited.WriteTo(bw); err != nil {
@@ -406,7 +406,7 @@ func (c *Checker) loadSnapshot(path string) (*snapshot, error) {
 // passes its checksum but fails here would otherwise resume into a silently
 // wrong search.
 func (c *Checker) restoreFrontier(snap *snapshot) error {
-	frontier, err := readFrontier(snap.frontierRecs, snap.frontierCount, c.codec)
+	frontier, err := readFrontier(snap.frontierRecs, snap.frontierCount, c.m)
 	if err != nil {
 		return err
 	}

@@ -89,16 +89,10 @@ type clusterCtx struct {
 	pruneBelow int
 }
 
-// joinCluster validates that the machine and options can run distributed and
+// joinCluster validates that the options can run distributed and
 // hangs the context for conn off the checker.
 func (c *Checker) joinCluster(conn transport.Conn, res *Result) *fatal {
-	if c.codec == nil {
-		return &fatal{"config-error", c.errNoCodec("cluster")}
-	}
-	actions := spec.DeclaredActions(c.m)
-	if len(actions) == 0 {
-		return &fatal{"config-error", fmt.Errorf("cluster: machine %q does not declare its action vocabulary (spec.ActionLister)", c.m.Name())}
-	}
+	actions := c.m.Actions()
 	if len(actions) > 0xFFFF {
 		return &fatal{"config-error", fmt.Errorf("cluster: %d declared actions exceed the wire format's 65535 limit", len(actions))}
 	}
@@ -395,7 +389,7 @@ func (w *expandWorker) expandChunkCluster(entries []frontierEntry, depth int) {
 	cl := c.cluster
 	out := &w.out
 	for _, fe := range entries {
-		w.buf = c.nextInto(fe.state, w.buf[:0])
+		w.buf = c.m.AppendNext(fe.state, w.buf[:0])
 		out.work += int64(len(w.buf))
 		for _, su := range w.buf {
 			f, reduced := c.canonicalFPScratch(su.State, &w.osc)
@@ -436,7 +430,7 @@ func (cl *clusterCtx) buildBlocks(cands []clusterCand) ([][]byte, []clusterCand,
 			for k := i; k < j; k++ {
 				wire = append(wire, transport.Candidate{
 					FP: cands[k].fp, Parent: cands[k].parent, Action: cands[k].action,
-					State: cl.c.codec.AppendState(nil, cands[k].state),
+					State: cl.c.m.AppendState(nil, cands[k].state),
 				})
 			}
 			payload, err := transport.EncodeBlock(wire)
@@ -498,7 +492,7 @@ func (cl *clusterCtx) merge(invs []spec.Invariant, depth int, selfCands []cluste
 			if st == nil {
 				var rest []byte
 				var derr error
-				st, rest, derr = c.codec.DecodeState(lead.enc)
+				st, rest, derr = c.m.DecodeState(lead.enc)
 				if derr != nil {
 					return nil, nil, fmt.Errorf("cluster: decode state %#x at depth %d: %w", lead.fp, depth, derr)
 				}

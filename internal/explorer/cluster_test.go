@@ -377,23 +377,9 @@ func TestClusterCancelStopsEveryPeer(t *testing.T) {
 	}
 }
 
-// noCodec strips every optional capability off a machine, leaving the bare
-// spec.Machine interface.
-type noCodec struct{ spec.Machine }
-
 func TestClusterConfigErrors(t *testing.T) {
-	// A machine without a StateCodec cannot join a cluster.
-	res := NewChecker(noCodec{newToy(3, false)}, Options{Peer: &PeerOptions{Conn: transport.NewMesh(1)[0]}}).Run()
-	if res.StopReason != "config-error" || res.Err == nil {
-		t.Fatalf("toy machine: stop=%s err=%v, want config-error", res.StopReason, res.Err)
-	}
-	// Nor can it checkpoint: the same named error, not a fallback path.
-	res = NewChecker(noCodec{newToy(3, false)}, Options{Checkpoint: CheckpointOptions{Dir: t.TempDir(), EveryStates: 1}}).Run()
-	if res.StopReason != "config-error" || res.Err == nil || res.DistinctStates != 0 {
-		t.Fatalf("checkpoint without codec: stop=%s err=%v distinct=%d, want config-error before exploring", res.StopReason, res.Err, res.DistinctStates)
-	}
 	// MemBudget is incompatible with distributed runs.
-	res = NewChecker(eqMachine(), Options{MemBudget: 1 << 20, Peer: &PeerOptions{Conn: transport.NewMesh(1)[0]}}).Run()
+	res := NewChecker(eqMachine(), Options{MemBudget: 1 << 20, Peer: &PeerOptions{Conn: transport.NewMesh(1)[0]}}).Run()
 	if res.StopReason != "config-error" || res.Err == nil {
 		t.Fatalf("mem-budget: stop=%s err=%v, want config-error", res.StopReason, res.Err)
 	}

@@ -147,7 +147,7 @@ func (ck *checkpointer) appendDelta(c *Checker, hdr snapshotHeader, lf *levelFro
 	if _, err := bw.Write(pre); err != nil {
 		return 0, err
 	}
-	if err := lf.writeRecords(bw, c.codec); err != nil {
+	if err := lf.writeRecords(bw, c.m); err != nil {
 		return 0, err
 	}
 	if err := bw.Flush(); err != nil {

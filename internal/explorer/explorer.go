@@ -54,16 +54,9 @@ type Options struct {
 	// of two; 0 = automatic, sized from GOMAXPROCS). More shards lower the
 	// probability that two expansion workers contend on one shard lock.
 	FPSetShards int
-	// Symmetry enables symmetry reduction when the machine implements
-	// spec.Symmetric: states are identified up to node permutation.
+	// Symmetry enables symmetry reduction: states are identified up to node
+	// permutation (a no-op on a machine with NumNodes() <= 1).
 	Symmetry bool
-	// FlatCanon forces the flat per-permutation canonicalization path
-	// (Permute / PermutedFingerprint once per permutation) even when the
-	// machine implements spec.OrbitHasher. Exploration results are
-	// identical either way — the OrbitHasher contract is exact fingerprint
-	// equality, gated by differential tests — so the knob exists for those
-	// tests and for benchmarking the two pipelines, not for operators.
-	FlatCanon bool
 	// MaxDepth bounds the BFS depth (0 = unbounded; budgets inside the spec
 	// usually bound the space already).
 	MaxDepth int
@@ -101,10 +94,8 @@ type Options struct {
 
 	// MemBudget, when > 0, caps the estimated resident footprint (bytes) of
 	// the exploration's two big structures. Over budget, the fingerprint
-	// set spills frozen entries to sorted disk runs (any machine), and the
-	// BFS frontier spills to disk runs when the machine implements
-	// spec.StateCodec (every in-tree system does; without the codec only
-	// the fingerprint set spills).
+	// set spills frozen entries to sorted disk runs and the BFS frontier
+	// spills codec-encoded states to disk runs.
 	// Results are identical to an unbudgeted run — see frontier.go and
 	// fpset/spill.go for the determinism argument. The CLI exposes this as
 	// -mem-budget and defaults it from GOMEMLIMIT.
@@ -121,9 +112,8 @@ type Options struct {
 	// Peer, when non-nil, runs this checker as one peer of a distributed
 	// exploration: the fingerprint space is partitioned across
 	// Peer.Conn.Peers() processes by transport.Owner, and peers exchange
-	// candidate successors at level barriers. Requires the machine to
-	// implement spec.StateCodec and spec.ActionLister; incompatible with
-	// MemBudget. See cluster.go for the determinism argument.
+	// candidate successors at level barriers. Incompatible with MemBudget.
+	// See cluster.go for the determinism argument.
 	Peer *PeerOptions
 
 	// Progress, when set, receives TLC-style periodic progress snapshots
@@ -198,8 +188,8 @@ type Result struct {
 	Exhausted bool
 	// StopReason explains why the run ended ("exhausted", "violation",
 	// "max-states", "deadline", "max-depth", "canceled" — Options.Context
-	// was canceled — "checkpoint-error", "config-error" — the options ask
-	// for something the machine cannot do — "spill-error" — a disk failure
+	// was canceled — "checkpoint-error", "config-error" — the options
+	// contradict each other — "spill-error" — a disk failure
 	// reading back a spilled frontier; distributed runs add
 	// "transport-error").
 	StopReason string
@@ -275,30 +265,15 @@ type Checker struct {
 	m    spec.Machine
 	opts Options
 
-	// bm is non-nil when the machine supports pooled successor enumeration
-	// (spec.BufferedMachine); the type assertion is done once here, never on
-	// the hot path.
-	bm spec.BufferedMachine
-
-	sym   spec.Symmetric
-	fast  spec.FastSymmetric
-	perms [][]int // non-identity permutations only (shared, read-only)
-	// orbit is non-nil when the machine supports incremental orbit
-	// canonicalization (spec.OrbitHasher) and Options.FlatCanon is off:
-	// min-of-orbit then costs one digest pass plus cheap per-permutation
-	// combines instead of one full rehash per permutation.
-	orbit spec.OrbitHasher
-	// ptab is the cached permutation table for the machine's arity (nil
-	// with symmetry off).
+	// ptab is the permutation table canonicalization ranges over; nil when
+	// there is nothing to permute (Symmetry off, or at most one node).
 	ptab *spec.PermTable
 	// osc is the serial-path orbit scratch (init seeding, resume
 	// verification, trace reconstruction); expansion workers carry their own.
 	osc fp.OrbitScratch
-	// canonOrbit / canonFlat count canonicalizations served by the
-	// incremental orbit path vs the flat per-permutation path. Published as
-	// explorer.canonical.* metrics only — deliberately NOT part of Result,
-	// so fast-path-on and fast-path-off runs stay byte-identical.
-	canonOrbit, canonFlat int64
+	// canonOrbit counts orbit canonicalizations. Published as the
+	// explorer.canonical.orbit metric only — deliberately NOT part of Result.
+	canonOrbit int64
 
 	visited *fpset.Set
 
@@ -307,10 +282,6 @@ type Checker struct {
 	// barriers, never directly.
 	cover *obs.Cover
 
-	// codec is non-nil when states round-trip through bytes
-	// (spec.StateCodec) — what frontier spill, checkpoints and cluster
-	// exchange all need; resolved once here like bm.
-	codec spec.StateCodec
 	// ident is the run identity checkpoints and peers are matched against;
 	// set by Run when either is in play.
 	ident runIdentity
@@ -323,36 +294,10 @@ type Checker struct {
 // NewChecker builds a checker for machine m.
 func NewChecker(m spec.Machine, opts Options) *Checker {
 	c := &Checker{m: m, opts: opts, visited: fpset.New(opts.FPSetShards)}
-	c.bm, _ = m.(spec.BufferedMachine)
-	c.codec, _ = m.(spec.StateCodec)
-	if opts.Symmetry {
-		if sym, ok := m.(spec.Symmetric); ok && sym.NumNodes() > 1 {
-			c.sym = sym
-			// The cached table already separates the identity permutation
-			// out: canonicalFP starts from the plain fingerprint, so the hot
-			// loop never has to re-test for it.
-			c.ptab = spec.PermTableFor(sym.NumNodes())
-			c.perms = c.ptab.NonIdentity
-			if fast, ok := m.(spec.FastSymmetric); ok {
-				c.fast = fast
-			}
-			if orbit, ok := m.(spec.OrbitHasher); ok && !opts.FlatCanon {
-				c.orbit = orbit
-			}
-		}
+	if opts.Symmetry && m.NumNodes() > 1 {
+		c.ptab = spec.PermTableFor(m.NumNodes())
 	}
 	return c
-}
-
-// nextInto enumerates s's successors into buf, reusing its capacity, when
-// the machine supports pooled enumeration; otherwise it falls back to the
-// allocating Next path. Callers own buf and must consume the result before
-// the next call with the same buffer.
-func (c *Checker) nextInto(s spec.State, buf []spec.Succ) []spec.Succ {
-	if c.bm != nil {
-		return c.bm.AppendNext(s, buf)
-	}
-	return append(buf, c.m.Next(s)...)
 }
 
 // canonicalFP returns the symmetry-reduced fingerprint of s: the minimum
@@ -366,46 +311,23 @@ func (c *Checker) canonicalFP(s spec.State) uint64 {
 }
 
 // canonicalFPScratch computes the canonical fingerprint with caller-owned
-// orbit scratch: the incremental orbit path when the machine provides it
-// (one digest pass + cheap combines, no allocations), otherwise the flat
-// path (plain fingerprint, then one full rehash per non-identity
-// permutation via PermutedFingerprint or a materialised Permute). The bool
+// orbit scratch (one digest pass + cheap combines, no allocations). The bool
 // reports whether a non-identity permutation produced the minimum, i.e.
 // whether symmetry reduction collapsed this state onto a representative (the
 // coverage profiler's symmetry-hit signal).
 func (c *Checker) canonicalFPScratch(s spec.State, sc *fp.OrbitScratch) (uint64, bool) {
-	if c.orbit != nil {
-		return c.orbit.OrbitFingerprint(s, c.ptab, sc)
+	if c.ptab == nil {
+		return s.Fingerprint(), false
 	}
-	fpv := s.Fingerprint()
-	if c.sym == nil {
-		return fpv, false
-	}
-	plain := fpv
-	for _, p := range c.perms {
-		var pf uint64
-		if c.fast != nil {
-			pf = c.fast.PermutedFingerprint(s, p)
-		} else {
-			pf = c.sym.Permute(s, p).Fingerprint()
-		}
-		if pf < fpv {
-			fpv = pf
-		}
-	}
-	return fpv, fpv != plain
+	return c.m.OrbitFingerprint(s, c.ptab, sc)
 }
 
-// countCanon attributes n canonicalizations to the active pipeline's
-// counter (no-op with symmetry off — canonicalization is then a plain
-// fingerprint). Called at block barriers and on serial paths, never
-// per-successor.
+// countCanon counts n orbit canonicalizations (no-op with symmetry off —
+// canonicalization is then a plain fingerprint). Called at block barriers
+// and on serial paths, never per-successor.
 func (c *Checker) countCanon(n int64) {
-	switch {
-	case c.orbit != nil:
+	if c.ptab != nil {
 		c.canonOrbit += n
-	case c.sym != nil:
-		c.canonFlat += n
 	}
 }
 
@@ -419,10 +341,8 @@ type frontierEntry struct {
 type runMetrics struct {
 	distinct, transitions, dedup, queueLen, maxQueueLen, depth *obs.Gauge
 	fpsetEntries, fpsetSlots, fpsetProbes, fpsetResizes        *obs.Gauge
-	// Canonicalization pipeline counters: how many canonical fingerprints
-	// the incremental orbit fast path served vs the flat per-permutation
-	// fallback (both zero with symmetry off).
-	canonOrbit, canonFlat *obs.Gauge
+	// canonOrbit is the orbit canonicalization count (zero with symmetry off).
+	canonOrbit *obs.Gauge
 	// Memory-pressure gauges/counters (see memory.go): fpset spill state,
 	// frontier spill volume, heap-in-use, and the configured budget.
 	fpsetSpilledEntries, fpsetSpilledShards, fpsetSpillRuns *obs.Gauge
@@ -446,7 +366,6 @@ func newRunMetrics(reg *obs.Registry) *runMetrics {
 		maxQueueLen:            reg.Gauge("max_queue_len"),
 		depth:                  reg.Gauge("depth"),
 		canonOrbit:             reg.Gauge("explorer.canonical.orbit"),
-		canonFlat:              reg.Gauge("explorer.canonical.flat"),
 		fpsetEntries:           reg.Gauge("fpset.entries"),
 		fpsetSlots:             reg.Gauge("fpset.slots"),
 		fpsetProbes:            reg.Gauge("fpset.probes"),
@@ -473,7 +392,6 @@ func (m *runMetrics) publish(c *Checker, res *Result, queueLen, depth int, set *
 		return
 	}
 	m.canonOrbit.Set(c.canonOrbit)
-	m.canonFlat.Set(c.canonFlat)
 	m.distinct.Set(int64(res.DistinctStates))
 	m.transitions.Set(res.Transitions)
 	m.dedup.Set(res.DedupHits)
@@ -556,14 +474,11 @@ func (c *Checker) Run() *Result {
 	invs := c.m.Invariants()
 
 	if c.opts.Cover {
-		res.Cover = obs.NewCover("bfs", spec.DeclaredActions(c.m))
+		res.Cover = obs.NewCover("bfs", c.m.Actions())
 		c.cover = res.Cover
 	}
 
 	if o := c.opts.Checkpoint; !solo || o.Dir != "" || o.Resume {
-		if c.codec == nil {
-			return fail(&fatal{"config-error", c.errNoCodec("checkpoint")})
-		}
 		c.ident = c.identity()
 	}
 	// Resume comes before the hello barrier, which checks the loaded depth
@@ -769,7 +684,7 @@ func (c *Checker) Run() *Result {
 			// a time — exactly the sequence the in-RAM path would expand.
 			var rerr error
 			var cur *frontierCursor
-			if cur, rerr = lf.cursor(c.codec); rerr == nil {
+			if cur, rerr = lf.cursor(c.m); rerr == nil {
 				buf := make([]frontierEntry, 0, block)
 				for {
 					if buf, rerr = cur.nextBlock(buf[:0], block); rerr != nil || len(buf) == 0 {
@@ -895,12 +810,6 @@ func (r *Result) progress(queueLen, depth int) obs.Progress {
 		DedupHits:      r.DedupHits,
 		Depth:          depth,
 	}
-}
-
-// errNoCodec is the configuration error for a feature that has to move
-// states through bytes on a machine that cannot.
-func (c *Checker) errNoCodec(feature string) error {
-	return fmt.Errorf("%s: machine %q does not implement spec.StateCodec", feature, c.m.Name())
 }
 
 // canceled reports whether Options.Context has been canceled — the
@@ -1053,8 +962,7 @@ func (p *expandPool) drainInto(res *Result, depth int, next *[]frontierEntry, vi
 		out := &w.out
 		// Every enumerated successor was canonicalized exactly once, so
 		// out.work doubles as the block's canonicalization count. Folding it
-		// here keeps the counter off the hot path (and out of Result, which
-		// must stay byte-identical across pipelines).
+		// here keeps the counter off the hot path.
 		p.c.countCanon(out.work)
 		res.Transitions += out.work
 		res.DedupHits += out.dedup
@@ -1137,7 +1045,7 @@ func (w *expandWorker) expandChunk(p *expandPool, entries []frontierEntry, depth
 	out := &w.out
 	goal := c.opts.Goal
 	for _, fe := range entries {
-		w.buf = c.nextInto(fe.state, w.buf[:0])
+		w.buf = c.m.AppendNext(fe.state, w.buf[:0])
 		out.work += int64(len(w.buf))
 		for _, su := range w.buf {
 			fp, reduced := c.canonicalFPScratch(su.State, &w.osc)

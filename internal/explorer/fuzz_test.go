@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/transport"
 )
 
@@ -92,7 +91,7 @@ func FuzzParseDeltaPayload(f *testing.F) {
 	}
 	first := binary.LittleEndian.Uint64(log[8:16])
 	f.Add(log[deltaBlockHead : deltaBlockHead+first])
-	codec := newToy(3, true).(spec.StateCodec)
+	codec := newToy(3, true)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		blk, err := parseDeltaPayload(payload)
@@ -107,20 +106,19 @@ func FuzzParseDeltaPayload(f *testing.F) {
 // claims to describe it.
 func FuzzFrontierRecords(f *testing.F) {
 	m := newToy(3, false)
-	codec := m.(spec.StateCodec)
 	var entries []frontierEntry
 	for _, su := range m.Next(m.Init()[0]) {
 		entries = append(entries, frontierEntry{state: su.State, fp: su.State.Fingerprint()})
 	}
 	var seed bytes.Buffer
-	if _, err := writeFrontierRecords(&seed, entries, codec); err != nil {
+	if _, err := writeFrontierRecords(&seed, entries, m); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes(), uint64(len(entries)))
 	f.Add(seed.Bytes(), ^uint64(0))
 
 	f.Fuzz(func(t *testing.T, recs []byte, count uint64) {
-		got, err := readFrontier(recs, count, codec)
+		got, err := readFrontier(recs, count, m)
 		if err == nil && uint64(len(got)) != count {
 			t.Fatalf("readFrontier returned %d entries for count %d without error", len(got), count)
 		}

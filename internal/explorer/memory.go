@@ -25,8 +25,7 @@ type memController struct {
 	dir    string // private per-run spill dir, removed by close
 	codec  spec.StateCodec
 	// frontierChunk is the next-level buffer size (entries) that triggers a
-	// spill; 0 means frontier spilling is off (no codec, or disabled after
-	// a write failure).
+	// spill; 0 means frontier spilling was disabled after a write failure.
 	frontierChunk int
 	frontierSeq   int
 
@@ -78,23 +77,19 @@ func (c *Checker) newMemController(metrics *runMetrics, reporter *obs.Reporter) 
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	mc := &memController{
-		budget: budget, dir: dir,
-		m: metrics, reporter: reporter, tracer: c.opts.Tracer,
+	// Estimate the resident cost of one frontier entry from an encoded init
+	// state (encoding length ≈ state payload; ×3 for the decoded object plus
+	// slice headers, +64 fixed overhead), then size the spill threshold so
+	// the buffered frontier stays within a quarter of the budget.
+	est := 64
+	if inits := c.m.Init(); len(inits) > 0 {
+		est += 3 * len(c.m.AppendState(nil, inits[0]))
 	}
-	if codec := c.codec; codec != nil {
-		mc.codec = codec
-		// Estimate the resident cost of one frontier entry from an encoded
-		// init state (encoding length ≈ state payload; ×3 for the decoded
-		// object plus slice headers, +64 fixed overhead), then size the
-		// spill threshold so the buffered frontier stays within a quarter
-		// of the budget.
-		est := 64
-		if inits := c.m.Init(); len(inits) > 0 {
-			est += 3 * len(codec.AppendState(nil, inits[0]))
-		}
-		chunk := int(budget / 4 / int64(est))
-		mc.frontierChunk = max(frontierChunkFloor, min(chunk, 1<<20))
+	chunk := int(budget / 4 / int64(est))
+	mc := &memController{
+		budget: budget, dir: dir, codec: c.m,
+		frontierChunk: max(frontierChunkFloor, min(chunk, 1<<20)),
+		m:             metrics, reporter: reporter, tracer: c.opts.Tracer,
 	}
 	if metrics != nil {
 		metrics.memBudget.Set(budget)

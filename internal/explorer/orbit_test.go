@@ -1,157 +1,26 @@
 package explorer
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/obs"
 	"github.com/sandtable-go/sandtable/internal/spec"
-	scraft "github.com/sandtable-go/sandtable/internal/specs/craft"
 	sgso "github.com/sandtable-go/sandtable/internal/specs/gosyncobj"
-	"github.com/sandtable-go/sandtable/internal/specs/toy"
-	"github.com/sandtable-go/sandtable/internal/specs/zabkeeper"
 )
 
-// orbitDiffScenarios are the machines the canonicalization differential runs
-// over: one per OrbitHasher implementation family (raftbase twice — two
-// systems with different action vocabularies — plus zabkeeper and toy).
-// maxWorkers is 1 for zabkeeper: its successor enumeration does not
-// perfectly commute with node permutation, so with symmetry on the explored
-// closure depends on which orbit member each worker stores first — a
-// pre-existing, pipeline-independent wobble under parallel scheduling. At
-// Workers=1 scheduling is deterministic and the differential is exact.
-func orbitDiffScenarios() []struct {
-	name       string
-	maxWorkers int
-	mk         func() spec.Machine
-} {
-	cfg := spec.Config{Name: "n3w1", Nodes: 3, Workload: []string{"v1"}}
-	raftBudget := spec.Budget{Name: "orbitdiff", MaxTimeouts: 3, MaxCrashes: 1, MaxRestarts: 1, MaxRequests: 1, MaxBuffer: 3}
-	zabBudget := spec.Budget{Name: "orbitdiff", MaxTimeouts: 2, MaxRequests: 1, MaxBuffer: 3}
-	return []struct {
-		name       string
-		maxWorkers int
-		mk         func() spec.Machine
-	}{
-		{"gosyncobj", 4, func() spec.Machine { return sgso.New(cfg, raftBudget, bugdb.AllBugs("gosyncobj")) }},
-		{"craft", 4, func() spec.Machine { return scraft.New(cfg, raftBudget, bugdb.NoBugs()) }},
-		{"zabkeeper", 1, func() spec.Machine { return zabkeeper.New(cfg, zabBudget, bugdb.NoBugs()) }},
-		{"toy", 4, func() spec.Machine { return &toy.LostUpdate{N: 3} }},
-	}
-}
-
-// coreSignature is the subset of resultSignature that is exact at every
-// worker count even under symmetry reduction. (Transitions and DedupHits
-// are exact too for machines whose successor counts are orbit-invariant,
-// but with symmetry on the stored representative of an orbit is whichever
-// member a worker inserts first, and zabkeeper's successor *count* is not
-// perfectly invariant across orbit members — a pre-existing ±1–2 wobble at
-// >1 workers on the seed tree, pipeline-independent. The canonical
-// fingerprint set itself, and hence every field below, stays exact.)
-func coreSignature(t *testing.T, res *Result) string {
-	t.Helper()
-	sig := fmt.Sprintf("distinct=%d maxdepth=%d stop=%q exhausted=%v goal=%v violations=%d\n",
-		res.DistinctStates, res.MaxDepth, res.StopReason, res.Exhausted, res.GoalReached, len(res.Violations))
-	for _, v := range res.Violations {
-		sig += v.String() + "\n"
-		if v.Trace != nil {
-			sig += v.Trace.Format(true) + "\n"
-		}
-	}
-	return sig
-}
-
-// TestOrbitCanonicalizationEquivalence is the end-to-end differential gate
-// for the incremental canonicalization pipeline: for every OrbitHasher
-// family, an exploration with the orbit fast path must match the same
-// exploration forced onto the flat per-permutation path with FlatCanon —
-// byte-identical in every Result field and the symmetry-hit profile at
-// Workers=1 (where scheduling is deterministic), and identical in every
-// schedule-exact field (the canonical fingerprint set: distinct states,
-// depths, stop metadata, violations with traces) at every worker count.
-// Any fingerprint the incremental path got wrong would split or merge
-// orbits and move the distinct-state count.
-func TestOrbitCanonicalizationEquivalence(t *testing.T) {
-	for _, sc := range orbitDiffScenarios() {
-		t.Run(sc.name, func(t *testing.T) {
-			t.Parallel()
-			var baseCore, baseFull string
-			for _, workers := range []int{1, 2, 4} {
-				if workers > sc.maxWorkers {
-					continue
-				}
-				for _, flat := range []bool{false, true} {
-					opts := Options{
-						Workers:    workers,
-						Symmetry:   true,
-						FlatCanon:  flat,
-						MaxStates:  20_000,
-						RecordVars: true,
-						Cover:      true,
-					}
-					res := NewChecker(sc.mk(), opts).Run()
-					if res.Err != nil {
-						t.Fatalf("workers=%d flat=%v: run failed: %v", workers, flat, res.Err)
-					}
-					if res.DistinctStates == 0 {
-						t.Fatalf("workers=%d flat=%v: no states explored", workers, flat)
-					}
-					core := coreSignature(t, res)
-					if baseCore == "" {
-						baseCore = core
-					} else if core != baseCore {
-						t.Fatalf("workers=%d flat=%v diverged:\n--- baseline ---\n%s--- got ---\n%s",
-							workers, flat, baseCore, core)
-					}
-					if workers == 1 {
-						full := resultSignature(t, res) + fmt.Sprintf("symhits=%d\n", res.Cover.SymmetryHits)
-						if baseFull == "" {
-							baseFull = full
-						} else if full != baseFull {
-							t.Fatalf("serial flat=%v diverged from orbit pipeline:\n--- baseline ---\n%s--- got ---\n%s",
-								flat, baseFull, full)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestOrbitCanonicalizationCounters asserts the pipeline attribution
-// metrics: a symmetric run on an OrbitHasher machine serves every
-// canonicalization from the orbit path (flat == 0), forcing FlatCanon flips
-// both, and the totals agree with Transitions + the machine's initial
-// states on the single-process path.
+// TestOrbitCanonicalizationCounters asserts the explorer.canonical.orbit
+// metric: one canonicalization per enumerated successor plus one per initial
+// state on the single-process path. (That the fingerprints themselves are
+// right is integrations' TestProductionMatchesIndependentOracle and
+// spectest.AssertOrbitEquiv.)
 func TestOrbitCanonicalizationCounters(t *testing.T) {
-	run := func(flat bool) (*Result, int64, int64) {
-		reg := obs.NewRegistry()
-		m := sgso.New(spec.Config{Name: "n3w1", Nodes: 3, Workload: []string{"v1"}},
-			spec.Budget{Name: "cnt", MaxTimeouts: 2, MaxBuffer: 3}, bugdb.NoBugs())
-		opts := Options{Symmetry: true, FlatCanon: flat, MaxStates: 5_000, Metrics: reg}
-		res := NewChecker(m, opts).Run()
-		return res, reg.Gauge("explorer.canonical.orbit").Value(), reg.Gauge("explorer.canonical.flat").Value()
-	}
-
-	res, orbit, flat := run(false)
-	if orbit == 0 {
-		t.Fatal("orbit pipeline served no canonicalizations on an OrbitHasher machine")
-	}
-	if flat != 0 {
-		t.Fatalf("flat pipeline counted %d canonicalizations with the orbit path active", flat)
-	}
-	inits := int64(len(sgso.New(spec.Config{Name: "n3w1", Nodes: 3, Workload: []string{"v1"}},
-		spec.Budget{Name: "cnt", MaxTimeouts: 2, MaxBuffer: 3}, bugdb.NoBugs()).Init()))
-	if want := res.Transitions + inits; orbit != want {
+	reg := obs.NewRegistry()
+	m := sgso.New(spec.Config{Name: "n3w1", Nodes: 3, Workload: []string{"v1"}},
+		spec.Budget{Name: "cnt", MaxTimeouts: 2, MaxBuffer: 3}, bugdb.NoBugs())
+	res := NewChecker(m, Options{Symmetry: true, MaxStates: 5_000, Metrics: reg}).Run()
+	orbit := reg.Gauge("explorer.canonical.orbit").Value()
+	if want := res.Transitions + int64(len(m.Init())); orbit == 0 || orbit != want {
 		t.Fatalf("orbit canonicalizations = %d, want transitions+inits = %d", orbit, want)
-	}
-
-	res2, orbit2, flat2 := run(true)
-	if flat2 == 0 || orbit2 != 0 {
-		t.Fatalf("FlatCanon: flat=%d orbit=%d, want flat>0 orbit=0", flat2, orbit2)
-	}
-	if res2.Transitions != res.Transitions {
-		t.Fatalf("pipelines explored different spaces: %d vs %d transitions", res2.Transitions, res.Transitions)
 	}
 }

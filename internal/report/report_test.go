@@ -29,7 +29,6 @@ func sampleMetrics() map[string]any {
 		"schema":                   float64(obs.MetricsSchemaVersion),
 		"distinct_states":          float64(3),
 		"explorer.canonical.orbit": float64(42),
-		"explorer.canonical.flat":  float64(0),
 		"result": map[string]any{
 			"distinct_states":      float64(3),
 			"transitions":          float64(3),

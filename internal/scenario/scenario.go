@@ -26,8 +26,9 @@ func Run(m spec.Machine, script []string) (*trace.Trace, error) {
 	}
 	cur := inits[0]
 	t := &trace.Trace{System: m.Name(), Init: cur.Vars()}
+	var succs []spec.Succ
 	for i, want := range script {
-		succs := m.Next(cur)
+		succs = m.AppendNext(cur, succs[:0])
 		var matches []spec.Succ
 		for _, su := range succs {
 			s := su.Event.String()

@@ -12,6 +12,7 @@ import (
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/conformance"
+	"github.com/sandtable-go/sandtable/internal/engine"
 	"github.com/sandtable-go/sandtable/internal/explorer"
 	"github.com/sandtable-go/sandtable/internal/integrations"
 	"github.com/sandtable-go/sandtable/internal/obs"
@@ -359,14 +360,22 @@ func (s *Server) runConform(j *Job, st *sandtable.SandTable, tracer *obs.Tracer,
 		Walks: walks, WalkDepth: depth, Seed: seed, Workers: workers,
 		Metrics: j.reg, Tracer: tracer,
 	})
+	stop()
 	if err != nil {
 		return nil, err
 	}
-	stop()
 	summary := map[string]any{"walks": rep.Walks, "events_checked": rep.EventsChecked, "passed": rep.Passed()}
 	if !rep.Passed() {
-		summary["discrepancy"] = rep.Discrepancy.Error()
-		if err := s.writeTraceArtifact(j, rep.Discrepancy.Trace); err != nil {
+		d := rep.Discrepancy
+		summary["discrepancy"] = d.Error()
+		dtrace := d.Trace
+		if j.spec.Shrink {
+			oracle := shrink.DivergenceOracle(func(seed int64) (*engine.Cluster, error) {
+				return st.Sys.NewCluster(st.Config, st.ImplBugs, seed)
+			}, d.Seed, replay.Options{IgnoreVars: st.Sys.IgnoreVars, Observe: st.Sys.Observe}, d.Step)
+			dtrace = s.shrinkTrace(j, st, dtrace, oracle, tracer, summary)
+		}
+		if err := s.writeTraceArtifact(j, dtrace); err != nil {
 			return summary, err
 		}
 	}
@@ -394,7 +403,7 @@ func (s *Server) runConfirm(j *Job, st *sandtable.SandTable, tracer *obs.Tracer,
 	}
 	ctrace := v.Trace
 	if j.spec.Shrink {
-		ctrace = s.shrinkTrace(j, st, ctrace, v.Invariant, tracer, summary)
+		ctrace = s.shrinkTrace(j, st, ctrace, shrink.InvariantOracle(st.Machine(), v.Invariant), tracer, summary)
 	}
 	if err := s.writeTraceArtifact(j, ctrace); err != nil {
 		return summary, err
@@ -422,9 +431,8 @@ func (s *Server) runConfirm(j *Job, st *sandtable.SandTable, tracer *obs.Tracer,
 
 // shrinkTrace minimizes tr with ddmin, keeping the original on failure and
 // recording the reduction in the summary — the CLI's -shrink behaviour.
-func (s *Server) shrinkTrace(j *Job, st *sandtable.SandTable, tr *trace.Trace, invariant string, tracer *obs.Tracer, summary map[string]any) *trace.Trace {
-	m := st.Machine()
-	res, err := shrink.Minimize(m, tr, shrink.InvariantOracle(m, invariant), shrink.Options{Metrics: j.reg, Tracer: tracer})
+func (s *Server) shrinkTrace(j *Job, st *sandtable.SandTable, tr *trace.Trace, oracle shrink.Oracle, tracer *obs.Tracer, summary map[string]any) *trace.Trace {
+	res, err := shrink.Minimize(st.Machine(), tr, oracle, shrink.Options{Metrics: j.reg, Tracer: tracer})
 	if err != nil {
 		return tr
 	}
@@ -438,7 +446,7 @@ func (s *Server) shrinkTrace(j *Job, st *sandtable.SandTable, tr *trace.Trace, i
 // as the replayable trace.json artifact.
 func (s *Server) writeCounterexample(j *Job, st *sandtable.SandTable, tr *trace.Trace, invariant string, tracer *obs.Tracer, summary map[string]any) error {
 	if j.spec.Shrink {
-		tr = s.shrinkTrace(j, st, tr, invariant, tracer, summary)
+		tr = s.shrinkTrace(j, st, tr, shrink.InvariantOracle(st.Machine(), invariant), tracer, summary)
 	}
 	return s.writeTraceArtifact(j, tr)
 }

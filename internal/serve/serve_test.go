@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/obs"
+	"github.com/sandtable-go/sandtable/internal/trace"
 )
 
 // tinySpec exhausts in ~1k distinct states — fast and deterministic.
@@ -632,5 +633,32 @@ func TestSimulateJob(t *testing.T) {
 	}
 	if w, _ := fin.Result["walks"].(float64); int(w) != 20 {
 		t.Errorf("walks = %v, want 20", fin.Result["walks"])
+	}
+}
+
+// TestConformJobShrinks: a conform job with "shrink": true minimizes the
+// discrepancy trace before writing it, as `sandtable conform -shrink` does.
+// CRaft#9 (a modeling-stage defect: the implementation reads the wrong term)
+// diverges from its specification within the first walk.
+func TestConformJobShrinks(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	st := submit(t, hs.URL, JobSpec{Op: "conform", System: "craft", Bug: "CRaft#9", Walks: 5, Shrink: true})
+	fin := waitTerminal(t, hs.URL, st.ID, 60*time.Second)
+	if fin.State != StateDone || fin.Result["passed"] != false {
+		t.Fatalf("state = %s (error %q), passed = %v; want a finished job that found a discrepancy", fin.State, fin.Error, fin.Result["passed"])
+	}
+	var result map[string]any
+	fetchJSON(t, hs.URL+"/v1/jobs/"+st.ID+"/artifacts/"+ResultJSON, &result)
+	orig, _ := result["shrink_original_len"].(float64)
+	minimized, _ := result["shrink_minimized_len"].(float64)
+	if minimized == 0 || minimized >= orig {
+		t.Fatalf("result.json: shrink_original_len=%v shrink_minimized_len=%v, want a strict reduction", result["shrink_original_len"], result["shrink_minimized_len"])
+	}
+	tr, err := trace.Decode(strings.NewReader(fetchBody(t, hs.URL+"/v1/jobs/"+st.ID+"/artifacts/"+CounterexampleJSON)))
+	if err != nil {
+		t.Fatalf("trace.json: %v", err)
+	}
+	if got := len(tr.Steps); got != int(minimized) {
+		t.Errorf("trace.json has %d steps, want the minimized %d (original %d)", got, int(minimized), int(orig))
 	}
 }

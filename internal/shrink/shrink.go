@@ -20,6 +20,7 @@ package shrink
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -269,18 +270,14 @@ func Replay(m spec.Machine, init map[string]string, events []trace.Event, record
 	if recordVars {
 		cand.Trace.Init = cur.Vars()
 	}
+	var succs []spec.Succ
 	for _, ev := range events {
-		var found *spec.Succ
-		for _, su := range m.Next(cur) {
-			su := su
-			if su.Event.Matches(ev) {
-				found = &su
-				break
-			}
-		}
-		if found == nil {
+		succs = m.AppendNext(cur, succs[:0])
+		i := slices.IndexFunc(succs, func(su spec.Succ) bool { return su.Event.Matches(ev) })
+		if i < 0 {
 			return nil, false
 		}
+		found := succs[i]
 		cur = found.State
 		step := trace.Step{Event: found.Event, Fingerprint: cur.Fingerprint()}
 		if recordVars {

@@ -11,6 +11,7 @@ import (
 	"github.com/sandtable-go/sandtable/internal/obs"
 	"github.com/sandtable-go/sandtable/internal/replay"
 	"github.com/sandtable-go/sandtable/internal/spec"
+	"github.com/sandtable-go/sandtable/internal/spec/spectest"
 	"github.com/sandtable-go/sandtable/internal/trace"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
@@ -62,9 +63,10 @@ func (m *incMachine) Init() []spec.State {
 	return []spec.State{&incState{vals: make([]int, m.n)}}
 }
 
-func (m *incMachine) Next(st spec.State) []spec.Succ {
+func (m *incMachine) Next(st spec.State) []spec.Succ { return m.AppendNext(st, nil) }
+
+func (m *incMachine) AppendNext(st spec.State, out []spec.Succ) []spec.Succ {
 	s := st.(*incState)
-	var out []spec.Succ
 	if s.counters.CanRequest(m.budget) {
 		for i := 0; i < m.n; i++ {
 			n := s.clone()
@@ -85,6 +87,39 @@ func (m *incMachine) Next(st spec.State) []spec.Succ {
 		})
 	}
 	return out
+}
+
+func (m *incMachine) Actions() []string { return []string{"Increment", "Spike"} }
+
+// The fake declares nothing to permute.
+func (m *incMachine) NumNodes() int                            { return 1 }
+func (m *incMachine) Permute(s spec.State, _ []int) spec.State { return s }
+func (m *incMachine) OrbitFingerprint(s spec.State, _ *spec.PermTable, _ *fp.OrbitScratch) (uint64, bool) {
+	return s.Fingerprint(), false
+}
+
+// Only the request counter moves, and it is the sum of the values.
+func (m *incMachine) AppendState(dst []byte, st spec.State) []byte {
+	s := st.(*incState)
+	for _, v := range s.vals {
+		dst = append(dst, byte(v))
+	}
+	if s.spiked {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+func (m *incMachine) DecodeState(src []byte) (spec.State, []byte, error) {
+	if len(src) <= m.n {
+		return nil, nil, fmt.Errorf("inc: truncated state")
+	}
+	s := &incState{vals: make([]int, m.n), spiked: src[m.n] != 0}
+	for i := range s.vals {
+		s.vals[i] = int(src[i])
+		s.counters.Requests += s.vals[i]
+	}
+	return s, src[m.n+1:], nil
 }
 
 func (m *incMachine) Invariants() []spec.Invariant {
@@ -124,6 +159,10 @@ func violatingWalk(t *testing.T, m spec.Machine, from int64) (*explorer.WalkResu
 	}
 	t.Fatal("no violating walk in 200 seeds")
 	return nil, 0
+}
+
+func TestFakeHonoursContract(t *testing.T) {
+	spectest.AssertContract(t, &incMachine{n: 3, gated: true, budget: spec.Budget{MaxRequests: 9}}, 10, 10, 1)
 }
 
 func TestMinimizeTable(t *testing.T) {

@@ -13,6 +13,11 @@
 // this reproduction writes them as Go state machines and explores them with
 // the internal/explorer package, which reimplements TLC's stateful BFS and
 // simulation (random walk) modes.
+//
+// There is one contract, Machine. The engine calls AppendNext,
+// OrbitFingerprint, Actions and the codec; Next, Permute and State.Fingerprint
+// are the slow, obviously-right definitions those are held to by
+// spectest.AssertContract.
 package spec
 
 import (
@@ -53,105 +58,84 @@ type Invariant struct {
 }
 
 // Machine is a system specification: a state machine suitable for model
-// checking. Implementations live in internal/specs/<system>.
+// checking. Implementations live in internal/specs/<system>. Every method is
+// required; the embedded facets only group them (and name what a helper that
+// needs less than a whole machine takes).
 type Machine interface {
 	// Name identifies the specification (e.g. "gosyncobj").
 	Name() string
 	// Init returns the initial states.
 	Init() []State
-	// Next enumerates every enabled transition from s. The returned
-	// successor states must already satisfy the machine's internal budget
-	// accounting (Next must not enumerate transitions that exceed budgets).
+	// Next is AppendNext(s, nil): the allocating definition of the successor
+	// relation, called only by tests.
 	Next(s State) []Succ
 	// Invariants returns the safety properties checked on every state.
 	Invariants() []Invariant
+
+	BufferedMachine
+	OrbitHasher
+	ActionLister
+	StateCodec
 }
 
-// BufferedMachine is an optional Machine capability for allocation-lean
-// successor enumeration: AppendNext appends every enabled transition from s
-// to buf and returns the extended slice, exactly as
-//
-//	append(buf, m.Next(s)...)
-//
-// would, but without allocating a fresh []Succ per call. The explorer, the
-// simulator, and the stateless-search ablation all prefer AppendNext when a
-// machine provides it, passing a long-lived per-worker scratch buffer whose
-// capacity amortises across millions of states; Next remains the required
-// fallback for machines that do not implement it.
+// BufferedMachine is successor enumeration into a caller-owned buffer.
 //
 // Ownership rules: the caller owns buf (and the returned slice, which may
 // share buf's backing array); the machine must not retain either across
 // calls. The successor *states* follow the usual immutability contract —
 // they are freshly built per call and never reused, so callers may keep them
-// after recycling the buffer. The spectest package provides a generic
-// equivalence test asserting AppendNext ≡ Next.
+// after recycling the buffer.
 type BufferedMachine interface {
-	Machine
-	// AppendNext appends every enabled transition from s to buf and
-	// returns the extended slice (semantics of append(buf, Next(s)...)).
+	// AppendNext appends every enabled transition from s to buf and returns
+	// the extended slice. The successors must already satisfy the machine's
+	// budget accounting (no transition that exceeds a budget is enumerated).
 	AppendNext(s State, buf []Succ) []Succ
 }
 
-// AppendSuccessors enumerates s's successors into buf using AppendNext when
-// the machine implements BufferedMachine and Next otherwise. Hot loops that
-// care about the type-assertion cost should assert once and call AppendNext
-// directly; this helper is for the cooler call sites.
-func AppendSuccessors(m Machine, s State, buf []Succ) []Succ {
-	if bm, ok := m.(BufferedMachine); ok {
-		return bm.AppendNext(s, buf)
-	}
-	return append(buf, m.Next(s)...)
-}
-
-// Symmetric is an optional Machine capability enabling symmetry reduction
+// Symmetric is the node-permutation action symmetry reduction rests on
 // (§3.3: "permuting the nodes and workload values does not change whether an
-// action satisfies an invariant"). Permute returns the state with node
-// identities permuted by perm (perm[i] = new identity of node i).
+// action satisfies an invariant"). NumNodes() <= 1 means there is nothing to
+// permute. Permute materialises the permuted state and is the oracle
+// OrbitFingerprint is checked against; the engine never calls it. The laws:
+// invariant verdicts are permutation-invariant, and the successor relation
+// commutes with Permute (spectest.AssertNextEquivariant).
 type Symmetric interface {
 	NumNodes() int
+	// Permute returns s with node identities permuted by perm (perm[i] is
+	// the new identity of node i).
 	Permute(s State, perm []int) State
 }
 
-// FastSymmetric is an optional refinement of Symmetric: machines that can
-// compute the fingerprint of a permuted state without materialising it
-// (avoiding one full state copy per permutation per successor) implement
-// this; the explorer prefers it when present. The contract is
-//
-//	PermutedFingerprint(s, perm) == Permute(s, perm).Fingerprint()
-//
-// which the specification test suites verify by property testing.
-type FastSymmetric interface {
-	Symmetric
-	PermutedFingerprint(s State, perm []int) uint64
-}
-
-// OrbitHasher is an optional refinement of Symmetric for incremental orbit
-// canonicalization: instead of rehashing the full state once per
-// permutation (P! full passes for the min-of-orbit canonical fingerprint),
-// the machine decomposes the state into node-id-free sub-digests hashed
-// once (per node, per ordered node pair, plus a global residue) and derives
-// each permutation's fingerprint by cheaply recombining them — O(|state| +
-// P!·P²) instead of O(P!·|state|). The contract is exact equality with the
-// flat path:
+// OrbitHasher is the canonical fingerprint under symmetry: the machine
+// decomposes the state into node-id-free sub-digests hashed once (per node,
+// per ordered node pair, plus a global residue) and derives each
+// permutation's fingerprint by recombining them — O(|state| + P!·P²)
+// instead of O(P!·|state|). The contract is exact equality with
 //
 //	min over all perms of Permute(s, perm).Fingerprint()
 //
-// with reduced == (min != s.Fingerprint()); implementers therefore build
-// State.Fingerprint, PermutedFingerprint, and OrbitFingerprint on the same
-// decomposition, and spectest.AssertOrbitEquiv property-tests the
-// equivalence. scratch is caller-owned reusable memory (the explorer keeps
-// one per expansion worker); implementations must not retain it.
+// with reduced == (min != s.Fingerprint()). scratch is caller-owned reusable
+// memory (the explorer keeps one per expansion worker); implementations must
+// not retain it.
 type OrbitHasher interface {
 	Symmetric
 	OrbitFingerprint(s State, perms *PermTable, scratch *fp.OrbitScratch) (min uint64, reduced bool)
 }
 
-// ActionLister is an optional Machine capability declaring the full action
-// vocabulary of the specification: every name that can appear as
-// trace.Event.Action under the machine's configuration and budget. The
-// coverage profiler (obs.Cover) diffs fired actions against this declared
-// set to flag actions that never fired — an enabled-but-unreached part of
-// the model that a raw fire-count profile cannot see. The list should be
+// FastSymmetric is not part of Machine and nothing in the product calls it:
+// PermutedFingerprint(s, perm) == Permute(s, perm).Fingerprint() without
+// materialising the state, kept as a second oracle for the orbit
+// decomposition and because benchmark/probe still names it.
+type FastSymmetric interface {
+	Symmetric
+	PermutedFingerprint(s State, perm []int) uint64
+}
+
+// ActionLister declares the full action vocabulary of the specification:
+// every name that can appear as trace.Event.Action under the machine's
+// configuration and budget, and at least one. The coverage profiler
+// (obs.Cover) diffs fired actions against it to flag actions that never
+// fired, and the cluster wire format indexes into it. The list should be
 // conditioned on the instance (budgets, feature switches): declaring an
 // action the configuration makes impossible produces a false "never fired"
 // flag.
@@ -160,22 +144,10 @@ type ActionLister interface {
 	Actions() []string
 }
 
-// DeclaredActions returns the machine's declared action vocabulary, or nil
-// when the machine does not implement ActionLister.
-func DeclaredActions(m Machine) []string {
-	if al, ok := m.(ActionLister); ok {
-		return al.Actions()
-	}
-	return nil
-}
-
-// StateCodec is an optional Machine capability: states round-trip through a
-// compact binary encoding. States are deliberately NOT generically
-// serialisable (Vars() is for humans, not round-trips), so the features that
-// must move live states through bytes — the explorer's frontier spill under
-// a memory budget, its checkpoints, and the exchange between cluster peers —
-// are only available on machines that opt in here (every in-tree family
-// does). The contract, property-tested by spectest.AssertCodecRoundTrip, is
+// StateCodec round-trips states through a compact binary encoding — what the
+// explorer's frontier spill, its checkpoints, and the exchange between
+// cluster peers move. (Vars() is for humans, not round-trips.) The contract
+// is
 //
 //	DecodeState(AppendState(nil, s)).Fingerprint() == s.Fingerprint()
 //
@@ -414,19 +386,6 @@ func buildPermTable(n int) *PermTable {
 		t.NonIdentityInv[k] = inv
 	}
 	return t
-}
-
-// Permutations returns all permutations of 0..n-1 (used for symmetry
-// reduction; n is small — the paper uses 2- and 3-node configurations).
-// The copies are fresh, so callers may mutate them; hot paths should use
-// PermTableFor instead.
-func Permutations(n int) [][]int {
-	t := PermTableFor(n)
-	out := make([][]int, len(t.All))
-	for i, p := range t.All {
-		out[i] = append([]int(nil), p...)
-	}
-	return out
 }
 
 // generatePermutations emits every permutation of 0..n-1 by recursive

@@ -78,7 +78,7 @@ func (f fakeState) Vars() map[string]string { return nil }
 func TestPermutationsCountAndUniqueness(t *testing.T) {
 	fact := []int{1, 1, 2, 6, 24, 120}
 	for n := 0; n <= 5; n++ {
-		perms := Permutations(n)
+		perms := PermTableFor(n).All
 		if len(perms) != fact[n] {
 			t.Fatalf("n=%d: %d perms, want %d", n, len(perms), fact[n])
 		}
@@ -99,7 +99,7 @@ func TestPermutationsCountAndUniqueness(t *testing.T) {
 func TestQuickPermutationsAreBijections(t *testing.T) {
 	f := func(nRaw uint8) bool {
 		n := int(nRaw)%5 + 1
-		for _, p := range Permutations(n) {
+		for _, p := range PermTableFor(n).All {
 			seen := make([]bool, n)
 			for _, v := range p {
 				if v < 0 || v >= n || seen[v] {

@@ -9,7 +9,6 @@ import (
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/explorer"
 	"github.com/sandtable-go/sandtable/internal/spec"
-	"github.com/sandtable-go/sandtable/internal/spec/spectest"
 	sasync "github.com/sandtable-go/sandtable/internal/specs/asyncraft"
 	scraft "github.com/sandtable-go/sandtable/internal/specs/craft"
 	sdaos "github.com/sandtable-go/sandtable/internal/specs/daosraft"
@@ -118,49 +117,6 @@ func TestLeaderElectionReachableInAllProfiles(t *testing.T) {
 		if !res.GoalReached {
 			t.Errorf("%s: no leader electable within %d states", m.Name(), res.DistinctStates)
 		}
-	}
-}
-
-func TestPermutedFingerprintMatchesReference(t *testing.T) {
-	machines := []*raftbase.Machine{
-		sgso.New(cfg3(), budget(), bugdb.AllBugs("gosyncobj")),
-		scraft.New(cfg3(), budget(), bugdb.AllBugs("craft")),
-		sxkv.New(cfg3(), budget(), bugdb.AllBugs("xraftkv")),
-	}
-	perms := spec.Permutations(3)
-	for _, m := range machines {
-		rng := rand.New(rand.NewSource(7))
-		cur := m.Init()[0]
-		for step := 0; step < 400; step++ {
-			for _, p := range perms {
-				want := m.Permute(cur, p).Fingerprint()
-				got := m.PermutedFingerprint(cur, p)
-				if got != want {
-					t.Fatalf("%s step %d perm %v: fast fingerprint %x != reference %x", m.Name(), step, p, got, want)
-				}
-			}
-			succs := m.Next(cur)
-			if len(succs) == 0 {
-				break
-			}
-			cur = succs[rng.Intn(len(succs))].State
-		}
-	}
-}
-
-// TestOrbitFingerprintMatchesReference property-tests the spec.OrbitHasher
-// contract (incremental min-of-orbit == materialised reference min, with
-// the durability fault model both off and on via the crash budget) through
-// the shared spectest harness.
-func TestOrbitFingerprintMatchesReference(t *testing.T) {
-	machines := []*raftbase.Machine{
-		sgso.New(cfg3(), budget(), bugdb.AllBugs("gosyncobj")),
-		scraft.New(cfg3(), budget(), bugdb.AllBugs("craft")),
-		sxkv.New(cfg3(), budget(), bugdb.AllBugs("xraftkv")),
-		sgso.New(cfg2(), spec.Budget{Name: "lean", MaxTimeouts: 4, MaxRequests: 2, MaxBuffer: 3}, bugdb.NoBugs()),
-	}
-	for i, m := range machines {
-		spectest.AssertOrbitEquiv(t, m, 4, 120, int64(11+i))
 	}
 }
 

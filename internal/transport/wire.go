@@ -104,7 +104,7 @@ type Candidate struct {
 	// Parent is the fingerprint of the frontier state that generated it.
 	Parent uint64
 	// Action is the generating action's index in the run's shared action
-	// table (spec.DeclaredActions order).
+	// table (spec.Machine.Actions order).
 	Action uint16
 	// State is the successor's spec.StateCodec encoding.
 	State []byte
