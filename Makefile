@@ -114,8 +114,13 @@ cluster:
 # clustercmp asserts the job's result counters, stop decision, violation
 # set, and coverage profile match a CLI run with identical settings, and
 # cmp asserts the counterexample trace is byte-identical — an HTTP job and
-# a CLI invocation are the same check. Ports derive from the shell PID so
-# concurrent CI jobs don't collide.
+# a CLI invocation are the same check. A second leg submits a confirm job
+# with "shrink": true and holds its result (counters, shrink lengths, replay
+# steps, verdict) to `sandtable confirm -shrink`, so check → shrink → replay
+# equivalence is gated end to end (-totals: the CLI's confirm has no -workers
+# flag and runs at NumCPU, where per-action fresh attribution is not
+# canonical). Ports derive from the shell PID so concurrent CI jobs don't
+# collide.
 serve-smoke:
 	@set -e; tmp=$$(mktemp -d); srv=""; \
 	trap 'test -n "$$srv" && kill $$srv 2>/dev/null; rm -rf "$$tmp"' EXIT; \
@@ -124,15 +129,20 @@ serve-smoke:
 	"$$tmp/sandtable" check -system craft -nodes 3 -max-timeouts 2 -max-requests 1 \
 		-max-buffer 2 -deadline 120s -workers 1 \
 		-metrics-out "$$tmp/ref.json" -o "$$tmp/ref-trace.json" >/dev/null; \
+	"$$tmp/sandtable" confirm -system gosyncobj -bug 'GoSyncObj#2' -shrink \
+		-metrics-out "$$tmp/ref-confirm.json" >/dev/null; \
 	"$$tmp/sandtable" serve -addr "$$addr" -artifacts "$$tmp/jobs" >/dev/null & srv=$$!; \
 	$(GO) run ./scripts/servesmoke -server "http://$$addr" -out "$$tmp/serve" \
 		-spec '{"op":"check","system":"craft","nodes":3,"max_timeouts":2,"max_requests":1,"max_buffer":2,"deadline":"120s","workers":1,"progress_every":"100ms"}'; \
+	$(GO) run ./scripts/servesmoke -server "http://$$addr" -out "$$tmp/serve-confirm" \
+		-spec '{"op":"confirm","system":"gosyncobj","bug":"GoSyncObj#2","shrink":true,"progress_every":"10ms"}'; \
 	kill $$srv; wait $$srv 2>/dev/null; srv=""; \
 	$(GO) run ./scripts/checktrace -metrics "$$tmp/serve/metrics.json" \
 		"$$tmp/serve/trace.jsonl" "$$tmp/serve/sse-trace.jsonl"; \
 	$(GO) run ./scripts/clustercmp -ref "$$tmp/ref.json" "$$tmp/serve/metrics.json"; \
 	cmp "$$tmp/ref-trace.json" "$$tmp/serve/trace.json"; \
-	echo "serve-smoke: HTTP job matches CLI reference (counters, coverage, trace)"
+	$(GO) run ./scripts/clustercmp -totals -ref "$$tmp/ref-confirm.json" "$$tmp/serve-confirm/metrics.json"; \
+	echo "serve-smoke: HTTP jobs match CLI references (check: counters, coverage, trace; confirm: + shrink, replay)"
 
 # ci is the gate every change must pass: compile, static checks, the docs
 # gate, the full test suite under the race detector, the repeated race run

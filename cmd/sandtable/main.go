@@ -19,8 +19,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -28,20 +26,15 @@ import (
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
-	"github.com/sandtable-go/sandtable/internal/conformance"
-	"github.com/sandtable-go/sandtable/internal/engine"
 	"github.com/sandtable-go/sandtable/internal/explorer"
 	"github.com/sandtable-go/sandtable/internal/integrations"
 	"github.com/sandtable-go/sandtable/internal/obs"
 	"github.com/sandtable-go/sandtable/internal/ranking"
-	"github.com/sandtable-go/sandtable/internal/replay"
 	"github.com/sandtable-go/sandtable/internal/report"
 	"github.com/sandtable-go/sandtable/internal/sandtable"
 	"github.com/sandtable-go/sandtable/internal/shrink"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/trace"
-	"github.com/sandtable-go/sandtable/internal/transport"
-	"github.com/sandtable-go/sandtable/internal/vos"
 )
 
 func main() {
@@ -84,252 +77,171 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: sandtable <check|simulate|rank|conform|confirm|replay|report|serve|list> [flags]`)
 }
 
-// commonFlags adds the session flags shared by all subcommands.
-type sessionFlags struct {
-	system   *string
-	bug      *string
-	nodes    *int
-	fixed    *bool
-	timeouts *int
-	requests *int
-	crashes  *int
-	dirty    *int
-	buffer   *int
-	deadline *time.Duration
-}
+// cmdline is one subcommand invocation. Every run-layer flag is bound
+// straight into set; beside it are the few flags that need resolving first
+// (see settings), the front end's own — where progress, metrics, traces and
+// reports go — and what start opens for the run.
+type cmdline struct {
+	fs  *flag.FlagSet
+	set sandtable.Settings
 
-func addSessionFlags(fs *flag.FlagSet) *sessionFlags {
-	return &sessionFlags{
-		system:   fs.String("system", "gosyncobj", "target system ("+strings.Join(integrations.Names(), ", ")+")"),
-		bug:      fs.String("bug", "", "check a single catalogued defect (e.g. GoSyncObj#4); default: the system's verification defect set"),
-		nodes:    fs.Int("nodes", 0, "cluster size (0 = system default)"),
-		fixed:    fs.Bool("fixed", false, "use the fully fixed build (fix validation)"),
-		timeouts: fs.Int("max-timeouts", 0, "override MaxTimeouts budget"),
-		requests: fs.Int("max-requests", 0, "override MaxRequests budget"),
-		crashes:  fs.Int("max-crashes", -1, "override MaxCrashes budget"),
-		dirty:    fs.Int("max-dirty-crashes", 0, "override MaxDirtyCrashes budget (crash-consistency faults losing unsynced writes)"),
-		buffer:   fs.Int("max-buffer", 0, "override MaxBuffer budget"),
-		deadline: fs.Duration("deadline", 2*time.Minute, "model checking deadline"),
-	}
-}
+	system     string
+	maxCrashes int
+	memBudget  string
+	peers      string
 
-// panicFlags configure the engine's graceful-degradation policy for node
-// panics during implementation-level replay.
-type panicFlags struct {
-	tolerate    *bool
-	maxRestarts *int
-	mode        *string
-}
-
-func addPanicFlags(fs *flag.FlagSet) *panicFlags {
-	return &panicFlags{
-		tolerate:    fs.Bool("tolerate-panics", false, "convert node panics into an injected crash+restart instead of aborting the run"),
-		maxRestarts: fs.Int("max-auto-restarts", 2, "per-node bound on automatic restarts after tolerated panics"),
-		mode:        fs.String("panic-crash-mode", "clean", "store outcome applied on a tolerated panic: clean, lose-unsynced, or torn-batch"),
-	}
-}
-
-func (p *panicFlags) apply(c *engine.Cluster) {
-	if !*p.tolerate {
-		return
-	}
-	c.SetPanicPolicy(engine.PanicPolicy{
-		Tolerate:        true,
-		MaxAutoRestarts: *p.maxRestarts,
-		Mode:            vos.CrashMode(*p.mode),
-		Backoff:         50 * time.Millisecond,
-	})
-}
-
-// obsFlags are the observability flags shared by the long-running
-// subcommands (check, simulate, conform, confirm, replay).
-type obsFlags struct {
-	progress   *time.Duration
-	metricsOut *string
-	traceOut   *string
-	reportOut  *string
-	pprofAddr  *string
-}
-
-func addObsFlags(fs *flag.FlagSet) *obsFlags {
-	return &obsFlags{
-		progress:   fs.Duration("progress", 0, "print TLC-style progress lines to stderr at this interval (0 = off)"),
-		metricsOut: fs.String("metrics-out", "", "write the final metrics snapshot + result summary as JSON to this file"),
-		traceOut:   fs.String("trace-out", "", "write structured JSONL observability events to this file"),
-		reportOut:  fs.String("report", "", "render a post-run Markdown report (coverage, depth profile, counterexample) to this file (\"-\" = stdout)"),
-		pprofAddr:  fs.String("pprof", "", "serve net/http/pprof, expvar, and Prometheus /metrics on this address (e.g. localhost:6060)"),
-	}
-}
-
-// obsSession is the per-run observability state: the registry every layer
-// reports into, the optional JSONL tracer, the progress callback, and the
-// optional pprof/expvar server.
-type obsSession struct {
-	reg        *obs.Registry
-	tracer     *obs.Tracer
-	traceFile  *os.File
-	progress   obs.ProgressFunc
-	interval   time.Duration
+	progress   time.Duration
 	metricsOut string
+	traceOut   string
 	reportOut  string
-	// cover is the run's coverage profile; subcommands that collect one
-	// hand it over before close so it lands in the metrics artifact and the
-	// rendered report.
-	cover *obs.Cover
-	// title heads the rendered report ("sandtable <cmd> -system <sys>").
-	title     string
+	pprofAddr  string
+	showTrace  bool   // check -trace
+	out        string // check -o
+	traceIn    string // replay -trace
+
+	st        *sandtable.SandTable
+	ctx       context.Context // canceled by the first SIGINT/SIGTERM
+	sinks     sandtable.Sinks
+	traceFile *os.File
 	stopPprof func() error
 }
 
-func (f *obsFlags) open() (*obsSession, error) {
-	s := &obsSession{reg: obs.NewRegistry(), metricsOut: *f.metricsOut, reportOut: *f.reportOut}
-	if len(os.Args) > 1 {
-		s.title = "sandtable " + strings.Join(os.Args[1:], " ")
-	}
-	if *f.progress > 0 {
-		s.progress = obs.StderrProgress()
-		s.interval = *f.progress
-	}
-	if *f.traceOut != "" {
-		file, err := os.Create(*f.traceOut)
-		if err != nil {
-			return nil, err
-		}
-		s.traceFile = file
-		s.tracer = obs.NewTracer(file)
-	}
-	if *f.pprofAddr != "" {
-		addr, stop, err := obs.ServeDebug(*f.pprofAddr, s.reg)
-		if err != nil {
-			s.close(nil)
-			return nil, err
-		}
-		s.stopPprof = stop
-		fmt.Fprintf(os.Stderr, "pprof: serving /debug/pprof and /debug/vars on http://%s\n", addr)
-	}
-	return s, nil
+// newCmdline starts subcommand op's flag set from the run layer's defaults
+// and adds the session flags every subcommand shares.
+func newCmdline(op string) *cmdline {
+	c := &cmdline{fs: flag.NewFlagSet(op, flag.ExitOnError), set: sandtable.Defaults(op)}
+	fs, set := c.fs, &c.set
+	fs.StringVar(&c.system, "system", "gosyncobj", "target system ("+strings.Join(integrations.Names(), ", ")+")")
+	fs.StringVar(&set.Bug, "bug", "", "check a single catalogued defect (e.g. GoSyncObj#4); default: the system's verification defect set")
+	fs.IntVar(&set.Nodes, "nodes", 0, "cluster size (0 = system default)")
+	fs.BoolVar(&set.Fixed, "fixed", false, "use the fully fixed build (fix validation)")
+	fs.IntVar(&set.MaxTimeouts, "max-timeouts", 0, "override MaxTimeouts budget")
+	fs.IntVar(&set.MaxRequests, "max-requests", 0, "override MaxRequests budget")
+	fs.IntVar(&c.maxCrashes, "max-crashes", -1, "override MaxCrashes budget")
+	fs.IntVar(&set.MaxDirtyCrashes, "max-dirty-crashes", 0, "override MaxDirtyCrashes budget (crash-consistency faults losing unsynced writes)")
+	fs.IntVar(&set.MaxBuffer, "max-buffer", 0, "override MaxBuffer budget")
+	fs.DurationVar(&set.Deadline, "deadline", set.Deadline, "wall-clock deadline: check/confirm stop exploring, simulate/conform stop starting walks")
+	return c
 }
 
-// close finalises the session: writes the metrics snapshot (merged with the
-// result summary and coverage profile, stamped with the artifact schema
-// version) when -metrics-out is set, renders the Markdown report when
-// -report is set, flushes and closes the JSONL trace, and stops the pprof
-// server.
-func (s *obsSession) close(result map[string]any) error {
-	var firstErr error
-	var snap map[string]any
-	if s.metricsOut != "" || s.reportOut != "" {
-		snap = s.reg.Snapshot()
-		snap["schema"] = obs.MetricsSchemaVersion
-		if result != nil {
-			snap["result"] = result
-		}
-		if s.cover != nil {
-			snap["cover"] = s.cover
-		}
-	}
-	if s.metricsOut != "" {
-		buf, err := json.MarshalIndent(snap, "", "  ")
-		if err == nil {
-			err = os.WriteFile(s.metricsOut, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			firstErr = fmt.Errorf("metrics-out: %w", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "metrics written to %s\n", s.metricsOut)
-		}
-	}
-	if s.reportOut != "" {
-		d := &report.Data{Title: s.title, Source: "in-memory run", Metrics: snap, Cover: s.cover}
-		if err := report.WriteFile(s.reportOut, d); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("report: %w", err)
-			}
-		} else if s.reportOut != "-" {
-			fmt.Fprintf(os.Stderr, "report written to %s\n", s.reportOut)
-		}
-	}
-	if s.tracer != nil {
-		if err := s.tracer.Flush(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("trace-out: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "%d trace events written to %s\n", s.tracer.Events(), s.traceFile.Name())
-	}
-	if s.traceFile != nil {
-		if err := s.traceFile.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if s.stopPprof != nil {
-		s.stopPprof()
-	}
-	return firstErr
+// obsFlags adds the observability flags shared by the long-running
+// subcommands (check, simulate, conform, confirm, replay).
+func (c *cmdline) obsFlags() *cmdline {
+	fs := c.fs
+	fs.DurationVar(&c.progress, "progress", 0, "print TLC-style progress lines to stderr at this interval (0 = off)")
+	fs.StringVar(&c.metricsOut, "metrics-out", "", "write the final metrics snapshot + result summary as JSON to this file")
+	fs.StringVar(&c.traceOut, "trace-out", "", "write structured JSONL observability events to this file")
+	fs.StringVar(&c.reportOut, "report", "", "render a post-run Markdown report (coverage, depth profile, counterexample) to this file (\"-\" = stdout)")
+	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof, expvar, and Prometheus /metrics on this address (e.g. localhost:6060)")
+	return c
 }
 
-// shrinkTrace runs the ddmin minimizer over tr, printing the reduction
-// summary and merging the shrink counters into the metrics summary. On
-// failure (e.g. the trace does not reproduce under the oracle) it warns and
-// hands the original trace back, so -shrink never loses a counterexample.
-func shrinkTrace(m spec.Machine, tr *trace.Trace, oracle shrink.Oracle, o *obsSession, summary map[string]any) *trace.Trace {
-	res, err := shrink.Minimize(m, tr, oracle, shrink.Options{Metrics: o.reg, Tracer: o.tracer})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "shrink: %v (keeping the original trace)\n", err)
-		return tr
-	}
-	fmt.Printf("shrink: %d -> %d events (%d removed, %d candidate(s) evaluated, %d spec-invalid)\n",
-		res.OriginalLen, res.MinimizedLen, res.Removed, res.Attempts, res.Invalid)
-	if summary != nil {
-		summary["shrink_original_len"] = res.OriginalLen
-		summary["shrink_minimized_len"] = res.MinimizedLen
-		summary["shrink_attempts"] = res.Attempts
-	}
-	return res.Trace
+// panicFlags adds the engine's graceful-degradation policy for node panics
+// during implementation-level replay.
+func (c *cmdline) panicFlags() *cmdline {
+	fs, set := c.fs, &c.set
+	fs.BoolVar(&set.ToleratePanics, "tolerate-panics", false, "convert node panics into an injected crash+restart instead of aborting the run")
+	fs.IntVar(&set.MaxAutoRestarts, "max-auto-restarts", set.MaxAutoRestarts, "per-node bound on automatic restarts after tolerated panics")
+	fs.StringVar(&set.PanicCrashMode, "panic-crash-mode", set.PanicCrashMode, "store outcome applied on a tolerated panic: clean, lose-unsynced, or torn-batch")
+	return c
 }
 
-func (f *sessionFlags) session() (*sandtable.SandTable, error) {
-	sys, err := integrations.Get(*f.system)
-	if err != nil {
-		return nil, err
-	}
-	cfg := sys.DefaultConfig
-	if *f.nodes > 0 {
-		cfg = spec.Config{Name: fmt.Sprintf("n%dw2", *f.nodes), Nodes: *f.nodes, Workload: []string{"v1", "v2"}}
-	}
-	bugs := bugdb.VerificationBugs(*f.system)
-	if *f.fixed {
-		bugs = bugdb.NoBugs()
-	}
-	if *f.bug != "" {
-		info, ok := bugdb.ByID(*f.bug)
-		if !ok {
-			return nil, fmt.Errorf("unknown bug id %q", *f.bug)
-		}
-		bugs = bugdb.NoBugs().With(info.Key)
-	}
-	budget := sys.DefaultBudget
-	if *f.timeouts > 0 {
-		budget.MaxTimeouts = *f.timeouts
-	}
-	if *f.requests > 0 {
-		budget.MaxRequests = *f.requests
-	}
-	if *f.crashes >= 0 {
-		budget.MaxCrashes = *f.crashes
-	}
-	if *f.dirty > 0 {
-		budget.MaxDirtyCrashes = *f.dirty
-	}
-	if *f.buffer > 0 {
-		budget.MaxBuffer = *f.buffer
-	}
-	return sandtable.New(sys, cfg, budget, bugs), nil
+func checkFlags() *cmdline {
+	c := newCmdline("check").obsFlags()
+	fs, set := c.fs, &c.set
+	fs.IntVar(&set.Workers, "workers", 0, "BFS workers (0 = NumCPU)")
+	fs.IntVar(&set.MaxStates, "max-states", 0, "stop after this many distinct states (0 = off; checked at block boundaries)")
+	fs.IntVar(&set.FPSetShards, "fpset-shards", 0, "fingerprint-set shard count, rounded up to a power of two (0 = automatic, sized from GOMAXPROCS)")
+	fs.StringVar(&set.Checkpoint, "checkpoint", "", "write periodic exploration snapshots to this directory (enables checkpointing)")
+	fs.DurationVar(&set.CheckpointEvery, "checkpoint-every", 0, "minimum wall-clock time between snapshots (default 60s once -checkpoint is set)")
+	fs.IntVar(&set.CheckpointStates, "checkpoint-states", 0, "also snapshot every N newly discovered distinct states")
+	fs.BoolVar(&set.Resume, "resume", false, "resume from the snapshot in the -checkpoint directory instead of starting fresh")
+	fs.StringVar(&c.memBudget, "mem-budget", "", "hard memory budget for exploration state (e.g. 8GiB); over budget the fingerprint set and frontier spill to disk (default: half of GOMEMLIMIT when that is set)")
+	fs.StringVar(&set.SpillDir, "spill-dir", "", "directory for spill scratch files (default: the -checkpoint directory, else the system temp dir)")
+	fs.BoolVar(&set.Shrink, "shrink", false, "minimize the counterexample with delta debugging (ddmin) before printing/writing it")
+	fs.BoolVar(&c.showTrace, "trace", true, "print the counterexample trace")
+	fs.StringVar(&c.out, "o", "", "write the counterexample trace as JSON (replay it with `sandtable replay -trace <file>`)")
+	fs.StringVar(&c.peers, "peers", "", "comma-separated peer listen addresses (host:port, one per peer): run this process as one peer of a distributed exploration (see OPERATIONS.md)")
+	fs.IntVar(&set.PeerID, "peer-id", 0, "this process's index into -peers (peer 0 coordinates and prints the counterexample)")
+	fs.DurationVar(&set.PeerTimeout, "peer-timeout", 0, "cluster connection-establishment timeout (0 = 30s)")
+	return c
 }
 
-// resolveMemBudget turns the -mem-budget flag into a byte count. An empty
-// flag defers to the GOMEMLIMIT environment variable when one is set: half
+func replayFlags() *cmdline {
+	c := newCmdline("replay").obsFlags().panicFlags()
+	c.fs.StringVar(&c.traceIn, "trace", "", "trace JSON written by `sandtable check -o`")
+	return c
+}
+
+func simulateFlags() *cmdline {
+	c := newCmdline("simulate").obsFlags()
+	fs, set := c.fs, &c.set
+	fs.IntVar(&set.Walks, "walks", set.Walks, "number of random walks")
+	fs.IntVar(&set.Depth, "depth", set.Depth, "walk depth bound (0 = until deadlock)")
+	fs.Int64Var(&set.Seed, "seed", set.Seed, "base seed")
+	fs.BoolVar(&set.Distinct, "distinct", false, "track distinct states across walks in a shared fingerprint set (coverage measurement)")
+	fs.BoolVar(&set.Shrink, "shrink", false, "minimize the first violating walk with delta debugging (ddmin)")
+	return c
+}
+
+func rankFlags() *cmdline {
+	c := newCmdline("rank")
+	c.fs.IntVar(&c.set.Walks, "walks", 32, "random walks per (config, constraint) pair")
+	return c
+}
+
+func conformFlags() *cmdline {
+	c := newCmdline("conform").obsFlags()
+	fs, set := c.fs, &c.set
+	fs.IntVar(&set.Walks, "walks", set.Walks, "random traces to replay")
+	fs.IntVar(&set.Depth, "depth", set.Depth, "trace depth bound")
+	fs.Int64Var(&set.Seed, "seed", set.Seed, "base seed")
+	fs.IntVar(&set.Workers, "workers", set.Workers, "parallel replay workers (each walk boots its own cluster; the first discrepancy is identical for every worker count)")
+	fs.BoolVar(&set.Shrink, "shrink", false, "minimize the discrepancy trace with delta debugging (ddmin) before printing it")
+	return c
+}
+
+func confirmFlags() *cmdline {
+	c := newCmdline("confirm").obsFlags().panicFlags()
+	c.fs.BoolVar(&c.set.Shrink, "shrink", false, "minimize the counterexample with delta debugging (ddmin) before replaying it at the implementation level")
+	return c
+}
+
+// settings resolves the parsed flags into the run layer's settings: the
+// -max-crashes sentinel, the -peers list, and the memory budget. Without
+// -mem-budget the run defers to the GOMEMLIMIT environment variable: half
 // the runtime's soft limit goes to exploration state, leaving the rest for
 // transient expansion buffers, so a process capped by its operator spills
-// instead of thrashing the GC. Returns 0 (no budget) when neither is set.
+// instead of thrashing the GC. A cluster peer takes no budget (partitioning
+// already divides the footprint), so the fallback does not apply to it and
+// an explicit -mem-budget is an error.
+func (c *cmdline) settings() (sandtable.Settings, error) {
+	set := c.set
+	if c.maxCrashes >= 0 {
+		set.MaxCrashes = &c.maxCrashes
+	}
+	for _, a := range strings.Split(c.peers, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			set.Peers = append(set.Peers, a)
+		}
+	}
+	if set.Resume && set.Checkpoint == "" {
+		return set, fmt.Errorf("-resume requires -checkpoint <dir>")
+	}
+	if len(set.Peers) == 0 {
+		var err error
+		set.MemBudget, err = resolveMemBudget(c.memBudget)
+		return set, err
+	}
+	if c.memBudget != "" {
+		return set, fmt.Errorf("-mem-budget is not supported with -peers (partitioning already divides the footprint)")
+	}
+	return set, nil
+}
+
+// resolveMemBudget turns a -mem-budget flag into a byte count; an empty flag
+// defers to half of GOMEMLIMIT when that is set (see settings). Returns 0
+// (no budget) when neither is.
 func resolveMemBudget(flagVal string) (int64, error) {
 	if flagVal != "" {
 		n, err := explorer.ParseByteSize(flagVal)
@@ -351,127 +263,138 @@ func resolveMemBudget(flagVal string) (int64, error) {
 	return n / 2, nil
 }
 
-func runCheck(args []string) error {
-	fs := flag.NewFlagSet("check", flag.ExitOnError)
-	sf := addSessionFlags(fs)
-	of := addObsFlags(fs)
-	workers := fs.Int("workers", 0, "BFS workers (0 = NumCPU)")
-	maxStates := fs.Int("max-states", 0, "stop after this many distinct states (0 = off; checked at block boundaries)")
-	fpShards := fs.Int("fpset-shards", 0, "fingerprint-set shard count, rounded up to a power of two (0 = automatic, sized from GOMAXPROCS)")
-	ckDir := fs.String("checkpoint", "", "write periodic exploration snapshots to this directory (enables checkpointing)")
-	ckEvery := fs.Duration("checkpoint-every", 0, "minimum wall-clock time between snapshots (default 60s once -checkpoint is set)")
-	ckStates := fs.Int("checkpoint-states", 0, "also snapshot every N newly discovered distinct states")
-	resume := fs.Bool("resume", false, "resume from the snapshot in the -checkpoint directory instead of starting fresh")
-	memBudget := fs.String("mem-budget", "", "hard memory budget for exploration state (e.g. 8GiB); over budget the fingerprint set and frontier spill to disk (default: half of GOMEMLIMIT when that is set)")
-	spillDir := fs.String("spill-dir", "", "directory for spill scratch files (default: the -checkpoint directory, else the system temp dir)")
-	doShrink := fs.Bool("shrink", false, "minimize the counterexample with delta debugging (ddmin) before printing/writing it")
-	showTrace := fs.Bool("trace", true, "print the counterexample trace")
-	out := fs.String("o", "", "write the counterexample trace as JSON (replay it with `sandtable replay -trace <file>`)")
-	peers := fs.String("peers", "", "comma-separated peer listen addresses (host:port, one per peer): run this process as one peer of a distributed exploration (see OPERATIONS.md)")
-	peerID := fs.Int("peer-id", 0, "this process's index into -peers (peer 0 coordinates and prints the counterexample)")
-	peerTimeout := fs.Duration("peer-timeout", 0, "cluster connection-establishment timeout (0 = 30s)")
-	fs.Parse(args)
+// session parses args, resolves the settings in place and builds the session
+// they describe.
+func (c *cmdline) session(args []string) error {
+	c.fs.Parse(args)
+	var err error
+	if c.set, err = c.settings(); err != nil {
+		return fmt.Errorf("%s: %w", c.fs.Name(), err)
+	}
+	sys, err := integrations.Get(c.system)
+	if err != nil {
+		return err
+	}
+	c.st, err = sandtable.NewSession(sys, c.set)
+	return err
+}
 
-	if *resume && *ckDir == "" {
-		return fmt.Errorf("check: -resume requires -checkpoint <dir>")
+// start is session plus the observability sinks and the run's context. The
+// first SIGINT/SIGTERM cancels the run cooperatively: it stops at the next
+// safepoint with "stop: canceled" (a cluster peer takes the whole cluster
+// with it at the next level barrier), the summary and artifacts are written
+// as usual and the last checkpoint stays resumable. Unregistering on that
+// signal restores the default action, so a second one exits immediately.
+func (c *cmdline) start(args []string) (*cmdline, error) {
+	if err := c.session(args); err != nil {
+		return nil, err
 	}
-	budget, err := resolveMemBudget(*memBudget)
-	if err != nil {
-		return fmt.Errorf("check: %w", err)
+	c.sinks = sandtable.Sinks{Metrics: obs.NewRegistry()}
+	if c.progress > 0 {
+		c.sinks.Progress, c.sinks.ProgressInterval = obs.StderrProgress(), c.progress
 	}
-	var peerAddrs []string
-	if *peers != "" {
-		for _, a := range strings.Split(*peers, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				peerAddrs = append(peerAddrs, a)
-			}
+	if c.traceOut != "" {
+		var err error
+		if c.traceFile, err = os.Create(c.traceOut); err != nil {
+			return nil, err
 		}
-		if len(peerAddrs) < 2 {
-			return fmt.Errorf("check: -peers needs at least 2 addresses, got %d", len(peerAddrs))
-		}
-		if *peerID < 0 || *peerID >= len(peerAddrs) {
-			return fmt.Errorf("check: -peer-id %d out of range [0,%d)", *peerID, len(peerAddrs))
-		}
-		if budget > 0 {
-			return fmt.Errorf("check: -mem-budget is not supported with -peers (partitioning already divides the footprint)")
-		}
+		c.sinks.Tracer = obs.NewTracer(c.traceFile)
 	}
-	st, err := sf.session()
-	if err != nil {
-		return err
-	}
-	o, err := of.open()
-	if err != nil {
-		return err
-	}
-	opts := explorer.DefaultOptions()
-	opts.Deadline = *sf.deadline
-	opts.Workers = *workers
-	opts.MaxStates = *maxStates
-	opts.FPSetShards = *fpShards
-	opts.MemBudget = budget
-	opts.SpillDir = *spillDir
-	opts.Cover = true
-	if *ckDir != "" {
-		opts.Checkpoint = explorer.CheckpointOptions{
-			Dir:         *ckDir,
-			Interval:    *ckEvery,
-			EveryStates: *ckStates,
-			Resume:      *resume,
-			Label:       st.Label(),
+	if c.pprofAddr != "" {
+		addr, stop, err := obs.ServeDebug(c.pprofAddr, c.sinks.Metrics)
+		if err != nil {
+			return nil, c.finish(nil, err)
 		}
+		c.stopPprof = stop
+		fmt.Fprintf(os.Stderr, "pprof: serving /debug/pprof and /debug/vars on http://%s\n", addr)
 	}
-	opts.Progress = o.progress
-	opts.ProgressInterval = o.interval
-	opts.Metrics = o.reg
-	opts.Tracer = o.tracer
-	// The first SIGINT/SIGTERM cancels the run cooperatively: it stops at the
-	// next safepoint with "stop: canceled" (a cluster peer takes the whole
-	// cluster with it at the next level barrier), the summary and artifacts
-	// are written as usual and the last checkpoint stays resumable.
-	// Unregistering on that signal restores the default action, so a second
-	// one exits immediately.
 	ctx, unregister := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	context.AfterFunc(ctx, func() {
 		unregister()
 		fmt.Fprintln(os.Stderr, "sandtable: interrupted — stopping at the next safepoint (signal again to exit immediately)")
 	})
-	opts.Context = ctx
-	coordinator := true
-	if len(peerAddrs) > 0 {
-		// Every peer must agree on the run configuration before any state
-		// flows; the handshake digest catches a peer launched with a
-		// different -system/-bug/-nodes/-fixed combination.
-		h := fnv.New64a()
-		io.WriteString(h, st.Label())
-		fmt.Fprintf(h, "|peers=%d", len(peerAddrs))
-		conn, err := transport.DialTCP(transport.TCPOptions{
-			Addrs:   peerAddrs,
-			Self:    *peerID,
-			Digest:  h.Sum64(),
-			Timeout: *peerTimeout,
-			Metrics: transport.NewMetrics(o.reg),
-		})
-		if err != nil {
-			o.close(nil)
-			return fmt.Errorf("check: %w", err)
+	c.ctx = ctx
+	return c, nil
+}
+
+// finish reports the outcome's warnings on stderr and finalises the
+// observability session: writes the metrics artifact when -metrics-out is
+// set, renders the Markdown report when -report is set, flushes and closes
+// the JSONL trace, and stops the pprof server. out may be nil (the run
+// failed before producing one); runErr, the run's own error, wins over any
+// artifact error.
+func (c *cmdline) finish(out *sandtable.Outcome, runErr error) error {
+	firstErr := runErr
+	if out == nil {
+		out = &sandtable.Outcome{}
+	}
+	for _, w := range out.Warnings {
+		fmt.Fprintln(os.Stderr, w)
+	}
+	var snap map[string]any
+	if c.metricsOut != "" || c.reportOut != "" {
+		snap = out.Metrics(c.sinks.Metrics)
+	}
+	if c.metricsOut != "" {
+		buf, err := json.MarshalIndent(snap, "", "  ")
+		if err == nil {
+			err = os.WriteFile(c.metricsOut, append(buf, '\n'), 0o644)
 		}
-		opts.Peer = &explorer.PeerOptions{Conn: conn}
-		coordinator = *peerID == 0
-		fmt.Printf("peer %d/%d: joined cluster, exploring fingerprint shard %d\n", *peerID, len(peerAddrs), *peerID)
+		if err == nil {
+			fmt.Fprintf(os.Stderr, "metrics written to %s\n", c.metricsOut)
+		} else if firstErr == nil {
+			firstErr = fmt.Errorf("metrics-out: %w", err)
+		}
 	}
-
-	stopExplore := o.reg.StartPhase("explore")
-	res := st.Check(opts)
-	stopExplore()
-	o.cover = res.Cover
-	if res.Err != nil {
-		o.close(res.Summary())
-		return res.Err
+	if c.reportOut != "" {
+		d := &report.Data{Title: "sandtable " + strings.Join(os.Args[1:], " "), Source: "in-memory run", Metrics: snap, Cover: out.Cover}
+		if err := report.WriteFile(c.reportOut, d); err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("report: %w", err)
+			}
+		} else if c.reportOut != "-" {
+			fmt.Fprintf(os.Stderr, "report written to %s\n", c.reportOut)
+		}
 	}
+	if c.traceFile != nil {
+		err := c.sinks.Tracer.Flush()
+		fmt.Fprintf(os.Stderr, "%d trace events written to %s\n", c.sinks.Tracer.Events(), c.traceFile.Name())
+		if cerr := c.traceFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("trace-out: %w", err)
+		}
+	}
+	if c.stopPprof != nil {
+		c.stopPprof()
+	}
+	return firstErr
+}
 
+// printShrink prints the reduction summary of a successful -shrink.
+func printShrink(res *shrink.Result) {
+	if res != nil {
+		fmt.Printf("shrink: %d -> %d events (%d removed, %d candidate(s) evaluated, %d spec-invalid)\n",
+			res.OriginalLen, res.MinimizedLen, res.Removed, res.Attempts, res.Invalid)
+	}
+}
+
+func runCheck(args []string) error {
+	c, err := checkFlags().start(args)
+	if err != nil {
+		return err
+	}
+	out, err := c.st.RunCheck(c.ctx, c.set, c.sinks)
+	if err != nil {
+		return c.finish(out, err)
+	}
+	res, set := out.Check, c.set
+	if len(set.Peers) > 0 {
+		fmt.Printf("peer %d/%d: joined cluster, exploring fingerprint shard %d\n", set.PeerID, len(set.Peers), set.PeerID)
+	}
 	if res.Resumed {
-		fmt.Printf("resumed from %s\n", *ckDir)
+		fmt.Printf("resumed from %s\n", set.Checkpoint)
 	}
 	fmt.Printf("explored %d distinct states (max depth %d) in %s — %.0f states/s, dedup %.1f%% (%d hits), peak queue %d, stop: %s\n",
 		res.DistinctStates, res.MaxDepth, res.Duration.Round(time.Millisecond), res.StatesPerSecond(),
@@ -480,186 +403,111 @@ func runCheck(args []string) error {
 		fmt.Printf("coverage: %d declared action(s) never fired: %s\n", len(nf), strings.Join(nf, ", "))
 	}
 	if res.Checkpoints > 0 {
-		fmt.Printf("%d checkpoint(s) written to %s (resume with -checkpoint %s -resume)\n", res.Checkpoints, *ckDir, *ckDir)
+		fmt.Printf("%d checkpoint(s) written to %s (resume with -checkpoint %s -resume)\n", res.Checkpoints, set.Checkpoint, set.Checkpoint)
 	}
-	if budget > 0 {
-		s := o.reg.Snapshot()
+	if set.MemBudget > 0 {
+		s := c.sinks.Metrics.Snapshot()
 		spilled, _ := s["fpset.spilled_entries"].(int64)
 		fbytes, _ := s["explorer.frontier_spill_bytes"].(int64)
 		if spilled > 0 || fbytes > 0 {
 			fmt.Printf("memory budget %.1f MiB: spilled %d fingerprints and %.1f MiB of frontier to disk\n",
-				float64(budget)/(1<<20), spilled, float64(fbytes)/(1<<20))
+				float64(set.MemBudget)/(1<<20), spilled, float64(fbytes)/(1<<20))
 		}
 	}
-	v := res.FirstViolation()
+	v := out.Violation
 	if v == nil {
 		fmt.Println("no invariant violation found")
-		return o.close(res.Summary())
+		return c.finish(out, nil)
 	}
 	fmt.Printf("VIOLATION: %s at depth %d: %v\n", v.Invariant, v.Depth, v.Err)
-	summary := res.Summary()
-	if !coordinator {
-		// Only the coordinator reconstructs counterexample traces (the
-		// other peers served its remote edge probes and hold no trace).
-		return o.close(summary)
+	if out.Trace == nil {
+		// Only the coordinator of a cluster holds the counterexample.
+		return c.finish(out, nil)
 	}
-	ctrace := v.Trace
-	if *doShrink {
-		// BFS counterexamples are depth-minimal, so this usually confirms
-		// 1-minimality rather than shrinking; random-walk traces (simulate
-		// -shrink) and divergences (conform -shrink) are where ddmin bites.
-		ctrace = shrinkTrace(st.Machine(), ctrace, shrink.InvariantOracle(st.Machine(), v.Invariant), o, summary)
+	printShrink(out.Shrink)
+	if c.showTrace {
+		fmt.Println(out.Trace.Format(false))
 	}
-	if *showTrace {
-		fmt.Println(ctrace.Format(false))
-	}
-	if *out != "" {
-		stopOut := o.reg.StartPhase("write-trace")
-		f, err := os.Create(*out)
+	if c.out != "" {
+		stop := c.sinks.Metrics.StartPhase("write-trace")
+		err := sandtable.WriteTrace(c.out, out.Trace)
+		stop()
 		if err != nil {
-			o.close(summary)
-			return err
+			return c.finish(out, err)
 		}
-		defer f.Close()
-		if err := ctrace.Encode(f); err != nil {
-			o.close(summary)
-			return err
-		}
-		stopOut()
-		fmt.Printf("trace written to %s\n", *out)
+		fmt.Printf("trace written to %s\n", c.out)
 	}
-	return o.close(summary)
+	return c.finish(out, nil)
 }
 
 // runReplay replays a saved trace against a fresh implementation cluster,
 // comparing every step (the §3.4 confirmation, decoupled from the search).
 func runReplay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	sf := addSessionFlags(fs)
-	of := addObsFlags(fs)
-	pf := addPanicFlags(fs)
-	file := fs.String("trace", "", "trace JSON written by `sandtable check -o`")
-	fs.Parse(args)
-	if *file == "" {
-		return fmt.Errorf("replay: -trace is required")
-	}
-	f, err := os.Open(*file)
+	c, err := replayFlags().start(args)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	if c.traceIn == "" {
+		return c.finish(nil, fmt.Errorf("replay: -trace is required"))
+	}
+	f, err := os.Open(c.traceIn)
+	if err != nil {
+		return c.finish(nil, err)
+	}
 	tr, err := trace.Decode(f)
+	f.Close()
 	if err != nil {
-		return err
+		return c.finish(nil, err)
 	}
-	st, err := sf.session()
+	out, err := c.st.RunReplay(c.ctx, tr, c.set, c.sinks)
 	if err != nil {
-		return err
+		return c.finish(out, err)
 	}
-	o, err := of.open()
-	if err != nil {
-		return err
+	if out.Replay.Confirmed {
+		fmt.Printf("CONFIRMED: %d events replayed deterministically, every step conforming\n", out.Replay.Steps)
+	} else {
+		fmt.Printf("replay diverged: %s\n", out.Replay.Divergence.Describe())
 	}
-	stopReplay := o.reg.StartPhase("replay")
-	cluster, err := st.Sys.NewCluster(st.Config, st.ImplBugs, 1)
-	if err != nil {
-		o.close(nil)
-		return err
-	}
-	pf.apply(cluster)
-	res, err := replay.ConfirmBug(tr, cluster, replay.Options{
-		IgnoreVars: st.Sys.IgnoreVars, Observe: st.Sys.Observe,
-		Tracer: o.tracer, Metrics: o.reg,
-	})
-	if err != nil {
-		o.close(nil)
-		return err
-	}
-	stopReplay()
-	summary := map[string]any{"steps": res.Steps, "confirmed": res.Confirmed}
-	if res.Confirmed {
-		fmt.Printf("CONFIRMED: %d events replayed deterministically, every step conforming\n", res.Steps)
-		return o.close(summary)
-	}
-	fmt.Printf("replay diverged: %s\n", res.Divergence.Describe())
-	summary["divergence"] = res.Divergence.Describe()
-	return o.close(summary)
+	return c.finish(out, nil)
 }
 
 func runSimulate(args []string) error {
-	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
-	sf := addSessionFlags(fs)
-	of := addObsFlags(fs)
-	walks := fs.Int("walks", 100, "number of random walks")
-	depth := fs.Int("depth", 0, "walk depth bound (0 = until deadlock)")
-	seed := fs.Int64("seed", 1, "base seed")
-	distinct := fs.Bool("distinct", false, "track distinct states across walks in a shared fingerprint set (coverage measurement)")
-	doShrink := fs.Bool("shrink", false, "minimize the first violating walk with delta debugging (ddmin)")
-	fs.Parse(args)
-
-	st, err := sf.session()
+	c, err := simulateFlags().start(args)
 	if err != nil {
 		return err
 	}
-	o, err := of.open()
+	out, err := c.st.RunSimulate(c.ctx, c.set, c.sinks)
 	if err != nil {
-		return err
+		return c.finish(out, err)
 	}
-	sim := explorer.NewSimulator(st.Machine(), explorer.SimOptions{
-		MaxDepth: *depth, Seed: *seed, CheckInvariants: true,
-		TrackDistinct: *distinct, RecordVars: *doShrink,
-		Progress: o.progress, ProgressInterval: o.interval,
-		Metrics: o.reg, Tracer: o.tracer, Cover: true,
-	})
-	stopSim := o.reg.StartPhase("simulate")
-	results := sim.Walks(*walks)
-	stopSim()
-	o.cover = sim.Cover()
-	agg := explorer.Aggregate(results)
+	agg := out.Sim
 	fmt.Printf("walks=%d branch-coverage=%d event-diversity=%d max-depth=%d mean-depth=%.1f violations=%d elapsed=%s\n",
 		agg.Walks, agg.BranchCoverage, agg.EventDiversity, agg.MaxDepth, agg.MeanDepth, agg.Violations, agg.TotalElapsed.Round(time.Millisecond))
-	if *distinct {
+	if c.set.Distinct {
 		visits := int(agg.MeanDepth*float64(agg.Walks)) + agg.Walks
 		fmt.Printf("distinct states across walks: %d (%.1f%% of ~%d visits fresh)\n",
-			sim.Distinct(), 100*float64(agg.DistinctStates)/float64(max(1, visits)), visits)
+			out.Distinct, 100*float64(agg.DistinctStates)/float64(max(1, visits)), visits)
 	}
-	summary := map[string]any{
-		"walks":           agg.Walks,
-		"branch_coverage": agg.BranchCoverage,
-		"event_diversity": agg.EventDiversity,
-		"max_depth":       agg.MaxDepth,
-		"mean_depth":      agg.MeanDepth,
-		"violations":      agg.Violations,
-		"distinct_states": agg.DistinctStates,
-	}
-	for _, w := range results {
-		if w.Violation != nil {
-			fmt.Printf("first violating walk: %v\n", w.Violation)
-			if *doShrink {
-				min := shrinkTrace(st.Machine(), w.Trace, shrink.InvariantOracle(st.Machine(), w.Violation.Invariant), o, summary)
-				fmt.Println(min.Format(false))
-			}
-			break
+	if out.Violation != nil {
+		fmt.Printf("first violating walk: %v\n", out.Violation)
+		if c.set.Shrink {
+			printShrink(out.Shrink)
+			fmt.Println(out.Trace.Format(false))
 		}
 	}
-	return o.close(summary)
+	return c.finish(out, nil)
 }
 
 func runRank(args []string) error {
-	fs := flag.NewFlagSet("rank", flag.ExitOnError)
-	sf := addSessionFlags(fs)
-	walks := fs.Int("walks", 32, "random walks per (config, constraint) pair")
-	fs.Parse(args)
-
-	st, err := sf.session()
-	if err != nil {
+	c := rankFlags()
+	if err := c.session(args); err != nil {
 		return err
 	}
 	configs := []spec.Config{
 		{Name: "n2w2", Nodes: 2, Workload: []string{"v1", "v2"}},
 		{Name: "n3w2", Nodes: 3, Workload: []string{"v1", "v2"}},
 	}
-	base := st.Budget
+	base := c.st.Budget
 	budgets := []spec.Budget{base}
 	lighter := base
 	lighter.Name = base.Name + "-light"
@@ -667,127 +515,53 @@ func runRank(args []string) error {
 	lighter.MaxCrashes = 0
 	lighter.MaxDirtyCrashes = 0
 	budgets = append(budgets, lighter, base.Double())
-	r := st.Rank(configs, budgets, ranking.Options{WalksPerPair: *walks, Seed: 1})
+	r := c.st.Rank(configs, budgets, ranking.Options{WalksPerPair: c.set.Walks, Seed: 1})
 	fmt.Print(r.Format())
 	return nil
 }
 
 func runConform(args []string) error {
-	fs := flag.NewFlagSet("conform", flag.ExitOnError)
-	sf := addSessionFlags(fs)
-	of := addObsFlags(fs)
-	walks := fs.Int("walks", 200, "random traces to replay")
-	depth := fs.Int("depth", 30, "trace depth bound")
-	seed := fs.Int64("seed", 1, "base seed")
-	workers := fs.Int("workers", 1, "parallel replay workers (each walk boots its own cluster; the first discrepancy is identical for every worker count)")
-	doShrink := fs.Bool("shrink", false, "minimize the discrepancy trace with delta debugging (ddmin) before printing it")
-	fs.Parse(args)
-
-	st, err := sf.session()
+	c, err := conformFlags().start(args)
 	if err != nil {
 		return err
 	}
-	o, err := of.open()
+	out, err := c.st.RunConform(c.ctx, c.set, c.sinks)
 	if err != nil {
-		return err
+		return c.finish(out, err)
 	}
-	stopConform := o.reg.StartPhase("conform")
-	rep, err := st.Conform(conformance.Options{
-		Walks: *walks, WalkDepth: *depth, Seed: *seed, Workers: *workers,
-		Progress: o.progress, ProgressInterval: o.interval,
-		Metrics: o.reg, Tracer: o.tracer,
-	})
-	if err != nil {
-		o.close(nil)
-		return err
-	}
-	stopConform()
+	rep := out.Conform
 	fmt.Printf("conformance: %d walks, %d events checked in %s\n", rep.Walks, rep.EventsChecked, rep.Duration.Round(time.Millisecond))
-	summary := map[string]any{"walks": rep.Walks, "events_checked": rep.EventsChecked, "passed": rep.Passed()}
 	if rep.Passed() {
 		fmt.Println("PASS: no spec/impl discrepancy found")
-		return o.close(summary)
+		return c.finish(out, nil)
 	}
 	fmt.Printf("DISCREPANCY: %v\n", rep.Discrepancy)
-	d := rep.Discrepancy
-	dtrace := d.Trace
-	if *doShrink {
-		oracle := shrink.DivergenceOracle(func(seed int64) (*engine.Cluster, error) {
-			return st.Sys.NewCluster(st.Config, st.ImplBugs, seed)
-		}, d.Seed, replay.Options{IgnoreVars: st.Sys.IgnoreVars, Observe: st.Sys.Observe}, d.Step)
-		dtrace = shrinkTrace(st.Machine(), dtrace, oracle, o, summary)
-	}
+	printShrink(out.Shrink)
 	fmt.Println("trace prefix:")
-	fmt.Println(dtrace.Format(false))
-	summary["discrepancy"] = rep.Discrepancy.Error()
-	return o.close(summary)
+	fmt.Println(out.Trace.Format(false))
+	return c.finish(out, nil)
 }
 
 func runConfirm(args []string) error {
-	fs := flag.NewFlagSet("confirm", flag.ExitOnError)
-	sf := addSessionFlags(fs)
-	of := addObsFlags(fs)
-	pf := addPanicFlags(fs)
-	doShrink := fs.Bool("shrink", false, "minimize the counterexample with delta debugging (ddmin) before replaying it at the implementation level")
-	fs.Parse(args)
-
-	st, err := sf.session()
+	c, err := confirmFlags().start(args)
 	if err != nil {
 		return err
 	}
-	o, err := of.open()
+	out, err := c.st.RunConfirm(c.ctx, c.set, c.sinks)
+	if out != nil && out.Violation != nil {
+		v := out.Violation
+		fmt.Printf("violation: %s at depth %d: %v\n", v.Invariant, v.Depth, v.Err)
+		printShrink(out.Shrink)
+	}
 	if err != nil {
-		return err
+		return c.finish(out, err)
 	}
-	opts := explorer.DefaultOptions()
-	opts.Deadline = *sf.deadline
-	opts.Progress = o.progress
-	opts.ProgressInterval = o.interval
-	opts.Metrics = o.reg
-	opts.Tracer = o.tracer
-	opts.Cover = true
-
-	stopExplore := o.reg.StartPhase("explore")
-	res := st.Check(opts)
-	stopExplore()
-	o.cover = res.Cover
-	summary := res.Summary()
-	v := res.FirstViolation()
-	if v == nil {
-		o.close(summary)
-		return fmt.Errorf("no violation found to confirm (%d states)", res.DistinctStates)
+	if out.Replay.Confirmed {
+		fmt.Printf("CONFIRMED at the implementation level (%d events replayed, every step conforming)\n", out.Replay.Steps)
+	} else {
+		fmt.Printf("NOT confirmed — replay diverged: %s\n", out.Replay.Divergence.Describe())
 	}
-	fmt.Printf("violation: %s at depth %d: %v\n", v.Invariant, v.Depth, v.Err)
-	ctrace := v.Trace
-	if *doShrink {
-		ctrace = shrinkTrace(st.Machine(), ctrace, shrink.InvariantOracle(st.Machine(), v.Invariant), o, summary)
-	}
-
-	stopReplay := o.reg.StartPhase("replay")
-	cluster, err := st.Sys.NewCluster(st.Config, st.ImplBugs, 1)
-	if err != nil {
-		o.close(summary)
-		return err
-	}
-	pf.apply(cluster)
-	conf, err := replay.ConfirmBug(ctrace, cluster, replay.Options{
-		IgnoreVars: st.Sys.IgnoreVars, Observe: st.Sys.Observe,
-		Tracer: o.tracer, Metrics: o.reg,
-	})
-	if err != nil {
-		o.close(summary)
-		return err
-	}
-	stopReplay()
-	summary["replay_steps"] = conf.Steps
-	summary["confirmed"] = conf.Confirmed
-	if conf.Confirmed {
-		fmt.Printf("CONFIRMED at the implementation level (%d events replayed, every step conforming)\n", conf.Steps)
-		return o.close(summary)
-	}
-	fmt.Printf("NOT confirmed — replay diverged: %s\n", conf.Divergence.Describe())
-	summary["divergence"] = conf.Divergence.Describe()
-	return o.close(summary)
+	return c.finish(out, nil)
 }
 
 // runReport renders a post-run Markdown report from observability artifacts

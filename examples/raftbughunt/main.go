@@ -49,7 +49,7 @@ func main() {
 	fmt.Println(v.Trace.Diagram(cfg.Nodes, nil))
 
 	fmt.Println("== 3. confirming at the implementation level ==")
-	conf, err := st.Confirm(v)
+	conf, err := st.Confirm(v.Trace, sandtable.Settings{}, sandtable.Sinks{})
 	if err != nil {
 		panic(err)
 	}

@@ -45,7 +45,7 @@ func main() {
 	fmt.Println(v.Trace.Format(false))
 
 	fmt.Println("== confirming at the implementation level ==")
-	conf, err := st.Confirm(v)
+	conf, err := st.Confirm(v.Trace, sandtable.Settings{}, sandtable.Sinks{})
 	if err != nil {
 		panic(err)
 	}

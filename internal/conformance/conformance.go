@@ -10,6 +10,7 @@
 package conformance
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"sync"
@@ -113,10 +114,20 @@ func (r *Report) Passed() bool { return r.Discrepancy == nil }
 // Options.Workers > 1 the walks are replayed by a worker pool; the report
 // is identical to a serial run (see Options.Workers).
 func Run(t *Target, opts Options) (*Report, error) {
+	return RunContext(context.Background(), t, opts)
+}
+
+// RunContext is Run with cooperative cancellation: once ctx is done no
+// further walk starts, and the report covers the walks completed by then —
+// the same early stop as Options.Timeout.
+func RunContext(ctx context.Context, t *Target, opts Options) (*Report, error) {
 	if opts.Walks <= 0 {
 		opts.Walks = DefaultOptions().Walks
 	}
 	start := time.Now()
+	expired := func() bool {
+		return ctx.Err() != nil || opts.Timeout > 0 && time.Since(start) > opts.Timeout
+	}
 	sim := explorer.NewSimulator(t.Machine, explorer.SimOptions{
 		MaxDepth:   opts.WalkDepth,
 		Seed:       opts.Seed,
@@ -131,9 +142,9 @@ func Run(t *Target, opts Options) (*Report, error) {
 	var rep *Report
 	var err error
 	if opts.Workers > 1 {
-		rep, err = runParallel(t, sim, reporter, opts, start)
+		rep, err = runParallel(t, sim, reporter, opts, expired)
 	} else {
-		rep, err = runSerial(t, sim, reporter, opts, start)
+		rep, err = runSerial(t, sim, reporter, opts, expired)
 	}
 	if err != nil {
 		return nil, err
@@ -150,13 +161,13 @@ func Run(t *Target, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-func runSerial(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opts Options, start time.Time) (*Report, error) {
+func runSerial(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opts Options, expired func() bool) (*Report, error) {
 	walksCtr := opts.Metrics.Counter("conformance.walks")
 	eventsCtr := opts.Metrics.Counter("conformance.events")
 
 	rep := &Report{}
 	for w := 0; w < opts.Walks; w++ {
-		if opts.Timeout > 0 && time.Since(start) > opts.Timeout {
+		if expired() {
 			break
 		}
 		seed := opts.Seed + int64(w)
@@ -211,7 +222,7 @@ type walkSlot struct {
 // watermark only decreases, every walk below the final discrepancy index is
 // guaranteed to have been executed, so the scan reproduces the serial
 // Walks / EventsChecked / Discrepancy exactly.
-func runParallel(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opts Options, start time.Time) (*Report, error) {
+func runParallel(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opts Options, expired func() bool) (*Report, error) {
 	slots := make([]walkSlot, opts.Walks)
 	var (
 		next  atomic.Int64
@@ -244,7 +255,7 @@ func runParallel(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opt
 				if w >= opts.Walks || int64(w) > found.Load() {
 					return
 				}
-				if opts.Timeout > 0 && time.Since(start) > opts.Timeout {
+				if expired() {
 					return
 				}
 				seed := opts.Seed + int64(w)

@@ -84,7 +84,7 @@ func detectVerification(info bugdb.Info, o Options) (Table2Row, error) {
 	row.Invariant = v.Invariant
 	row.Detail = v.Err.Error()
 	// §3.4: confirm at the implementation level by deterministic replay.
-	conf, err := st.Confirm(v)
+	conf, err := st.Confirm(v.Trace, sandtable.Settings{}, sandtable.Sinks{})
 	if err != nil {
 		return row, err
 	}

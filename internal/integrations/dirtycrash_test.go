@@ -8,6 +8,7 @@ import (
 	"github.com/sandtable-go/sandtable/internal/explorer"
 	"github.com/sandtable-go/sandtable/internal/obs"
 	"github.com/sandtable-go/sandtable/internal/replay"
+	"github.com/sandtable-go/sandtable/internal/sandtable"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/trace"
 )
@@ -49,7 +50,7 @@ func TestDirtyCrashCounterexampleConfirmed(t *testing.T) {
 	if !dirty {
 		t.Fatalf("counterexample has no dirty-crash step:\n%s", v.Trace.Format(false))
 	}
-	conf, err := st.Confirm(v)
+	conf, err := st.Confirm(v.Trace, sandtable.Settings{}, sandtable.Sinks{})
 	if err != nil {
 		t.Fatal(err)
 	}

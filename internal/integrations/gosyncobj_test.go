@@ -91,7 +91,7 @@ func TestConfirmBugsAtImplementationLevel(t *testing.T) {
 		if v == nil {
 			t.Fatalf("%s: model checking found no violation", key)
 		}
-		conf, err := st.Confirm(v)
+		conf, err := st.Confirm(v.Trace, sandtable.Settings{}, sandtable.Sinks{})
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}

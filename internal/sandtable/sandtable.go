@@ -2,13 +2,16 @@
 // the Figure-1 workflow of the paper — conformance checking (§3.2),
 // specification-level model checking (§3.3), bug confirmation by
 // deterministic replay, and fix validation (§3.4) — for one integrated
-// target system.
+// target system. sandtable.go holds the session and its stage primitives;
+// run.go is the run layer both front ends (cmd/sandtable, internal/serve)
+// drive.
 package sandtable
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/conformance"
@@ -17,6 +20,8 @@ import (
 	"github.com/sandtable-go/sandtable/internal/ranking"
 	"github.com/sandtable-go/sandtable/internal/replay"
 	"github.com/sandtable-go/sandtable/internal/spec"
+	"github.com/sandtable-go/sandtable/internal/trace"
+	"github.com/sandtable-go/sandtable/internal/vos"
 )
 
 // System describes one integrated target system: how to build its
@@ -84,10 +89,8 @@ func (st *SandTable) Label() string {
 // target builds the conformance target for this session.
 func (st *SandTable) target() *conformance.Target {
 	return &conformance.Target{
-		Machine: st.Machine(),
-		NewCluster: func(seed int64) (*engine.Cluster, error) {
-			return st.Sys.NewCluster(st.Config, st.ImplBugs, seed)
-		},
+		Machine:       st.Machine(),
+		NewCluster:    st.newCluster,
 		Observe:       st.Sys.Observe,
 		ResourceCheck: st.Sys.ResourceCheck,
 		IgnoreVars:    st.Sys.IgnoreVars,
@@ -104,21 +107,34 @@ func (st *SandTable) Check(opts explorer.Options) *explorer.Result {
 	return explorer.NewChecker(st.Machine(), opts).Run()
 }
 
-// Confirm replays a model-checking violation at the implementation level
+// Confirm replays a counterexample trace at the implementation level
 // (§3.4). A confirmed result means the implementation reproduced every
 // specification state along the trace, ending in the violating one — the
-// bug is real, not a false alarm.
-func (st *SandTable) Confirm(v *explorer.Violation) (*replay.Result, error) {
-	if v == nil || v.Trace == nil {
-		return nil, fmt.Errorf("sandtable: violation has no trace to replay")
+// bug is real, not a false alarm. It is the one place a replay cluster is
+// booted: the settings supply the panic policy, the sinks the tracer,
+// registry and "replay" phase timer (both may be zero).
+func (st *SandTable) Confirm(tr *trace.Trace, set Settings, sinks Sinks) (*replay.Result, error) {
+	if tr == nil {
+		return nil, fmt.Errorf("sandtable: no trace to replay")
 	}
-	cluster, err := st.Sys.NewCluster(st.Config, st.ImplBugs, 1)
+	defer sinks.Metrics.StartPhase("replay")()
+	cluster, err := st.newCluster(1)
 	if err != nil {
 		return nil, err
 	}
-	return replay.ConfirmBug(v.Trace, cluster, replay.Options{
+	if set.ToleratePanics {
+		cluster.SetPanicPolicy(engine.PanicPolicy{
+			Tolerate:        true,
+			MaxAutoRestarts: set.MaxAutoRestarts,
+			Mode:            vos.CrashMode(set.PanicCrashMode),
+			Backoff:         50 * time.Millisecond,
+		})
+	}
+	return replay.ConfirmBug(tr, cluster, replay.Options{
 		IgnoreVars: st.Sys.IgnoreVars,
 		Observe:    st.Sys.Observe,
+		Tracer:     sinks.Tracer,
+		Metrics:    sinks.Metrics,
 	})
 }
 

@@ -54,11 +54,8 @@ func TestCheckFindsAndFixValidates(t *testing.T) {
 
 func TestConfirmRequiresTrace(t *testing.T) {
 	st := sandtable.New(toySystem(), spec.Config{Nodes: 2}, spec.Budget{}, bugdb.NoBugs())
-	if _, err := st.Confirm(nil); err == nil {
-		t.Error("confirming a nil violation must fail")
-	}
-	if _, err := st.Confirm(&explorer.Violation{}); err == nil {
-		t.Error("confirming a violation without a trace must fail")
+	if _, err := st.Confirm(nil, sandtable.Settings{}, sandtable.Sinks{}); err == nil {
+		t.Error("confirming without a trace must fail")
 	}
 }
 

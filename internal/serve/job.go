@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/obs"
+	"github.com/sandtable-go/sandtable/internal/sandtable"
 )
 
 // JobState is a job's position in its lifecycle.
@@ -138,6 +139,9 @@ type Job struct {
 	id   string
 	spec JobSpec
 	dir  string
+	// set and progressEvery are spec resolved by validateSpec at submission.
+	set           sandtable.Settings
+	progressEvery time.Duration
 
 	reg    *obs.Registry
 	fan    *obs.Fanout
@@ -150,23 +154,22 @@ type Job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	result   map[string]any
-	cover    *obs.Cover
+	out      *sandtable.Outcome
 }
 
-// setCover records the run's coverage profile for the metrics artifact and
+// setOutcome records what the run produced, for the metrics artifact and
 // report.
-func (j *Job) setCover(c *obs.Cover) {
+func (j *Job) setOutcome(out *sandtable.Outcome) {
 	j.mu.Lock()
-	j.cover = c
+	j.out = out
 	j.mu.Unlock()
 }
 
-// getCover returns the recorded coverage profile, if any.
-func (j *Job) getCover() *obs.Cover {
+// outcome returns the run's outcome; empty until the run has returned.
+func (j *Job) outcome() *sandtable.Outcome {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.cover
+	return j.out
 }
 
 // setState transitions the job, stamping lifecycle timestamps.
@@ -191,9 +194,8 @@ func (j *Job) getState() JobState {
 }
 
 // finish records the job's outcome and final state.
-func (j *Job) finish(st JobState, result map[string]any, errMsg string) {
+func (j *Job) finish(st JobState, errMsg string) {
 	j.mu.Lock()
-	j.result = result
 	j.errMsg = errMsg
 	j.mu.Unlock()
 	j.setState(st)
@@ -229,7 +231,7 @@ func (j *Job) status() *JobStatus {
 		Spec:    j.spec,
 		Created: j.created,
 		Error:   j.errMsg,
-		Result:  j.result,
+		Result:  j.out.Summary,
 	}
 	if !j.started.IsZero() {
 		t := j.started

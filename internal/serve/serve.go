@@ -19,8 +19,11 @@
 //	GET    /v1/jobs/{id}/artifacts/        artifact listing (JSON)
 //	GET    /v1/jobs/{id}/artifacts/{path}  artifact download; report.md renders live for running jobs
 //
-// Results are CLI-equivalent by construction: a job runs the same session,
-// explorer, and artifact-writing code paths as `sandtable <op>`, so its
+// Results are CLI-equivalent by construction: this package is a front end of
+// the run layer in internal/sandtable, exactly as cmd/sandtable is. It turns
+// a JobSpec into sandtable.Settings and owns the queue, the SSE fan-out, the
+// resume_from copy and the fixed artifact names; session building, the run,
+// shrinking, replay and the metrics payload are the run layer's, so a job's
 // metrics.json and trace.json match a CLI run with the same settings (the
 // serve-smoke CI target asserts this with clustercmp).
 package serve
@@ -40,6 +43,7 @@ import (
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/obs"
+	"github.com/sandtable-go/sandtable/internal/sandtable"
 )
 
 // Options configure a Server.
@@ -181,23 +185,19 @@ func (s *Server) execute(j *Job) {
 	s.reg.Gauge("serve.jobs_running").Add(1)
 	defer s.reg.Gauge("serve.jobs_running").Add(-1)
 
-	deadline, memBudget, err := s.validateSpec(&j.spec)
-	var result map[string]any
-	if err == nil {
-		result, err = s.runJob(j, deadline, memBudget)
-	}
+	err := s.runJob(j)
 	switch {
-	case err == nil && j.ctx.Err() != nil, err == nil && result["stop_reason"] == "canceled":
-		j.finish(StateCanceled, result, "")
+	case err == nil && j.ctx.Err() != nil, err == nil && j.outcome().Summary["stop_reason"] == "canceled":
+		j.finish(StateCanceled, "")
 		s.reg.Counter("serve.jobs_canceled").Add(1)
 	case err != nil && j.ctx.Err() != nil:
-		j.finish(StateCanceled, result, err.Error())
+		j.finish(StateCanceled, err.Error())
 		s.reg.Counter("serve.jobs_canceled").Add(1)
 	case err != nil:
-		j.finish(StateFailed, result, err.Error())
+		j.finish(StateFailed, err.Error())
 		s.reg.Counter("serve.jobs_failed").Add(1)
 	default:
-		j.finish(StateDone, result, "")
+		j.finish(StateDone, "")
 		s.reg.Counter("serve.jobs_completed").Add(1)
 	}
 	// Announce the final state on the stream before it closes, so SSE
@@ -271,7 +271,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
-	if _, _, err := s.validateSpec(&spec); err != nil {
+	set, progressEvery, err := s.validateSpec(&spec)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
@@ -300,15 +301,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
-		id:      id,
-		spec:    spec,
-		dir:     dir,
-		reg:     obs.NewRegistry(),
-		fan:     obs.NewFanout(s.opts.ReplayEvents),
-		ctx:     ctx,
-		cancel:  cancel,
-		state:   StateQueued,
-		created: time.Now(),
+		id:            id,
+		spec:          spec,
+		dir:           dir,
+		set:           set,
+		progressEvery: progressEvery,
+		out:           &sandtable.Outcome{},
+		reg:           obs.NewRegistry(),
+		fan:           obs.NewFanout(s.opts.ReplayEvents),
+		ctx:           ctx,
+		cancel:        cancel,
+		state:         StateQueued,
+		created:       time.Now(),
 	}
 	select {
 	case s.queue <- j:

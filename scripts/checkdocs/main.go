@@ -4,7 +4,7 @@
 //  1. Every exported identifier in the audited packages (internal/fpset,
 //     internal/explorer, internal/ranking, internal/scenario,
 //     internal/shrink, internal/conformance, internal/transport,
-//     internal/serve) carries
+//     internal/serve, internal/sandtable) carries
 //     a doc comment, and every audited package has a package-level doc
 //     comment.
 //  2. Every relative link in the repository's *.md files resolves to an
@@ -39,6 +39,7 @@ var auditedPackages = []string{
 	"internal/conformance",
 	"internal/transport",
 	"internal/serve",
+	"internal/sandtable",
 }
 
 // requiredDocs are the operator-facing documents that must exist at the

@@ -45,10 +45,13 @@ type signature struct {
 // resultKeys are the result fields that must match exactly. Notably
 // absent: duration_ns, states_per_sec (wall clock), max_queue_len
 // (summed across peers in a cluster run), checkpoints and resumed
-// (operational history, not graph shape).
+// (operational history, not graph shape). The shrink and replay keys exist
+// only in shrink/confirm runs; a key absent on both sides compares equal.
 var resultKeys = []string{
 	"distinct_states", "transitions", "dedup_hits", "dedup_ratio",
 	"max_depth", "stop_reason", "exhausted", "violations", "first_violation",
+	"shrink_original_len", "shrink_minimized_len", "shrink_attempts",
+	"replay_steps", "confirmed",
 }
 
 func main() {
