@@ -1,29 +1,113 @@
 package explorer
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"github.com/sandtable-go/sandtable/internal/bugdb"
+	"github.com/sandtable-go/sandtable/internal/spec"
+	scraft "github.com/sandtable-go/sandtable/internal/specs/craft"
+	"github.com/sandtable-go/sandtable/internal/specs/zabkeeper"
+)
+
+// craftHunt and zabHunt are the craft and zabkeeper models `sandtable check
+// -fixed` explores by default (the benchmark's input is the first).
+func craftHunt() spec.Machine {
+	return scraft.New(spec.DefaultConfig(), spec.Budget{
+		Name: "hunt", MaxTimeouts: 6, MaxCrashes: 1, MaxRestarts: 1, MaxRequests: 2,
+		MaxPartitions: 1, MaxDrops: 2, MaxDuplicates: 1, MaxBuffer: 4, MaxCompactions: 1,
+	}, bugdb.NoBugs())
+}
+
+func zabHunt() spec.Machine {
+	return zabkeeper.New(spec.DefaultConfig(), spec.Budget{
+		Name: "hunt", MaxTimeouts: 6, MaxCrashes: 1, MaxRestarts: 1, MaxRequests: 3,
+		MaxPartitions: 1, MaxBuffer: 4,
+	}, bugdb.NoBugs())
+}
 
 // TestAllocsPerState pins the expansion pipeline's allocation budget: a
-// full single-worker BFS over the toy space must stay under a fixed number
-// of heap allocations per distinct state. The toy spec implements
-// spec.BufferedMachine with a flat-backed clone, so the steady-state cost
-// per state is the clone's few backing arrays plus amortised fingerprint-set
-// growth; a regression in the pooled-buffer discipline (successor slices,
-// frontier double-buffering, per-worker scratch) shows up here as a jump.
-// The bound has ~1.5x headroom over the measured value (~5.3) so it only
-// trips on structural regressions, not allocator noise.
+// single-worker BFS must stay under a fixed number of heap allocations per
+// distinct state. Successors are built in the dead states the worker's buffer
+// still holds, so a duplicate — three successors in five — costs nothing, and
+// a fresh state costs the one object graph that replaces it in the buffer
+// once the frontier has taken it (spec.Keep), plus whatever a handler
+// allocates on top of the recycled clone and amortised fingerprint-set
+// growth.
+//
+// A regression in that discipline (a successor slot that stops being
+// recycled, successor slices, frontier double-buffering, per-worker scratch)
+// shows up here as a jump: before slots were recycled every successor was a
+// fresh clone, ~40 allocations per distinct state on craft. The bounds have
+// ~1.5x headroom over the measured values so they only trip on structural
+// regressions, not allocator noise.
 func TestAllocsPerState(t *testing.T) {
-	const maxAllocsPerState = 8.0
-	var distinct int
-	allocs := testing.AllocsPerRun(5, func() {
-		res := NewChecker(newToy(4, false), Options{Workers: 1}).Run()
-		if res.DistinctStates == 0 {
-			t.Fatal("no states explored")
+	for _, tc := range []struct {
+		name      string
+		mk        func() spec.Machine
+		maxStates int
+		ceiling   float64
+	}{
+		{"toy", func() spec.Machine { return newToy(4, false) }, 0, 8}, // measured 6.3
+		{"craft", craftHunt, 60000, 20},                                // measured 13.1
+		// 7.5 of zabkeeper's are the VoteTotalOrder invariant building its
+		// vote list, once per fresh state.
+		{"zabkeeper", zabHunt, 60000, 34}, // measured 22.4
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var distinct int
+			allocs := testing.AllocsPerRun(3, func() {
+				res := NewChecker(tc.mk(), Options{Workers: 1, Symmetry: true, MaxStates: tc.maxStates}).Run()
+				if res.DistinctStates == 0 {
+					t.Fatal("no states explored")
+				}
+				distinct = res.DistinctStates
+			})
+			perState := allocs / float64(distinct)
+			t.Logf("allocs/run=%.0f distinct=%d allocs/state=%.2f", allocs, distinct, perState)
+			if perState > tc.ceiling {
+				t.Errorf("allocations per distinct state = %.2f, want <= %.1f", perState, tc.ceiling)
+			}
+		})
+	}
+}
+
+// TestAllocsPerSuccessor pins what successor enumeration itself allocates
+// once the buffer is warm: the clone is free (recycled), so what is left is
+// what handlers allocate — a log that grows, a message payload. Before
+// successor slots were recycled this was 13.2 per successor on craft.
+func TestAllocsPerSuccessor(t *testing.T) {
+	const ceiling = 2.0 // measured 0.45 here, ~1.0 on the benchmark's sampled states
+	m := craftHunt()
+	// Parents: the states of seeded random walks, so every depth the budget
+	// reaches is represented.
+	var parents []spec.State
+	rng := rand.New(rand.NewSource(1))
+	for w := 0; w < 40; w++ {
+		cur := m.Init()[0]
+		for d := 0; d < 30; d++ {
+			parents = append(parents, cur)
+			next := m.Next(cur)
+			if len(next) == 0 {
+				break
+			}
+			cur = next[rng.Intn(len(next))].State
 		}
-		distinct = res.DistinctStates
+	}
+	var buf []spec.Succ
+	succs := 0
+	for _, s := range parents { // grow the buffer outside the measurement
+		buf = m.AppendNext(s, buf[:0])
+		succs += len(buf)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, s := range parents {
+			buf = m.AppendNext(s, buf[:0])
+		}
 	})
-	perState := allocs / float64(distinct)
-	t.Logf("allocs/run=%.0f distinct=%d allocs/state=%.2f", allocs, distinct, perState)
-	if perState > maxAllocsPerState {
-		t.Errorf("allocations per distinct state = %.2f, want <= %.1f", perState, maxAllocsPerState)
+	perSucc := allocs / float64(succs)
+	t.Logf("allocs/run=%.0f successors=%d allocs/successor=%.2f", allocs, succs, perSucc)
+	if perSucc > ceiling {
+		t.Errorf("allocations per successor = %.2f, want <= %.1f", perSucc, ceiling)
 	}
 }

@@ -62,9 +62,10 @@ type PeerOptions struct {
 // seal turns it into a run-fatal configuration error.
 const invalidAction = ^uint16(0)
 
-// clusterCand is one buffered candidate successor. Locally generated
-// candidates carry the live state; inbound ones carry its wire encoding and
-// are decoded only if they win their merge group.
+// clusterCand is one buffered candidate successor. Those this peer owns and
+// generated carry the live state, taken out of the worker's buffer; outbound
+// ones (encoded by the worker, their states left to be recycled) and inbound
+// ones carry the wire encoding, decoded only if one wins its merge group.
 type clusterCand struct {
 	fp     uint64
 	parent uint64
@@ -391,12 +392,13 @@ func (w *expandWorker) expandChunkCluster(entries []frontierEntry, depth int) {
 	for _, fe := range entries {
 		w.buf = c.m.AppendNext(fe.state, w.buf[:0])
 		out.work += int64(len(w.buf))
-		for _, su := range w.buf {
+		for i, su := range w.buf {
 			f, reduced := c.canonicalFPScratch(su.State, &w.osc)
 			if reduced {
 				w.wc.SymmetryHit()
 			}
-			if cl.owns(f) && c.visited.Contains(f) {
+			owned := cl.owns(f)
+			if owned && c.visited.Contains(f) {
 				out.dedup++
 				w.wc.Observe(su.Event.Action, depth, false)
 				continue
@@ -405,7 +407,13 @@ func (w *expandWorker) expandChunkCluster(entries []frontierEntry, depth int) {
 			if !ok {
 				action = invalidAction
 			}
-			out.cands = append(out.cands, clusterCand{fp: f, parent: fe.fp, action: action, state: su.State})
+			cand := clusterCand{fp: f, parent: fe.fp, action: action}
+			if owned {
+				cand.state = spec.Keep(w.buf, i)
+			} else {
+				cand.enc = c.m.AppendState(nil, su.State)
+			}
+			out.cands = append(out.cands, cand)
 		}
 	}
 }
@@ -430,7 +438,7 @@ func (cl *clusterCtx) buildBlocks(cands []clusterCand) ([][]byte, []clusterCand,
 			for k := i; k < j; k++ {
 				wire = append(wire, transport.Candidate{
 					FP: cands[k].fp, Parent: cands[k].parent, Action: cands[k].action,
-					State: cl.c.m.AppendState(nil, cands[k].state),
+					State: cands[k].enc,
 				})
 			}
 			payload, err := transport.EncodeBlock(wire)

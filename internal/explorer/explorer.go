@@ -1047,7 +1047,7 @@ func (w *expandWorker) expandChunk(p *expandPool, entries []frontierEntry, depth
 	for _, fe := range entries {
 		w.buf = c.m.AppendNext(fe.state, w.buf[:0])
 		out.work += int64(len(w.buf))
-		for _, su := range w.buf {
+		for i, su := range w.buf {
 			fp, reduced := c.canonicalFPScratch(su.State, &w.osc)
 			fresh := c.visited.Insert(fp, fe.fp, int32(depth))
 			if wc := w.wc; wc != nil {
@@ -1060,7 +1060,9 @@ func (w *expandWorker) expandChunk(p *expandPool, entries []frontierEntry, depth
 				out.dedup++
 				continue
 			}
-			out.fresh = append(out.fresh, frontierEntry{state: su.State, fp: fp})
+			// Keep: the frontier outlives the buffer; a duplicate stays behind
+			// in the slack, where the machine builds the next successor.
+			out.fresh = append(out.fresh, frontierEntry{state: spec.Keep(w.buf, i), fp: fp})
 			if goal != nil && !out.goal && goal(su.State) {
 				out.goal = true
 			}

@@ -2,6 +2,7 @@ package explorer
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -191,6 +192,32 @@ func TestSimulationWalksAreSeededAndReproducible(t *testing.T) {
 	for i := range e1 {
 		if e1[i].String() != e2[i].String() {
 			t.Errorf("step %d differs: %v vs %v", i, e1[i], e2[i])
+		}
+	}
+}
+
+// TestSimulationWalkReplays: the fingerprints a walk records are those of a
+// replay of its own trace through the allocating Next. A walk steps through
+// one reused AppendNext buffer, whose slack the machine recycles; a walk that
+// left its current state in the buffer would have it overwritten by the next
+// enumeration and record fingerprints of states it never visited.
+func TestSimulationWalkReplays(t *testing.T) {
+	for _, m := range []spec.Machine{newToy(4, false), eqMachine(), zabMachine()} {
+		w := NewSimulator(m, SimOptions{MaxDepth: 40}).Walk(7)
+		if len(w.Trace.Steps) < 5 {
+			t.Fatalf("%s: walk of %d steps proves nothing", m.Name(), len(w.Trace.Steps))
+		}
+		cur := m.Init()[0]
+		for i, step := range w.Trace.Steps {
+			succs := m.Next(cur)
+			k := slices.IndexFunc(succs, func(su spec.Succ) bool { return su.Event.Matches(step.Event) })
+			if k < 0 {
+				t.Fatalf("%s: step %d (%s) is not enabled in a replay", m.Name(), i, step.Event)
+			}
+			cur = succs[k].State
+			if got := cur.Fingerprint(); got != step.Fingerprint {
+				t.Fatalf("%s: step %d recorded fingerprint %#x, replay reaches %#x", m.Name(), i, step.Fingerprint, got)
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package explorer
 
 import (
+	"slices"
+
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/trace"
 )
@@ -54,22 +56,16 @@ func (c *Checker) reconstruct(v *Violation) *trace.Trace {
 	var buf []spec.Succ
 	for _, want := range chain[1:] {
 		buf = c.m.AppendNext(cur, buf[:0])
-		var found *spec.Succ
-		for i := range buf {
-			if c.canonicalFP(buf[i].State) == want {
-				found = &buf[i]
-				break
-			}
-		}
-		if found == nil {
+		i := slices.IndexFunc(buf, func(su spec.Succ) bool { return c.canonicalFP(su.State) == want })
+		if i < 0 {
 			return nil
 		}
-		step := trace.Step{Event: found.Event, Fingerprint: want}
+		cur = spec.Keep(buf, i) // the next parent must not sit in the slack
+		step := trace.Step{Event: buf[i].Event, Fingerprint: want}
 		if c.opts.RecordVars {
-			step.Vars = found.State.Vars()
+			step.Vars = cur.Vars()
 		}
 		t.Steps = append(t.Steps, step)
-		cur = found.State
 	}
 	return t
 }

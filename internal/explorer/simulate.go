@@ -170,8 +170,9 @@ func (s *Simulator) Walk(seed int64) *WalkResult {
 			res.Stats.Terminal = "deadlock"
 			break
 		}
-		pick := buf[rng.Intn(len(buf))]
-		cur = pick.State
+		i := rng.Intn(len(buf))
+		pick := buf[i]
+		cur = spec.Keep(buf, i) // the next parent must not sit in the slack
 		res.Stats.Depth++
 		res.Stats.Actions[pick.Event.Action]++
 		res.Stats.EventTypes[pick.Event.Type]++
@@ -222,15 +223,15 @@ func (s *Simulator) Walks(n int) []*WalkResult {
 		walkDepth = s.opts.Metrics.Histogram("walk_depth", []int64{5, 10, 20, 50, 100, 500})
 	}
 
-	out := make([]*WalkResult, n)
+	// n is a request (10^8 walks under a one-second deadline), not a size.
+	var out []*WalkResult
 	steps := int64(0)
-	for i := range out {
+	for i := 0; i < n; i++ {
 		if s.opts.Context != nil && s.opts.Context.Err() != nil {
-			out = out[:i]
 			break
 		}
 		w := s.Walk(s.opts.Seed + int64(i))
-		out[i] = w
+		out = append(out, w)
 		steps += int64(w.Stats.Depth)
 
 		if reg := s.opts.Metrics; reg != nil {

@@ -97,7 +97,8 @@ func StatelessSearch(m spec.Machine, opts StatelessOptions) *StatelessResult {
 	// Each DFS depth owns one reusable successor buffer: a parent is still
 	// iterating its buffer while its children enumerate, so buffers cannot
 	// be shared across levels, but within a level every sibling reuses the
-	// same one.
+	// same one. No spec.Keep is needed either: the parent at depth d sits in
+	// the depth d-1 buffer, and a successor is dead once its subtree returns.
 	var bufs [][]spec.Succ
 
 	var dfs func(s spec.State, depth int) bool // returns false to abort

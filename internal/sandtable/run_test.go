@@ -353,6 +353,23 @@ func TestRunConfirm(t *testing.T) {
 			t.Error("writing into a missing directory must fail")
 		}
 	})
+	// `confirm -system gosyncobj -bug GoSyncObj#2 -shrink`, the benchmark's
+	// first workflow step. Trace reconstruction, every ddmin replay and the
+	// scenario behind the confirmation step through a reused AppendNext
+	// buffer; with successor slots recycled and one of those call sites
+	// keeping its state in the buffer, this reported "no violation found to
+	// confirm (224952 states)".
+	t.Run("GoSyncObj#2 through recycled successor slots", func(t *testing.T) {
+		set := sandtable.Defaults("confirm")
+		set.Bug, set.Shrink = "GoSyncObj#2", true
+		out, err := session(t, "gosyncobj", set).RunConfirm(context.Background(), set, sandtable.Sinks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Summary["confirmed"] != true || out.Summary["replay_steps"] != 13 || len(out.Trace.Steps) != 13 {
+			t.Errorf("confirm outcome: %v (trace of %d steps), want CONFIRMED over 13 events", out.Summary, len(out.Trace.Steps))
+		}
+	})
 	t.Run("no violation", func(t *testing.T) {
 		system, set := cleanRun("confirm")
 		out, err := session(t, system, set).RunConfirm(context.Background(), set, sandtable.Sinks{})

@@ -29,18 +29,21 @@ func Run(m spec.Machine, script []string) (*trace.Trace, error) {
 	var succs []spec.Succ
 	for i, want := range script {
 		succs = m.AppendNext(cur, succs[:0])
-		var matches []spec.Succ
-		for _, su := range succs {
+		match, matches := -1, 0
+		for k, su := range succs {
 			s := su.Event.String()
 			if s == want || strings.HasPrefix(s, want) {
-				matches = append(matches, su)
+				match = k
+				matches++
 			}
 		}
-		switch len(matches) {
+		switch matches {
 		case 1:
-			cur = matches[0].State
+			// cur is the next parent: take it out of the buffer the next
+			// AppendNext recycles.
+			cur = spec.Keep(succs, match)
 			t.Steps = append(t.Steps, trace.Step{
-				Event:       matches[0].Event,
+				Event:       succs[match].Event,
 				Vars:        cur.Vars(),
 				Fingerprint: cur.Fingerprint(),
 			})
@@ -49,7 +52,7 @@ func Run(m spec.Machine, script []string) (*trace.Trace, error) {
 				i+1, want, enabledList(succs))
 		default:
 			return nil, fmt.Errorf("scenario: step %d: %q is ambiguous (%d matches); enabled:\n%s",
-				i+1, want, len(matches), enabledList(succs))
+				i+1, want, matches, enabledList(succs))
 		}
 	}
 	return t, nil

@@ -277,9 +277,10 @@ func Replay(m spec.Machine, init map[string]string, events []trace.Event, record
 		if i < 0 {
 			return nil, false
 		}
-		found := succs[i]
-		cur = found.State
-		step := trace.Step{Event: found.Event, Fingerprint: cur.Fingerprint()}
+		// Every step's state outlives the buffer (cand.States): take it out
+		// of the slack the next AppendNext recycles.
+		cur = spec.Keep(succs, i)
+		step := trace.Step{Event: succs[i].Event, Fingerprint: cur.Fingerprint()}
 		if recordVars {
 			step.Vars = cur.Vars()
 		}

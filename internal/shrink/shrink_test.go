@@ -12,6 +12,7 @@ import (
 	"github.com/sandtable-go/sandtable/internal/replay"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/spec/spectest"
+	"github.com/sandtable-go/sandtable/internal/specs/toy"
 	"github.com/sandtable-go/sandtable/internal/trace"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
@@ -304,6 +305,25 @@ func TestReplayRejectsDisabledEvents(t *testing.T) {
 	bogus := trace.Event{Type: trace.EvTimeout, Action: "NoSuchAction", Node: 0}
 	if _, ok := Replay(m, nil, []trace.Event{bogus}, true); ok {
 		t.Error("unknown event accepted")
+	}
+}
+
+// TestReplayKeepsEveryState: Replay hands back every state it stepped
+// through (the oracle judges them), while stepping through one reused
+// AppendNext buffer whose slack the machine recycles. Each must still be the
+// state its trace step fingerprints — a state left in the buffer would be
+// overwritten by the next enumeration.
+func TestReplayKeepsEveryState(t *testing.T) {
+	m := &toy.LostUpdate{N: 4}
+	w := explorer.NewSimulator(m, explorer.SimOptions{}).Walk(3)
+	cand, ok := Replay(m, nil, w.Trace.Events(), false)
+	if !ok || len(cand.States) != len(w.Trace.Steps) || len(cand.States) < 5 {
+		t.Fatalf("replay of a %d-step walk: ok=%v, %d states", len(w.Trace.Steps), ok, len(cand.States))
+	}
+	for i, st := range cand.States {
+		if got, want := st.Fingerprint(), cand.Trace.Steps[i].Fingerprint; got != want {
+			t.Errorf("state %d now fingerprints %#x, its step recorded %#x", i, got, want)
+		}
 	}
 }
 

@@ -30,7 +30,9 @@ import (
 
 // State is one specification-level system state. Implementations must be
 // treated as immutable once returned from Init or Next: actions clone the
-// state, mutate the clone, and return it.
+// state, mutate the clone, and return it. (A successor handed out through a
+// reused AppendNext buffer lives only as long as its slot: see
+// BufferedMachine.)
 type State interface {
 	// Fingerprint returns a canonical 64-bit digest of the state. Equal
 	// states must produce equal fingerprints; the explorer treats distinct
@@ -80,16 +82,29 @@ type Machine interface {
 
 // BufferedMachine is successor enumeration into a caller-owned buffer.
 //
-// Ownership rules: the caller owns buf (and the returned slice, which may
-// share buf's backing array); the machine must not retain either across
-// calls. The successor *states* follow the usual immutability contract —
-// they are freshly built per call and never reused, so callers may keep them
-// after recycling the buffer.
+// Ownership rules: the caller owns buf[:len(buf)] and the returned slice
+// (which may share buf's backing array); the machine must not retain either
+// across calls, and never writes the parent s. The slack buf[len(buf):cap(buf)]
+// belongs to the machine: a State left there by an earlier call is dead, and
+// the machine may overwrite it in place to build the next successors — so a
+// successor is valid only until the next AppendNext that is handed its slot.
+// A caller that needs one for longer takes it out with Keep first; that
+// includes the common "step to a successor and enumerate from it through the
+// same buffer". Slack the machine cannot use — nil, a state of another
+// machine or another size — is replaced, never an error.
 type BufferedMachine interface {
 	// AppendNext appends every enabled transition from s to buf and returns
 	// the extended slice. The successors must already satisfy the machine's
 	// budget accounting (no transition that exceeds a budget is enumerated).
 	AppendNext(s State, buf []Succ) []Succ
+}
+
+// Keep takes successor i's state out of buf: it returns buf[i].State and
+// clears the slot, so that no later AppendNext on buf can recycle the state.
+func Keep(buf []Succ, i int) State {
+	s := buf[i].State
+	buf[i].State = nil
+	return s
 }
 
 // Symmetric is the node-permutation action symmetry reduction rests on

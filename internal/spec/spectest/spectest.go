@@ -22,9 +22,9 @@ import (
 
 // AssertContract asserts every law of the spec.Machine contract at every
 // state of `walks` seeded random walks of up to `depth` steps: buffered
-// append semantics, orbit fingerprint against the materialising oracle, codec
-// round trip with its corruption sweep, and equivariance of the successor
-// relation.
+// append semantics with slack recycling, orbit fingerprint against the
+// materialising oracle, codec round trip with its corruption sweep, and
+// equivariance of the successor relation.
 func AssertContract(t *testing.T, m spec.Machine, walks, depth int, seed int64) {
 	t.Helper()
 	assertPointwise(t, m, walks, depth, seed)
@@ -111,59 +111,119 @@ func AssertOrbitEquiv(t *testing.T, m spec.Machine, walks, depth int, seed int64
 	})
 }
 
-// AssertBufferedEquiv asserts, at every walked state s, that
-// AppendNext(s, buf) appends exactly the successors Next(s) returns — same
-// count, same events, same successor fingerprints — while reusing one
-// scratch buffer across all calls (the explorer's per-worker usage pattern).
-// It also asserts the append contract proper: an existing buffer prefix
-// survives untouched.
+// AssertBufferedEquiv asserts the ownership rules of spec.BufferedMachine
+// along walks that step through one reused buffer — the way the explorer's
+// workers, the simulator and trace reconstruction use it — so that from the
+// second step on the buffer's slack is full of dead states for the machine to
+// recycle, including every sibling of the state being expanded. At every
+// state s of such a walk:
+//
+//   - AppendNext(s, buf[:0]) yields the same (event, fingerprint, encoding)
+//     sequence as the allocating AppendNext(s, nil);
+//   - s itself, which the previous step took out of buf with spec.Keep,
+//     encodes to the same bytes after the call as before it;
+//   - so does every state Keep took earlier in the walk, however many calls
+//     ago.
+//
+// It also asserts that slack the machine cannot use (nil slots, another
+// machine's states) is replaced rather than tripped over, and the append
+// contract proper: an existing buffer prefix survives untouched.
 func AssertBufferedEquiv(t *testing.T, m spec.Machine, walks, depth int, seed int64) {
 	t.Helper()
-	var buf []spec.Succ
-	walk(m, walks, depth, seed, func(cur spec.State, _ int) bool {
-		buf = m.AppendNext(cur, buf[:0])
-		compareSuccs(t, m, m.Next(cur), buf, 0)
-		return true
-	})
+	type kept struct {
+		s   spec.State
+		enc []byte
+	}
+	rng := rand.New(rand.NewSource(seed))
+	// The walks share the buffer, so a walk's first steps recycle states of
+	// the previous walk's last ones. It starts out as slack of the wrong kind.
+	buf := make([]spec.Succ, 0, 4)
+	for i := range buf[:cap(buf)] {
+		if i%2 == 0 {
+			buf[:cap(buf)][i].State = alien{}
+		}
+	}
+	for w := 0; w < walks; w++ {
+		inits := m.Init()
+		cur := inits[rng.Intn(len(inits))]
+		var keeps []kept
+		for d := 0; d <= depth; d++ {
+			before := m.AppendState(nil, cur)
+			want := m.AppendNext(cur, nil)
+			buf = m.AppendNext(cur, buf[:0])
+			compareSuccs(t, m, want, buf, 0)
+			if after := m.AppendState(nil, cur); !bytes.Equal(before, after) {
+				t.Fatalf("%s: AppendNext through a reused buffer changed its parent at depth %d", m.Name(), d)
+			}
+			for age, k := range keeps {
+				if now := m.AppendState(nil, k.s); !bytes.Equal(k.enc, now) {
+					t.Fatalf("%s: a state taken with Keep at depth %d changed %d calls later", m.Name(), age+1, d-age)
+				}
+			}
+			if len(buf) == 0 {
+				break
+			}
+			cur = spec.Keep(buf, rng.Intn(len(buf)))
+			keeps = append(keeps, kept{cur, m.AppendState(nil, cur)})
+		}
+	}
 
 	// Append contract: a non-empty prefix must survive untouched.
 	s := m.Init()[0]
-	prefix := m.AppendNext(s, nil)
-	if len(prefix) == 0 {
+	want := m.AppendNext(s, nil)
+	if len(want) == 0 {
 		return
 	}
-	// Snapshot the expectation first: the second AppendNext may legally grow
-	// prefix's backing array in place, overwriting prefix[1:].
-	want := append([]spec.Succ(nil), prefix...)
+	prefix := m.AppendNext(s, nil)
 	out := m.AppendNext(s, prefix[:1])
 	if len(out) != 1+len(want) {
 		t.Fatalf("%s: AppendNext with prefix returned %d successors, want %d",
 			m.Name(), len(out), 1+len(want))
 	}
-	if out[0].Event.String() != want[0].Event.String() ||
-		out[0].State.Fingerprint() != want[0].State.Fingerprint() {
-		t.Fatalf("%s: AppendNext overwrote the buffer prefix", m.Name())
-	}
+	compareSuccs(t, m, want[:1], out[:1], 0)
 	compareSuccs(t, m, want, out, 1)
 }
 
-// compareSuccs asserts got[skip:] matches want element-wise (event rendering
-// and successor fingerprint — fingerprints are the explorer's notion of
-// state identity).
+// alien is a state of no machine under test: slack an AppendNext must not
+// mistake for its own.
+type alien struct{}
+
+func (alien) Fingerprint() uint64     { return 0 }
+func (alien) Vars() map[string]string { return nil }
+
+// AssertSlackTolerates asserts that m enumerates correctly into a buffer
+// whose slack holds donor's successor states — the same family at another
+// node count, say — and leaves its own in a state donor tolerates in turn.
+func AssertSlackTolerates(t *testing.T, m, donor spec.Machine) {
+	t.Helper()
+	buf := donor.AppendNext(donor.Init()[0], nil)
+	for _, mm := range []spec.Machine{m, donor, m} {
+		s := mm.Init()[0]
+		buf = mm.AppendNext(s, buf[:0])
+		compareSuccs(t, mm, mm.AppendNext(s, nil), buf, 0)
+	}
+}
+
+// compareSuccs asserts got[skip:] matches want element-wise: event
+// rendering, successor fingerprint (the explorer's notion of state identity)
+// and successor encoding (all it keeps of a state).
 func compareSuccs(t *testing.T, m spec.Machine, want, got []spec.Succ, skip int) {
 	t.Helper()
 	got = got[skip:]
 	if len(want) != len(got) {
-		t.Fatalf("%s: AppendNext returned %d successors, Next returned %d",
+		t.Fatalf("%s: AppendNext into a buffer returned %d successors, into nil %d",
 			m.Name(), len(got), len(want))
 	}
 	for i := range want {
 		if w, g := want[i].Event.String(), got[i].Event.String(); w != g {
-			t.Fatalf("%s: successor %d event mismatch: Next %q, AppendNext %q", m.Name(), i, w, g)
+			t.Fatalf("%s: successor %d event mismatch: fresh %q, buffered %q", m.Name(), i, w, g)
 		}
 		if w, g := want[i].State.Fingerprint(), got[i].State.Fingerprint(); w != g {
-			t.Fatalf("%s: successor %d state fingerprint mismatch: Next %#x, AppendNext %#x",
+			t.Fatalf("%s: successor %d state fingerprint mismatch: fresh %#x, buffered %#x",
 				m.Name(), i, w, g)
+		}
+		if w, g := m.AppendState(nil, want[i].State), m.AppendState(nil, got[i].State); !bytes.Equal(w, g) {
+			t.Fatalf("%s: successor %d encodes differently fresh (%x) and buffered (%x)", m.Name(), i, w, g)
 		}
 	}
 }
@@ -231,6 +291,31 @@ func AssertCodecRoundTrip(t *testing.T, m spec.Machine, walks, depth int, seed i
 			}
 		}
 		return true
+	})
+}
+
+// FuzzDecodeState fuzzes m.DecodeState, seeded with the encodings of the
+// states along `walks` seeded walks of up to `depth` steps. Encoded states
+// come back from spill runs, checkpoints and peers, so whatever the bytes,
+// DecodeState must return an error or a state that survives what the engine
+// does to a decoded state first: canonical hashing, rendering, and encoding
+// again.
+func FuzzDecodeState(f *testing.F, m spec.Machine, walks, depth int, seed int64) {
+	walk(m, walks, depth, seed, func(s spec.State, _ int) bool {
+		f.Add(m.AppendState(nil, s))
+		return true
+	})
+	f.Fuzz(func(t *testing.T, enc []byte) {
+		s, rest, err := m.DecodeState(enc)
+		if err != nil {
+			return
+		}
+		if len(rest) > len(enc) {
+			t.Fatalf("%s: DecodeState returned %d remaining bytes of %d", m.Name(), len(rest), len(enc))
+		}
+		hashEveryWay(m, s)
+		s.Vars()
+		m.AppendState(nil, s)
 	})
 }
 

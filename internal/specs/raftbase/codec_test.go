@@ -8,6 +8,7 @@ import (
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/spec"
+	"github.com/sandtable-go/sandtable/internal/spec/spectest"
 	"github.com/sandtable-go/sandtable/internal/vnet"
 )
 
@@ -135,7 +136,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			if flagged == 0 {
 				// The BFS cutoff may sit above the first flagged state, so
 				// exercise the Viol.Flag encoding on a synthetic one.
-				s := queue[len(queue)-1].(*State).clone()
+				s := queue[len(queue)-1].(*State).cloneInto(nil)
 				s.Viol.Flag = "synthetic-flag"
 				dec, _, err := codec.DecodeState(codec.AppendState(nil, s))
 				if err != nil {
@@ -190,4 +191,11 @@ func TestCodecRejectsTruncation(t *testing.T) {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(enc))
 		}
 	}
+}
+
+// FuzzDecodeState fuzzes the Raft-family codec on the build that encodes the
+// most fields (UDP queues, snapshots, durability mirrors), seeded with
+// reachable states; see spectest.FuzzDecodeState.
+func FuzzDecodeState(f *testing.F) {
+	spectest.FuzzDecodeState(f, codecMachines()["craft-dirty"], 8, 40, 3)
 }

@@ -94,7 +94,9 @@ func (m *Machine) Next(st spec.State) []spec.Succ {
 
 // AppendNext implements spec.BufferedMachine: it appends every enabled
 // node-level event to buf, letting the explorer reuse one successor buffer
-// per worker instead of allocating a slice per expanded state.
+// per worker instead of allocating a slice per expanded state — and, through
+// the buffer's slack, the successor states themselves: each successor is
+// cloned into the dead state its slot still holds from an earlier call.
 func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	s := st.(*State)
 	if s.Viol.Flag != "" && !m.opt.ContinuePastFlag {
@@ -103,6 +105,16 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 		return buf
 	}
 	out := buf
+	// clone copies s into the state the next append would overwrite. A
+	// successor add drops for overflow leaves its slot, so the next one
+	// recycles it.
+	clone := func() *State {
+		var dead *State
+		if len(out) < cap(out) {
+			dead, _ = out[:len(out)+1][len(out)].State.(*State)
+		}
+		return s.cloneInto(dead)
+	}
 	add := func(ev trace.Event, n *State) {
 		if m.overflows(n) {
 			return
@@ -117,14 +129,14 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 		}
 		// Election timeout: any non-leader may time out at any moment.
 		if s.Role[i] != Leader && s.Counters.CanTimeout(b) {
-			n := s.clone()
+			n := clone()
 			n.Counters.Timeouts++
 			m.electionTimeout(n, i)
 			add(trace.Event{Type: trace.EvTimeout, Action: "TimeoutElection", Node: i, Payload: "election"}, n)
 		}
 		// Heartbeat timeout: leaders replicate on their heartbeat timer.
 		if s.Role[i] == Leader && s.Counters.CanTimeout(b) {
-			n := s.clone()
+			n := clone()
 			n.Counters.Timeouts++
 			m.broadcastAppend(n, i)
 			add(trace.Event{Type: trace.EvTimeout, Action: "TimeoutHeartbeat", Node: i, Payload: "heartbeat"}, n)
@@ -133,20 +145,20 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 		if s.Role[i] == Leader && s.Counters.CanRequest(b) {
 			if m.opt.KV {
 				for _, v := range m.opt.Config.Workload {
-					n := s.clone()
+					n := clone()
 					n.Counters.Requests++
 					m.clientPut(n, i, "x", v)
 					add(trace.Event{Type: trace.EvRequest, Action: "ClientPut", Node: i, Payload: "put x " + v}, n)
 				}
 				if m.getEnabled(s, i) {
-					n := s.clone()
+					n := clone()
 					n.Counters.Requests++
 					m.clientGet(n, i, "x")
 					add(trace.Event{Type: trace.EvRequest, Action: "ClientGet", Node: i, Payload: "get x"}, n)
 				}
 			} else {
 				for _, v := range m.opt.Config.Workload {
-					n := s.clone()
+					n := clone()
 					n.Counters.Requests++
 					m.clientAppend(n, i, v)
 					add(trace.Event{Type: trace.EvRequest, Action: "ClientRequest", Node: i, Payload: v}, n)
@@ -155,14 +167,14 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 		}
 		// Log compaction (snapshotting systems): an internal admin action.
 		if m.opt.Snapshots && s.Role[i] == Leader && s.Commit[i] > s.SnapIdx[i] && s.Counters.CanCompact(b) {
-			n := s.clone()
+			n := clone()
 			n.Counters.Compactions++
 			m.compactLog(n, i)
 			add(trace.Event{Type: trace.EvRequest, Action: "CompactLog", Node: i, Payload: "!compact"}, n)
 		}
 		// Node crash.
 		if s.Counters.CanCrash(b) {
-			n := s.clone()
+			n := clone()
 			n.Counters.Crashes++
 			m.crash(n, i)
 			add(trace.Event{Type: trace.EvCrash, Action: "NodeCrash", Node: i}, n)
@@ -172,7 +184,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 		// variables. Consumes the crash budget too, so MaxDirtyCrashes
 		// selects how many of the crashes may be dirty.
 		if s.Counters.CanCrash(b) && s.Counters.CanDirtyCrash(b) {
-			n := s.clone()
+			n := clone()
 			n.Counters.Crashes++
 			n.Counters.DirtyCrashes++
 			m.crashDirty(n, i)
@@ -184,7 +196,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 		if s.Up[i] || !s.Counters.CanRestart(b) {
 			continue
 		}
-		n := s.clone()
+		n := clone()
 		n.Counters.Restarts++
 		m.restart(n, i)
 		add(trace.Event{Type: trace.EvRestart, Action: "NodeStart", Node: i}, n)
@@ -202,7 +214,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 				limit = len(q)
 			}
 			for k := 0; k < limit; k++ {
-				n := s.clone()
+				n := clone()
 				msg := n.takeMsg(src, dst, k)
 				action := m.dispatch(n, src, dst, msg)
 				add(trace.Event{Type: trace.EvDeliver, Action: action, Node: dst, Peer: src, Index: k}, n)
@@ -210,13 +222,13 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 			if m.opt.Transport == vnet.UDP {
 				for k := 0; k < len(q); k++ {
 					if s.Counters.CanDrop(b) {
-						n := s.clone()
+						n := clone()
 						n.Counters.Drops++
 						n.takeMsg(src, dst, k)
 						add(trace.Event{Type: trace.EvDrop, Action: "DropMessage", Node: dst, Peer: src, Index: k}, n)
 					}
 					if s.Counters.CanDuplicate(b) {
-						n := s.clone()
+						n := clone()
 						n.Counters.Duplicates++
 						n.Chan[src][dst] = append(n.Chan[src][dst], n.Chan[src][dst][k])
 						add(trace.Event{Type: trace.EvDuplicate, Action: "DuplicateMessage", Node: dst, Peer: src, Index: k}, n)
@@ -231,13 +243,13 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 		for a := 0; a < m.n; a++ {
 			for bn := a + 1; bn < m.n; bn++ {
 				if !s.Part[a][bn] && s.Counters.CanPartition(b) {
-					n := s.clone()
+					n := clone()
 					n.Counters.Partitions++
 					m.partition(n, a, bn)
 					add(trace.Event{Type: trace.EvPartition, Action: "NetworkPartition", Node: a, Peer: bn}, n)
 				}
 				if s.Part[a][bn] {
-					n := s.clone()
+					n := clone()
 					m.heal(n, a, bn)
 					add(trace.Event{Type: trace.EvRecover, Action: "NetworkRecover", Node: a, Peer: bn}, n)
 				}
@@ -263,11 +275,12 @@ func (m *Machine) overflows(s *State) bool {
 	return false
 }
 
-// takeMsg removes and returns message k of channel src→dst.
+// takeMsg removes and returns message k of channel src→dst, closing the gap
+// in place: s is a successor under construction, and its queues are its own.
 func (s *State) takeMsg(src, dst, k int) Msg {
 	q := s.Chan[src][dst]
 	msg := q[k]
-	s.Chan[src][dst] = append(q[:k:k], q[k+1:]...)
+	s.Chan[src][dst] = q[:k+copy(q[k:], q[k+1:])]
 	return msg
 }
 

@@ -163,63 +163,62 @@ type State struct {
 
 	Counters spec.Counters
 	Viol     spec.Violation
+
+	// mem is the storage cloneInto carved the slices above from (zero for a
+	// state built any other way).
+	mem arena
 }
 
 func newState(n int) *State {
-	s := &State{n: n}
-	s.Role = make([]int, n)
-	s.Term = make([]int, n)
-	s.VotedFor = make([]int, n)
-	for i := range s.VotedFor {
-		s.VotedFor[i] = -1
-	}
-	s.Log = make([][]Entry, n)
-	s.Commit = make([]int, n)
-	s.SnapIdx = make([]int, n)
-	s.SnapTerm = make([]int, n)
-	s.Votes = make([][]bool, n)
-	s.PreVotes = make([][]bool, n)
-	s.Next = make([][]int, n)
-	s.Match = make([][]int, n)
-	s.Up = make([]bool, n)
-	for i := range s.Up {
-		s.Up[i] = true
-	}
-	s.DurTerm = make([]int, n)
-	s.DurVote = make([]int, n)
-	for i := range s.DurVote {
-		s.DurVote[i] = -1
-	}
-	s.DurLog = make([][]Entry, n)
-	s.Chan = make([][][]Msg, n)
-	s.Cut = make([][]bool, n)
-	s.Part = make([][]bool, n)
+	s := new(State)
+	s.shape(n)
 	for i := 0; i < n; i++ {
-		s.Chan[i] = make([][]Msg, n)
-		s.Cut[i] = make([]bool, n)
-		s.Part[i] = make([]bool, n)
+		s.VotedFor[i] = -1
+		s.DurVote[i] = -1
+		s.Up[i] = true
 	}
 	return s
 }
 
-// clone deep-copies the state with a flat-backing allocation discipline:
-// related slices are carved out of a handful of shared backing arrays with
-// exact-capacity (three-index) subslices instead of one allocation each.
-// clone runs once per generated successor — it dominates the explorer's
-// allocation profile — and the flat layout cuts its allocation count by
-// roughly 3x.
-//
-// Safety of the shared backing rests on two facts: every subslice is carved
-// with cap == len, so any later append (Log, DurLog, Chan queues, Committed)
-// reallocates instead of growing into a neighbour's region; and in-place
-// writes (Votes[i][j] = true, Next[i][j] = k) stay within the row's own
-// disjoint region.
-func (s *State) clone() *State {
-	n := s.n
-	c := &State{n: n, snapshots: s.snapshots, kv: s.kv, durability: s.durability}
+// arena is the backing storage cloneInto carves a state's slices out of. It
+// stays with the State it was allocated for, so recycling that State reuses
+// every array that is still large enough.
+type arena struct {
+	ints     []int     // Role..DurVote, eight rows
+	bools    []bool    // Up, then the Cut and Part matrices
+	boolRows [][]bool  // outers of Cut, Part, Votes, PreVotes
+	bflat    []bool    // non-nil Votes/PreVotes rows
+	intRows  [][]int   // outers of Next, Match
+	iflat    []int     // non-nil Next/Match rows
+	logRows  [][]Entry // outers of Log, DurLog
+	eflat    []Entry   // every Log, DurLog and Committed entry
+	chans    [][][]Msg
+	chanRows [][]Msg
+	mflat    []Msg // every queued message
+}
 
-	// Fixed-size per-node int slices: one backing array, eight views.
-	ints := make([]int, 8*n)
+// sized returns a[:n], reallocating when a is too small — how a recycled
+// state's backing arrays are reused. The contents are stale: callers
+// overwrite every element they keep.
+func sized[T any](a []T, n int) []T {
+	if cap(a) < n {
+		return make([]T, n)
+	}
+	return a[:n]
+}
+
+// shape gives c its fixed-shape fields for n nodes, carved from its arena
+// with exact-capacity (three-index) subslices: the eight per-node int rows
+// out of one array, Up and the Cut and Part matrices out of another, and the
+// outers of every nil-able row and of the channel matrix. A fresh State gets
+// zeroed storage; a recycled one keeps its stale contents, which the caller
+// overwrites.
+func (c *State) shape(n int) {
+	a := &c.mem
+	c.n = n
+
+	a.ints = sized(a.ints, 8*n)
+	ints := a.ints
 	c.Role = ints[0*n : 1*n : 1*n]
 	c.Term = ints[1*n : 2*n : 2*n]
 	c.VotedFor = ints[2*n : 3*n : 3*n]
@@ -228,6 +227,62 @@ func (s *State) clone() *State {
 	c.SnapTerm = ints[5*n : 6*n : 6*n]
 	c.DurTerm = ints[6*n : 7*n : 7*n]
 	c.DurVote = ints[7*n : 8*n : 8*n]
+
+	a.bools = sized(a.bools, n+2*n*n)
+	bools := a.bools
+	c.Up = bools[0:n:n]
+	a.boolRows = sized(a.boolRows, 4*n)
+	c.Cut = a.boolRows[0:n:n]
+	c.Part = a.boolRows[n : 2*n : 2*n]
+	c.Votes = a.boolRows[2*n : 3*n : 3*n]
+	c.PreVotes = a.boolRows[3*n : 4*n : 4*n]
+	off := n
+	for i := 0; i < n; i++ {
+		c.Cut[i] = bools[off : off+n : off+n]
+		c.Part[i] = bools[off+n*n : off+n*n+n : off+n*n+n]
+		off += n
+	}
+
+	a.intRows = sized(a.intRows, 2*n)
+	c.Next = a.intRows[0:n:n]
+	c.Match = a.intRows[n : 2*n : 2*n]
+	a.logRows = sized(a.logRows, 2*n)
+	c.Log = a.logRows[0:n:n]
+	c.DurLog = a.logRows[n : 2*n : 2*n]
+
+	a.chans = sized(a.chans, n)
+	c.Chan = a.chans
+	a.chanRows = sized(a.chanRows, n*n)
+	for i := 0; i < n; i++ {
+		c.Chan[i] = a.chanRows[i*n : (i+1)*n : (i+1)*n]
+	}
+}
+
+// cloneInto deep-copies s into dst, reusing dst's arena (the
+// reset-don't-reallocate discipline: cloneInto runs once per generated
+// successor and used to dominate the explorer's allocation profile), and
+// returns dst; a nil dst is replaced by a fresh State, and dst must not be s
+// (spec.BufferedMachine: a caller takes the state it steps to out of the
+// buffer's slack with spec.Keep). Related
+// slices are carved out of a handful of shared backing arrays with
+// exact-capacity (three-index) subslices instead of one allocation each.
+//
+// Safety of the shared backing rests on two facts: every subslice is carved
+// with its capacity ending where its own region ends (cap == len, plus the
+// slot of slack a channel queue may own), so any later append (Log, DurLog,
+// Chan queues, Committed) reallocates instead of growing into a neighbour's
+// region; and in-place writes (Votes[i][j] = true, Next[i][j] = k, takeMsg)
+// stay within the row's own disjoint region. Nothing outside dst ever points into dst's arena — message
+// payloads (Msg.Entries) are standalone arrays shared read-only — so
+// overwriting a dead state cannot disturb a live one.
+func (s *State) cloneInto(dst *State) *State {
+	n := s.n
+	if dst == nil {
+		dst = new(State)
+	}
+	c, a := dst, &dst.mem
+	c.snapshots, c.kv, c.durability = s.snapshots, s.kv, s.durability
+	c.shape(n)
 	copy(c.Role, s.Role)
 	copy(c.Term, s.Term)
 	copy(c.VotedFor, s.VotedFor)
@@ -236,38 +291,18 @@ func (s *State) clone() *State {
 	copy(c.SnapTerm, s.SnapTerm)
 	copy(c.DurTerm, s.DurTerm)
 	copy(c.DurVote, s.DurVote)
-
-	// Up plus the Cut/Part matrices: one flat bool array, one shared outer.
-	bools := make([]bool, n+2*n*n)
-	c.Up = bools[0:n:n]
 	copy(c.Up, s.Up)
-	boolRows := make([][]bool, 2*n)
-	c.Cut = boolRows[0:n:n]
-	c.Part = boolRows[n : 2*n : 2*n]
-	off := n
 	for i := 0; i < n; i++ {
-		c.Cut[i] = bools[off : off+n : off+n]
 		copy(c.Cut[i], s.Cut[i])
-		off += n
-	}
-	for i := 0; i < n; i++ {
-		c.Part[i] = bools[off : off+n : off+n]
 		copy(c.Part[i], s.Part[i])
-		off += n
 	}
 
-	// Votes/PreVotes: shared outer; non-nil rows carved from one flat array.
-	voteRows := make([][]bool, 2*n)
-	c.Votes = voteRows[0:n:n]
-	c.PreVotes = voteRows[n : 2*n : 2*n]
+	// Votes/PreVotes: non-nil rows carved from one flat array.
 	nb := 0
 	for i := 0; i < n; i++ {
 		nb += len(s.Votes[i]) + len(s.PreVotes[i])
 	}
-	var bflat []bool
-	if nb > 0 {
-		bflat = make([]bool, 0, nb)
-	}
+	bflat := sized(a.bflat, nb)[:0]
 	cloneBoolRow := func(row []bool) []bool {
 		if row == nil {
 			return nil
@@ -280,19 +315,14 @@ func (s *State) clone() *State {
 		c.Votes[i] = cloneBoolRow(s.Votes[i])
 		c.PreVotes[i] = cloneBoolRow(s.PreVotes[i])
 	}
+	a.bflat = bflat
 
 	// Next/Match: same flat discipline with ints.
-	repRows := make([][]int, 2*n)
-	c.Next = repRows[0:n:n]
-	c.Match = repRows[n : 2*n : 2*n]
 	ni := 0
 	for i := 0; i < n; i++ {
 		ni += len(s.Next[i]) + len(s.Match[i])
 	}
-	var iflat []int
-	if ni > 0 {
-		iflat = make([]int, 0, ni)
-	}
+	iflat := sized(a.iflat, ni)[:0]
 	cloneIntRow := func(row []int) []int {
 		if row == nil {
 			return nil
@@ -305,20 +335,15 @@ func (s *State) clone() *State {
 		c.Next[i] = cloneIntRow(s.Next[i])
 		c.Match[i] = cloneIntRow(s.Match[i])
 	}
+	a.iflat = iflat
 
-	// Log/DurLog/Committed entries: shared outer for the two log matrices,
-	// one flat entry array for every copied entry.
-	logRows := make([][]Entry, 2*n)
-	c.Log = logRows[0:n:n]
-	c.DurLog = logRows[n : 2*n : 2*n]
+	// Log/DurLog/Committed entries: one flat entry array for every copied
+	// entry.
 	ne := len(s.Committed)
 	for i := 0; i < n; i++ {
 		ne += len(s.Log[i]) + len(s.DurLog[i])
 	}
-	var eflat []Entry
-	if ne > 0 {
-		eflat = make([]Entry, 0, ne)
-	}
+	eflat := sized(a.eflat, ne)[:0]
 	cloneEntries := func(es []Entry) []Entry {
 		if len(es) == 0 {
 			return nil
@@ -332,30 +357,33 @@ func (s *State) clone() *State {
 		c.DurLog[i] = cloneEntries(s.DurLog[i])
 	}
 	c.Committed = cloneEntries(s.Committed)
+	a.eflat = eflat
 
-	// Channels: shared outer, flat row array, one flat message array.
-	c.Chan = make([][][]Msg, n)
-	chanRows := make([][]Msg, n*n)
+	// Channels: one flat message array. A recycled arena usually has room to
+	// spare, which is handed out as one slot of slack after each queue while
+	// it lasts, so that the first send on a channel — most successors send
+	// at most one message per channel — appends in place. (A state built from
+	// scratch is sized exactly: it may be one a caller keeps.)
 	nm := 0
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			nm += len(s.Chan[i][j])
 		}
 	}
-	var mflat []Msg
-	if nm > 0 {
-		mflat = make([]Msg, 0, nm)
-	}
+	mflat := sized(a.mflat, nm)
+	mflat = mflat[:min(cap(mflat), nm+n*n)]
+	spare := len(mflat) - nm
+	off := 0
 	for i := 0; i < n; i++ {
-		c.Chan[i] = chanRows[i*n : (i+1)*n : (i+1)*n]
 		for j := 0; j < n; j++ {
-			if q := s.Chan[i][j]; len(q) > 0 {
-				start := len(mflat)
-				mflat = append(mflat, q...)
-				c.Chan[i][j] = mflat[start:len(mflat):len(mflat)]
-			}
+			end := off + copy(mflat[off:], s.Chan[i][j])
+			slack := min(spare, 1)
+			spare -= slack
+			c.Chan[i][j] = mflat[off : end : end+slack]
+			off = end + slack
 		}
 	}
+	a.mflat = mflat
 
 	c.SnapConflictInstall = s.SnapConflictInstall
 	c.LastReadNode = s.LastReadNode

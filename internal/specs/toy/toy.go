@@ -32,6 +32,9 @@ type LostUpdateState struct {
 	Mem   int
 	Local []int
 	PC    []int
+	// ints is the array cloneInto carved Local and PC from, kept so that
+	// recycling the state reuses it.
+	ints []int
 }
 
 // Fingerprint implements spec.State: the identity-permutation combine of
@@ -92,16 +95,25 @@ func (s *LostUpdateState) Vars() map[string]string {
 	return m
 }
 
-func (s *LostUpdateState) clone() *LostUpdateState {
+// cloneInto copies s into dst, reusing dst's array, and returns dst; a nil
+// dst is replaced by a fresh state, and dst must not be s.
+func (s *LostUpdateState) cloneInto(dst *LostUpdateState) *LostUpdateState {
 	// Local and PC share one backing array (exact-cap subslices): two copies,
 	// one allocation. Neither slice is ever appended to, so the shared
 	// backing can never alias across fields.
 	n := len(s.PC)
-	ints := make([]int, 2*n)
-	c := &LostUpdateState{Mem: s.Mem, Local: ints[0:n:n], PC: ints[n : 2*n : 2*n]}
-	copy(c.Local, s.Local)
-	copy(c.PC, s.PC)
-	return c
+	if dst == nil {
+		dst = new(LostUpdateState)
+	}
+	ints := dst.ints
+	if cap(ints) < 2*n {
+		ints = make([]int, 2*n)
+	}
+	ints = ints[:2*n]
+	*dst = LostUpdateState{Mem: s.Mem, Local: ints[0:n:n], PC: ints[n : 2*n : 2*n], ints: ints}
+	copy(dst.Local, s.Local)
+	copy(dst.PC, s.PC)
+	return dst
 }
 
 // LostUpdate is the machine. Atomic=true fixes the race (read and write
@@ -125,14 +137,22 @@ func (m *LostUpdate) Next(st spec.State) []spec.Succ {
 }
 
 // AppendNext implements spec.BufferedMachine (successors appended to a
-// caller-owned scratch buffer; see spec.BufferedMachine).
+// caller-owned scratch buffer, each built in the dead state its slot holds;
+// see spec.BufferedMachine).
 func (m *LostUpdate) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	s := st.(*LostUpdateState)
 	out := buf
+	clone := func() *LostUpdateState {
+		var dead *LostUpdateState
+		if len(out) < cap(out) {
+			dead, _ = out[:len(out)+1][len(out)].State.(*LostUpdateState)
+		}
+		return s.cloneInto(dead)
+	}
 	for i := 0; i < m.N; i++ {
 		switch s.PC[i] {
 		case pcIdle:
-			n := s.clone()
+			n := clone()
 			if m.Atomic {
 				n.Mem++
 				n.PC[i] = pcDone
@@ -143,7 +163,7 @@ func (m *LostUpdate) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 				out = append(out, succ("Read", i, n))
 			}
 		case pcRead:
-			n := s.clone()
+			n := clone()
 			n.Mem = s.Local[i] + 1
 			n.Local[i] = 0 // register is dead after the write; normalise it
 			n.PC[i] = pcDone

@@ -72,6 +72,16 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 		return buf
 	}
 	out := buf
+	// clone copies s into the dead state the next append would overwrite
+	// (see spec.BufferedMachine); a successor add drops leaves its slot, so
+	// the next one recycles it.
+	clone := func() *State {
+		var dead *State
+		if len(out) < cap(out) {
+			dead, _ = out[:len(out)+1][len(out)].State.(*State)
+		}
+		return s.cloneInto(dead)
+	}
 	add := func(ev trace.Event, n *State) {
 		if m.budget.MaxBuffer > 0 {
 			for i := 0; i < m.n; i++ {
@@ -92,7 +102,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 		}
 		// Election timeout: the node (re-)enters leader election.
 		if s.Counters.CanTimeout(b) {
-			n := s.clone()
+			n := clone()
 			n.Counters.Timeouts++
 			m.startElection(n, i)
 			add(trace.Event{Type: trace.EvTimeout, Action: "TimeoutElection", Node: i, Payload: "election"}, n)
@@ -100,7 +110,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 		// Client requests served by an activated leader.
 		if s.ZState[i] == Leading && s.Activated[i] && s.Counters.CanRequest(b) {
 			for _, v := range m.cfg.Workload {
-				n := s.clone()
+				n := clone()
 				n.Counters.Requests++
 				m.clientRequest(n, i, v)
 				add(trace.Event{Type: trace.EvRequest, Action: "ClientRequest", Node: i, Payload: v}, n)
@@ -108,7 +118,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 		}
 		// Node crash.
 		if s.Counters.CanCrash(b) {
-			n := s.clone()
+			n := clone()
 			n.Counters.Crashes++
 			m.crash(n, i)
 			add(trace.Event{Type: trace.EvCrash, Action: "NodeCrash", Node: i}, n)
@@ -118,7 +128,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 		if s.Up[i] || !s.Counters.CanRestart(b) {
 			continue
 		}
-		n := s.clone()
+		n := clone()
 		n.Counters.Restarts++
 		m.restart(n, i)
 		add(trace.Event{Type: trace.EvRestart, Action: "NodeStart", Node: i}, n)
@@ -130,7 +140,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 			if src == dst || len(s.Chan[src][dst]) == 0 || !s.Up[dst] {
 				continue
 			}
-			n := s.clone()
+			n := clone()
 			q := n.Chan[src][dst]
 			msg := q[0]
 			n.Chan[src][dst] = q[1:]
@@ -143,7 +153,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	for a := 0; a < m.n; a++ {
 		for bn := a + 1; bn < m.n; bn++ {
 			if !s.Part[a][bn] && s.Counters.CanPartition(b) {
-				n := s.clone()
+				n := clone()
 				n.Counters.Partitions++
 				n.Part[a][bn], n.Part[bn][a] = true, true
 				n.Cut[a][bn], n.Cut[bn][a] = true, true
@@ -151,7 +161,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 				add(trace.Event{Type: trace.EvPartition, Action: "NetworkPartition", Node: a, Peer: bn}, n)
 			}
 			if s.Part[a][bn] {
-				n := s.clone()
+				n := clone()
 				n.Part[a][bn], n.Part[bn][a] = false, false
 				if n.Up[a] && n.Up[bn] {
 					n.Cut[a][bn], n.Cut[bn][a] = false, false

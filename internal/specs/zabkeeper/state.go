@@ -109,36 +109,23 @@ type State struct {
 
 	Counters spec.Counters
 	Viol     spec.Violation
+
+	// mem is the storage cloneInto carved the slices above from (zero for a
+	// state built any other way).
+	mem arena
 }
 
 func newState(n int) *State {
-	s := &State{n: n}
-	s.ZState = make([]int, n)
-	s.Round = make([]int, n)
-	s.Vote = make([]Vote, n)
-	s.Recv = make([][]Vote, n)
-	s.Epoch = make([]int, n)
-	s.History = make([][]Txn, n)
-	s.Commit = make([]int, n)
-	s.LeaderID = make([]int, n)
-	s.PendEpoch = make([]int, n)
-	s.Synced = make([][]bool, n)
-	s.Acked = make([][]int, n)
-	s.Activated = make([]bool, n)
-	s.Counter = make([]int, n)
-	s.Up = make([]bool, n)
-	s.Chan = make([][][]Msg, n)
-	s.Cut = make([][]bool, n)
-	s.Part = make([][]bool, n)
+	s := new(State)
+	s.shape(n)
 	for i := 0; i < n; i++ {
+		for j := range s.Recv[i] {
+			s.Recv[i][j] = Vote{Leader: -1}
+		}
 		s.Vote[i] = Vote{Leader: i}
-		s.Recv[i] = emptyRecv(n)
 		s.Recv[i][i] = s.Vote[i]
 		s.LeaderID[i] = -1
 		s.Up[i] = true
-		s.Chan[i] = make([][]Msg, n)
-		s.Cut[i] = make([]bool, n)
-		s.Part[i] = make([]bool, n)
 	}
 	return s
 }
@@ -151,20 +138,46 @@ func emptyRecv(n int) []Vote {
 	return r
 }
 
-// clone deep-copies the state with the same flat-backing allocation
-// discipline as raftbase: related slices are carved from a few shared
-// backing arrays with exact-capacity subslices, so the per-successor clone
-// — the explorer's dominant allocation source — costs a handful of
-// allocations instead of one per slice. Every subslice has cap == len, so
-// later appends (History, Chan queues, Committed) reallocate rather than
-// growing into a neighbour's region; in-place row writes stay within their
-// own disjoint region.
-func (s *State) clone() *State {
-	n := s.n
-	c := &State{n: n}
+// arena is the backing storage cloneInto carves a state's slices out of; it
+// stays with its State, so recycling the State reuses the arrays.
+type arena struct {
+	ints     []int    // ZState..Counter, seven rows
+	bools    []bool   // Up, Activated, then the Cut and Part matrices
+	boolRows [][]bool // outers of Cut, Part, Synced
+	sflat    []bool   // non-nil Synced rows
+	acked    [][]int
+	aflat    []int  // non-nil Acked rows
+	vflat    []Vote // Vote, then the Recv matrix
+	recv     [][]Vote
+	history  [][]Txn
+	tflat    []Txn // every History and Committed transaction
+	chans    [][][]Msg
+	chanRows [][]Msg
+	mflat    []Msg // every queued message
+}
 
-	// Fixed-size per-node int slices: one backing array, seven views.
-	ints := make([]int, 7*n)
+// sized returns a[:n], reallocating when a is too small — how a recycled
+// state's backing arrays are reused. The contents are stale: callers
+// overwrite every element they keep.
+func sized[T any](a []T, n int) []T {
+	if cap(a) < n {
+		return make([]T, n)
+	}
+	return a[:n]
+}
+
+// shape gives c its fixed-shape fields for n nodes, carved from its arena
+// with exact-capacity subslices: the seven per-node int rows out of one
+// array; Up, Activated and the Cut and Part matrices out of another; Vote and
+// the always-square Recv matrix out of a third; and the outers of every
+// nil-able row and of the channel matrix. A fresh State gets zeroed storage;
+// a recycled one keeps its stale contents, which the caller overwrites.
+func (c *State) shape(n int) {
+	a := &c.mem
+	c.n = n
+
+	a.ints = sized(a.ints, 7*n)
+	ints := a.ints
 	c.ZState = ints[0*n : 1*n : 1*n]
 	c.Round = ints[1*n : 2*n : 2*n]
 	c.Epoch = ints[2*n : 3*n : 3*n]
@@ -172,6 +185,56 @@ func (s *State) clone() *State {
 	c.LeaderID = ints[4*n : 5*n : 5*n]
 	c.PendEpoch = ints[5*n : 6*n : 6*n]
 	c.Counter = ints[6*n : 7*n : 7*n]
+
+	a.bools = sized(a.bools, 2*n+2*n*n)
+	bools := a.bools
+	c.Up = bools[0:n:n]
+	c.Activated = bools[n : 2*n : 2*n]
+	a.boolRows = sized(a.boolRows, 3*n)
+	c.Cut = a.boolRows[0:n:n]
+	c.Part = a.boolRows[n : 2*n : 2*n]
+	c.Synced = a.boolRows[2*n : 3*n : 3*n]
+
+	a.vflat = sized(a.vflat, n+n*n)
+	c.Vote = a.vflat[0:n:n]
+	a.recv = sized(a.recv, n)
+	c.Recv = a.recv
+
+	a.acked = sized(a.acked, n)
+	c.Acked = a.acked
+	a.history = sized(a.history, n)
+	c.History = a.history
+	a.chans = sized(a.chans, n)
+	c.Chan = a.chans
+	a.chanRows = sized(a.chanRows, n*n)
+
+	off := 2 * n
+	for i := 0; i < n; i++ {
+		c.Cut[i] = bools[off : off+n : off+n]
+		c.Part[i] = bools[off+n*n : off+n*n+n : off+n*n+n]
+		c.Recv[i] = a.vflat[n+i*n : n+(i+1)*n : n+(i+1)*n]
+		c.Chan[i] = a.chanRows[i*n : (i+1)*n : (i+1)*n]
+		off += n
+	}
+}
+
+// cloneInto deep-copies s into dst, reusing dst's arena, and returns dst; a
+// nil dst is replaced by a fresh State, and dst must not be s. It follows the same
+// flat-backing discipline as raftbase: related slices are carved from a few
+// shared backing arrays. Every subslice's capacity ends where its own region
+// ends (cap == len, plus the slot of slack a channel queue may own), so later
+// appends (History, Chan queues, Committed) reallocate rather than growing
+// into a neighbour's region; in-place row writes stay within their own
+// disjoint region; and nothing outside dst points into its arena (Msg.History
+// payloads are standalone copies), so overwriting a dead state cannot disturb
+// a live one.
+func (s *State) cloneInto(dst *State) *State {
+	n := s.n
+	if dst == nil {
+		dst = new(State)
+	}
+	c, a := dst, &dst.mem
+	c.shape(n)
 	copy(c.ZState, s.ZState)
 	copy(c.Round, s.Round)
 	copy(c.Epoch, s.Epoch)
@@ -179,85 +242,44 @@ func (s *State) clone() *State {
 	copy(c.LeaderID, s.LeaderID)
 	copy(c.PendEpoch, s.PendEpoch)
 	copy(c.Counter, s.Counter)
-
-	// Up/Activated plus the Cut/Part matrices: one flat bool array; Cut,
-	// Part, and Synced share one outer row array.
-	bools := make([]bool, 2*n+2*n*n)
-	c.Up = bools[0:n:n]
-	c.Activated = bools[n : 2*n : 2*n]
 	copy(c.Up, s.Up)
 	copy(c.Activated, s.Activated)
-	boolRows := make([][]bool, 3*n)
-	c.Cut = boolRows[0:n:n]
-	c.Part = boolRows[n : 2*n : 2*n]
-	c.Synced = boolRows[2*n : 3*n : 3*n]
-	off := 2 * n
+	copy(c.Vote, s.Vote)
 	for i := 0; i < n; i++ {
-		c.Cut[i] = bools[off : off+n : off+n]
 		copy(c.Cut[i], s.Cut[i])
-		off += n
-	}
-	for i := 0; i < n; i++ {
-		c.Part[i] = bools[off : off+n : off+n]
 		copy(c.Part[i], s.Part[i])
-		off += n
+		copy(c.Recv[i], s.Recv[i])
 	}
-	nsy := 0
+
+	// Synced and Acked: nil-able leader rows carved from counted flat arrays.
+	nsy, na := 0, 0
 	for i := 0; i < n; i++ {
 		nsy += len(s.Synced[i])
+		na += len(s.Acked[i])
 	}
-	var sflat []bool
-	if nsy > 0 {
-		sflat = make([]bool, 0, nsy)
-	}
+	sflat := sized(a.sflat, nsy)[:0]
+	aflat := sized(a.aflat, na)[:0]
 	for i := 0; i < n; i++ {
+		c.Synced[i], c.Acked[i] = nil, nil
 		if row := s.Synced[i]; row != nil {
 			start := len(sflat)
 			sflat = append(sflat, row...)
 			c.Synced[i] = sflat[start:len(sflat):len(sflat)]
 		}
-	}
-
-	// Acked: nil-able leader rows carved from one counted flat array.
-	c.Acked = make([][]int, n)
-	na := 0
-	for i := 0; i < n; i++ {
-		na += len(s.Acked[i])
-	}
-	var aflat []int
-	if na > 0 {
-		aflat = make([]int, 0, na)
-	}
-	for i := 0; i < n; i++ {
 		if row := s.Acked[i]; row != nil {
 			start := len(aflat)
 			aflat = append(aflat, row...)
 			c.Acked[i] = aflat[start:len(aflat):len(aflat)]
 		}
 	}
-
-	// Vote and the always-square Recv matrix: one flat Vote array.
-	vflat := make([]Vote, n+n*n)
-	c.Vote = vflat[0:n:n]
-	copy(c.Vote, s.Vote)
-	c.Recv = make([][]Vote, n)
-	voff := n
-	for i := 0; i < n; i++ {
-		c.Recv[i] = vflat[voff : voff+n : voff+n]
-		copy(c.Recv[i], s.Recv[i])
-		voff += n
-	}
+	a.sflat, a.aflat = sflat, aflat
 
 	// History and the ghost Committed sequence: one counted flat Txn array.
-	c.History = make([][]Txn, n)
 	nt := len(s.Committed)
 	for i := 0; i < n; i++ {
 		nt += len(s.History[i])
 	}
-	var tflat []Txn
-	if nt > 0 {
-		tflat = make([]Txn, 0, nt)
-	}
+	tflat := sized(a.tflat, nt)[:0]
 	cloneTxns := func(ts []Txn) []Txn {
 		if len(ts) == 0 {
 			return nil
@@ -270,30 +292,32 @@ func (s *State) clone() *State {
 		c.History[i] = cloneTxns(s.History[i])
 	}
 	c.Committed = cloneTxns(s.Committed)
+	a.tflat = tflat
 
-	// Channels: shared outer, flat row array, one flat message array.
-	c.Chan = make([][][]Msg, n)
-	chanRows := make([][]Msg, n*n)
+	// Channels: one flat message array. A recycled arena usually has room to
+	// spare, which is handed out as one slot of slack after each queue while
+	// it lasts, so that the first send on a channel appends in place. (A
+	// state built from scratch is sized exactly: it may be one a caller keeps.)
 	nm := 0
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			nm += len(s.Chan[i][j])
 		}
 	}
-	var mflat []Msg
-	if nm > 0 {
-		mflat = make([]Msg, 0, nm)
-	}
+	mflat := sized(a.mflat, nm)
+	mflat = mflat[:min(cap(mflat), nm+n*n)]
+	spare := len(mflat) - nm
+	off := 0
 	for i := 0; i < n; i++ {
-		c.Chan[i] = chanRows[i*n : (i+1)*n : (i+1)*n]
 		for j := 0; j < n; j++ {
-			if q := s.Chan[i][j]; len(q) > 0 {
-				start := len(mflat)
-				mflat = append(mflat, q...)
-				c.Chan[i][j] = mflat[start:len(mflat):len(mflat)]
-			}
+			end := off + copy(mflat[off:], s.Chan[i][j])
+			slack := min(spare, 1)
+			spare -= slack
+			c.Chan[i][j] = mflat[off : end : end+slack]
+			off = end + slack
 		}
 	}
+	a.mflat = mflat
 
 	c.Counters = s.Counters
 	c.Viol = s.Viol

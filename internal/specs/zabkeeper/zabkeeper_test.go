@@ -158,3 +158,10 @@ func TestContract(t *testing.T) {
 		})
 	}
 }
+
+// FuzzDecodeState fuzzes the zabkeeper codec, seeded with reachable states;
+// see spectest.FuzzDecodeState.
+func FuzzDecodeState(f *testing.F) {
+	b := spec.Budget{Name: "fuzz", MaxTimeouts: 4, MaxCrashes: 1, MaxRestarts: 1, MaxRequests: 2, MaxPartitions: 1, MaxBuffer: 3}
+	spectest.FuzzDecodeState(f, zabkeeper.New(cfg(), b, bugdb.NoBugs()), 8, 60, 3)
+}
