@@ -27,9 +27,10 @@ race-conform:
 # operations (send/deliver/drop/duplicate against a model oracle) and over
 # the decoders of checkpoint bytes: the snapshot envelope reader, the
 # delta-block payload parser, and the frontier-record reader (no panic, no
-# allocation sized from a count the input cannot back) — and over the two
+# allocation sized from a count the input cannot back) — over the two
 # state codecs themselves, whose DecodeState runs on every record read back
-# from a spill run, a checkpoint or a peer.
+# from a spill run, a checkpoint or a peer — and over the wire block a peer
+# sends at every level barrier.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/vnet/ -fuzz FuzzQueueOps -fuzztime $(FUZZTIME)
@@ -38,6 +39,7 @@ fuzz:
 	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzFrontierRecords$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/specs/raftbase/ -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/specs/zabkeeper/ -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzDecodeWireBlock$$' -fuzztime $(FUZZTIME)
 
 # docs is the documentation gate: gofmt cleanliness, go vet, doc comments
 # on every exported identifier in the audited packages, and unbroken

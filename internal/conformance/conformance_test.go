@@ -93,7 +93,7 @@ func (m *counterMachine) DecodeState(src []byte) (spec.State, []byte, error) {
 	s := &counterState{vals: make([]int, m.n)}
 	for i := range s.vals {
 		s.vals[i] = int(src[i])
-		s.counters.Requests += s.vals[i]
+		s.counters.Requests += int32(s.vals[i])
 	}
 	return s, src[m.n:], nil
 }

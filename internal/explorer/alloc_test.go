@@ -2,6 +2,7 @@ package explorer
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
@@ -49,10 +50,11 @@ func TestAllocsPerState(t *testing.T) {
 		ceiling   float64
 	}{
 		{"toy", func() spec.Machine { return newToy(4, false) }, 0, 8}, // measured 6.3
-		{"craft", craftHunt, 60000, 20},                                // measured 13.1
-		// 7.5 of zabkeeper's are the VoteTotalOrder invariant building its
-		// vote list, once per fresh state.
-		{"zabkeeper", zabHunt, 60000, 34}, // measured 22.4
+		// Per-node boolean rows became bit masks (no row, no outer, no flat
+		// array to allocate) and zabkeeper's VoteTotalOrder invariant stopped
+		// building its vote lists on the heap: craft was 13.4, zabkeeper 22.7.
+		{"craft", craftHunt, 60000, 16},   // measured 10.9
+		{"zabkeeper", zabHunt, 60000, 21}, // measured 14.0
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var distinct int
@@ -67,6 +69,43 @@ func TestAllocsPerState(t *testing.T) {
 			t.Logf("allocs/run=%.0f distinct=%d allocs/state=%.2f", allocs, distinct, perState)
 			if perState > tc.ceiling {
 				t.Errorf("allocations per distinct state = %.2f, want <= %.1f", perState, tc.ceiling)
+			}
+		})
+	}
+}
+
+// TestBytesPerState pins the expansion pipeline's byte budget the way
+// TestAllocsPerState pins its allocation count: heap bytes allocated
+// (MemStats.TotalAlloc) per distinct state of a single-worker BFS. On the
+// frontier-bound inputs this engine is for, run time follows this number
+// almost linearly — it is the page a fresh state first touches and the memory
+// the collector then has to mark — so a State that grows a field, a queued
+// message that grows an operand or a row that gets its own allocation shows
+// here before it shows on a clock. Before queued messages were stored packed,
+// the State slimmed and boolean rows turned into bit masks, craft measured
+// 4157 and zabkeeper 5249. Ceilings have the same ~1.5x headroom.
+func TestBytesPerState(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mk      func() spec.Machine
+		ceiling float64
+	}{
+		{"craft", craftHunt, 3600},   // measured 2374
+		{"zabkeeper", zabHunt, 4400}, // measured 2962
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			res := NewChecker(tc.mk(), Options{Workers: 1, Symmetry: true, MaxStates: 60000}).Run()
+			runtime.ReadMemStats(&after)
+			if res.DistinctStates == 0 {
+				t.Fatal("no states explored")
+			}
+			perState := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.DistinctStates)
+			t.Logf("distinct=%d bytes/state=%.0f", res.DistinctStates, perState)
+			if perState > tc.ceiling {
+				t.Errorf("heap bytes per distinct state = %.0f, want <= %.0f", perState, tc.ceiling)
 			}
 		})
 	}

@@ -194,6 +194,9 @@ func WriteTrace(path string, tr *trace.Trace) error {
 // and Bug.
 func NewSession(sys *System, set Settings) (*SandTable, error) {
 	cfg := sys.DefaultConfig
+	if set.Nodes > spec.MaxNodes {
+		return nil, fmt.Errorf("%d nodes: a specification state indexes at most %d", set.Nodes, spec.MaxNodes)
+	}
 	if set.Nodes > 0 {
 		cfg = spec.Config{Name: fmt.Sprintf("n%dw2", set.Nodes), Nodes: set.Nodes, Workload: []string{"v1", "v2"}}
 	}

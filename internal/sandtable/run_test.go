@@ -78,6 +78,9 @@ func TestNewSession(t *testing.T) {
 	if _, err := sandtable.NewSession(sys, sandtable.Settings{Bug: "NoSuch#1"}); err == nil {
 		t.Error("unknown bug id must fail")
 	}
+	if _, err := sandtable.NewSession(sys, sandtable.Settings{Nodes: 65}); err == nil {
+		t.Error("more nodes than a specification state indexes must fail, not panic")
+	}
 	zero := 0
 	st, err := sandtable.NewSession(sys, sandtable.Settings{
 		Bug: "GoSyncObj#2", Nodes: 3, MaxTimeouts: 9, MaxRequests: 8, MaxCrashes: &zero, MaxDirtyCrashes: 7, MaxBuffer: 6,

@@ -115,10 +115,13 @@ func (m *incMachine) DecodeState(src []byte) (spec.State, []byte, error) {
 	if len(src) <= m.n {
 		return nil, nil, fmt.Errorf("inc: truncated state")
 	}
-	s := &incState{vals: make([]int, m.n), spiked: src[m.n] != 0}
+	if src[m.n] > 1 {
+		return nil, nil, fmt.Errorf("inc: spike flag %#x is not a boolean", src[m.n])
+	}
+	s := &incState{vals: make([]int, m.n), spiked: src[m.n] == 1}
 	for i := range s.vals {
 		s.vals[i] = int(src[i])
-		s.counters.Requests += s.vals[i]
+		s.counters.Requests += int32(s.vals[i])
 	}
 	return s, src[m.n+1:], nil
 }

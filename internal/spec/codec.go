@@ -40,6 +40,18 @@ func (d *Decoder) Int(what string) int {
 	return int(v)
 }
 
+// Int32 reads one signed varint into a field the state stores in 32 bits. A
+// value that does not fit is an error: narrowing it would decode hostile
+// bytes into a different, well-formed state.
+func (d *Decoder) Int32(what string) int32 {
+	v := d.Int(what)
+	if int(int32(v)) != v {
+		d.Failf("%s %d does not fit the 32 bits it is stored in", what, v)
+		return 0
+	}
+	return int32(v)
+}
+
 // Uvarint reads one unsigned varint.
 func (d *Decoder) Uvarint(what string) uint64 {
 	if d.Err != nil {
@@ -91,6 +103,44 @@ func (d *Decoder) Row(what string, n int) bool {
 	return d.Err == nil && code != 0
 }
 
+// AppendNodeSetRow appends s the way the nil-able row of n booleans it stands
+// in for was encoded (see NodeSet.RowLen): a 0 marker for the empty set, else
+// n+1 and one boolean byte per node.
+func AppendNodeSetRow(dst []byte, s NodeSet, n int) []byte {
+	if s == 0 {
+		return append(dst, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(n)+1)
+	for j := 0; j < n; j++ {
+		if s.Has(j) {
+			dst = append(dst, 1)
+		} else {
+			dst = append(dst, 0)
+		}
+	}
+	return dst
+}
+
+// NodeSetRow reads what AppendNodeSetRow wrote for a set that, when it has a
+// member at all, has node self (a candidate's own vote, a leader synced with
+// itself). A row without self is refused: as a set it would be empty or
+// partial, which the state reads as no row or cannot tell from one.
+func (d *Decoder) NodeSetRow(what string, n, self int) NodeSet {
+	if !d.Row(what, n) {
+		return 0
+	}
+	var s NodeSet
+	for j := 0; j < n; j++ {
+		if d.Bool(what) {
+			s.Add(j)
+		}
+	}
+	if d.Err == nil && !s.Has(self) {
+		d.Failf("%s row of node %d lacks the node itself", what, self)
+	}
+	return s
+}
+
 // Byte reads one raw byte.
 func (d *Decoder) Byte(what string) byte {
 	if d.Err != nil {
@@ -105,8 +155,16 @@ func (d *Decoder) Byte(what string) byte {
 	return b
 }
 
-// Bool reads one byte as a boolean (non-zero is true).
-func (d *Decoder) Bool(what string) bool { return d.Byte(what) != 0 }
+// Bool reads one byte as a boolean: 0 or 1, as encoders write it. Any other
+// byte is an error rather than a second spelling of true, so that a decoded
+// state encodes back to the bytes it came from.
+func (d *Decoder) Bool(what string) bool {
+	b := d.Byte(what)
+	if b > 1 {
+		d.Failf("%s byte %#x is not a boolean", what, b)
+	}
+	return b == 1
+}
 
 // Str reads a length-prefixed string.
 func (d *Decoder) Str(what string) string {
@@ -116,24 +174,26 @@ func (d *Decoder) Str(what string) string {
 	return s
 }
 
+// fields lists the counters in Hash order, which is their encoding order.
+func (c *Counters) fields() [9]*int32 {
+	return [...]*int32{
+		&c.Timeouts, &c.Crashes, &c.Restarts, &c.Requests, &c.Partitions,
+		&c.Drops, &c.Duplicates, &c.Compactions, &c.DirtyCrashes,
+	}
+}
+
 // AppendTo appends the counters' encoding (one varint per field, in Hash
 // order) to dst; Decode reads it back.
 func (c *Counters) AppendTo(dst []byte) []byte {
-	for _, v := range [...]int{
-		c.Timeouts, c.Crashes, c.Restarts, c.Requests, c.Partitions,
-		c.Drops, c.Duplicates, c.Compactions, c.DirtyCrashes,
-	} {
-		dst = binary.AppendVarint(dst, int64(v))
+	for _, p := range c.fields() {
+		dst = binary.AppendVarint(dst, int64(*p))
 	}
 	return dst
 }
 
 // Decode reads the encoding AppendTo wrote.
 func (c *Counters) Decode(d *Decoder) {
-	for _, p := range [...]*int{
-		&c.Timeouts, &c.Crashes, &c.Restarts, &c.Requests, &c.Partitions,
-		&c.Drops, &c.Duplicates, &c.Compactions, &c.DirtyCrashes,
-	} {
-		*p = d.Int("counters")
+	for _, p := range c.fields() {
+		*p = d.Int32("counters")
 	}
 }

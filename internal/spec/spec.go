@@ -260,32 +260,35 @@ func (b Budget) Double() Budget {
 
 // Counters tracks how much of each budget a state has consumed. Specs embed
 // Counters in their state structs; actions bump the relevant counter and
-// refuse to enumerate once the budget is exhausted.
+// refuse to enumerate once the budget is exhausted. Every live state carries
+// one, so the fields are as narrow as needs no overflow story: a counter
+// moves by one per transition and stops at its budget, and Decode rejects an
+// encoding that does not fit.
 type Counters struct {
-	Timeouts    int
-	Crashes     int
-	Restarts    int
-	Requests    int
-	Partitions  int
-	Drops       int
-	Duplicates  int
-	Compactions int
+	Timeouts    int32
+	Crashes     int32
+	Restarts    int32
+	Requests    int32
+	Partitions  int32
+	Drops       int32
+	Duplicates  int32
+	Compactions int32
 	// DirtyCrashes counts crash-consistency faults taken (NodeCrashDirty).
-	DirtyCrashes int
+	DirtyCrashes int32
 }
 
 // Hash mixes the counters into a state fingerprint.
 func (c *Counters) Hash(h *fp.Hasher) {
 	h.Sep()
-	h.WriteInt(c.Timeouts)
-	h.WriteInt(c.Crashes)
-	h.WriteInt(c.Restarts)
-	h.WriteInt(c.Requests)
-	h.WriteInt(c.Partitions)
-	h.WriteInt(c.Drops)
-	h.WriteInt(c.Duplicates)
-	h.WriteInt(c.Compactions)
-	h.WriteInt(c.DirtyCrashes)
+	h.WriteInt(int(c.Timeouts))
+	h.WriteInt(int(c.Crashes))
+	h.WriteInt(int(c.Restarts))
+	h.WriteInt(int(c.Requests))
+	h.WriteInt(int(c.Partitions))
+	h.WriteInt(int(c.Drops))
+	h.WriteInt(int(c.Duplicates))
+	h.WriteInt(int(c.Compactions))
+	h.WriteInt(int(c.DirtyCrashes))
 }
 
 // Vars renders the counters for conformance output.
@@ -295,19 +298,19 @@ func (c *Counters) Vars(m map[string]string) {
 }
 
 // CanTimeout etc. report whether the corresponding budget still has room.
-func (c *Counters) CanTimeout(b Budget) bool   { return c.Timeouts < b.MaxTimeouts }
-func (c *Counters) CanCrash(b Budget) bool     { return c.Crashes < b.MaxCrashes }
-func (c *Counters) CanRestart(b Budget) bool   { return c.Restarts < b.MaxRestarts }
-func (c *Counters) CanRequest(b Budget) bool   { return c.Requests < b.MaxRequests }
-func (c *Counters) CanPartition(b Budget) bool { return c.Partitions < b.MaxPartitions }
-func (c *Counters) CanDrop(b Budget) bool      { return c.Drops < b.MaxDrops }
-func (c *Counters) CanDuplicate(b Budget) bool { return c.Duplicates < b.MaxDuplicates }
-func (c *Counters) CanCompact(b Budget) bool   { return c.Compactions < b.MaxCompactions }
+func (c *Counters) CanTimeout(b Budget) bool   { return int(c.Timeouts) < b.MaxTimeouts }
+func (c *Counters) CanCrash(b Budget) bool     { return int(c.Crashes) < b.MaxCrashes }
+func (c *Counters) CanRestart(b Budget) bool   { return int(c.Restarts) < b.MaxRestarts }
+func (c *Counters) CanRequest(b Budget) bool   { return int(c.Requests) < b.MaxRequests }
+func (c *Counters) CanPartition(b Budget) bool { return int(c.Partitions) < b.MaxPartitions }
+func (c *Counters) CanDrop(b Budget) bool      { return int(c.Drops) < b.MaxDrops }
+func (c *Counters) CanDuplicate(b Budget) bool { return int(c.Duplicates) < b.MaxDuplicates }
+func (c *Counters) CanCompact(b Budget) bool   { return int(c.Compactions) < b.MaxCompactions }
 
 // CanDirtyCrash reports whether another crash-consistency fault fits the
 // budget (dirty crashes also consume the ordinary crash budget, so a spec
 // should check both).
-func (c *Counters) CanDirtyCrash(b Budget) bool { return c.DirtyCrashes < b.MaxDirtyCrashes }
+func (c *Counters) CanDirtyCrash(b Budget) bool { return int(c.DirtyCrashes) < b.MaxDirtyCrashes }
 
 // Violation is the standard auxiliary variable specs use to flag
 // action-property violations (e.g. "match index is not monotonic", which is

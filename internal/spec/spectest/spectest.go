@@ -9,8 +9,10 @@ package spectest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -69,6 +71,32 @@ func walk(m spec.Machine, walks, depth int, seed int64, visit func(s spec.State,
 	}
 }
 
+// BFS calls visit with every state of a breadth-first search of m from its
+// initial states, deduplicated by plain fingerprint, until maxStates have
+// been visited. It is built from Next and State.Fingerprint alone, for laws
+// that should hold at every reachable state rather than along sampled walks.
+func BFS(m spec.Machine, maxStates int, visit func(spec.State)) {
+	seen := make(map[uint64]bool)
+	var queue []spec.State
+	push := func(s spec.State) {
+		if f := s.Fingerprint(); !seen[f] && len(seen) < maxStates {
+			seen[f] = true
+			queue = append(queue, s)
+		}
+	}
+	for _, s := range m.Init() {
+		push(s)
+	}
+	for len(queue) > 0 {
+		s := queue[0]
+		queue = queue[1:]
+		visit(s)
+		for _, su := range m.Next(s) {
+			push(su.State)
+		}
+	}
+}
+
 // AssertOrbitEquiv asserts the canonicalization law at every walked state s
 // against the materialising oracle Permute(s, p).Fingerprint():
 //
@@ -122,13 +150,17 @@ func AssertOrbitEquiv(t *testing.T, m spec.Machine, walks, depth int, seed int64
 //     sequence as the allocating AppendNext(s, nil);
 //   - s itself, which the previous step took out of buf with spec.Keep,
 //     encodes to the same bytes after the call as before it;
-//   - so does every state Keep took earlier in the walk, however many calls
-//     ago.
+//   - so does every state Keep took earlier, in this walk or a previous one,
+//     however many calls ago.
 //
-// It also asserts that slack the machine cannot use (nil slots, another
-// machine's states) is replaced rather than tripped over, and the append
+// It also asserts that slack the machine cannot use as it stands is replaced
+// rather than tripped over — nil slots and states of no machine to begin
+// with, and before each walk the successors one of the donors enumerates
+// through the same buffer: the same family at another node count, a machine
+// of another type. The donor recycles what m left there, is held to the first
+// rule itself, and leaves its own states for m to find. Last comes the append
 // contract proper: an existing buffer prefix survives untouched.
-func AssertBufferedEquiv(t *testing.T, m spec.Machine, walks, depth int, seed int64) {
+func AssertBufferedEquiv(t *testing.T, m spec.Machine, walks, depth int, seed int64, donors ...spec.Machine) {
 	t.Helper()
 	type kept struct {
 		s   spec.State
@@ -143,10 +175,16 @@ func AssertBufferedEquiv(t *testing.T, m spec.Machine, walks, depth int, seed in
 			buf[:cap(buf)][i].State = alien{}
 		}
 	}
+	var keeps []kept
 	for w := 0; w < walks; w++ {
+		if len(donors) > 0 {
+			d := donors[w%len(donors)]
+			s := d.Init()[0]
+			buf = d.AppendNext(s, buf[:0])
+			compareSuccs(t, d, d.AppendNext(s, nil), buf, 0)
+		}
 		inits := m.Init()
 		cur := inits[rng.Intn(len(inits))]
-		var keeps []kept
 		for d := 0; d <= depth; d++ {
 			before := m.AppendState(nil, cur)
 			want := m.AppendNext(cur, nil)
@@ -157,7 +195,7 @@ func AssertBufferedEquiv(t *testing.T, m spec.Machine, walks, depth int, seed in
 			}
 			for age, k := range keeps {
 				if now := m.AppendState(nil, k.s); !bytes.Equal(k.enc, now) {
-					t.Fatalf("%s: a state taken with Keep at depth %d changed %d calls later", m.Name(), age+1, d-age)
+					t.Fatalf("%s: a state taken with Keep changed %d calls later (walk %d, depth %d)", m.Name(), len(keeps)-age, w, d)
 				}
 			}
 			if len(buf) == 0 {
@@ -190,19 +228,6 @@ type alien struct{}
 
 func (alien) Fingerprint() uint64     { return 0 }
 func (alien) Vars() map[string]string { return nil }
-
-// AssertSlackTolerates asserts that m enumerates correctly into a buffer
-// whose slack holds donor's successor states — the same family at another
-// node count, say — and leaves its own in a state donor tolerates in turn.
-func AssertSlackTolerates(t *testing.T, m, donor spec.Machine) {
-	t.Helper()
-	buf := donor.AppendNext(donor.Init()[0], nil)
-	for _, mm := range []spec.Machine{m, donor, m} {
-		s := mm.Init()[0]
-		buf = mm.AppendNext(s, buf[:0])
-		compareSuccs(t, mm, mm.AppendNext(s, nil), buf, 0)
-	}
-}
 
 // compareSuccs asserts got[skip:] matches want element-wise: event
 // rendering, successor fingerprint (the explorer's notion of state identity)
@@ -239,7 +264,15 @@ func compareSuccs(t *testing.T, m spec.Machine, want, got []spec.Succ, skip int)
 //   - every strict prefix of an encoding fails to decode — no silent short
 //     reads;
 //   - a single corrupted byte either fails to decode or yields a state that
-//     hashes (plain and under every node permutation) without panicking.
+//     hashes (plain and under every node permutation) without panicking;
+//   - decoding never narrows: with a varint too large for any field stored
+//     in fewer than 64 bits spliced in at each offset in turn, DecodeState
+//     fails or returns a state that encodes back to exactly the bytes it
+//     consumed. (A decoder that wrapped the value would hand back a
+//     different, well-formed state — one whose re-fingerprint check is all
+//     that stands between it and a silently wrong frontier.) The same
+//     equality on the untouched encoding is the round trip's own statement
+//     that what a state stores of a message is lossless.
 func AssertCodecRoundTrip(t *testing.T, m spec.Machine, walks, depth int, seed int64) {
 	t.Helper()
 	succFPs := func(s spec.State) []uint64 {
@@ -262,6 +295,9 @@ func AssertCodecRoundTrip(t *testing.T, m spec.Machine, walks, depth int, seed i
 		}
 		if got, want := dec.Fingerprint(), cur.Fingerprint(); got != want {
 			t.Fatalf("%s: fingerprint %#x after round trip, want %#x", m.Name(), got, want)
+		}
+		if again := m.AppendState(nil, dec); !bytes.Equal(again, enc) {
+			t.Fatalf("%s: a decoded state encodes to %x, the state it was decoded from to %x", m.Name(), again, enc)
 		}
 		if got, want := dec.Vars(), cur.Vars(); !maps.Equal(got, want) {
 			t.Fatalf("%s: Vars differ after round trip:\n got %v\nwant %v", m.Name(), got, want)
@@ -289,20 +325,52 @@ func AssertCodecRoundTrip(t *testing.T, m spec.Machine, walks, depth int, seed i
 				}
 				mut[i] = b
 			}
+			spliceVarints(enc, 1<<40, func(i int, mut []byte) {
+				dec, rest, err := m.DecodeState(mut)
+				if err != nil {
+					return
+				}
+				used := mut[:len(mut)-len(rest)]
+				if again := m.AppendState(nil, dec); !bytes.Equal(again, used) {
+					t.Fatalf("%s: with 1<<40 spliced in at byte %d, DecodeState accepted\n%x\nas a state that encodes to\n%x", m.Name(), i, used, again)
+				}
+			})
 		}
 		return true
 	})
 }
 
+// spliceVarints calls visit with a copy of enc in which the varint starting at
+// byte i is replaced by v's, for every i at which some varint starts (a field
+// boundary or not: the encoding does not say). The copy is reused between
+// calls.
+func spliceVarints(enc []byte, v int64, visit func(i int, mut []byte)) {
+	var mut []byte
+	for i := range enc {
+		_, n := binary.Varint(enc[i:])
+		if n <= 0 {
+			continue
+		}
+		mut = binary.AppendVarint(append(mut[:0], enc[:i]...), v)
+		visit(i, append(mut, enc[i+n:]...))
+	}
+}
+
 // FuzzDecodeState fuzzes m.DecodeState, seeded with the encodings of the
-// states along `walks` seeded walks of up to `depth` steps. Encoded states
+// states along `walks` seeded walks of up to `depth` steps and, for a sample
+// of them, with the largest varint there is spliced in at every offset (what
+// a field stored narrow must refuse, not wrap). Encoded states
 // come back from spill runs, checkpoints and peers, so whatever the bytes,
 // DecodeState must return an error or a state that survives what the engine
 // does to a decoded state first: canonical hashing, rendering, and encoding
 // again.
 func FuzzDecodeState(f *testing.F, m spec.Machine, walks, depth int, seed int64) {
-	walk(m, walks, depth, seed, func(s spec.State, _ int) bool {
-		f.Add(m.AppendState(nil, s))
+	walk(m, walks, depth, seed, func(s spec.State, d int) bool {
+		enc := m.AppendState(nil, s)
+		f.Add(enc)
+		if d%16 == 0 {
+			spliceVarints(enc, math.MaxInt64, func(_ int, mut []byte) { f.Add(bytes.Clone(mut)) })
+		}
 		return true
 	})
 	f.Fuzz(func(t *testing.T, enc []byte) {

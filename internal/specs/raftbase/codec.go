@@ -15,23 +15,14 @@ import (
 // with the same Options, which is exactly the contract the explorer's
 // checkpoint/cluster compatibility digests enforce.
 //
-// The encoding preserves nil-ness of the per-node Votes/PreVotes/Next/Match
-// rows (a 0 marker for nil, len+1 otherwise): fingerprints and rendering
-// treat nil and empty alike, but permute branches on nil-ness, so a decoded
-// state must round-trip it exactly. Log rows, channel queues, and Committed
-// only ever exist as nil-or-nonempty (see clone), so a plain length suffices.
-
-// msgTypes maps the Msg.Type vocabulary to wire codes; index = code.
-var msgTypes = []string{"rv", "rvr", "ae", "aer", "snap"}
-
-func msgTypeCode(t string) (byte, bool) {
-	for i, s := range msgTypes {
-		if s == t {
-			return byte(i), true
-		}
-	}
-	return 0, false
-}
+// The encoding preserves nil-ness of the per-node Next/Match rows (a 0 marker
+// for nil, len+1 otherwise): fingerprints and rendering treat nil and empty
+// alike, but permute branches on nil-ness, so a decoded state must round-trip
+// it exactly. Votes/PreVotes are written the same way — the state holds them
+// as sets, the empty set standing for the nil row — so the bytes are what
+// they were when these were boolean rows. Log rows, channel queues, and
+// Committed only ever exist as nil-or-nonempty (see clone), so a plain length
+// suffices.
 
 // AppendState implements spec.StateCodec.
 func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
@@ -56,16 +47,6 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 			vs(e.Value)
 		}
 	}
-	boolRow := func(row []bool) {
-		if row == nil {
-			dst = append(dst, 0)
-			return
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(row))+1)
-		for _, b := range row {
-			vb(b)
-		}
-	}
 	intRow := func(row []int) {
 		if row == nil {
 			dst = append(dst, 0)
@@ -86,32 +67,27 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 		vi(s.SnapTerm[i])
 		vi(s.DurTerm[i])
 		vi(s.DurVote[i])
-		vb(s.Up[i])
+		vb(s.Up.Has(i))
 	}
 	for i := 0; i < n; i++ {
 		entries(s.Log[i])
 		entries(s.DurLog[i])
-		boolRow(s.Votes[i])
-		boolRow(s.PreVotes[i])
+		dst = spec.AppendNodeSetRow(dst, s.Votes[i], n)
+		dst = spec.AppendNodeSetRow(dst, s.PreVotes[i], n)
 		intRow(s.Next[i])
 		intRow(s.Match[i])
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			vb(s.Cut[i][j])
-			vb(s.Part[i][j])
+			vb(s.Cut[i].Has(j))
+			vb(s.Part[i].Has(j))
 			q := s.Chan[i][j]
 			dst = binary.AppendUvarint(dst, uint64(len(q)))
 			for k := range q {
-				msg := &q[k]
-				code, ok := msgTypeCode(msg.Type)
-				if !ok {
-					// Unreachable with the current action set; a loud
-					// sentinel beats silent corruption if a new message
-					// kind is ever added without extending msgTypes.
-					panic(fmt.Sprintf("raftbase: unencodable message type %q", msg.Type))
-				}
-				dst = append(dst, code)
+				// The wire carries the wide message, every field in Msg
+				// order, as it did before queues stored them packed.
+				msg := q[k].unpack()
+				dst = append(dst, q[k].kind)
 				vi(msg.Term)
 				vi(msg.LastIndex)
 				vi(msg.LastTerm)
@@ -131,17 +107,18 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 	}
 	entries(s.Committed)
 	vb(s.SnapConflictInstall)
-	vi(s.LastReadNode)
-	vs(s.LastReadKey)
-	vs(s.LastReadVal)
-	vs(s.LastReadWant)
-	vb(s.LastReadBad)
+	lr := s.lastRead()
+	vi(lr.Node)
+	vs(lr.Key)
+	vs(lr.Val)
+	vs(lr.Want)
+	vb(lr.Bad)
 	dst = s.Counters.AppendTo(dst)
 	vs(s.Viol.Flag)
 	return dst
 }
 
-// decodeEntries, decodeBoolRow and decodeIntRow read the composite shapes
+// decodeEntries and decodeIntRow read the composite shapes
 // AppendState writes. Entry counts are bounded by the remaining input
 // (spec.Decoder.Len) before any slice is sized from them; a non-nil per-node
 // row must be exactly n long (spec.Decoder.Row).
@@ -159,17 +136,6 @@ func decodeEntries(d *spec.Decoder, what string) []Entry {
 		return nil
 	}
 	return es
-}
-
-func decodeBoolRow(d *spec.Decoder, what string, n int) []bool {
-	if !d.Row(what, n) {
-		return nil
-	}
-	row := make([]bool, n)
-	for i := range row {
-		row[i] = d.Bool(what)
-	}
-	return row
 }
 
 func decodeIntRow(d *spec.Decoder, what string, n int) []int {
@@ -201,27 +167,33 @@ func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 		s.SnapTerm[i] = d.Int("snapTerm")
 		s.DurTerm[i] = d.Int("durTerm")
 		s.DurVote[i] = d.Node("durVote", n)
-		s.Up[i] = d.Bool("up")
+		if !d.Bool("up") {
+			s.Up.Del(i)
+		}
 	}
 	for i := 0; i < n; i++ {
 		s.Log[i] = decodeEntries(d, "log")
 		s.DurLog[i] = decodeEntries(d, "durLog")
-		s.Votes[i] = decodeBoolRow(d, "votes", n)
-		s.PreVotes[i] = decodeBoolRow(d, "preVotes", n)
+		s.Votes[i] = d.NodeSetRow("votes", n, i)
+		s.PreVotes[i] = d.NodeSetRow("preVotes", n, i)
 		s.Next[i] = decodeIntRow(d, "next", n)
 		s.Match[i] = decodeIntRow(d, "match", n)
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			s.Cut[i][j] = d.Bool("cut")
-			s.Part[i][j] = d.Bool("part")
+			if d.Bool("cut") {
+				s.Cut[i].Add(j)
+			}
+			if d.Bool("part") {
+				s.Part[i].Add(j)
+			}
 			qn := d.Len("chan")
 			if qn == 0 {
 				continue
 			}
-			q := make([]Msg, qn)
+			q := make([]packedMsg, qn)
 			for k := range q {
-				msg := &q[k]
+				var msg Msg
 				code := d.Byte("msg type")
 				if int(code) >= len(msgTypes) {
 					d.Failf("unknown message type code %d", code)
@@ -242,19 +214,30 @@ func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 				msg.Retry = d.Bool("msg retry")
 				msg.SnapIndex = d.Int("msg snapIndex")
 				msg.SnapTerm = d.Int("msg snapTerm")
+				// A queue stores a message packed; one that packing would
+				// alter (a field its kind does not carry, an integer beyond
+				// 32 bits) is refused, not narrowed into another message.
+				var ok bool
+				if q[k], ok = pack(msg); !ok && d.Err == nil {
+					d.Failf("%s message carries a field outside its kind or beyond 32 bits", msg.Type)
+				}
 			}
 			s.Chan[i][j] = q
 		}
 	}
 	s.Committed = decodeEntries(d, "committed")
 	s.SnapConflictInstall = d.Bool("snapConflictInstall")
-	if s.LastReadNode = d.Node("lastReadNode", n); s.LastReadNode < 0 {
-		d.Failf("lastReadNode %d: not a node", s.LastReadNode)
+	var lr kvRead
+	if lr.Node = d.Node("lastReadNode", n); lr.Node < 0 {
+		d.Failf("lastReadNode %d: not a node", lr.Node)
 	}
-	s.LastReadKey = d.Str("lastReadKey")
-	s.LastReadVal = d.Str("lastReadVal")
-	s.LastReadWant = d.Str("lastReadWant")
-	s.LastReadBad = d.Bool("lastReadBad")
+	lr.Key = d.Str("lastReadKey")
+	lr.Val = d.Str("lastReadVal")
+	lr.Want = d.Str("lastReadWant")
+	lr.Bad = d.Bool("lastReadBad")
+	if lr != (kvRead{}) {
+		s.LastRead = &lr
+	}
 	s.Counters.Decode(d)
 	s.Viol.Flag = d.Str("violation")
 	if d.Err != nil {

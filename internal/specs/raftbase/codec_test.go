@@ -59,10 +59,10 @@ func succFPs(m *Machine, s spec.State) []uint64 {
 // nil-vs-allocated, which permute branches on.
 func sameNilness(a, b *State) error {
 	for i := 0; i < a.n; i++ {
-		if (a.Votes[i] == nil) != (b.Votes[i] == nil) {
+		if (a.Votes[i] == 0) != (b.Votes[i] == 0) {
 			return fmt.Errorf("Votes[%d] nil-ness differs", i)
 		}
-		if (a.PreVotes[i] == nil) != (b.PreVotes[i] == nil) {
+		if (a.PreVotes[i] == 0) != (b.PreVotes[i] == 0) {
 			return fmt.Errorf("PreVotes[%d] nil-ness differs", i)
 		}
 		if (a.Next[i] == nil) != (b.Next[i] == nil) {

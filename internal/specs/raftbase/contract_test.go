@@ -6,9 +6,13 @@ import (
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/spec/spectest"
+	sasync "github.com/sandtable-go/sandtable/internal/specs/asyncraft"
 	scraft "github.com/sandtable-go/sandtable/internal/specs/craft"
+	sdaos "github.com/sandtable-go/sandtable/internal/specs/daosraft"
 	sgso "github.com/sandtable-go/sandtable/internal/specs/gosyncobj"
 	"github.com/sandtable-go/sandtable/internal/specs/raftbase"
+	sredis "github.com/sandtable-go/sandtable/internal/specs/redisraft"
+	sxraft "github.com/sandtable-go/sandtable/internal/specs/xraft"
 	sxkv "github.com/sandtable-go/sandtable/internal/specs/xraftkv"
 	"github.com/sandtable-go/sandtable/internal/vnet"
 )
@@ -63,5 +67,35 @@ func TestContract(t *testing.T) {
 				spectest.AssertContract(t, tc.m, 12, 80, 7)
 			}
 		})
+	}
+}
+
+// TestStoredMessagesLossless is the store/load law at every message of every
+// channel of every state of a bounded BFS, over the fixed and the all-defects
+// build of each of the seven systems: what a queue stores of a message loads
+// back to the message that was sent. (send panics on a message that would not,
+// so a handler that set an operand outside its kind's set fails this search
+// rather than losing the operand.)
+func TestStoredMessagesLossless(t *testing.T) {
+	systems := map[string]func(spec.Config, spec.Budget, bugdb.Set) *raftbase.Machine{
+		"gosyncobj": sgso.New, "craft": scraft.New, "redisraft": sredis.New, "daosraft": sdaos.New,
+		"asyncraft": sasync.New, "xraft": sxraft.New, "xraftkv": sxkv.New,
+	}
+	for name, mk := range systems {
+		for build, bugs := range map[string]bugdb.Set{"fixed": bugdb.NoBugs(), "all-defects": bugdb.AllBugs(name)} {
+			t.Run(name+"/"+build, func(t *testing.T) {
+				t.Parallel()
+				states := 0
+				spectest.BFS(mk(cfg3(), budget(), bugs), 20000, func(s spec.State) {
+					states++
+					if err := raftbase.CheckStoredMessages(s); err != nil {
+						t.Fatalf("state %d: %v", states, err)
+					}
+				})
+				if states < 1000 {
+					t.Fatalf("only %d states reached", states)
+				}
+			})
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
+	"github.com/sandtable-go/sandtable/internal/spec"
 )
 
 // syncDurable is the specification-level fsync: everything node i has
@@ -45,8 +46,7 @@ func (m *Machine) electionTimeout(s *State, i int) {
 
 func (m *Machine) startPreVote(s *State, i int) {
 	s.Role[i] = PreCandidate
-	s.PreVotes[i] = make([]bool, m.n)
-	s.PreVotes[i][i] = true
+	s.PreVotes[i] = spec.SingleNode(i)
 	for p := 0; p < m.n; p++ {
 		if p == i {
 			continue
@@ -60,9 +60,8 @@ func (m *Machine) startElection(s *State, i int) {
 	s.Role[i] = Candidate
 	s.Term[i]++
 	s.VotedFor[i] = i
-	s.PreVotes[i] = nil
-	s.Votes[i] = make([]bool, m.n)
-	s.Votes[i][i] = true
+	s.PreVotes[i] = 0
+	s.Votes[i] = spec.SingleNode(i)
 	m.syncDurable(s, i) // implementations persist hard state before campaigning
 	for p := 0; p < m.n; p++ {
 		if p == i {
@@ -74,21 +73,21 @@ func (m *Machine) startElection(s *State, i int) {
 }
 
 func (m *Machine) maybeWinPreVote(s *State, i int) {
-	if s.Role[i] == PreCandidate && countVotes(s.PreVotes[i]) >= m.quorum() {
+	if s.Role[i] == PreCandidate && s.PreVotes[i].Count() >= m.quorum() {
 		m.startElection(s, i)
 	}
 }
 
 func (m *Machine) maybeWinElection(s *State, i int) {
-	if s.Role[i] == Candidate && countVotes(s.Votes[i]) >= m.quorum() {
+	if s.Role[i] == Candidate && s.Votes[i].Count() >= m.quorum() {
 		m.becomeLeader(s, i)
 	}
 }
 
 func (m *Machine) becomeLeader(s *State, i int) {
 	s.Role[i] = Leader
-	s.Votes[i] = nil
-	s.PreVotes[i] = nil
+	s.Votes[i] = 0
+	s.PreVotes[i] = 0
 	s.Next[i] = make([]int, m.n)
 	s.Match[i] = make([]int, m.n)
 	for p := range s.Next[i] {
@@ -103,8 +102,8 @@ func (m *Machine) stepDown(s *State, i, term int) {
 	s.Term[i] = term
 	s.Role[i] = Follower
 	s.VotedFor[i] = -1
-	s.Votes[i] = nil
-	s.PreVotes[i] = nil
+	s.Votes[i] = 0
+	s.PreVotes[i] = 0
 	s.Next[i] = nil
 	s.Match[i] = nil
 	m.syncDurable(s, i) // the adopted term is persisted synchronously
@@ -115,8 +114,8 @@ func (m *Machine) stepDown(s *State, i, term int) {
 func (m *Machine) yieldToLeader(s *State, i int) {
 	if s.Role[i] != Follower {
 		s.Role[i] = Follower
-		s.Votes[i] = nil
-		s.PreVotes[i] = nil
+		s.Votes[i] = 0
+		s.PreVotes[i] = 0
 		s.Next[i] = nil
 		s.Match[i] = nil
 	}
@@ -128,7 +127,7 @@ func (m *Machine) yieldToLeader(s *State, i int) {
 // specification models the intended behaviour.
 func (m *Machine) broadcastAppend(s *State, i int) {
 	for p := 0; p < m.n; p++ {
-		if p == i || s.Cut[i][p] {
+		if p == i || s.Cut[i].Has(p) {
 			continue
 		}
 		m.sendAppend(s, i, p, false)
@@ -201,11 +200,7 @@ func (m *Machine) clientPut(s *State, i int, key, v string) {
 func (m *Machine) clientGet(s *State, i int, key string) {
 	got := appliedValue(s, i, key)
 	want := committedValue(s.Committed, key)
-	s.LastReadNode = i
-	s.LastReadKey = key
-	s.LastReadVal = got
-	s.LastReadWant = want
-	s.LastReadBad = got != want
+	s.LastRead = &kvRead{Node: i, Key: key, Val: got, Want: want, Bad: got != want}
 }
 
 // getEnabled models when a read can complete. With the XraftKV#1 defect any
@@ -218,7 +213,7 @@ func (m *Machine) getEnabled(s *State, i int) bool {
 	}
 	reachable := 1
 	for p := 0; p < m.n; p++ {
-		if p != i && s.Up[p] && !s.Cut[i][p] && s.Term[p] == s.Term[i] {
+		if p != i && s.Up.Has(p) && !s.Cut[i].Has(p) && s.Term[p] == s.Term[i] {
 			reachable++
 		}
 	}
@@ -329,7 +324,7 @@ func (m *Machine) handleRequestVoteResponse(s *State, dst, src int, msg Msg) {
 		if s.Role[dst] != PreCandidate || !msg.Granted {
 			return
 		}
-		s.PreVotes[dst][src] = true
+		s.PreVotes[dst].Add(src)
 		m.maybeWinPreVote(s, dst)
 		return
 	}
@@ -347,7 +342,7 @@ func (m *Machine) handleRequestVoteResponse(s *State, dst, src int, msg Msg) {
 	// BUG(Xraft#1): with the flag on, granted responses are accepted
 	// unconditionally — votes earned in an older term count toward the
 	// current election, producing two valid leaders in the same term.
-	s.Votes[dst][src] = true
+	s.Votes[dst].Add(src)
 	m.maybeWinElection(s, dst)
 }
 

@@ -25,10 +25,9 @@ func (m *Machine) Invariants() []spec.Invariant {
 	}
 	if m.opt.KV {
 		invs = append(invs, spec.Invariant{Name: "Linearizability", Check: func(st spec.State) error {
-			s := st.(*State)
-			if s.LastReadBad {
+			if lr := st.(*State).lastRead(); lr.Bad {
 				return fmt.Errorf("read of %q at node %d returned %q, committed value is %q",
-					s.LastReadKey, s.LastReadNode, s.LastReadVal, s.LastReadWant)
+					lr.Key, lr.Node, lr.Val, lr.Want)
 			}
 			return nil
 		}})
@@ -40,11 +39,11 @@ func (m *Machine) Invariants() []spec.Invariant {
 func (m *Machine) atMostOneLeaderPerTerm(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
-		if !s.Up[i] || s.Role[i] != Leader {
+		if !s.Up.Has(i) || s.Role[i] != Leader {
 			continue
 		}
 		for j := i + 1; j < s.n; j++ {
-			if s.Up[j] && s.Role[j] == Leader && s.Term[i] == s.Term[j] {
+			if s.Up.Has(j) && s.Role[j] == Leader && s.Term[i] == s.Term[j] {
 				return fmt.Errorf("nodes %d and %d are both leaders in term %d", i, j, s.Term[i])
 			}
 		}
@@ -57,7 +56,7 @@ func (m *Machine) atMostOneLeaderPerTerm(st spec.State) error {
 func (m *Machine) nextAfterMatch(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
-		if !s.Up[i] || s.Role[i] != Leader {
+		if !s.Up.Has(i) || s.Role[i] != Leader {
 			continue
 		}
 		for p := 0; p < s.n; p++ {
@@ -78,7 +77,7 @@ func (m *Machine) nextAfterMatch(st spec.State) error {
 func (m *Machine) committedLogConsistency(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
-		if !s.Up[i] {
+		if !s.Up.Has(i) {
 			continue
 		}
 		hi := s.Commit[i]
@@ -158,7 +157,7 @@ func (m *Machine) commitWithinLog(st spec.State) error {
 func (m *Machine) leaderVotesForSelf(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
-		if s.Up[i] && s.Role[i] == Leader && s.VotedFor[i] != i {
+		if s.Up.Has(i) && s.Role[i] == Leader && s.VotedFor[i] != i {
 			return fmt.Errorf("leader %d has votedFor=%d", i, s.VotedFor[i])
 		}
 	}
@@ -169,8 +168,8 @@ func (m *Machine) leaderVotesForSelf(st spec.State) error {
 func (m *Machine) voteSelfConsistent(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
-		if s.Up[i] && s.Role[i] == Candidate {
-			if s.Votes[i] == nil || !s.Votes[i][i] || s.VotedFor[i] != i {
+		if s.Up.Has(i) && s.Role[i] == Candidate {
+			if !s.Votes[i].Has(i) || s.VotedFor[i] != i {
 				return fmt.Errorf("candidate %d did not vote for itself", i)
 			}
 		}

@@ -55,8 +55,13 @@ type Machine struct {
 	n   int
 }
 
-// New builds the machine.
+// New builds the machine. The state keeps per-node sets as spec.NodeSet bit
+// masks, so a configuration beyond spec.MaxNodes is a caller's bug (the run
+// layer refuses one with an error before it gets here).
 func New(opt Options) *Machine {
+	if opt.Config.Nodes > spec.MaxNodes {
+		panic(fmt.Sprintf("raftbase: %d nodes, a state indexes at most %d", opt.Config.Nodes, spec.MaxNodes))
+	}
 	return &Machine{opt: opt, n: opt.Config.Nodes}
 }
 
@@ -124,7 +129,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 
 	b := m.opt.Budget
 	for i := 0; i < m.n; i++ {
-		if !s.Up[i] {
+		if !s.Up.Has(i) {
 			continue
 		}
 		// Election timeout: any non-leader may time out at any moment.
@@ -193,7 +198,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	}
 	// Node restart.
 	for i := 0; i < m.n; i++ {
-		if s.Up[i] || !s.Counters.CanRestart(b) {
+		if s.Up.Has(i) || !s.Counters.CanRestart(b) {
 			continue
 		}
 		n := clone()
@@ -206,7 +211,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	for src := 0; src < m.n; src++ {
 		for dst := 0; dst < m.n; dst++ {
 			q := s.Chan[src][dst]
-			if src == dst || len(q) == 0 || !s.Up[dst] {
+			if src == dst || len(q) == 0 || !s.Up.Has(dst) {
 				continue
 			}
 			limit := 1 // TCP: head only
@@ -242,13 +247,13 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	if m.opt.Transport == vnet.TCP {
 		for a := 0; a < m.n; a++ {
 			for bn := a + 1; bn < m.n; bn++ {
-				if !s.Part[a][bn] && s.Counters.CanPartition(b) {
+				if !s.Part[a].Has(bn) && s.Counters.CanPartition(b) {
 					n := clone()
 					n.Counters.Partitions++
 					m.partition(n, a, bn)
 					add(trace.Event{Type: trace.EvPartition, Action: "NetworkPartition", Node: a, Peer: bn}, n)
 				}
-				if s.Part[a][bn] {
+				if s.Part[a].Has(bn) {
 					n := clone()
 					m.heal(n, a, bn)
 					add(trace.Event{Type: trace.EvRecover, Action: "NetworkRecover", Node: a, Peer: bn}, n)
@@ -279,7 +284,7 @@ func (m *Machine) overflows(s *State) bool {
 // in place: s is a successor under construction, and its queues are its own.
 func (s *State) takeMsg(src, dst, k int) Msg {
 	q := s.Chan[src][dst]
-	msg := q[k]
+	msg := q[k].unpack()
 	s.Chan[src][dst] = q[:k+copy(q[k:], q[k+1:])]
 	return msg
 }
@@ -287,10 +292,10 @@ func (s *State) takeMsg(src, dst, k int) Msg {
 // send appends a message to a channel unless the connection is severed
 // (mirrors vnet.Send dropping across cut pairs).
 func (s *State) send(src, dst int, msg Msg) {
-	if src == dst || s.Cut[src][dst] {
+	if src == dst || s.Cut[src].Has(dst) {
 		return
 	}
-	s.Chan[src][dst] = append(s.Chan[src][dst], msg)
+	s.Chan[src][dst] = append(s.Chan[src][dst], mustPack(msg))
 }
 
 // dispatch routes a delivered message to its handler and returns the action
@@ -320,15 +325,15 @@ func (m *Machine) dispatch(s *State, src, dst int, msg Msg) string {
 // Environment actions.
 
 func (m *Machine) crash(s *State, i int) {
-	s.Up[i] = false
+	s.Up.Del(i)
 	for j := 0; j < m.n; j++ {
 		if j == i {
 			continue
 		}
 		s.Chan[i][j] = nil
 		s.Chan[j][i] = nil
-		s.Cut[i][j] = true
-		s.Cut[j][i] = true
+		s.Cut[i].Add(j)
+		s.Cut[j].Add(i)
 	}
 	// Volatile state is lost; we clear it eagerly so fingerprints do not
 	// distinguish dead states by unreachable data. Durable state (term,
@@ -336,8 +341,8 @@ func (m *Machine) crash(s *State, i int) {
 	// in-memory (Volatile option), in which case everything resets.
 	s.Role[i] = Follower
 	s.Commit[i] = 0
-	s.Votes[i] = nil
-	s.PreVotes[i] = nil
+	s.Votes[i] = 0
+	s.PreVotes[i] = 0
 	s.Next[i] = nil
 	s.Match[i] = nil
 	if m.opt.Volatile {
@@ -364,34 +369,34 @@ func (m *Machine) crashDirty(s *State, i int) {
 }
 
 func (m *Machine) restart(s *State, i int) {
-	s.Up[i] = true
+	s.Up.Add(i)
 	for j := 0; j < m.n; j++ {
-		if j == i || !s.Up[j] {
+		if j == i || !s.Up.Has(j) {
 			continue
 		}
-		if s.Part[i][j] || s.Part[j][i] {
+		if s.Part[i].Has(j) || s.Part[j].Has(i) {
 			continue
 		}
-		s.Cut[i][j] = false
-		s.Cut[j][i] = false
+		s.Cut[i].Del(j)
+		s.Cut[j].Del(i)
 	}
 }
 
 func (m *Machine) partition(s *State, a, b int) {
-	s.Part[a][b] = true
-	s.Part[b][a] = true
-	s.Cut[a][b] = true
-	s.Cut[b][a] = true
+	s.Part[a].Add(b)
+	s.Part[b].Add(a)
+	s.Cut[a].Add(b)
+	s.Cut[b].Add(a)
 	s.Chan[a][b] = nil
 	s.Chan[b][a] = nil
 }
 
 func (m *Machine) heal(s *State, a, b int) {
-	s.Part[a][b] = false
-	s.Part[b][a] = false
-	if s.Up[a] && s.Up[b] {
-		s.Cut[a][b] = false
-		s.Cut[b][a] = false
+	s.Part[a].Del(b)
+	s.Part[b].Del(a)
+	if s.Up.Has(a) && s.Up.Has(b) {
+		s.Cut[a].Del(b)
+		s.Cut[b].Del(a)
 	}
 }
 

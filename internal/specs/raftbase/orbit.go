@@ -60,12 +60,12 @@ func (s *State) orbitDigests(node, edge []uint64) uint64 {
 		h.WriteInt(s.Commit[i])
 		h.WriteInt(s.SnapIdx[i])
 		h.WriteInt(s.SnapTerm[i])
-		h.WriteBool(s.Up[i])
+		h.WriteBool(s.Up.Has(i))
 		// Row shapes of the nil-able matrices: which of node i's per-peer
 		// rows are materialised. The cells live in the edge digests; pinning
 		// the lengths here keeps an absent row from aliasing an all-zero one.
-		h.WriteInt(len(s.Votes[i]))
-		h.WriteInt(len(s.PreVotes[i]))
+		h.WriteInt(s.Votes[i].RowLen(n))
+		h.WriteInt(s.PreVotes[i].RowLen(n))
 		h.WriteInt(len(s.Next[i]))
 		h.WriteInt(len(s.Match[i]))
 		// Durability mirrors are hashed only when the fault model is active,
@@ -87,11 +87,11 @@ func (s *State) orbitDigests(node, edge []uint64) uint64 {
 		next, match := s.Next[a], s.Match[a]
 		for b := 0; b < n; b++ {
 			h.Reset()
-			if len(votes) > 0 {
-				h.WriteBool(votes[b])
+			if votes != 0 {
+				h.WriteBool(votes.Has(b))
 			}
-			if len(preVotes) > 0 {
-				h.WriteBool(preVotes[b])
+			if preVotes != 0 {
+				h.WriteBool(preVotes.Has(b))
 			}
 			if len(next) > 0 {
 				h.WriteInt(next[b])
@@ -105,8 +105,8 @@ func (s *State) orbitDigests(node, edge []uint64) uint64 {
 				for k := range q {
 					q[k].hash(&h)
 				}
-				h.WriteBool(s.Cut[a][b])
-				h.WriteBool(s.Part[a][b])
+				h.WriteBool(s.Cut[a].Has(b))
+				h.WriteBool(s.Part[a].Has(b))
 			}
 			edge[a*n+b] = h.Sum()
 		}
@@ -118,10 +118,11 @@ func (s *State) orbitDigests(node, edge []uint64) uint64 {
 		h.WriteString(e.Value)
 	}
 	h.WriteBool(s.SnapConflictInstall)
-	h.WriteString(s.LastReadKey)
-	h.WriteString(s.LastReadVal)
-	h.WriteString(s.LastReadWant)
-	h.WriteBool(s.LastReadBad)
+	lr := s.lastRead()
+	h.WriteString(lr.Key)
+	h.WriteString(lr.Val)
+	h.WriteString(lr.Want)
+	h.WriteBool(lr.Bad)
 	s.Counters.Hash(&h)
 	s.Viol.Hash(&h)
 	return h.Sum()
@@ -163,7 +164,7 @@ func (s *State) orbitCombine(node, edge []uint64, global uint64, perm, inv []int
 			h.WriteInt(v)
 		}
 	}
-	h.WriteInt(perm[s.LastReadNode])
+	h.WriteInt(perm[s.lastRead().Node])
 	h.WriteDigest(global)
 	return h.Sum()
 }

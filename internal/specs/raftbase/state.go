@@ -16,11 +16,9 @@ package raftbase
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
-	"github.com/sandtable-go/sandtable/internal/fp"
 	"github.com/sandtable-go/sandtable/internal/spec"
 )
 
@@ -53,50 +51,14 @@ type Entry struct {
 	Value string
 }
 
-// Msg is the specification-level message. All kinds share one struct.
-type Msg struct {
-	Type      string // "rv", "rvr", "ae", "aer", "snap"
-	Term      int
-	LastIndex int  // rv
-	LastTerm  int  // rv
-	Pre       bool // rv/rvr: PreVote round
-	Granted   bool // rvr
-	PrevIndex int  // ae
-	PrevTerm  int  // ae
-	Entries   []Entry
-	Commit    int  // ae
-	Flag      bool // aer: success
-	NextIndex int  // aer: follower hint
-	Retry     bool // ae: sent as a retry after a rejection (craft)
-	SnapIndex int  // snap
-	SnapTerm  int  // snap
-}
-
-func (m *Msg) hash(h *fp.Hasher) {
-	h.WriteString(m.Type)
-	h.WriteInt(m.Term)
-	h.WriteInt(m.LastIndex)
-	h.WriteInt(m.LastTerm)
-	h.WriteBool(m.Pre)
-	h.WriteBool(m.Granted)
-	h.WriteInt(m.PrevIndex)
-	h.WriteInt(m.PrevTerm)
-	h.WriteInt(len(m.Entries))
-	for _, e := range m.Entries {
-		h.WriteInt(e.Term)
-		h.WriteString(e.Value)
-	}
-	h.WriteInt(m.Commit)
-	h.WriteBool(m.Flag)
-	h.WriteInt(m.NextIndex)
-	h.WriteBool(m.Retry)
-	h.WriteInt(m.SnapIndex)
-	h.WriteInt(m.SnapTerm)
-}
-
 // State is the full specification state: per-node protocol variables, the
 // network environment, the budget counters, ghost variables for history
 // properties, and the action-property violation flag.
+//
+// A frontier holds one of these per state, so the struct is kept small: the
+// bools sit together beside the 32-bit counters, the cold KV ghost is behind
+// a pointer, and the storage the slices are carved from is found through the
+// slices themselves (see shape) instead of being named a second time.
 type State struct {
 	n int
 	// Feature flags copied from the machine options (not part of the
@@ -108,6 +70,13 @@ type State struct {
 	// budget allows dirty crashes): the Dur* mirrors below are then
 	// maintained and hashed.
 	durability bool
+	// Ghost marker: set when a snapshot installation overwrote a
+	// conflicting local log — the exact situation CRaft#3's implementation
+	// incorrectly rejects; goal-directed conformance uses it to steer a
+	// trace into the divergent step.
+	SnapConflictInstall bool
+
+	Counters spec.Counters
 
 	Role     []int
 	Term     []int
@@ -117,12 +86,15 @@ type State struct {
 	SnapIdx  []int
 	SnapTerm []int
 
-	Votes    [][]bool // Votes[i][j]: j granted i's (real) vote this election
-	PreVotes [][]bool
+	// Votes[i] is the set of nodes that granted i's (real) vote this election,
+	// PreVotes[i] its pre-vote round. A node counts its own vote first, so an
+	// empty set is "no election under way" (what used to be a nil row).
+	Votes    []spec.NodeSet
+	PreVotes []spec.NodeSet
 	Next     [][]int // leader replication state; nil rows when not leader
 	Match    [][]int
 
-	Up []bool
+	Up spec.NodeSet
 
 	// Durability mirrors: what each node's crash-durable storage holds, as
 	// opposed to the live variables above, which may include writes still
@@ -134,12 +106,13 @@ type State struct {
 	DurVote []int
 	DurLog  [][]Entry
 
-	// Network: Chan[src][dst] is the ordered message buffer; Cut marks
-	// severed ordered pairs (crash or partition); Part marks active
-	// partition pairs (unordered, kept so restarts do not reconnect them).
-	Chan [][][]Msg
-	Cut  [][]bool
-	Part [][]bool
+	// Network: Chan[src][dst] is the ordered message buffer (messages are
+	// stored packed: send and takeMsg convert); Cut marks severed ordered
+	// pairs (crash or partition); Part marks active partition pairs
+	// (unordered, kept so restarts do not reconnect them).
+	Chan [][][]packedMsg
+	Cut  []spec.NodeSet
+	Part []spec.NodeSet
 
 	// Ghost: the globally committed log prefix, extended whenever any
 	// node's commit index advances past its length. Detects inconsistent
@@ -147,26 +120,31 @@ type State struct {
 	// the linearizability reference for KV reads.
 	Committed []Entry
 
-	// Ghost marker: set when a snapshot installation overwrote a
-	// conflicting local log — the exact situation CRaft#3's implementation
-	// incorrectly rejects; goal-directed conformance uses it to steer a
-	// trace into the divergent step.
-	SnapConflictInstall bool
+	// KV ghost (xraftkv): the most recent read, for the linearizability
+	// invariant. nil is the zero record (no read yet). A record is never
+	// written after clientGet publishes it, so a state shares its parent's.
+	LastRead *kvRead
 
-	// KV ghost (xraftkv): result of the most recent read, for the
-	// linearizability invariant.
-	LastReadNode int
-	LastReadKey  string
-	LastReadVal  string
-	LastReadWant string
-	LastReadBad  bool
+	Viol spec.Violation
 
-	Counters spec.Counters
-	Viol     spec.Violation
-
-	// mem is the storage cloneInto carved the slices above from (zero for a
-	// state built any other way).
+	// mem is the variable-length storage cloneInto carved the rows above
+	// from (zero for a state built any other way).
 	mem arena
+}
+
+// kvRead is one KV read and the value linearizability demanded of it.
+type kvRead struct {
+	Node           int
+	Key, Val, Want string
+	Bad            bool
+}
+
+// lastRead returns the KV ghost by value.
+func (s *State) lastRead() kvRead {
+	if s.LastRead == nil {
+		return kvRead{}
+	}
+	return *s.LastRead
 }
 
 func newState(n int) *State {
@@ -175,26 +153,19 @@ func newState(n int) *State {
 	for i := 0; i < n; i++ {
 		s.VotedFor[i] = -1
 		s.DurVote[i] = -1
-		s.Up[i] = true
+		s.Up.Add(i)
 	}
 	return s
 }
 
-// arena is the backing storage cloneInto carves a state's slices out of. It
-// stays with the State it was allocated for, so recycling that State reuses
-// every array that is still large enough.
+// arena is the variable-length backing storage cloneInto carves a state's
+// rows out of. It stays with the State it was allocated for, so recycling
+// that State reuses every array that is still large enough. (The fixed-shape
+// arrays need no entry here: shape finds them through their first view.)
 type arena struct {
-	ints     []int     // Role..DurVote, eight rows
-	bools    []bool    // Up, then the Cut and Part matrices
-	boolRows [][]bool  // outers of Cut, Part, Votes, PreVotes
-	bflat    []bool    // non-nil Votes/PreVotes rows
-	intRows  [][]int   // outers of Next, Match
-	iflat    []int     // non-nil Next/Match rows
-	logRows  [][]Entry // outers of Log, DurLog
-	eflat    []Entry   // every Log, DurLog and Committed entry
-	chans    [][][]Msg
-	chanRows [][]Msg
-	mflat    []Msg // every queued message
+	iflat []int       // non-nil Next/Match rows
+	eflat []Entry     // every Log, DurLog and Committed entry
+	mflat []packedMsg // every queued message
 }
 
 // sized returns a[:n], reallocating when a is too small — how a recycled
@@ -207,19 +178,25 @@ func sized[T any](a []T, n int) []T {
 	return a[:n]
 }
 
-// shape gives c its fixed-shape fields for n nodes, carved from its arena
-// with exact-capacity (three-index) subslices: the eight per-node int rows
-// out of one array, Up and the Cut and Part matrices out of another, and the
-// outers of every nil-able row and of the channel matrix. A fresh State gets
-// zeroed storage; a recycled one keeps its stale contents, which the caller
-// overwrites.
+// shape gives c its fixed-shape fields for n nodes: the eight per-node int
+// rows carved out of one array, the four per-node sets out of another, and
+// the outers of every nil-able row and of the channel matrix. A fresh State
+// gets zeroed storage; a recycled one keeps its stale contents, which the
+// caller overwrites.
+//
+// Each array is owned through its first view, which is carved with the
+// array's whole capacity (Role for the ints, Cut for the sets, Next, Log, Chan
+// and Chan[0] for the outers), so a recycled State finds its storage again by
+// re-extending that view — and allocates when the view is too short, whatever
+// built it: a state of fewer nodes, Permute, DecodeState. Every other view is
+// exact-capacity (three-index). None of the owning views is ever appended to
+// or reassigned, only written element-wise, which is what makes them safe
+// owners.
 func (c *State) shape(n int) {
-	a := &c.mem
 	c.n = n
 
-	a.ints = sized(a.ints, 8*n)
-	ints := a.ints
-	c.Role = ints[0*n : 1*n : 1*n]
+	ints := sized(c.Role[:cap(c.Role)], 8*n)
+	c.Role = ints[0*n : 1*n]
 	c.Term = ints[1*n : 2*n : 2*n]
 	c.VotedFor = ints[2*n : 3*n : 3*n]
 	c.Commit = ints[3*n : 4*n : 4*n]
@@ -228,33 +205,30 @@ func (c *State) shape(n int) {
 	c.DurTerm = ints[6*n : 7*n : 7*n]
 	c.DurVote = ints[7*n : 8*n : 8*n]
 
-	a.bools = sized(a.bools, n+2*n*n)
-	bools := a.bools
-	c.Up = bools[0:n:n]
-	a.boolRows = sized(a.boolRows, 4*n)
-	c.Cut = a.boolRows[0:n:n]
-	c.Part = a.boolRows[n : 2*n : 2*n]
-	c.Votes = a.boolRows[2*n : 3*n : 3*n]
-	c.PreVotes = a.boolRows[3*n : 4*n : 4*n]
-	off := n
-	for i := 0; i < n; i++ {
-		c.Cut[i] = bools[off : off+n : off+n]
-		c.Part[i] = bools[off+n*n : off+n*n+n : off+n*n+n]
-		off += n
+	sets := sized(c.Cut[:cap(c.Cut)], 4*n)
+	c.Cut = sets[0:n]
+	c.Part = sets[n : 2*n : 2*n]
+	c.Votes = sets[2*n : 3*n : 3*n]
+	c.PreVotes = sets[3*n : 4*n : 4*n]
+
+	intRows := sized(c.Next[:cap(c.Next)], 2*n)
+	c.Next = intRows[0:n]
+	c.Match = intRows[n : 2*n : 2*n]
+	logRows := sized(c.Log[:cap(c.Log)], 2*n)
+	c.Log = logRows[0:n]
+	c.DurLog = logRows[n : 2*n : 2*n]
+
+	var chanRows [][]packedMsg
+	if len(c.Chan) > 0 {
+		chanRows = c.Chan[0][:cap(c.Chan[0])]
 	}
-
-	a.intRows = sized(a.intRows, 2*n)
-	c.Next = a.intRows[0:n:n]
-	c.Match = a.intRows[n : 2*n : 2*n]
-	a.logRows = sized(a.logRows, 2*n)
-	c.Log = a.logRows[0:n:n]
-	c.DurLog = a.logRows[n : 2*n : 2*n]
-
-	a.chans = sized(a.chans, n)
-	c.Chan = a.chans
-	a.chanRows = sized(a.chanRows, n*n)
+	chanRows = sized(chanRows, n*n)
+	c.Chan = sized(c.Chan[:cap(c.Chan)], n)
 	for i := 0; i < n; i++ {
-		c.Chan[i] = a.chanRows[i*n : (i+1)*n : (i+1)*n]
+		c.Chan[i] = chanRows[i*n : (i+1)*n : (i+1)*n]
+	}
+	if n > 0 {
+		c.Chan[0] = chanRows[0:n]
 	}
 }
 
@@ -267,14 +241,15 @@ func (c *State) shape(n int) {
 // slices are carved out of a handful of shared backing arrays with
 // exact-capacity (three-index) subslices instead of one allocation each.
 //
-// Safety of the shared backing rests on two facts: every subslice is carved
-// with its capacity ending where its own region ends (cap == len, plus the
-// slot of slack a channel queue may own), so any later append (Log, DurLog,
-// Chan queues, Committed) reallocates instead of growing into a neighbour's
-// region; and in-place writes (Votes[i][j] = true, Next[i][j] = k, takeMsg)
-// stay within the row's own disjoint region. Nothing outside dst ever points into dst's arena — message
-// payloads (Msg.Entries) are standalone arrays shared read-only — so
-// overwriting a dead state cannot disturb a live one.
+// Safety of the shared backing rests on two facts: every row that can grow
+// is carved with its capacity ending where its own region ends (cap == len,
+// plus the slot of slack a channel queue may own), so any later append (Log,
+// DurLog, Chan queues, Committed) reallocates instead of growing into a
+// neighbour's region; and in-place writes (Next[i][j] = k, takeMsg) stay
+// within the row's own disjoint region. Nothing outside dst ever points into
+// dst's arena — message payloads (Msg.Entries) are standalone arrays and the
+// KV ghost an immutable record, both shared read-only — so overwriting a dead
+// state cannot disturb a live one.
 func (s *State) cloneInto(dst *State) *State {
 	n := s.n
 	if dst == nil {
@@ -291,33 +266,13 @@ func (s *State) cloneInto(dst *State) *State {
 	copy(c.SnapTerm, s.SnapTerm)
 	copy(c.DurTerm, s.DurTerm)
 	copy(c.DurVote, s.DurVote)
-	copy(c.Up, s.Up)
-	for i := 0; i < n; i++ {
-		copy(c.Cut[i], s.Cut[i])
-		copy(c.Part[i], s.Part[i])
-	}
+	c.Up = s.Up
+	copy(c.Cut, s.Cut)
+	copy(c.Part, s.Part)
+	copy(c.Votes, s.Votes)
+	copy(c.PreVotes, s.PreVotes)
 
-	// Votes/PreVotes: non-nil rows carved from one flat array.
-	nb := 0
-	for i := 0; i < n; i++ {
-		nb += len(s.Votes[i]) + len(s.PreVotes[i])
-	}
-	bflat := sized(a.bflat, nb)[:0]
-	cloneBoolRow := func(row []bool) []bool {
-		if row == nil {
-			return nil
-		}
-		start := len(bflat)
-		bflat = append(bflat, row...)
-		return bflat[start:len(bflat):len(bflat)]
-	}
-	for i := 0; i < n; i++ {
-		c.Votes[i] = cloneBoolRow(s.Votes[i])
-		c.PreVotes[i] = cloneBoolRow(s.PreVotes[i])
-	}
-	a.bflat = bflat
-
-	// Next/Match: same flat discipline with ints.
+	// Next/Match: non-nil rows carved from one flat array.
 	ni := 0
 	for i := 0; i < n; i++ {
 		ni += len(s.Next[i]) + len(s.Match[i])
@@ -386,11 +341,7 @@ func (s *State) cloneInto(dst *State) *State {
 	a.mflat = mflat
 
 	c.SnapConflictInstall = s.SnapConflictInstall
-	c.LastReadNode = s.LastReadNode
-	c.LastReadKey = s.LastReadKey
-	c.LastReadVal = s.LastReadVal
-	c.LastReadWant = s.LastReadWant
-	c.LastReadBad = s.LastReadBad
+	c.LastRead = s.LastRead
 	c.Counters = s.Counters
 	c.Viol = s.Viol
 	return c
@@ -422,7 +373,7 @@ func (s *State) Vars() map[string]string {
 			m[fmt.Sprintf("durVote[%d]", i)] = strconv.Itoa(s.DurVote[i])
 			m[fmt.Sprintf("durLog[%d]", i)] = formatLog(s.DurLog[i])
 		}
-		if !s.Up[i] {
+		if !s.Up.Has(i) {
 			m[fmt.Sprintf("status[%d]", i)] = "crashed"
 			continue
 		}
@@ -443,7 +394,7 @@ func (s *State) Vars() map[string]string {
 			m[fmt.Sprintf("match[%d]", i)] = "-"
 		}
 		if s.Role[i] == Candidate {
-			m[fmt.Sprintf("votes[%d]", i)] = formatVoteSet(s.Votes[i])
+			m[fmt.Sprintf("votes[%d]", i)] = s.Votes[i].String()
 		} else {
 			m[fmt.Sprintf("votes[%d]", i)] = "-"
 		}
@@ -456,8 +407,8 @@ func (s *State) Vars() map[string]string {
 			m[fmt.Sprintf("net[%d->%d]", src, dst)] = strconv.Itoa(len(s.Chan[src][dst]))
 		}
 	}
-	if s.kv && s.LastReadKey != "" && s.Up[s.LastReadNode] {
-		m[fmt.Sprintf("lastRead[%d]", s.LastReadNode)] = s.LastReadKey + "=" + s.LastReadVal
+	if lr := s.lastRead(); s.kv && lr.Key != "" && s.Up.Has(lr.Node) {
+		m[fmt.Sprintf("lastRead[%d]", lr.Node)] = lr.Key + "=" + lr.Val
 	}
 	s.Counters.Vars(m)
 	m["violation"] = s.Viol.Flag
@@ -485,21 +436,6 @@ func formatPeerInts(vals []int, self int) string {
 		parts = append(parts, strconv.Itoa(v))
 	}
 	return "[" + strings.Join(parts, " ") + "]"
-}
-
-func formatVoteSet(votes []bool) string {
-	var ids []int
-	for i, v := range votes {
-		if v {
-			ids = append(ids, i)
-		}
-	}
-	sort.Ints(ids)
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = strconv.Itoa(id)
-	}
-	return "{" + strings.Join(parts, " ") + "}"
 }
 
 // Log helpers (absolute indexing, snapshot-aware).
@@ -544,16 +480,6 @@ func (s *State) truncateTo(i, abs int) {
 	s.Log[i] = s.Log[i][:abs-s.SnapIdx[i]]
 }
 
-func countVotes(votes []bool) int {
-	n := 0
-	for _, v := range votes {
-		if v {
-			n++
-		}
-	}
-	return n
-}
-
 // Permute returns the state with node identities permuted (symmetry
 // reduction support).
 func (s *State) permute(perm []int) *State {
@@ -581,17 +507,10 @@ func (s *State) permute(perm []int) *State {
 		c.Commit[pi] = s.Commit[i]
 		c.SnapIdx[pi] = s.SnapIdx[i]
 		c.SnapTerm[pi] = s.SnapTerm[i]
-		c.Up[pi] = s.Up[i]
-		if s.Votes[i] != nil {
-			c.Votes[pi] = permuteBools(s.Votes[i], perm)
-		} else {
-			c.Votes[pi] = nil
-		}
-		if s.PreVotes[i] != nil {
-			c.PreVotes[pi] = permuteBools(s.PreVotes[i], perm)
-		} else {
-			c.PreVotes[pi] = nil
-		}
+		c.Votes[pi] = s.Votes[i].Permute(perm)
+		c.PreVotes[pi] = s.PreVotes[i].Permute(perm)
+		c.Cut[pi] = s.Cut[i].Permute(perm)
+		c.Part[pi] = s.Part[i].Permute(perm)
 		if s.Next[i] != nil {
 			c.Next[pi] = permuteInts(s.Next[i], perm)
 		} else {
@@ -606,29 +525,18 @@ func (s *State) permute(perm []int) *State {
 			if i == j {
 				continue
 			}
-			c.Chan[pi][perm[j]] = append([]Msg(nil), s.Chan[i][j]...)
-			c.Cut[pi][perm[j]] = s.Cut[i][j]
-			c.Part[pi][perm[j]] = s.Part[i][j]
+			c.Chan[pi][perm[j]] = append([]packedMsg(nil), s.Chan[i][j]...)
 		}
 	}
+	c.Up = s.Up.Permute(perm)
 	c.Committed = append([]Entry(nil), s.Committed...)
 	c.SnapConflictInstall = s.SnapConflictInstall
-	c.LastReadNode = perm[s.LastReadNode]
-	c.LastReadKey = s.LastReadKey
-	c.LastReadVal = s.LastReadVal
-	c.LastReadWant = s.LastReadWant
-	c.LastReadBad = s.LastReadBad
+	lr := s.lastRead()
+	lr.Node = perm[lr.Node]
+	c.LastRead = &lr
 	c.Counters = s.Counters
 	c.Viol = s.Viol
 	return c
-}
-
-func permuteBools(v []bool, perm []int) []bool {
-	out := make([]bool, len(v))
-	for i, b := range v {
-		out[perm[i]] = b
-	}
-	return out
 }
 
 func permuteInts(v []int, perm []int) []int {

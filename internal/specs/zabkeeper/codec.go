@@ -14,24 +14,12 @@ import (
 // machine built from the same configuration, which the explorer's
 // checkpoint/cluster compatibility digests enforce.
 //
-// Synced and Acked rows are nil for non-leaders and n-long for leaders;
-// permute branches on that, so they are encoded with a 0 marker for nil and
-// len+1 otherwise. Histories, channel queues, and Committed are only ever
+// Acked rows are nil for non-leaders and n-long for leaders; permute branches
+// on that, so they are encoded with a 0 marker for nil and len+1 otherwise.
+// Synced is written the same way — the state holds it as a set per node, the
+// empty set standing for the nil row — so the bytes are what they were when
+// it was a boolean row. Histories, channel queues, and Committed are only ever
 // read through len, so a plain length suffices and empty decodes to nil.
-
-// msgTypes maps the Msg.Type vocabulary to wire codes; index = code.
-var msgTypes = []string{"notif", "finfo", "sync", "ackld", "prop", "ack", "commit"}
-
-func msgTypeCode(t string) byte {
-	for i, s := range msgTypes {
-		if s == t {
-			return byte(i)
-		}
-	}
-	// Unreachable with the current action set (dispatch panics on the same
-	// condition); loud beats silently corrupting a checkpoint.
-	panic(fmt.Sprintf("zabkeeper: unencodable message type %q", t))
-}
 
 // AppendState implements spec.StateCodec.
 func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
@@ -72,20 +60,13 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 		vi(s.LeaderID[i])
 		vi(s.PendEpoch[i])
 		vi(s.Counter[i])
-		vb(s.Activated[i])
-		vb(s.Up[i])
+		vb(s.Activated.Has(i))
+		vb(s.Up.Has(i))
 		txns(s.History[i])
 		for j := 0; j < n; j++ {
 			vote(s.Recv[i][j])
 		}
-		if s.Synced[i] == nil {
-			dst = append(dst, 0)
-		} else {
-			dst = binary.AppendUvarint(dst, uint64(len(s.Synced[i]))+1)
-			for _, b := range s.Synced[i] {
-				vb(b)
-			}
-		}
+		dst = spec.AppendNodeSetRow(dst, s.Synced[i], n)
 		if s.Acked[i] == nil {
 			dst = append(dst, 0)
 		} else {
@@ -97,13 +78,15 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			vb(s.Cut[i][j])
-			vb(s.Part[i][j])
+			vb(s.Cut[i].Has(j))
+			vb(s.Part[i].Has(j))
 			q := s.Chan[i][j]
 			dst = binary.AppendUvarint(dst, uint64(len(q)))
 			for k := range q {
-				msg := &q[k]
-				dst = append(dst, msgTypeCode(msg.Type))
+				// The wire carries the wide message, every field in Msg
+				// order, as it did before queues stored them packed.
+				msg := q[k].unpack()
+				dst = append(dst, q[k].kind)
 				vi(msg.Round)
 				vi(msg.State)
 				vote(msg.Vote)
@@ -154,18 +137,17 @@ func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 		s.LeaderID[i] = d.Node("leaderID", n)
 		s.PendEpoch[i] = d.Int("pendEpoch")
 		s.Counter[i] = d.Int("counter")
-		s.Activated[i] = d.Bool("activated")
-		s.Up[i] = d.Bool("up")
+		if d.Bool("activated") {
+			s.Activated.Add(i)
+		}
+		if !d.Bool("up") {
+			s.Up.Del(i)
+		}
 		s.History[i] = decodeTxns(d, "history")
 		for j := 0; j < n; j++ {
 			s.Recv[i][j] = decodeVote(d, "recv", n)
 		}
-		if d.Row("synced", n) { // 0 = nil row, else n+1
-			s.Synced[i] = make([]bool, n)
-			for j := range s.Synced[i] {
-				s.Synced[i][j] = d.Bool("synced")
-			}
-		}
+		s.Synced[i] = d.NodeSetRow("synced", n, i)
 		if d.Row("acked", n) {
 			s.Acked[i] = make([]int, n)
 			for j := range s.Acked[i] {
@@ -175,15 +157,19 @@ func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			s.Cut[i][j] = d.Bool("cut")
-			s.Part[i][j] = d.Bool("part")
+			if d.Bool("cut") {
+				s.Cut[i].Add(j)
+			}
+			if d.Bool("part") {
+				s.Part[i].Add(j)
+			}
 			qn := d.Len("chan")
 			if qn == 0 {
 				continue
 			}
-			q := make([]Msg, qn)
+			q := make([]packedMsg, qn)
 			for k := range q {
-				msg := &q[k]
+				var msg Msg
 				code := d.Byte("msg type")
 				if int(code) >= len(msgTypes) {
 					d.Failf("unknown message type code %d", code)
@@ -200,6 +186,14 @@ func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 				msg.Committed = d.Int("msg committed")
 				msg.Value = d.Str("msg value")
 				msg.Index = d.Int("msg index")
+				// A queue stores a message packed; one that packing would
+				// alter (a field its kind does not carry, an integer beyond
+				// its stored width) is refused, not narrowed into another
+				// message.
+				var ok bool
+				if q[k], ok = pack(msg); !ok && d.Err == nil {
+					d.Failf("%s message carries a field outside its kind or beyond its stored width", msg.Type)
+				}
 			}
 			s.Chan[i][j] = q
 		}

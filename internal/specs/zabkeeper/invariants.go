@@ -30,10 +30,14 @@ func (m *Machine) Invariants() []spec.Invariant {
 // never settle (ZOOKEEPER-1419).
 func (m *Machine) voteTotalOrder(st spec.State) error {
 	s := st.(*State)
-	var votes []Vote
-	var owner []int
+	// At most two votes per node. The lists live on the stack up to the
+	// arity the orbit buffers assume (append moves them to the heap beyond
+	// it): this runs once per fresh state.
+	var voteBuf [2 * orbitMaxNodes]Vote
+	var ownerBuf [2 * orbitMaxNodes]int
+	votes, owner := voteBuf[:0], ownerBuf[:0]
 	for i := 0; i < s.n; i++ {
-		if !s.Up[i] {
+		if !s.Up.Has(i) {
 			continue
 		}
 		if s.ZState[i] == Looking {
@@ -64,11 +68,11 @@ func (m *Machine) voteTotalOrder(st spec.State) error {
 func (m *Machine) oneLeaderPerEpoch(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
-		if !s.Up[i] || s.ZState[i] != Leading || !s.Activated[i] {
+		if !s.Up.Has(i) || s.ZState[i] != Leading || !s.Activated.Has(i) {
 			continue
 		}
 		for j := i + 1; j < s.n; j++ {
-			if s.Up[j] && s.ZState[j] == Leading && s.Activated[j] && s.PendEpoch[i] == s.PendEpoch[j] {
+			if s.Up.Has(j) && s.ZState[j] == Leading && s.Activated.Has(j) && s.PendEpoch[i] == s.PendEpoch[j] {
 				return fmt.Errorf("nodes %d and %d both lead epoch %d", i, j, s.PendEpoch[i])
 			}
 		}
@@ -81,7 +85,7 @@ func (m *Machine) oneLeaderPerEpoch(st spec.State) error {
 func (m *Machine) committedConsistency(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
-		if !s.Up[i] {
+		if !s.Up.Has(i) {
 			continue
 		}
 		hi := s.Commit[i]

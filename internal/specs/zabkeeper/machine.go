@@ -17,8 +17,13 @@ type Machine struct {
 	bugs   bugdb.Set
 }
 
-// New builds the zabkeeper specification machine.
+// New builds the zabkeeper specification machine. The state keeps per-node
+// sets as spec.NodeSet bit masks, so a configuration beyond spec.MaxNodes is a
+// caller's bug (the run layer refuses one with an error before it gets here).
 func New(cfg spec.Config, b spec.Budget, bugs bugdb.Set) *Machine {
+	if cfg.Nodes > spec.MaxNodes {
+		panic(fmt.Sprintf("zabkeeper: %d nodes, a state indexes at most %d", cfg.Nodes, spec.MaxNodes))
+	}
 	return &Machine{system: "zabkeeper", n: cfg.Nodes, cfg: cfg, budget: b, bugs: bugs}
 }
 
@@ -97,7 +102,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	b := m.budget
 
 	for i := 0; i < m.n; i++ {
-		if !s.Up[i] {
+		if !s.Up.Has(i) {
 			continue
 		}
 		// Election timeout: the node (re-)enters leader election.
@@ -108,7 +113,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 			add(trace.Event{Type: trace.EvTimeout, Action: "TimeoutElection", Node: i, Payload: "election"}, n)
 		}
 		// Client requests served by an activated leader.
-		if s.ZState[i] == Leading && s.Activated[i] && s.Counters.CanRequest(b) {
+		if s.ZState[i] == Leading && s.Activated.Has(i) && s.Counters.CanRequest(b) {
 			for _, v := range m.cfg.Workload {
 				n := clone()
 				n.Counters.Requests++
@@ -125,7 +130,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 		}
 	}
 	for i := 0; i < m.n; i++ {
-		if s.Up[i] || !s.Counters.CanRestart(b) {
+		if s.Up.Has(i) || !s.Counters.CanRestart(b) {
 			continue
 		}
 		n := clone()
@@ -137,12 +142,12 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	// Message deliveries (TCP: head of each channel).
 	for src := 0; src < m.n; src++ {
 		for dst := 0; dst < m.n; dst++ {
-			if src == dst || len(s.Chan[src][dst]) == 0 || !s.Up[dst] {
+			if src == dst || len(s.Chan[src][dst]) == 0 || !s.Up.Has(dst) {
 				continue
 			}
 			n := clone()
 			q := n.Chan[src][dst]
-			msg := q[0]
+			msg := q[0].unpack()
 			n.Chan[src][dst] = q[1:]
 			action := m.dispatch(n, src, dst, msg)
 			add(trace.Event{Type: trace.EvDeliver, Action: action, Node: dst, Peer: src}, n)
@@ -152,19 +157,23 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	// Partitions and recovery.
 	for a := 0; a < m.n; a++ {
 		for bn := a + 1; bn < m.n; bn++ {
-			if !s.Part[a][bn] && s.Counters.CanPartition(b) {
+			if !s.Part[a].Has(bn) && s.Counters.CanPartition(b) {
 				n := clone()
 				n.Counters.Partitions++
-				n.Part[a][bn], n.Part[bn][a] = true, true
-				n.Cut[a][bn], n.Cut[bn][a] = true, true
+				n.Part[a].Add(bn)
+				n.Part[bn].Add(a)
+				n.Cut[a].Add(bn)
+				n.Cut[bn].Add(a)
 				n.Chan[a][bn], n.Chan[bn][a] = nil, nil
 				add(trace.Event{Type: trace.EvPartition, Action: "NetworkPartition", Node: a, Peer: bn}, n)
 			}
-			if s.Part[a][bn] {
+			if s.Part[a].Has(bn) {
 				n := clone()
-				n.Part[a][bn], n.Part[bn][a] = false, false
-				if n.Up[a] && n.Up[bn] {
-					n.Cut[a][bn], n.Cut[bn][a] = false, false
+				n.Part[a].Del(bn)
+				n.Part[bn].Del(a)
+				if n.Up.Has(a) && n.Up.Has(bn) {
+					n.Cut[a].Del(bn)
+					n.Cut[bn].Del(a)
 				}
 				add(trace.Event{Type: trace.EvRecover, Action: "NetworkRecover", Node: a, Peer: bn}, n)
 			}
@@ -174,10 +183,10 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 }
 
 func (s *State) send(src, dst int, msg Msg) {
-	if src == dst || s.Cut[src][dst] {
+	if src == dst || s.Cut[src].Has(dst) {
 		return
 	}
-	s.Chan[src][dst] = append(s.Chan[src][dst], msg)
+	s.Chan[src][dst] = append(s.Chan[src][dst], mustPack(msg))
 }
 
 func (m *Machine) dispatch(s *State, src, dst int, msg Msg) string {
@@ -218,9 +227,9 @@ func (m *Machine) startElection(s *State, i int) {
 	s.Recv[i] = emptyRecv(m.n)
 	s.Recv[i][i] = s.Vote[i]
 	s.LeaderID[i] = -1
-	s.Synced[i] = nil
+	s.Synced[i] = 0
 	s.Acked[i] = nil
-	s.Activated[i] = false
+	s.Activated.Del(i)
 	m.broadcastNotif(s, i)
 }
 
@@ -301,11 +310,10 @@ func (m *Machine) lead(s *State, i int) {
 		pend = he
 	}
 	s.PendEpoch[i] = pend + 1
-	s.Synced[i] = make([]bool, m.n)
-	s.Synced[i][i] = true
+	s.Synced[i] = spec.SingleNode(i)
 	s.Acked[i] = make([]int, m.n)
 	s.Acked[i][i] = len(s.History[i])
-	s.Activated[i] = false
+	s.Activated.Del(i)
 	s.Counter[i] = 0
 }
 
@@ -313,9 +321,9 @@ func (m *Machine) lead(s *State, i int) {
 func (m *Machine) follow(s *State, i, leader int) {
 	s.ZState[i] = Following
 	s.LeaderID[i] = leader
-	s.Synced[i] = nil
+	s.Synced[i] = 0
 	s.Acked[i] = nil
-	s.Activated[i] = false
+	s.Activated.Del(i)
 	e, c := s.lastZxid(i)
 	s.send(i, leader, Msg{Type: "finfo", Epoch: s.Epoch[i], Counter: c, NewEpoch: e})
 }
@@ -353,7 +361,7 @@ func (m *Machine) handleAckLeader(s *State, dst, src int, msg Msg) {
 	if s.ZState[dst] != Leading {
 		return
 	}
-	s.Synced[dst][src] = true
+	s.Synced[dst].Add(src)
 	// The follower confirmed everything up to its reported last zxid; the
 	// leader streams any proposals issued since the SYNC was cut so the
 	// follower's history has no gaps.
@@ -363,15 +371,9 @@ func (m *Machine) handleAckLeader(s *State, dst, src int, msg Msg) {
 		t := s.History[dst][k]
 		s.send(dst, src, Msg{Type: "prop", Epoch: t.Epoch, Counter: t.Counter, Value: t.Value})
 	}
-	count := 0
-	for j := 0; j < m.n; j++ {
-		if s.Synced[dst][j] {
-			count++
-		}
-	}
-	if count >= m.quorum() && !s.Activated[dst] {
+	if s.Synced[dst].Count() >= m.quorum() && !s.Activated.Has(dst) {
 		// Epoch established: the leader activates and adopts the new epoch.
-		s.Activated[dst] = true
+		s.Activated.Add(dst)
 		s.Epoch[dst] = s.PendEpoch[dst]
 	}
 	m.advanceCommit(s, dst)
@@ -394,7 +396,7 @@ func (m *Machine) clientRequest(s *State, i int, v string) {
 	s.History[i] = append(s.History[i], txn)
 	s.Acked[i][i] = len(s.History[i])
 	for p := 0; p < m.n; p++ {
-		if p == i || !s.Synced[i][p] {
+		if p == i || !s.Synced[i].Has(p) {
 			continue
 		}
 		s.send(i, p, Msg{Type: "prop", Epoch: txn.Epoch, Counter: txn.Counter, Value: v})
@@ -442,7 +444,7 @@ func (m *Machine) handleAck(s *State, dst, src int, msg Msg) {
 }
 
 func (m *Machine) advanceCommit(s *State, i int) {
-	if !s.Activated[i] {
+	if !s.Activated.Has(i) {
 		return
 	}
 	newCommit := s.Commit[i]
@@ -464,7 +466,7 @@ func (m *Machine) advanceCommit(s *State, i int) {
 		s.Commit[i] = newCommit
 		m.extendCommitted(s, i)
 		for p := 0; p < m.n; p++ {
-			if p == i || !s.Synced[i][p] {
+			if p == i || !s.Synced[i].Has(p) {
 				continue
 			}
 			s.send(i, p, Msg{Type: "commit", Index: s.Commit[i]})
@@ -493,15 +495,15 @@ func (m *Machine) extendCommitted(s *State, i int) {
 }
 
 func (m *Machine) crash(s *State, i int) {
-	s.Up[i] = false
+	s.Up.Del(i)
 	for j := 0; j < m.n; j++ {
 		if j == i {
 			continue
 		}
 		s.Chan[i][j] = nil
 		s.Chan[j][i] = nil
-		s.Cut[i][j] = true
-		s.Cut[j][i] = true
+		s.Cut[i].Add(j)
+		s.Cut[j].Add(i)
 	}
 	// Volatile state resets (history and epoch are durable).
 	s.ZState[i] = Looking
@@ -513,23 +515,23 @@ func (m *Machine) crash(s *State, i int) {
 	s.Commit[i] = 0
 	s.LeaderID[i] = -1
 	s.PendEpoch[i] = 0
-	s.Synced[i] = nil
+	s.Synced[i] = 0
 	s.Acked[i] = nil
-	s.Activated[i] = false
+	s.Activated.Del(i)
 	s.Counter[i] = 0
 }
 
 func (m *Machine) restart(s *State, i int) {
-	s.Up[i] = true
+	s.Up.Add(i)
 	for j := 0; j < m.n; j++ {
-		if j == i || !s.Up[j] {
+		if j == i || !s.Up.Has(j) {
 			continue
 		}
-		if s.Part[i][j] || s.Part[j][i] {
+		if s.Part[i].Has(j) || s.Part[j].Has(i) {
 			continue
 		}
-		s.Cut[i][j] = false
-		s.Cut[j][i] = false
+		s.Cut[i].Del(j)
+		s.Cut[j].Del(i)
 	}
 }
 

@@ -22,28 +22,6 @@ import (
 // Fingerprint and PermutedFingerprint (heap fallback above it).
 const orbitMaxNodes = 8
 
-// hashIDFree mixes every Msg field except Vote.Leader (the one node id a
-// message can carry; it lives in the combine residue).
-func (m *Msg) hashIDFree(h *fp.Hasher) {
-	h.WriteString(m.Type)
-	h.WriteInt(m.Round)
-	h.WriteInt(m.State)
-	h.WriteInt(m.Vote.Epoch)
-	h.WriteInt(m.Vote.Counter)
-	h.WriteInt(m.Epoch)
-	h.WriteInt(m.Counter)
-	h.WriteInt(m.NewEpoch)
-	h.WriteInt(len(m.History))
-	for _, t := range m.History {
-		h.WriteInt(t.Epoch)
-		h.WriteInt(t.Counter)
-		h.WriteString(t.Value)
-	}
-	h.WriteInt(m.Committed)
-	h.WriteString(m.Value)
-	h.WriteInt(m.Index)
-}
-
 // orbitDigests fills node (len n) and edge (len n*n, row-major) with the
 // state's id-free sub-digests and returns the global digest.
 func (s *State) orbitDigests(node, edge []uint64) uint64 {
@@ -67,11 +45,11 @@ func (s *State) orbitDigests(node, edge []uint64) uint64 {
 		h.WriteInt(s.PendEpoch[i])
 		// Row shapes of the nil-able leader matrices (cells live in the
 		// edge digests).
-		h.WriteInt(len(s.Synced[i]))
+		h.WriteInt(s.Synced[i].RowLen(n))
 		h.WriteInt(len(s.Acked[i]))
-		h.WriteBool(s.Activated[i])
+		h.WriteBool(s.Activated.Has(i))
 		h.WriteInt(s.Counter[i])
-		h.WriteBool(s.Up[i])
+		h.WriteBool(s.Up.Has(i))
 		node[i] = h.Sum()
 	}
 	for a := 0; a < n; a++ {
@@ -81,8 +59,8 @@ func (s *State) orbitDigests(node, edge []uint64) uint64 {
 			h.Reset()
 			h.WriteInt(recv[b].Epoch)
 			h.WriteInt(recv[b].Counter)
-			if len(synced) > 0 {
-				h.WriteBool(synced[b])
+			if synced != 0 {
+				h.WriteBool(synced.Has(b))
 			}
 			if len(acked) > 0 {
 				h.WriteInt(acked[b])
@@ -93,8 +71,8 @@ func (s *State) orbitDigests(node, edge []uint64) uint64 {
 				for k := range q {
 					q[k].hashIDFree(&h)
 				}
-				h.WriteBool(s.Cut[a][b])
-				h.WriteBool(s.Part[a][b])
+				h.WriteBool(s.Cut[a].Has(b))
+				h.WriteBool(s.Part[a].Has(b))
 			}
 			edge[a*n+b] = h.Sum()
 		}
@@ -157,7 +135,7 @@ func (s *State) orbitCombine(node, edge []uint64, global uint64, perm, inv []int
 			}
 			q := row[inv[b]]
 			for k := range q {
-				h.WriteInt(mapID(q[k].Vote.Leader))
+				h.WriteInt(mapID(int(q[k].leader)))
 			}
 		}
 	}

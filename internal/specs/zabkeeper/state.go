@@ -59,29 +59,14 @@ func (v Vote) String() string {
 	return fmt.Sprintf("%d@(%d,%d)", v.Leader, v.Epoch, v.Counter)
 }
 
-// Msg is the specification-level message.
-type Msg struct {
-	Type string // "notif", "finfo", "sync", "ackld", "prop", "ack", "commit"
-	// notif
-	Round int
-	State int
-	Vote  Vote
-	// finfo / ackld
-	Epoch   int
-	Counter int
-	// sync
-	NewEpoch  int
-	History   []Txn
-	Committed int
-	// prop
-	Value string
-	// commit
-	Index int
-}
-
-// State is the zabkeeper specification state.
+// State is the zabkeeper specification state. A frontier holds one per
+// state, so the struct is kept small: 32-bit counters, and the storage the
+// slices are carved from is found through the slices themselves (see shape)
+// instead of being named a second time.
 type State struct {
 	n int
+
+	Counters spec.Counters
 
 	ZState  []int
 	Round   []int
@@ -92,26 +77,26 @@ type State struct {
 	Commit  []int    // volatile committed prefix length
 
 	LeaderID  []int
-	PendEpoch []int // leader: epoch being established
-	Synced    [][]bool
+	PendEpoch []int          // leader: epoch being established
+	Synced    []spec.NodeSet // followers the leader has synced, itself first; empty when not leading
 	Acked     [][]int
-	Activated []bool
+	Activated spec.NodeSet
 	Counter   []int // leader: next proposal counter
 
-	Up []bool
+	Up spec.NodeSet
 
-	Chan [][][]Msg
-	Cut  [][]bool
-	Part [][]bool
+	// Chan[src][dst] queues messages packed: send packs, delivery unpacks.
+	Chan [][][]packedMsg
+	Cut  []spec.NodeSet
+	Part []spec.NodeSet
 
 	// Ghost committed transaction sequence (cluster-wide prefix).
 	Committed []Txn
 
-	Counters spec.Counters
-	Viol     spec.Violation
+	Viol spec.Violation
 
-	// mem is the storage cloneInto carved the slices above from (zero for a
-	// state built any other way).
+	// mem is the variable-length storage cloneInto carved the rows above
+	// from (zero for a state built any other way).
 	mem arena
 }
 
@@ -125,7 +110,7 @@ func newState(n int) *State {
 		s.Vote[i] = Vote{Leader: i}
 		s.Recv[i][i] = s.Vote[i]
 		s.LeaderID[i] = -1
-		s.Up[i] = true
+		s.Up.Add(i)
 	}
 	return s
 }
@@ -138,22 +123,14 @@ func emptyRecv(n int) []Vote {
 	return r
 }
 
-// arena is the backing storage cloneInto carves a state's slices out of; it
-// stays with its State, so recycling the State reuses the arrays.
+// arena is the variable-length backing storage cloneInto carves a state's
+// rows out of; it stays with its State, so recycling the State reuses the
+// arrays. (The fixed-shape arrays need no entry here: shape finds them
+// through their first view.)
 type arena struct {
-	ints     []int    // ZState..Counter, seven rows
-	bools    []bool   // Up, Activated, then the Cut and Part matrices
-	boolRows [][]bool // outers of Cut, Part, Synced
-	sflat    []bool   // non-nil Synced rows
-	acked    [][]int
-	aflat    []int  // non-nil Acked rows
-	vflat    []Vote // Vote, then the Recv matrix
-	recv     [][]Vote
-	history  [][]Txn
-	tflat    []Txn // every History and Committed transaction
-	chans    [][][]Msg
-	chanRows [][]Msg
-	mflat    []Msg // every queued message
+	aflat []int       // non-nil Acked rows
+	tflat []Txn       // every History and Committed transaction
+	mflat []packedMsg // every queued message
 }
 
 // sized returns a[:n], reallocating when a is too small — how a recycled
@@ -166,19 +143,27 @@ func sized[T any](a []T, n int) []T {
 	return a[:n]
 }
 
-// shape gives c its fixed-shape fields for n nodes, carved from its arena
-// with exact-capacity subslices: the seven per-node int rows out of one
-// array; Up, Activated and the Cut and Part matrices out of another; Vote and
-// the always-square Recv matrix out of a third; and the outers of every
-// nil-able row and of the channel matrix. A fresh State gets zeroed storage;
-// a recycled one keeps its stale contents, which the caller overwrites.
+// shape gives c its fixed-shape fields for n nodes: the seven per-node int
+// rows carved out of one array; the three per-node sets out of another; Vote
+// and the always-square Recv matrix out of a third; and the outers of every
+// nil-able row and of the channel matrix. A fresh State
+// gets zeroed storage; a recycled one keeps its stale contents, which the
+// caller overwrites.
+//
+// Each array is owned through its first view, which is carved with the
+// array's whole capacity (ZState for the ints, Cut for the sets, Vote for the
+// votes, Recv, Acked, History, Chan and Chan[0] for the outers), so a
+// recycled State finds its storage again by re-extending that view — and
+// allocates when the view is too short, whatever built it: a state of fewer
+// nodes, Permute, DecodeState. Every other view is exact-capacity. None of
+// the owning views is ever appended to or reassigned (a handler that resets
+// Recv[i] replaces a row, not the outer), which is what makes them safe
+// owners.
 func (c *State) shape(n int) {
-	a := &c.mem
 	c.n = n
 
-	a.ints = sized(a.ints, 7*n)
-	ints := a.ints
-	c.ZState = ints[0*n : 1*n : 1*n]
+	ints := sized(c.ZState[:cap(c.ZState)], 7*n)
+	c.ZState = ints[0*n : 1*n]
 	c.Round = ints[1*n : 2*n : 2*n]
 	c.Epoch = ints[2*n : 3*n : 3*n]
 	c.Commit = ints[3*n : 4*n : 4*n]
@@ -186,35 +171,30 @@ func (c *State) shape(n int) {
 	c.PendEpoch = ints[5*n : 6*n : 6*n]
 	c.Counter = ints[6*n : 7*n : 7*n]
 
-	a.bools = sized(a.bools, 2*n+2*n*n)
-	bools := a.bools
-	c.Up = bools[0:n:n]
-	c.Activated = bools[n : 2*n : 2*n]
-	a.boolRows = sized(a.boolRows, 3*n)
-	c.Cut = a.boolRows[0:n:n]
-	c.Part = a.boolRows[n : 2*n : 2*n]
-	c.Synced = a.boolRows[2*n : 3*n : 3*n]
+	sets := sized(c.Cut[:cap(c.Cut)], 3*n)
+	c.Cut = sets[0:n]
+	c.Part = sets[n : 2*n : 2*n]
+	c.Synced = sets[2*n : 3*n : 3*n]
 
-	a.vflat = sized(a.vflat, n+n*n)
-	c.Vote = a.vflat[0:n:n]
-	a.recv = sized(a.recv, n)
-	c.Recv = a.recv
+	vflat := sized(c.Vote[:cap(c.Vote)], n+n*n)
+	c.Vote = vflat[0:n]
+	c.Recv = sized(c.Recv[:cap(c.Recv)], n)
+	c.Acked = sized(c.Acked[:cap(c.Acked)], n)
+	c.History = sized(c.History[:cap(c.History)], n)
 
-	a.acked = sized(a.acked, n)
-	c.Acked = a.acked
-	a.history = sized(a.history, n)
-	c.History = a.history
-	a.chans = sized(a.chans, n)
-	c.Chan = a.chans
-	a.chanRows = sized(a.chanRows, n*n)
+	var chanRows [][]packedMsg
+	if len(c.Chan) > 0 {
+		chanRows = c.Chan[0][:cap(c.Chan[0])]
+	}
+	chanRows = sized(chanRows, n*n)
+	c.Chan = sized(c.Chan[:cap(c.Chan)], n)
 
-	off := 2 * n
 	for i := 0; i < n; i++ {
-		c.Cut[i] = bools[off : off+n : off+n]
-		c.Part[i] = bools[off+n*n : off+n*n+n : off+n*n+n]
-		c.Recv[i] = a.vflat[n+i*n : n+(i+1)*n : n+(i+1)*n]
-		c.Chan[i] = a.chanRows[i*n : (i+1)*n : (i+1)*n]
-		off += n
+		c.Recv[i] = vflat[n+i*n : n+(i+1)*n : n+(i+1)*n]
+		c.Chan[i] = chanRows[i*n : (i+1)*n : (i+1)*n]
+	}
+	if n > 0 {
+		c.Chan[0] = chanRows[0:n]
 	}
 }
 
@@ -242,37 +222,30 @@ func (s *State) cloneInto(dst *State) *State {
 	copy(c.LeaderID, s.LeaderID)
 	copy(c.PendEpoch, s.PendEpoch)
 	copy(c.Counter, s.Counter)
-	copy(c.Up, s.Up)
-	copy(c.Activated, s.Activated)
+	c.Up, c.Activated = s.Up, s.Activated
+	copy(c.Cut, s.Cut)
+	copy(c.Part, s.Part)
+	copy(c.Synced, s.Synced)
 	copy(c.Vote, s.Vote)
 	for i := 0; i < n; i++ {
-		copy(c.Cut[i], s.Cut[i])
-		copy(c.Part[i], s.Part[i])
 		copy(c.Recv[i], s.Recv[i])
 	}
 
-	// Synced and Acked: nil-able leader rows carved from counted flat arrays.
-	nsy, na := 0, 0
+	// Acked: nil-able leader rows carved from one counted flat array.
+	na := 0
 	for i := 0; i < n; i++ {
-		nsy += len(s.Synced[i])
 		na += len(s.Acked[i])
 	}
-	sflat := sized(a.sflat, nsy)[:0]
 	aflat := sized(a.aflat, na)[:0]
 	for i := 0; i < n; i++ {
-		c.Synced[i], c.Acked[i] = nil, nil
-		if row := s.Synced[i]; row != nil {
-			start := len(sflat)
-			sflat = append(sflat, row...)
-			c.Synced[i] = sflat[start:len(sflat):len(sflat)]
-		}
+		c.Acked[i] = nil
 		if row := s.Acked[i]; row != nil {
 			start := len(aflat)
 			aflat = append(aflat, row...)
 			c.Acked[i] = aflat[start:len(aflat):len(aflat)]
 		}
 	}
-	a.sflat, a.aflat = sflat, aflat
+	a.aflat = aflat
 
 	// History and the ghost Committed sequence: one counted flat Txn array.
 	nt := len(s.Committed)
@@ -351,7 +324,7 @@ func (s *State) lastZxid(i int) (epoch, counter int) {
 func (s *State) Vars() map[string]string {
 	m := make(map[string]string, 10*s.n)
 	for i := 0; i < s.n; i++ {
-		if !s.Up[i] {
+		if !s.Up.Has(i) {
 			m[fmt.Sprintf("status[%d]", i)] = "crashed"
 			continue
 		}
@@ -364,7 +337,7 @@ func (s *State) Vars() map[string]string {
 		m[fmt.Sprintf("committed[%d]", i)] = strconv.Itoa(s.Commit[i])
 		m[fmt.Sprintf("leader[%d]", i)] = strconv.Itoa(s.LeaderID[i])
 		if s.ZState[i] == Leading {
-			m[fmt.Sprintf("synced[%d]", i)] = formatBoolSet(s.Synced[i])
+			m[fmt.Sprintf("synced[%d]", i)] = s.Synced[i].String()
 			m[fmt.Sprintf("acked[%d]", i)] = formatInts(s.Acked[i], i)
 		} else {
 			m[fmt.Sprintf("synced[%d]", i)] = "-"
@@ -393,16 +366,6 @@ func formatHistory(h []Txn) string {
 		parts[i] = fmt.Sprintf("%d.%d:%s", t.Epoch, t.Counter, t.Value)
 	}
 	return "[" + strings.Join(parts, " ") + "]"
-}
-
-func formatBoolSet(b []bool) string {
-	var parts []string
-	for i, v := range b {
-		if v {
-			parts = append(parts, strconv.Itoa(i))
-		}
-	}
-	return "{" + strings.Join(parts, " ") + "}"
 }
 
 func formatInts(vals []int, self int) string {
@@ -443,14 +406,9 @@ func (s *State) permute(perm []int) *State {
 		c.Commit[pi] = s.Commit[i]
 		c.LeaderID[pi] = mapID(s.LeaderID[i])
 		c.PendEpoch[pi] = s.PendEpoch[i]
-		if s.Synced[i] != nil {
-			c.Synced[pi] = make([]bool, s.n)
-			for j := 0; j < s.n; j++ {
-				c.Synced[pi][perm[j]] = s.Synced[i][j]
-			}
-		} else {
-			c.Synced[pi] = nil
-		}
+		c.Synced[pi] = s.Synced[i].Permute(perm)
+		c.Cut[pi] = s.Cut[i].Permute(perm)
+		c.Part[pi] = s.Part[i].Permute(perm)
 		if s.Acked[i] != nil {
 			c.Acked[pi] = make([]int, s.n)
 			for j := 0; j < s.n; j++ {
@@ -459,29 +417,26 @@ func (s *State) permute(perm []int) *State {
 		} else {
 			c.Acked[pi] = nil
 		}
-		c.Activated[pi] = s.Activated[i]
 		c.Counter[pi] = s.Counter[i]
-		c.Up[pi] = s.Up[i]
 		for j := 0; j < s.n; j++ {
 			if i == j {
 				continue
 			}
 			c.Chan[pi][perm[j]] = permuteMsgs(s.Chan[i][j], perm)
-			c.Cut[pi][perm[j]] = s.Cut[i][j]
-			c.Part[pi][perm[j]] = s.Part[i][j]
 		}
 	}
+	c.Up, c.Activated = s.Up.Permute(perm), s.Activated.Permute(perm)
 	c.Committed = append([]Txn(nil), s.Committed...)
 	c.Counters = s.Counters
 	c.Viol = s.Viol
 	return c
 }
 
-func permuteMsgs(msgs []Msg, perm []int) []Msg {
-	out := append([]Msg(nil), msgs...)
+func permuteMsgs(msgs []packedMsg, perm []int) []packedMsg {
+	out := append([]packedMsg(nil), msgs...)
 	for k := range out {
-		if out[k].Vote.Leader >= 0 {
-			out[k].Vote.Leader = perm[out[k].Vote.Leader]
+		if out[k].leader >= 0 {
+			out[k].leader = int16(perm[out[k].leader])
 		}
 	}
 	return out

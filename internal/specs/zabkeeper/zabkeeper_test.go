@@ -55,13 +55,7 @@ func TestLeaderElectableAndActivates(t *testing.T) {
 	opts := explorer.DefaultOptions()
 	opts.MaxStates = 30000
 	opts.Goal = func(st spec.State) bool {
-		s := st.(*zabkeeper.State)
-		for i := range s.Activated {
-			if s.Activated[i] {
-				return true
-			}
-		}
-		return false
+		return st.(*zabkeeper.State).Activated != 0
 	}
 	res := explorer.NewChecker(m, opts).Run()
 	if v := res.FirstViolation(); v != nil {
@@ -155,6 +149,28 @@ func TestContract(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			spectest.AssertContractExceptEquivariance(t, zabkeeper.New(cfg(), b, bugs), 12, 80, 29)
+		})
+	}
+}
+
+// TestStoredMessagesLossless is the store/load law at every message of every
+// channel of every state of a bounded BFS, fixed and buggy build: what a queue
+// stores of a message loads back to the message that was sent (see raftbase's).
+func TestStoredMessagesLossless(t *testing.T) {
+	b := spec.Budget{Name: "law", MaxTimeouts: 4, MaxCrashes: 1, MaxRestarts: 1, MaxRequests: 2, MaxPartitions: 1, MaxBuffer: 3}
+	for name, bugs := range map[string]bugdb.Set{"fixed": bugdb.NoBugs(), "buggy": bugdb.AllBugs("zabkeeper")} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			states := 0
+			spectest.BFS(zabkeeper.New(cfg(), b, bugs), 20000, func(s spec.State) {
+				states++
+				if err := zabkeeper.CheckStoredMessages(s); err != nil {
+					t.Fatalf("state %d: %v", states, err)
+				}
+			})
+			if states < 1000 {
+				t.Fatalf("only %d states reached", states)
+			}
 		})
 	}
 }
