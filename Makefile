@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-conform fuzz docs checktrace soak cluster serve-smoke ci loc clean
+.PHONY: all build vet test race race-conform race-cluster fuzz docs checktrace soak cluster serve-smoke ci loc clean
 
 all: ci
 
@@ -22,6 +22,13 @@ race:
 # fails CI even when the full-suite race pass happens to interleave benignly.
 race-conform:
 	$(GO) test -race -count 4 -run 'TestParallelMatchesSerial|TestResourceCheck' ./internal/conformance/
+
+# race-cluster does the same for the cluster's candidate path: each expand
+# worker's private repeat table and encoding slab, and seal's serial
+# cross-worker resolution and P-way merge, under the equivalence rows and
+# the two hostile-block tests (W = 1, 2, 4), four times over.
+race-cluster:
+	$(GO) test -race -count 4 -run 'TestClusterEquivalence|TestTruncatedWire|TestDuplicateWire' ./internal/explorer/
 
 # fuzz runs a short coverage-guided smoke over the virtual network's queue
 # operations (send/deliver/drop/duplicate against a model oracle) and over
@@ -151,11 +158,12 @@ serve-smoke:
 	echo "serve-smoke: HTTP jobs match CLI references (check: counters, coverage, trace; confirm: + shrink, replay)"
 
 # ci is the gate every change must pass: compile, static checks, the docs
-# gate, the full test suite under the race detector, the repeated race run
-# of the parallel conformance pool, a short fuzz smoke, the observability
+# gate, the full test suite under the race detector, the repeated race runs
+# of the parallel conformance pool and the cluster candidate path, a short
+# fuzz smoke, the observability
 # artifact schema gate, the out-of-core soak, the 3-process
 # distributed-equivalence gate, and the checking-as-a-service smoke.
-ci: build vet docs race race-conform fuzz checktrace soak cluster serve-smoke
+ci: build vet docs race race-conform race-cluster fuzz checktrace soak cluster serve-smoke
 
 # loc prints the non-test Go lines of every package directory (benchmark/
 # excluded) and their total: the figure CHANGES.md quotes when a PR reports

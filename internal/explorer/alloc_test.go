@@ -111,6 +111,55 @@ func TestBytesPerState(t *testing.T) {
 	}
 }
 
+// clusterHunt explores the craft hunt model as a two-peer in-process cluster
+// of single-worker peers (the benchmark's explore_cluster shape, minus the
+// sockets) and returns the cluster-wide distinct-state count.
+func clusterHunt(t *testing.T) int {
+	results := runClusterPeers(2, func(int) Options {
+		return Options{Workers: 1, Symmetry: true, MaxStates: 20000, Checkpoint: CheckpointOptions{Label: "hunt"}}
+	}, nil)
+	for i, res := range results {
+		if res.Err != nil || res.DistinctStates == 0 {
+			t.Fatalf("peer %d: distinct=%d err=%v", i, res.DistinctStates, res.Err)
+		}
+	}
+	return results[0].DistinctStates
+}
+
+// TestClusterAllocsPerState is TestAllocsPerState for the cluster's candidate
+// path, both peers' allocations over the cluster's distinct states: a repeat
+// a worker already buffered this level costs nothing (no Keep, no encoding),
+// an outbound candidate is encoded into the worker's slab, and a block is one
+// presized buffer. Before that, each repeat was kept or encoded and then
+// dropped by a map, and blocks were DEFLATE streams: 26.3 here.
+func TestClusterAllocsPerState(t *testing.T) {
+	const ceiling = 22.0 // measured 14.9
+	var distinct int
+	allocs := testing.AllocsPerRun(1, func() { distinct = clusterHunt(t) })
+	perState := allocs / float64(distinct)
+	t.Logf("allocs/run=%.0f distinct=%d allocs/state=%.2f", allocs, distinct, perState)
+	if perState > ceiling {
+		t.Errorf("allocations per distinct state = %.2f, want <= %.1f", perState, ceiling)
+	}
+}
+
+// TestClusterBytesPerState is TestBytesPerState for the same run. Before
+// repeats stopped costing a Keep or an encoding and blocks stopped being
+// DEFLATE streams it measured 7,893.
+func TestClusterBytesPerState(t *testing.T) {
+	const ceiling = 6500.0 // measured 4,311
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	distinct := clusterHunt(t)
+	runtime.ReadMemStats(&after)
+	perState := float64(after.TotalAlloc-before.TotalAlloc) / float64(distinct)
+	t.Logf("distinct=%d bytes/state=%.0f", distinct, perState)
+	if perState > ceiling {
+		t.Errorf("heap bytes per distinct state = %.0f, want <= %.0f", perState, ceiling)
+	}
+}
+
 // TestAllocsPerSuccessor pins what successor enumeration itself allocates
 // once the buffer is warm: the clone is free (recycled), so what is left is
 // what handlers allocate — a log that grows, a message payload. Before

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"github.com/sandtable-go/sandtable/internal/fpset"
@@ -25,29 +26,41 @@ import (
 // fingerprints).
 //
 // The other thing a Conn selects is the dedup strategy. Cluster workers never
-// insert during expansion (expandChunkCluster): a successor either hits the
-// local shard (owned + already visited → a dedup hit, counted immediately)
-// or is buffered as a candidate (fp, parent, action, state), folded to one
-// survivor per fingerprint at the block drain (expandPool.fold) and inserted
-// by its owner's serial merge inside seal.
+// insert during expansion (expandChunkCluster). A successor is a dedup hit on
+// the spot when this peer owns it and has already visited it, or when the
+// same worker already buffered its fingerprint this level (the worker's seen
+// table); either way it costs no Keep and no encoding. Everything else is
+// buffered as a candidate (fp, owner, parent, action, state). Seal sorts the
+// level's candidates by (owner, fp, parent) and keeps the first of each
+// fingerprint (what is left to drop are repeats across workers), routes
+// each owner's run to it as a raw block, and each owner inserts in a serial
+// P-way merge of its own run and the inbound blocks.
+//
+// Why the worker's first occurrence is the right survivor. A worker claims
+// the fp-sorted level in ascending order, so the parents it expands increase;
+// the first time it produces a fingerprint is therefore its smallest (parent,
+// generation order) for it — the candidate a min-parent choice keeps, with
+// generation order breaking ties between actions of one parent as
+// single-process insertion does.
 //
 // Determinism argument. A parent fingerprint is expanded by exactly one peer
-// (its owner), so within one fingerprint's candidate group all parents are
-// distinct and sorting by (fp, parent) is a total order independent of
-// arrival order, peer count, and worker count. The surviving (parent, depth)
-// edge is the minimum parent at minimal depth — exactly the tie-break
-// fpset.Insert applies in single-process runs — and the next frontier is the
-// same fp-sorted set of fresh states every configuration produces. By
-// induction over levels, counters, violations, coverage, and traces match a
-// single-process run byte for byte (MaxQueueLen and fpset probe counts are
-// per-peer structural measures and are summed, not reproduced).
+// (its owner) and one worker, so within one fingerprint's candidate group all
+// parents are distinct and ordering by (fp, parent) is a total order
+// independent of arrival order, peer count, and worker count. The surviving
+// (parent, depth) edge is the minimum parent at minimal depth — exactly the
+// tie-break fpset.Insert applies in single-process runs — and the next
+// frontier is the same fp-sorted set of fresh states every configuration
+// produces. By induction over levels, counters, violations, coverage, and
+// traces match a single-process run byte for byte (MaxQueueLen and fpset
+// probe counts are per-peer structural measures and are summed, not
+// reproduced).
 //
 // The coverage profile a cluster produces is the canonical W=1 profile at
-// every worker count: freshness is attributed in the serial merge, after the
-// fold picked each fingerprint's min-parent first-generated candidate. This
-// is strictly more deterministic than single-process W>1 collection, where
-// two actions reaching the same state within one level race for the fresh
-// credit in per-action stats (totals are unaffected either way).
+// every worker count: freshness is attributed in the serial merge, to each
+// fingerprint's min-parent first-generated candidate. This is strictly more
+// deterministic than single-process W>1 collection, where two actions
+// reaching the same state within one level race for the fresh credit in
+// per-action stats (totals are unaffected either way).
 
 // PeerOptions configures one peer of a distributed exploration.
 type PeerOptions struct {
@@ -58,18 +71,15 @@ type PeerOptions struct {
 	Conn transport.Conn
 }
 
-// invalidAction marks a fired action missing from the declared vocabulary;
-// seal turns it into a run-fatal configuration error.
-const invalidAction = ^uint16(0)
-
-// clusterCand is one buffered candidate successor. Those this peer owns and
-// generated carry the live state, taken out of the worker's buffer; outbound
-// ones (encoded by the worker, their states left to be recycled) and inbound
-// ones carry the wire encoding, decoded only if one wins its merge group.
+// clusterCand is one buffered candidate successor of this peer's. Those it
+// owns carry the live state, taken out of the worker's buffer; outbound ones
+// carry the encoding, appended to the worker's slab (their states are left to
+// be recycled). owner is transport.Owner(fp), computed once by the worker.
 type clusterCand struct {
 	fp     uint64
 	parent uint64
 	action uint16
+	owner  int32
 	state  spec.State
 	enc    []byte
 }
@@ -85,6 +95,9 @@ type clusterCtx struct {
 	actions   []string
 	actionIdx map[string]uint16
 	seq       uint64 // next barrier tag; every peer calls Exchange in lockstep
+	// crossRepeats counts the candidates seal dropped as repeats across
+	// workers (tests assert the branch is exercised).
+	crossRepeats int64
 	// pruneBelow is the last committed manifest depth (set on the coordinator
 	// by checkpointer.settle): peers may delete snapshots below it.
 	pruneBelow int
@@ -205,13 +218,13 @@ func (cl *clusterCtx) hello(resumeDepth int) *fatal {
 	return nil
 }
 
-// seal turns the level's folded candidates into this peer's share of the
-// next frontier (appended to next, fp-sorted by construction) and its
-// violations at depth (appended to viols): candidates are routed to their
-// owners as sorted, compressed blocks (transport.EncodeBlock) over the data
-// barrier, then merged with the inbound ones. ckDue goes in as this peer's
-// cadence reading and comes out as the coordinator's, carried by its barrier
-// summary, so the whole cluster snapshots at the same level.
+// seal turns the level's candidates into this peer's share of the next
+// frontier (appended to next, fp-sorted by construction) and its violations
+// at depth (appended to viols): candidates are routed to their owners as
+// sorted raw blocks (transport.EncodeBlock) over the data barrier, then
+// merged with the inbound ones. ckDue goes in as this peer's cadence reading
+// and comes out as the coordinator's, carried by its barrier summary, so the
+// whole cluster snapshots at the same level.
 func (cl *clusterCtx) seal(p *expandPool, depth int, next []frontierEntry, viols []*Violation, ckDue bool) ([]frontierEntry, []*Violation, bool, *fatal) {
 	if cl == nil {
 		return next, viols, ckDue, nil
@@ -219,19 +232,28 @@ func (cl *clusterCtx) seal(p *expandPool, depth int, next []frontierEntry, viols
 	if p.badAction {
 		return nil, nil, false, &fatal{"config-error", fmt.Errorf("cluster: machine %q fired an action absent from its declared vocabulary", cl.c.m.Name())}
 	}
-	// One (owner, fp) sort groups the per-owner blocks contiguously, each
-	// internally in the fp order AppendBlock requires. (Owner remixes the
-	// fingerprint to undo the min-of-orbit bias of symmetry reduction, so it
-	// is not monotone in fp and the owner key must be sorted on explicitly.)
+	// One (owner, fp, parent) sort groups the per-owner runs contiguously,
+	// each in the fp order AppendBlock requires, with a fingerprint's least
+	// parent first. (Owner remixes the fingerprint to undo the min-of-orbit
+	// bias of symmetry reduction, so it is not monotone in fp and the owner
+	// key must be sorted on explicitly.)
 	slices.SortFunc(p.cands, func(a, b clusterCand) int {
-		if r := cmp.Compare(transport.Owner(a.fp, cl.peers), transport.Owner(b.fp, cl.peers)); r != 0 {
-			return r
+		if a.owner != b.owner {
+			return cmp.Compare(a.owner, b.owner)
 		}
-		return cmp.Compare(a.fp, b.fp)
+		if a.fp != b.fp {
+			return cmp.Compare(a.fp, b.fp)
+		}
+		return cmp.Compare(a.parent, b.parent)
 	})
-	blocks, selfCands, err := cl.buildBlocks(p.cands)
+	blocks, local, err := cl.buildBlocks(cl.dropRepeats(p.cands, depth))
 	if err != nil {
 		return nil, nil, false, transportErr("cluster: encode blocks at depth %d: %w", depth, err)
+	}
+	// The blocks hold copies of every encoding: the workers' level state can go.
+	for _, w := range p.ws {
+		w.seen.reset()
+		w.slab = w.slab[:0]
 	}
 	coord := clusterData{}
 	if cl.self == 0 {
@@ -246,13 +268,11 @@ func (cl *clusterCtx) seal(p *expandPool, depth int, next []frontierEntry, viols
 			return nil, nil, false, transportErr("cluster: coordinator summary at depth %d: %w", depth, err)
 		}
 	}
-	if next, viols, err = cl.merge(p.invs, depth, selfCands, in, next, viols); err != nil {
+	if next, viols, err = cl.merge(p.invs, depth, local, in, next, viols); err != nil {
 		return nil, nil, false, &fatal{"transport-error", err}
 	}
-	// merge appended inbound candidates into the spare capacity: clear it all.
-	clear(p.cands[:cap(p.cands)])
+	clear(p.cands)
 	p.cands = p.cands[:0]
-	clear(p.byFP)
 	if len(next) > cl.res.MaxQueueLen {
 		cl.res.MaxQueueLen = len(next)
 	}
@@ -260,6 +280,26 @@ func (cl *clusterCtx) seal(p *expandPool, depth int, next []frontierEntry, viols
 		cl.c.pruneClusterSnaps(cl, coord.PruneBelow)
 	}
 	return next, viols, coord.Checkpoint, nil
+}
+
+// dropRepeats keeps the first candidate of each fingerprint in the (owner,
+// fp, parent)-sorted cands — its least parent — and scores the others as
+// dedup hits, observed non-fresh. Workers already dropped their own repeats,
+// so these are repeats across workers (W > 1 only). It compacts in place and
+// returns the prefix it kept.
+func (cl *clusterCtx) dropRepeats(cands []clusterCand, depth int) []clusterCand {
+	n := 0
+	for i := range cands {
+		if n > 0 && cands[i].fp == cands[n-1].fp {
+			cl.res.DedupHits++
+			cl.c.cover.Observe(cl.actions[cands[i].action], depth, false)
+			cl.crossRepeats++
+			continue
+		}
+		cands[n] = cands[i]
+		n++
+	}
+	return cands[:n]
 }
 
 // resolve runs one summary-only barrier and folds every peer's summary into
@@ -382,7 +422,8 @@ func (c *Checker) lookupEdge(f uint64) (fpset.Edge, bool) {
 
 // expandChunkCluster is the cluster-mode worker loop: successors are scored
 // against the local shard only when this peer owns them (a hit is an
-// immediate dedup), everything else is buffered for the level's exchange.
+// immediate dedup), a fingerprint the worker already buffered this level is a
+// dedup too, and everything else is buffered for the level's exchange.
 // Inserts never happen here, so Contains answers are stable for the whole
 // level regardless of worker scheduling.
 func (w *expandWorker) expandChunkCluster(entries []frontierEntry, depth int) {
@@ -397,42 +438,104 @@ func (w *expandWorker) expandChunkCluster(entries []frontierEntry, depth int) {
 			if reduced {
 				w.wc.SymmetryHit()
 			}
-			owned := cl.owns(f)
-			if owned && c.visited.Contains(f) {
+			owner := transport.Owner(f, cl.peers)
+			if owner == cl.self && c.visited.Contains(f) || !w.seen.add(f) {
 				out.dedup++
 				w.wc.Observe(su.Event.Action, depth, false)
 				continue
 			}
 			action, ok := cl.actionIdx[su.Event.Action]
 			if !ok {
-				action = invalidAction
+				out.badAction = true
+				continue
 			}
-			cand := clusterCand{fp: f, parent: fe.fp, action: action}
-			if owned {
+			cand := clusterCand{fp: f, parent: fe.fp, action: action, owner: int32(owner)}
+			if owner == cl.self {
 				cand.state = spec.Keep(w.buf, i)
 			} else {
-				cand.enc = c.m.AppendState(nil, su.State)
+				at := len(w.slab)
+				w.slab = c.m.AppendState(w.slab, su.State)
+				cand.enc = w.slab[at:]
 			}
 			out.cands = append(out.cands, cand)
 		}
 	}
 }
 
+// fpSeen is a worker-private open-addressing set of fingerprints, emptied at
+// every level seal. Slot value 0 means empty; fingerprint 0 has its own flag.
+type fpSeen struct {
+	slots []uint64
+	shift uint // 64 - log2(len(slots))
+	n     int
+	zero  bool
+}
+
+// add inserts f and reports whether it was absent.
+func (s *fpSeen) add(f uint64) bool {
+	if f == 0 {
+		had := s.zero
+		s.zero = true
+		return !had
+	}
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	if s.insert(f) {
+		s.n++
+		return true
+	}
+	return false
+}
+
+// insert places f (non-zero) unless present; the table must have room.
+func (s *fpSeen) insert(f uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	// Fibonacci hashing: the multiply spreads min-of-orbit fingerprints,
+	// which are biased low, over the top bits the index is taken from.
+	for i := (f * 0x9E3779B97F4A7C15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = f
+			return true
+		case f:
+			return false
+		}
+	}
+}
+
+func (s *fpSeen) grow() {
+	old := s.slots
+	size := max(1<<10, 2*len(old))
+	s.slots = make([]uint64, size)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, f := range old {
+		if f != 0 {
+			s.insert(f)
+		}
+	}
+}
+
+// reset empties the set, keeping its table for the next level.
+func (s *fpSeen) reset() {
+	clear(s.slots)
+	s.n, s.zero = 0, false
+}
+
 // buildBlocks splits the (owner, fp)-sorted candidate list into the local
 // share and one encoded wire block per remote owner.
 func (cl *clusterCtx) buildBlocks(cands []clusterCand) ([][]byte, []clusterCand, error) {
 	blocks := make([][]byte, cl.peers)
-	var selfCands []clusterCand
+	var local []clusterCand
 	var wire []transport.Candidate
-	i := 0
-	for i < len(cands) {
-		owner := transport.Owner(cands[i].fp, cl.peers)
+	for i := 0; i < len(cands); {
+		owner := cands[i].owner
 		j := i + 1
-		for j < len(cands) && transport.Owner(cands[j].fp, cl.peers) == owner {
+		for j < len(cands) && cands[j].owner == owner {
 			j++
 		}
-		if owner == cl.self {
-			selfCands = cands[i:j]
+		if int(owner) == cl.self {
+			local = cands[i:j]
 		} else {
 			wire = wire[:0]
 			for k := i; k < j; k++ {
@@ -449,16 +552,51 @@ func (cl *clusterCtx) buildBlocks(cands []clusterCand) ([][]byte, []clusterCand,
 		}
 		i = j
 	}
-	return blocks, selfCands, nil
+	return blocks, local, nil
 }
 
-// merge merges this peer's local candidates with the inbound blocks: sort by
-// (fp, parent), insert the minimum parent of each fingerprint group, score
-// the rest as dedup hits, and goal/invariant-check the fresh states, which are
-// appended to next in fp order.
-func (cl *clusterCtx) merge(invs []spec.Invariant, depth int, selfCands []clusterCand, in [][]byte, next []frontierEntry, viols []*Violation) ([]frontierEntry, []*Violation, error) {
+// mergeRun is one strictly fp-increasing run of a level's candidates for
+// fingerprints this peer owns: its own (live states) or one peer's decoded
+// block (encoded states). i is the head.
+type mergeRun struct {
+	own  []clusterCand
+	wire []transport.Candidate
+	i    int
+}
+
+// head returns the key of the run's next candidate, ok false once drained.
+func (r *mergeRun) head() (fp, parent uint64, ok bool) {
+	switch {
+	case r.i < len(r.own):
+		return r.own[r.i].fp, r.own[r.i].parent, true
+	case r.i < len(r.wire):
+		return r.wire[r.i].FP, r.wire[r.i].Parent, true
+	}
+	return 0, 0, false
+}
+
+// take consumes the head candidate: its action and either its live state or
+// its encoding.
+func (r *mergeRun) take() (action uint16, st spec.State, enc []byte) {
+	i := r.i
+	r.i++
+	if r.own != nil {
+		return r.own[i].action, r.own[i].state, nil
+	}
+	return r.wire[i].Action, nil, r.wire[i].State
+}
+
+// merge inserts the level's candidates for fingerprints this peer owns — its
+// own run and every inbound block, each strictly increasing in fp — by a
+// P-way merge: the least head fingerprint opens the next group and the
+// least parent among the heads carrying it leads. The lead is inserted,
+// every other member of the group is a dedup hit, and a fresh lead is
+// decoded (if it came over the wire), goal/invariant-checked and appended to
+// next, in fp order.
+func (cl *clusterCtx) merge(invs []spec.Invariant, depth int, local []clusterCand, in [][]byte, next []frontierEntry, viols []*Violation) ([]frontierEntry, []*Violation, error) {
 	c, res := cl.c, cl.res
-	merged := selfCands
+	runs := make([]mergeRun, cl.peers)
+	runs[cl.self].own = local
 	for q, payload := range in {
 		if q == cl.self || len(payload) == 0 {
 			continue
@@ -471,58 +609,53 @@ func (cl *clusterCtx) merge(invs []spec.Invariant, depth int, selfCands []cluste
 			if int(wcands[i].Action) >= len(cl.actions) {
 				return nil, nil, fmt.Errorf("cluster: candidate %#x from peer %d carries action index %d outside the shared table", wcands[i].FP, q, wcands[i].Action)
 			}
-			merged = append(merged, clusterCand{
-				fp: wcands[i].FP, parent: wcands[i].Parent,
-				action: wcands[i].Action, enc: wcands[i].State,
-			})
 		}
+		runs[q].wire = wcands
 	}
-	slices.SortFunc(merged, func(a, b clusterCand) int {
-		if r := cmp.Compare(a.fp, b.fp); r != 0 {
-			return r
-		}
-		return cmp.Compare(a.parent, b.parent)
-	})
 	cover := c.cover
 	goal := c.opts.Goal
-	i := 0
-	for i < len(merged) {
-		j := i + 1
-		for j < len(merged) && merged[j].fp == merged[i].fp {
-			j++
+	for {
+		lead := -1
+		var fp, parent uint64
+		for q := range runs {
+			if f, pa, ok := runs[q].head(); ok && (lead < 0 || f < fp || f == fp && pa < parent) {
+				lead, fp, parent = q, f, pa
+			}
 		}
-		lead := &merged[i]
-		fresh := c.visited.Insert(lead.fp, lead.parent, int32(depth))
-		cover.Observe(cl.actions[lead.action], depth, fresh)
+		if lead < 0 {
+			return next, viols, nil
+		}
+		action, st, enc := runs[lead].take()
+		fresh := c.visited.Insert(fp, parent, int32(depth))
+		cover.Observe(cl.actions[action], depth, fresh)
 		if fresh {
 			res.DistinctStates++
-			st := lead.state
 			if st == nil {
 				var rest []byte
 				var derr error
-				st, rest, derr = c.m.DecodeState(lead.enc)
-				if derr != nil {
-					return nil, nil, fmt.Errorf("cluster: decode state %#x at depth %d: %w", lead.fp, depth, derr)
+				if st, rest, derr = c.m.DecodeState(enc); derr != nil {
+					return nil, nil, fmt.Errorf("cluster: decode state %#x at depth %d: %w", fp, depth, derr)
 				}
 				if len(rest) != 0 {
-					return nil, nil, fmt.Errorf("cluster: state %#x at depth %d: %d trailing bytes", lead.fp, depth, len(rest))
+					return nil, nil, fmt.Errorf("cluster: state %#x at depth %d: %d trailing bytes", fp, depth, len(rest))
 				}
 			}
-			next = append(next, frontierEntry{state: st, fp: lead.fp})
+			next = append(next, frontierEntry{state: st, fp: fp})
 			if goal != nil && !res.GoalReached && goal(st) {
 				res.GoalReached = true
 			}
-			if v := checkInvariants(invs, st, depth, lead.fp); v != nil {
+			if v := checkInvariants(invs, st, depth, fp); v != nil {
 				viols = append(viols, v)
 			}
 		} else {
 			res.DedupHits++
 		}
-		for k := i + 1; k < j; k++ {
-			res.DedupHits++
-			cover.Observe(cl.actions[merged[k].action], depth, false)
+		for q := range runs {
+			if f, _, ok := runs[q].head(); ok && f == fp {
+				a, _, _ := runs[q].take()
+				res.DedupHits++
+				cover.Observe(cl.actions[a], depth, false)
+			}
 		}
-		i = j
 	}
-	return next, viols, nil
 }

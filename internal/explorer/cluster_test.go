@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -148,14 +149,16 @@ func runClusterPeers(peers int, opts func(i int) Options, wrap func(i int, c tra
 }
 
 // eqOrBug picks the machine for the run: the options carry a marker in
-// Checkpoint.Label ("bug" → bugMachine, "zab" → zabMachine) so
-// runClusterPeers stays generic.
+// Checkpoint.Label ("bug" → bugMachine, "zab" → zabMachine, "hunt" →
+// craftHunt) so runClusterPeers stays generic.
 func eqOrBug(o Options) spec.Machine {
 	switch {
 	case strings.HasPrefix(o.Checkpoint.Label, "bug"):
 		return bugMachine()
 	case strings.HasPrefix(o.Checkpoint.Label, "zab"):
 		return zabMachine()
+	case strings.HasPrefix(o.Checkpoint.Label, "hunt"):
+		return craftHunt()
 	}
 	return eqMachine()
 }
@@ -418,6 +421,65 @@ func TestSoloSeamsAreIdentity(t *testing.T) {
 			if strings.HasPrefix(key, "transport.") {
 				t.Errorf("solo run (Peer=%v) registered %s", peer, key)
 			}
+		}
+	}
+}
+
+// yieldingMachine yields the processor before every expansion, so the pool's
+// workers take turns claiming chunks even on one P — where the caller's
+// worker would otherwise expand a whole small level before the others wake.
+type yieldingMachine struct{ spec.Machine }
+
+func (m yieldingMachine) AppendNext(s spec.State, buf []spec.Succ) []spec.Succ {
+	runtime.Gosched()
+	return m.Machine.AppendNext(s, buf)
+}
+
+// TestClusterEquivalenceCrossWorkerRepeats is the equivalence row that
+// proves seal's cross-worker rule instead of passing vacuously: workers drop
+// their own repeats, so a fingerprint two workers both produced reaches seal
+// twice and only the (owner, fp, parent) sort picks its survivor. The branch
+// must fire, and the cluster must still reproduce the W=1 single-process
+// reference — full coverage profile (which action got the fresh credit) and
+// the coordinator's counterexample traces (which parent edge was stored).
+func TestClusterEquivalenceCrossWorkerRepeats(t *testing.T) {
+	opts := func(w int) Options {
+		return Options{Workers: w, Cover: true, StopAtFirstViolation: true, Checkpoint: CheckpointOptions{Label: "bug"}}
+	}
+	ref := NewChecker(bugMachine(), opts(1)).Run()
+	refSig, refTraces := clusterSig(ref, coverFull), traceSig(ref)
+	for _, w := range []int{2, 4} {
+		conns := transport.NewMesh(2)
+		checkers := make([]*Checker, len(conns))
+		results := make([]*Result, len(conns))
+		var wg sync.WaitGroup
+		for i := range conns {
+			o := opts(w)
+			o.Peer = &PeerOptions{Conn: conns[i]}
+			checkers[i] = NewChecker(yieldingMachine{bugMachine()}, o)
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i] = checkers[i].Run()
+			}(i)
+		}
+		wg.Wait()
+		var repeats int64
+		for i, res := range results {
+			if res.Err != nil {
+				t.Fatalf("w=%d peer %d: %v", w, i, res.Err)
+			}
+			if sig := clusterSig(res, coverFull); sig != refSig {
+				t.Errorf("w=%d peer %d signature differs:\n%s\nwant:\n%s", w, i, sig, refSig)
+			}
+			repeats += checkers[i].cluster.crossRepeats
+		}
+		if got := traceSig(results[0]); got != refTraces {
+			t.Errorf("w=%d coordinator traces differ:\n%s\nwant:\n%s", w, got, refTraces)
+		}
+		t.Logf("w=%d: %d cross-worker repeats dropped at seal", w, repeats)
+		if repeats == 0 {
+			t.Errorf("w=%d: no cross-worker repeat reached seal; the row proves nothing", w)
 		}
 	}
 }

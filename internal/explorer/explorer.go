@@ -646,7 +646,7 @@ func (c *Checker) Run() *Result {
 			for k := range entries {
 				entries[k].state = nil
 			}
-			pool.drainInto(res, depth, &next, &levelViolations)
+			pool.drainInto(res, &next, &levelViolations)
 			consumed += len(entries)
 			next = sink.maybeSpill(next)
 			memctl.blockTick(c, depth)
@@ -846,8 +846,10 @@ type chunkOut struct {
 	viols []*Violation
 	goal  bool
 	// cands is what the cluster strategy produces instead of fresh, viols
-	// and goal: uninserted candidate successors (see cluster.go).
-	cands []clusterCand
+	// and goal: uninserted candidate successors (see cluster.go), and
+	// badAction whether one fired an action outside the declared vocabulary.
+	cands     []clusterCand
+	badAction bool
 }
 
 // expandWorker is one member of the persistent expansion pool. Its scratch
@@ -866,6 +868,12 @@ type expandWorker struct {
 	// Options.Cover); it is folded into the run profile and reset at the
 	// same block barrier that drains out.
 	wc *obs.WorkerCover
+	// Cluster strategy only, both level-scoped and reset by seal: seen holds
+	// the fingerprints this worker buffered as candidates this level, so a
+	// repeat is scored before it costs a Keep or an encoding; slab holds the
+	// encodings of its outbound candidates until seal has built the blocks.
+	seen fpSeen
+	slab []byte
 }
 
 // expandJob is one frontier block broadcast to the pool. Workers claim
@@ -889,19 +897,15 @@ type expandPool struct {
 	ws   []*expandWorker
 	jobs []chan *expandJob // one channel per background worker (ws[1:])
 
-	// Cluster strategy only: the level's folded candidates awaiting seal (one
-	// per fingerprint, indexed by byFP), and whether a worker fired an action
-	// outside the declared vocabulary, which seal turns into a config error.
+	// Cluster strategy only: the level's candidates awaiting seal (one per
+	// fingerprint per worker), and whether a worker fired an action outside
+	// the declared vocabulary, which seal turns into a config error.
 	cands     []clusterCand
-	byFP      map[uint64]int
 	badAction bool
 }
 
 func (c *Checker) newExpandPool(workers int, invs []spec.Invariant) *expandPool {
 	p := &expandPool{c: c, invs: invs, ws: make([]*expandWorker, workers)}
-	if c.cluster != nil {
-		p.byFP = make(map[uint64]int)
-	}
 	for i := range p.ws {
 		p.ws[i] = &expandWorker{c: c}
 		if c.cover != nil {
@@ -955,7 +959,7 @@ func (p *expandPool) expand(entries []frontierEntry, depth int) {
 // leaves candidates, and the other side's fields are empty. The slices keep
 // their capacity; their state pointers are cleared so drained states do not
 // outlive the level in worker-owned memory.
-func (p *expandPool) drainInto(res *Result, depth int, next *[]frontierEntry, viols *[]*Violation) {
+func (p *expandPool) drainInto(res *Result, next *[]frontierEntry, viols *[]*Violation) {
 	cover := p.c.cover
 	for _, w := range p.ws {
 		cover.MergeWorker(w.wc)
@@ -972,38 +976,12 @@ func (p *expandPool) drainInto(res *Result, depth int, next *[]frontierEntry, vi
 			res.GoalReached = true
 		}
 		*viols = append(*viols, out.viols...)
-		p.fold(res, depth, out.cands)
+		p.cands = append(p.cands, out.cands...)
+		p.badAction = p.badAction || out.badAction
 		clear(out.fresh)
 		clear(out.cands)
 		out.fresh, out.cands = out.fresh[:0], out.cands[:0]
-		out.work, out.dedup, out.viols, out.goal = 0, 0, nil, false
-	}
-}
-
-// fold adds one worker's candidates to the level's, keeping one per
-// fingerprint: smallest parent wins, and the loser is a dedup hit, observed
-// non-fresh, exactly as the owner-side merge would score it — this is pure
-// wire-volume reduction. Equal parents can only come from the same worker (a
-// parent is expanded once), so generation order breaks the tie, matching
-// single-process insertion order.
-func (p *expandPool) fold(res *Result, depth int, cands []clusterCand) {
-	for _, cand := range cands {
-		if cand.action == invalidAction {
-			p.badAction = true
-			continue
-		}
-		idx, ok := p.byFP[cand.fp]
-		if !ok {
-			p.byFP[cand.fp] = len(p.cands)
-			p.cands = append(p.cands, cand)
-			continue
-		}
-		loser := cand
-		if prev := &p.cands[idx]; cand.parent < prev.parent {
-			loser, *prev = *prev, cand
-		}
-		res.DedupHits++
-		p.c.cover.Observe(p.c.cluster.actions[loser.action], depth, false)
+		out.work, out.dedup, out.viols, out.goal, out.badAction = 0, 0, nil, false, false
 	}
 }
 

@@ -3,6 +3,7 @@ package explorer
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -135,6 +136,64 @@ func TestTruncatedWireStateEndsInTransportError(t *testing.T) {
 		}
 		if other := results[1]; other.StopReason != "transport-error" {
 			t.Errorf("workers=%d: peer 1 stop=%s, want transport-error once peer 0 is gone", workers, other.StopReason)
+		}
+	}
+}
+
+// duplicatingConn gives the second candidate of every inbound block of two or
+// more its predecessor's fingerprint, from barrier tag from on: the block
+// stays sorted but is no longer strictly increasing, the order the owner's
+// merge relies on.
+type duplicatingConn struct {
+	transport.Conn
+	from uint64
+}
+
+func (c *duplicatingConn) Exchange(tag uint64, blocks [][]byte, summary []byte) ([][]byte, [][]byte, error) {
+	in, sums, err := c.Conn.Exchange(tag, blocks, summary)
+	if err != nil || tag < c.from {
+		return in, sums, err
+	}
+	for q, payload := range in {
+		cands, derr := transport.DecodeWireBlock(payload)
+		if derr != nil || len(cands) < 2 {
+			continue
+		}
+		cands[1].FP = cands[0].FP
+		in[q] = transport.AppendBlock(nil, cands)
+	}
+	return in, sums, nil
+}
+
+func TestDuplicateWireFingerprintEndsInTransportError(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		done := make(chan []*Result, 1)
+		go func() {
+			done <- runClusterPeers(2, func(int) Options { return Options{Workers: workers} },
+				func(i int, c transport.Conn) transport.Conn {
+					if i == 0 {
+						// hello, resolve(0), then data + resolve per level.
+						return &duplicatingConn{Conn: c, from: 2}
+					}
+					return c
+				})
+		}()
+		var results []*Result
+		select {
+		case results = <-done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("workers=%d: cluster hangs on a duplicate wire fingerprint", workers)
+		}
+		if res := results[0]; res.StopReason != "transport-error" || !errors.Is(res.Err, transport.ErrDuplicateFP) {
+			t.Errorf("workers=%d: peer 0 stop=%s err=%v, want transport-error from the duplicate fingerprint", workers, res.StopReason, res.Err)
+		}
+		if other := results[1]; other.StopReason != "transport-error" {
+			t.Errorf("workers=%d: peer 1 stop=%s, want transport-error once peer 0 is gone", workers, other.StopReason)
+		}
+		for i, res := range results {
+			if res.Exhausted {
+				t.Errorf("workers=%d: peer %d claims exhaustion after a rejected block", workers, i)
+			}
 		}
 	}
 }

@@ -57,6 +57,7 @@ type tcpHello struct {
 	Peer      int `json:"peer"`
 	Peers     int `json:"peers"`
 	Partition int `json:"partition"`
+	Wire      int `json:"wire"`
 }
 
 // tcpConn implements Conn over a TCP full mesh.
@@ -218,12 +219,12 @@ func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
 }
 
 // handshake exchanges hello frames on a fresh link (dialer speaks first)
-// and validates digest, cluster size, and partition version. It returns the
-// remote peer id.
+// and validates digest, cluster size, partition version and wire version. It
+// returns the remote peer id.
 func (c *tcpConn) handshake(nc net.Conn, o TCPOptions, deadline time.Time, dialer bool) (int, error) {
 	nc.SetDeadline(deadline)
 	defer nc.SetDeadline(time.Time{})
-	self, _ := json.Marshal(tcpHello{Peer: o.Self, Peers: len(o.Addrs), Partition: PartitionVersion})
+	self, _ := json.Marshal(tcpHello{Peer: o.Self, Peers: len(o.Addrs), Partition: PartitionVersion, Wire: wireVersion})
 	send := func() error { return writeFrame(nc, frameHello, o.Digest, self) }
 	var remote tcpHello
 	recv := func() error {
@@ -245,6 +246,9 @@ func (c *tcpConn) handshake(nc net.Conn, o TCPOptions, deadline time.Time, diale
 		}
 		if remote.Partition != PartitionVersion {
 			return fmt.Errorf("transport: partition version mismatch (%d vs %d)", remote.Partition, PartitionVersion)
+		}
+		if remote.Wire != wireVersion {
+			return fmt.Errorf("transport: wire version mismatch (%d vs %d)", remote.Wire, wireVersion)
 		}
 		return nil
 	}

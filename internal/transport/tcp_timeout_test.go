@@ -15,7 +15,7 @@ import (
 // the remote exactly like an established mesh link.
 func fakeHandshake(t *testing.T, nc net.Conn, id, peers int, digest uint64, dialer bool) {
 	t.Helper()
-	hello, _ := json.Marshal(tcpHello{Peer: id, Peers: peers, Partition: PartitionVersion})
+	hello, _ := json.Marshal(tcpHello{Peer: id, Peers: peers, Partition: PartitionVersion, Wire: wireVersion})
 	send := func() {
 		if err := writeFrame(nc, frameHello, digest, hello); err != nil {
 			t.Fatalf("fake peer %d: send hello: %v", id, err)
@@ -128,7 +128,7 @@ func TestDialFailFast(t *testing.T) {
 			return
 		}
 		<-badHello
-		hello, _ := json.Marshal(tcpHello{Peer: 0, Peers: 3, Partition: PartitionVersion})
+		hello, _ := json.Marshal(tcpHello{Peer: 0, Peers: 3, Partition: PartitionVersion, Wire: wireVersion})
 		writeFrame(nc, frameHello, 0xBAD, hello)
 	}()
 
@@ -179,5 +179,50 @@ func TestDialFailFast(t *testing.T) {
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("DialTCP took %v to fail; the peer timeout is %v and failure should not wait on it", elapsed, timeout)
+	}
+}
+
+// TestDialRejectsWireVersionMismatch: a peer built with another block format
+// — here one whose hello carries no wire version, as every binary from before
+// raw blocks does — is refused at the handshake, not at the first data barrier
+// where its blocks would fail to decode.
+func TestDialRejectsWireVersionMismatch(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	var (
+		conn Conn
+		derr error
+		done = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		conn, derr = DialTCP(TCPOptions{Addrs: addrs, Self: 0, Digest: 0xD1CE, Timeout: 10 * time.Second})
+	}()
+	var nc net.Conn
+	for i := 0; ; i++ {
+		var err error
+		if nc, err = net.Dial("tcp", addrs[0]); err == nil {
+			break
+		}
+		if i > 100 {
+			t.Fatalf("dial: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	defer nc.Close()
+	// Every field a parent-era peer 1 sends, and nothing else.
+	hello, _ := json.Marshal(map[string]int{"peer": 1, "peers": 2, "partition": PartitionVersion})
+	if err := writeFrame(nc, frameHello, 0xD1CE, hello); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("DialTCP still blocked 5s after a mismatched hello")
+	}
+	if conn != nil {
+		conn.Close()
+	}
+	if derr == nil || !strings.Contains(derr.Error(), "wire version mismatch") {
+		t.Fatalf("DialTCP error = %v, want a wire version mismatch", derr)
 	}
 }

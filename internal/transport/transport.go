@@ -2,7 +2,7 @@
 // for distributed exploration: every peer owns one contiguous slice of the
 // fingerprint space (see Owner), expands only the frontier states it owns,
 // and at each BFS level barrier exchanges the successor candidates that
-// belong to other peers as batched, compressed blocks. The explorer's
+// belong to other peers as batched raw blocks. The explorer's
 // deterministic merge (equal-depth min-parent tie-break plus (depth, fp)
 // ordering) makes the result byte-identical to a single-process run; the
 // transport's only job is to move the candidate blocks and the small
@@ -63,7 +63,7 @@ type Metrics struct {
 	// BlocksSent / BlocksRecv count candidate blocks exchanged at level
 	// barriers (one per (peer, barrier) pair, empty blocks included).
 	BlocksSent, BlocksRecv *obs.Counter
-	// BytesSent / BytesRecv count wire payload bytes after compression.
+	// BytesSent / BytesRecv count block payload bytes.
 	BytesSent, BytesRecv *obs.Counter
 	// Barriers counts completed Exchange calls.
 	Barriers *obs.Counter

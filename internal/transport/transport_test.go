@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -142,6 +143,25 @@ func TestDecodeBlockRejectsCorrupt(t *testing.T) {
 	raw := AppendBlock(nil, []Candidate{{FP: 7, State: []byte("x")}})
 	if _, err := DecodeBlock(append(raw, 0xFF)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+
+	// The receiving owner merges on strictly increasing fingerprints. A zero
+	// delta is legal only on the first candidate (fingerprint 0); after it
+	// it is a duplicate, and a descending step is a delta that wraps.
+	if _, err := DecodeBlock(AppendBlock(nil, []Candidate{{FP: 0}, {FP: 5}})); err != nil {
+		t.Fatalf("block starting at fingerprint 0 rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		cands []Candidate
+		want  error
+	}{
+		{"duplicate", []Candidate{{FP: 3}, {FP: 7}, {FP: 7}}, ErrDuplicateFP},
+		{"wrap", []Candidate{{FP: 7}, {FP: 3}}, ErrFPWrap},
+	} {
+		if _, err := DecodeWireBlock(AppendBlock(nil, tc.cands)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

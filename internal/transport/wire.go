@@ -1,9 +1,8 @@
 package transport
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -14,17 +13,24 @@ import (
 //
 // where length covers type+tag+payload. Frame types:
 //
-//	hello      handshake; tag carries the run digest, payload the peer ids
+//	hello      handshake; tag carries the run digest, payload ids and versions
 //	block      one level's candidate block; tag is the barrier tag
 //	summary    one peer's barrier summary (opaque to the transport)
 //	probeReq   parent-edge probe; tag is the fingerprint, empty payload
 //	probeResp  probe answer: parent[u64] depth[i32] found[u8]
 //	bye        coordinator releasing ServeProbes loops
 //
-// Block payloads are DEFLATE-compressed records of the candidates a peer
-// generated for fingerprints another peer owns; see AppendBlock for the
-// record layout. Summaries are small JSON documents produced by the
-// explorer — the transport never interprets them.
+// Block payloads are the raw (uncompressed: OPERATIONS.md "Bandwidth" says
+// why) records of the candidates a peer generated for fingerprints another
+// peer owns, strictly increasing in fingerprint; see AppendBlock for the
+// layout. Summaries are small JSON documents produced by the explorer — the
+// transport never interprets them.
+
+// wireVersion names the block format in the TCP hello, so mismatched binaries
+// fail at the handshake, not at the first data barrier (a hello from before
+// raw blocks reads as 0). It is not PartitionVersion, which also keys
+// checkpoints.
+const wireVersion = 2
 
 // Frame type bytes.
 const (
@@ -110,11 +116,11 @@ type Candidate struct {
 	State []byte
 }
 
-// AppendBlock appends the uncompressed encoding of cands — which must be
-// sorted by ascending FP — to dst and returns the extended slice. Record
-// layout: uvarint count, then per candidate the FP delta from its
-// predecessor (uvarint; sorted input keeps deltas small), Parent (uvarint),
-// Action (uvarint), and the state encoding (uvarint length + bytes).
+// AppendBlock appends the encoding of cands — which must be strictly
+// increasing in FP — to dst and returns the extended slice. Record layout:
+// uvarint count, then per candidate the FP delta from its predecessor
+// (uvarint; sorted input keeps deltas small), Parent (uvarint), Action
+// (uvarint), and the state encoding (uvarint length + bytes).
 func AppendBlock(dst []byte, cands []Candidate) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(cands)))
 	prev := uint64(0)
@@ -130,8 +136,16 @@ func AppendBlock(dst []byte, cands []Candidate) []byte {
 	return dst
 }
 
-// DecodeBlock decodes an uncompressed candidate block (the inverse of
-// AppendBlock). The returned candidates alias src's backing array.
+// DecodeBlock's errors for a block not strictly increasing in FP, the order
+// the receiving owner merges on: a zero delta after the first candidate, and
+// a delta that wraps.
+var (
+	ErrDuplicateFP = errors.New("duplicate fingerprint")
+	ErrFPWrap      = errors.New("fingerprint delta wraps past 2^64")
+)
+
+// DecodeBlock decodes a candidate block (the inverse of AppendBlock). The
+// returned candidates alias src's backing array.
 func DecodeBlock(src []byte) ([]Candidate, error) {
 	count, n := binary.Uvarint(src)
 	if n <= 0 {
@@ -150,6 +164,12 @@ func DecodeBlock(src []byte) ([]Candidate, error) {
 			return nil, fmt.Errorf("transport: candidate %d: truncated fp", i)
 		}
 		src = src[n:]
+		switch {
+		case d == 0 && i > 0:
+			return nil, fmt.Errorf("transport: candidate %d: %w", i, ErrDuplicateFP)
+		case fp+d < fp:
+			return nil, fmt.Errorf("transport: candidate %d: %w", i, ErrFPWrap)
+		}
 		fp += d
 		c.FP = fp
 		c.Parent, n = binary.Uvarint(src)
@@ -181,40 +201,18 @@ func DecodeBlock(src []byte) ([]Candidate, error) {
 	return cands, nil
 }
 
-// Compress DEFLATE-compresses a block payload for the wire.
-func Compress(raw []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := zw.Write(raw); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Decompress inverts Compress.
-func Decompress(b []byte) ([]byte, error) {
-	zr := flate.NewReader(bytes.NewReader(b))
-	defer zr.Close()
-	raw, err := io.ReadAll(zr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: decompress block: %w", err)
-	}
-	return raw, nil
-}
-
-// EncodeBlock is the full wire encoding of a candidate block: AppendBlock
-// then Compress. An empty block encodes as an empty payload.
+// EncodeBlock is the wire encoding of a candidate block: AppendBlock into a
+// presized buffer (the error is always nil). An empty block encodes as an
+// empty payload.
 func EncodeBlock(cands []Candidate) ([]byte, error) {
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	return Compress(AppendBlock(nil, cands))
+	size := binary.MaxVarintLen64
+	for i := range cands { // fp delta, parent and length uvarints; action ≤ 3 bytes
+		size += 3*binary.MaxVarintLen64 + 3 + len(cands[i].State)
+	}
+	return AppendBlock(make([]byte, 0, size), cands), nil
 }
 
 // DecodeWireBlock inverts EncodeBlock. An empty payload is an empty block.
@@ -222,9 +220,5 @@ func DecodeWireBlock(payload []byte) ([]Candidate, error) {
 	if len(payload) == 0 {
 		return nil, nil
 	}
-	raw, err := Decompress(payload)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBlock(raw)
+	return DecodeBlock(payload)
 }

@@ -15,10 +15,11 @@ import (
 
 // FuzzDecodeWireBlock fuzzes the bytes a peer hands this one at every level
 // barrier. Whatever they are, DecodeWireBlock must return an error or a block
-// that survives the trip back: encoded again and decoded, the same
+// that is strictly increasing in fingerprint (the owner's merge relies on it)
+// and survives the trip back: encoded again and decoded, the same
 // candidates. The corpus is seeded with the blocks real runs exchange —
-// candidates of reachable craft and zabkeeper states, sorted by fingerprint,
-// in blocks of one to a few hundred.
+// candidates of reachable craft and zabkeeper states, sorted by fingerprint
+// with one per fingerprint, in blocks of one to a few hundred.
 func FuzzDecodeWireBlock(f *testing.F) {
 	budget := spec.Budget{Name: "fuzz", MaxTimeouts: 3, MaxCrashes: 1, MaxRestarts: 1, MaxRequests: 1, MaxPartitions: 1, MaxDrops: 1, MaxBuffer: 3}
 	for _, m := range []spec.Machine{
@@ -38,6 +39,7 @@ func FuzzDecodeWireBlock(f *testing.F) {
 			}
 		})
 		slices.SortFunc(cands, func(a, b Candidate) int { return cmp.Compare(a.FP, b.FP) })
+		cands = slices.CompactFunc(cands, func(a, b Candidate) bool { return a.FP == b.FP })
 		for _, n := range []int{1, 7, 300} {
 			payload, err := EncodeBlock(cands[:n])
 			if err != nil {
@@ -51,6 +53,11 @@ func FuzzDecodeWireBlock(f *testing.F) {
 		cands, err := DecodeWireBlock(payload)
 		if err != nil {
 			return
+		}
+		for i := 1; i < len(cands); i++ {
+			if cands[i].FP <= cands[i-1].FP {
+				t.Fatalf("accepted block is not strictly increasing: candidate %d fp %#x after %#x", i, cands[i].FP, cands[i-1].FP)
+			}
 		}
 		again, err := EncodeBlock(cands)
 		if err != nil {
