@@ -25,10 +25,13 @@ race-conform:
 
 # race-cluster does the same for the cluster's candidate path: each expand
 # worker's private repeat table and encoding slab, and seal's serial
-# cross-worker resolution and P-way merge, under the equivalence rows and
-# the two hostile-block tests (W = 1, 2, 4), four times over.
+# cross-worker resolution and P-way merge, under the equivalence rows, the
+# kill-and-resume run and the two hostile-block tests (W = 1, 2, 4), four
+# times over — and for the transport they all run on, whose per-link writer
+# goroutines run in every in-process cluster.
 race-cluster:
-	$(GO) test -race -count 4 -run 'TestClusterEquivalence|TestTruncatedWire|TestDuplicateWire' ./internal/explorer/
+	$(GO) test -race -count 4 -run 'TestClusterEquivalence|TestClusterKillAndResume|TestTruncatedWire|TestDuplicateWire' ./internal/explorer/
+	$(GO) test -race -count 4 ./internal/transport/
 
 # fuzz runs a short coverage-guided smoke over the virtual network's queue
 # operations (send/deliver/drop/duplicate against a model oracle) and over

@@ -1,8 +1,9 @@
-// Package sandtable_bench holds the benchmark harness that regenerates the
-// paper's evaluation: one benchmark per table and figure (§5), plus
-// ablation benchmarks for the design choices called out in DESIGN.md
-// (symmetry reduction, stateful vs stateless search, BFS parallelism,
-// constraint-ranking sort orders).
+// Package sandtable_bench holds the go-test benchmarks of the paper's
+// evaluation that have no other entry point: Table 3's exploration
+// throughput, and the ablations of the design choices called out in
+// DESIGN.md (symmetry reduction, stateful vs stateless search, BFS
+// parallelism, constraint-ranking sort orders). The other tables and
+// figures regenerate with `go run ./cmd/experiments -table N` / `-fig N`.
 //
 // Run everything with:
 //
@@ -13,70 +14,16 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/experiments"
 	"github.com/sandtable-go/sandtable/internal/explorer"
 	"github.com/sandtable-go/sandtable/internal/integrations"
 	"github.com/sandtable-go/sandtable/internal/ranking"
-	"github.com/sandtable-go/sandtable/internal/replay"
 	"github.com/sandtable-go/sandtable/internal/sandtable"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/specs/toy"
 )
-
-func benchOptions() experiments.Options {
-	o := experiments.DefaultOptions()
-	o.Deadline = 90 * time.Second
-	o.ExplorationBudget = 3 * time.Second
-	o.SpecTraces = 400
-	o.ImplTraces = 40
-	o.ConformanceWalks = 1500
-	return o
-}
-
-// BenchmarkTable1Inventory regenerates the integration inventory.
-func BenchmarkTable1Inventory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 8 {
-			b.Fatalf("expected 8 systems, got %d", len(rows))
-		}
-	}
-}
-
-// BenchmarkTable2Bugs hunts a representative fast subset of the Table 2
-// verification bugs (one per system family) and reports states-to-bug;
-// cmd/experiments regenerates the full table.
-func BenchmarkTable2Bugs(b *testing.B) {
-	for _, id := range []string{"GoSyncObj#2", "CRaft#4", "DaosRaft#1", "AsyncRaft#2"} {
-		id := id
-		b.Run(id, func(b *testing.B) {
-			info, _ := bugdb.ByID(id)
-			d := experiments.Detections[id]
-			sys, err := integrations.Get(info.System)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var states int
-			for i := 0; i < b.N; i++ {
-				st := sandtable.New(sys, d.Config, d.Budget, d.Bugs)
-				opts := explorer.DefaultOptions()
-				opts.Deadline = 90 * time.Second
-				res := st.Check(opts)
-				if res.FirstViolation() == nil {
-					b.Fatalf("%s not found", id)
-				}
-				states = res.DistinctStates
-			}
-			b.ReportMetric(float64(states), "states-to-bug")
-		})
-	}
-}
 
 // BenchmarkTable3Exploration measures each system's bug-fixed exploration
 // throughput over a capped prefix of its experiment-#1 space (the full
@@ -130,63 +77,6 @@ func BenchmarkTable3Exploration(b *testing.B) {
 				})
 			}
 		})
-	}
-}
-
-// BenchmarkTable4Speedup measures per-trace exploration at both levels and
-// reports the spec-vs-impl speedup under the paper-calibrated cost model.
-func BenchmarkTable4Speedup(b *testing.B) {
-	for _, name := range experiments.Systems {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			sys, err := integrations.Get(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bugs := bugdb.VerificationBugs(name)
-			cfg := spec.Config{Name: "n3w2", Nodes: 3, Workload: []string{"v1", "v2"}}
-			st := sandtable.New(sys, cfg, sys.DefaultBudget, bugs)
-			sim := explorer.NewSimulator(st.Machine(), explorer.SimOptions{Seed: 1})
-
-			var specNs, implSimNs float64
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				w := sim.Walk(int64(i))
-				specNs = float64(time.Since(start).Nanoseconds())
-
-				cluster, err := sys.NewCluster(cfg, bugs, int64(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := replay.Run(w.Trace, cluster, replay.Options{}); err != nil {
-					b.Fatal(err)
-				}
-				implSimNs = float64(cluster.SimulatedCost().Nanoseconds())
-			}
-			if specNs > 0 {
-				b.ReportMetric(implSimNs/specNs, "speedup")
-			}
-		})
-	}
-}
-
-// BenchmarkFigure6 regenerates the GoSyncObj#4 counterexample behind the
-// paper's Figure 6 timing diagram.
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure6(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure7 regenerates the CRaft#1+#2 data-inconsistency scenario
-// behind the paper's Figure 7.
-func BenchmarkFigure7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure7(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

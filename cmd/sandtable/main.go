@@ -151,7 +151,6 @@ func checkFlags() *cmdline {
 	fs, set := c.fs, &c.set
 	fs.IntVar(&set.Workers, "workers", 0, "BFS workers (0 = NumCPU)")
 	fs.IntVar(&set.MaxStates, "max-states", 0, "stop after this many distinct states (0 = off; checked at block boundaries)")
-	fs.IntVar(&set.FPSetShards, "fpset-shards", 0, "fingerprint-set shard count, rounded up to a power of two (0 = automatic, sized from GOMAXPROCS)")
 	fs.StringVar(&set.Checkpoint, "checkpoint", "", "write periodic exploration snapshots to this directory (enables checkpointing)")
 	fs.DurationVar(&set.CheckpointEvery, "checkpoint-every", 0, "minimum wall-clock time between snapshots (default 60s once -checkpoint is set)")
 	fs.IntVar(&set.CheckpointStates, "checkpoint-states", 0, "also snapshot every N newly discovered distinct states")

@@ -30,7 +30,7 @@ var subcommands = map[string]func() *cmdline{
 // pinnedFlags and pinnedKeys are the whole configuration surface of the two
 // front ends. Changing either list is an API change, not a refactor.
 var pinnedFlags = map[string]string{
-	"check":    "bug checkpoint checkpoint-every checkpoint-states deadline fixed fpset-shards max-buffer max-crashes max-dirty-crashes max-requests max-states max-timeouts mem-budget metrics-out nodes o peer-id peer-timeout peers pprof progress report resume shrink spill-dir system trace trace-out workers",
+	"check":    "bug checkpoint checkpoint-every checkpoint-states deadline fixed max-buffer max-crashes max-dirty-crashes max-requests max-states max-timeouts mem-budget metrics-out nodes o peer-id peer-timeout peers pprof progress report resume shrink spill-dir system trace trace-out workers",
 	"simulate": "bug deadline depth distinct fixed max-buffer max-crashes max-dirty-crashes max-requests max-timeouts metrics-out nodes pprof progress report seed shrink system trace-out walks",
 	"rank":     "bug deadline fixed max-buffer max-crashes max-dirty-crashes max-requests max-timeouts nodes system walks",
 	"conform":  "bug deadline depth fixed max-buffer max-crashes max-dirty-crashes max-requests max-timeouts metrics-out nodes pprof progress report seed shrink system trace-out walks workers",
@@ -40,13 +40,8 @@ var pinnedFlags = map[string]string{
 
 const pinnedKeys = "bug checkpoint_every checkpoint_states deadline depth distinct fixed max_buffer max_crashes max_dirty_crashes max_requests max_states max_timeouts mem_budget nodes op progress_every resume_from seed shrink system walks workers"
 
-// irregular holds the settings fields whose flag is not the kebab-case of
-// the field name.
-var irregular = map[string]string{"FPSetShards": "fpset-shards"}
-
 // noKey: settings fields the service deliberately does not expose.
 var noKey = map[string]string{
-	"FPSetShards":     "tuning knob; a job's fingerprint set is sized automatically",
 	"SpillDir":        "a job spills next to its checkpoint or into the system temp dir",
 	"Checkpoint":      "the directory is fixed inside the job's artifact store; checkpoint_every, checkpoint_states or resume_from turn it on",
 	"Resume":          "set by resume_from, which also copies the earlier job's checkpoint",
@@ -92,12 +87,7 @@ func separated(name string, sep byte) string {
 	return b.String()
 }
 
-func flagOf(field string) string {
-	if f, ok := irregular[field]; ok {
-		return f
-	}
-	return separated(field, '-')
-}
+func flagOf(field string) string { return separated(field, '-') }
 
 func keyOf(field string) string { return strings.ReplaceAll(flagOf(field), "-", "_") }
 

@@ -14,8 +14,8 @@ import (
 // TestFigure7ScenarioDirected drives the exact Figure 7 event chain through
 // the craft specification with the CRaft#1+#2 defects enabled and asserts
 // the paper's consequence: a follower commits a conflicting entry, so the
-// cluster's committed logs disagree. (BenchmarkFigure7 finds the same chain
-// by BFS; this is the deterministic fast check.)
+// cluster's committed logs disagree. (`cmd/experiments -fig 7` finds the same
+// chain by BFS; this is the deterministic fast check.)
 func TestFigure7ScenarioDirected(t *testing.T) {
 	m := raftbase.New(raftbase.Options{
 		System:    "craft",

@@ -378,7 +378,7 @@ func (c *Checker) readSnapshot(path string, raw []byte) (*snapshot, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	snap.frontierRecs = recs
-	if snap.set, err = fpset.Read(bytes.NewReader(rest), c.opts.FPSetShards); err != nil {
+	if snap.set, err = fpset.Read(bytes.NewReader(rest), 0); err != nil {
 		return nil, fmt.Errorf("%s: fingerprint set: %w", path, err)
 	}
 	return snap, nil
@@ -467,7 +467,7 @@ func (c *Checker) resume() (*snapshot, *ckChain, error) {
 		chain.deltaBytes, chain.deltaCount = commit.DeltaBytes, commit.Deltas
 	}
 	for i := range blocks {
-		blocks[i].applyTo(snap.set)
+		snap.set.InsertRecords(blocks[i].recs)
 	}
 	if n := len(blocks); n > 0 {
 		last := blocks[n-1]

@@ -65,7 +65,8 @@ import (
 // PeerOptions configures one peer of a distributed exploration.
 type PeerOptions struct {
 	// Conn is this peer's endpoint of the cluster (transport.NewMesh for
-	// in-process peers, transport.DialTCP for processes). The checker owns
+	// in-process peers over pipes, transport.DialTCP for processes; both
+	// speak the same frames). The checker owns
 	// the Conn and closes it when the run ends — including on failure, which
 	// unblocks every other peer waiting at a barrier.
 	Conn transport.Conn
@@ -190,8 +191,9 @@ type clusterFinal struct {
 }
 
 // hello is the all-to-all compatibility check before any exploration. The
-// transport handshake already validated the run digest and cluster size for
-// TCP; this covers the in-process mesh too and produces better errors.
+// TCP handshake already validated the run digest and cluster size; the
+// in-process mesh installs its pipes without one, so this check is the only
+// one there, and it produces better errors on both.
 func (cl *clusterCtx) hello(resumeDepth int) *fatal {
 	if cl == nil {
 		return nil

@@ -123,10 +123,10 @@ func traceSig(res *Result) string {
 	return b.String()
 }
 
-// runClusterPeers runs one checker per peer over an in-process mesh (real
-// wire encoding, separate machine instances) and returns the per-peer
-// results in peer order. wrap, when non-nil, can interpose on a peer's Conn
-// (failure injection).
+// runClusterPeers runs one checker per peer over an in-process mesh (the TCP
+// peer's frames, writers and flushes over pipes; separate machine instances)
+// and returns the per-peer results in peer order. wrap, when non-nil, can
+// interpose on a peer's Conn (failure injection).
 func runClusterPeers(peers int, opts func(i int) Options, wrap func(i int, c transport.Conn) transport.Conn) []*Result {
 	conns := transport.NewMesh(peers)
 	results := make([]*Result, peers)

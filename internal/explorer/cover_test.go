@@ -1,7 +1,6 @@
 package explorer
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -165,25 +164,5 @@ func TestSimulateCoverProfile(t *testing.T) {
 	}
 	if nf := cover.NeverFired(); nf != nil {
 		t.Fatalf("never-fired = %v after 20 walks", nf)
-	}
-}
-
-// TestStatelessTracerSummary: the ablation emits its closing summary event.
-func TestStatelessTracerSummary(t *testing.T) {
-	var buf bytes.Buffer
-	tr := obs.NewTracer(&buf)
-	res := StatelessSearch(newToy(3, true), StatelessOptions{MaxDepth: 6, TrackDistinct: true, Tracer: tr})
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	evs, err := obs.ReadEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].Kind != "stateless" {
-		t.Fatalf("events = %+v", evs)
-	}
-	if evs[0].Detail["visits"] == "" || evs[0].Detail["visits"] == "0" {
-		t.Fatalf("summary detail = %v (visits %d)", evs[0].Detail, res.Visits)
 	}
 }

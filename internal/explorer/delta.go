@@ -74,21 +74,10 @@ type commitRecord struct {
 // and decodes only the last block's frontier.
 type deltaBlock struct {
 	header snapshotHeader
-	// recs holds the fpset records, deltaRecSize bytes each.
+	// recs holds the fpset records, fpset.RecordSize bytes each.
 	recs          []byte
 	frontierCount uint64
 	frontierRecs  []byte
-}
-
-// deltaRecSize is one fpset record in a delta block: fp, parent, depth.
-const deltaRecSize = 8 + 8 + 4
-
-// applyTo inserts the block's fingerprint-set records into set.
-func (b *deltaBlock) applyTo(set *fpset.Set) {
-	le := binary.LittleEndian
-	for p := b.recs; len(p) > 0; p = p[deltaRecSize:] {
-		set.Insert(le.Uint64(p[0:8]), le.Uint64(p[8:16]), int32(le.Uint32(p[16:20])))
-	}
 }
 
 // deltaBlockHead is the fixed head of a delta block: magic, payload length,
@@ -112,20 +101,9 @@ func (ck *checkpointer) appendDelta(c *Checker, hdr snapshotHeader, lf *levelFro
 	le := binary.LittleEndian
 	pre := le.AppendUint32(nil, uint32(len(hb)))
 	pre = append(pre, hb...)
-	countAt := len(pre)
-	pre = le.AppendUint64(pre, 0)
-	count := uint64(0)
-	rerr := c.visited.RangeNewer(int32(ch.depth), func(fp uint64, e fpset.Edge) bool {
-		pre = le.AppendUint64(pre, fp)
-		pre = le.AppendUint64(pre, e.Parent)
-		pre = le.AppendUint32(pre, uint32(e.Depth))
-		count++
-		return true
-	})
-	if rerr != nil {
-		return 0, fmt.Errorf("delta records: %w", rerr)
+	if pre, err = c.visited.AppendNewer(pre, int32(ch.depth)); err != nil {
+		return 0, fmt.Errorf("delta records: %w", err)
 	}
-	le.PutUint64(pre[countAt:], count)
 	pre = le.AppendUint64(pre, uint64(lf.size()))
 
 	f, err := os.OpenFile(filepath.Join(ck.dir, deltaFile), os.O_CREATE|os.O_WRONLY, 0o644)
@@ -282,10 +260,11 @@ func parseDeltaPayload(p []byte) (deltaBlock, error) {
 	}
 	rcount := le.Uint64(p[hlen:])
 	p = p[hlen+8:]
-	if rcount > uint64(len(p))/deltaRecSize || uint64(len(p))-deltaRecSize*rcount < 8 {
+	const rs = fpset.RecordSize
+	if rcount > uint64(len(p))/rs || uint64(len(p))-rs*rcount < 8 {
 		return blk, fmt.Errorf("truncated delta records: %d bytes for %d records", len(p), rcount)
 	}
-	blk.recs, p = p[:deltaRecSize*rcount], p[deltaRecSize*rcount:]
+	blk.recs, p = p[:rs*rcount], p[rs*rcount:]
 	blk.frontierCount = le.Uint64(p)
 	blk.frontierRecs = p[8:]
 	return blk, nil

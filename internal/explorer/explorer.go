@@ -50,10 +50,6 @@ type Options struct {
 	// Workers is the number of parallel expansion workers (level-synchronous
 	// BFS). Zero means runtime.NumCPU().
 	Workers int
-	// FPSetShards is the fingerprint-set shard count (rounded up to a power
-	// of two; 0 = automatic, sized from GOMAXPROCS). More shards lower the
-	// probability that two expansion workers contend on one shard lock.
-	FPSetShards int
 	// Symmetry enables symmetry reduction: states are identified up to node
 	// permutation (a no-op on a machine with NumNodes() <= 1).
 	Symmetry bool
@@ -293,7 +289,7 @@ type Checker struct {
 
 // NewChecker builds a checker for machine m.
 func NewChecker(m spec.Machine, opts Options) *Checker {
-	c := &Checker{m: m, opts: opts, visited: fpset.New(opts.FPSetShards)}
+	c := &Checker{m: m, opts: opts, visited: fpset.New(0)}
 	if opts.Symmetry && m.NumNodes() > 1 {
 		c.ptab = spec.PermTableFor(m.NumNodes())
 	}

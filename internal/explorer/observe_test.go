@@ -141,23 +141,3 @@ func TestWalksProgressAndMetrics(t *testing.T) {
 		t.Fatalf("walk events = %d, want 10", len(evs))
 	}
 }
-
-// TestStatelessProgress checks the stateless checker reports visit counts.
-func TestStatelessProgress(t *testing.T) {
-	reg := obs.NewRegistry()
-	var reports []obs.Progress
-	res := StatelessSearch(newToy(4, false), StatelessOptions{
-		Progress:       func(p obs.Progress) { reports = append(reports, p) },
-		ProgressStates: 1,
-		Metrics:        reg,
-	})
-	if len(reports) == 0 || !reports[len(reports)-1].Final {
-		t.Fatal("no final stateless progress report")
-	}
-	if got := reports[len(reports)-1].Transitions; got != res.Visits {
-		t.Fatalf("final report visits = %d, want %d", got, res.Visits)
-	}
-	if reg.Gauge("stateless_visits").Value() != res.Visits {
-		t.Fatalf("stateless_visits gauge = %d, want %d", reg.Gauge("stateless_visits").Value(), res.Visits)
-	}
-}

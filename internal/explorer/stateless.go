@@ -1,45 +1,21 @@
 package explorer
 
 import (
-	"strconv"
 	"time"
 
-	"github.com/sandtable-go/sandtable/internal/fpset"
-	"github.com/sandtable-go/sandtable/internal/obs"
 	"github.com/sandtable-go/sandtable/internal/spec"
 )
 
 // StatelessOptions configures the stateless search ablation: bounded DFS
 // with no visited set, the exploration discipline implementation-level
 // DMCKs are forced into (§2.1: the stateless approach "cannot distinguish
-// redundant states, leading to a more severe explosion").
+// redundant states, leading to a more severe explosion"). It is DFS, not
+// Checker with dedup switched off, because BFS without a visited set holds
+// a whole exponentially wide level in memory.
 type StatelessOptions struct {
 	MaxDepth  int
 	Deadline  time.Duration
 	MaxVisits int64 // stop after this many state visits (0 = off)
-
-	// TrackDistinct additionally counts *distinct* states in a fingerprint
-	// set (internal/fpset). The set never prunes the search — that would
-	// make it stateful — it only measures the redundancy, so
-	// StatelessResult.SelfRedundancy works without a separate stateful run
-	// of the same model.
-	TrackDistinct bool
-
-	// Progress, when set, receives periodic snapshots: DistinctStates and
-	// Transitions both carry the raw visit count (the stateless discipline
-	// cannot tell duplicates apart — that is its defining deficiency), and
-	// Depth carries the current DFS depth. Cadence as in Options.
-	Progress obs.ProgressFunc
-	// ProgressInterval is the minimum wall-clock time between reports.
-	ProgressInterval time.Duration
-	// ProgressStates reports every N visits.
-	ProgressStates int
-	// Metrics, when set, receives live visit/execution counters.
-	Metrics *obs.Registry
-	// Tracer, when set, receives one "stateless" summary event when the
-	// search ends (visits, executions, distinct states) — the ablation's
-	// counterpart of the BFS checker's per-level events.
-	Tracer *obs.Tracer
 }
 
 // StatelessResult reports how much work the stateless discipline performed.
@@ -47,11 +23,8 @@ type StatelessResult struct {
 	Visits     int64 // states visited, duplicates included
 	Executions int64 // complete root-to-leaf executions
 	Violations int
-	// Distinct is the number of distinct states among the visits (0 unless
-	// StatelessOptions.TrackDistinct).
-	Distinct  int64
-	Duration  time.Duration
-	Exhausted bool
+	Duration   time.Duration
+	Exhausted  bool
 }
 
 // RedundancyFactor estimates wasted work: visits per distinct state, given
@@ -61,12 +34,6 @@ func (r *StatelessResult) RedundancyFactor(distinct int) float64 {
 		return 0
 	}
 	return float64(r.Visits) / float64(distinct)
-}
-
-// SelfRedundancy is RedundancyFactor against the run's own distinct-state
-// count (requires StatelessOptions.TrackDistinct).
-func (r *StatelessResult) SelfRedundancy() float64 {
-	return r.RedundancyFactor(int(r.Distinct))
 }
 
 // StatelessSearch explores the machine by depth-bounded DFS without state
@@ -80,20 +47,6 @@ func StatelessSearch(m spec.Machine, opts StatelessOptions) *StatelessResult {
 	if opts.Deadline > 0 {
 		deadline = start.Add(opts.Deadline)
 	}
-	interval := opts.ProgressInterval
-	if opts.Progress != nil && interval == 0 && opts.ProgressStates == 0 {
-		interval = 5 * time.Second
-	}
-	reporter := obs.NewReporter(opts.Progress, interval, opts.ProgressStates)
-	var visitsGauge, execGauge *obs.Gauge
-	if opts.Metrics != nil {
-		visitsGauge = opts.Metrics.Gauge("stateless_visits")
-		execGauge = opts.Metrics.Gauge("stateless_executions")
-	}
-	var distinct *fpset.Set
-	if opts.TrackDistinct {
-		distinct = fpset.New(1)
-	}
 	// Each DFS depth owns one reusable successor buffer: a parent is still
 	// iterating its buffer while its children enumerate, so buffers cannot
 	// be shared across levels, but within a level every sibling reuses the
@@ -104,25 +57,13 @@ func StatelessSearch(m spec.Machine, opts StatelessOptions) *StatelessResult {
 	var dfs func(s spec.State, depth int) bool // returns false to abort
 	dfs = func(s spec.State, depth int) bool {
 		res.Visits++
-		if distinct != nil {
-			distinct.Insert(s.Fingerprint(), 0, int32(depth))
-		}
 		if opts.MaxVisits > 0 && res.Visits >= opts.MaxVisits {
 			return false
 		}
-		// Observation points share the 4096-visit cadence of the deadline
-		// check so the hot recursion stays free of clock reads.
-		if res.Visits%4096 == 0 {
-			visitsGauge.Set(res.Visits)
-			execGauge.Set(res.Executions)
-			reporter.Maybe(obs.Progress{
-				DistinctStates: int(res.Visits),
-				Transitions:    res.Visits,
-				Depth:          depth,
-			})
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				return false
-			}
+		// The deadline is read every 4096 visits so the hot recursion stays
+		// free of clock reads.
+		if res.Visits%4096 == 0 && !deadline.IsZero() && time.Now().After(deadline) {
+			return false
 		}
 		if v := checkInvariants(invs, s, depth, 0); v != nil {
 			res.Violations++
@@ -156,23 +97,5 @@ func StatelessSearch(m spec.Machine, opts StatelessOptions) *StatelessResult {
 		}
 	}
 	res.Duration = time.Since(start)
-	if distinct != nil {
-		res.Distinct = distinct.Len()
-	}
-	visitsGauge.Set(res.Visits)
-	execGauge.Set(res.Executions)
-	if opts.Progress != nil {
-		reporter.Emit(obs.Progress{DistinctStates: int(res.Visits), Transitions: res.Visits, Final: true})
-	}
-	opts.Tracer.Emit(obs.Event{
-		Layer: "spec", Kind: "stateless", Node: -1,
-		Detail: map[string]string{
-			"visits":     strconv.FormatInt(res.Visits, 10),
-			"executions": strconv.FormatInt(res.Executions, 10),
-			"distinct":   strconv.FormatInt(res.Distinct, 10),
-			"violations": strconv.Itoa(res.Violations),
-			"exhausted":  strconv.FormatBool(res.Exhausted),
-		},
-	})
 	return res
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -256,7 +257,14 @@ func (s *Set) SpillFrozen(maxDepth int32) (int, error) {
 		}
 		return 0
 	})
-	run, err := sp.writeRun(recs)
+	w, err := sp.createRun(int64(len(recs)))
+	if err != nil {
+		return 0, err
+	}
+	for _, rec := range recs {
+		w.add(rec.key, rec.e)
+	}
+	run, err := w.finish()
 	if err != nil {
 		return 0, err
 	}
@@ -313,52 +321,71 @@ func (s *Set) SpillFrozen(maxDepth int32) (int, error) {
 	return len(recs), nil
 }
 
-// writeRun streams sorted records into a new run file and builds its in-RAM
-// probe structures. The file handle stays open for ReadAt lookups.
-func (sp *spillState) writeRun(recs []record) (*spillRun, error) {
+// runWriter streams key-sorted records into a new run file and builds the
+// run's in-RAM probe structures (sparse index, bloom filter, key bounds) as
+// it goes; SpillFrozen and mergeRuns both write through it. A write error
+// sticks in the bufio.Writer, so finish's Flush reports it.
+type runWriter struct {
+	run *spillRun
+	bw  *bufio.Writer
+	n   int64
+	buf []byte
+}
+
+// createRun opens the next run file for count records and writes its header.
+func (sp *spillState) createRun(count int64) (*runWriter, error) {
 	sp.seq++
 	path := filepath.Join(sp.dir, fmt.Sprintf("run-%06d.fps", sp.seq))
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	run := &spillRun{
-		f: f, path: path,
-		count:  int64(len(recs)),
-		minKey: recs[0].key, maxKey: recs[len(recs)-1].key,
-		filter: newBloom(int64(len(recs))),
+	w := &runWriter{
+		run: &spillRun{
+			f: f, path: path, count: count,
+			bytes:  runHeaderSize + count*RecordSize,
+			filter: newBloom(count),
+		},
+		bw: bufio.NewWriterSize(f, 1<<16),
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	var hdr [runHeaderSize]byte
-	copy(hdr[:8], runMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(recs)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		f.Close()
-		os.Remove(path)
+	w.bw.Write(binary.LittleEndian.AppendUint64([]byte(runMagic), uint64(count)))
+	return w, nil
+}
+
+// add appends the next record; keys must arrive in increasing order.
+func (w *runWriter) add(key uint64, e Edge) {
+	r := w.run
+	if w.n%indexEvery == 0 {
+		r.index = append(r.index, key)
+	}
+	if w.n == 0 {
+		r.minKey = key
+	}
+	r.maxKey = key
+	r.filter.add(key)
+	w.n++
+	w.buf = appendRecord(w.buf[:0], key, e)
+	w.bw.Write(w.buf)
+}
+
+// finish flushes the run and returns it, its file handle left open for
+// ReadAt lookups. On error the file is removed.
+func (w *runWriter) finish() (*spillRun, error) {
+	err := w.bw.Flush()
+	if err == nil && w.n != w.run.count {
+		err = fmt.Errorf("fpset: run holds %d of %d records", w.n, w.run.count)
+	}
+	if err != nil {
+		w.abort()
 		return nil, err
 	}
-	var buf [recordSize]byte
-	for i, rec := range recs {
-		if i%indexEvery == 0 {
-			run.index = append(run.index, rec.key)
-		}
-		run.filter.add(rec.key)
-		binary.LittleEndian.PutUint64(buf[0:8], rec.key)
-		binary.LittleEndian.PutUint64(buf[8:16], rec.e.Parent)
-		binary.LittleEndian.PutUint32(buf[16:20], uint32(rec.e.Depth))
-		if _, err := bw.Write(buf[:]); err != nil {
-			f.Close()
-			os.Remove(path)
-			return nil, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	run.bytes = runHeaderSize + run.count*recordSize
-	return run, nil
+	return w.run, nil
+}
+
+// abort closes and removes the partial run file.
+func (w *runWriter) abort() {
+	w.run.f.Close()
+	os.Remove(w.run.path)
 }
 
 // lookup probes the disk runs for key. It is lock-free: the run list is
@@ -380,7 +407,7 @@ func (sp *spillState) lookup(key uint64) (Edge, bool) {
 // blockBufPool recycles the fixed-size block buffers disk probes read into.
 var blockBufPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, indexEvery*recordSize)
+		b := make([]byte, indexEvery*RecordSize)
 		return &b
 	},
 }
@@ -398,64 +425,41 @@ func (r *spillRun) find(key uint64) (Edge, bool) {
 	hi := min(lo+indexEvery, r.count)
 	bufp := blockBufPool.Get().(*[]byte)
 	defer blockBufPool.Put(bufp)
-	buf := (*bufp)[:int(hi-lo)*recordSize]
-	if _, err := r.f.ReadAt(buf, runHeaderSize+lo*recordSize); err != nil {
+	buf := (*bufp)[:int(hi-lo)*RecordSize]
+	if _, err := r.f.ReadAt(buf, runHeaderSize+lo*RecordSize); err != nil {
 		return Edge{}, false
 	}
 	n := int(hi - lo)
 	j := sort.Search(n, func(j int) bool {
-		return binary.LittleEndian.Uint64(buf[j*recordSize:]) >= key
+		k, _ := getRecord(buf[j*RecordSize:])
+		return k >= key
 	})
-	if j == n || binary.LittleEndian.Uint64(buf[j*recordSize:]) != key {
-		return Edge{}, false
+	if j < n {
+		if k, e := getRecord(buf[j*RecordSize:]); k == key {
+			return e, true
+		}
 	}
-	rec := buf[j*recordSize:]
-	return Edge{
-		Parent: binary.LittleEndian.Uint64(rec[8:16]),
-		Depth:  int32(binary.LittleEndian.Uint32(rec[16:20])),
-	}, true
+	return Edge{}, false
 }
 
 // scan streams every record of the run in key order. Used by Range and the
-// checkpoint writer; safepoint-only (shares the file offset via ReadAt-free
-// sequential reads on a private descriptor).
+// checkpoint writer; safepoint-only (sequential reads on a private
+// descriptor).
 func (r *spillRun) scan(fn func(key uint64, e Edge) bool) error {
-	f, err := os.Open(r.path)
+	c, err := newRunCursor(r)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	if _, err := br.Discard(runHeaderSize); err != nil {
-		return err
-	}
-	var buf [recordSize]byte
-	for i := int64(0); i < r.count; i++ {
-		if _, err := readFull(br, buf[:]); err != nil {
-			return fmt.Errorf("fpset: run %s record %d/%d: %w", r.path, i, r.count, err)
-		}
-		e := Edge{
-			Parent: binary.LittleEndian.Uint64(buf[8:16]),
-			Depth:  int32(binary.LittleEndian.Uint32(buf[16:20])),
-		}
-		if !fn(binary.LittleEndian.Uint64(buf[0:8]), e) {
+	defer c.close()
+	for c.ok {
+		if !fn(c.key, c.e) {
 			return nil
+		}
+		if err := c.advance(); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// readFull is io.ReadFull without importing io here.
-func readFull(br *bufio.Reader, buf []byte) (int, error) {
-	n := 0
-	for n < len(buf) {
-		m, err := br.Read(buf[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 // mergeRuns streams every run into one new sorted run (keys across runs are
@@ -470,24 +474,13 @@ func (sp *spillState) mergeRuns() error {
 	for _, r := range old {
 		total += r.count
 	}
-	sp.seq++
-	path := filepath.Join(sp.dir, fmt.Sprintf("run-%06d.fps", sp.seq))
-	f, err := os.Create(path)
+	w, err := sp.createRun(total)
 	if err != nil {
 		return err
 	}
-	merged := &spillRun{f: f, path: path, count: total, filter: newBloom(total)}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	var hdr [runHeaderSize]byte
-	copy(hdr[:8], runMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(total))
 	fail := func(err error) error {
-		f.Close()
-		os.Remove(path)
+		w.abort()
 		return err
-	}
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fail(err)
 	}
 	srcs := make([]*runCursor, 0, len(old))
 	for _, r := range old {
@@ -498,48 +491,25 @@ func (sp *spillState) mergeRuns() error {
 		defer c.close()
 		srcs = append(srcs, c)
 	}
-	var buf [recordSize]byte
-	written := int64(0)
 	for {
-		best := -1
-		for i, c := range srcs {
-			if !c.ok {
-				continue
-			}
-			if best == -1 || c.key < srcs[best].key {
-				best = i
+		var best *runCursor
+		for _, c := range srcs {
+			if c.ok && (best == nil || c.key < best.key) {
+				best = c
 			}
 		}
-		if best == -1 {
+		if best == nil {
 			break
 		}
-		c := srcs[best]
-		if written%indexEvery == 0 {
-			merged.index = append(merged.index, c.key)
-		}
-		if written == 0 {
-			merged.minKey = c.key
-		}
-		merged.maxKey = c.key
-		merged.filter.add(c.key)
-		binary.LittleEndian.PutUint64(buf[0:8], c.key)
-		binary.LittleEndian.PutUint64(buf[8:16], c.e.Parent)
-		binary.LittleEndian.PutUint32(buf[16:20], uint32(c.e.Depth))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return fail(err)
-		}
-		written++
-		if err := c.advance(); err != nil {
+		w.add(best.key, best.e)
+		if err := best.advance(); err != nil {
 			return fail(err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
+	merged, err := w.finish()
+	if err != nil {
+		return err
 	}
-	if written != total {
-		return fail(fmt.Errorf("fpset: merge wrote %d of %d records", written, total))
-	}
-	merged.bytes = runHeaderSize + total*recordSize
 	runs := []*spillRun{merged}
 	sp.runs.Store(&runs)
 	sp.merges++
@@ -550,11 +520,13 @@ func (sp *spillState) mergeRuns() error {
 	return nil
 }
 
-// runCursor streams one run during a merge.
+// runCursor streams one run's records in key order (merges and scans).
 type runCursor struct {
+	r    *spillRun
 	f    *os.File
 	br   *bufio.Reader
 	left int64
+	buf  [RecordSize]byte
 	key  uint64
 	e    Edge
 	ok   bool
@@ -570,7 +542,7 @@ func newRunCursor(r *spillRun) (*runCursor, error) {
 		f.Close()
 		return nil, err
 	}
-	c := &runCursor{f: f, br: br, left: r.count}
+	c := &runCursor{r: r, f: f, br: br, left: r.count}
 	if err := c.advance(); err != nil {
 		f.Close()
 		return nil, err
@@ -580,21 +552,18 @@ func newRunCursor(r *spillRun) (*runCursor, error) {
 
 func (c *runCursor) close() { c.f.Close() }
 
+// advance reads the next record into key and e; ok turns false past the
+// last one.
 func (c *runCursor) advance() error {
 	if c.left == 0 {
 		c.ok = false
 		return nil
 	}
-	var buf [recordSize]byte
-	if _, err := readFull(c.br, buf[:]); err != nil {
-		return err
+	if _, err := io.ReadFull(c.br, c.buf[:]); err != nil {
+		return fmt.Errorf("fpset: run %s record %d/%d: %w", c.r.path, c.r.count-c.left, c.r.count, err)
 	}
 	c.left--
-	c.key = binary.LittleEndian.Uint64(buf[0:8])
-	c.e = Edge{
-		Parent: binary.LittleEndian.Uint64(buf[8:16]),
-		Depth:  int32(binary.LittleEndian.Uint32(buf[16:20])),
-	}
+	c.key, c.e = getRecord(c.buf[:])
 	c.ok = true
 	return nil
 }

@@ -58,8 +58,6 @@ type Settings struct {
 	Workers int
 	// MaxStates stops a check after this many distinct states (0 = off).
 	MaxStates int
-	// FPSetShards is the fingerprint-set shard count (0 = automatic).
-	FPSetShards int
 	// MemBudget is the byte budget for exploration state; over it the
 	// fingerprint set and frontier spill to disk (0 = none).
 	MemBudget int64
@@ -241,7 +239,6 @@ func (st *SandTable) RunCheck(ctx context.Context, set Settings, sinks Sinks) (*
 	opts.Deadline = set.Deadline
 	opts.Workers = set.Workers
 	opts.MaxStates = set.MaxStates
-	opts.FPSetShards = set.FPSetShards
 	opts.MemBudget = set.MemBudget
 	opts.SpillDir = set.SpillDir
 	opts.Cover = true

@@ -1,47 +1,14 @@
 package transport
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "net"
 
-// In-memory channel mesh: the test and single-process implementation of
-// Conn. It moves exactly the bytes the TCP mesh would (callers hand it
-// already-encoded block payloads), so equivalence tests running on the mesh
-// exercise the real wire format end to end — only the sockets are elided.
-
-// meshMsg is one in-flight mesh message; the same frame vocabulary as the
-// TCP wire, minus the byte framing.
-type meshMsg struct {
-	typ     byte
-	tag     uint64
-	payload []byte
-	// probe-response fields (avoid encoding a payload for loopback probes).
-	parent uint64
-	depth  int32
-	found  bool
-}
-
-// mesh is the shared state of one in-memory cluster.
-type mesh struct {
-	n    int
-	ch   [][]chan meshMsg // ch[src][dst]
-	dead []chan struct{}
-	once []sync.Once
-}
-
-// meshConn is one peer's endpoint of an in-memory mesh.
-type meshConn struct {
-	m       *mesh
-	id      int
-	metrics *Metrics
-}
-
-// NewMesh builds a fully connected in-memory cluster of n peers and returns
-// one Conn per peer. A 1-peer mesh is a loopback whose Exchange returns
-// immediately. Closing any endpoint unblocks every peer waiting on it with
-// an error, so a test can simulate a peer crash by closing its Conn.
+// NewMesh builds a fully connected in-process cluster of n peers and returns
+// one Conn per peer. Each pair of peers is joined by one net.Pipe carrying
+// the frames DialTCP's sockets carry, through the same Exchange, Probe,
+// ServeProbes and Bye — only the sockets, the handshake and the I/O
+// deadlines are elided. A 1-peer mesh is a loopback whose Exchange returns
+// immediately. Closing any endpoint fails every peer waiting on it, so a test
+// can simulate a peer crash by closing its Conn.
 func NewMesh(n int) []Conn {
 	return NewMeshMetrics(n, nil)
 }
@@ -49,174 +16,23 @@ func NewMesh(n int) []Conn {
 // NewMeshMetrics is NewMesh with per-peer metrics (metrics may be nil or
 // shorter than n; missing entries record nothing).
 func NewMeshMetrics(n int, metrics []*Metrics) []Conn {
-	if n < 1 {
-		n = 1
-	}
-	m := &mesh{n: n, dead: make([]chan struct{}, n), once: make([]sync.Once, n)}
-	m.ch = make([][]chan meshMsg, n)
-	for i := range m.ch {
-		m.dead[i] = make(chan struct{})
-		m.ch[i] = make([]chan meshMsg, n)
-		for j := range m.ch[i] {
-			// Capacity 4 ≥ the 2 frames (block + summary) a peer sends per
-			// pair per barrier before it starts receiving, so Exchange's
-			// send phase never blocks and barriers cannot deadlock.
-			m.ch[i][j] = make(chan meshMsg, 4)
+	n = max(n, 1)
+	pcs := make([]*peerConn, n)
+	for i := range pcs {
+		var m *Metrics
+		if i < len(metrics) {
+			m = metrics[i]
 		}
+		pcs[i] = newPeerConn(i, n, m, 0)
 	}
 	conns := make([]Conn, n)
-	for i := range conns {
-		mc := &meshConn{m: m, id: i}
-		if i < len(metrics) {
-			mc.metrics = metrics[i]
+	for i, pc := range pcs {
+		for j := i + 1; j < n; j++ {
+			a, b := net.Pipe()
+			pc.install(j, a)
+			pcs[j].install(i, b)
 		}
-		conns[i] = mc
+		conns[i] = pc
 	}
 	return conns
-}
-
-// send delivers msg on the src→dst link, failing if either endpoint closed.
-func (m *mesh) send(src, dst int, msg meshMsg) error {
-	select {
-	case m.ch[src][dst] <- msg:
-		return nil
-	case <-m.dead[dst]:
-		return fmt.Errorf("transport: peer %d closed", dst)
-	case <-m.dead[src]:
-		return fmt.Errorf("transport: peer %d closed", src)
-	}
-}
-
-// recv takes the next message on the src→dst link, draining buffered
-// messages before reporting a closed endpoint.
-func (m *mesh) recv(dst, src int) (meshMsg, error) {
-	select {
-	case msg := <-m.ch[src][dst]:
-		return msg, nil
-	default:
-	}
-	select {
-	case msg := <-m.ch[src][dst]:
-		return msg, nil
-	case <-m.dead[src]:
-		return meshMsg{}, fmt.Errorf("transport: peer %d closed", src)
-	case <-m.dead[dst]:
-		return meshMsg{}, fmt.Errorf("transport: peer %d closed", dst)
-	}
-}
-
-// Self implements Conn.
-func (c *meshConn) Self() int { return c.id }
-
-// Peers implements Conn.
-func (c *meshConn) Peers() int { return c.m.n }
-
-// Exchange implements Conn: it broadcasts the summary, scatters the blocks,
-// and gathers every other peer's block and summary for the same tag.
-func (c *meshConn) Exchange(tag uint64, blocks [][]byte, summary []byte) ([][]byte, [][]byte, error) {
-	n := c.m.n
-	if blocks != nil && len(blocks) != n {
-		return nil, nil, fmt.Errorf("transport: %d blocks for %d peers", len(blocks), n)
-	}
-	start := time.Now()
-	for q := 0; q < n; q++ {
-		if q == c.id {
-			continue
-		}
-		var blk []byte
-		if blocks != nil {
-			blk = blocks[q]
-		}
-		if err := c.m.send(c.id, q, meshMsg{typ: frameBlock, tag: tag, payload: blk}); err != nil {
-			return nil, nil, err
-		}
-		if err := c.m.send(c.id, q, meshMsg{typ: frameSummary, tag: tag, payload: summary}); err != nil {
-			return nil, nil, err
-		}
-		c.metrics.sent(len(blk))
-	}
-	in := make([][]byte, n)
-	sums := make([][]byte, n)
-	sums[c.id] = summary
-	for q := 0; q < n; q++ {
-		if q == c.id {
-			continue
-		}
-		blk, err := c.m.recv(c.id, q)
-		if err != nil {
-			return nil, nil, err
-		}
-		sum, err := c.m.recv(c.id, q)
-		if err != nil {
-			return nil, nil, err
-		}
-		if blk.typ != frameBlock || sum.typ != frameSummary || blk.tag != tag || sum.tag != tag {
-			return nil, nil, fmt.Errorf("transport: barrier desync with peer %d (got %s tag %d, want tag %d)",
-				q, frameName(blk.typ), blk.tag, tag)
-		}
-		in[q] = blk.payload
-		sums[q] = sum.payload
-		c.metrics.recv(len(blk.payload))
-	}
-	c.metrics.barrier(time.Since(start).Nanoseconds())
-	return in, sums, nil
-}
-
-// Probe implements Conn (coordinator side).
-func (c *meshConn) Probe(peer int, fp uint64) (uint64, int32, bool, error) {
-	start := time.Now()
-	if err := c.m.send(c.id, peer, meshMsg{typ: frameProbeReq, tag: fp}); err != nil {
-		return 0, 0, false, err
-	}
-	msg, err := c.m.recv(c.id, peer)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	if msg.typ != frameProbeResp || msg.tag != fp {
-		return 0, 0, false, fmt.Errorf("transport: probe desync with peer %d (got %s)", peer, frameName(msg.typ))
-	}
-	c.metrics.probe(time.Since(start).Microseconds())
-	return msg.parent, msg.depth, msg.found, nil
-}
-
-// ServeProbes implements Conn (non-coordinator side): probes only ever come
-// from peer 0, so the serve loop listens on that one link.
-func (c *meshConn) ServeProbes(lookup func(fp uint64) (uint64, int32, bool)) error {
-	for {
-		msg, err := c.m.recv(c.id, 0)
-		if err != nil {
-			return err
-		}
-		switch msg.typ {
-		case frameBye:
-			return nil
-		case frameProbeReq:
-			parent, depth, found := lookup(msg.tag)
-			if err := c.m.send(c.id, 0, meshMsg{typ: frameProbeResp, tag: msg.tag, parent: parent, depth: depth, found: found}); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("transport: unexpected %s while serving probes", frameName(msg.typ))
-		}
-	}
-}
-
-// Bye implements Conn (coordinator side).
-func (c *meshConn) Bye() error {
-	for q := 0; q < c.m.n; q++ {
-		if q == c.id {
-			continue
-		}
-		if err := c.m.send(c.id, q, meshMsg{typ: frameBye}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close implements Conn: it marks this endpoint dead, unblocking every peer
-// that waits on it.
-func (c *meshConn) Close() error {
-	c.m.once[c.id].Do(func() { close(c.m.dead[c.id]) })
-	return nil
 }

@@ -10,22 +10,26 @@ import (
 	"time"
 )
 
-// TCP full mesh: every pair of peers shares one TCP connection carrying the
-// length-prefixed frames of wire.go. Peer i listens on Addrs[i] and dials
-// every lower-numbered peer, so each link is established exactly once
-// regardless of start order; dialing retries until Timeout so the processes
-// of a cluster can launch in any order (the `make cluster` target starts
-// all three concurrently).
+// The peer protocol: every pair of peers shares one link (net.Conn) carrying
+// the length-prefixed frames of wire.go. DialTCP's links are TCP connections:
+// peer i listens on Addrs[i] and dials every lower-numbered peer, so each
+// link is established exactly once regardless of start order; dialing
+// retries until Timeout so the processes of a cluster can launch in any
+// order (the `make cluster` target starts all three concurrently).
+// NewMesh's links are net.Pipe pairs installed without a handshake.
 //
 // Exchange writes to every peer from per-link goroutines while the caller's
 // goroutine reads the links in order — writes never wait on reads, so two
 // peers pushing large blocks at each other cannot deadlock on full kernel
-// buffers. The per-link protocol is strictly sequential (each peer sends
-// exactly one block frame and one summary frame per barrier, in that
-// order), so no demultiplexer is needed. Every barrier and probe round is
-// deadline-bounded by TCPOptions.Timeout, so a peer that stops reading or
-// writing mid-barrier fails the round with a transport error instead of
-// hanging the cluster.
+// buffers (or on unbuffered pipes). The per-link protocol is strictly
+// sequential (each peer sends exactly one block frame and one summary frame
+// per barrier, in that order), so no demultiplexer is needed. Over TCP every
+// barrier and probe round is deadline-bounded by TCPOptions.Timeout, so a
+// peer that stops reading or writing mid-barrier fails the round with a
+// transport error instead of hanging the cluster. A barrier whose read side
+// fails releases its writers at once: a peer that stopped reading (it failed
+// too, or closed) would otherwise hold them until the deadline, or forever on
+// a pipe.
 
 // TCPOptions configures DialTCP.
 type TCPOptions struct {
@@ -60,18 +64,29 @@ type tcpHello struct {
 	Wire      int `json:"wire"`
 }
 
-// tcpConn implements Conn over a TCP full mesh.
-type tcpConn struct {
+// peerConn implements Conn over a full mesh of links, TCP or in-process.
+type peerConn struct {
 	self, peers int
 	metrics     *Metrics
 	conns       []net.Conn // nil at self
 	rd          []*bufio.Reader
 	wr          []*bufio.Writer
 	// frameTimeout bounds each barrier/probe round's blocking I/O (see
-	// TCPOptions.Timeout).
+	// TCPOptions.Timeout); zero arms no deadline.
 	frameTimeout time.Duration
 	closeOnce    sync.Once
 	closeErr     error
+}
+
+// newPeerConn is peer self of an n-peer mesh with no link installed yet.
+func newPeerConn(self, n int, m *Metrics, frameTimeout time.Duration) *peerConn {
+	return &peerConn{
+		self: self, peers: n, metrics: m,
+		conns:        make([]net.Conn, n),
+		rd:           make([]*bufio.Reader, n),
+		wr:           make([]*bufio.Writer, n),
+		frameTimeout: frameTimeout,
+	}
 }
 
 // DialTCP establishes this peer's links to the rest of the cluster and
@@ -91,13 +106,7 @@ func DialTCP(o TCPOptions) (Conn, error) {
 	}
 	deadline := time.Now().Add(timeout)
 
-	c := &tcpConn{
-		self: o.Self, peers: n, metrics: o.Metrics,
-		conns:        make([]net.Conn, n),
-		rd:           make([]*bufio.Reader, n),
-		wr:           make([]*bufio.Writer, n),
-		frameTimeout: timeout,
-	}
+	c := newPeerConn(o.Self, n, o.Metrics, timeout)
 
 	ln, err := net.Listen("tcp", o.Addrs[o.Self])
 	if err != nil {
@@ -221,7 +230,7 @@ func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
 // handshake exchanges hello frames on a fresh link (dialer speaks first)
 // and validates digest, cluster size, partition version and wire version. It
 // returns the remote peer id.
-func (c *tcpConn) handshake(nc net.Conn, o TCPOptions, deadline time.Time, dialer bool) (int, error) {
+func (c *peerConn) handshake(nc net.Conn, o TCPOptions, deadline time.Time, dialer bool) (int, error) {
 	nc.SetDeadline(deadline)
 	defer nc.SetDeadline(time.Time{})
 	self, _ := json.Marshal(tcpHello{Peer: o.Self, Peers: len(o.Addrs), Partition: PartitionVersion, Wire: wireVersion})
@@ -265,7 +274,7 @@ func (c *tcpConn) handshake(nc net.Conn, o TCPOptions, deadline time.Time, diale
 }
 
 // install registers an established link.
-func (c *tcpConn) install(peer int, nc net.Conn) {
+func (c *peerConn) install(peer int, nc net.Conn) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
@@ -279,7 +288,7 @@ func (c *tcpConn) install(peer int, nc net.Conn) {
 // again by the returned func. The deadline interrupts in-flight Read and
 // Write calls, so it also releases Exchange's writer goroutines — and the
 // wg.Wait() on them — when a peer stops draining its receive buffer.
-func (c *tcpConn) armDeadline(peers ...int) func() {
+func (c *peerConn) armDeadline(peers ...int) func() {
 	if c.frameTimeout <= 0 {
 		return func() {}
 	}
@@ -299,7 +308,7 @@ func (c *tcpConn) armDeadline(peers ...int) func() {
 }
 
 // allPeers lists every peer id, self included (armDeadline skips self).
-func (c *tcpConn) allPeers() []int {
+func (c *peerConn) allPeers() []int {
 	out := make([]int, c.peers)
 	for i := range out {
 		out[i] = i
@@ -308,13 +317,13 @@ func (c *tcpConn) allPeers() []int {
 }
 
 // Self implements Conn.
-func (c *tcpConn) Self() int { return c.self }
+func (c *peerConn) Self() int { return c.self }
 
 // Peers implements Conn.
-func (c *tcpConn) Peers() int { return c.peers }
+func (c *peerConn) Peers() int { return c.peers }
 
 // Exchange implements Conn.
-func (c *tcpConn) Exchange(tag uint64, blocks [][]byte, summary []byte) ([][]byte, [][]byte, error) {
+func (c *peerConn) Exchange(tag uint64, blocks [][]byte, summary []byte) ([][]byte, [][]byte, error) {
 	n := c.peers
 	if blocks != nil && len(blocks) != n {
 		return nil, nil, fmt.Errorf("transport: %d blocks for %d peers", len(blocks), n)
@@ -378,6 +387,17 @@ func (c *tcpConn) Exchange(tag uint64, blocks [][]byte, summary []byte) ([][]byt
 			}
 		}
 	}
+	if rerr != nil {
+		// The barrier failed: release the writers now rather than wait on a
+		// peer that may never read again (see the file comment). The link is
+		// unusable after a failed barrier either way.
+		now := time.Now()
+		for _, nc := range c.conns {
+			if nc != nil {
+				nc.SetWriteDeadline(now)
+			}
+		}
+	}
 	wg.Wait()
 	close(werr)
 	if rerr != nil {
@@ -391,7 +411,7 @@ func (c *tcpConn) Exchange(tag uint64, blocks [][]byte, summary []byte) ([][]byt
 }
 
 // Probe implements Conn (coordinator side).
-func (c *tcpConn) Probe(peer int, fp uint64) (uint64, int32, bool, error) {
+func (c *peerConn) Probe(peer int, fp uint64) (uint64, int32, bool, error) {
 	if peer == c.self || peer < 0 || peer >= c.peers {
 		return 0, 0, false, fmt.Errorf("transport: probe peer %d invalid", peer)
 	}
@@ -420,7 +440,7 @@ func (c *tcpConn) Probe(peer int, fp uint64) (uint64, int32, bool, error) {
 
 // ServeProbes implements Conn (non-coordinator side): probes only ever come
 // from peer 0.
-func (c *tcpConn) ServeProbes(lookup func(fp uint64) (uint64, int32, bool)) error {
+func (c *peerConn) ServeProbes(lookup func(fp uint64) (uint64, int32, bool)) error {
 	r, w := c.rd[0], c.wr[0]
 	for {
 		typ, tag, _, err := readFrame(r)
@@ -457,7 +477,7 @@ func (c *tcpConn) ServeProbes(lookup func(fp uint64) (uint64, int32, bool)) erro
 }
 
 // Bye implements Conn (coordinator side).
-func (c *tcpConn) Bye() error {
+func (c *peerConn) Bye() error {
 	defer c.armDeadline(c.allPeers()...)()
 	for q := 0; q < c.peers; q++ {
 		if q == c.self {
@@ -474,7 +494,7 @@ func (c *tcpConn) Bye() error {
 }
 
 // Close implements Conn.
-func (c *tcpConn) Close() error {
+func (c *peerConn) Close() error {
 	c.closeOnce.Do(func() {
 		for _, nc := range c.conns {
 			if nc != nil {

@@ -100,6 +100,59 @@ func TestExchangeHungPeerTimesOut(t *testing.T) {
 	}
 }
 
+// TestFailedBarrierReleasesWriters: when a barrier fails on its read side,
+// Exchange must not wait out the peer timeout on writer goroutines stuck on a
+// peer that stopped reading. Peers 1 and 2 push blocks far larger than any
+// socket buffer at each other while both wait to read peer 0 first; peer 0
+// closes, both reads fail, and each must return without the other ever
+// draining its block.
+func TestFailedBarrierReleasesWriters(t *testing.T) {
+	const n = 3
+	addrs := freeAddrs(t, n)
+	conns := make([]Conn, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for p := 0; p < n; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			conns[p], errs[p] = DialTCP(TCPOptions{Addrs: addrs, Self: p, Digest: 0xD1CE, Timeout: 20 * time.Second})
+		}(p)
+	}
+	wg.Wait()
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("dial peer %d: %v", p, err)
+		}
+		defer conns[p].Close()
+	}
+
+	big := make([]byte, 64<<20) // read-only, shared by both senders
+	done := make(chan error, 2)
+	for _, p := range []int{1, 2} {
+		go func(p int) {
+			blocks := make([][]byte, n)
+			blocks[3-p] = big
+			_, _, err := conns[p].Exchange(0, blocks, []byte("s"))
+			done <- err
+		}(p)
+	}
+	// Let both writers fill the socket buffers and block before peer 0 goes.
+	time.Sleep(100 * time.Millisecond)
+	start := time.Now()
+	conns[0].Close()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatal("Exchange succeeded with a closed peer")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Exchange still blocked %v after peer 0 closed; the peer timeout is 20s", time.Since(start))
+		}
+	}
+}
+
 // TestDialFailFast is the fail-fast regression test for DialTCP's failure
 // path: when the dial side of mesh establishment fails (here: a peer
 // launched with a different run digest), the failure must propagate in

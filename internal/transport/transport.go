@@ -8,12 +8,12 @@
 // transport's only job is to move the candidate blocks and the small
 // per-peer summaries that drive the global stop decisions.
 //
-// Two implementations exist: an in-memory channel mesh (NewMesh) used by
-// tests — it moves the same encoded bytes the TCP mesh would, so the wire
-// format is exercised in-process — and a TCP full mesh (DialTCP) with
-// length-prefixed binary frames for real multi-process and multi-machine
-// runs. A single-peer mesh is a loopback: Exchange returns immediately and
-// exploration degenerates to the local path.
+// One implementation of the protocol exists (tcp.go), with two constructors
+// for its links: DialTCP joins real multi-process and multi-machine peers
+// over TCP, and NewMesh joins n in-process peers over net.Pipe, so tests run
+// the same length-prefixed frames, per-link writers and flushes a cluster
+// run does. A single-peer mesh is a loopback: Exchange returns immediately
+// and exploration degenerates to the local path.
 package transport
 
 import (
