@@ -20,8 +20,13 @@ race:
 # repeated -race runs of the pool's equivalence and verdict tests, so a
 # scheduling-dependent regression in the first-discrepancy-wins protocol
 # fails CI even when the full-suite race pass happens to interleave benignly.
+# The gosyncobj rounds run two workers over the process-global Vars key
+# tables (filled on first use, while both walk) and each cluster's lazily
+# seeded streams and observation tables; the engine rows hold the reused
+# observation map and the pinned fault streams.
 race-conform:
-	$(GO) test -race -count 4 -run 'TestParallelMatchesSerial|TestResourceCheck' ./internal/conformance/
+	$(GO) test -race -count 4 -run 'TestParallelMatchesSerial|TestResourceCheck|TestEventsCheckedPinned|TestParallelRoundHoldsOnlyWalksInFlight|TestConformAllocsPerEvent' ./internal/conformance/
+	$(GO) test -race -count 4 -run 'TestObserveIntoReusedMapMatchesFreshObserve|TestFaultStreamsPinned' ./internal/engine/
 
 # race-cluster does the same for the cluster's candidate path: each expand
 # worker's private repeat table and encoding slab, and seal's serial

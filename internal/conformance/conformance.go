@@ -33,7 +33,7 @@ type Target struct {
 	// (stateless initialisation, as the paper's engine does per trace).
 	NewCluster func(seed int64) (*engine.Cluster, error)
 	// Observe overrides implementation state collection (defaults to
-	// ObserveAll: node APIs plus the proxy's network variables).
+	// Cluster.ObserveInto: node APIs plus the proxy's network variables).
 	Observe func(*engine.Cluster) (map[string]string, error)
 	// ResourceCheck, when set, runs after every event and can flag
 	// general correctness bugs (e.g. the CRaft#6 buffer leak).
@@ -204,7 +204,9 @@ func runSerial(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opts 
 }
 
 // walkSlot is one walk's outcome in a parallel round, filled in by whichever
-// worker claimed the walk.
+// worker claimed the walk. Only a diverging walk keeps its trace (the report
+// carries it); a passing one is dropped as soon as it has replayed, so a
+// round holds no more than the walks in flight.
 type walkSlot struct {
 	executed bool
 	steps    int
@@ -281,9 +283,10 @@ func runParallel(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opt
 					lower(w)
 					continue
 				}
-				slots[w] = walkSlot{executed: true, steps: res.Steps, div: res.Divergence, tr: walk.Trace}
+				slots[w] = walkSlot{executed: true, steps: res.Steps}
 				workerCtr.Inc()
 				if res.Divergence != nil {
+					slots[w].div, slots[w].tr = res.Divergence, walk.Trace
 					lower(w)
 					continue
 				}

@@ -95,6 +95,54 @@ func TestTornCrashDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestFaultStreamsPinned pins what the seeded streams draw: the cut points of
+// two successive torn crashes for eight seeds, and each node stream's first
+// draw. The streams are seeded on first use; the values are those the
+// streams gave when every cluster seeded them at boot, which a change in
+// seed, order or source would move while two runs of the same code still
+// agreed (TestTornCrashDeterministicAcrossRuns).
+func TestFaultStreamsPinned(t *testing.T) {
+	want := map[int64][2]string{
+		1: {"2", "1"}, 2: {"1", "3"}, 3: {"2", "0"}, 4: {"1", "0"},
+		5: {"3", "3"}, 6: {"3", "2"}, 7: {"0", "4"}, 8: {"3", "5"},
+	}
+	for seed, cuts := range want {
+		var buf bytes.Buffer
+		tr := obs.NewTracer(&buf)
+		c := newBufferedCluster(t, 2, seed)
+		c.SetTracer(tr)
+		tornScenario(t, c)
+		apply(t, c, Command{Type: trace.EvRestart, Node: 1})
+		for i := 0; i < 5; i++ {
+			apply(t, c, Command{Type: trace.EvRequest, Node: 0, Payload: "ping"})
+			apply(t, c, Command{Type: trace.EvDeliver, Node: 1, Peer: 0})
+		}
+		apply(t, c, Command{Type: trace.EvCrashDirty, Node: 1, Payload: string(vos.CrashTorn)})
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := obs.ReadEvents(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range evs {
+			if e.Kind == "dirty-crash" {
+				got = append(got, e.Detail["cut"])
+			}
+		}
+		if len(got) != 2 || got[0] != cuts[0] || got[1] != cuts[1] {
+			t.Errorf("seed %d: torn cuts %v, want %v", seed, got, cuts)
+		}
+	}
+	c := newBufferedCluster(t, 2, 7)
+	for id, first := range []int64{8475284246537043955, 2838042580858526449} {
+		if got := (&nodeEnv{c: c, id: id}).Rand().Int63(); got != first {
+			t.Errorf("node %d stream (seed 7) first draw %d, want %d", id, got, first)
+		}
+	}
+}
+
 func TestPanicToleratedBecomesCrashRestart(t *testing.T) {
 	c := newBufferedCluster(t, 2, 1)
 	reg := obs.NewRegistry()

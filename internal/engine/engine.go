@@ -127,17 +127,23 @@ type Cluster struct {
 	clocks []*vos.Clock
 	stores []*vos.Store
 	logs   []*vos.LogBuffer
-	rngs   []*rand.Rand
 	procs  []vos.Process
 	up     []bool
+
+	// rngs are the per-node streams behind Env.Rand, seeded cfg.Seed +
+	// i*7919. Seeding a math/rand source costs more than booting a node, and
+	// most clusters never draw, so each is seeded on its first draw (nil
+	// until then): the stream is the same whenever that happens.
+	rngs []*rand.Rand
 
 	partitions map[[2]int]bool
 
 	// faultRng is the dedicated deterministic stream for fault-injection
-	// choices (torn-batch cut points). It is separate from the per-node
-	// rngs so adding faults never perturbs node behaviour, and it is a pure
-	// function of the seed so two runs with the same seed pick identical
-	// cuts — the byte-identical durable-state guarantee confirm relies on.
+	// choices (torn-batch cut points), seeded on first draw like rngs (see
+	// faults). It is separate from the per-node rngs so adding faults never
+	// perturbs node behaviour, and it is a pure function of the seed so two
+	// runs with the same seed pick identical cuts — the byte-identical
+	// durable-state guarantee confirm relies on.
 	faultRng *rand.Rand
 
 	panicPolicy  PanicPolicy
@@ -147,12 +153,13 @@ type Cluster struct {
 	simCost time.Duration
 	history []Command
 
-	// netVarKeys / nodeVarSuffix are the observation key tables, rendered
-	// once at boot so ObserveAll never calls fmt.Sprintf on its per-step
-	// hot path: netVarKeys[src][dst] = "net[src->dst]",
-	// nodeVarSuffix[i] = "[i]".
-	netVarKeys    [][]string
-	nodeVarSuffix []string
+	// The observation key tables (see ObserveInto), shared read-only from
+	// trace's cache: netKeys[src][dst] = "net[src->dst]", statusKeys[i] =
+	// "status[i]", and varKeys[name][i] = "name[i]" for every variable name
+	// a node has reported so far.
+	netKeys    [][]string
+	statusKeys []string
+	varKeys    map[string][]string
 
 	tracer  *obs.Tracer // structured event sink (nil-safe)
 	metrics *obs.Registry
@@ -165,33 +172,22 @@ func NewCluster(cfg Config, factory func(id int) vos.Process) (*Cluster, error) 
 		return nil, fmt.Errorf("engine: need at least one node")
 	}
 	c := &Cluster{
-		cfg:        cfg,
-		factory:    factory,
-		net:        vnet.New(cfg.Nodes, cfg.Semantics),
-		clocks:     make([]*vos.Clock, cfg.Nodes),
-		stores:     make([]*vos.Store, cfg.Nodes),
-		logs:       make([]*vos.LogBuffer, cfg.Nodes),
-		rngs:       make([]*rand.Rand, cfg.Nodes),
-		procs:      make([]vos.Process, cfg.Nodes),
-		up:         make([]bool, cfg.Nodes),
-		partitions: make(map[[2]int]bool),
-		// 0x5ab1e mixes the seed so the fault stream differs from every
-		// per-node stream (seeded cfg.Seed + i*7919).
-		faultRng:     rand.New(rand.NewSource(cfg.Seed ^ 0x5ab1e)),
+		cfg:          cfg,
+		factory:      factory,
+		net:          vnet.New(cfg.Nodes, cfg.Semantics),
+		clocks:       make([]*vos.Clock, cfg.Nodes),
+		stores:       make([]*vos.Store, cfg.Nodes),
+		logs:         make([]*vos.LogBuffer, cfg.Nodes),
+		rngs:         make([]*rand.Rand, cfg.Nodes),
+		procs:        make([]vos.Process, cfg.Nodes),
+		up:           make([]bool, cfg.Nodes),
+		partitions:   make(map[[2]int]bool),
 		autoRestarts: make([]int, cfg.Nodes),
+		netKeys:      trace.NetKeys(cfg.Nodes),
+		statusKeys:   trace.NodeKeys("status", cfg.Nodes),
+		varKeys:      make(map[string][]string),
 	}
 	c.simCost += cfg.Cost.ClusterInit
-	c.netVarKeys = make([][]string, cfg.Nodes)
-	c.nodeVarSuffix = make([]string, cfg.Nodes)
-	for src := 0; src < cfg.Nodes; src++ {
-		c.nodeVarSuffix[src] = "[" + strconv.Itoa(src) + "]"
-		c.netVarKeys[src] = make([]string, cfg.Nodes)
-		for dst := 0; dst < cfg.Nodes; dst++ {
-			if src != dst {
-				c.netVarKeys[src][dst] = fmt.Sprintf("net[%d->%d]", src, dst)
-			}
-		}
-	}
 	for i := 0; i < cfg.Nodes; i++ {
 		c.clocks[i] = vos.NewClock()
 		if cfg.Buffered {
@@ -200,7 +196,6 @@ func NewCluster(cfg Config, factory func(id int) vos.Process) (*Cluster, error) 
 			c.stores[i] = vos.NewStore()
 		}
 		c.logs[i] = &vos.LogBuffer{}
-		c.rngs[i] = rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
 		if err := c.startNode(i); err != nil {
 			return nil, err
 		}
@@ -419,7 +414,7 @@ func (c *Cluster) crashDirty(cmd Command) error {
 	unsynced := c.stores[node].Unsynced()
 	cut := 0
 	if mode == vos.CrashTorn {
-		cut = c.faultRng.Intn(unsynced + 1)
+		cut = c.faults().Intn(unsynced + 1)
 	}
 	c.stores[node].Crash(mode, cut)
 	if c.tracer != nil {
@@ -436,6 +431,15 @@ func (c *Cluster) crashDirty(cmd Command) error {
 	c.metrics.Counter("engine.faults.crash_mode." + string(mode)).Inc()
 	c.downNode(node)
 	return nil
+}
+
+// faults returns the fault stream, seeding it on the first draw. 0x5ab1e
+// mixes the seed so the fault stream differs from every per-node stream.
+func (c *Cluster) faults() *rand.Rand {
+	if c.faultRng == nil {
+		c.faultRng = rand.New(rand.NewSource(c.cfg.Seed ^ 0x5ab1e))
+	}
+	return c.faultRng
 }
 
 // downNode takes a running node off the cluster with SIGQUIT semantics: no
@@ -516,7 +520,7 @@ func (c *Cluster) invoke(cmd Command, node int, fn func(vos.Process)) (err error
 			}
 			cut := 0
 			if mode == vos.CrashTorn {
-				cut = c.faultRng.Intn(c.stores[node].Unsynced() + 1)
+				cut = c.faults().Intn(c.stores[node].Unsynced() + 1)
 			}
 			c.stores[node].Crash(mode, cut)
 			c.downNode(node)
@@ -584,10 +588,19 @@ type nodeEnv struct {
 	id int
 }
 
-func (e *nodeEnv) ID() int          { return e.id }
-func (e *nodeEnv) N() int           { return e.c.cfg.Nodes }
-func (e *nodeEnv) Now() time.Time   { return e.c.clocks[e.id].Now() }
-func (e *nodeEnv) Rand() *rand.Rand { return e.c.rngs[e.id] }
+func (e *nodeEnv) ID() int        { return e.id }
+func (e *nodeEnv) N() int         { return e.c.cfg.Nodes }
+func (e *nodeEnv) Now() time.Time { return e.c.clocks[e.id].Now() }
+
+// Rand returns the node's stream, seeding it on the first draw (see
+// Cluster.rngs). It outlives the process: a restarted node draws on.
+func (e *nodeEnv) Rand() *rand.Rand {
+	if e.c.rngs[e.id] == nil {
+		e.c.rngs[e.id] = rand.New(rand.NewSource(e.c.cfg.Seed + int64(e.id)*7919))
+	}
+	return e.c.rngs[e.id]
+}
+
 func (e *nodeEnv) Logf(f string, a ...any) {
 	e.c.logs[e.id].Append(f, a...)
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"regexp"
 	"strconv"
+
+	"github.com/sandtable-go/sandtable/internal/trace"
 )
 
 // Observe renders node i's state variables via the process's observation
@@ -26,23 +28,37 @@ func (c *Cluster) Observe(i int) (map[string]string, error) {
 
 // ObserveAll collects every node's variables under "var[i]" keys, plus the
 // network environment (message counts per channel) which the engine manages
-// itself and can compare directly (§3.2). Conformance checking calls this
-// once per replayed event, so the key rendering uses the tables precomputed
-// at boot instead of fmt.Sprintf.
+// itself and can compare directly (§3.2). It is ObserveInto a fresh map.
 func (c *Cluster) ObserveAll() (map[string]string, error) {
 	out := make(map[string]string)
-	for i := 0; i < c.cfg.Nodes; i++ {
-		vars, err := c.Observe(i)
-		if err != nil {
-			return nil, err
-		}
-		sfx := c.nodeVarSuffix[i]
-		for k, v := range vars {
-			out[k+sfx] = v
-		}
-	}
-	c.networkVars(out)
+	c.ObserveInto(out)
 	return out, nil
+}
+
+// ObserveInto clears m and fills it with what ObserveAll returns: node i's
+// variable v under "v[i]" (with "status[i]" "up" or "crashed"; a crashed
+// node reports nothing else) and the network variables. Conformance
+// checking observes after every replayed event, so a caller keeps one map
+// for a whole replay, and the keys come from the cluster's tables: a step
+// renders no key and allocates no map of its own.
+func (c *Cluster) ObserveInto(m map[string]string) {
+	clear(m)
+	for i := 0; i < c.cfg.Nodes; i++ {
+		if !c.up[i] {
+			m[c.statusKeys[i]] = "crashed"
+			continue
+		}
+		for k, v := range c.procs[i].Observe() {
+			keys, ok := c.varKeys[k]
+			if !ok {
+				keys = trace.NodeKeys(k, c.cfg.Nodes)
+				c.varKeys[k] = keys
+			}
+			m[keys[i]] = v
+		}
+		m[c.statusKeys[i]] = "up"
+	}
+	c.networkVars(m)
 }
 
 // NetworkVars renders the proxy state: per-channel buffered message counts.
@@ -54,7 +70,7 @@ func (c *Cluster) NetworkVars() map[string]string {
 
 func (c *Cluster) networkVars(out map[string]string) {
 	for src := 0; src < c.cfg.Nodes; src++ {
-		keys := c.netVarKeys[src]
+		keys := c.netKeys[src]
 		for dst := 0; dst < c.cfg.Nodes; dst++ {
 			if src == dst {
 				continue

@@ -7,6 +7,7 @@ package replay
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 
@@ -82,7 +83,7 @@ type Options struct {
 	// IgnoreVars excludes variable keys from comparison.
 	IgnoreVars []string
 	// Observe overrides how implementation variables are collected
-	// (defaults to Cluster.ObserveAll).
+	// (defaults to Cluster.ObserveInto one map per run).
 	Observe func(*engine.Cluster) (map[string]string, error)
 	// Tracer, when set, is installed on the cluster for the duration of
 	// the replay (engine + vnet events) and additionally receives
@@ -104,7 +105,14 @@ type Options struct {
 func Run(t *trace.Trace, c *engine.Cluster, opts Options) (*Result, error) {
 	observe := opts.Observe
 	if observe == nil {
-		observe = func(c *engine.Cluster) (map[string]string, error) { return c.ObserveAll() }
+		// One map per run, refilled at every compare and sized like the
+		// specification rendering it is compared with. It never leaves Run:
+		// a diverging step keeps a copy.
+		scratch := make(map[string]string, len(t.Init))
+		observe = func(c *engine.Cluster) (map[string]string, error) {
+			c.ObserveInto(scratch)
+			return scratch, nil
+		}
 	}
 	if opts.Tracer != nil {
 		c.SetTracer(opts.Tracer)
@@ -167,6 +175,9 @@ func Run(t *trace.Trace, c *engine.Cluster, opts Options) (*Result, error) {
 				sr.DiffKeys = diff
 				sr.SpecVars = step.Vars
 				sr.ImplVars = impl
+				if opts.Observe == nil {
+					sr.ImplVars = maps.Clone(impl)
+				}
 				diverge(sr)
 				return res, nil
 			}

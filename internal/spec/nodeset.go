@@ -3,7 +3,6 @@ package spec
 import (
 	"math/bits"
 	"strconv"
-	"strings"
 )
 
 // NodeSet is a set of node ids as a bit mask (bit j is node j): what a spec
@@ -54,9 +53,13 @@ func (s NodeSet) Permute(perm []int) NodeSet {
 
 // String renders the set as its ids in ascending order: "{0 2}".
 func (s NodeSet) String() string {
-	var ids []string
-	for ; s != 0; s &= s - 1 {
-		ids = append(ids, strconv.Itoa(bits.TrailingZeros64(uint64(s))))
+	var buf [32]byte
+	b := append(buf[:0], '{')
+	for t := s; t != 0; t &= t - 1 {
+		if t != s {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(bits.TrailingZeros64(uint64(t))), 10)
 	}
-	return "{" + strings.Join(ids, " ") + "}"
+	return string(append(b, '}'))
 }

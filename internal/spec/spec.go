@@ -22,6 +22,7 @@ package spec
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"github.com/sandtable-go/sandtable/internal/fp"
@@ -291,10 +292,23 @@ func (c *Counters) Hash(h *fp.Hasher) {
 	h.WriteInt(int(c.DirtyCrashes))
 }
 
-// Vars renders the counters for conformance output.
+// Vars renders the counters for conformance output:
+// "timeouts=T crashes=C restarts=R requests=Q partitions=P drops=D dups=U dirty=Y".
 func (c *Counters) Vars(m map[string]string) {
-	m["counters"] = fmt.Sprintf("timeouts=%d crashes=%d restarts=%d requests=%d partitions=%d drops=%d dups=%d dirty=%d",
-		c.Timeouts, c.Crashes, c.Restarts, c.Requests, c.Partitions, c.Drops, c.Duplicates, c.DirtyCrashes)
+	var buf [96]byte
+	b := buf[:0]
+	for _, f := range [...]struct {
+		label string
+		v     int32
+	}{
+		{"timeouts=", c.Timeouts}, {" crashes=", c.Crashes}, {" restarts=", c.Restarts},
+		{" requests=", c.Requests}, {" partitions=", c.Partitions}, {" drops=", c.Drops},
+		{" dups=", c.Duplicates}, {" dirty=", c.DirtyCrashes},
+	} {
+		b = append(b, f.label...)
+		b = strconv.AppendInt(b, int64(f.v), 10)
+	}
+	m["counters"] = string(b)
 }
 
 // CanTimeout etc. report whether the corresponding budget still has room.

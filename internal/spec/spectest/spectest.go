@@ -51,9 +51,9 @@ func assertPointwise(t *testing.T, m spec.Machine, walks, depth int, seed int64)
 	AssertCodecRoundTrip(t, m, walks, depth, seed)
 }
 
-// walk calls visit with every state, and its depth, along `walks` seeded
+// Walk calls visit with every state, and its depth, along `walks` seeded
 // random walks of up to `depth` steps over m, until visit returns false.
-func walk(m spec.Machine, walks, depth int, seed int64, visit func(s spec.State, d int) bool) {
+func Walk(m spec.Machine, walks, depth int, seed int64, visit func(s spec.State, d int) bool) {
 	rng := rand.New(rand.NewSource(seed))
 	for w := 0; w < walks; w++ {
 		inits := m.Init()
@@ -113,7 +113,7 @@ func AssertOrbitEquiv(t *testing.T, m spec.Machine, walks, depth int, seed int64
 	pt := spec.PermTableFor(m.NumNodes())
 	fast, _ := m.(spec.FastSymmetric)
 	scratch := fp.NewOrbitScratch()
-	walk(m, walks, depth, seed, func(cur spec.State, _ int) bool {
+	Walk(m, walks, depth, seed, func(cur spec.State, _ int) bool {
 		plain := cur.Fingerprint()
 		wantMin := plain
 		for _, p := range pt.NonIdentity {
@@ -284,7 +284,7 @@ func AssertCodecRoundTrip(t *testing.T, m spec.Machine, walks, depth int, seed i
 		return fps
 	}
 	trailer := []byte{0xde, 0xad, 0xbe, 0xef}
-	walk(m, walks, depth, seed, func(cur spec.State, d int) bool {
+	Walk(m, walks, depth, seed, func(cur spec.State, d int) bool {
 		enc := m.AppendState(nil, cur)
 		dec, rest, err := m.DecodeState(append(enc[:len(enc):len(enc)], trailer...))
 		if err != nil {
@@ -365,7 +365,7 @@ func spliceVarints(enc []byte, v int64, visit func(i int, mut []byte)) {
 // does to a decoded state first: canonical hashing, rendering, and encoding
 // again.
 func FuzzDecodeState(f *testing.F, m spec.Machine, walks, depth int, seed int64) {
-	walk(m, walks, depth, seed, func(s spec.State, d int) bool {
+	Walk(m, walks, depth, seed, func(s spec.State, d int) bool {
 		enc := m.AppendState(nil, s)
 		f.Add(enc)
 		if d%16 == 0 {
@@ -449,7 +449,7 @@ func FindNextAsymmetry(m spec.Machine, walks, depth int, seed int64) *Asymmetry 
 		fp     uint64
 	}
 	var found *Asymmetry
-	walk(m, walks, depth, seed, func(s spec.State, d int) bool {
+	Walk(m, walks, depth, seed, func(s spec.State, d int) bool {
 		succs := m.Next(s)
 		for _, p := range spec.PermTableFor(m.NumNodes()).NonIdentity {
 			direct := m.Next(m.Permute(s, p))

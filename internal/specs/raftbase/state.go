@@ -15,11 +15,11 @@
 package raftbase
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
+	"sync"
 
 	"github.com/sandtable-go/sandtable/internal/spec"
+	"github.com/sandtable-go/sandtable/internal/trace"
 )
 
 // Role values (rendered identically by the implementations' Observe).
@@ -362,41 +362,51 @@ func (s *State) Fingerprint() uint64 {
 
 // Vars implements spec.State; the rendering matches the implementations'
 // Observe output and the engine's network variables so conformance can
-// compare them key by key.
+// compare them key by key. A conformance walk renders every state it steps
+// to, so keys come from the arity's table and values are strconv appends.
 func (s *State) Vars() map[string]string {
-	m := make(map[string]string, 8*s.n)
+	k := varKeysFor(s.n)
+	up := s.Up.Count()
+	size := s.n*s.n + 3 + 8*up // net and status, lastRead, counters, violation, and the up nodes' rows
+	if s.durability {
+		size += 3 * s.n
+	}
+	if s.snapshots {
+		size += up
+	}
+	m := make(map[string]string, size)
 	for i := 0; i < s.n; i++ {
 		if s.durability {
 			// Durable-storage view (rendered for crashed nodes too — it is
 			// exactly what a restart would recover).
-			m[fmt.Sprintf("durTerm[%d]", i)] = strconv.Itoa(s.DurTerm[i])
-			m[fmt.Sprintf("durVote[%d]", i)] = strconv.Itoa(s.DurVote[i])
-			m[fmt.Sprintf("durLog[%d]", i)] = formatLog(s.DurLog[i])
+			m[k.durTerm[i]] = strconv.Itoa(s.DurTerm[i])
+			m[k.durVote[i]] = strconv.Itoa(s.DurVote[i])
+			m[k.durLog[i]] = formatLog(s.DurLog[i])
 		}
 		if !s.Up.Has(i) {
-			m[fmt.Sprintf("status[%d]", i)] = "crashed"
+			m[k.status[i]] = "crashed"
 			continue
 		}
-		m[fmt.Sprintf("status[%d]", i)] = "up"
-		m[fmt.Sprintf("role[%d]", i)] = roleString(s.Role[i])
-		m[fmt.Sprintf("term[%d]", i)] = strconv.Itoa(s.Term[i])
-		m[fmt.Sprintf("votedFor[%d]", i)] = strconv.Itoa(s.VotedFor[i])
-		m[fmt.Sprintf("log[%d]", i)] = formatLog(s.Log[i])
-		m[fmt.Sprintf("commit[%d]", i)] = strconv.Itoa(s.Commit[i])
+		m[k.status[i]] = "up"
+		m[k.role[i]] = roleString(s.Role[i])
+		m[k.term[i]] = strconv.Itoa(s.Term[i])
+		m[k.votedFor[i]] = strconv.Itoa(s.VotedFor[i])
+		m[k.log[i]] = formatLog(s.Log[i])
+		m[k.commit[i]] = strconv.Itoa(s.Commit[i])
 		if s.snapshots {
-			m[fmt.Sprintf("snapshot[%d]", i)] = fmt.Sprintf("%d@%d", s.SnapIdx[i], s.SnapTerm[i])
+			m[k.snapshot[i]] = strconv.Itoa(s.SnapIdx[i]) + "@" + strconv.Itoa(s.SnapTerm[i])
 		}
 		if s.Role[i] == Leader {
-			m[fmt.Sprintf("next[%d]", i)] = formatPeerInts(s.Next[i], i)
-			m[fmt.Sprintf("match[%d]", i)] = formatPeerInts(s.Match[i], i)
+			m[k.next[i]] = formatPeerInts(s.Next[i], i)
+			m[k.match[i]] = formatPeerInts(s.Match[i], i)
 		} else {
-			m[fmt.Sprintf("next[%d]", i)] = "-"
-			m[fmt.Sprintf("match[%d]", i)] = "-"
+			m[k.next[i]] = "-"
+			m[k.match[i]] = "-"
 		}
 		if s.Role[i] == Candidate {
-			m[fmt.Sprintf("votes[%d]", i)] = s.Votes[i].String()
+			m[k.votes[i]] = s.Votes[i].String()
 		} else {
-			m[fmt.Sprintf("votes[%d]", i)] = "-"
+			m[k.votes[i]] = "-"
 		}
 	}
 	for src := 0; src < s.n; src++ {
@@ -404,38 +414,81 @@ func (s *State) Vars() map[string]string {
 			if src == dst {
 				continue
 			}
-			m[fmt.Sprintf("net[%d->%d]", src, dst)] = strconv.Itoa(len(s.Chan[src][dst]))
+			m[k.net[src][dst]] = strconv.Itoa(len(s.Chan[src][dst]))
 		}
 	}
 	if lr := s.lastRead(); s.kv && lr.Key != "" && s.Up.Has(lr.Node) {
-		m[fmt.Sprintf("lastRead[%d]", lr.Node)] = lr.Key + "=" + lr.Val
+		m[k.lastRead[lr.Node]] = lr.Key + "=" + lr.Val
 	}
 	s.Counters.Vars(m)
 	m["violation"] = s.Viol.Flag
 	return m
 }
 
+// varKeys are the keys Vars renders at one arity: status[i] is "status[i]"
+// and so on (trace.NodeKeys, trace.NetKeys).
+type varKeys struct {
+	durTerm, durVote, durLog, status, role, term, votedFor, log, commit,
+	snapshot, next, match, votes, lastRead []string
+	net [][]string
+}
+
+var varKeyTables [spec.MaxNodes + 1]struct {
+	once sync.Once
+	keys *varKeys
+}
+
+// varKeysFor returns the (cached, shared, read-only) key table for n nodes,
+// built on first use the way spec.PermTableFor builds permutations.
+func varKeysFor(n int) *varKeys {
+	e := &varKeyTables[n]
+	e.once.Do(func() {
+		k := func(name string) []string { return trace.NodeKeys(name, n) }
+		e.keys = &varKeys{
+			durTerm: k("durTerm"), durVote: k("durVote"), durLog: k("durLog"),
+			status: k("status"), role: k("role"), term: k("term"), votedFor: k("votedFor"),
+			log: k("log"), commit: k("commit"), snapshot: k("snapshot"),
+			next: k("next"), match: k("match"), votes: k("votes"), lastRead: k("lastRead"),
+			net: trace.NetKeys(n),
+		}
+	})
+	return e.keys
+}
+
+// formatLog renders a log as "[term:value term:value ...]".
 func formatLog(log []Entry) string {
 	if len(log) == 0 {
 		return "[]"
 	}
-	parts := make([]string, len(log))
+	var buf [64]byte
+	b := append(buf[:0], '[')
 	for i, e := range log {
-		parts[i] = fmt.Sprintf("%d:%s", e.Term, e.Value)
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(e.Term), 10)
+		b = append(b, ':')
+		b = append(b, e.Value...)
 	}
-	return "[" + strings.Join(parts, " ") + "]"
+	return string(append(b, ']'))
 }
 
+// formatPeerInts renders a leader's per-peer row as "[v v ...]" with "_" in
+// the leader's own slot.
 func formatPeerInts(vals []int, self int) string {
-	parts := make([]string, 0, len(vals))
+	var buf [32]byte
+	b := append(buf[:0], '[')
 	for i, v := range vals {
+		if i > 0 {
+			b = append(b, ' ')
+		}
 		if i == self {
-			parts = append(parts, "_")
+			b = append(b, '_')
 			continue
 		}
-		parts = append(parts, strconv.Itoa(v))
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return "[" + strings.Join(parts, " ") + "]"
+	return string(append(b, ']'))
 }
 
 // Log helpers (absolute indexing, snapshot-aware).

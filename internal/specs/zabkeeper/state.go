@@ -16,11 +16,11 @@
 package zabkeeper
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
+	"sync"
 
 	"github.com/sandtable-go/sandtable/internal/spec"
+	"github.com/sandtable-go/sandtable/internal/trace"
 )
 
 // Server states.
@@ -55,8 +55,15 @@ type Vote struct {
 	Counter int
 }
 
+// String renders the vote as "leader@(epoch,counter)".
 func (v Vote) String() string {
-	return fmt.Sprintf("%d@(%d,%d)", v.Leader, v.Epoch, v.Counter)
+	var buf [48]byte
+	b := strconv.AppendInt(buf[:0], int64(v.Leader), 10)
+	b = append(b, "@("...)
+	b = strconv.AppendInt(b, int64(v.Epoch), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(v.Counter), 10)
+	return string(append(b, ')'))
 }
 
 // State is the zabkeeper specification state. A frontier holds one per
@@ -320,28 +327,31 @@ func (s *State) lastZxid(i int) (epoch, counter int) {
 }
 
 // Vars implements spec.State; rendering matches the implementation's
-// Observe output.
+// Observe output. As in raftbase, keys come from the arity's table and
+// values are strconv appends: a conformance walk renders every state.
 func (s *State) Vars() map[string]string {
-	m := make(map[string]string, 10*s.n)
+	k := varKeysFor(s.n)
+	// net and status, counters, violation, and the up nodes' rows
+	m := make(map[string]string, s.n*s.n+2+9*s.Up.Count())
 	for i := 0; i < s.n; i++ {
 		if !s.Up.Has(i) {
-			m[fmt.Sprintf("status[%d]", i)] = "crashed"
+			m[k.status[i]] = "crashed"
 			continue
 		}
-		m[fmt.Sprintf("status[%d]", i)] = "up"
-		m[fmt.Sprintf("state[%d]", i)] = stateString(s.ZState[i])
-		m[fmt.Sprintf("round[%d]", i)] = strconv.Itoa(s.Round[i])
-		m[fmt.Sprintf("vote[%d]", i)] = s.Vote[i].String()
-		m[fmt.Sprintf("epoch[%d]", i)] = strconv.Itoa(s.Epoch[i])
-		m[fmt.Sprintf("history[%d]", i)] = formatHistory(s.History[i])
-		m[fmt.Sprintf("committed[%d]", i)] = strconv.Itoa(s.Commit[i])
-		m[fmt.Sprintf("leader[%d]", i)] = strconv.Itoa(s.LeaderID[i])
+		m[k.status[i]] = "up"
+		m[k.state[i]] = stateString(s.ZState[i])
+		m[k.round[i]] = strconv.Itoa(s.Round[i])
+		m[k.vote[i]] = s.Vote[i].String()
+		m[k.epoch[i]] = strconv.Itoa(s.Epoch[i])
+		m[k.history[i]] = formatHistory(s.History[i])
+		m[k.committed[i]] = strconv.Itoa(s.Commit[i])
+		m[k.leader[i]] = strconv.Itoa(s.LeaderID[i])
 		if s.ZState[i] == Leading {
-			m[fmt.Sprintf("synced[%d]", i)] = s.Synced[i].String()
-			m[fmt.Sprintf("acked[%d]", i)] = formatInts(s.Acked[i], i)
+			m[k.synced[i]] = s.Synced[i].String()
+			m[k.acked[i]] = formatInts(s.Acked[i], i)
 		} else {
-			m[fmt.Sprintf("synced[%d]", i)] = "-"
-			m[fmt.Sprintf("acked[%d]", i)] = "-"
+			m[k.synced[i]] = "-"
+			m[k.acked[i]] = "-"
 		}
 	}
 	for src := 0; src < s.n; src++ {
@@ -349,7 +359,7 @@ func (s *State) Vars() map[string]string {
 			if src == dst {
 				continue
 			}
-			m[fmt.Sprintf("net[%d->%d]", src, dst)] = strconv.Itoa(len(s.Chan[src][dst]))
+			m[k.net[src][dst]] = strconv.Itoa(len(s.Chan[src][dst]))
 		}
 	}
 	s.Counters.Vars(m)
@@ -357,27 +367,69 @@ func (s *State) Vars() map[string]string {
 	return m
 }
 
+// varKeys are the keys Vars renders at one arity (trace.NodeKeys,
+// trace.NetKeys).
+type varKeys struct {
+	status, state, round, vote, epoch, history, committed, leader, synced, acked []string
+	net                                                                          [][]string
+}
+
+var varKeyTables [spec.MaxNodes + 1]struct {
+	once sync.Once
+	keys *varKeys
+}
+
+// varKeysFor returns the (cached, shared, read-only) key table for n nodes.
+func varKeysFor(n int) *varKeys {
+	e := &varKeyTables[n]
+	e.once.Do(func() {
+		k := func(name string) []string { return trace.NodeKeys(name, n) }
+		e.keys = &varKeys{
+			status: k("status"), state: k("state"), round: k("round"), vote: k("vote"),
+			epoch: k("epoch"), history: k("history"), committed: k("committed"),
+			leader: k("leader"), synced: k("synced"), acked: k("acked"),
+			net: trace.NetKeys(n),
+		}
+	})
+	return e.keys
+}
+
+// formatHistory renders a history as "[epoch.counter:value ...]".
 func formatHistory(h []Txn) string {
 	if len(h) == 0 {
 		return "[]"
 	}
-	parts := make([]string, len(h))
+	var buf [64]byte
+	b := append(buf[:0], '[')
 	for i, t := range h {
-		parts[i] = fmt.Sprintf("%d.%d:%s", t.Epoch, t.Counter, t.Value)
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(t.Epoch), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(t.Counter), 10)
+		b = append(b, ':')
+		b = append(b, t.Value...)
 	}
-	return "[" + strings.Join(parts, " ") + "]"
+	return string(append(b, ']'))
 }
 
+// formatInts renders a leader's per-peer row as "[v v ...]" with "_" in its
+// own slot.
 func formatInts(vals []int, self int) string {
-	parts := make([]string, 0, len(vals))
+	var buf [32]byte
+	b := append(buf[:0], '[')
 	for i, v := range vals {
+		if i > 0 {
+			b = append(b, ' ')
+		}
 		if i == self {
-			parts = append(parts, "_")
+			b = append(b, '_')
 			continue
 		}
-		parts = append(parts, strconv.Itoa(v))
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return "[" + strings.Join(parts, " ") + "]"
+	return string(append(b, ']'))
 }
 
 // permute returns the node-permuted state (symmetry reduction).

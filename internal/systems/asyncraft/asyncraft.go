@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
@@ -445,31 +444,45 @@ func formatLog(log []Entry) string {
 	if len(log) == 0 {
 		return "[]"
 	}
-	parts := make([]string, len(log))
+	var buf [64]byte
+	b := append(buf[:0], '[')
 	for i, e := range log {
-		parts[i] = fmt.Sprintf("%d:%s", e.Term, e.Value)
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(e.Term), 10)
+		b = append(b, ':')
+		b = append(b, e.Value...)
 	}
-	return "[" + strings.Join(parts, " ") + "]"
+	return string(append(b, ']'))
 }
 
 func formatPeerInts(vals []int, self int) string {
-	parts := make([]string, 0, len(vals))
+	var buf [32]byte
+	b := append(buf[:0], '[')
 	for i, v := range vals {
+		if i > 0 {
+			b = append(b, ' ')
+		}
 		if i == self {
-			parts = append(parts, "_")
+			b = append(b, '_')
 			continue
 		}
-		parts = append(parts, strconv.Itoa(v))
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return "[" + strings.Join(parts, " ") + "]"
+	return string(append(b, ']'))
 }
 
 func formatVotes(votes []bool) string {
-	var parts []string
+	var buf [32]byte
+	b := append(buf[:0], '{')
 	for i, v := range votes {
 		if v {
-			parts = append(parts, strconv.Itoa(i))
+			if len(b) > 1 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(i), 10)
 		}
 	}
-	return "{" + strings.Join(parts, " ") + "}"
+	return string(append(b, '}'))
 }

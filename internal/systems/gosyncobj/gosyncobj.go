@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
@@ -488,28 +487,38 @@ func (n *Node) Observe() map[string]string {
 	return m
 }
 
-// FormatLog renders a log canonically: "term:value term:value ...".
+// FormatLog renders a log canonically: "[term:value term:value ...]".
 func FormatLog(log []Entry) string {
 	if len(log) == 0 {
 		return "[]"
 	}
-	parts := make([]string, len(log))
+	var buf [64]byte
+	b := append(buf[:0], '[')
 	for i, e := range log {
-		parts[i] = fmt.Sprintf("%d:%s", e.Term, e.Value)
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(e.Term), 10)
+		b = append(b, ':')
+		b = append(b, e.Value...)
 	}
-	return "[" + strings.Join(parts, " ") + "]"
+	return string(append(b, ']'))
 }
 
 func formatPeerInts(vals []int, self int) string {
-	parts := make([]string, 0, len(vals))
+	var buf [32]byte
+	b := append(buf[:0], '[')
 	for i, v := range vals {
+		if i > 0 {
+			b = append(b, ' ')
+		}
 		if i == self {
-			parts = append(parts, "_")
+			b = append(b, '_')
 			continue
 		}
-		parts = append(parts, strconv.Itoa(v))
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return "[" + strings.Join(parts, " ") + "]"
+	return string(append(b, ']'))
 }
 
 func formatVotes(votes map[int]bool) string {
@@ -518,9 +527,13 @@ func formatVotes(votes map[int]bool) string {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	parts := make([]string, len(ids))
+	var buf [32]byte
+	b := append(buf[:0], '{')
 	for i, id := range ids {
-		parts[i] = strconv.Itoa(id)
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	return "{" + strings.Join(parts, " ") + "}"
+	return string(append(b, '}'))
 }

@@ -12,7 +12,6 @@
 package xraftkv
 
 import (
-	"fmt"
 	"strings"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
@@ -123,11 +122,17 @@ func formatData(data map[string]string) string {
 			keys[j], keys[j-1] = keys[j-1], keys[j]
 		}
 	}
-	parts := make([]string, len(keys))
+	var buf [64]byte
+	b := append(buf[:0], '{')
 	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%s", k, data[k])
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, k...)
+		b = append(b, '=')
+		b = append(b, data[k]...)
 	}
-	return "{" + strings.Join(parts, " ") + "}"
+	return string(append(b, '}'))
 }
 
 func splitKV(v string) (key, val string, ok bool) {

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
@@ -56,7 +55,13 @@ type Vote struct {
 }
 
 func (v Vote) String() string {
-	return fmt.Sprintf("%d@(%d,%d)", v.Leader, v.Epoch, v.Counter)
+	var buf [48]byte
+	b := strconv.AppendInt(buf[:0], int64(v.Leader), 10)
+	b = append(b, "@("...)
+	b = strconv.AppendInt(b, int64(v.Epoch), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(v.Counter), 10)
+	return string(append(b, ')'))
 }
 
 // Message is the wire format.
@@ -527,31 +532,47 @@ func formatHistory(h []Txn) string {
 	if len(h) == 0 {
 		return "[]"
 	}
-	parts := make([]string, len(h))
+	var buf [64]byte
+	b := append(buf[:0], '[')
 	for i, t := range h {
-		parts[i] = fmt.Sprintf("%d.%d:%s", t.Epoch, t.Counter, t.Value)
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(t.Epoch), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(t.Counter), 10)
+		b = append(b, ':')
+		b = append(b, t.Value...)
 	}
-	return "[" + strings.Join(parts, " ") + "]"
+	return string(append(b, ']'))
 }
 
-func formatBoolSet(b []bool) string {
-	var parts []string
-	for i, v := range b {
+func formatBoolSet(set []bool) string {
+	var buf [32]byte
+	b := append(buf[:0], '{')
+	for i, v := range set {
 		if v {
-			parts = append(parts, strconv.Itoa(i))
+			if len(b) > 1 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(i), 10)
 		}
 	}
-	return "{" + strings.Join(parts, " ") + "}"
+	return string(append(b, '}'))
 }
 
 func formatInts(vals []int, self int) string {
-	parts := make([]string, 0, len(vals))
+	var buf [32]byte
+	b := append(buf[:0], '[')
 	for i, v := range vals {
+		if i > 0 {
+			b = append(b, ' ')
+		}
 		if i == self {
-			parts = append(parts, "_")
+			b = append(b, '_')
 			continue
 		}
-		parts = append(parts, strconv.Itoa(v))
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return "[" + strings.Join(parts, " ") + "]"
+	return string(append(b, ']'))
 }
