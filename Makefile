@@ -32,17 +32,20 @@ race-conform:
 # worker's private repeat table and encoding slab, and seal's serial
 # cross-worker resolution and P-way merge, under the equivalence rows, the
 # kill-and-resume run and the two hostile-block tests (W = 1, 2, 4), four
-# times over — and for the transport they all run on, whose per-link writer
-# goroutines run in every in-process cluster.
+# times over — for the cluster's checkpoints (every peer's chain, the
+# coordinator's manifest handed out at hello, the crash windows and the
+# flag-agreement check) — and for the transport they all run on, whose
+# per-link writer goroutines run in every in-process cluster.
 race-cluster:
-	$(GO) test -race -count 4 -run 'TestClusterEquivalence|TestClusterKillAndResume|TestTruncatedWire|TestDuplicateWire' ./internal/explorer/
+	$(GO) test -race -count 4 -run 'TestClusterEquivalence|TestClusterKillAndResume|TestClusterCheckpointFlagsMustAgree|TestClusterResumeWithoutManifest|TestDeltaCrashWindows|TestTruncatedWire|TestDuplicateWire' ./internal/explorer/
 	$(GO) test -race -count 4 ./internal/transport/
 
 # fuzz runs a short coverage-guided smoke over the virtual network's queue
 # operations (send/deliver/drop/duplicate against a model oracle) and over
 # the decoders of checkpoint bytes: the snapshot envelope reader, the
-# delta-block payload parser, and the frontier-record reader (no panic, no
-# allocation sized from a count the input cannot back) — over the two
+# delta-block payload parser, the frontier-record reader (no panic, no
+# allocation sized from a count the input cannot back) and the manifest
+# reader (nothing accepted names a file outside the chain pattern) — over the two
 # state codecs themselves, whose DecodeState runs on every record read back
 # from a spill run, a checkpoint or a peer — and over the wire block a peer
 # sends at every level barrier.
@@ -52,6 +55,7 @@ fuzz:
 	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzParseDeltaPayload$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzFrontierRecords$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/specs/raftbase/ -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/specs/zabkeeper/ -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzDecodeWireBlock$$' -fuzztime $(FUZZTIME)
@@ -106,8 +110,14 @@ soak:
 # exchanged state proves nothing), clustercmp asserts every peer's result
 # counters, stop decision, violation set, and full coverage profile match
 # the reference, and cmp asserts the coordinator reconstructed a
-# byte-identical counterexample trace through remote edge probes. Ports
-# are derived from the shell PID so concurrent CI jobs don't collide.
+# byte-identical counterexample trace through remote edge probes. A second
+# leg checkpoints: three peers, each with its own -checkpoint dir (the
+# multi-host layout), stop on -max-states one level short of the violation,
+# after a checkpoint that appended a delta block (checktrace -require); the
+# peers restart with -resume on fresh ports and must land on the same
+# reference (clustercmp skips the coverage of a resumed run) and the same
+# trace. Ports are derived from the shell PID so concurrent CI jobs don't
+# collide.
 cluster:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/sandtable" ./cmd/sandtable; \
@@ -125,7 +135,20 @@ cluster:
 		-require transport.blocks_sent -require transport.bytes_recv -require transport.barriers; \
 	$(GO) run ./scripts/clustercmp -ref "$$tmp/ref.json" "$$tmp/peer0.json" "$$tmp/peer1.json" "$$tmp/peer2.json"; \
 	cmp "$$tmp/ref-trace.json" "$$tmp/cluster-trace.json"; \
-	echo "cluster: 3-peer run matches single-process reference (counters, coverage, trace)"
+	ck() { ps="127.0.0.1:$$(($$1)),127.0.0.1:$$(($$1+1)),127.0.0.1:$$(($$1+2))"; id=$$2; shift 2; \
+		run -workers 2 -peers "$$ps" -peer-id $$id -checkpoint "$$tmp/ck$$id" -checkpoint-states 100 "$$@"; }; \
+	ck base+3 1 -max-states 5000 -metrics-out "$$tmp/ck1.json" >/dev/null 2>&1 & p1=$$!; \
+	ck base+3 2 -max-states 5000 >/dev/null 2>&1 & p2=$$!; \
+	ck base+3 0 -max-states 5000 >/dev/null; \
+	wait $$p1; wait $$p2; \
+	$(GO) run ./scripts/checktrace -metrics "$$tmp/ck1.json" -require checkpoint.deltas; \
+	ck base+6 1 -resume -metrics-out "$$tmp/resumed1.json" >/dev/null 2>&1 & p1=$$!; \
+	ck base+6 2 -resume -metrics-out "$$tmp/resumed2.json" >/dev/null 2>&1 & p2=$$!; \
+	ck base+6 0 -resume -metrics-out "$$tmp/resumed0.json" -o "$$tmp/resumed-trace.json" >/dev/null; \
+	wait $$p1; wait $$p2; \
+	$(GO) run ./scripts/clustercmp -ref "$$tmp/ref.json" "$$tmp/resumed0.json" "$$tmp/resumed1.json" "$$tmp/resumed2.json"; \
+	cmp "$$tmp/ref-trace.json" "$$tmp/resumed-trace.json"; \
+	echo "cluster: 3-peer run, and a 3-peer run killed and resumed from per-peer checkpoint dirs, match the single-process reference (counters, coverage, trace)"
 
 # serve-smoke proves checking-as-a-service end to end over real HTTP: a
 # `sandtable serve` daemon gets a violating craft job submitted by the

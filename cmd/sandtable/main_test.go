@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/sandtable-go/sandtable/internal/explorer"
 )
 
 // TestCheckInterruptIsCooperative drives the built binary: one SIGINT to a
@@ -42,7 +44,7 @@ func TestCheckInterruptIsCooperative(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
-	snap := filepath.Join(ck, "checkpoint.snap")
+	snap := filepath.Join(ck, explorer.ManifestFile)
 	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		if _, err := os.Stat(snap); err == nil {
 			break

@@ -3,7 +3,9 @@ package explorer
 import (
 	"bufio"
 	"bytes"
+	"crypto/rand"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +13,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/fp"
@@ -21,42 +25,37 @@ import (
 
 // CheckpointOptions configures periodic exploration snapshots — the
 // reproduction of TLC's checkpointing, which lets a machine-day-scale run
-// survive interruption. The zero value disables checkpointing. Checkpointing
-// needs states to round-trip through bytes, so the machine must implement
-// spec.StateCodec (every in-tree system does); one that does not gets a
-// "config-error" result.
+// survive interruption. The zero value disables checkpointing. States cross
+// to disk through the machine's codec, which every spec.Machine provides.
 //
-// A snapshot is written at BFS level boundaries (where the frontier is
+// A checkpoint is written at BFS level boundaries (where the frontier is
 // well-defined and expansion workers are quiescent) whenever the cadence is
 // due: every Interval of wall-clock time and/or every EveryStates newly
 // discovered distinct states, whichever fires first (both zero with a Dir
-// set defaults to a 60-second interval). A snapshot holds the run's
-// counters, the frontier as codec-encoded states, and the fingerprint set,
-// in a versioned, checksummed envelope written atomically (temp file +
-// fsync + rename), so a crash mid-write never corrupts the previous one.
-// After the first full snapshot, later checkpoints append delta blocks (see
-// delta.go) until the log outgrows the base.
+// set defaults to a 60-second interval). It holds the run's counters, the
+// frontier as codec-encoded states, and the fingerprint set — a base
+// snapshot, then delta blocks beside it (delta.go) — and commits through one
+// manifest, for solo and distributed runs alike ("The commit protocol").
 //
 // Resume reloads the frontier states as written — no part of the explored
-// interior is re-expanded — and proves the snapshot self-consistent before
+// interior is re-expanded — and proves the checkpoint self-consistent before
 // continuing: every frontier state must canonicalize to its recorded
-// fingerprint and be in the fingerprint set at the snapshot's depth, and the
+// fingerprint and be in the fingerprint set at the checkpoint's depth, and the
 // set must hold no other state at that depth. BFS exploration is
 // deterministic (see the package comment), so a resumed run reports the
 // same distinct-state count and the same counterexample as an uninterrupted
 // run with the same options.
 type CheckpointOptions struct {
-	// Dir is the snapshot directory ("" disables checkpointing). The
-	// current snapshot is Dir/checkpoint.snap (distributed runs:
-	// Dir/peer-<id>/cluster-<depth>.snap, committed by
-	// Dir/cluster-manifest.json).
+	// Dir is the checkpoint directory ("" disables checkpointing), local to
+	// each process: its chain (a cluster peer's in Dir/peer-<id>) and, on the
+	// coordinator, the manifest Dir/checkpoint.manifest.
 	Dir string
 	// Interval is the minimum wall-clock time between snapshots.
 	Interval time.Duration
 	// EveryStates writes a snapshot every N newly discovered states.
 	EveryStates int
 	// Resume loads the committed checkpoint in Dir before exploring and
-	// continues from it. A missing, corrupt, or incompatible snapshot fails
+	// continues from it. A missing, corrupt, or incompatible checkpoint fails
 	// the run (Result.Err) rather than silently starting over.
 	Resume bool
 	// Label identifies the model for compatibility checking, e.g.
@@ -77,23 +76,19 @@ func (o *CheckpointOptions) newCadence() *obs.Reporter {
 	return obs.NewReporter(func(obs.Progress) {}, interval, o.EveryStates)
 }
 
-// snapFile is the current snapshot name within CheckpointOptions.Dir.
-const snapFile = "checkpoint.snap"
-
-// snapMagic and snapVersion identify the envelope format, shared by base
-// snapshots and per-peer cluster snapshots; the version also stamps commit
-// records and cluster manifests. It bumps whenever the byte layout or header
-// semantics change; other versions are rejected (re-run from scratch rather
-// than risking a wrong resume). Version 2 stores the frontier as encoded
-// states; version 1 stored fingerprints and rebuilt the states by replay.
+// snapMagic and snapVersion identify the checkpoint format, whose version
+// snapshots, delta blocks and manifests carry. It bumps whenever the bytes,
+// the files or the commit protocol change; other versions are rejected.
+// Version 3 commits every peer's chain through one manifest; version 2 had a
+// commit record per directory and full per-peer cluster snapshots; version 1
+// rebuilt the frontier by replay.
 const (
 	snapMagic   = "SNDTBLCK"
-	snapVersion = 2
+	snapVersion = 3
 )
 
 // runIdentity is what has to match for persisted or remote state to belong
-// to this run: snapshots, cluster manifests and peers' hello messages all
-// carry one.
+// to this run: snapshots, manifests and peers' hello messages all carry one.
 type runIdentity struct {
 	Label      string `json:"label,omitempty"`
 	Machine    string `json:"machine"`
@@ -237,14 +232,13 @@ type snapshot struct {
 	// frontier is the decoded, verified level (set by restoreFrontier).
 	frontier []frontierEntry
 	set      *fpset.Set
-	// crc and size identify the file as the base of a delta chain.
-	crc  uint32
+	// size is the file's length, which the chain compares its log against.
 	size int64
 }
 
-// ckWriterWrap wraps every checkpoint writer (snapshot, delta append, commit
-// record, manifest). Production leaves it as the identity; fault-injection
-// tests swap it to simulate ENOSPC/partial writes.
+// ckWriterWrap wraps every writer of the prepare phase (base snapshot, delta
+// append). Production leaves it as the identity; fault-injection tests swap
+// it to simulate ENOSPC/partial writes.
 var ckWriterWrap = func(w io.Writer) io.Writer { return w }
 
 // atomicWrite produces path via temp file + fsync + rename, then
@@ -263,7 +257,7 @@ func atomicWrite(path string, write func(w io.Writer) error) error {
 		tmp.Close()
 		os.Remove(tmp.Name()) // no-op after successful rename
 	}()
-	if err := write(ckWriterWrap(tmp)); err != nil {
+	if err := write(tmp); err != nil {
 		return err
 	}
 	if err := tmp.Sync(); err != nil {
@@ -275,11 +269,16 @@ func atomicWrite(path string, write func(w io.Writer) error) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
+	syncDir(dir)
+	return nil
+}
+
+// syncDir best-effort fsyncs dir, making the names created in it durable.
+func syncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
 	}
-	return nil
 }
 
 // countingWriter tracks bytes written so the snapshot writer can report the
@@ -297,19 +296,19 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 
 // writeSnapshot is the one snapshot writer: it serialises the level boundary
 // described by hdr — lf is the frontier awaiting expansion — into path
-// atomically, returning the file size and trailing CRC (the identity delta
-// commits refer to). Layout:
+// atomically, returning the file size. Layout:
 //
 //	magic[8] version[u32] headerLen[u32] headerJSON
 //	frontierCount[u64] frontier records (see frontier.go)
 //	fpset stream (see fpset.WriteTo)
 //	crc32[u32] of everything prior (IEEE)
-func (c *Checker) writeSnapshot(path string, hdr snapshotHeader, lf *levelFrontier) (size int64, sum uint32, err error) {
+func (c *Checker) writeSnapshot(path string, hdr snapshotHeader, lf *levelFrontier) (size int64, err error) {
 	hb, err := json.Marshal(hdr)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	err = atomicWrite(path, func(dst io.Writer) error {
+	err = atomicWrite(path, func(f io.Writer) error {
+		dst := ckWriterWrap(f)
 		crc := crc32.NewIEEE()
 		cw := &countingWriter{w: io.MultiWriter(dst, crc)}
 		bw := bufio.NewWriterSize(cw, 1<<16)
@@ -330,12 +329,11 @@ func (c *Checker) writeSnapshot(path string, hdr snapshotHeader, lf *levelFronti
 		if err := bw.Flush(); err != nil {
 			return err
 		}
-		sum = crc.Sum32()
-		_, err := dst.Write(binary.LittleEndian.AppendUint32(nil, sum))
+		_, err := dst.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
 		size = cw.n + 4
 		return err
 	})
-	return size, sum, err
+	return size, err
 }
 
 // readSnapshot is the one snapshot reader: it checks the envelope (length,
@@ -350,22 +348,21 @@ func (c *Checker) readSnapshot(path string, raw []byte) (*snapshot, error) {
 		return nil, fmt.Errorf("%s: truncated snapshot (%d bytes)", path, len(raw))
 	}
 	body := raw[:len(raw)-4]
-	sum := binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(raw[len(raw)-4:]) {
 		return nil, fmt.Errorf("%s: checksum mismatch (snapshot corrupt)", path)
 	}
 	if string(body[:len(snapMagic)]) != snapMagic {
 		return nil, fmt.Errorf("%s: not a sandtable checkpoint", path)
 	}
 	if v := binary.LittleEndian.Uint32(body[len(snapMagic):]); v != snapVersion {
-		return nil, fmt.Errorf("%s: snapshot version %d, this build reads %d", path, v, snapVersion)
+		return nil, fmt.Errorf("%s: checkpoint format version %d, this build reads %d", path, v, snapVersion)
 	}
 	hlen := int64(binary.LittleEndian.Uint32(body[len(snapMagic)+4:]))
 	body = body[fixed:]
 	if hlen+8 > int64(len(body)) {
 		return nil, fmt.Errorf("%s: truncated header", path)
 	}
-	snap := &snapshot{crc: sum, size: int64(len(raw))}
+	snap := &snapshot{size: int64(len(raw))}
 	if err := json.Unmarshal(body[:hlen], &snap.header); err != nil {
 		return nil, fmt.Errorf("%s: header: %w", path, err)
 	}
@@ -381,20 +378,6 @@ func (c *Checker) readSnapshot(path string, raw []byte) (*snapshot, error) {
 	if snap.set, err = fpset.Read(bytes.NewReader(rest), 0); err != nil {
 		return nil, fmt.Errorf("%s: fingerprint set: %w", path, err)
 	}
-	return snap, nil
-}
-
-// loadSnapshot reads the snapshot at path and installs its fingerprint set.
-func (c *Checker) loadSnapshot(path string) (*snapshot, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := c.readSnapshot(path, raw)
-	if err != nil {
-		return nil, err
-	}
-	c.visited = snap.set
 	return snap, nil
 }
 
@@ -439,77 +422,152 @@ func (c *Checker) restoreFrontier(snap *snapshot) error {
 	return nil
 }
 
-// resume loads the committed checkpoint. In a cluster that is this peer's
-// shard at the manifest depth, with no chain. Otherwise it is
-// Dir/checkpoint.snap with the committed delta chain (see delta.go) applied —
-// each block adds the fingerprints discovered since the previous checkpoint
-// and replaces the header and frontier with its own — and the frontier left
-// standing decoded and verified, so a resume costs O(that frontier) state
-// decodes however long the chain. It returns the chain so the run's
-// checkpointer keeps appending to it instead of rewriting the base.
-func (c *Checker) resume() (*snapshot, *ckChain, error) {
-	if c.cluster != nil {
-		snap, err := c.loadClusterSnapshot()
-		return snap, nil, err
-	}
-	dir := c.opts.Checkpoint.Dir
-	path := filepath.Join(dir, snapFile)
-	snap, err := c.loadSnapshot(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	blocks, commit, err := loadDeltaChain(dir, snap.crc)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	chain := &ckChain{baseCRC: snap.crc, baseBytes: snap.size}
-	if commit != nil {
-		chain.deltaBytes, chain.deltaCount = commit.DeltaBytes, commit.Deltas
-	}
-	for i := range blocks {
-		snap.set.InsertRecords(blocks[i].recs)
-	}
-	if n := len(blocks); n > 0 {
-		last := blocks[n-1]
-		snap.header, snap.frontierCount, snap.frontierRecs = last.header, last.frontierCount, last.frontierRecs
-		path = filepath.Join(dir, deltaFile)
-	}
-	chain.depth = snap.header.Depth
-	if err := c.restoreFrontier(snap); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return snap, chain, nil
+// The commit protocol, one for every run: a solo run is a one-peer cluster
+// acting as its own coordinator. Each peer keeps one chain in its directory
+// (Dir, or Dir/peer-<id>): a base snapshot and the delta log beside it. A
+// checkpoint is prepared — every peer writes a new base (it has none, or its
+// log outgrew the base) or appends a block, and fsyncs it — then committed:
+// once resolve shows every peer prepared, the coordinator renames one
+// manifest into Dir naming the depth and each peer's chain position.
+// Garbage is any chain file the manifest does not name (a superseded or
+// uncommitted base, an uncommitted block, an earlier run's chain); a peer
+// deletes it after each commit it learns of and at resume. A base is never
+// rewritten (its name carries its depth and the run's nonce) and a log only
+// grows past its committed length, so a crash anywhere leaves the last
+// manifest and every byte it names intact. Resume runs backwards: the
+// coordinator reads the manifest, hello hands it to every peer, and each
+// loads its own entry.
+
+// ManifestFile is the commit record in CheckpointOptions.Dir: a directory
+// holds a resumable checkpoint exactly when it holds this file.
+const ManifestFile = "checkpoint.manifest"
+
+// manifest is the content of ManifestFile: the one depth the run may resume
+// from and every peer's chain at it.
+type manifest struct {
+	Version int `json:"version"`
+	runIdentity
+	Depth int `json:"depth"`
+	// Chains holds one position per peer, by peer id (one in a solo run).
+	Chains []chainPos `json:"chains"`
 }
 
-// ckChain is a committed checkpoint chain: the base snapshot's identity plus
-// the delta log appended to it.
+// chainPos is one peer's committed chain: its base snapshot, and how much of
+// the delta log beside it.
+type chainPos struct {
+	Base       string `json:"base"`
+	DeltaBytes int64  `json:"delta_bytes"`
+	Deltas     int    `json:"deltas"`
+}
+
+// chainFile matches the names of chain files, the only files a peer ever
+// deletes: chain-<depth>-<run nonce>.snap for a base, .delta for its log.
+var chainFile = regexp.MustCompile(`^chain-[0-9]+-[0-9a-f]{16}\.(snap|delta)$`)
+
+// deltaName is the delta log beside base.
+func deltaName(base string) string {
+	return strings.TrimSuffix(base, ".snap") + ".delta"
+}
+
+// parseManifest is the one manifest reader, for the coordinator's file and
+// for the copy every other peer receives at hello. raw is hostile: the
+// manifest must be this version and this run's, with one position per peer,
+// each naming a base by plain file name and no negative length or count.
+func (c *Checker) parseManifest(path string, raw []byte) (*manifest, error) {
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if m.Version != snapVersion {
+		return nil, fmt.Errorf("%s: checkpoint format version %d, this build reads %d", path, m.Version, snapVersion)
+	}
+	if err := c.checkIdentity(path, m.runIdentity); err != nil {
+		return nil, err
+	}
+	if want := max(1, m.Peers); len(m.Chains) != want {
+		return nil, fmt.Errorf("%s: %d chain positions for %d peers", path, len(m.Chains), want)
+	}
+	for i, p := range m.Chains {
+		if !chainFile.MatchString(p.Base) || !strings.HasSuffix(p.Base, ".snap") || p.DeltaBytes < 0 || p.Deltas < 0 {
+			return nil, fmt.Errorf("%s: peer %d: bad chain position %+v", path, i, p)
+		}
+	}
+	return &m, nil
+}
+
+// resumeManifest reads the committed manifest when this process resumes as
+// the coordinator, and is nil otherwise.
+func (c *Checker) resumeManifest() (*manifest, error) {
+	if !c.opts.Checkpoint.Resume || !c.cluster.coordinator() {
+		return nil, nil
+	}
+	path := filepath.Join(c.opts.Checkpoint.Dir, ManifestFile)
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("%w (checkpoint format version %d commits through %s; a directory written in an earlier format cannot be resumed)", err, snapVersion, ManifestFile)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c.parseManifest(path, raw)
+}
+
+// writeManifest commits the checkpoint at depth, chains holding every peer's
+// prepared position.
+func (c *Checker) writeManifest(depth int, chains []chainPos) error {
+	raw, err := json.MarshalIndent(manifest{Version: snapVersion, runIdentity: c.ident, Depth: depth, Chains: chains}, "", "  ")
+	if err != nil {
+		return err
+	}
+	return atomicWrite(filepath.Join(c.opts.Checkpoint.Dir, ManifestFile), func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
+		return err
+	})
+}
+
+// ckChain is this peer's chain as far as it has prepared: between a write
+// and its commit it runs one checkpoint ahead of the manifest.
 type ckChain struct {
-	baseCRC    uint32
-	baseBytes  int64
-	deltaBytes int64
-	deltaCount int
-	// depth is the level the last committed checkpoint covers; the next
-	// delta carries fingerprint-set entries with Depth in (depth, new depth].
+	chainPos
+	baseBytes int64
+	// depth is the level the chain's last write covers; the next delta
+	// carries fingerprint-set entries with Depth in (depth, new depth].
 	depth int
 }
 
-// checkpointer holds the snapshot cadence and does the writing, for both
-// kinds of run. Single-process: a full snapshot when there is no base yet or
-// the delta log has outgrown the base (compaction: fresh base, chain reset),
-// an appended delta block otherwise. Cluster: a depth-stamped full snapshot
-// of this peer's shard, committed by the coordinator's manifest (see
-// cluster_checkpoint.go). dir == "" is checkpointing disabled.
+// checkpointer holds the cadence and this peer's chain, and writes, commits,
+// collects and loads — the same for every run.
 type checkpointer struct {
-	dir     string
+	// dir holds this peer's chain ("" = checkpointing disabled); peer is its
+	// index in the manifest.
+	dir  string
+	peer int
+	// nonce makes this run's base names unlike any earlier run's.
+	nonce   string
 	cadence *obs.Reporter
 	// warn is the run's user-facing progress reporter; checkpoint failures
 	// surface there as warnings instead of aborting the run.
 	warn    *obs.Reporter
 	metrics *runMetrics
 	tracer  *obs.Tracer
-	// chain is nil until a full snapshot has been written or a resume
-	// adopted one (always nil in a cluster).
+	// chain is nil until a base has been written or a resume adopted one.
 	chain *ckChain
+	// commit is the depth of the last commit this peer has acted on.
+	commit int
+}
+
+// newCheckpointer places this peer's chain: Dir for a solo run, Dir/peer-<id>
+// for a cluster peer.
+func (c *Checker) newCheckpointer(warn *obs.Reporter, metrics *runMetrics) *checkpointer {
+	o := c.opts.Checkpoint
+	ck := &checkpointer{dir: o.Dir, cadence: o.newCadence(), warn: warn, metrics: metrics, tracer: c.opts.Tracer}
+	if cl := c.cluster; cl != nil && o.Dir != "" {
+		ck.dir, ck.peer = filepath.Join(o.Dir, fmt.Sprintf("peer-%d", cl.self)), cl.self
+	}
+	var nonce [8]byte
+	rand.Read(nonce[:]) // crypto/rand never returns an error (it crashes instead) since Go 1.24
+	ck.nonce = hex.EncodeToString(nonce[:])
+	return ck
 }
 
 // due reports whether the cadence asks for a snapshot at a global distinct
@@ -518,46 +576,22 @@ func (ck *checkpointer) due(distinct int) bool {
 	return ck.dir != "" && ck.cadence.Due(distinct)
 }
 
-// write snapshots the level boundary at depth and returns the failure text
-// ("" on success). Failures do not abort the exploration: the previous
-// committed checkpoint stays valid, the error is recorded as a trace event
-// plus a checkpoint.errors tick, and a warning reaches the progress reporter.
+// write prepares this peer's checkpoint of the level boundary at depth — a
+// new base when there is no chain yet or the delta log has outgrown the base
+// (compaction), a delta block otherwise — and returns the failure text (""
+// on success). Failures do not abort the exploration: the committed
+// checkpoint stays valid, the error is recorded as a trace event plus a
+// checkpoint.errors tick, and a warning reaches the progress reporter.
 func (ck *checkpointer) write(c *Checker, res *Result, depth int, lf *levelFrontier, own []*Violation, elapsed time.Duration) string {
 	stop := c.opts.Metrics.StartPhase("checkpoint")
 	hdr := c.header(res, depth, elapsed, own)
 	kind := "full"
 	var err error
-	switch ch := ck.chain; {
-	case ck.dir == "":
-		err = errors.New("checkpoint requested by coordinator but this peer has no checkpoint dir")
-	case c.cluster != nil:
-		_, _, err = c.writeSnapshot(clusterSnapPath(ck.dir, c.cluster.self, depth), hdr, lf)
-	case ch == nil || ch.deltaBytes > ch.baseBytes:
-		var size int64
-		var crc uint32
-		if size, crc, err = c.writeSnapshot(filepath.Join(ck.dir, snapFile), hdr, lf); err == nil {
-			// Retire the old chain. If a crash lands between the snapshot
-			// rename and these removes, the stale chain's base CRC no
-			// longer matches and resume ignores it.
-			os.Remove(filepath.Join(ck.dir, commitFile))
-			os.Remove(filepath.Join(ck.dir, deltaFile))
-			if ch != nil && ck.metrics != nil {
-				ck.metrics.ckCompactions.Inc()
-			}
-			ck.chain = &ckChain{baseCRC: crc, baseBytes: size, depth: depth}
-		}
-	default:
+	if ch := ck.chain; ch == nil || ch.DeltaBytes > ch.baseBytes {
+		err = ck.writeBase(c, hdr, lf)
+	} else {
 		kind = "delta"
-		var blockLen int64
-		if blockLen, err = ck.appendDelta(c, hdr, lf); err == nil {
-			ch.deltaBytes += blockLen
-			ch.deltaCount++
-			ch.depth = depth
-			if ck.metrics != nil {
-				ck.metrics.ckDeltas.Inc()
-				ck.metrics.ckDeltaBytes.Add(blockLen)
-			}
-		}
+		err = ck.appendDelta(c, hdr, lf)
 	}
 	stop()
 	detail := map[string]string{
@@ -570,32 +604,130 @@ func (ck *checkpointer) write(c *Checker, res *Result, depth int, lf *levelFront
 	if err != nil {
 		msg = err.Error()
 		detail["error"] = msg
-		if ck.metrics != nil {
-			ck.metrics.ckErrors.Inc()
-		}
-		ck.warn.Warnf("checkpoint failed (previous checkpoint still valid): %v", err)
+		ck.failed(err)
 	}
 	ck.tracer.Emit(obs.Event{Layer: "spec", Kind: "checkpoint", Node: -1, Detail: detail})
 	return msg
 }
 
-// settle closes a checkpoint attempt once the level is resolved. It counts
-// only if every peer's snapshot succeeded (g.ckErr; a solo run is its own
-// only peer), which is also when a coordinator commits the cluster
-// checkpoint with its manifest; the cadence restarts either way.
+// failed counts and reports a checkpoint that did not land.
+func (ck *checkpointer) failed(err error) {
+	if ck.metrics != nil {
+		ck.metrics.ckErrors.Inc()
+	}
+	ck.warn.Warnf("checkpoint failed (previous checkpoint still valid): %v", err)
+}
+
+// writeBase starts a new chain at hdr.Depth with a full snapshot under a
+// fresh name. The chain it replaces stays on disk until a manifest naming
+// the new one commits.
+func (ck *checkpointer) writeBase(c *Checker, hdr snapshotHeader, lf *levelFrontier) error {
+	base := fmt.Sprintf("chain-%06d-%s.snap", hdr.Depth, ck.nonce)
+	size, err := c.writeSnapshot(filepath.Join(ck.dir, base), hdr, lf)
+	if err != nil {
+		return err
+	}
+	if ck.chain != nil && ck.metrics != nil {
+		ck.metrics.ckCompactions.Inc()
+	}
+	ck.chain = &ckChain{chainPos: chainPos{Base: base}, baseBytes: size, depth: hdr.Depth}
+	return nil
+}
+
+// settle closes a checkpoint attempt once the level is resolved. If every
+// peer prepared (g.ckErr empty; a solo run is its own only peer), the
+// coordinator commits the manifest naming g.chains and collects its own
+// garbage; the other peers learn of the commit at the next data barrier.
+// The checkpoint counts if every peer prepared and, on the coordinator, the
+// manifest landed. The cadence restarts either way.
 func (ck *checkpointer) settle(c *Checker, res *Result, depth int, g levelView) {
-	if g.ckErr == "" {
+	ok := g.ckErr == ""
+	if ok && c.cluster.coordinator() {
+		if err := c.writeManifest(depth, g.chains); err != nil {
+			ok = false
+			ck.failed(fmt.Errorf("manifest at depth %d: %w", depth, err))
+		} else {
+			ck.committed(depth)
+		}
+	}
+	if ok {
 		res.Checkpoints++
 		if ck.metrics != nil {
 			ck.metrics.checkpoints.Inc()
 		}
-		if cl := c.cluster; cl != nil && cl.self == 0 {
-			if err := c.writeClusterManifest(depth); err != nil {
-				ck.warn.Warnf("cluster manifest write failed at depth %d: %v", depth, err)
-			} else {
-				cl.pruneBelow = depth
-			}
-		}
 	}
 	ck.cadence.Emit(obs.Progress{DistinctStates: g.distinct})
+}
+
+// committed acts on a manifest committed at depth: if it names this peer's
+// chain as it stands, every other chain file in the peer's directory is
+// garbage.
+func (ck *checkpointer) committed(depth int) {
+	if ch := ck.chain; ch != nil && depth > ck.commit && ch.depth == depth {
+		ck.commit = depth
+		collect(ck.dir, ch.Base)
+	}
+}
+
+// collect deletes every chain file in dir except base and its log. Nothing
+// outside the chain-file pattern is touched (the manifest, temp files, spill
+// directories). Best-effort: a leftover is wasted disk, never a wrong resume.
+func collect(dir, base string) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range ents {
+		if n := e.Name(); e.Type().IsRegular() && chainFile.MatchString(n) && n != base && n != deltaName(base) {
+			os.Remove(filepath.Join(dir, n))
+		}
+	}
+}
+
+// load resumes this peer from its position in the committed manifest m: the
+// named base, the delta log beside it cut to the committed bytes, exactly
+// the committed blocks folded in — each adds the fingerprints discovered
+// since the previous checkpoint and replaces the header and frontier with its
+// own — and the frontier left standing decoded and verified, so a resume
+// costs O(that frontier) state decodes however long the chain. The
+// checkpointer adopts the chain and keeps appending to it; every other chain
+// file goes.
+func (ck *checkpointer) load(c *Checker, m *manifest) (*snapshot, error) {
+	pos := m.Chains[ck.peer]
+	path := filepath.Join(ck.dir, pos.Base)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := c.readSnapshot(path, raw)
+	if err != nil {
+		return nil, err
+	}
+	if snap.header.PeerID != ck.peer {
+		return nil, fmt.Errorf("%s: snapshot belongs to peer %d, this is peer %d", path, snap.header.PeerID, ck.peer)
+	}
+	c.visited = snap.set
+	logPath := filepath.Join(ck.dir, deltaName(pos.Base))
+	blocks, err := readDeltaLog(logPath, pos)
+	if err != nil {
+		return nil, err
+	}
+	for i := range blocks {
+		snap.set.InsertRecords(blocks[i].recs)
+	}
+	if n := len(blocks); n > 0 {
+		last := blocks[n-1]
+		snap.header, snap.frontierCount, snap.frontierRecs = last.header, last.frontierCount, last.frontierRecs
+		path = logPath
+	}
+	if snap.header.Depth != m.Depth {
+		return nil, fmt.Errorf("%s: checkpoint at depth %d, manifest committed %d", path, snap.header.Depth, m.Depth)
+	}
+	if err := c.restoreFrontier(snap); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	ck.chain = &ckChain{chainPos: pos, baseBytes: snap.size, depth: m.Depth}
+	ck.commit = m.Depth
+	collect(ck.dir, pos.Base)
+	return snap, nil
 }

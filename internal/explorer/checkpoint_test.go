@@ -3,6 +3,7 @@ package explorer
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -17,8 +18,8 @@ import (
 
 // interrupt runs the machine with checkpointing on and a depth bound that
 // stops the run before the space is exhausted — the test stand-in for a
-// killed process. Every completed level writes a snapshot (EveryStates: 1),
-// so Dir/checkpoint.snap afterwards holds the last complete level.
+// killed process. Every completed level writes a checkpoint (EveryStates: 1),
+// so the manifest in dir afterwards commits the last complete level.
 func interrupt(t *testing.T, dir string, maxDepth int, atomic bool, base Options) *Result {
 	t.Helper()
 	opts := base
@@ -31,10 +32,40 @@ func interrupt(t *testing.T, dir string, maxDepth int, atomic bool, base Options
 	if res.Checkpoints == 0 {
 		t.Fatal("interrupted run wrote no checkpoints")
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapFile)); err != nil {
-		t.Fatalf("no snapshot on disk: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, ManifestFile)); err != nil {
+		t.Fatalf("no committed checkpoint on disk: %v", err)
 	}
 	return res
+}
+
+// committed parses the manifest committed in dir.
+func committed(t testing.TB, dir string) manifest {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// peerDir is where peer keeps its chain under dir: dir itself in a solo run
+// (peers == 1).
+func peerDir(dir string, peer, peers int) string {
+	if peers == 1 {
+		return dir
+	}
+	return filepath.Join(dir, fmt.Sprintf("peer-%d", peer))
+}
+
+// committedBase is the path of the base snapshot the manifest in dir names
+// for the solo run that wrote it.
+func committedBase(t testing.TB, dir string) string {
+	t.Helper()
+	return filepath.Join(dir, committed(t, dir).Chains[0].Base)
 }
 
 // TestResumeMatchesUninterruptedRun is the core checkpoint/resume guarantee:
@@ -168,7 +199,7 @@ func TestResumeFailsLoudly(t *testing.T) {
 	t.Run("corrupt", func(t *testing.T) {
 		dir := t.TempDir()
 		interrupt(t, dir, 2, true, Options{})
-		path := filepath.Join(dir, snapFile)
+		path := committedBase(t, dir)
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -184,10 +215,26 @@ func TestResumeFailsLoudly(t *testing.T) {
 
 	t.Run("truncated", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, snapFile), []byte("short"), 0o644); err != nil {
+		interrupt(t, dir, 2, true, Options{})
+		if err := os.WriteFile(committedBase(t, dir), []byte("short"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		resumeErr(t, dir, Options{})
+		if err := resumeErr(t, dir, Options{}); !strings.Contains(err.Error(), "truncated snapshot") {
+			t.Errorf("truncated snapshot error = %v", err)
+		}
+	})
+
+	// A directory written in the previous format — a base snapshot under a
+	// fixed name, committed by a record of its own — has no manifest: the
+	// resume names the format instead of starting over.
+	t.Run("earlier-format", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "checkpoint.snap"), []byte(snapMagic+"\x02\x00\x00\x00"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := resumeErr(t, dir, Options{}); !strings.Contains(err.Error(), fmt.Sprintf("checkpoint format version %d", snapVersion)) {
+			t.Errorf("earlier-format error = %v, want one naming the checkpoint format", err)
+		}
 	})
 
 	t.Run("different-model", func(t *testing.T) {
@@ -231,8 +278,8 @@ func TestResumeDoesNotReexplore(t *testing.T) {
 	first := interrupt(t, dir, d, true, Options{Symmetry: true, Cover: true})
 	frontier := first.Cover.Levels[d].Fresh
 
-	if _, err := os.Stat(filepath.Join(dir, commitFile)); err != nil {
-		t.Fatalf("want a delta chain on disk, so the base frontier is one resume must skip: %v", err)
+	if m := committed(t, dir); m.Chains[0].Deltas == 0 {
+		t.Fatalf("want a delta chain on disk, so the base frontier is one resume must skip: %+v", m)
 	}
 
 	reg := obs.NewRegistry()
@@ -269,11 +316,13 @@ func (m *decodeCounter) DecodeState(src []byte) (spec.State, []byte, error) {
 
 // TestResumeRejectsForgedFrontier: a snapshot whose checksum is valid but
 // whose frontier lies — a record's state does not hash to the fingerprint
-// recorded beside it — must fail the resume, never seed a wrong search.
+// recorded beside it — must fail the resume, never seed a wrong search. The
+// run stops after its first checkpoint, so the base's frontier is the one a
+// resume restores.
 func TestResumeRejectsForgedFrontier(t *testing.T) {
 	dir := t.TempDir()
-	interrupt(t, dir, 2, true, Options{})
-	path := filepath.Join(dir, snapFile)
+	interrupt(t, dir, 1, true, Options{})
+	path := committedBase(t, dir)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +428,7 @@ func TestCheckpointSkipsPartialLevels(t *testing.T) {
 	}
 	// Whatever was written must resume cleanly (i.e. describe a complete
 	// level), or nothing was written at all.
-	if _, err := os.Stat(filepath.Join(dir, snapFile)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, ManifestFile)); err != nil {
 		return
 	}
 	resumed := NewChecker(newToy(4, true), Options{
@@ -391,5 +440,42 @@ func TestCheckpointSkipsPartialLevels(t *testing.T) {
 	full := NewChecker(newToy(4, true), Options{}).Run()
 	if resumed.DistinctStates != full.DistinctStates {
 		t.Errorf("resumed distinct %d, uninterrupted %d", resumed.DistinctStates, full.DistinctStates)
+	}
+}
+
+// TestCollectKeepsNonChainFiles: garbage collection deletes chain files the
+// committed base does not name — and nothing else: not the manifest, not a
+// temp file, not a spill directory, not a file that only resembles a chain
+// file.
+func TestCollectKeepsNonChainFiles(t *testing.T) {
+	const base = "chain-000004-0123456789abcdef.snap"
+	garbage := []string{
+		"chain-000002-0123456789abcdef.snap", "chain-000002-0123456789abcdef.delta",
+		"chain-000007-fedcba9876543210.snap", "chain-000007-fedcba9876543210.delta",
+	}
+	kept := []string{
+		base, deltaName(base), ManifestFile, "ck-123.tmp", "checkpoint.snap", "notes.txt",
+		"chain-000002-0123456789abcdef.snap.bak", "chain-2-XYZ.snap", "chain-000002-0123456789abcde.delta",
+	}
+	dir := t.TempDir()
+	for _, name := range append(garbage, kept...) {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spill := filepath.Join(dir, "chain-000001-0123456789abcdef.snap") // a directory, not a chain file
+	if err := os.Mkdir(spill, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	collect(dir, base)
+	for _, name := range garbage {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("garbage %s survived: %v", name, err)
+		}
+	}
+	for _, name := range append(kept, filepath.Base(spill)) {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("%s was deleted: %v", name, err)
+		}
 	}
 }

@@ -99,9 +99,6 @@ type clusterCtx struct {
 	// crossRepeats counts the candidates seal dropped as repeats across
 	// workers (tests assert the branch is exercised).
 	crossRepeats int64
-	// pruneBelow is the last committed manifest depth (set on the coordinator
-	// by checkpointer.settle): peers may delete snapshots below it.
-	pruneBelow int
 }
 
 // joinCluster validates that the options can run distributed and
@@ -133,6 +130,12 @@ func (cl *clusterCtx) owns(f uint64) bool {
 	return cl == nil || transport.Owner(f, cl.peers) == cl.self
 }
 
+// coordinator reports whether this process decides the checkpoint cadence,
+// commits manifests and prints the result: peer 0, or a solo run.
+func (cl *clusterCtx) coordinator() bool {
+	return cl == nil || cl.self == 0
+}
+
 func (cl *clusterCtx) exchange(blocks [][]byte, summary any) ([][]byte, [][]byte, error) {
 	raw, err := json.Marshal(summary)
 	if err != nil {
@@ -147,11 +150,15 @@ func transportErr(format string, args ...any) *fatal {
 	return &fatal{"transport-error", fmt.Errorf(format, args...)}
 }
 
-// clusterHello is the first-barrier summary: every peer's run identity,
-// validated all-to-all before any exploration.
+// clusterHello is the first-barrier summary: every peer's run identity and
+// checkpoint settings, validated all-to-all before any exploration, and on a
+// resume the coordinator's manifest (or why it has none).
 type clusterHello struct {
 	runIdentity
-	ResumeDepth int `json:"resume_depth"` // -1 for a fresh run
+	Checkpoint bool            `json:"checkpoint,omitempty"` // a checkpoint dir is set
+	Resume     bool            `json:"resume,omitempty"`
+	Manifest   json.RawMessage `json:"manifest,omitempty"`
+	ResumeErr  string          `json:"resume_err,omitempty"`
 }
 
 // clusterData is the data-barrier summary. Only the coordinator's instance
@@ -159,9 +166,9 @@ type clusterHello struct {
 type clusterData struct {
 	// Checkpoint tells every peer to snapshot after merging this level.
 	Checkpoint bool `json:"checkpoint,omitempty"`
-	// PruneBelow lets peers delete snapshots below the last committed
-	// manifest depth.
-	PruneBelow int `json:"prune_below,omitempty"`
+	// Committed is the depth of the last committed manifest: a peer whose
+	// chain it names may collect its garbage.
+	Committed int `json:"committed,omitempty"`
 }
 
 // clusterResolve is the resolve-barrier summary: this peer's cumulative
@@ -175,6 +182,7 @@ type clusterResolve struct {
 	DeadlineHit  bool            `json:"deadline_hit,omitempty"`
 	Canceled     bool            `json:"canceled,omitempty"`
 	CkErr        string          `json:"ck_err,omitempty"`
+	Chain        *chainPos       `json:"chain,omitempty"`      // prepared chain position, if it checkpointed
 	Violations   []snapViolation `json:"violations,omitempty"` // cumulative, own share
 }
 
@@ -190,34 +198,57 @@ type clusterFinal struct {
 	Cover       *obs.Cover      `json:"cover,omitempty"`
 }
 
-// hello is the all-to-all compatibility check before any exploration. The
-// TCP handshake already validated the run digest and cluster size; the
-// in-process mesh installs its pipes without one, so this check is the only
-// one there, and it produces better errors on both.
-func (cl *clusterCtx) hello(resumeDepth int) *fatal {
-	if cl == nil {
-		return nil
+// hello is the all-to-all compatibility check before any exploration —
+// identity, and the same checkpoint and resume flags — and hands every peer
+// the coordinator's manifest (man, from Checker.resumeManifest), parsed by the
+// same reader, or its failure to read one, so every peer stops with
+// "checkpoint-error" rather than wait on a peer that gave up. The TCP
+// handshake already checked the run digest; the in-process mesh has none.
+func (cl *clusterCtx) hello(man *manifest, manErr error) (*manifest, *fatal) {
+	if cl != nil {
+		o := cl.c.opts.Checkpoint
+		me := clusterHello{runIdentity: cl.c.ident, Checkpoint: o.Dir != "", Resume: o.Resume}
+		if manErr != nil {
+			me.ResumeErr = manErr.Error()
+		} else if man != nil {
+			me.Manifest, _ = json.Marshal(man) // plain struct: cannot fail
+		}
+		_, sums, err := cl.exchange(nil, me)
+		if err != nil {
+			return nil, transportErr("cluster hello: %w", err)
+		}
+		var coord clusterHello
+		for q, raw := range sums {
+			if q == cl.self {
+				continue
+			}
+			var h clusterHello
+			if err := json.Unmarshal(raw, &h); err != nil {
+				return nil, &fatal{"config-error", fmt.Errorf("cluster hello from peer %d: %w", q, err)}
+			}
+			if h.runIdentity != cl.c.ident {
+				return nil, &fatal{"config-error", fmt.Errorf("cluster: peer %d runs an incompatible model or configuration", q)}
+			}
+			if h.Checkpoint != me.Checkpoint || h.Resume != me.Resume {
+				return nil, &fatal{"config-error", fmt.Errorf("cluster: peer %d has checkpoint dir=%v resume=%v, this peer dir=%v resume=%v (every peer needs the same checkpoint flags)",
+					q, h.Checkpoint, h.Resume, me.Checkpoint, me.Resume)}
+			}
+			if q == 0 {
+				coord = h
+			}
+		}
+		if !cl.coordinator() && o.Resume {
+			if coord.ResumeErr != "" {
+				manErr = fmt.Errorf("coordinator: %s", coord.ResumeErr)
+			} else {
+				man, manErr = cl.c.parseManifest("coordinator's manifest", coord.Manifest)
+			}
+		}
 	}
-	_, sums, err := cl.exchange(nil, clusterHello{runIdentity: cl.c.ident, ResumeDepth: resumeDepth})
-	if err != nil {
-		return transportErr("cluster hello: %w", err)
+	if manErr != nil {
+		return nil, &fatal{"checkpoint-error", fmt.Errorf("resume: %w", manErr)}
 	}
-	for q, raw := range sums {
-		if q == cl.self {
-			continue
-		}
-		var h clusterHello
-		if err := json.Unmarshal(raw, &h); err != nil {
-			return &fatal{"config-error", fmt.Errorf("cluster hello from peer %d: %w", q, err)}
-		}
-		if h.runIdentity != cl.c.ident {
-			return &fatal{"config-error", fmt.Errorf("cluster: peer %d runs an incompatible model or configuration", q)}
-		}
-		if h.ResumeDepth != resumeDepth {
-			return &fatal{"config-error", fmt.Errorf("cluster: peer %d resumes from depth %d, this peer from %d", q, h.ResumeDepth, resumeDepth)}
-		}
-	}
-	return nil
+	return man, nil
 }
 
 // seal turns the level's candidates into this peer's share of the next
@@ -258,8 +289,8 @@ func (cl *clusterCtx) seal(p *expandPool, depth int, next []frontierEntry, viols
 		w.slab = w.slab[:0]
 	}
 	coord := clusterData{}
-	if cl.self == 0 {
-		coord = clusterData{Checkpoint: ckDue, PruneBelow: cl.pruneBelow}
+	if cl.coordinator() {
+		coord = clusterData{Checkpoint: ckDue, Committed: cl.c.ck.commit}
 	}
 	in, sums, err := cl.exchange(blocks, coord)
 	if err != nil {
@@ -278,9 +309,7 @@ func (cl *clusterCtx) seal(p *expandPool, depth int, next []frontierEntry, viols
 	if len(next) > cl.res.MaxQueueLen {
 		cl.res.MaxQueueLen = len(next)
 	}
-	if coord.PruneBelow > 0 {
-		cl.c.pruneClusterSnaps(cl, coord.PruneBelow)
-	}
+	cl.c.ck.committed(coord.Committed)
 	return next, viols, coord.Checkpoint, nil
 }
 
@@ -319,6 +348,9 @@ func (cl *clusterCtx) resolve(depth int, own []*Violation, local levelView) (lev
 		GoalReached: res.GoalReached, DeadlineHit: local.deadline, Canceled: local.canceled,
 		CkErr: local.ckErr, Violations: snapViolationsOf(own),
 	}
+	if len(local.chains) == 1 {
+		sum.Chain = &local.chains[0]
+	}
 	_, sums, err := cl.exchange(nil, sum)
 	if err != nil {
 		return local, transportErr("cluster resolve at depth %d: %w", depth, err)
@@ -341,6 +373,9 @@ func (cl *clusterCtx) resolve(depth int, own []*Violation, local levelView) (lev
 		g.canceled = g.canceled || s.Canceled
 		if g.ckErr == "" {
 			g.ckErr = s.CkErr
+		}
+		if s.Chain != nil {
+			g.chains = append(g.chains, *s.Chain)
 		}
 	}
 	return g, nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -264,49 +265,114 @@ func (f *flakyConn) Exchange(tag uint64, blocks [][]byte, summary []byte) ([][]b
 	return f.Conn.Exchange(tag, blocks, summary)
 }
 
+// TestClusterKillAndResume kills a checkpointing 3-peer cluster mid-run and
+// resumes it, with one checkpoint dir shared by every peer and with a
+// separate dir per peer — the multi-host layout, where only the coordinator
+// holds the manifest and hands it out at hello.
 func TestClusterKillAndResume(t *testing.T) {
 	ref := NewChecker(eqMachine(), Options{Workers: 2}).Run()
 	refSig := clusterSig(ref, coverNone)
 
-	dir := t.TempDir()
-	// Leg 1: 3-peer run checkpointing every level; peer 1 dies at barrier
-	// tag 12 (hello + depth-0 resolve + 5 levels in).
-	results := runClusterPeers(3, func(int) Options {
-		return Options{Workers: 2, Checkpoint: CheckpointOptions{Dir: dir, EveryStates: 1, Label: "eq"}}
-	}, func(i int, c transport.Conn) transport.Conn {
-		if i == 1 {
-			return &flakyConn{Conn: c, failAt: 12}
+	for _, shared := range []bool{true, false} {
+		name := "shared-dir"
+		if !shared {
+			name = "dir-per-peer"
 		}
-		return c
-	})
-	for i, res := range results {
-		if res.Err == nil {
-			t.Fatalf("peer %d survived the injected crash (stop=%s)", i, res.StopReason)
-		}
-		if res.StopReason != "transport-error" {
-			t.Errorf("peer %d stop=%s, want transport-error (%v)", i, res.StopReason, res.Err)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, clusterManifestFile)); err != nil {
-		t.Fatalf("no committed manifest after crash: %v", err)
-	}
+		t.Run(name, func(t *testing.T) {
+			base := t.TempDir()
+			dirOf := func(i int) string {
+				if shared {
+					return base
+				}
+				return filepath.Join(base, fmt.Sprint(i))
+			}
+			// Leg 1: 3-peer run checkpointing every level; peer 1 dies at
+			// barrier tag 12 (hello + depth-0 resolve + 5 levels in).
+			regs := make([]*obs.Registry, 3)
+			results := runClusterPeers(3, func(i int) Options {
+				regs[i] = obs.NewRegistry()
+				return Options{Workers: 2, Metrics: regs[i], Checkpoint: CheckpointOptions{Dir: dirOf(i), EveryStates: 1, Label: "eq"}}
+			}, func(i int, c transport.Conn) transport.Conn {
+				if i == 1 {
+					return &flakyConn{Conn: c, failAt: 12}
+				}
+				return c
+			})
+			for i, res := range results {
+				if res.Err == nil {
+					t.Fatalf("peer %d survived the injected crash (stop=%s)", i, res.StopReason)
+				}
+				if res.StopReason != "transport-error" {
+					t.Errorf("peer %d stop=%s, want transport-error (%v)", i, res.StopReason, res.Err)
+				}
+				// Cluster checkpoints are incremental: every peer appended.
+				if got, _ := regs[i].Snapshot()["checkpoint.deltas"].(int64); got == 0 {
+					t.Errorf("peer %d appended no delta block", i)
+				}
+			}
+			if _, err := os.Stat(filepath.Join(dirOf(0), ManifestFile)); err != nil {
+				t.Fatalf("no committed manifest after crash: %v", err)
+			}
 
-	// Leg 2: a fresh 3-peer cluster resumes from the manifest and must land
-	// on the reference result. Coverage is excluded: a resumed session
-	// profiles only its own levels by design.
-	results = runClusterPeers(3, func(int) Options {
-		return Options{Workers: 2, Checkpoint: CheckpointOptions{Dir: dir, EveryStates: 1, Label: "eq", Resume: true}}
-	}, nil)
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("resumed peer %d: %v (stop=%s)", i, res.Err, res.StopReason)
-		}
-		if !res.Resumed {
-			t.Errorf("peer %d did not resume from the manifest", i)
-		}
-		if sig := clusterSig(res, coverNone); sig != refSig {
-			t.Errorf("resumed peer %d signature differs:\n%s\nwant:\n%s", i, sig, refSig)
-		}
+			// Leg 2: a fresh 3-peer cluster resumes from the manifest and
+			// must land on the reference result. Coverage is excluded: a
+			// resumed session profiles only its own levels by design.
+			results = runClusterPeers(3, func(i int) Options {
+				return Options{Workers: 2, Checkpoint: CheckpointOptions{Dir: dirOf(i), EveryStates: 1, Label: "eq", Resume: true}}
+			}, nil)
+			for i, res := range results {
+				if res.Err != nil {
+					t.Fatalf("resumed peer %d: %v (stop=%s)", i, res.Err, res.StopReason)
+				}
+				if !res.Resumed {
+					t.Errorf("peer %d did not resume from the manifest", i)
+				}
+				if sig := clusterSig(res, coverNone); sig != refSig {
+					t.Errorf("resumed peer %d signature differs:\n%s\nwant:\n%s", i, sig, refSig)
+				}
+			}
+		})
+	}
+}
+
+// TestClusterCheckpointFlagsMustAgree: peers that disagree on whether they
+// checkpoint or resume stop at hello with "config-error" naming the other
+// peer, before exploring anything. (A coordinator without a dir would never
+// call a checkpoint; a peer without one would fail every one.)
+func TestClusterCheckpointFlagsMustAgree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ck   func(i int) CheckpointOptions
+	}{
+		{"dir-on-coordinator-only", func(i int) CheckpointOptions {
+			if i == 0 {
+				return CheckpointOptions{Dir: t.TempDir(), EveryStates: 1}
+			}
+			return CheckpointOptions{}
+		}},
+		{"dir-on-peer-only", func(i int) CheckpointOptions {
+			if i == 1 {
+				return CheckpointOptions{Dir: t.TempDir(), EveryStates: 1}
+			}
+			return CheckpointOptions{}
+		}},
+		{"resume-on-coordinator-only", func(i int) CheckpointOptions {
+			return CheckpointOptions{Dir: t.TempDir(), EveryStates: 1, Resume: i == 0}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			results := runClusterPeers(2, func(i int) Options {
+				return Options{Workers: 1, Checkpoint: tc.ck(i)}
+			}, nil)
+			for i, res := range results {
+				if res.StopReason != "config-error" || res.Err == nil || !strings.Contains(res.Err.Error(), fmt.Sprintf("peer %d", 1-i)) {
+					t.Errorf("peer %d: stop=%s err=%v, want config-error naming peer %d", i, res.StopReason, res.Err, 1-i)
+				}
+				if res.DistinctStates != 0 || res.Checkpoints != 0 {
+					t.Errorf("peer %d explored %d states, wrote %d checkpoints before refusing", i, res.DistinctStates, res.Checkpoints)
+				}
+			}
+		})
 	}
 }
 
@@ -380,6 +446,24 @@ func TestClusterCancelStopsEveryPeer(t *testing.T) {
 	}
 }
 
+// TestClusterResumeWithoutManifest: when the coordinator cannot read a
+// manifest it still sends its hello, carrying the error, so every peer stops
+// with "checkpoint-error" — none is left waiting at a barrier.
+func TestClusterResumeWithoutManifest(t *testing.T) {
+	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+	results := runClusterPeers(3, func(i int) Options {
+		return Options{Workers: 1, Checkpoint: CheckpointOptions{Dir: dirs[i], Resume: true}}
+	}, nil)
+	for i, res := range results {
+		if res.StopReason != "checkpoint-error" || res.Err == nil || !strings.Contains(res.Err.Error(), ManifestFile) {
+			t.Fatalf("peer %d: stop=%s err=%v, want checkpoint-error for the missing manifest", i, res.StopReason, res.Err)
+		}
+		if i > 0 && !strings.Contains(res.Err.Error(), "coordinator") {
+			t.Errorf("peer %d: error %v does not name the coordinator", i, res.Err)
+		}
+	}
+}
+
 func TestClusterConfigErrors(t *testing.T) {
 	// MemBudget is incompatible with distributed runs.
 	res := NewChecker(eqMachine(), Options{MemBudget: 1 << 20, Peer: &PeerOptions{Conn: transport.NewMesh(1)[0]}}).Run()
@@ -394,8 +478,9 @@ func TestClusterConfigErrors(t *testing.T) {
 // would panic here), and a run registers no transport.* metric.
 func TestSoloSeamsAreIdentity(t *testing.T) {
 	var cl *clusterCtx
-	if f := cl.hello(3); f != nil {
-		t.Fatalf("hello: %v", f.err)
+	man := &manifest{Depth: 3}
+	if got, f := cl.hello(man, nil); f != nil || got != man {
+		t.Fatalf("hello = %v, %v; want the manifest it was given", got, f)
 	}
 	if !cl.owns(0) || !cl.owns(^uint64(0)) {
 		t.Error("a solo run must own every fingerprint")
@@ -406,8 +491,8 @@ func TestSoloSeamsAreIdentity(t *testing.T) {
 	if f != nil || !due || len(gotNext) != 2 || &gotNext[0] != &next[0] || len(gotViols) != 1 || gotViols[0] != viols[0] {
 		t.Errorf("seal changed its input: next=%v viols=%v due=%v fatal=%v", gotNext, gotViols, due, f)
 	}
-	local := levelView{distinct: 7, frontier: 3, violations: 1, deadline: true, canceled: true, ckErr: "disk full"}
-	if g, f := cl.resolve(1, viols, local); f != nil || g != local {
+	local := levelView{distinct: 7, frontier: 3, violations: 1, deadline: true, canceled: true, ckErr: "disk full", chains: []chainPos{{Base: "b"}}}
+	if g, f := cl.resolve(1, viols, local); f != nil || !reflect.DeepEqual(g, local) {
 		t.Errorf("resolve = %+v (fatal %v), want the local view %+v", g, f, local)
 	}
 

@@ -23,8 +23,9 @@
 // (depth, fingerprint) order.
 //
 // Long runs can snapshot their fingerprint set and frontier to disk and be
-// resumed after an interruption; see CheckpointOptions. There is one
-// snapshot format (checkpoint.go) for single-process and distributed runs.
+// resumed after an interruption; see CheckpointOptions. Single-process and
+// distributed runs share one checkpoint format and one commit protocol
+// (checkpoint.go).
 package explorer
 
 import (
@@ -285,6 +286,8 @@ type Checker struct {
 	// cluster is the distributed-run context (nil for single-process runs);
 	// see cluster.go.
 	cluster *clusterCtx
+	// ck is the run's checkpointer (set by Run; see checkpoint.go).
+	ck *checkpointer
 }
 
 // NewChecker builds a checker for machine m.
@@ -432,8 +435,11 @@ type fatal struct {
 type levelView struct {
 	distinct, frontier, violations int
 	deadline, canceled             bool
-	// ckErr is this peer's checkpoint failure going in, any peer's coming out.
-	ckErr string
+	// ckErr is this peer's checkpoint failure going in, any peer's coming out;
+	// chains is this peer's prepared chain position going in, every peer's
+	// (by peer id) coming out — what a commit names.
+	ckErr  string
+	chains []chainPos
 }
 
 // Run performs the breadth-first search and returns the result. It is the
@@ -477,21 +483,20 @@ func (c *Checker) Run() *Result {
 	if o := c.opts.Checkpoint; !solo || o.Dir != "" || o.Resume {
 		c.ident = c.identity()
 	}
-	// Resume comes before the hello barrier, which checks the loaded depth
-	// against every peer's. chain is the committed delta chain a solo resume
-	// found; the checkpointer adopts it and keeps appending.
+	ck := c.newCheckpointer(reporter, metrics)
+	c.ck = ck
+	// A resume starts on the coordinator, which reads the committed manifest;
+	// hello hands every peer its copy, and each loads its own chain from it.
+	man, f := cl.hello(c.resumeManifest())
+	if f != nil {
+		return fail(f)
+	}
 	var snap *snapshot
-	var chain *ckChain
-	resumeDepth := -1
-	if c.opts.Checkpoint.Resume {
+	if man != nil {
 		var err error
-		if snap, chain, err = c.resume(); err != nil {
+		if snap, err = ck.load(c, man); err != nil {
 			return fail(&fatal{"checkpoint-error", fmt.Errorf("resume: %w", err)})
 		}
-		resumeDepth = snap.header.Depth
-	}
-	if f := cl.hello(resumeDepth); f != nil {
-		return fail(f)
 	}
 
 	depth := 0
@@ -553,22 +558,18 @@ func (c *Checker) Run() *Result {
 	if c.opts.Deadline > 0 {
 		deadline = start.Add(c.opts.Deadline)
 	}
-	view := func(ckErr string) levelView {
+	view := func(ckErr string, chains []chainPos) levelView {
 		return levelView{
 			distinct: res.DistinctStates, frontier: lf.size(), violations: len(own),
 			deadline: !deadline.IsZero() && time.Now().After(deadline),
-			canceled: c.canceled(), ckErr: ckErr,
+			canceled: c.canceled(), ckErr: ckErr, chains: chains,
 		}
 	}
 	// The depth-0 resolve puts fresh and resumed runs, solo and clustered, on
 	// the same footing: g is the global view every stop decision reads.
-	g, f := cl.resolve(depth, own, view(""))
+	g, f := cl.resolve(depth, own, view("", nil))
 	if f != nil {
 		return fail(f)
-	}
-	ck := &checkpointer{
-		dir: c.opts.Checkpoint.Dir, cadence: c.opts.Checkpoint.newCadence(),
-		warn: reporter, metrics: metrics, tracer: c.opts.Tracer, chain: chain,
 	}
 
 	// The pool's goroutines live for the whole run; blocks are fed to them,
@@ -735,11 +736,13 @@ func (c *Checker) Run() *Result {
 		// the coordinator, or the manifest could commit a depth one never wrote.
 		ending := solo && (partialLevel || lf.size() == 0 || c.opts.StopAtFirstViolation && len(own) > 0)
 		ckNow = ckNow && !ending
-		ckErr := ""
+		ckErr, chains := "", []chainPos(nil)
 		if ckNow {
-			ckErr = ck.write(c, res, depth, lf, own, restoredElapsed+time.Since(start))
+			if ckErr = ck.write(c, res, depth, lf, own, restoredElapsed+time.Since(start)); ckErr == "" {
+				chains = []chainPos{ck.chain.chainPos}
+			}
 		}
-		if g, f = cl.resolve(depth, own, view(ckErr)); f != nil {
+		if g, f = cl.resolve(depth, own, view(ckErr, chains)); f != nil {
 			return fail(f)
 		}
 		if ckNow {

@@ -20,19 +20,16 @@ import (
 // reproduces exactly the globally fingerprint-sorted level sequence the
 // in-RAM path produces, so block composition — and with it every block-level
 // stop decision and the final result — is identical whether or not a level
-// spilled, at every worker count.
-//
-// Frontier spilling needs states to round-trip through bytes, so it is only
-// available on machines implementing spec.StateCodec; the fingerprint set
-// (which dominates long runs) spills regardless.
+// spilled, at every worker count. States cross to disk through the machine's
+// codec, which every spec.Machine provides.
 //
 // A frontier entry has one on-disk form, the frontier record
 //
 //	fp[u64] encLen[u32] encoded-state bytes
 //
-// shared by spill runs, base snapshots, delta blocks and per-peer cluster
-// snapshots (see checkpoint.go): one writer, one reader, and a disk-backed
-// level is checkpointed by copying its run files verbatim.
+// shared by spill runs, base snapshots and delta blocks (see checkpoint.go):
+// one writer, one reader, and a disk-backed level is checkpointed by copying
+// its run files verbatim.
 
 // frontierRecHeader is the fixed part of a frontier record.
 const frontierRecHeader = 12

@@ -6,15 +6,16 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/sandtable-go/sandtable/internal/transport"
 )
 
 // Fuzz targets for the decoders of checkpoint bytes: one envelope reader,
-// one delta-payload parser, one frontier-record reader. None may panic or
-// size an allocation from a count the input cannot back. Seeds are real
-// files written by toy runs.
+// one delta-payload parser, one frontier-record reader, one manifest reader.
+// None may panic or size an allocation from a count the input cannot back.
+// Seeds are real files written by toy runs.
 
 // toySnapshots writes a single-process checkpoint chain (base + deltas) and
 // a committed 2-peer cluster checkpoint of the atomic toy, returning their
@@ -51,11 +52,8 @@ func toySnapshots(f *testing.F) (single, cluster string) {
 // frontier verification a resume would run.
 func FuzzReadSnapshot(f *testing.F) {
 	single, cluster := toySnapshots(f)
-	peerSnaps, err := filepath.Glob(filepath.Join(clusterPeerDir(cluster, 1), "cluster-*.snap"))
-	if err != nil || len(peerSnaps) == 0 {
-		f.Fatalf("no per-peer seed snapshot: %v", err)
-	}
-	for _, path := range []string{filepath.Join(single, snapFile), peerSnaps[0]} {
+	peerBase := filepath.Join(peerDir(cluster, 1, 2), committed(f, cluster).Chains[1].Base)
+	for _, path := range []string{committedBase(f, single), peerBase} {
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
@@ -85,7 +83,7 @@ func FuzzReadSnapshot(f *testing.F) {
 // frontier section of whatever parses.
 func FuzzParseDeltaPayload(f *testing.F) {
 	single, _ := toySnapshots(f)
-	log, err := os.ReadFile(filepath.Join(single, deltaFile))
+	log, err := os.ReadFile(filepath.Join(single, deltaName(committed(f, single).Chains[0].Base)))
 	if err != nil || len(log) <= deltaBlockHead {
 		f.Fatalf("no seed delta log: %v", err)
 	}
@@ -125,6 +123,47 @@ func FuzzFrontierRecords(f *testing.F) {
 		// The header walk must agree with the decoder on where records end.
 		if split, rest, serr := splitFrontierRecords(recs, count); err == nil && (serr != nil || len(rest) != 0 || len(split) != len(recs)) {
 			t.Fatalf("readFrontier accepted %d bytes as %d records, splitFrontierRecords says %d+%d (%v)", len(recs), count, len(split), len(rest), serr)
+		}
+	})
+}
+
+// FuzzReadManifest mutates a manifest and reads it under both identities the
+// seeds were written with. Whatever the reader accepts must be this version's
+// and this run's, with one position per peer, no negative length or count,
+// and base names that are plain chain-file names — nothing collect or load
+// could be steered outside the peer's directory with.
+func FuzzReadManifest(f *testing.F) {
+	single, cluster := toySnapshots(f)
+	for _, dir := range []string{single, cluster} {
+		raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	proto := NewChecker(newToy(3, true), Options{})
+	idents := []runIdentity{proto.identity(), proto.identity()}
+	idents[1].Peers, idents[1].Partition = 2, transport.PartitionVersion
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, id := range idents {
+			c := NewChecker(newToy(3, true), Options{})
+			c.ident = id
+			m, err := c.parseManifest("fuzz", raw)
+			if err != nil {
+				continue
+			}
+			got := m.runIdentity
+			got.Label = "" // an empty label matches any
+			if m.Version != snapVersion || got != id || len(m.Chains) != max(1, id.Peers) {
+				t.Fatalf("accepted manifest %+v under identity %+v", m, id)
+			}
+			for _, p := range m.Chains {
+				if p.DeltaBytes < 0 || p.Deltas < 0 || !chainFile.MatchString(p.Base) ||
+					strings.ContainsAny(p.Base, `/\`) || strings.Contains(p.Base, "..") || deltaName(p.Base) == p.Base {
+					t.Fatalf("accepted chain position %+v", p)
+				}
+			}
 		}
 	})
 }

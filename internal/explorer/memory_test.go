@@ -3,9 +3,15 @@ package explorer
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/sandtable-go/sandtable/internal/obs"
@@ -161,8 +167,8 @@ func TestMemBudgetEquivalence(t *testing.T) {
 
 // TestDeltaCheckpointChain asserts the incremental path engages: with a
 // per-level cadence the first checkpoint is a full snapshot and later ones
-// append delta blocks, and a resume over base+deltas matches the
-// uninterrupted run exactly.
+// append delta blocks, the manifest names the log's exact length, and a
+// resume over base+deltas matches the uninterrupted run exactly.
 func TestDeltaCheckpointChain(t *testing.T) {
 	full := NewChecker(newToy(3, true), Options{}).Run()
 
@@ -181,19 +187,12 @@ func TestDeltaCheckpointChain(t *testing.T) {
 	if deltas == 0 {
 		t.Fatalf("no delta blocks written (all checkpoints were full rewrites): %v", snap)
 	}
-	if _, err := os.Stat(filepath.Join(dir, deltaFile)); err != nil {
-		t.Fatalf("delta log missing: %v", err)
+	pos := committed(t, dir).Chains[0]
+	if pos.Deltas == 0 {
+		t.Fatalf("manifest commits no delta block: %+v", pos)
 	}
-	cb, err := os.ReadFile(filepath.Join(dir, commitFile))
-	if err != nil {
-		t.Fatalf("commit record missing: %v", err)
-	}
-	var rec commitRecord
-	if err := json.Unmarshal(cb, &rec); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := os.Stat(filepath.Join(dir, deltaFile)); err != nil || st.Size() != rec.DeltaBytes {
-		t.Errorf("commit names %d delta bytes, log holds %d", rec.DeltaBytes, st.Size())
+	if st, err := os.Stat(filepath.Join(dir, deltaName(pos.Base))); err != nil || st.Size() != pos.DeltaBytes {
+		t.Errorf("manifest names %d delta bytes, log: %v %v", pos.DeltaBytes, st, err)
 	}
 
 	resumed := NewChecker(newToy(3, true), Options{
@@ -208,120 +207,351 @@ func TestDeltaCheckpointChain(t *testing.T) {
 	}
 }
 
-// deltaChainDir writes a base snapshot plus at least one committed delta
-// block into a fresh directory, returning it.
-func deltaChainDir(t *testing.T) string {
+// crashShapes are the two shapes of a checkpointing run the crash windows
+// are driven through: a solo run, and a 3-peer mesh whose peers keep their
+// chains in Dir/peer-<id> and commit through the coordinator.
+var crashShapes = []struct {
+	name  string
+	peers int
+}{{"solo", 1}, {"mesh", 3}}
+
+// ckRun is one run of eqMachine (15 levels) in a crash shape, checkpointing
+// every level.
+type ckRun struct {
+	results []*Result
+	// events[p] are peer p's "checkpoint" trace events.
+	events [][]obs.Event
+	// trees[d] is the checkpoint dir as it stood once level d was settled
+	// (its checkpoint, if it had one, prepared and committed), by relative
+	// path. A cluster's cadence reads the distinct count of the level before,
+	// so EveryStates 1 checkpoints every other level there.
+	trees map[int]map[string][]byte
+}
+
+// runShape runs eqMachine on peers peers (1 = solo) with checkpoints in dir
+// at every level, stopping at maxDepth (0 = none), resuming from dir if
+// resume. capture fills trees from peer 0's level events: every other peer is
+// then between its resolve and the next data barrier, so nothing is writing
+// to dir.
+func runShape(peers int, dir string, maxDepth int, resume, capture bool) *ckRun {
+	r := &ckRun{events: make([][]obs.Event, peers), trees: map[int]map[string][]byte{}}
+	opts := func(i int) Options {
+		tr := obs.NewTracer(io.Discard)
+		tr.Tee(func(e obs.Event) {
+			switch {
+			case e.Kind == "checkpoint":
+				r.events[i] = append(r.events[i], e)
+			case e.Kind == "level" && capture && i == 0:
+				d, _ := strconv.Atoi(e.Detail["depth"])
+				r.trees[d] = readTree(dir)
+			}
+		})
+		return Options{Workers: 2, MaxDepth: maxDepth, Tracer: tr,
+			Checkpoint: CheckpointOptions{Dir: dir, EveryStates: 1, Label: "eq", Resume: resume}}
+	}
+	if peers == 1 {
+		r.results = []*Result{NewChecker(eqMachine(), opts(0)).Run()}
+	} else {
+		r.results = runClusterPeers(peers, opts, nil)
+	}
+	return r
+}
+
+// find returns the first depth past the first checkpoint at which a peer
+// (peer p, or any if p < 0) prepared a checkpoint of kind, and that peer;
+// depth 0 if none did.
+func (r *ckRun) find(kind string, p int) (depth, peer int) {
+	for q, evs := range r.events {
+		for _, e := range evs {
+			d, _ := strconv.Atoi(e.Detail["depth"])
+			if (p < 0 || q == p) && d > 1 && e.Detail["kind"] == kind && e.Detail["error"] == "" && (depth == 0 || d < depth) {
+				depth, peer = d, q
+			}
+		}
+	}
+	return depth, peer
+}
+
+// crashBefore is the checkpoint dir as a crash leaves it after every peer
+// prepared the checkpoint at depth d and before the coordinator committed it:
+// every file written by then, with the manifest still the one before.
+func (r *ckRun) crashBefore(d int) map[string][]byte {
+	tree := maps.Clone(r.trees[d])
+	for rel, b := range r.trees[d-1] {
+		if _, ok := tree[rel]; !ok {
+			tree[rel] = b // what the commit at d collected
+		}
+	}
+	tree[ManifestFile] = r.trees[d-1][ManifestFile]
+	return tree
+}
+
+func readTree(dir string) map[string][]byte {
+	tree := map[string][]byte{}
+	filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err == nil && e.Type().IsRegular() {
+			if b, err := os.ReadFile(path); err == nil {
+				rel, _ := filepath.Rel(dir, path)
+				tree[rel] = b
+			}
+		}
+		return nil
+	})
+	return tree
+}
+
+func writeTree(t *testing.T, tree map[string][]byte) string {
 	t.Helper()
 	dir := t.TempDir()
-	res := NewChecker(newToy(3, true), Options{
-		MaxDepth:   4,
-		Checkpoint: CheckpointOptions{Dir: dir, EveryStates: 1},
-	}).Run()
-	if res.Err != nil {
-		t.Fatalf("chain-writing run failed: %v", res.Err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, commitFile)); err != nil {
-		t.Fatalf("no committed chain: %v", err)
+	for rel, b := range tree {
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return dir
 }
 
-// resumeDistinct resumes from dir and returns the final distinct-state count,
-// failing the test on any resume error.
-func resumeDistinct(t *testing.T, dir string) int {
+// resumeShape resumes the shape from dir, failing the test unless every peer
+// resumed cleanly.
+func resumeShape(t *testing.T, peers int, dir string, maxDepth int) []*Result {
 	t.Helper()
-	res := NewChecker(newToy(3, true), Options{
-		Checkpoint: CheckpointOptions{Dir: dir, Resume: true},
-	}).Run()
-	if res.Err != nil {
-		t.Fatalf("resume failed: %v", res.Err)
+	r := runShape(peers, dir, maxDepth, true, false)
+	for i, res := range r.results {
+		if res.Err != nil || !res.Resumed {
+			t.Fatalf("peer %d: resume: stop=%s err=%v resumed=%v", i, res.StopReason, res.Err, res.Resumed)
+		}
 	}
-	if !res.Exhausted {
-		t.Fatalf("resumed run did not exhaust: %s", res.StopReason)
+	return r.results
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return res.DistinctStates
+	return st.Size()
 }
 
 // TestDeltaCrashWindows drives resume through each crash window of the
-// commit protocol: a torn tail beyond the committed length (crash
-// mid-append), a delta log with no commit record (crash before the first
-// commit), and a chain whose commit names a different base (crash during
-// compaction). All three must resume cleanly; committed-but-corrupt bytes
-// must fail loudly.
+// commit protocol, for a solo run and for a 3-peer mesh: a torn tail beyond
+// the committed length (crash mid-append), a block appended but never
+// committed, and a base a compaction wrote but never committed (crash
+// between prepare and commit). Each resumes cleanly to the uninterrupted
+// result with the uncommitted bytes gone; committed bytes that fail their CRC
+// fail loudly. The mesh adds a checkpoint that failed on one peer while
+// another compacted.
 func TestDeltaCrashWindows(t *testing.T) {
-	want := NewChecker(newToy(3, true), Options{}).Run().DistinctStates
+	want := clusterSig(NewChecker(eqMachine(), Options{Workers: 2}).Run(), coverNone)
+	// finish resumes from dir to the end: the uninterrupted result.
+	finish := func(t *testing.T, peers int, dir string) {
+		t.Helper()
+		for i, res := range resumeShape(t, peers, dir, 0) {
+			if sig := clusterSig(res, coverNone); sig != want {
+				t.Errorf("resumed peer %d signature differs:\n%s\nwant:\n%s", i, sig, want)
+			}
+		}
+	}
+	full := make([]*ckRun, len(crashShapes))
+	for i, shape := range crashShapes {
+		full[i] = runShape(shape.peers, t.TempDir(), 0, false, true)
+		for p, res := range full[i].results {
+			if res.Err != nil || !res.Exhausted {
+				t.Fatalf("%s: peer %d: stop=%s err=%v", shape.name, p, res.StopReason, res.Err)
+			}
+		}
+	}
+	forShapes := func(t *testing.T, test func(t *testing.T, peers int, full *ckRun)) {
+		for i, shape := range crashShapes {
+			t.Run(shape.name, func(t *testing.T) { test(t, shape.peers, full[i]) })
+		}
+	}
 
 	t.Run("torn-tail", func(t *testing.T) {
-		dir := deltaChainDir(t)
-		f, err := os.OpenFile(filepath.Join(dir, deltaFile), os.O_APPEND|os.O_WRONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Half a block header: magic then garbage, cut mid-payload.
-		if _, err := f.Write(append([]byte(deltaMagic), 0xde, 0xad, 0xbe)); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		if got := resumeDistinct(t, dir); got != want {
-			t.Errorf("distinct after torn-tail resume = %d, want %d", got, want)
-		}
+		forShapes(t, func(t *testing.T, peers int, full *ckRun) {
+			const d = 6
+			dir := writeTree(t, full.trees[d])
+			m := committed(t, dir)
+			for p, pos := range m.Chains {
+				f, err := os.OpenFile(filepath.Join(peerDir(dir, p, peers), deltaName(pos.Base)), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Half a block header: magic then garbage, cut mid-payload.
+				if _, err := f.Write(append([]byte(deltaMagic), 0xde, 0xad, 0xbe)); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+			}
+			resumeShape(t, peers, dir, m.Depth) // loads, then stops at once
+			for p, pos := range m.Chains {
+				if got := fileSize(t, filepath.Join(peerDir(dir, p, peers), deltaName(pos.Base))); got != pos.DeltaBytes {
+					t.Errorf("peer %d: log holds %d bytes after resume, manifest commits %d", p, got, pos.DeltaBytes)
+				}
+			}
+			finish(t, peers, dir)
+		})
 	})
 
 	t.Run("uncommitted-log", func(t *testing.T) {
-		dir := deltaChainDir(t)
-		if err := os.Remove(filepath.Join(dir, commitFile)); err != nil {
-			t.Fatal(err)
-		}
-		// Resume must fall back to the base snapshot alone and still converge.
-		if got := resumeDistinct(t, dir); got != want {
-			t.Errorf("distinct after uncommitted-log resume = %d, want %d", got, want)
-		}
-		if _, err := os.Stat(filepath.Join(dir, deltaFile)); !os.IsNotExist(err) {
-			t.Errorf("uncommitted delta log not cleared: %v", err)
-		}
+		forShapes(t, func(t *testing.T, peers int, full *ckRun) {
+			d, p := full.find("delta", -1)
+			if d == 0 {
+				t.Fatal("no delta block past the first checkpoint")
+			}
+			dir := writeTree(t, full.crashBefore(d))
+			m := committed(t, dir)
+			pos := m.Chains[p]
+			log := filepath.Join(peerDir(dir, p, peers), deltaName(pos.Base))
+			if got := fileSize(t, log); got <= pos.DeltaBytes {
+				t.Fatalf("peer %d: log holds %d bytes, want the uncommitted block at depth %d past %d", p, got, d, pos.DeltaBytes)
+			}
+			resumeShape(t, peers, dir, m.Depth)
+			if got := fileSize(t, log); got != pos.DeltaBytes {
+				t.Errorf("peer %d: uncommitted block kept: log holds %d bytes, manifest commits %d", p, got, pos.DeltaBytes)
+			}
+			finish(t, peers, dir)
+		})
 	})
 
 	t.Run("stale-base", func(t *testing.T) {
-		dir := deltaChainDir(t)
-		cb, err := os.ReadFile(filepath.Join(dir, commitFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rec commitRecord
-		if err := json.Unmarshal(cb, &rec); err != nil {
-			t.Fatal(err)
-		}
-		rec.BaseCRC ^= 0xffffffff
-		out, _ := json.Marshal(rec)
-		if err := os.WriteFile(filepath.Join(dir, commitFile), out, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if got := resumeDistinct(t, dir); got != want {
-			t.Errorf("distinct after stale-base resume = %d, want %d", got, want)
-		}
-		if _, err := os.Stat(filepath.Join(dir, commitFile)); !os.IsNotExist(err) {
-			t.Errorf("stale commit record not cleared: %v", err)
-		}
+		forShapes(t, func(t *testing.T, peers int, full *ckRun) {
+			d, p := full.find("full", -1)
+			if d == 0 {
+				t.Fatal("no compaction past the first checkpoint")
+			}
+			var next manifest
+			if err := json.Unmarshal(full.trees[d][ManifestFile], &next); err != nil {
+				t.Fatal(err)
+			}
+			dir := writeTree(t, full.crashBefore(d))
+			m := committed(t, dir)
+			pdir := peerDir(dir, p, peers)
+			stale, old := filepath.Join(pdir, next.Chains[p].Base), filepath.Join(pdir, m.Chains[p].Base)
+			if _, err := os.Stat(stale); err != nil {
+				t.Fatalf("peer %d: the uncommitted base of the compaction at depth %d: %v", p, d, err)
+			}
+			resumeShape(t, peers, dir, m.Depth)
+			if _, err := os.Stat(stale); !os.IsNotExist(err) {
+				t.Errorf("peer %d: uncommitted base %s not collected: %v", p, stale, err)
+			}
+			if _, err := os.Stat(old); err != nil {
+				t.Errorf("peer %d: committed base gone: %v", p, err)
+			}
+			finish(t, peers, dir)
+		})
 	})
 
 	t.Run("committed-corruption-fails-loudly", func(t *testing.T) {
-		dir := deltaChainDir(t)
-		raw, err := os.ReadFile(filepath.Join(dir, deltaFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[len(raw)/2] ^= 0xff
-		if err := os.WriteFile(filepath.Join(dir, deltaFile), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		res := NewChecker(newToy(3, true), Options{
-			Checkpoint: CheckpointOptions{Dir: dir, Resume: true},
-		}).Run()
-		if res.Err == nil {
-			t.Fatal("resume over corrupt committed delta succeeded, want loud failure")
-		}
-		if res.StopReason != "checkpoint-error" {
-			t.Errorf("stop reason %q, want checkpoint-error", res.StopReason)
+		forShapes(t, func(t *testing.T, peers int, full *ckRun) {
+			// The deepest checkpoint with a committed block on some peer.
+			var dir string
+			p := -1
+			for d := len(full.trees); d > 0 && p < 0; d-- { // trees holds depths 1..len
+				var m manifest
+				if json.Unmarshal(full.trees[d][ManifestFile], &m) != nil {
+					continue
+				}
+				for q, pos := range m.Chains {
+					if pos.Deltas > 0 {
+						dir, p = writeTree(t, full.trees[d]), q
+						break
+					}
+				}
+			}
+			if p < 0 {
+				t.Fatal("no committed delta block to corrupt")
+			}
+			log := filepath.Join(peerDir(dir, p, peers), deltaName(committed(t, dir).Chains[p].Base))
+			raw, err := os.ReadFile(log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)/2] ^= 0xff
+			if err := os.WriteFile(log, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r := runShape(peers, dir, 0, true, false)
+			if res := r.results[p]; res.StopReason != "checkpoint-error" || res.Err == nil || !strings.Contains(res.Err.Error(), ".delta") {
+				t.Errorf("peer %d: resume over corrupt committed delta: stop=%s err=%v, want checkpoint-error naming the log", p, res.StopReason, res.Err)
+			}
+			for q, res := range r.results {
+				if res.Err == nil {
+					t.Errorf("peer %d resumed (stop=%s) beside a corrupt chain", q, res.StopReason)
+				}
+			}
+		})
+	})
+
+	// ckWriterWrap fails peer 2's checkpoint at a depth where peer 1 compacts:
+	// that checkpoint does not commit, and the next one names a base of the
+	// new depth for peer 1 and an older one for peer 2. Compaction depends on
+	// byte counts that move with a header's elapsed-time digits, so a run
+	// whose peer 1 happened not to compact where the survey said is retried.
+	t.Run("failed-write-beside-compaction", func(t *testing.T) {
+		for attempt := 1; ; attempt++ {
+			survey := runShape(3, t.TempDir(), 0, false, false)
+			d, _ := survey.find("full", 1)
+			// Peer 2's checkpoint at d is its nth write; next is the depth of
+			// the checkpoint after it.
+			n, next := 0, 0
+			for i, e := range survey.events[2] {
+				switch at, _ := strconv.Atoi(e.Detail["depth"]); {
+				case at == d:
+					n = i + 1
+				case n > 0 && next == 0:
+					next = at
+				}
+			}
+			if d == 0 || next == 0 {
+				t.Fatal("peer 1 never compacts before the last checkpoint")
+			}
+			var wraps atomic.Int32
+			orig := ckWriterWrap
+			ckWriterWrap = func(w io.Writer) io.Writer {
+				if f, ok := w.(*os.File); ok && filepath.Base(filepath.Dir(f.Name())) == "peer-2" && wraps.Add(1) == int32(n) {
+					return &faultWriter{w: w, left: 16}
+				}
+				return w
+			}
+			dir := t.TempDir()
+			r := runShape(3, dir, next, false, false)
+			ckWriterWrap = orig
+			for i, res := range r.results {
+				if res.Err != nil {
+					t.Fatalf("peer %d: %v", i, res.Err)
+				}
+			}
+			if got, _ := r.find("full", 1); got != d {
+				if attempt < 3 {
+					continue
+				}
+				t.Fatalf("peer 1 compacted at depth %d, the survey said %d", got, d)
+			}
+			failed := false
+			for _, e := range r.events[2] {
+				failed = failed || e.Detail["depth"] == strconv.Itoa(d) && e.Detail["error"] != ""
+			}
+			if !failed {
+				t.Fatalf("peer 2's checkpoint at depth %d did not fail", d)
+			}
+			m := committed(t, dir)
+			baseDepth := func(p int) int {
+				var bd int
+				var nonce string
+				fmt.Sscanf(m.Chains[p].Base, "chain-%d-%16s", &bd, &nonce)
+				return bd
+			}
+			if m.Depth != next || baseDepth(1) != d || baseDepth(2) == d {
+				t.Fatalf("manifest at depth %d names peer 1 base %s, peer 2 base %s; want depth %d, peer 1 based at %d and peer 2 not",
+					m.Depth, m.Chains[1].Base, m.Chains[2].Base, next, d)
+			}
+			finish(t, 3, dir)
+			return
 		}
 	})
 }

@@ -253,16 +253,14 @@ func (j *Job) renderLiveReport(w io.Writer) error {
 }
 
 // checkpointOf resolves the checkpoint directory of an earlier job and
-// verifies it holds a snapshot. The base snapshot is the test: a commit
-// record exists only while a delta chain extends the base, and every
-// compaction removes it.
+// verifies it holds a committed checkpoint: the manifest is the test.
 func (s *Server) checkpointOf(id string) (string, error) {
 	src, ok := s.getJob(id)
 	if !ok {
 		return "", fmt.Errorf("resume_from: no such job %q", id)
 	}
 	dir := filepath.Join(src.dir, CheckpointDir)
-	if _, err := os.Stat(filepath.Join(dir, "checkpoint.snap")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, explorer.ManifestFile)); err != nil {
 		return "", fmt.Errorf("resume_from: job %s has no checkpoint", id)
 	}
 	return dir, nil

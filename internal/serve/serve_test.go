@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sandtable-go/sandtable/internal/explorer"
 	"github.com/sandtable-go/sandtable/internal/obs"
 	"github.com/sandtable-go/sandtable/internal/trace"
 )
@@ -355,13 +356,7 @@ func TestCancelLeavesResumableCheckpoint(t *testing.T) {
 	if fin.State != StateCanceled {
 		t.Fatalf("state = %s (error %q), want canceled", fin.State, fin.Error)
 	}
-	hasCommit := false
-	for _, a := range fin.Artifacts {
-		if a == CheckpointDir+"/checkpoint.commit" {
-			hasCommit = true
-		}
-	}
-	if !hasCommit {
+	if !slices.Contains(fin.Artifacts, CheckpointDir+"/"+explorer.ManifestFile) {
 		t.Fatalf("canceled job left no committed checkpoint: %v", fin.Artifacts)
 	}
 	canceledStates, _ := fin.Result["distinct_states"].(float64)
@@ -398,9 +393,9 @@ func TestCancelLeavesResumableCheckpoint(t *testing.T) {
 }
 
 // TestResumeFromBaseOnlyCheckpoint: a job whose last checkpoint was a full
-// snapshot has no commit record (none exists before the first delta, and
-// every compaction removes it) and must still be resumable. The budget stops
-// the job right after its first checkpoint, so the outcome is deterministic.
+// snapshot has no delta log beside its base (none exists before the first
+// delta) and must still be resumable. The budget stops the job right after
+// its first checkpoint, so the outcome is deterministic.
 func TestResumeFromBaseOnlyCheckpoint(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
 	spec := mediumSpec()
@@ -412,8 +407,17 @@ func TestResumeFromBaseOnlyCheckpoint(t *testing.T) {
 	if fin.State != StateDone || fin.Result["checkpoints"] != float64(1) {
 		t.Fatalf("first job: state %s, checkpoints %v, want done with exactly 1", fin.State, fin.Result["checkpoints"])
 	}
-	if !slices.Contains(fin.Artifacts, CheckpointDir+"/checkpoint.snap") || slices.Contains(fin.Artifacts, CheckpointDir+"/checkpoint.commit") {
-		t.Fatalf("want a base snapshot and no commit record, got %v", fin.Artifacts)
+	var bases, logs int
+	for _, a := range fin.Artifacts {
+		switch {
+		case strings.HasPrefix(a, CheckpointDir+"/chain-") && strings.HasSuffix(a, ".snap"):
+			bases++
+		case strings.HasSuffix(a, ".delta"):
+			logs++
+		}
+	}
+	if !slices.Contains(fin.Artifacts, CheckpointDir+"/"+explorer.ManifestFile) || bases != 1 || logs != 0 {
+		t.Fatalf("want a manifest, one base snapshot and no delta log, got %v", fin.Artifacts)
 	}
 
 	res := spec
