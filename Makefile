@@ -30,14 +30,18 @@ race-conform:
 
 # race-cluster does the same for the cluster's candidate path: each expand
 # worker's private repeat table and encoding slab, and seal's serial
-# cross-worker resolution and P-way merge, under the equivalence rows, the
-# kill-and-resume run and the two hostile-block tests (W = 1, 2, 4), four
+# cross-worker resolution and P-way merge, under the cross-worker-repeat row,
+# the kill-and-resume run and the two hostile-block tests (W = 1, 2, 4), four
 # times over — for the cluster's checkpoints (every peer's chain, the
 # coordinator's manifest handed out at hello, the crash windows and the
 # flag-agreement check) — and for the transport they all run on, whose
-# per-link writer goroutines run in every in-process cluster.
+# per-link writer goroutines run in every in-process cluster. The cluster
+# equivalence rows are FuzzShapeMatchesOracle's seed corpus (2 and 3 peers
+# at W = 1, 2, 4, stopped and resumed), run twice: one pass under -race takes
+# about half a minute on two CPUs.
 race-cluster:
-	$(GO) test -race -count 4 -run 'TestClusterEquivalence|TestClusterKillAndResume|TestClusterCheckpointFlagsMustAgree|TestClusterResumeWithoutManifest|TestDeltaCrashWindows|TestTruncatedWire|TestDuplicateWire' ./internal/explorer/
+	$(GO) test -race -count 4 -run 'TestClusterEquivalenceCrossWorkerRepeats|TestClusterKillAndResume|TestClusterCheckpointFlagsMustAgree|TestClusterResumeWithoutManifest|TestDeltaCrashWindows|TestTruncatedWire|TestDuplicateWire' ./internal/explorer/
+	$(GO) test -race -count 2 -run 'FuzzShapeMatchesOracle' ./internal/integrations/
 	$(GO) test -race -count 4 ./internal/transport/
 
 # fuzz runs a short coverage-guided smoke over the virtual network's queue
@@ -47,8 +51,10 @@ race-cluster:
 # allocation sized from a count the input cannot back) and the manifest
 # reader (nothing accepted names a file outside the chain pattern) — over the two
 # state codecs themselves, whose DecodeState runs on every record read back
-# from a spill run, a checkpoint or a peer — and over the wire block a peer
-# sends at every level barrier.
+# from a spill run, a checkpoint or a peer — over the wire block a peer
+# sends at every level barrier, the hello a TCP peer sends before it is known,
+# and the JobSpec body `sandtable serve` accepts; and draws deployment shapes
+# beyond the seed corpus of the shape-differential harness.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/vnet/ -fuzz FuzzQueueOps -fuzztime $(FUZZTIME)
@@ -59,6 +65,9 @@ fuzz:
 	$(GO) test ./internal/specs/raftbase/ -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/specs/zabkeeper/ -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzDecodeWireBlock$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzHandshake$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/integrations/ -run '^$$' -fuzz '^FuzzShapeMatchesOracle$$' -fuzztime $(FUZZTIME)
 
 # docs is the documentation gate: gofmt cleanliness, go vet, doc comments
 # on every exported identifier in the audited packages, and unbroken

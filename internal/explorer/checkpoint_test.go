@@ -68,44 +68,6 @@ func committedBase(t testing.TB, dir string) string {
 	return filepath.Join(dir, committed(t, dir).Chains[0].Base)
 }
 
-// TestResumeMatchesUninterruptedRun is the core checkpoint/resume guarantee:
-// a run killed after a checkpoint and resumed reports exactly the counters an
-// uninterrupted run reports.
-func TestResumeMatchesUninterruptedRun(t *testing.T) {
-	full := NewChecker(newToy(3, true), Options{}).Run()
-	if !full.Exhausted {
-		t.Fatalf("reference run did not exhaust: %s", full.StopReason)
-	}
-
-	dir := t.TempDir()
-	interrupt(t, dir, 2, true, Options{})
-
-	resumed := NewChecker(newToy(3, true), Options{
-		Checkpoint: CheckpointOptions{Dir: dir, Resume: true},
-	}).Run()
-	if resumed.Err != nil {
-		t.Fatalf("resume failed: %v", resumed.Err)
-	}
-	if !resumed.Resumed {
-		t.Fatal("Result.Resumed not set")
-	}
-	if resumed.DistinctStates != full.DistinctStates {
-		t.Errorf("distinct states: resumed %d, uninterrupted %d", resumed.DistinctStates, full.DistinctStates)
-	}
-	if resumed.Transitions != full.Transitions {
-		t.Errorf("transitions: resumed %d, uninterrupted %d", resumed.Transitions, full.Transitions)
-	}
-	if resumed.DedupHits != full.DedupHits {
-		t.Errorf("dedup hits: resumed %d, uninterrupted %d", resumed.DedupHits, full.DedupHits)
-	}
-	if !resumed.Exhausted {
-		t.Errorf("resumed run did not exhaust: %s", resumed.StopReason)
-	}
-	if resumed.MaxDepth != full.MaxDepth {
-		t.Errorf("max depth: resumed %d, uninterrupted %d", resumed.MaxDepth, full.MaxDepth)
-	}
-}
-
 // TestResumeFindsSameCounterexample checks the other half of the resume
 // guarantee: a violation found after resuming is the same violation (same
 // invariant, depth, and state) the uninterrupted run reports, with a
@@ -143,30 +105,6 @@ func TestResumeFindsSameCounterexample(t *testing.T) {
 	}
 	if rv.Trace == nil || rv.Trace.Depth() != rv.Depth {
 		t.Errorf("resumed counterexample trace not reconstructed (trace %v)", rv.Trace)
-	}
-}
-
-// TestResumeWithSymmetryAndDifferentWorkers crosses resume with symmetry
-// reduction and a different worker count than the interrupted run — neither
-// may change the result.
-func TestResumeWithSymmetryAndDifferentWorkers(t *testing.T) {
-	base := Options{Symmetry: true, Workers: 1}
-	full := NewChecker(newToy(3, true), Options{Symmetry: true}).Run()
-
-	dir := t.TempDir()
-	interrupt(t, dir, 2, true, base)
-
-	resumed := NewChecker(newToy(3, true), Options{
-		Symmetry:   true,
-		Workers:    4,
-		Checkpoint: CheckpointOptions{Dir: dir, Resume: true},
-	}).Run()
-	if resumed.Err != nil {
-		t.Fatalf("resume failed: %v", resumed.Err)
-	}
-	if resumed.DistinctStates != full.DistinctStates || !resumed.Exhausted {
-		t.Errorf("resumed symmetric run: distinct %d exhausted %v, want %d and true",
-			resumed.DistinctStates, resumed.Exhausted, full.DistinctStates)
 	}
 }
 

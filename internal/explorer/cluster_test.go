@@ -24,8 +24,9 @@ import (
 // The distributed explorer's headline property: a cluster run is
 // byte-identical to a single-process run — counters, violations, coverage
 // profile, counterexample traces — at every peer count and worker count.
-// These tests check it on real raftbase models, in both the exhaustive and
-// the violation-stop regime, plus the kill-one-peer-and-resume path.
+// integrations.FuzzShapeMatchesOracle holds every peer count to the oracle;
+// these tests pin the cluster's specific failures: cross-worker repeats at
+// seal, a peer killed mid-run, disagreeing flags, a cancel on one peer.
 
 // eqMachine is a fully-exhaustible gosyncobj model: 1127 distinct states
 // over 15 levels, no violations.
@@ -49,9 +50,8 @@ func bugMachine() *raftbase.Machine {
 }
 
 // zabMachine is a fully-exhaustible two-node zabkeeper model with a crash
-// and a restart: 7647 distinct states over 28 levels, widest level 749 (past
-// the frontier spill floor), leaders elected, histories synced and
-// committed — every part of the zabkeeper StateCodec on the wire and on disk.
+// and a restart: 7647 distinct states over 28 levels, leaders elected,
+// histories synced and committed.
 func zabMachine() spec.Machine {
 	return zabkeeper.New(
 		spec.Config{Name: "n2w1", Nodes: 2, Workload: []string{"v1"}},
@@ -59,25 +59,13 @@ func zabMachine() spec.Machine {
 		bugdb.NoBugs())
 }
 
-// Cover detail level for clusterSig. coverFull includes the per-action
-// Fresh/LastFreshDepth split, which is canonical for cluster runs (the
+// clusterSig canonicalises the equivalence-relevant part of a Result, with
+// the coverage profile when cover is set (canonical for cluster runs: the
 // serial merge attributes freshness by min-parent, generation order — the
-// W=1 single-process order) but schedule-dependent for single-process W>1
-// runs when the same state is reachable within one level through different
-// actions: whichever worker inserts first gets the credit. Per-level Fresh
-// totals and everything else are worker-count deterministic everywhere, so
-// W>1 single-process references compare with coverTotals.
-const (
-	coverNone = iota
-	coverTotals
-	coverFull
-)
-
-// clusterSig canonicalises the equivalence-relevant part of a Result.
-// Excluded by design: Duration (wall clock), MaxQueueLen (summed per-peer
-// high-water marks), per-level FpsetProbes and Checkpoint flags (structural,
-// not behavioural), ResumedAtDepth.
-func clusterSig(res *Result, coverMode int) string {
+// W=1 single-process order). Excluded by design: Duration (wall clock),
+// MaxQueueLen (summed per-peer high-water marks), per-level FpsetProbes and
+// Checkpoint flags (structural, not behavioural), ResumedAtDepth.
+func clusterSig(res *Result, cover bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "distinct=%d trans=%d dedup=%d maxdepth=%d stop=%s exhausted=%v goal=%v\n",
 		res.DistinctStates, res.Transitions, res.DedupHits, res.MaxDepth,
@@ -85,7 +73,7 @@ func clusterSig(res *Result, coverMode int) string {
 	for _, v := range res.Violations {
 		fmt.Fprintf(&b, "viol d=%d fp=%#x %s: %v\n", v.Depth, v.fp, v.Invariant, v.Err)
 	}
-	if coverMode != coverNone && res.Cover != nil {
+	if cover && res.Cover != nil {
 		fmt.Fprintf(&b, "symhits=%d\n", res.Cover.SymmetryHits)
 		for _, name := range res.Cover.ActionNames() {
 			a := res.Cover.Actions[name]
@@ -93,11 +81,8 @@ func clusterSig(res *Result, coverMode int) string {
 				fmt.Fprintf(&b, "action %s never\n", name)
 				continue
 			}
-			fmt.Fprintf(&b, "action %s fired=%d first=%d", name, a.Fired, a.FirstDepth)
-			if coverMode == coverFull {
-				fmt.Fprintf(&b, " fresh=%d lastfresh=%d", a.Fresh, a.LastFreshDepth)
-			}
-			b.WriteString("\n")
+			fmt.Fprintf(&b, "action %s fired=%d first=%d fresh=%d lastfresh=%d\n",
+				name, a.Fired, a.FirstDepth, a.Fresh, a.LastFreshDepth)
 		}
 		for _, l := range res.Cover.Levels {
 			fmt.Fprintf(&b, "level %d frontier=%d fresh=%d trans=%d dedup=%d viols=%d\n",
@@ -142,111 +127,21 @@ func runClusterPeers(peers int, opts func(i int) Options, wrap func(i int, c tra
 			}
 			o := opts(i)
 			o.Peer = &PeerOptions{Conn: conn}
-			results[i] = NewChecker(eqOrBug(o), o).Run()
+			results[i] = NewChecker(machineFor(o), o).Run()
 		}(i)
 	}
 	wg.Wait()
 	return results
 }
 
-// eqOrBug picks the machine for the run: the options carry a marker in
-// Checkpoint.Label ("bug" → bugMachine, "zab" → zabMachine, "hunt" →
-// craftHunt) so runClusterPeers stays generic.
-func eqOrBug(o Options) spec.Machine {
-	switch {
-	case strings.HasPrefix(o.Checkpoint.Label, "bug"):
-		return bugMachine()
-	case strings.HasPrefix(o.Checkpoint.Label, "zab"):
-		return zabMachine()
-	case strings.HasPrefix(o.Checkpoint.Label, "hunt"):
+// machineFor picks the machine for the run: eqMachine, or craftHunt when the
+// options carry the marker Checkpoint.Label "hunt", so runClusterPeers stays
+// generic.
+func machineFor(o Options) spec.Machine {
+	if o.Checkpoint.Label == "hunt" {
 		return craftHunt()
 	}
 	return eqMachine()
-}
-
-func TestClusterEquivalenceExhaustive(t *testing.T) {
-	for _, tc := range []struct {
-		label string
-		peers []int
-	}{
-		{"eq", []int{1, 2, 3}},
-		{"zab", []int{2}},
-	} {
-		t.Run(tc.label, func(t *testing.T) {
-			opts := func(w int) Options {
-				return Options{Workers: w, Cover: true, Checkpoint: CheckpointOptions{Label: tc.label}}
-			}
-			// Canonical reference: single-process W=1. W>1 single-process
-			// runs must match it on every worker-count-deterministic
-			// dimension (coverTotals).
-			refRes := NewChecker(eqOrBug(opts(1)), opts(1)).Run()
-			if refRes.Err != nil {
-				t.Fatalf("single-process w=1: %v", refRes.Err)
-			}
-			ref, refTotals := clusterSig(refRes, coverFull), clusterSig(refRes, coverTotals)
-			if !strings.Contains(ref, "stop=exhausted") {
-				t.Fatalf("reference run not exhaustive:\n%s", ref)
-			}
-			for _, w := range []int{2, 4} {
-				res := NewChecker(eqOrBug(opts(w)), opts(w)).Run()
-				if sig := clusterSig(res, coverTotals); sig != refTotals {
-					t.Fatalf("single-process signature differs at w=%d:\n%s\nvs\n%s", w, sig, refTotals)
-				}
-			}
-			// Cluster runs reproduce the full canonical profile — including
-			// the per-action fresh split — at every peer count and worker
-			// count.
-			for _, peers := range tc.peers {
-				for _, w := range []int{1, 2} {
-					results := runClusterPeers(peers, func(int) Options { return opts(w) }, nil)
-					for i, res := range results {
-						if res.Err != nil {
-							t.Fatalf("p=%d w=%d peer %d: %v (stop=%s)", peers, w, i, res.Err, res.StopReason)
-						}
-						if sig := clusterSig(res, coverFull); sig != ref {
-							t.Errorf("p=%d w=%d peer %d signature differs:\n%s\nwant:\n%s", peers, w, i, sig, ref)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestClusterEquivalenceViolation(t *testing.T) {
-	ref := NewChecker(bugMachine(), Options{Workers: 1, Cover: true, StopAtFirstViolation: true, Checkpoint: CheckpointOptions{Label: "bug"}}).Run()
-	if ref.StopReason != "violation" || len(ref.Violations) == 0 {
-		t.Fatalf("reference run found no violation: stop=%s", ref.StopReason)
-	}
-	refSig, refTraces := clusterSig(ref, coverFull), traceSig(ref)
-	if strings.Contains(refTraces, "nil") {
-		t.Fatalf("reference traces incomplete:\n%s", refTraces)
-	}
-	// bugMachine reaches the same state through different actions within one
-	// level, so a W=2 single-process run matches only up to the per-action
-	// fresh attribution race (see coverTotals).
-	w2 := NewChecker(bugMachine(), Options{Workers: 2, Cover: true, StopAtFirstViolation: true, Checkpoint: CheckpointOptions{Label: "bug"}}).Run()
-	if sig := clusterSig(w2, coverTotals); sig != clusterSig(ref, coverTotals) {
-		t.Fatalf("single-process w=2 signature differs:\n%s\nvs\n%s", sig, clusterSig(ref, coverTotals))
-	}
-	for _, peers := range []int{2, 3} {
-		results := runClusterPeers(peers, func(int) Options {
-			return Options{Workers: 2, Cover: true, StopAtFirstViolation: true, Checkpoint: CheckpointOptions{Label: "bug"}}
-		}, nil)
-		for i, res := range results {
-			if res.Err != nil {
-				t.Fatalf("p=%d peer %d: %v", peers, i, res.Err)
-			}
-			if sig := clusterSig(res, coverFull); sig != refSig {
-				t.Errorf("p=%d peer %d signature differs:\n%s\nwant:\n%s", peers, i, sig, refSig)
-			}
-		}
-		// Only the coordinator reconstructs traces (it probes the other
-		// shards for parent edges); they must match single-process exactly.
-		if got := traceSig(results[0]); got != refTraces {
-			t.Errorf("p=%d coordinator traces differ:\n%s\nwant:\n%s", peers, got, refTraces)
-		}
-	}
 }
 
 // flakyConn fails every Exchange at or past failAt and closes the underlying
@@ -271,7 +166,7 @@ func (f *flakyConn) Exchange(tag uint64, blocks [][]byte, summary []byte) ([][]b
 // holds the manifest and hands it out at hello.
 func TestClusterKillAndResume(t *testing.T) {
 	ref := NewChecker(eqMachine(), Options{Workers: 2}).Run()
-	refSig := clusterSig(ref, coverNone)
+	refSig := clusterSig(ref, false)
 
 	for _, shared := range []bool{true, false} {
 		name := "shared-dir"
@@ -327,7 +222,7 @@ func TestClusterKillAndResume(t *testing.T) {
 				if !res.Resumed {
 					t.Errorf("peer %d did not resume from the manifest", i)
 				}
-				if sig := clusterSig(res, coverNone); sig != refSig {
+				if sig := clusterSig(res, false); sig != refSig {
 					t.Errorf("resumed peer %d signature differs:\n%s\nwant:\n%s", i, sig, refSig)
 				}
 			}
@@ -397,7 +292,7 @@ func (c *cancelConn) Exchange(tag uint64, blocks [][]byte, summary []byte) ([][]
 // resumable to the uninterrupted result.
 func TestClusterCancelStopsEveryPeer(t *testing.T) {
 	ref := NewChecker(eqMachine(), Options{Workers: 2}).Run()
-	refSig := clusterSig(ref, coverNone)
+	refSig := clusterSig(ref, false)
 
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -428,8 +323,8 @@ func TestClusterCancelStopsEveryPeer(t *testing.T) {
 		if res.MaxDepth != level {
 			t.Errorf("peer %d stopped at depth %d, want %d", i, res.MaxDepth, level)
 		}
-		if sig := clusterSig(res, coverNone); sig != clusterSig(results[0], coverNone) {
-			t.Errorf("peer %d result differs from peer 0:\n%s\nvs\n%s", i, sig, clusterSig(results[0], coverNone))
+		if sig := clusterSig(res, false); sig != clusterSig(results[0], false) {
+			t.Errorf("peer %d result differs from peer 0:\n%s\nvs\n%s", i, sig, clusterSig(results[0], false))
 		}
 	}
 
@@ -440,7 +335,7 @@ func TestClusterCancelStopsEveryPeer(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("resumed peer %d: %v (stop=%s)", i, res.Err, res.StopReason)
 		}
-		if sig := clusterSig(res, coverNone); !res.Resumed || sig != refSig {
+		if sig := clusterSig(res, false); !res.Resumed || sig != refSig {
 			t.Errorf("resumed peer %d (resumed=%v) signature differs:\n%s\nwant:\n%s", i, res.Resumed, sig, refSig)
 		}
 	}
@@ -529,10 +424,10 @@ func (m yieldingMachine) AppendNext(s spec.State, buf []spec.Succ) []spec.Succ {
 // the coordinator's counterexample traces (which parent edge was stored).
 func TestClusterEquivalenceCrossWorkerRepeats(t *testing.T) {
 	opts := func(w int) Options {
-		return Options{Workers: w, Cover: true, StopAtFirstViolation: true, Checkpoint: CheckpointOptions{Label: "bug"}}
+		return Options{Workers: w, Cover: true, StopAtFirstViolation: true}
 	}
 	ref := NewChecker(bugMachine(), opts(1)).Run()
-	refSig, refTraces := clusterSig(ref, coverFull), traceSig(ref)
+	refSig, refTraces := clusterSig(ref, true), traceSig(ref)
 	for _, w := range []int{2, 4} {
 		conns := transport.NewMesh(2)
 		checkers := make([]*Checker, len(conns))
@@ -554,7 +449,7 @@ func TestClusterEquivalenceCrossWorkerRepeats(t *testing.T) {
 			if res.Err != nil {
 				t.Fatalf("w=%d peer %d: %v", w, i, res.Err)
 			}
-			if sig := clusterSig(res, coverFull); sig != refSig {
+			if sig := clusterSig(res, true); sig != refSig {
 				t.Errorf("w=%d peer %d signature differs:\n%s\nwant:\n%s", w, i, sig, refSig)
 			}
 			repeats += checkers[i].cluster.crossRepeats

@@ -1,6 +1,7 @@
 package explorer
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -85,6 +86,36 @@ func TestBFSCoverProfile(t *testing.T) {
 	if viols != len(res.Violations) {
 		t.Fatalf("level violations sum = %d, want %d", viols, len(res.Violations))
 	}
+}
+
+// coverSignature renders a coverage profile for equality comparison across
+// worker counts. Fingerprint-set probe counts are zeroed first: they depend
+// on insertion order (a cost metric, not a result). With workers > 1,
+// per-action fresh attribution is zeroed too: when two actions produce the
+// same fingerprint at the same level, which one gets the fresh credit is
+// decided by a concurrent insert race, so attribution is canonical only for
+// single-worker (and cluster) runs — per-level fresh totals and per-action
+// fired counts stay deterministic and are still compared.
+func coverSignature(t *testing.T, cover *obs.Cover, workers int) string {
+	t.Helper()
+	cp := *cover
+	cp.Levels = append([]obs.LevelStats(nil), cover.Levels...)
+	for i := range cp.Levels {
+		cp.Levels[i].FpsetProbes = 0
+	}
+	if workers > 1 {
+		cp.Actions = make(map[string]*obs.ActionStats, len(cover.Actions))
+		for name, a := range cover.Actions {
+			ac := *a
+			ac.Fresh, ac.LastFreshDepth = 0, 0
+			cp.Actions[name] = &ac
+		}
+	}
+	b, err := json.Marshal(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestBFSCoverDeterministicAcrossWorkers: merge-at-barrier collection must

@@ -52,7 +52,8 @@ type Options struct {
 	// BFS). Zero means runtime.NumCPU().
 	Workers int
 	// Symmetry enables symmetry reduction: states are identified up to node
-	// permutation (a no-op on a machine with NumNodes() <= 1).
+	// permutation (a no-op on a machine with NumNodes() <= 1). Over more than
+	// spec.PermTableMax nodes the run stops with "config-error".
 	Symmetry bool
 	// MaxDepth bounds the BFS depth (0 = unbounded; budgets inside the spec
 	// usually bound the space already).
@@ -293,8 +294,8 @@ type Checker struct {
 // NewChecker builds a checker for machine m.
 func NewChecker(m spec.Machine, opts Options) *Checker {
 	c := &Checker{m: m, opts: opts, visited: fpset.New(0)}
-	if opts.Symmetry && m.NumNodes() > 1 {
-		c.ptab = spec.PermTableFor(m.NumNodes())
+	if n := m.NumNodes(); opts.Symmetry && n > 1 && n <= spec.PermTableMax {
+		c.ptab = spec.PermTableFor(n)
 	}
 	return c
 }
@@ -460,6 +461,9 @@ func (c *Checker) Run() *Result {
 		if f := c.joinCluster(p.Conn, res); f != nil {
 			return fail(f)
 		}
+	}
+	if n := c.m.NumNodes(); c.opts.Symmetry && n > spec.PermTableMax {
+		return fail(&fatal{"config-error", fmt.Errorf("symmetry over %d nodes: at most %d are supported (canonicalization ranges over all n! node permutations)", n, spec.PermTableMax)})
 	}
 	cl := c.cluster
 	// A solo run's own counters are the whole truth, so it may act on them

@@ -3,6 +3,7 @@ package explorer
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,6 +132,15 @@ func TestSymmetryReducesStateCount(t *testing.T) {
 	}
 	if !sym.Exhausted || !plain.Exhausted {
 		t.Errorf("both runs should exhaust the space")
+	}
+}
+
+// TestSymmetryRefusedPastPermTableMax: a permutation table holds n! entries,
+// so symmetry over 9 nodes stops with config-error before building one.
+func TestSymmetryRefusedPastPermTableMax(t *testing.T) {
+	res := NewChecker(newToy(spec.PermTableMax+1, false), Options{Symmetry: true}).Run()
+	if res.StopReason != "config-error" || res.Err == nil || !strings.Contains(res.Err.Error(), "at most 8") || res.DistinctStates != 0 {
+		t.Fatalf("stop=%s err=%v after %d states, want config-error naming the limit", res.StopReason, res.Err, res.DistinctStates)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"github.com/sandtable-go/sandtable/internal/obs"
-	"github.com/sandtable-go/sandtable/internal/spec"
 )
 
 func TestParseByteSize(t *testing.T) {
@@ -59,109 +58,6 @@ func TestParseByteSize(t *testing.T) {
 		if err != nil || got != c.want {
 			t.Errorf("ParseByteSize(%q) = %d, %v; want %d", c.in, got, err, c.want)
 		}
-	}
-}
-
-// coverSignature renders a coverage profile for equality comparison across
-// the spill boundary. Fingerprint-set probe counts are zeroed first: spilling
-// rebuilds hash tables at different sizes, so probe counts (a cost metric,
-// not a result) legitimately differ between spilled and in-RAM runs. With
-// workers > 1, per-action fresh attribution is zeroed too: when two actions
-// produce the same fingerprint at the same level, which one gets the fresh
-// credit is decided by a concurrent insert race, so attribution is canonical
-// only for single-worker (and cluster) runs — per-level fresh totals and
-// per-action fired counts stay deterministic and are still compared.
-func coverSignature(t *testing.T, cover *obs.Cover, workers int) string {
-	t.Helper()
-	cp := *cover
-	cp.Levels = append([]obs.LevelStats(nil), cover.Levels...)
-	for i := range cp.Levels {
-		cp.Levels[i].FpsetProbes = 0
-	}
-	if workers > 1 {
-		cp.Actions = make(map[string]*obs.ActionStats, len(cover.Actions))
-		for name, a := range cover.Actions {
-			ac := *a
-			ac.Fresh, ac.LastFreshDepth = 0, 0
-			cp.Actions[name] = &ac
-		}
-	}
-	b, err := json.Marshal(&cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-// budgetMachines are the models the out-of-core gates run over: the toy
-// (exactly analysable, violating) and zabkeeper (a real distributed-system
-// state through the codec). boundaryDepth is a level boundary roughly midway
-// through the space.
-var budgetMachines = []struct {
-	name          string
-	mk            func() spec.Machine
-	boundaryDepth int
-}{
-	{"toy", func() spec.Machine { return newToy(6, false) }, 6},
-	{"zabkeeper", zabMachine, 14},
-}
-
-// TestMemBudgetEquivalence is the tentpole guarantee: a run under a memory
-// budget tiny enough to force both fingerprint-set and frontier spilling
-// reports byte-identical results — every counter, every violation with its
-// reconstructed trace, and the full coverage profile (modulo probe counts) —
-// as the unbudgeted in-RAM run, at every worker count.
-func TestMemBudgetEquivalence(t *testing.T) {
-	for _, m := range budgetMachines {
-		t.Run(m.name, func(t *testing.T) {
-			base := Options{RecordVars: true, Cover: true}
-			// The reference is the canonical single-worker run: at Workers 0
-			// (= NumCPU) its own per-action fresh attribution would be raced.
-			refOpts := base
-			refOpts.Workers = 1
-			ref := NewChecker(m.mk(), refOpts).Run()
-			if ref.Err != nil || !ref.Exhausted {
-				t.Fatalf("reference run: err=%v stop=%s", ref.Err, ref.StopReason)
-			}
-			refSig := resultSignature(t, ref)
-
-			for _, workers := range []int{1, 4} {
-				reg := obs.NewRegistry()
-				opts := base
-				opts.Workers = workers
-				opts.MemBudget = 64 << 10 // far below the working set
-				opts.SpillDir = t.TempDir()
-				opts.Metrics = reg
-				res := NewChecker(m.mk(), opts).Run()
-				if res.Err != nil {
-					t.Fatalf("workers=%d budgeted run failed: %v", workers, res.Err)
-				}
-				if got := resultSignature(t, res); got != refSig {
-					t.Errorf("workers=%d budgeted result differs from in-RAM run:\n--- budgeted\n%s--- in-RAM\n%s", workers, got, refSig)
-				}
-				refCover := coverSignature(t, ref.Cover, workers)
-				if got := coverSignature(t, res.Cover, workers); got != refCover {
-					t.Errorf("workers=%d budgeted coverage differs from in-RAM run:\ngot  %s\nwant %s", workers, got, refCover)
-				}
-				snap := reg.Snapshot()
-				if got, _ := snap["fpset.spilled_entries"].(int64); got == 0 {
-					t.Errorf("workers=%d: fingerprint set never spilled (budget did not engage): %v", workers, snap)
-				}
-				if got, _ := snap["explorer.frontier_spilled_entries"].(int64); got == 0 {
-					t.Errorf("workers=%d: frontier never spilled (budget did not engage)", workers)
-				}
-				if _, err := os.Stat(opts.SpillDir); err != nil {
-					t.Errorf("workers=%d: spill base dir vanished: %v", workers, err)
-				}
-				ents, err := os.ReadDir(opts.SpillDir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(ents) != 0 {
-					t.Errorf("workers=%d: spill scratch not cleaned up: %v", workers, ents)
-				}
-			}
-		})
 	}
 }
 
@@ -346,12 +242,12 @@ func fileSize(t *testing.T, path string) int64 {
 // fail loudly. The mesh adds a checkpoint that failed on one peer while
 // another compacted.
 func TestDeltaCrashWindows(t *testing.T) {
-	want := clusterSig(NewChecker(eqMachine(), Options{Workers: 2}).Run(), coverNone)
+	want := clusterSig(NewChecker(eqMachine(), Options{Workers: 2}).Run(), false)
 	// finish resumes from dir to the end: the uninterrupted result.
 	finish := func(t *testing.T, peers int, dir string) {
 		t.Helper()
 		for i, res := range resumeShape(t, peers, dir, 0) {
-			if sig := clusterSig(res, coverNone); sig != want {
+			if sig := clusterSig(res, false); sig != want {
 				t.Errorf("resumed peer %d signature differs:\n%s\nwant:\n%s", i, sig, want)
 			}
 		}
@@ -641,73 +537,5 @@ func TestCheckpointENOSPC(t *testing.T) {
 	}
 	if resumed.DistinctStates != full.DistinctStates {
 		t.Errorf("resumed distinct=%d, want %d", resumed.DistinctStates, full.DistinctStates)
-	}
-}
-
-// TestKillAndResumeUnderBudget is the spill-path resume guarantee: a
-// budget-constrained run interrupted both mid-level (max-states inside a
-// level) and at a level boundary (max-depth) resumes to byte-identical
-// results — counters, violations, coverage — as an uninterrupted in-RAM run.
-func TestKillAndResumeUnderBudget(t *testing.T) {
-	for _, m := range budgetMachines {
-		base := Options{RecordVars: true, Cover: true}
-		ref := NewChecker(m.mk(), base).Run()
-		if !ref.Exhausted {
-			t.Fatalf("%s reference run did not exhaust: %s", m.name, ref.StopReason)
-		}
-		refSig := resultSignature(t, ref)
-
-		budgeted := func(dir string) Options {
-			o := base
-			o.MemBudget = 64 << 10
-			o.SpillDir = filepath.Join(dir, "spill")
-			o.Checkpoint = CheckpointOptions{Dir: dir, EveryStates: 1}
-			return o
-		}
-
-		interruptions := []struct {
-			name string
-			stop func(o *Options)
-		}{
-			// Level boundary: the checkpoint at that depth is complete and the
-			// next level's spill files are gone when the process "dies".
-			{"at-level-boundary", func(o *Options) { o.MaxDepth = m.boundaryDepth }},
-			// Mid-level: the bound trips inside a level's block loop, while the
-			// level being consumed and the set both live partly on disk; the
-			// checkpoint layer must fall back to the last complete level.
-			{"mid-level", func(o *Options) { o.MaxStates = ref.DistinctStates / 2 }},
-		}
-		for _, ic := range interruptions {
-			t.Run(m.name+"/"+ic.name, func(t *testing.T) {
-				dir := t.TempDir()
-				opts := budgeted(dir)
-				ic.stop(&opts)
-				reg := obs.NewRegistry()
-				opts.Metrics = reg
-				res := NewChecker(m.mk(), opts).Run()
-				if res.Err != nil {
-					t.Fatalf("interrupted budgeted run failed: %v", res.Err)
-				}
-				if res.Checkpoints == 0 {
-					t.Fatal("interrupted run wrote no checkpoints")
-				}
-				if got, _ := reg.Snapshot()["fpset.spilled_entries"].(int64); got == 0 {
-					t.Fatal("interrupted run never spilled; budget did not engage")
-				}
-
-				// Resume under the same budget; spill scratch from the "killed"
-				// run is inert — the resume builds its own.
-				ropts := budgeted(dir)
-				ropts.Checkpoint.EveryStates = 0
-				ropts.Checkpoint.Resume = true
-				resumed := NewChecker(m.mk(), ropts).Run()
-				if resumed.Err != nil {
-					t.Fatalf("resume failed: %v", resumed.Err)
-				}
-				if got := resultSignature(t, resumed); got != refSig {
-					t.Errorf("resumed budgeted result differs from uninterrupted in-RAM run:\n--- resumed\n%s--- in-RAM\n%s", got, refSig)
-				}
-			})
-		}
 	}
 }

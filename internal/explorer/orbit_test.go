@@ -12,7 +12,7 @@ import (
 // TestOrbitCanonicalizationCounters asserts the explorer.canonical.orbit
 // metric: one canonicalization per enumerated successor plus one per initial
 // state on the single-process path. (That the fingerprints themselves are
-// right is integrations' TestProductionMatchesIndependentOracle and
+// right is integrations' FuzzShapeMatchesOracle and
 // spectest.AssertOrbitEquiv.)
 func TestOrbitCanonicalizationCounters(t *testing.T) {
 	reg := obs.NewRegistry()

@@ -66,7 +66,8 @@ type JobSpec struct {
 	// sentinel).
 	MaxCrashes *int `json:"max_crashes,omitempty"`
 
-	// Workers is the BFS/replay worker count (0 = the server's default).
+	// Workers is the BFS/replay worker count (0 or less = the server's
+	// default), clamped to the server's GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
 	// MaxStates stops a check after this many distinct states; the server's
 	// per-job cap (Options.MaxJobStates) clamps it.

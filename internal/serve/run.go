@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -58,9 +59,12 @@ func (s *Server) validateSpec(js *JobSpec) (set sandtable.Settings, progressEver
 	if _, err := integrations.Get(js.System); err != nil {
 		return set, 0, err
 	}
-	if js.Workers == 0 {
+	// A job never gets more workers than the server can run at once: the
+	// explorer and the conformance pool size per-worker state from it.
+	if js.Workers <= 0 {
 		js.Workers = s.opts.DefaultWorkers
 	}
+	js.Workers = min(js.Workers, runtime.GOMAXPROCS(0))
 	if s.opts.MaxJobStates > 0 && (js.MaxStates <= 0 || js.MaxStates > s.opts.MaxJobStates) {
 		js.MaxStates = s.opts.MaxJobStates
 	}

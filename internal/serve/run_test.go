@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
+	"github.com/sandtable-go/sandtable/internal/explorer"
 	"github.com/sandtable-go/sandtable/internal/sandtable"
 )
 
@@ -72,4 +75,36 @@ func TestCancelConformJob(t *testing.T) {
 	if fin.State != StateCanceled || fin.Result["stop_reason"] != "canceled" {
 		t.Errorf("state = %s, stop_reason = %v; want canceled", fin.State, fin.Result["stop_reason"])
 	}
+}
+
+// FuzzJobSpec feeds arbitrary bytes to the submit path's decode and
+// validateSpec, the only code a request body reaches before a job is queued.
+// Neither may panic, and every spec accepted must lie within the server's
+// bounds: its state and deadline caps, at most GOMAXPROCS workers, and a
+// mem_budget that parses.
+func FuzzJobSpec(f *testing.F) {
+	f.Add([]byte(`{"op":"check","system":"craft","nodes":3,"workers":1125899906842624,"max_states":-1,"deadline":"24h","mem_budget":"1GiB"}`))
+	f.Add([]byte(`{"op":"conform","fixed":true,"walks":5,"workers":-3,"seed":7,"checkpoint_every":"1s","progress_every":"-1s"}`))
+	f.Add([]byte(`{"op":"simulate","deadline":"0s","mem_budget":"9007199254740992KiB"}`))
+	f.Add([]byte(`{"op":"confirm","bug":"GoSyncObj#2","shrink":true,"max_crashes":0} {"op":"check"}`))
+	s := &Server{opts: Options{DefaultWorkers: 1, MaxJobStates: 1500, DefaultDeadline: time.Minute, MaxDeadline: time.Hour}}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		js, err := decodeSpec(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		set, _, err := s.validateSpec(&js)
+		if err != nil {
+			return
+		}
+		if js.Workers < 1 || js.Workers > runtime.GOMAXPROCS(0) || set.Workers != js.Workers {
+			t.Errorf("accepted workers %d (settings %d), want 1..%d", js.Workers, set.Workers, runtime.GOMAXPROCS(0))
+		}
+		if set.MaxStates < 1 || set.MaxStates > 1500 || set.Deadline <= 0 || set.Deadline > time.Hour {
+			t.Errorf("accepted max_states %d, deadline %s past the server's caps", set.MaxStates, set.Deadline)
+		}
+		if n, err := explorer.ParseByteSize(js.MemBudget); js.MemBudget != "" && (err != nil || n != set.MemBudget) {
+			t.Errorf("accepted mem_budget %q as %d bytes (%v)", js.MemBudget, set.MemBudget, err)
+		}
+	})
 }

@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path"
@@ -260,15 +261,31 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxSpecBytes bounds a submitted JobSpec body; a real spec is a few hundred
+// bytes.
+const maxSpecBytes = 1 << 20
+
+// decodeSpec reads a JobSpec as handleSubmit does: one JSON object, no
+// unknown fields.
+func decodeSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
 // handleSubmit validates a JobSpec, registers the job, and enqueues it.
 // A full queue rejects with 429 and a Retry-After hint rather than blocking
 // the client.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad job spec: %v", err)
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "bad job spec: %v", err)
 		return
 	}
 	set, progressEvery, err := s.validateSpec(&spec)

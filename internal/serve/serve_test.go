@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -457,6 +458,15 @@ func TestSubmitValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
 	}
+	huge := `{"op":"check","system":"` + strings.Repeat("x", 2<<20) + `"}`
+	resp, err = http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB body: status %d, want 413", resp.StatusCode)
+	}
 }
 
 // TestBudgetClamping verifies the server-side caps land in the job spec.
@@ -465,14 +475,31 @@ func TestBudgetClamping(t *testing.T) {
 	spec := tinySpec()
 	spec.MaxStates = 50_000_000
 	spec.Deadline = "24h"
+	spec.Workers = 1 << 50
 	st := submit(t, hs.URL, spec)
 	fin := waitTerminal(t, hs.URL, st.ID, 30*time.Second)
-	if fin.Spec.MaxStates != 1500 {
-		t.Errorf("MaxStates = %d, want clamped to 1500", fin.Spec.MaxStates)
+	if fin.Spec.MaxStates != 1500 || fin.Spec.Workers != runtime.GOMAXPROCS(0) {
+		t.Errorf("MaxStates = %d, Workers = %d; want clamped to 1500 and GOMAXPROCS", fin.Spec.MaxStates, fin.Spec.Workers)
 	}
 	// The tiny space exhausts below the clamp, so the run still completes.
 	if fin.State != StateDone {
 		t.Errorf("state = %s", fin.State)
+	}
+}
+
+// TestSymmetryPastPermTableMaxFailsTheJob: a check over 12 nodes (check
+// jobs always reduce by symmetry) fails with the explorer's refusal instead of
+// building a 12!-entry permutation table, and the server takes the next job.
+func TestSymmetryPastPermTableMaxFailsTheJob(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	spec := tinySpec()
+	spec.Nodes = 12
+	fin := waitTerminal(t, hs.URL, submit(t, hs.URL, spec).ID, 30*time.Second)
+	if fin.State != StateFailed || !strings.Contains(fin.Error, "at most 8") {
+		t.Fatalf("12-node job: state %s, error %q; want failed naming the 8-node limit", fin.State, fin.Error)
+	}
+	if fin := waitTerminal(t, hs.URL, submit(t, hs.URL, tinySpec()).ID, 30*time.Second); fin.State != StateDone {
+		t.Errorf("the next job: state %s (%s)", fin.State, fin.Error)
 	}
 }
 

@@ -382,12 +382,13 @@ type PermTable struct {
 	NonIdentityInv [][]int
 }
 
-// permTableMax bounds the cached arities; factorial growth makes larger
-// tables pathological anyway (8! = 40320 permutations), so beyond the cap
-// tables are built on demand.
-const permTableMax = 8
+// PermTableMax is the largest arity symmetry reduction supports: a table
+// holds n! permutations (8! = 40,320; 12! would be 479,001,600), so the
+// explorer refuses symmetry over more nodes. Tables up to it are cached;
+// beyond it they are built on demand.
+const PermTableMax = 8
 
-var permTables [permTableMax + 1]struct {
+var permTables [PermTableMax + 1]struct {
 	once sync.Once
 	tab  *PermTable
 }
@@ -397,7 +398,7 @@ var permTables [permTableMax + 1]struct {
 // are a pointer load — call sites no longer regenerate the factorial table
 // per run.
 func PermTableFor(n int) *PermTable {
-	if n < 0 || n > permTableMax {
+	if n < 0 || n > PermTableMax {
 		return buildPermTable(n)
 	}
 	e := &permTables[n]

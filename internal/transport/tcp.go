@@ -237,7 +237,7 @@ func (c *peerConn) handshake(nc net.Conn, o TCPOptions, deadline time.Time, dial
 	send := func() error { return writeFrame(nc, frameHello, o.Digest, self) }
 	var remote tcpHello
 	recv := func() error {
-		typ, tag, payload, err := readFrame(nc)
+		typ, tag, payload, err := readFrame(nc, maxHello)
 		if err != nil {
 			return fmt.Errorf("transport: handshake read: %w", err)
 		}
@@ -369,7 +369,7 @@ func (c *peerConn) Exchange(tag uint64, blocks [][]byte, summary []byte) ([][]by
 			continue
 		}
 		for _, want := range []byte{frameBlock, frameSummary} {
-			typ, gotTag, payload, err := readFrame(c.rd[q])
+			typ, gotTag, payload, err := readFrame(c.rd[q], maxFrame)
 			if err != nil {
 				rerr = fmt.Errorf("transport: recv from peer %d: %w", q, err)
 				break
@@ -424,7 +424,7 @@ func (c *peerConn) Probe(peer int, fp uint64) (uint64, int32, bool, error) {
 	if err := w.Flush(); err != nil {
 		return 0, 0, false, err
 	}
-	typ, tag, payload, err := readFrame(c.rd[peer])
+	typ, tag, payload, err := readFrame(c.rd[peer], maxFrame)
 	if err != nil {
 		return 0, 0, false, fmt.Errorf("transport: probe peer %d: %w", peer, err)
 	}
@@ -443,7 +443,7 @@ func (c *peerConn) Probe(peer int, fp uint64) (uint64, int32, bool, error) {
 func (c *peerConn) ServeProbes(lookup func(fp uint64) (uint64, int32, bool)) error {
 	r, w := c.rd[0], c.wr[0]
 	for {
-		typ, tag, _, err := readFrame(r)
+		typ, tag, _, err := readFrame(r, maxFrame)
 		if err != nil {
 			return fmt.Errorf("transport: serve probes: %w", err)
 		}

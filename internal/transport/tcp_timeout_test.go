@@ -22,7 +22,7 @@ func fakeHandshake(t *testing.T, nc net.Conn, id, peers int, digest uint64, dial
 		}
 	}
 	recv := func() {
-		if typ, _, _, err := readFrame(nc); err != nil || typ != frameHello {
+		if typ, _, _, err := readFrame(nc, maxHello); err != nil || typ != frameHello {
 			t.Fatalf("fake peer %d: recv hello: typ=%d err=%v", id, typ, err)
 		}
 	}
@@ -177,7 +177,7 @@ func TestDialFailFast(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		if typ, _, _, err := readFrame(nc); err != nil || typ != frameHello {
+		if typ, _, _, err := readFrame(nc, maxHello); err != nil || typ != frameHello {
 			return
 		}
 		<-badHello

@@ -43,8 +43,13 @@ const (
 )
 
 // maxFrame bounds a frame payload (sanity check against corrupt length
-// prefixes, not a protocol limit a healthy run approaches).
-const maxFrame = 1 << 30
+// prefixes, not a protocol limit a healthy run approaches). maxHello bounds a
+// hello: it arrives before the peer is known, and its payload is a few dozen
+// bytes of JSON, so its length prefix must not size a large allocation.
+const (
+	maxFrame = 1 << 30
+	maxHello = 1 << 10
+)
 
 // frameName renders a frame type for error messages.
 func frameName(t byte) string {
@@ -78,14 +83,14 @@ func writeFrame(w io.Writer, typ byte, tag uint64, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame from r.
-func readFrame(r io.Reader) (typ byte, tag uint64, payload []byte, err error) {
+// readFrame reads one frame from r whose payload is at most limit bytes.
+func readFrame(r io.Reader, limit uint32) (typ byte, tag uint64, payload []byte, err error) {
 	var hdr [13]byte
 	if _, err = io.ReadFull(r, hdr[:4]); err != nil {
 		return 0, 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n < 9 || n > maxFrame {
+	if n < 9 || n-9 > limit {
 		return 0, 0, nil, fmt.Errorf("transport: bad frame length %d", n)
 	}
 	if _, err = io.ReadFull(r, hdr[4:13]); err != nil {

@@ -1,10 +1,14 @@
 package transport
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/json"
+	"net"
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/spec"
@@ -69,6 +73,55 @@ func FuzzDecodeWireBlock(f *testing.F) {
 		}
 		if len(cands)+len(back) > 0 && !reflect.DeepEqual(cands, back) {
 			t.Fatalf("an accepted block of %d candidates came back as %d different ones", len(cands), len(back))
+		}
+	})
+}
+
+// FuzzHandshake feeds arbitrary bytes to a dialing peer's handshake over
+// net.Pipe, as the hello the peer it dialed sends back. The handshake must
+// neither panic nor outlive its deadline, and it must accept exactly the
+// hellos whose frame type, run digest, cluster size, partition version and
+// wire version all match its own.
+func FuzzHandshake(f *testing.F) {
+	o := TCPOptions{Addrs: []string{"a", "b", "c"}, Self: 1, Digest: 0x5eed}
+	hello := func(typ byte, digest uint64, h tcpHello) []byte {
+		var b bytes.Buffer
+		payload, _ := json.Marshal(h)
+		writeFrame(&b, typ, digest, payload)
+		return b.Bytes()
+	}
+	good := tcpHello{Peer: 0, Peers: 3, Partition: PartitionVersion, Wire: wireVersion}
+	f.Add(hello(frameHello, o.Digest, good))
+	f.Add(hello(frameSummary, o.Digest, good))
+	f.Add(hello(frameHello, o.Digest+1, good))
+	f.Add(hello(frameHello, o.Digest, tcpHello{Peer: 0, Peers: 2, Partition: PartitionVersion, Wire: wireVersion}))
+	f.Add(hello(frameHello, o.Digest, tcpHello{Peer: 0, Peers: 3, Partition: PartitionVersion + 1, Wire: wireVersion}))
+	f.Add(hello(frameHello, o.Digest, tcpHello{Peer: 0, Peers: 3, Partition: PartitionVersion}))
+	f.Add(hello(frameHello, o.Digest, good)[:20])
+	f.Add([]byte{0xff, 0xff, 0xff, 0x3f, frameHello})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		a, b := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if _, _, _, err := readFrame(b, maxHello); err == nil { // this peer's hello
+				b.Write(in)
+			}
+			b.Close()
+		}()
+		start := time.Now()
+		_, err := newPeerConn(o.Self, len(o.Addrs), nil, 0).handshake(a, o, start.Add(time.Second), true)
+		if took := time.Since(start); took > 2*time.Second {
+			t.Fatalf("handshake returned after %s, past its 1s deadline", took)
+		}
+		a.Close()
+		<-done
+		var h tcpHello
+		typ, digest, payload, ferr := readFrame(bytes.NewReader(in), maxHello)
+		valid := ferr == nil && typ == frameHello && digest == o.Digest && json.Unmarshal(payload, &h) == nil &&
+			h.Peers == len(o.Addrs) && h.Partition == PartitionVersion && h.Wire == wireVersion
+		if (err == nil) != valid {
+			t.Fatalf("handshake err=%v on a hello that matches=%v: %+v", err, valid, h)
 		}
 	})
 }
