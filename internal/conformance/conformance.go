@@ -133,11 +133,7 @@ func RunContext(ctx context.Context, t *Target, opts Options) (*Report, error) {
 		Seed:       opts.Seed,
 		RecordVars: true,
 	})
-	interval := opts.ProgressInterval
-	if opts.Progress != nil && interval == 0 {
-		interval = 5 * time.Second
-	}
-	reporter := obs.NewReporter(opts.Progress, interval, 0)
+	reporter := obs.NewReporter(opts.Progress, opts.ProgressInterval, 0)
 
 	var rep *Report
 	var err error

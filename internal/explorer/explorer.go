@@ -411,15 +411,11 @@ func (m *runMetrics) publish(c *Checker, res *Result, queueLen, depth int, set *
 }
 
 // newReporter builds the progress reporter for a run (nil Progress → a
-// reporter whose calls no-op). With no cadence configured a 5-second
-// interval is used. The run's tracer is attached so stall warnings land in
+// reporter whose calls no-op; with no cadence configured obs.NewReporter
+// picks its default). The run's tracer is attached so stall warnings land in
 // the structured event stream as well as on the progress line.
 func (o *Options) newReporter() *obs.Reporter {
-	interval := o.ProgressInterval
-	if o.Progress != nil && interval == 0 && o.ProgressStates == 0 {
-		interval = 5 * time.Second
-	}
-	r := obs.NewReporter(o.Progress, interval, o.ProgressStates)
+	r := obs.NewReporter(o.Progress, o.ProgressInterval, o.ProgressStates)
 	r.Tracer = o.Tracer
 	return r
 }

@@ -212,11 +212,7 @@ func (s *Simulator) Walk(seed int64) *WalkResult {
 // Walks performs n seeded walks (seeds Seed..Seed+n-1) and returns them,
 // reporting progress and metrics on the configured cadence.
 func (s *Simulator) Walks(n int) []*WalkResult {
-	interval := s.opts.ProgressInterval
-	if s.opts.Progress != nil && interval == 0 && s.opts.ProgressStates == 0 {
-		interval = 5 * time.Second
-	}
-	reporter := obs.NewReporter(s.opts.Progress, interval, s.opts.ProgressStates)
+	reporter := obs.NewReporter(s.opts.Progress, s.opts.ProgressInterval, s.opts.ProgressStates)
 	reporter.Tracer = s.opts.Tracer
 	var walkDepth *obs.Histogram
 	if s.opts.Metrics != nil {

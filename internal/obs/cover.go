@@ -185,23 +185,6 @@ func (c *Cover) NeverFired() []string {
 	return out
 }
 
-// ZeroYield returns fired actions that never produced a fresh distinct
-// state, sorted — enabled-but-saturated actions whose every successor was a
-// duplicate.
-func (c *Cover) ZeroYield() []string {
-	if c == nil {
-		return nil
-	}
-	var out []string
-	for n, a := range c.Actions {
-		if a.Fired > 0 && a.Fresh == 0 {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TotalFired sums fired transitions across actions.
 func (c *Cover) TotalFired() int64 {
 	if c == nil {

@@ -64,9 +64,6 @@ func TestCoverZeroYieldAndYield(t *testing.T) {
 	cover.Observe("Saturated", 1, false)
 	cover.Observe("Saturated", 2, false)
 
-	if got := cover.ZeroYield(); !reflect.DeepEqual(got, []string{"Saturated"}) {
-		t.Fatalf("zero-yield = %v, want [Saturated]", got)
-	}
 	if cover.NeverFired() != nil {
 		t.Fatalf("never-fired without a declared vocabulary should be nil")
 	}
@@ -118,7 +115,7 @@ func TestCoverNilSafety(t *testing.T) {
 	var c *Cover
 	c.Observe("A", 0, true)
 	c.MergeWorker(NewWorkerCover())
-	if c.NeverFired() != nil || c.ZeroYield() != nil || c.ActionNames() != nil || c.TotalFired() != 0 {
+	if c.NeverFired() != nil || c.ActionNames() != nil || c.TotalFired() != 0 {
 		t.Fatal("nil cover not a no-op")
 	}
 	var w *WorkerCover

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -11,8 +12,8 @@ import (
 )
 
 // TestRegistryConcurrent hammers one registry from parallel goroutines —
-// registration races, counter adds, gauge high-water marks, histogram
-// observations — and checks the totals. Run under -race.
+// registration races, counter adds, gauge sets, histogram observations —
+// and checks the totals. Run under -race.
 func TestRegistryConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	const goroutines = 16
@@ -28,7 +29,6 @@ func TestRegistryConcurrent(t *testing.T) {
 				reg.Counter("transitions").Inc()
 				reg.Counter(fmt.Sprintf("per_g.%d", g%4)).Inc()
 				reg.Gauge("queue_len").Set(int64(i))
-				reg.Gauge("max_queue_len").SetMax(int64(g*perG + i))
 				reg.Histogram("depth", []int64{10, 100, 1000}).Observe(int64(i % 2000))
 				if i%64 == 0 {
 					_ = reg.Snapshot() // concurrent readers
@@ -48,9 +48,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	if perG4 != goroutines*perG {
 		t.Fatalf("sharded counters sum = %d, want %d", perG4, goroutines*perG)
 	}
-	if got, want := reg.Gauge("max_queue_len").Value(), int64((goroutines-1)*perG+perG-1); got != want {
-		t.Fatalf("max_queue_len = %d, want %d", got, want)
-	}
 	h := reg.Histogram("depth", nil)
 	if h.Count() != goroutines*perG {
 		t.Fatalf("histogram count = %d, want %d", h.Count(), goroutines*perG)
@@ -67,7 +64,7 @@ func TestRegistryConcurrent(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var reg *Registry
 	reg.Counter("x").Add(1)
-	reg.Gauge("y").SetMax(2)
+	reg.Gauge("y").Set(2)
 	reg.Histogram("z", []int64{1}).Observe(3)
 	reg.StartPhase("p")()
 	if len(reg.Snapshot()) != 0 {
@@ -145,6 +142,22 @@ func TestReporterCadence(t *testing.T) {
 	r.Emit(Progress{DistinctStates: 1001, Final: true})
 	if len(got) != 2 || !got[1].Final {
 		t.Fatalf("final emit missing: %+v", got)
+	}
+}
+
+// TestReporterDefaultCadence: a reporter given a callback but no cadence
+// reports every defaultInterval, whichever run layer built it.
+func TestReporterDefaultCadence(t *testing.T) {
+	clock := time.Unix(1000, 0)
+	now := func() time.Time { return clock }
+	r := NewReporterClock(func(Progress) {}, 0, 0, now)
+	clock = clock.Add(defaultInterval - time.Millisecond)
+	if r.Due(1 << 20) {
+		t.Fatal("due before the default interval")
+	}
+	clock = clock.Add(time.Millisecond)
+	if !r.Due(1 << 20) {
+		t.Fatal("not due at the default interval")
 	}
 }
 
@@ -240,11 +253,11 @@ func TestPhaseTimerAndJSON(t *testing.T) {
 		t.Fatalf("phase duration = %d, want > 0", v)
 	}
 	reg.Counter("distinct_states").Add(42)
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
+	buf, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := buf.String()
+	s := string(buf)
 	if !strings.Contains(s, `"distinct_states": 42`) || !strings.Contains(s, "phase.explore_ns") {
 		t.Fatalf("JSON snapshot missing keys:\n%s", s)
 	}

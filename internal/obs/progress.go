@@ -108,8 +108,9 @@ func StderrProgress() ProgressFunc { return PrintProgress(os.Stderr) }
 
 // Reporter throttles progress callbacks to a time interval and/or a
 // distinct-state-count cadence. It is not concurrency-safe: the explorer
-// drives it from its serial merge loop. The zero Interval/EveryStates
-// disable the corresponding trigger; with both zero every Maybe call emits.
+// drives it from its serial merge loop. A zero interval or everyStates
+// disables that trigger; a reporter with a callback but neither cadence
+// reports every defaultInterval.
 type Reporter struct {
 	// StallAfter is the number of consecutive reports with zero new
 	// distinct states after which the reporter marks the run stalled
@@ -139,8 +140,9 @@ type Reporter struct {
 }
 
 // NewReporter builds a reporter invoking fn at most once per interval or
-// per everyStates newly discovered distinct states (whichever fires first).
-// A nil fn yields a reporter whose methods no-op.
+// per everyStates newly discovered distinct states (whichever fires first),
+// or every defaultInterval when both are zero. A nil fn yields a reporter
+// whose methods no-op.
 func NewReporter(fn ProgressFunc, interval time.Duration, everyStates int) *Reporter {
 	return newReporter(fn, interval, everyStates, time.Now)
 }
@@ -150,7 +152,14 @@ func NewReporterClock(fn ProgressFunc, interval time.Duration, everyStates int, 
 	return newReporter(fn, interval, everyStates, now)
 }
 
+// defaultInterval is the cadence of a reporter given a callback but neither
+// an interval nor a state count.
+const defaultInterval = 5 * time.Second
+
 func newReporter(fn ProgressFunc, interval time.Duration, everyStates int, now func() time.Time) *Reporter {
+	if fn != nil && interval == 0 && everyStates == 0 {
+		interval = defaultInterval
+	}
 	r := &Reporter{fn: fn, interval: interval, everyStates: everyStates, now: now}
 	r.start = now()
 	r.lastEmit = r.start
@@ -167,10 +176,7 @@ func (r *Reporter) Due(distinct int) bool {
 	if r.everyStates > 0 && distinct-r.lastStates >= r.everyStates {
 		return true
 	}
-	if r.interval > 0 && r.now().Sub(r.lastEmit) >= r.interval {
-		return true
-	}
-	return r.everyStates == 0 && r.interval == 0
+	return r.interval > 0 && r.now().Sub(r.lastEmit) >= r.interval
 }
 
 // ewmaAlpha weights the newest window's throughput in the smoothed rate;

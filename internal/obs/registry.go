@@ -13,8 +13,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sort"
 	"strconv"
 	"sync"
@@ -57,20 +55,6 @@ func (g *Gauge) Set(v int64) {
 		return
 	}
 	g.v.Store(v)
-}
-
-// SetMax raises the gauge to v if v exceeds the current value (a lock-free
-// high-water mark).
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // Add adjusts the gauge by d (may be negative).
@@ -296,11 +280,4 @@ func (r *Registry) Snapshot() map[string]any {
 		out[name+".le_inf"] = cum + h.counts[len(h.bounds)].Load()
 	}
 	return out
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

@@ -667,6 +667,17 @@ func TestSimulateJob(t *testing.T) {
 	}
 }
 
+// TestSimulateJobPastPermTableMax: a simulate job fingerprints every state it
+// walks to, and over 12 nodes a fingerprint must not build the 12!-entry
+// permutation table (simulation does not reduce by symmetry).
+func TestSimulateJobPastPermTableMax(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	spec := JobSpec{Op: "simulate", Nodes: 12, Walks: 1, Depth: 3}
+	if fin := waitTerminal(t, hs.URL, submit(t, hs.URL, spec).ID, 60*time.Second); fin.State != StateDone {
+		t.Fatalf("state = %s (error %q)", fin.State, fin.Error)
+	}
+}
+
 // TestConformJobShrinks: a conform job with "shrink": true minimizes the
 // discrepancy trace before writing it, as `sandtable conform -shrink` does.
 // CRaft#9 (a modeling-stage defect: the implementation reads the wrong term)

@@ -2,7 +2,8 @@ package spec
 
 import (
 	"math/bits"
-	"strconv"
+
+	"github.com/sandtable-go/sandtable/internal/trace"
 )
 
 // NodeSet is a set of node ids as a bit mask (bit j is node j): what a spec
@@ -52,14 +53,4 @@ func (s NodeSet) Permute(perm []int) NodeSet {
 }
 
 // String renders the set as its ids in ascending order: "{0 2}".
-func (s NodeSet) String() string {
-	var buf [32]byte
-	b := append(buf[:0], '{')
-	for t := s; t != 0; t &= t - 1 {
-		if t != s {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(bits.TrailingZeros64(uint64(t))), 10)
-	}
-	return string(append(b, '}'))
-}
+func (s NodeSet) String() string { return trace.IDSet(uint64(s)) }

@@ -406,6 +406,18 @@ func PermTableFor(n int) *PermTable {
 	return e.tab
 }
 
+var identity = func() (id [MaxNodes]int) {
+	for i := range id {
+		id[i] = i
+	}
+	return id
+}()
+
+// IdentityPerm returns the identity permutation of n ≤ MaxNodes nodes
+// without building a table, so a fingerprint of any arity costs no n!
+// permutations. The slice is shared: treat it as read-only.
+func IdentityPerm(n int) []int { return identity[:n:n] }
+
 func buildPermTable(n int) *PermTable {
 	t := &PermTable{N: n, All: generatePermutations(n)}
 	t.Identity = t.All[0]

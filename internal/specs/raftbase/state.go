@@ -45,10 +45,11 @@ func roleString(r int) string {
 
 // Entry is a replicated log entry (value-semantics; indexes are absolute and
 // implicit: the entry at slice position k of node i has absolute index
-// snapIndex[i]+k+1).
+// snapIndex[i]+k+1). Its JSON tags are the implementations' own, so that
+// every Entry shares the underlying type trace.Log renders.
 type Entry struct {
-	Term  int
-	Value string
+	Term  int    `json:"t"`
+	Value string `json:"v"`
 }
 
 // State is the full specification state: per-node protocol variables, the
@@ -356,7 +357,7 @@ func (s *State) Fingerprint() uint64 {
 	var edgeBuf [orbitMaxNodes * orbitMaxNodes]uint64
 	node, edge := orbitBuffers(s.n, &nodeBuf, &edgeBuf)
 	g := s.orbitDigests(node, edge)
-	id := spec.PermTableFor(s.n).Identity
+	id := spec.IdentityPerm(s.n)
 	return s.orbitCombine(node, edge, g, id, id)
 }
 
@@ -381,7 +382,7 @@ func (s *State) Vars() map[string]string {
 			// exactly what a restart would recover).
 			m[k.durTerm[i]] = strconv.Itoa(s.DurTerm[i])
 			m[k.durVote[i]] = strconv.Itoa(s.DurVote[i])
-			m[k.durLog[i]] = formatLog(s.DurLog[i])
+			m[k.durLog[i]] = trace.Log(s.DurLog[i])
 		}
 		if !s.Up.Has(i) {
 			m[k.status[i]] = "crashed"
@@ -391,14 +392,14 @@ func (s *State) Vars() map[string]string {
 		m[k.role[i]] = roleString(s.Role[i])
 		m[k.term[i]] = strconv.Itoa(s.Term[i])
 		m[k.votedFor[i]] = strconv.Itoa(s.VotedFor[i])
-		m[k.log[i]] = formatLog(s.Log[i])
+		m[k.log[i]] = trace.Log(s.Log[i])
 		m[k.commit[i]] = strconv.Itoa(s.Commit[i])
 		if s.snapshots {
 			m[k.snapshot[i]] = strconv.Itoa(s.SnapIdx[i]) + "@" + strconv.Itoa(s.SnapTerm[i])
 		}
 		if s.Role[i] == Leader {
-			m[k.next[i]] = formatPeerInts(s.Next[i], i)
-			m[k.match[i]] = formatPeerInts(s.Match[i], i)
+			m[k.next[i]] = trace.PeerRow(s.Next[i], i)
+			m[k.match[i]] = trace.PeerRow(s.Match[i], i)
 		} else {
 			m[k.next[i]] = "-"
 			m[k.match[i]] = "-"
@@ -453,42 +454,6 @@ func varKeysFor(n int) *varKeys {
 		}
 	})
 	return e.keys
-}
-
-// formatLog renders a log as "[term:value term:value ...]".
-func formatLog(log []Entry) string {
-	if len(log) == 0 {
-		return "[]"
-	}
-	var buf [64]byte
-	b := append(buf[:0], '[')
-	for i, e := range log {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(e.Term), 10)
-		b = append(b, ':')
-		b = append(b, e.Value...)
-	}
-	return string(append(b, ']'))
-}
-
-// formatPeerInts renders a leader's per-peer row as "[v v ...]" with "_" in
-// the leader's own slot.
-func formatPeerInts(vals []int, self int) string {
-	var buf [32]byte
-	b := append(buf[:0], '[')
-	for i, v := range vals {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		if i == self {
-			b = append(b, '_')
-			continue
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return string(append(b, ']'))
 }
 
 // Log helpers (absolute indexing, snapshot-aware).

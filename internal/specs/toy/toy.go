@@ -44,7 +44,7 @@ func (s *LostUpdateState) Fingerprint() uint64 {
 	var nodeBuf [orbitMaxNodes]uint64
 	node := orbitNodeBuffer(len(s.PC), &nodeBuf)
 	s.orbitDigests(node)
-	id := spec.PermTableFor(len(s.PC)).Identity
+	id := spec.IdentityPerm(len(s.PC))
 	return s.orbitCombine(node, id)
 }
 

@@ -41,11 +41,13 @@ func stateString(s int) string {
 	}
 }
 
-// Txn is one replicated transaction; its zxid is (Epoch, Counter).
+// Txn is one replicated transaction; its zxid is (Epoch, Counter). Its JSON
+// tags are the implementation's own, so that both share the underlying type
+// trace.History renders.
 type Txn struct {
-	Epoch   int
-	Counter int
-	Value   string
+	Epoch   int    `json:"e"`
+	Counter int    `json:"c"`
+	Value   string `json:"v"`
 }
 
 // Vote is an FLE vote: the proposed leader and that leader's last zxid.
@@ -56,15 +58,7 @@ type Vote struct {
 }
 
 // String renders the vote as "leader@(epoch,counter)".
-func (v Vote) String() string {
-	var buf [48]byte
-	b := strconv.AppendInt(buf[:0], int64(v.Leader), 10)
-	b = append(b, "@("...)
-	b = strconv.AppendInt(b, int64(v.Epoch), 10)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(v.Counter), 10)
-	return string(append(b, ')'))
-}
+func (v Vote) String() string { return trace.Vote(v.Leader, v.Epoch, v.Counter) }
 
 // State is the zabkeeper specification state. A frontier holds one per
 // state, so the struct is kept small: 32-bit counters, and the storage the
@@ -313,7 +307,7 @@ func (s *State) Fingerprint() uint64 {
 	var edgeBuf [orbitMaxNodes * orbitMaxNodes]uint64
 	node, edge := orbitBuffers(s.n, &nodeBuf, &edgeBuf)
 	g := s.orbitDigests(node, edge)
-	id := spec.PermTableFor(s.n).Identity
+	id := spec.IdentityPerm(s.n)
 	return s.orbitCombine(node, edge, g, id, id)
 }
 
@@ -343,12 +337,12 @@ func (s *State) Vars() map[string]string {
 		m[k.round[i]] = strconv.Itoa(s.Round[i])
 		m[k.vote[i]] = s.Vote[i].String()
 		m[k.epoch[i]] = strconv.Itoa(s.Epoch[i])
-		m[k.history[i]] = formatHistory(s.History[i])
+		m[k.history[i]] = trace.History(s.History[i])
 		m[k.committed[i]] = strconv.Itoa(s.Commit[i])
 		m[k.leader[i]] = strconv.Itoa(s.LeaderID[i])
 		if s.ZState[i] == Leading {
 			m[k.synced[i]] = s.Synced[i].String()
-			m[k.acked[i]] = formatInts(s.Acked[i], i)
+			m[k.acked[i]] = trace.PeerRow(s.Acked[i], i)
 		} else {
 			m[k.synced[i]] = "-"
 			m[k.acked[i]] = "-"
@@ -392,44 +386,6 @@ func varKeysFor(n int) *varKeys {
 		}
 	})
 	return e.keys
-}
-
-// formatHistory renders a history as "[epoch.counter:value ...]".
-func formatHistory(h []Txn) string {
-	if len(h) == 0 {
-		return "[]"
-	}
-	var buf [64]byte
-	b := append(buf[:0], '[')
-	for i, t := range h {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(t.Epoch), 10)
-		b = append(b, '.')
-		b = strconv.AppendInt(b, int64(t.Counter), 10)
-		b = append(b, ':')
-		b = append(b, t.Value...)
-	}
-	return string(append(b, ']'))
-}
-
-// formatInts renders a leader's per-peer row as "[v v ...]" with "_" in its
-// own slot.
-func formatInts(vals []int, self int) string {
-	var buf [32]byte
-	b := append(buf[:0], '[')
-	for i, v := range vals {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		if i == self {
-			b = append(b, '_')
-			continue
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return string(append(b, ']'))
 }
 
 // permute returns the node-permuted state (symmetry reduction).

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
+	"github.com/sandtable-go/sandtable/internal/trace"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
 
@@ -422,67 +423,20 @@ func (n *Node) Observe() map[string]string {
 		"role":     n.role.String(),
 		"term":     strconv.Itoa(n.term),
 		"votedFor": strconv.Itoa(n.votedFor),
-		"log":      formatLog(n.log),
+		"log":      trace.Log(n.log),
 		"commit":   strconv.Itoa(n.commit),
 	}
 	if n.role == Leader {
-		m["next"] = formatPeerInts(n.next, n.env.ID())
-		m["match"] = formatPeerInts(n.match, n.env.ID())
+		m["next"] = trace.PeerRow(n.next, n.env.ID())
+		m["match"] = trace.PeerRow(n.match, n.env.ID())
 	} else {
 		m["next"] = "-"
 		m["match"] = "-"
 	}
 	if n.role == Candidate {
-		m["votes"] = formatVotes(n.votes)
+		m["votes"] = trace.IDSet(trace.BoolIDs(n.votes))
 	} else {
 		m["votes"] = "-"
 	}
 	return m
-}
-
-func formatLog(log []Entry) string {
-	if len(log) == 0 {
-		return "[]"
-	}
-	var buf [64]byte
-	b := append(buf[:0], '[')
-	for i, e := range log {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(e.Term), 10)
-		b = append(b, ':')
-		b = append(b, e.Value...)
-	}
-	return string(append(b, ']'))
-}
-
-func formatPeerInts(vals []int, self int) string {
-	var buf [32]byte
-	b := append(buf[:0], '[')
-	for i, v := range vals {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		if i == self {
-			b = append(b, '_')
-			continue
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return string(append(b, ']'))
-}
-
-func formatVotes(votes []bool) string {
-	var buf [32]byte
-	b := append(buf[:0], '{')
-	for i, v := range votes {
-		if v {
-			if len(b) > 1 {
-				b = append(b, ' ')
-			}
-			b = strconv.AppendInt(b, int64(i), 10)
-		}
-	}
-	return string(append(b, '}'))
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
+	"github.com/sandtable-go/sandtable/internal/trace"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
 
@@ -636,75 +637,21 @@ func (n *Node) Observe() map[string]string {
 		"role":     n.role.String(),
 		"term":     strconv.Itoa(n.term),
 		"votedFor": strconv.Itoa(n.votedFor),
-		"log":      formatLog(n.log),
+		"log":      trace.Log(n.log),
 		"commit":   strconv.Itoa(n.commit),
 		"snapshot": strconv.Itoa(n.snapIdx) + "@" + strconv.Itoa(n.snapTerm),
 	}
 	if n.role == Leader {
-		m["next"] = formatPeerInts(n.next, n.env.ID())
-		m["match"] = formatPeerInts(n.match, n.env.ID())
+		m["next"] = trace.PeerRow(n.next, n.env.ID())
+		m["match"] = trace.PeerRow(n.match, n.env.ID())
 	} else {
 		m["next"] = "-"
 		m["match"] = "-"
 	}
 	if n.role == Candidate {
-		m["votes"] = formatVotes(n.votes)
+		m["votes"] = trace.IDSet(trace.MapIDs(n.votes))
 	} else {
 		m["votes"] = "-"
 	}
 	return m
-}
-
-func formatLog(log []Entry) string {
-	if len(log) == 0 {
-		return "[]"
-	}
-	var buf [64]byte
-	b := append(buf[:0], '[')
-	for i, e := range log {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(e.Term), 10)
-		b = append(b, ':')
-		b = append(b, e.Value...)
-	}
-	return string(append(b, ']'))
-}
-
-func formatPeerInts(vals []int, self int) string {
-	var buf [32]byte
-	b := append(buf[:0], '[')
-	for i, v := range vals {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		if i == self {
-			b = append(b, '_')
-			continue
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return string(append(b, ']'))
-}
-
-func formatVotes(votes map[int]bool) string {
-	ids := make([]int, 0, len(votes))
-	for id := range votes {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	var buf [32]byte
-	b := append(buf[:0], '{')
-	for i, id := range ids {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(id), 10)
-	}
-	return string(append(b, '}'))
 }

@@ -1,7 +1,6 @@
 package gosyncobj_test
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -143,19 +142,6 @@ func TestDisconnectCrashBug(t *testing.T) {
 		engine.Command{Type: trace.EvPartition, Node: 0, Peer: 1},
 		engine.Command{Type: trace.EvTimeout, Node: 0, Payload: "heartbeat"},
 	)
-}
-
-func TestFormatLog(t *testing.T) {
-	if got := gosyncobj.FormatLog(nil); got != "[]" {
-		t.Errorf("empty log = %q", got)
-	}
-	got := gosyncobj.FormatLog([]gosyncobj.Entry{{Term: 1, Value: "a"}, {Term: 2, Value: "b"}})
-	if got != "[1:a 2:b]" {
-		t.Errorf("log = %q", got)
-	}
-	if !strings.HasPrefix(got, "[") {
-		t.Error("log rendering must be bracketed")
-	}
 }
 
 func TestClientRequestRejectedByFollower(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
+	"github.com/sandtable-go/sandtable/internal/trace"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
 
@@ -54,15 +55,8 @@ type Vote struct {
 	Counter int `json:"counter"`
 }
 
-func (v Vote) String() string {
-	var buf [48]byte
-	b := strconv.AppendInt(buf[:0], int64(v.Leader), 10)
-	b = append(b, "@("...)
-	b = strconv.AppendInt(b, int64(v.Epoch), 10)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(v.Counter), 10)
-	return string(append(b, ')'))
-}
+// String renders the vote as "leader@(epoch,counter)".
+func (v Vote) String() string { return trace.Vote(v.Leader, v.Epoch, v.Counter) }
 
 // Message is the wire format.
 type Message struct {
@@ -514,65 +508,16 @@ func (n *Node) Observe() map[string]string {
 		"round":     strconv.Itoa(n.round),
 		"vote":      n.vote.String(),
 		"epoch":     strconv.Itoa(n.epoch),
-		"history":   formatHistory(n.history),
+		"history":   trace.History(n.history),
 		"committed": strconv.Itoa(n.commit),
 		"leader":    strconv.Itoa(n.leaderID),
 	}
 	if n.state == Leading {
-		m["synced"] = formatBoolSet(n.synced)
-		m["acked"] = formatInts(n.acked, n.env.ID())
+		m["synced"] = trace.IDSet(trace.BoolIDs(n.synced))
+		m["acked"] = trace.PeerRow(n.acked, n.env.ID())
 	} else {
 		m["synced"] = "-"
 		m["acked"] = "-"
 	}
 	return m
-}
-
-func formatHistory(h []Txn) string {
-	if len(h) == 0 {
-		return "[]"
-	}
-	var buf [64]byte
-	b := append(buf[:0], '[')
-	for i, t := range h {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(t.Epoch), 10)
-		b = append(b, '.')
-		b = strconv.AppendInt(b, int64(t.Counter), 10)
-		b = append(b, ':')
-		b = append(b, t.Value...)
-	}
-	return string(append(b, ']'))
-}
-
-func formatBoolSet(set []bool) string {
-	var buf [32]byte
-	b := append(buf[:0], '{')
-	for i, v := range set {
-		if v {
-			if len(b) > 1 {
-				b = append(b, ' ')
-			}
-			b = strconv.AppendInt(b, int64(i), 10)
-		}
-	}
-	return string(append(b, '}'))
-}
-
-func formatInts(vals []int, self int) string {
-	var buf [32]byte
-	b := append(buf[:0], '[')
-	for i, v := range vals {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		if i == self {
-			b = append(b, '_')
-			continue
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return string(append(b, ']'))
 }

@@ -40,6 +40,7 @@ var auditedPackages = []string{
 	"internal/transport",
 	"internal/serve",
 	"internal/sandtable",
+	"internal/trace",
 }
 
 // requiredDocs are the operator-facing documents that must exist at the
