@@ -204,11 +204,6 @@ var upstream = map[string][]Key{
 	"daosraft":  {CRaftFirstEntryAppend, CRaftAEInsteadOfSnapshot, CRaftSnapshotReject, CRaftTermNonMonotonic, CRaftEmptyRetry, CRaftNextLEMatch, CRaftHeartbeatBreak},
 }
 
-// Upstream returns the defects a system inherits from its upstream library.
-func Upstream(system string) []Key {
-	return append([]Key(nil), upstream[system]...)
-}
-
 // StageOf reports the workflow stage at which a defect key was found.
 func StageOf(k Key) Stage {
 	for _, b := range Catalog {

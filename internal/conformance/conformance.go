@@ -133,7 +133,7 @@ func RunContext(ctx context.Context, t *Target, opts Options) (*Report, error) {
 		Seed:       opts.Seed,
 		RecordVars: true,
 	})
-	reporter := obs.NewReporter(opts.Progress, opts.ProgressInterval, 0)
+	reporter := obs.NewReporter(opts.Progress, opts.ProgressInterval)
 
 	var rep *Report
 	var err error

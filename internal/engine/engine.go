@@ -231,9 +231,6 @@ func (c *Cluster) SimulatedCost() time.Duration { return c.simCost }
 // Network exposes the proxy for assertions and conformance.
 func (c *Cluster) Network() *vnet.Network { return c.net }
 
-// Logs returns node i's captured log lines.
-func (c *Cluster) Logs(i int) []string { return c.logs[i].Lines() }
-
 // History returns the executed command sequence.
 func (c *Cluster) History() []Command { return append([]Command(nil), c.history...) }
 

@@ -66,14 +66,41 @@ type CheckpointOptions struct {
 	Label string
 }
 
-// newCadence builds the Due/Emit bookkeeping for the checkpoint cadence: an
-// obs.Reporter with a no-op callback, used purely for its clock.
-func (o *CheckpointOptions) newCadence() *obs.Reporter {
-	interval := o.Interval
-	if interval == 0 && o.EveryStates == 0 {
-		interval = 60 * time.Second
+// defaultCheckpointInterval is the checkpoint cadence when neither
+// Interval nor EveryStates is set.
+const defaultCheckpointInterval = 60 * time.Second
+
+// cadence decides when the next checkpoint is due: once Interval of
+// wall-clock time or EveryStates newly discovered distinct states have
+// passed since the last attempt, whichever comes first.
+type cadence struct {
+	interval    time.Duration
+	everyStates int
+	now         func() time.Time
+	last        time.Time
+	lastStates  int
+}
+
+// newCadence starts o's cadence at now(), with the distinct count at zero.
+func newCadence(o CheckpointOptions, now func() time.Time) *cadence {
+	cd := &cadence{interval: o.Interval, everyStates: o.EveryStates, now: now, last: now()}
+	if cd.interval == 0 && cd.everyStates == 0 {
+		cd.interval = defaultCheckpointInterval
 	}
-	return obs.NewReporter(func(obs.Progress) {}, interval, o.EveryStates)
+	return cd
+}
+
+// due reports whether a checkpoint is due at a distinct count of distinct.
+func (cd *cadence) due(distinct int) bool {
+	if cd.everyStates > 0 && distinct-cd.lastStates >= cd.everyStates {
+		return true
+	}
+	return cd.interval > 0 && cd.now().Sub(cd.last) >= cd.interval
+}
+
+// restart begins the next period now, at a distinct count of distinct.
+func (cd *cadence) restart(distinct int) {
+	cd.last, cd.lastStates = cd.now(), distinct
 }
 
 // snapMagic and snapVersion identify the checkpoint format, whose version
@@ -151,7 +178,6 @@ type snapshotHeader struct {
 	DedupHits      int64           `json:"dedup_hits"`
 	MaxQueueLen    int             `json:"max_queue_len"`
 	MaxDepth       int             `json:"max_depth"`
-	GoalReached    bool            `json:"goal_reached"`
 	ElapsedNs      int64           `json:"elapsed_ns"`
 	Violations     []snapViolation `json:"violations,omitempty"`
 }
@@ -193,7 +219,6 @@ func (c *Checker) header(res *Result, depth int, elapsed time.Duration, own []*V
 		DedupHits:      res.DedupHits,
 		MaxQueueLen:    res.MaxQueueLen,
 		MaxDepth:       res.MaxDepth,
-		GoalReached:    res.GoalReached,
 		ElapsedNs:      int64(elapsed),
 		Violations:     snapViolationsOf(own),
 	}
@@ -213,7 +238,6 @@ func (h *snapshotHeader) restoreInto(res *Result, cover *obs.Cover) {
 	res.DedupHits = h.DedupHits
 	res.MaxQueueLen = h.MaxQueueLen
 	res.MaxDepth = h.MaxDepth
-	res.GoalReached = h.GoalReached
 	if cover != nil {
 		// Levels before the snapshot were profiled by the interrupted
 		// session; this profile covers the continuation only.
@@ -544,7 +568,7 @@ type checkpointer struct {
 	peer int
 	// nonce makes this run's base names unlike any earlier run's.
 	nonce   string
-	cadence *obs.Reporter
+	cadence *cadence
 	// warn is the run's user-facing progress reporter; checkpoint failures
 	// surface there as warnings instead of aborting the run.
 	warn    *obs.Reporter
@@ -560,7 +584,7 @@ type checkpointer struct {
 // for a cluster peer.
 func (c *Checker) newCheckpointer(warn *obs.Reporter, metrics *runMetrics) *checkpointer {
 	o := c.opts.Checkpoint
-	ck := &checkpointer{dir: o.Dir, cadence: o.newCadence(), warn: warn, metrics: metrics, tracer: c.opts.Tracer}
+	ck := &checkpointer{dir: o.Dir, cadence: newCadence(o, time.Now), warn: warn, metrics: metrics, tracer: c.opts.Tracer}
 	if cl := c.cluster; cl != nil && o.Dir != "" {
 		ck.dir, ck.peer = filepath.Join(o.Dir, fmt.Sprintf("peer-%d", cl.self)), cl.self
 	}
@@ -573,7 +597,7 @@ func (c *Checker) newCheckpointer(warn *obs.Reporter, metrics *runMetrics) *chec
 // due reports whether the cadence asks for a snapshot at a global distinct
 // count of distinct.
 func (ck *checkpointer) due(distinct int) bool {
-	return ck.dir != "" && ck.cadence.Due(distinct)
+	return ck.dir != "" && ck.cadence.due(distinct)
 }
 
 // write prepares this peer's checkpoint of the level boundary at depth — a
@@ -656,7 +680,7 @@ func (ck *checkpointer) settle(c *Checker, res *Result, depth int, g levelView) 
 			ck.metrics.checkpoints.Inc()
 		}
 	}
-	ck.cadence.Emit(obs.Progress{DistinctStates: g.distinct})
+	ck.cadence.restart(g.distinct)
 }
 
 // committed acts on a manifest committed at depth: if it names this peer's

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/sandtable-go/sandtable/internal/obs"
 	"github.com/sandtable-go/sandtable/internal/spec"
@@ -414,6 +415,78 @@ func TestCollectKeepsNonChainFiles(t *testing.T) {
 	for _, name := range append(kept, filepath.Base(spill)) {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("%s was deleted: %v", name, err)
+		}
+	}
+}
+
+// TestCheckpointCadence drives the checkpoint cadence with a virtual clock:
+// the state-count trigger, the interval trigger, the default interval when
+// neither is set, and a restart on settle whether or not the checkpoint
+// landed.
+func TestCheckpointCadence(t *testing.T) {
+	clock := time.Unix(1000, 0)
+	now := func() time.Time { return clock }
+
+	cd := newCadence(CheckpointOptions{EveryStates: 500}, now)
+	if cd.due(499) {
+		t.Fatal("due below the state count")
+	}
+	clock = clock.Add(time.Hour)
+	if cd.due(499) {
+		t.Fatal("a state-count cadence fired on the clock")
+	}
+	if !cd.due(500) {
+		t.Fatal("not due at the state count")
+	}
+	cd.restart(500)
+	if cd.due(999) {
+		t.Fatal("state count not restarted")
+	}
+	if !cd.due(1000) {
+		t.Fatal("second state count not due")
+	}
+
+	cd = newCadence(CheckpointOptions{Interval: 10 * time.Second}, now)
+	clock = clock.Add(10*time.Second - time.Nanosecond)
+	if cd.due(1 << 30) {
+		t.Fatal("an interval cadence fired on the state count")
+	}
+	clock = clock.Add(time.Nanosecond)
+	if !cd.due(0) {
+		t.Fatal("not due at the interval")
+	}
+	cd.restart(0)
+	if cd.due(0) {
+		t.Fatal("interval not restarted")
+	}
+
+	cd = newCadence(CheckpointOptions{}, now)
+	clock = clock.Add(defaultCheckpointInterval - time.Nanosecond)
+	if cd.due(1 << 30) {
+		t.Fatal("due before the default interval")
+	}
+	clock = clock.Add(time.Nanosecond)
+	if !cd.due(0) {
+		t.Fatal("not due at the default interval")
+	}
+
+	c := NewChecker(newToy(3, false), Options{Checkpoint: CheckpointOptions{Dir: t.TempDir(), EveryStates: 100}})
+	ck := c.newCheckpointer(nil, nil)
+	ck.cadence = newCadence(c.opts.Checkpoint, now)
+	// The first attempt lands and counts, the second fails and does not;
+	// both restart the cadence.
+	res := &Result{}
+	for i, ckErr := range []string{"", "disk full"} {
+		distinct := 100 * (i + 1)
+		if !ck.due(distinct) {
+			t.Fatalf("attempt %d: not due at %d states", i, distinct)
+		}
+		ck.settle(c, res, i+1, levelView{distinct: distinct, ckErr: ckErr})
+		if res.Checkpoints != 1 {
+			t.Fatalf("attempt %d (error %q): %d checkpoints counted, want 1", i, ckErr, res.Checkpoints)
+		}
+		if ck.due(distinct + 99) {
+			t.Fatalf("attempt %d: cadence not restarted by settle", i)
 		}
 	}
 }

@@ -178,7 +178,6 @@ type clusterResolve struct {
 	Transitions  int64           `json:"transitions"`
 	DedupHits    int64           `json:"dedup_hits"`
 	NextFrontier int             `json:"next_frontier"`
-	GoalReached  bool            `json:"goal_reached,omitempty"`
 	DeadlineHit  bool            `json:"deadline_hit,omitempty"`
 	Canceled     bool            `json:"canceled,omitempty"`
 	CkErr        string          `json:"ck_err,omitempty"`
@@ -193,7 +192,6 @@ type clusterFinal struct {
 	Transitions int64           `json:"transitions"`
 	DedupHits   int64           `json:"dedup_hits"`
 	MaxQueueLen int             `json:"max_queue_len"`
-	GoalReached bool            `json:"goal_reached,omitempty"`
 	Violations  []snapViolation `json:"violations,omitempty"`
 	Cover       *obs.Cover      `json:"cover,omitempty"`
 }
@@ -345,7 +343,7 @@ func (cl *clusterCtx) resolve(depth int, own []*Violation, local levelView) (lev
 	sum := clusterResolve{
 		Distinct: local.distinct, Transitions: res.Transitions,
 		DedupHits: res.DedupHits, NextFrontier: local.frontier,
-		GoalReached: res.GoalReached, DeadlineHit: local.deadline, Canceled: local.canceled,
+		DeadlineHit: local.deadline, Canceled: local.canceled,
 		CkErr: local.ckErr, Violations: snapViolationsOf(own),
 	}
 	if len(local.chains) == 1 {
@@ -392,7 +390,7 @@ func (cl *clusterCtx) final(c *Checker, res *Result, own []*Violation) *fatal {
 		fin := clusterFinal{
 			Distinct: res.DistinctStates, Transitions: res.Transitions,
 			DedupHits: res.DedupHits, MaxQueueLen: res.MaxQueueLen,
-			GoalReached: res.GoalReached, Violations: snapViolationsOf(own), Cover: res.Cover,
+			Violations: snapViolationsOf(own), Cover: res.Cover,
 		}
 		_, sums, err := cl.exchange(nil, fin)
 		if err != nil {
@@ -413,7 +411,6 @@ func (cl *clusterCtx) final(c *Checker, res *Result, own []*Violation) *fatal {
 			// structural measures with no meaningful global maximum; the sum
 			// bounds the cluster's peak frontier footprint.
 			res.MaxQueueLen += f.MaxQueueLen
-			res.GoalReached = res.GoalReached || f.GoalReached
 			for _, v := range f.Violations {
 				own = append(own, v.violation())
 			}
@@ -628,7 +625,7 @@ func (r *mergeRun) take() (action uint16, st spec.State, enc []byte) {
 // P-way merge: the least head fingerprint opens the next group and the
 // least parent among the heads carrying it leads. The lead is inserted,
 // every other member of the group is a dedup hit, and a fresh lead is
-// decoded (if it came over the wire), goal/invariant-checked and appended to
+// decoded (if it came over the wire), invariant-checked and appended to
 // next, in fp order.
 func (cl *clusterCtx) merge(invs []spec.Invariant, depth int, local []clusterCand, in [][]byte, next []frontierEntry, viols []*Violation) ([]frontierEntry, []*Violation, error) {
 	c, res := cl.c, cl.res
@@ -650,7 +647,6 @@ func (cl *clusterCtx) merge(invs []spec.Invariant, depth int, local []clusterCan
 		runs[q].wire = wcands
 	}
 	cover := c.cover
-	goal := c.opts.Goal
 	for {
 		lead := -1
 		var fp, parent uint64
@@ -678,9 +674,6 @@ func (cl *clusterCtx) merge(invs []spec.Invariant, depth int, local []clusterCan
 				}
 			}
 			next = append(next, frontierEntry{state: st, fp: fp})
-			if goal != nil && !res.GoalReached && goal(st) {
-				res.GoalReached = true
-			}
 			if v := checkInvariants(invs, st, depth, fp); v != nil {
 				viols = append(viols, v)
 			}

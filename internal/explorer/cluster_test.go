@@ -67,9 +67,9 @@ func zabMachine() spec.Machine {
 // Checkpoint flags (structural, not behavioural), ResumedAtDepth.
 func clusterSig(res *Result, cover bool) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "distinct=%d trans=%d dedup=%d maxdepth=%d stop=%s exhausted=%v goal=%v\n",
+	fmt.Fprintf(&b, "distinct=%d trans=%d dedup=%d maxdepth=%d stop=%s exhausted=%v\n",
 		res.DistinctStates, res.Transitions, res.DedupHits, res.MaxDepth,
-		res.StopReason, res.Exhausted, res.GoalReached)
+		res.StopReason, res.Exhausted)
 	for _, v := range res.Violations {
 		fmt.Fprintf(&b, "viol d=%d fp=%#x %s: %v\n", v.Depth, v.fp, v.Invariant, v.Err)
 	}

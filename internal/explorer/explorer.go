@@ -85,10 +85,6 @@ type Options struct {
 	// RecordVars includes rendered variable maps in counterexample traces
 	// (needed for conformance checking and replay; costs time).
 	RecordVars bool
-	// Goal, when set, is a reachability query: the checker records whether
-	// any explored state satisfies it (used e.g. to demonstrate
-	// modeling-stage findings such as "no leader is ever elected").
-	Goal func(s spec.State) bool
 
 	// MemBudget, when > 0, caps the estimated resident footprint (bytes) of
 	// the exploration's two big structures. Over budget, the fingerprint
@@ -115,15 +111,12 @@ type Options struct {
 	Peer *PeerOptions
 
 	// Progress, when set, receives TLC-style periodic progress snapshots
-	// during the run (distinct states, frontier size, throughput). The
-	// cadence is ProgressInterval and/or ProgressStates; with both zero a
-	// 5-second interval is used. Checked only at block boundaries (~16k
-	// states), so the callback never sits on the hot path.
+	// during the run (distinct states, frontier size, throughput), every
+	// ProgressInterval (default 5s). Checked only at block boundaries
+	// (~16k states), so the callback never sits on the hot path.
 	Progress obs.ProgressFunc
 	// ProgressInterval is the minimum wall-clock time between reports.
 	ProgressInterval time.Duration
-	// ProgressStates reports every N newly discovered distinct states.
-	ProgressStates int
 	// Metrics, when set, receives live counters during the run (keys:
 	// distinct_states, transitions, dedup_hits, queue_len, max_queue_len,
 	// depth, plus the fpset.* fingerprint-set gauges) so an expvar/pprof
@@ -180,8 +173,6 @@ type Result struct {
 	// resumed run it includes the elapsed time recorded in the snapshot.
 	Duration   time.Duration
 	Violations []*Violation
-	// GoalReached reports whether any explored state satisfied Options.Goal.
-	GoalReached bool
 	// Exhausted is true when the bounded state space was fully explored.
 	Exhausted bool
 	// StopReason explains why the run ended ("exhausted", "violation",
@@ -411,11 +402,11 @@ func (m *runMetrics) publish(c *Checker, res *Result, queueLen, depth int, set *
 }
 
 // newReporter builds the progress reporter for a run (nil Progress → a
-// reporter whose calls no-op; with no cadence configured obs.NewReporter
+// reporter whose calls no-op; with no interval configured obs.NewReporter
 // picks its default). The run's tracer is attached so stall warnings land in
 // the structured event stream as well as on the progress line.
 func (o *Options) newReporter() *obs.Reporter {
-	r := obs.NewReporter(o.Progress, o.ProgressInterval, o.ProgressStates)
+	r := obs.NewReporter(o.Progress, o.ProgressInterval)
 	r.Tracer = o.Tracer
 	return r
 }
@@ -533,9 +524,6 @@ func (c *Checker) Run() *Result {
 			}
 			c.visited.Insert(fp, fp, 0)
 			frontier = append(frontier, frontierEntry{state: s, fp: fp})
-			if c.opts.Goal != nil && c.opts.Goal(s) {
-				res.GoalReached = true
-			}
 			if v := checkInvariants(invs, s, 0, fp); v != nil {
 				own = append(own, v)
 			}
@@ -843,9 +831,8 @@ type chunkOut struct {
 	work  int64
 	dedup int64
 	viols []*Violation
-	goal  bool
-	// cands is what the cluster strategy produces instead of fresh, viols
-	// and goal: uninserted candidate successors (see cluster.go), and
+	// cands is what the cluster strategy produces instead of fresh and
+	// viols: uninserted candidate successors (see cluster.go), and
 	// badAction whether one fired an action outside the declared vocabulary.
 	cands     []clusterCand
 	badAction bool
@@ -954,8 +941,8 @@ func (p *expandPool) expand(entries []frontierEntry, depth int) {
 
 // drainInto folds every worker's accumulators into the caller's level state
 // and resets them for the next block — whichever strategy filled them: a solo
-// worker leaves fresh states, violations and the goal bit, a cluster worker
-// leaves candidates, and the other side's fields are empty. The slices keep
+// worker leaves fresh states and violations, a cluster worker leaves
+// candidates, and the other side's fields are empty. The slices keep
 // their capacity; their state pointers are cleared so drained states do not
 // outlive the level in worker-owned memory.
 func (p *expandPool) drainInto(res *Result, next *[]frontierEntry, viols *[]*Violation) {
@@ -971,16 +958,13 @@ func (p *expandPool) drainInto(res *Result, next *[]frontierEntry, viols *[]*Vio
 		res.DedupHits += out.dedup
 		res.DistinctStates += len(out.fresh)
 		*next = append(*next, out.fresh...)
-		if out.goal {
-			res.GoalReached = true
-		}
 		*viols = append(*viols, out.viols...)
 		p.cands = append(p.cands, out.cands...)
 		p.badAction = p.badAction || out.badAction
 		clear(out.fresh)
 		clear(out.cands)
 		out.fresh, out.cands = out.fresh[:0], out.cands[:0]
-		out.work, out.dedup, out.viols, out.goal, out.badAction = 0, 0, nil, false, false
+		out.work, out.dedup, out.viols, out.badAction = 0, 0, nil, false
 	}
 }
 
@@ -1015,12 +999,11 @@ func (w *expandWorker) expandChunkAny(p *expandPool, entries []frontierEntry, de
 
 // expandChunk expands one sub-chunk: pooled successor enumeration,
 // canonical fingerprints, probe-and-insert into the shared fingerprint set,
-// and goal/invariant checks on fresh states. Results accumulate on the
-// worker until the block-level drain.
+// and invariant checks on fresh states. Results accumulate on the worker
+// until the block-level drain.
 func (w *expandWorker) expandChunk(p *expandPool, entries []frontierEntry, depth int) {
 	c := w.c
 	out := &w.out
-	goal := c.opts.Goal
 	for _, fe := range entries {
 		w.buf = c.m.AppendNext(fe.state, w.buf[:0])
 		out.work += int64(len(w.buf))
@@ -1040,9 +1023,6 @@ func (w *expandWorker) expandChunk(p *expandPool, entries []frontierEntry, depth
 			// Keep: the frontier outlives the buffer; a duplicate stays behind
 			// in the slack, where the machine builds the next successor.
 			out.fresh = append(out.fresh, frontierEntry{state: spec.Keep(w.buf, i), fp: fp})
-			if goal != nil && !out.goal && goal(su.State) {
-				out.goal = true
-			}
 			if v := checkInvariants(p.invs, su.State, depth, fp); v != nil {
 				out.viols = append(out.viols, v)
 			}

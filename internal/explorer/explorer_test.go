@@ -67,9 +67,9 @@ func TestBFSAtomicModelHasNoViolation(t *testing.T) {
 // so two runs can be compared for exact equality.
 func resultSignature(t *testing.T, res *Result) string {
 	t.Helper()
-	sig := fmt.Sprintf("distinct=%d transitions=%d dedup=%d maxqueue=%d maxdepth=%d stop=%q exhausted=%v goal=%v violations=%d\n",
+	sig := fmt.Sprintf("distinct=%d transitions=%d dedup=%d maxqueue=%d maxdepth=%d stop=%q exhausted=%v violations=%d\n",
 		res.DistinctStates, res.Transitions, res.DedupHits, res.MaxQueueLen,
-		res.MaxDepth, res.StopReason, res.Exhausted, res.GoalReached, len(res.Violations))
+		res.MaxDepth, res.StopReason, res.Exhausted, len(res.Violations))
 	for _, v := range res.Violations {
 		sig += v.String() + "\n"
 		if v.Trace != nil {

@@ -503,8 +503,7 @@ func TestCheckpointENOSPC(t *testing.T) {
 				warnings = append(warnings, p.Warning)
 			}
 		},
-		ProgressStates: 1,
-		Checkpoint:     CheckpointOptions{Dir: dir, EveryStates: 1},
+		Checkpoint: CheckpointOptions{Dir: dir, EveryStates: 1},
 	}).Run()
 	if res.Err != nil {
 		t.Fatalf("run aborted on checkpoint failure, must degrade gracefully: %v", res.Err)

@@ -35,16 +35,15 @@ func TestBFSRecordsDedupAndQueueHighWater(t *testing.T) {
 	}
 }
 
-// TestBFSProgressAndMetrics runs with a per-state progress cadence and a
-// registry: the callback must fire, the final report must carry the run's
-// totals, and the registry must expose the acceptance-criteria keys.
+// TestBFSProgressAndMetrics runs with a progress callback and a registry:
+// the final report must carry the run's totals, and the registry must
+// expose the acceptance-criteria keys.
 func TestBFSProgressAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	var reports []obs.Progress
 	opts := Options{
-		Progress:       func(p obs.Progress) { reports = append(reports, p) },
-		ProgressStates: 1, // fire at every block boundary
-		Metrics:        reg,
+		Progress: func(p obs.Progress) { reports = append(reports, p) },
+		Metrics:  reg,
 	}
 	res := NewChecker(newToy(4, false), opts).Run()
 
@@ -99,19 +98,18 @@ func TestBFSTracerEmitsLevels(t *testing.T) {
 	}
 }
 
-// TestWalksProgressAndMetrics drives simulation mode with a walk-count
-// cadence and a registry.
+// TestWalksProgressAndMetrics drives simulation mode with a progress
+// callback and a registry.
 func TestWalksProgressAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
 	tr := obs.NewTracer(&buf)
 	var reports []obs.Progress
 	sim := NewSimulator(newToy(3, false), SimOptions{
-		Seed:           1,
-		Progress:       func(p obs.Progress) { reports = append(reports, p) },
-		ProgressStates: 1,
-		Metrics:        reg,
-		Tracer:         tr,
+		Seed:     1,
+		Progress: func(p obs.Progress) { reports = append(reports, p) },
+		Metrics:  reg,
+		Tracer:   tr,
 	})
 	walks := sim.Walks(10)
 	if len(walks) != 10 {

@@ -39,12 +39,10 @@ type SimOptions struct {
 
 	// Progress, when set, receives periodic snapshots during Walks: Depth
 	// carries the walk index, DistinctStates/Transitions the cumulative
-	// steps walked. Cadence as in explorer.Options (default 5s).
+	// steps walked, every ProgressInterval (default 5s).
 	Progress obs.ProgressFunc
 	// ProgressInterval is the minimum wall-clock time between reports.
 	ProgressInterval time.Duration
-	// ProgressStates reports every N walked steps.
-	ProgressStates int
 	// Metrics, when set, receives walk counters (walks, walk_steps,
 	// violations, deadlocks) and a walk_depth histogram.
 	Metrics *obs.Registry
@@ -212,7 +210,7 @@ func (s *Simulator) Walk(seed int64) *WalkResult {
 // Walks performs n seeded walks (seeds Seed..Seed+n-1) and returns them,
 // reporting progress and metrics on the configured cadence.
 func (s *Simulator) Walks(n int) []*WalkResult {
-	reporter := obs.NewReporter(s.opts.Progress, s.opts.ProgressInterval, s.opts.ProgressStates)
+	reporter := obs.NewReporter(s.opts.Progress, s.opts.ProgressInterval)
 	reporter.Tracer = s.opts.Tracer
 	var walkDepth *obs.Histogram
 	if s.opts.Metrics != nil {

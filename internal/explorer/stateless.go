@@ -13,9 +13,8 @@ import (
 // Checker with dedup switched off, because BFS without a visited set holds
 // a whole exponentially wide level in memory.
 type StatelessOptions struct {
-	MaxDepth  int
-	Deadline  time.Duration
-	MaxVisits int64 // stop after this many state visits (0 = off)
+	MaxDepth int
+	Deadline time.Duration
 }
 
 // StatelessResult reports how much work the stateless discipline performed.
@@ -57,9 +56,6 @@ func StatelessSearch(m spec.Machine, opts StatelessOptions) *StatelessResult {
 	var dfs func(s spec.State, depth int) bool // returns false to abort
 	dfs = func(s spec.State, depth int) bool {
 		res.Visits++
-		if opts.MaxVisits > 0 && res.Visits >= opts.MaxVisits {
-			return false
-		}
 		// The deadline is read every 4096 visits so the hot recursion stays
 		// free of clock reads.
 		if res.Visits%4096 == 0 && !deadline.IsZero() && time.Now().After(deadline) {

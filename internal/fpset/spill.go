@@ -49,9 +49,9 @@ const runHeaderSize = 16
 // many on-disk records, so a point lookup reads one indexEvery-record block.
 const indexEvery = 256
 
-// defaultMaxRuns bounds the run list before a compacting merge; more runs
-// mean more bloom checks per probe, fewer mean more merge I/O.
-const defaultMaxRuns = 8
+// maxRuns bounds the run list before a compacting merge into one run; more
+// runs mean more bloom checks per probe, fewer mean more merge I/O.
+const maxRuns = 8
 
 // SpillConfig configures EnableSpill.
 type SpillConfig struct {
@@ -62,20 +62,16 @@ type SpillConfig struct {
 	// flushes frozen entries to disk. <= 0 disables MaybeSpill; SpillFrozen
 	// still works for explicit calls.
 	BudgetBytes int64
-	// MaxRuns bounds the on-disk run count before runs are merged into one
-	// (<= 0 selects a default).
-	MaxRuns int
 }
 
 // spillState is the per-set spill controller. The runs pointer is the only
 // field touched by the concurrent probe path; everything else mutates at
 // safepoints only.
 type spillState struct {
-	dir     string
-	budget  int64
-	maxRuns int
-	runs    atomic.Pointer[[]*spillRun]
-	seq     int // run file name counter
+	dir    string
+	budget int64
+	runs   atomic.Pointer[[]*spillRun]
+	seq    int // run file name counter
 
 	spilledEntries atomic.Int64
 	spillBytes     atomic.Int64
@@ -164,10 +160,7 @@ func (s *Set) EnableSpill(cfg SpillConfig) error {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("fpset: spill dir: %w", err)
 	}
-	if cfg.MaxRuns <= 0 {
-		cfg.MaxRuns = defaultMaxRuns
-	}
-	sp := &spillState{dir: cfg.Dir, budget: cfg.BudgetBytes, maxRuns: cfg.MaxRuns}
+	sp := &spillState{dir: cfg.Dir, budget: cfg.BudgetBytes}
 	empty := []*spillRun{}
 	sp.runs.Store(&empty)
 	s.spill = sp
@@ -313,7 +306,7 @@ func (s *Set) SpillFrozen(maxDepth int32) (int, error) {
 	sp.spillBytes.Add(run.bytes)
 	runs := append(slices.Clone(*sp.runs.Load()), run)
 	sp.runs.Store(&runs)
-	if len(runs) > sp.maxRuns {
+	if len(runs) > maxRuns {
 		if err := sp.mergeRuns(); err != nil {
 			return len(recs), err
 		}

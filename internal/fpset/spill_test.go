@@ -10,7 +10,7 @@ import (
 func spillSet(t *testing.T, budget int64) *Set {
 	t.Helper()
 	s := New(4)
-	if err := s.EnableSpill(SpillConfig{Dir: t.TempDir(), BudgetBytes: budget, MaxRuns: 3}); err != nil {
+	if err := s.EnableSpill(SpillConfig{Dir: t.TempDir(), BudgetBytes: budget}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.CloseSpill)
@@ -76,13 +76,13 @@ func TestSpillFrozenPreservesLookupAndDedup(t *testing.T) {
 	}
 }
 
-// TestSpillMergeCompactsRuns spills enough depths to exceed MaxRuns and
-// checks the runs collapse into one with nothing lost.
+// TestSpillMergeCompactsRuns spills enough depths to exceed maxRuns and
+// checks the runs collapse with nothing lost.
 func TestSpillMergeCompactsRuns(t *testing.T) {
 	s := spillSet(t, 0)
 	rng := rand.New(rand.NewSource(2))
 	var all []uint64
-	for d := int32(1); d <= 5; d++ {
+	for d := int32(1); d <= maxRuns+2; d++ {
 		all = append(all, fill(s, rng, 1000, d)...)
 		if _, err := s.SpillFrozen(d); err != nil {
 			t.Fatal(err)
@@ -90,10 +90,10 @@ func TestSpillMergeCompactsRuns(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.SpillMerges == 0 {
-		t.Fatalf("expected at least one merge with MaxRuns=3: %+v", st)
+		t.Fatalf("expected at least one merge past %d runs: %+v", maxRuns, st)
 	}
-	if st.SpillRuns > 3 {
-		t.Fatalf("run count %d exceeds MaxRuns", st.SpillRuns)
+	if st.SpillRuns > maxRuns {
+		t.Fatalf("run count %d exceeds maxRuns", st.SpillRuns)
 	}
 	if st.SpilledEntries != int64(len(all)) {
 		t.Fatalf("spilled %d entries, want %d", st.SpilledEntries, len(all))

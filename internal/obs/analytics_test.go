@@ -15,7 +15,7 @@ func TestReporterEWMAAndETA(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	now := func() time.Time { return clock }
 	var got []Progress
-	r := NewReporterClock(func(p Progress) { got = append(got, p) }, time.Second, 0, now)
+	r := NewReporterClock(func(p Progress) { got = append(got, p) }, time.Second, now)
 
 	// Window 1: 1000 fresh states, queue grows 0 -> 500 over 10s.
 	// expanded = 1000 - 500 = 500, m = 2 (space still growing): no ETA.
@@ -65,8 +65,8 @@ func TestReporterEWMAAndETA(t *testing.T) {
 	}
 }
 
-// TestReporterStallOncePerPlateau checks the stall edge: after StallAfter
-// consecutive zero-progress reports the warning fires exactly once, stays
+// TestReporterStallOncePerPlateau checks the stall edge: after stallAfter
+// (3) consecutive zero-progress reports the warning fires exactly once, stays
 // silent for the rest of the plateau, resets on progress, and fires once
 // again on the next plateau. Each plateau also emits exactly one trace
 // event.
@@ -76,8 +76,7 @@ func TestReporterStallOncePerPlateau(t *testing.T) {
 	var got []Progress
 	var traceBuf bytes.Buffer
 	tracer := NewTracer(&traceBuf)
-	r := NewReporterClock(func(p Progress) { got = append(got, p) }, time.Second, 0, now)
-	r.StallAfter = 2
+	r := NewReporterClock(func(p Progress) { got = append(got, p) }, time.Second, now)
 	r.Tracer = tracer
 
 	emit := func(distinct int) {
@@ -89,22 +88,27 @@ func TestReporterStallOncePerPlateau(t *testing.T) {
 
 	emit(100) // progress
 	emit(100) // zero run 1
-	emit(100) // zero run 2 -> stalled, warning
+	emit(100) // zero run 2
+	emit(100) // zero run 3 -> stalled, warning
 	emit(100) // still stalled, no second warning
 	emit(150) // plateau ends
 	emit(150) // zero run 1
-	emit(150) // zero run 2 -> second plateau, warning again
+	emit(150) // zero run 2
+	emit(150) // zero run 3 -> second plateau, warning again
 
-	wantStalled := []bool{false, false, true, true, false, false, true}
-	wantWarn := []bool{false, false, true, false, false, false, true}
+	wantStalled := []bool{false, false, false, true, true, false, false, false, true}
+	wantWarn := []bool{false, false, false, true, false, false, false, false, true}
+	if len(got) != len(wantStalled) {
+		t.Fatalf("reports = %d, want %d", len(got), len(wantStalled))
+	}
 	for i := range got {
 		if got[i].Stalled != wantStalled[i] || got[i].StallWarning != wantWarn[i] {
 			t.Fatalf("report %d: stalled=%v warn=%v, want %v/%v",
 				i, got[i].Stalled, got[i].StallWarning, wantStalled[i], wantWarn[i])
 		}
 	}
-	if !strings.Contains(got[2].String(), "[stalled]") {
-		t.Fatalf("stalled line missing marker: %q", got[2].String())
+	if !strings.Contains(got[3].String(), "[stalled]") {
+		t.Fatalf("stalled line missing marker: %q", got[3].String())
 	}
 
 	if err := tracer.Flush(); err != nil {
@@ -139,24 +143,6 @@ func TestPrintProgressStallWarning(t *testing.T) {
 	fn(Progress{DistinctStates: 10, Stalled: true, StallWarning: true})
 	if !strings.Contains(buf.String(), "warning: no new distinct states") {
 		t.Fatalf("missing stall warning:\n%s", buf.String())
-	}
-}
-
-// TestReporterStallDisabled: StallAfter < 0 switches detection off.
-func TestReporterStallDisabled(t *testing.T) {
-	clock := time.Unix(0, 0)
-	now := func() time.Time { return clock }
-	var got []Progress
-	r := NewReporterClock(func(p Progress) { got = append(got, p) }, time.Second, 0, now)
-	r.StallAfter = -1
-	for i := 0; i < 6; i++ {
-		clock = clock.Add(time.Second)
-		r.Emit(Progress{DistinctStates: 42})
-	}
-	for i, p := range got {
-		if p.Stalled || p.StallWarning {
-			t.Fatalf("report %d stalled with detection disabled", i)
-		}
 	}
 }
 

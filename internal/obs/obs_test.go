@@ -76,22 +76,21 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil tracer not a no-op")
 	}
 	var rep *Reporter
-	if rep.Due(10) {
+	if rep.Due() {
 		t.Fatal("nil reporter claims due")
 	}
 	rep.Emit(Progress{})
 }
 
 // TestReporterCadence drives the reporter with a virtual clock: the time
-// trigger, the state-count trigger, and the window-relative states/sec
-// computation are all deterministic.
+// trigger and the window-relative states/sec computation are deterministic.
 func TestReporterCadence(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	now := func() time.Time { return clock }
 	var got []Progress
-	r := NewReporterClock(func(p Progress) { got = append(got, p) }, 5*time.Second, 0, now)
+	r := NewReporterClock(func(p Progress) { got = append(got, p) }, 5*time.Second, now)
 
-	if r.Due(100) {
+	if r.Due() {
 		t.Fatal("due before interval elapsed")
 	}
 	clock = clock.Add(3 * time.Second)
@@ -113,29 +112,8 @@ func TestReporterCadence(t *testing.T) {
 		t.Fatalf("elapsed = %v, want 5s", got[0].Elapsed)
 	}
 	// Cadence resets after an emit.
-	if r.Due(1000) {
+	if r.Due() {
 		t.Fatal("due immediately after emit")
-	}
-
-	// State-count trigger, no time trigger.
-	got = nil
-	clock = time.Unix(2000, 0)
-	r = NewReporterClock(func(p Progress) { got = append(got, p) }, 0, 500, now)
-	if r.Due(499) {
-		t.Fatal("due below state cadence")
-	}
-	clock = clock.Add(2 * time.Second)
-	if !r.Maybe(Progress{DistinctStates: 500}) {
-		t.Fatal("not emitted at state cadence")
-	}
-	if got[0].StatesPerSec != 250 {
-		t.Fatalf("states/s = %v, want 250", got[0].StatesPerSec)
-	}
-	if r.Due(999) {
-		t.Fatal("cadence not reset after emit")
-	}
-	if !r.Due(1000) {
-		t.Fatal("second state cadence not due")
 	}
 
 	// Final report is unconditional via Emit.
@@ -145,18 +123,18 @@ func TestReporterCadence(t *testing.T) {
 	}
 }
 
-// TestReporterDefaultCadence: a reporter given a callback but no cadence
+// TestReporterDefaultCadence: a reporter given a callback but no interval
 // reports every defaultInterval, whichever run layer built it.
 func TestReporterDefaultCadence(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	now := func() time.Time { return clock }
-	r := NewReporterClock(func(Progress) {}, 0, 0, now)
+	r := NewReporterClock(func(Progress) {}, 0, now)
 	clock = clock.Add(defaultInterval - time.Millisecond)
-	if r.Due(1 << 20) {
+	if r.Due() {
 		t.Fatal("due before the default interval")
 	}
 	clock = clock.Add(time.Millisecond)
-	if !r.Due(1 << 20) {
+	if !r.Due() {
 		t.Fatal("not due at the default interval")
 	}
 }

@@ -41,8 +41,8 @@ type Progress struct {
 	// space is still growing (m >= 1) or no estimate is possible — TLC's
 	// progress estimation, adapted to frontier arithmetic.
 	ETA time.Duration
-	// Stalled marks a report inside a plateau: at least Reporter.StallAfter
-	// consecutive reports discovered zero new distinct states. A long
+	// Stalled marks a report inside a plateau: at least three consecutive
+	// reports discovered zero new distinct states. A long
 	// stalled stretch usually means the run is grinding a saturated dedup
 	// plateau rather than finding new behaviour.
 	Stalled bool
@@ -106,27 +106,17 @@ func PrintProgress(w io.Writer) ProgressFunc {
 // StderrProgress is the default progress printer.
 func StderrProgress() ProgressFunc { return PrintProgress(os.Stderr) }
 
-// Reporter throttles progress callbacks to a time interval and/or a
-// distinct-state-count cadence. It is not concurrency-safe: the explorer
-// drives it from its serial merge loop. A zero interval or everyStates
-// disables that trigger; a reporter with a callback but neither cadence
-// reports every defaultInterval.
+// Reporter throttles progress callbacks to a wall-clock interval. It is not
+// concurrency-safe: the explorer drives it from its serial merge loop.
 type Reporter struct {
-	// StallAfter is the number of consecutive reports with zero new
-	// distinct states after which the reporter marks the run stalled
-	// (Progress.Stalled, with Progress.StallWarning on the plateau's first
-	// stalled report). Zero means the default of 3; negative disables
-	// stall detection. Set before the first Maybe/Emit call.
-	StallAfter int
 	// Tracer, when set, receives one {layer: "obs", kind: "stall"} event
 	// per detected plateau, so stalls are visible in the JSONL record as
 	// well as on stderr. Set before the first Maybe/Emit call.
 	Tracer *Tracer
 
-	fn          ProgressFunc
-	interval    time.Duration
-	everyStates int
-	now         func() time.Time
+	fn       ProgressFunc
+	interval time.Duration
+	now      func() time.Time
 
 	start      time.Time
 	lastEmit   time.Time
@@ -139,53 +129,45 @@ type Reporter struct {
 	stalled  bool
 }
 
-// NewReporter builds a reporter invoking fn at most once per interval or
-// per everyStates newly discovered distinct states (whichever fires first),
-// or every defaultInterval when both are zero. A nil fn yields a reporter
+// NewReporter builds a reporter invoking fn at most once per interval, or
+// every defaultInterval when interval is zero. A nil fn yields a reporter
 // whose methods no-op.
-func NewReporter(fn ProgressFunc, interval time.Duration, everyStates int) *Reporter {
-	return newReporter(fn, interval, everyStates, time.Now)
+func NewReporter(fn ProgressFunc, interval time.Duration) *Reporter {
+	return NewReporterClock(fn, interval, time.Now)
 }
 
 // NewReporterClock is NewReporter with an injectable clock, for tests.
-func NewReporterClock(fn ProgressFunc, interval time.Duration, everyStates int, now func() time.Time) *Reporter {
-	return newReporter(fn, interval, everyStates, now)
-}
-
-// defaultInterval is the cadence of a reporter given a callback but neither
-// an interval nor a state count.
-const defaultInterval = 5 * time.Second
-
-func newReporter(fn ProgressFunc, interval time.Duration, everyStates int, now func() time.Time) *Reporter {
-	if fn != nil && interval == 0 && everyStates == 0 {
+func NewReporterClock(fn ProgressFunc, interval time.Duration, now func() time.Time) *Reporter {
+	if interval == 0 {
 		interval = defaultInterval
 	}
-	r := &Reporter{fn: fn, interval: interval, everyStates: everyStates, now: now}
+	r := &Reporter{fn: fn, interval: interval, now: now}
 	r.start = now()
 	r.lastEmit = r.start
 	return r
 }
 
-// Due reports whether the cadence has elapsed for the given distinct-state
-// count. The explorer calls this from its merge loop; it costs one clock
-// read when a time interval is configured.
-func (r *Reporter) Due(distinct int) bool {
+// defaultInterval is the cadence of a reporter given no interval.
+const defaultInterval = 5 * time.Second
+
+// Due reports whether the interval has elapsed since the last report. The
+// explorer calls this from its merge loop; it costs one clock read.
+func (r *Reporter) Due() bool {
 	if r == nil || r.fn == nil {
 		return false
 	}
-	if r.everyStates > 0 && distinct-r.lastStates >= r.everyStates {
-		return true
-	}
-	return r.interval > 0 && r.now().Sub(r.lastEmit) >= r.interval
+	return r.now().Sub(r.lastEmit) >= r.interval
 }
 
 // ewmaAlpha weights the newest window's throughput in the smoothed rate;
 // ~0.3 follows a shift within 3-4 reports without tracking every wobble.
 const ewmaAlpha = 0.3
 
-// defaultStallAfter is the plateau length (in reports) that triggers the
-// stall warning when Reporter.StallAfter is left zero.
-const defaultStallAfter = 3
+// stallAfter is the plateau length: the number of consecutive reports with
+// zero new distinct states after which the reporter marks the run stalled
+// (Progress.Stalled, with Progress.StallWarning on the plateau's first
+// stalled report).
+const stallAfter = 3
 
 // Emit fills the rate/elapsed/analytics fields of p and delivers it,
 // resetting the cadence. Call after Due returns true, or unconditionally
@@ -193,8 +175,8 @@ const defaultStallAfter = 3
 //
 // Analytics computed here, all from deltas between consecutive reports:
 // the smoothed throughput (StatesPerSecEWMA), the dedup-curve ETA (see
-// Progress.ETA), and stall detection (Stalled/StallWarning, governed by
-// StallAfter). Final reports carry the smoothed rate but no ETA or stall
+// Progress.ETA), and stall detection (Stalled/StallWarning, after stallAfter
+// reports). Final reports carry the smoothed rate but no ETA or stall
 // edge — the run is already over.
 func (r *Reporter) Emit(p Progress) {
 	if r == nil || r.fn == nil {
@@ -232,30 +214,24 @@ func (r *Reporter) Emit(p Progress) {
 			}
 		}
 
-		stallAfter := r.StallAfter
-		if stallAfter == 0 {
-			stallAfter = defaultStallAfter
+		if fresh == 0 {
+			r.zeroRuns++
+		} else {
+			r.zeroRuns, r.stalled = 0, false
 		}
-		if stallAfter > 0 {
-			if fresh == 0 {
-				r.zeroRuns++
-			} else {
-				r.zeroRuns, r.stalled = 0, false
-			}
-			if r.zeroRuns >= stallAfter {
-				p.Stalled = true
-				if !r.stalled {
-					p.StallWarning = true
-					r.stalled = true
-					r.Tracer.Emit(Event{
-						Layer: "obs", Kind: "stall", Node: -1,
-						Detail: map[string]string{
-							"reports":  fmt.Sprintf("%d", r.zeroRuns),
-							"distinct": fmt.Sprintf("%d", p.DistinctStates),
-							"depth":    fmt.Sprintf("%d", p.Depth),
-						},
-					})
-				}
+		if r.zeroRuns >= stallAfter {
+			p.Stalled = true
+			if !r.stalled {
+				p.StallWarning = true
+				r.stalled = true
+				r.Tracer.Emit(Event{
+					Layer: "obs", Kind: "stall", Node: -1,
+					Detail: map[string]string{
+						"reports":  fmt.Sprintf("%d", r.zeroRuns),
+						"distinct": fmt.Sprintf("%d", p.DistinctStates),
+						"depth":    fmt.Sprintf("%d", p.Depth),
+					},
+				})
 			}
 		}
 	}
@@ -278,7 +254,7 @@ func (r *Reporter) Warnf(format string, args ...any) {
 
 // Maybe emits p when the cadence is due. Returns true when it emitted.
 func (r *Reporter) Maybe(p Progress) bool {
-	if !r.Due(p.DistinctStates) {
+	if !r.Due() {
 		return false
 	}
 	r.Emit(p)

@@ -75,8 +75,6 @@ type Options struct {
 	// gauges); nil allocates a private one. Per-job run metrics live in
 	// per-job registries, not here, so job artifacts stay CLI-equivalent.
 	Registry *obs.Registry
-	// ReplayEvents bounds each job's SSE replay buffer (default 4096).
-	ReplayEvents int
 }
 
 // Server is the checking service: a job registry, a bounded FIFO queue, and
@@ -325,7 +323,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		progressEvery: progressEvery,
 		out:           &sandtable.Outcome{},
 		reg:           obs.NewRegistry(),
-		fan:           obs.NewFanout(s.opts.ReplayEvents),
+		fan:           obs.NewFanout(),
 		ctx:           ctx,
 		cancel:        cancel,
 		state:         StateQueued,
@@ -410,7 +408,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	replay, events, cancel := j.fan.Subscribe(0)
+	replay, events, cancel := j.fan.Subscribe()
 	defer cancel()
 	for _, e := range replay {
 		if err := writeSSE(w, e); err != nil {

@@ -57,10 +57,6 @@ type Options struct {
 	// implementation level (replay compares step variables); defaults to
 	// true when the original trace carries variables.
 	RecordVars bool
-	// MaxAttempts bounds the number of candidate evaluations (0 = no
-	// bound). When the bound is hit the best trace found so far is
-	// returned with Result.Capped set; it may not be 1-minimal.
-	MaxAttempts int
 	// Metrics, when set, receives shrink.attempts / shrink.invalid /
 	// shrink.removed counters and the phase.shrink timer.
 	Metrics *obs.Registry
@@ -83,16 +79,13 @@ type Result struct {
 	Invalid  int
 	// Removed = OriginalLen - MinimizedLen.
 	Removed int
-	// Capped reports that MaxAttempts stopped the search before 1-minimality
-	// was established.
-	Capped bool
 }
 
 // Minimize runs ddmin over the trace's event sequence. The original trace
 // must itself reproduce under the oracle (after guided replay through m) —
 // otherwise an error is returned, since a failing baseline would make every
 // reduction meaningless. The returned trace is 1-minimal with respect to
-// single-event removal unless Capped.
+// single-event removal.
 func Minimize(m spec.Machine, t *trace.Trace, oracle Oracle, opts Options) (*Result, error) {
 	if t == nil || len(t.Steps) == 0 {
 		return nil, fmt.Errorf("shrink: empty trace")
@@ -115,10 +108,6 @@ func Minimize(m spec.Machine, t *trace.Trace, oracle Oracle, opts Options) (*Res
 		key := subsetKey(idx)
 		if verdict, ok := cache[key]; ok {
 			return verdict
-		}
-		if opts.MaxAttempts > 0 && res.Attempts+res.Invalid >= opts.MaxAttempts {
-			res.Capped = true
-			return false
 		}
 		sub := make([]trace.Event, len(idx))
 		for i, j := range idx {
@@ -150,7 +139,7 @@ func Minimize(m spec.Machine, t *trace.Trace, oracle Oracle, opts Options) (*Res
 	// granularity (down to single events) can be removed.
 	cur := all
 	n := 2
-	for len(cur) >= 2 && !res.Capped {
+	for len(cur) >= 2 {
 		reduced := false
 		for _, complement := range complements(cur, n) {
 			if test(complement) {

@@ -431,18 +431,3 @@ func TestDivergenceOracleShrinksDiscrepancyTrace(t *testing.T) {
 		t.Errorf("minimized trace does not reproduce the original diff keys %v", want.DiffKeys)
 	}
 }
-
-func TestMaxAttemptsCaps(t *testing.T) {
-	m := &incMachine{n: 3, budget: spec.Budget{MaxRequests: 9}}
-	w, _ := violatingWalk(t, m, 1)
-	res, err := Minimize(m, w.Trace, InvariantOracle(m, "NoOverflow"), Options{MaxAttempts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Capped {
-		t.Error("MaxAttempts did not cap the search")
-	}
-	if res.MinimizedLen > res.OriginalLen {
-		t.Error("capped result longer than input")
-	}
-}

@@ -34,10 +34,6 @@ type Options struct {
 	PreVote   bool
 	Snapshots bool
 	KV        bool
-	// Volatile marks systems that persist nothing across a crash (the
-	// in-memory gosyncobj): a restarted node loses its term, vote, and log
-	// in addition to the volatile Raft state.
-	Volatile bool
 	// ContinuePastFlag keeps exploring beyond states whose violation flag
 	// is set. By default a flagged state is terminal (the violation has
 	// been found; exploring further wastes states), but reproducing
@@ -337,28 +333,19 @@ func (m *Machine) crash(s *State, i int) {
 	}
 	// Volatile state is lost; we clear it eagerly so fingerprints do not
 	// distinguish dead states by unreachable data. Durable state (term,
-	// votedFor, log, snapshot) survives — unless the whole system is
-	// in-memory (Volatile option), in which case everything resets.
+	// votedFor, log, snapshot) survives.
 	s.Role[i] = Follower
 	s.Commit[i] = 0
 	s.Votes[i] = 0
 	s.PreVotes[i] = 0
 	s.Next[i] = nil
 	s.Match[i] = nil
-	if m.opt.Volatile {
-		s.Term[i] = 0
-		s.VotedFor[i] = -1
-		s.Log[i] = nil
-		s.SnapIdx[i] = 0
-		s.SnapTerm[i] = 0
-	}
 }
 
 // crashDirty crashes node i losing its unsynced writes: the live durable
 // variables roll back to the Dur* mirrors (what the implementation's store
 // actually holds on disk), then the ordinary crash clears volatile state.
-// Without the durability model (or for Volatile systems, which lose
-// everything anyway) this degenerates to a clean crash.
+// Without the durability model this degenerates to a clean crash.
 func (m *Machine) crashDirty(s *State, i int) {
 	if s.durability {
 		s.Term[i] = s.DurTerm[i]

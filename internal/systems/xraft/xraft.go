@@ -113,9 +113,6 @@ func (n *Node) Env() vos.Env { return n.env }
 // Role returns the current role.
 func (n *Node) CurrentRole() Role { return n.role }
 
-// Commit returns the current commit index.
-func (n *Node) CommitIndex() int { return n.commit }
-
 // Start implements vos.Process.
 func (n *Node) Start(env vos.Env) {
 	n.env = env

@@ -7,8 +7,9 @@
 #   - an exported identifier in the audited packages (internal/fpset,
 #     internal/explorer, internal/ranking, internal/scenario,
 #     internal/shrink, internal/conformance, internal/transport,
-#     internal/serve, internal/sandtable, internal/trace) lacks a
-#     doc comment, or an audited package lacks a package doc comment,
+#     internal/serve, internal/sandtable, internal/trace, internal/obs)
+#     lacks a doc comment, or an audited package lacks a package doc
+#     comment,
 #   - a required operator document (README.md, ARCHITECTURE.md,
 #     OPERATIONS.md, EXPERIMENTS.md) is missing,
 #   - a relative link in any *.md file points at a missing file.

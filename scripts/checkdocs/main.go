@@ -41,6 +41,7 @@ var auditedPackages = []string{
 	"internal/serve",
 	"internal/sandtable",
 	"internal/trace",
+	"internal/obs",
 }
 
 // requiredDocs are the operator-facing documents that must exist at the
