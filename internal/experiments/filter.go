@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"errors"
-
-	"github.com/sandtable-go/sandtable/internal/spec"
-)
+import "github.com/sandtable-go/sandtable/internal/spec"
 
 // filteredMachine restricts a machine's invariants to a chosen subset, so a
 // deep scenario (e.g. Figure 7's committed-log inconsistency) can be hunted
@@ -33,28 +29,3 @@ func (f *filteredMachine) Invariants() []spec.Invariant {
 	}
 	return out
 }
-
-// goalMachine wraps a machine replacing its invariants with a single
-// "goal reached" pseudo-violation, turning BFS into shortest-trace
-// goal-directed search (the counterexample IS the directed scenario).
-func goalMachine(m spec.Machine, name string, goal func(spec.State) bool) spec.Machine {
-	return &goalWrapper{Machine: m, name: name, goal: goal}
-}
-
-type goalWrapper struct {
-	spec.Machine
-	name string
-	goal func(spec.State) bool
-}
-
-// Invariants implements spec.Machine: the goal as a pseudo-violation.
-func (g *goalWrapper) Invariants() []spec.Invariant {
-	return []spec.Invariant{{Name: g.name, Check: func(s spec.State) error {
-		if g.goal(s) {
-			return errGoalReached
-		}
-		return nil
-	}}}
-}
-
-var errGoalReached = errors.New("goal state reached")
