@@ -50,17 +50,16 @@ type Options struct {
 	WalkDepth int
 	// Seed makes the run reproducible.
 	Seed int64
-	// Workers is the number of parallel replay workers (<= 1 runs the
-	// walks serially). Each walk is seeded by its index and replayed on a
-	// fresh cluster, so walks are independent; workers claim walk indices
-	// in order and the first discrepancy (lowest walk index) wins, so the
-	// Report — Walks, EventsChecked, and the Discrepancy's walk, seed,
-	// step, and diff keys — is identical for every worker count. Only
-	// scheduling-dependent side channels vary: tracer event interleaving
-	// (walk-start markers carry a "worker" detail), per-worker
-	// conformance.worker[i].walks counters, and replay.*/engine.* metric
-	// totals, which may include walks past the first discrepancy that
-	// other workers had already claimed.
+	// Workers is the number of replay workers (<= 1 means one). Each walk
+	// is seeded by its index and replayed on a fresh cluster, so walks are
+	// independent; workers claim walk indices in order and the first
+	// discrepancy (lowest walk index) wins, so the Report — Walks,
+	// EventsChecked, and the Discrepancy's walk, seed, step, and diff keys —
+	// is identical for every worker count. Only scheduling-dependent side
+	// channels vary: tracer event interleaving (walk-start markers carry a
+	// "worker" detail), per-worker conformance.worker[i].walks counters,
+	// and replay.*/engine.* metric totals, which may include walks past the
+	// first discrepancy that other workers had already claimed.
 	Workers int
 	// Timeout stops the run early (the paper's stopping condition is a
 	// period with no discrepancies, e.g. 30 minutes; tests use seconds).
@@ -110,9 +109,9 @@ type Report struct {
 func (r *Report) Passed() bool { return r.Discrepancy == nil }
 
 // Run performs one conformance round: Walks random traces, each replayed
-// from a fresh cluster, stopping at the first discrepancy. With
-// Options.Workers > 1 the walks are replayed by a worker pool; the report
-// is identical to a serial run (see Options.Workers).
+// from a fresh cluster by a pool of Options.Workers workers, stopping at the
+// first discrepancy. The report is the same at every worker count (see
+// Options.Workers).
 func Run(t *Target, opts Options) (*Report, error) {
 	return RunContext(context.Background(), t, opts)
 }
@@ -135,13 +134,8 @@ func RunContext(ctx context.Context, t *Target, opts Options) (*Report, error) {
 	})
 	reporter := obs.NewReporter(opts.Progress, opts.ProgressInterval)
 
-	var rep *Report
-	var err error
-	if opts.Workers > 1 {
-		rep, err = runParallel(t, sim, reporter, opts, expired)
-	} else {
-		rep, err = runSerial(t, sim, reporter, opts, expired)
-	}
+	opts.Workers = max(opts.Workers, 1)
+	rep, err := runWalks(t, sim, reporter, opts, expired)
 	if err != nil {
 		return nil, err
 	}
@@ -157,82 +151,44 @@ func RunContext(ctx context.Context, t *Target, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-func runSerial(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opts Options, expired func() bool) (*Report, error) {
-	walksCtr := opts.Metrics.Counter("conformance.walks")
-	eventsCtr := opts.Metrics.Counter("conformance.events")
-
-	rep := &Report{}
-	for w := 0; w < opts.Walks; w++ {
-		if expired() {
-			break
-		}
-		seed := opts.Seed + int64(w)
-		walk := sim.Walk(seed)
-		cluster, err := t.NewCluster(seed)
-		if err != nil {
-			return nil, fmt.Errorf("conformance: boot cluster: %w", err)
-		}
-		if opts.Tracer != nil {
-			opts.Tracer.Emit(obs.Event{
-				Layer: "conformance", Kind: "walk-start", Node: -1,
-				Detail: map[string]string{"walk": strconv.Itoa(w), "seed": strconv.FormatInt(seed, 10), "depth": strconv.Itoa(walk.Stats.Depth)},
-			})
-		}
-		res, err := runOne(t, walk.Trace, cluster, opts.Tracer, opts.Metrics)
-		if err != nil {
-			return nil, err
-		}
-		rep.Walks++
-		walksCtr.Inc()
-		rep.EventsChecked += res.Steps
-		eventsCtr.Add(int64(res.Steps))
-		if res.Divergence != nil {
-			rep.Discrepancy = &Discrepancy{Walk: w, Seed: seed, Step: res.Divergence, Trace: walk.Trace}
-			break
-		}
-		reporter.Maybe(obs.Progress{
-			DistinctStates: rep.EventsChecked,
-			Transitions:    int64(rep.EventsChecked),
-			Depth:          rep.Walks,
-		})
-	}
-	return rep, nil
+// walkResult is one walk's outcome, filled in by whichever worker claimed
+// the walk. Only a diverging walk keeps its trace (the report carries it); a
+// passing one is dropped as soon as it has replayed, so a round holds no
+// more than the walks in flight.
+type walkResult struct {
+	steps int
+	div   *replay.StepResult
+	tr    *trace.Trace
+	err   error
 }
 
-// walkSlot is one walk's outcome in a parallel round, filled in by whichever
-// worker claimed the walk. Only a diverging walk keeps its trace (the report
-// carries it); a passing one is dropped as soon as it has replayed, so a
-// round holds no more than the walks in flight.
-type walkSlot struct {
-	executed bool
-	steps    int
-	div      *replay.StepResult
-	tr       *trace.Trace
-	err      error
-}
-
-// runParallel replays walks on opts.Workers goroutines. Determinism scheme:
-// an atomic counter hands out walk indices in order; a worker never abandons
-// a claimed walk (except when the walk index is already past the lowest
-// known discrepancy, which a serial run would never reach); and the report
-// is assembled by a final in-order scan of the per-walk slots, stopping at
-// the first unexecuted slot or discrepancy. Because the lowest-discrepancy
-// watermark only decreases, every walk below the final discrepancy index is
-// guaranteed to have been executed, so the scan reproduces the serial
-// Walks / EventsChecked / Discrepancy exactly.
-func runParallel(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opts Options, expired func() bool) (*Report, error) {
-	slots := make([]walkSlot, opts.Walks)
+// runWalks replays walks on opts.Workers goroutines, one or more.
+// Determinism scheme: an atomic counter hands out walk indices in order; a
+// worker never abandons a claimed walk (except when the walk index is
+// already past the lowest known discrepancy, which an in-order replay would
+// never reach); and each finished walk is folded into the report only once
+// every lower-numbered walk has been, stopping at the first discrepancy or
+// error. Because the lowest-discrepancy watermark only decreases, every walk
+// below the final discrepancy index is guaranteed to have been executed, so
+// the fold yields the Walks / EventsChecked / Discrepancy of replaying the
+// walks one after another, and it holds only the walks that finished ahead
+// of a slower one, never one slot per walk of the round.
+func runWalks(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opts Options, expired func() bool) (*Report, error) {
 	var (
 		next  atomic.Int64
 		found atomic.Int64 // lowest walk index with a discrepancy or error
-		mu    sync.Mutex   // guards reporter and the progress totals
 		wg    sync.WaitGroup
 
-		progWalks  int
-		progEvents int
+		mu      sync.Mutex // guards the fold: everything below
+		rep     = &Report{}
+		ahead   = map[int]walkResult{} // finished walks past rep.Walks
+		halted  bool                   // the fold reached a discrepancy or error
+		failure error
 	)
 	found.Store(int64(opts.Walks))
 	opts.Metrics.Gauge("conformance.workers").Set(int64(opts.Workers))
+	walksCtr := opts.Metrics.Counter("conformance.walks")
+	eventsCtr := opts.Metrics.Counter("conformance.events")
 
 	lower := func(w int) {
 		for {
@@ -240,6 +196,44 @@ func runParallel(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opt
 			if int64(w) >= cur || found.CompareAndSwap(cur, int64(w)) {
 				return
 			}
+		}
+	}
+	// finish records walk w's outcome and folds the in-order prefix.
+	finish := func(w int, r walkResult) {
+		if r.err != nil || r.div != nil {
+			lower(w)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if halted {
+			return
+		}
+		ahead[w] = r
+		for {
+			w := rep.Walks
+			r, ok := ahead[w]
+			if !ok {
+				return
+			}
+			delete(ahead, w)
+			if r.err != nil {
+				failure, halted = r.err, true
+				return
+			}
+			rep.Walks++
+			walksCtr.Inc()
+			rep.EventsChecked += r.steps
+			eventsCtr.Add(int64(r.steps))
+			if r.div != nil {
+				rep.Discrepancy = &Discrepancy{Walk: w, Seed: opts.Seed + int64(w), Step: r.div, Trace: r.tr}
+				halted = true
+				return
+			}
+			reporter.Maybe(obs.Progress{
+				DistinctStates: rep.EventsChecked,
+				Transitions:    int64(rep.EventsChecked),
+				Depth:          rep.Walks,
+			})
 		}
 	}
 
@@ -260,8 +254,7 @@ func runParallel(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opt
 				walk := sim.Walk(seed)
 				cluster, err := t.NewCluster(seed)
 				if err != nil {
-					slots[w] = walkSlot{executed: true, err: fmt.Errorf("conformance: boot cluster: %w", err)}
-					lower(w)
+					finish(w, walkResult{err: fmt.Errorf("conformance: boot cluster: %w", err)})
 					continue
 				}
 				if opts.Tracer != nil {
@@ -275,52 +268,21 @@ func runParallel(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opt
 				}
 				res, err := runOne(t, walk.Trace, cluster, opts.Tracer, opts.Metrics)
 				if err != nil {
-					slots[w] = walkSlot{executed: true, err: err}
-					lower(w)
+					finish(w, walkResult{err: err})
 					continue
 				}
-				slots[w] = walkSlot{executed: true, steps: res.Steps}
 				workerCtr.Inc()
+				r := walkResult{steps: res.Steps}
 				if res.Divergence != nil {
-					slots[w].div, slots[w].tr = res.Divergence, walk.Trace
-					lower(w)
-					continue
+					r.div, r.tr = res.Divergence, walk.Trace
 				}
-				mu.Lock()
-				progWalks++
-				progEvents += res.Steps
-				reporter.Maybe(obs.Progress{
-					DistinctStates: progEvents,
-					Transitions:    int64(progEvents),
-					Depth:          progWalks,
-				})
-				mu.Unlock()
+				finish(w, r)
 			}
 		}(wk)
 	}
 	wg.Wait()
-
-	// In-order scan: conformance.walks / conformance.events are counted
-	// here rather than in the workers so the counters match a serial run.
-	walksCtr := opts.Metrics.Counter("conformance.walks")
-	eventsCtr := opts.Metrics.Counter("conformance.events")
-	rep := &Report{}
-	for w := 0; w < opts.Walks; w++ {
-		s := &slots[w]
-		if !s.executed {
-			break
-		}
-		if s.err != nil {
-			return nil, s.err
-		}
-		rep.Walks++
-		walksCtr.Inc()
-		rep.EventsChecked += s.steps
-		eventsCtr.Add(int64(s.steps))
-		if s.div != nil {
-			rep.Discrepancy = &Discrepancy{Walk: w, Seed: opts.Seed + int64(w), Step: s.div, Trace: s.tr}
-			break
-		}
+	if failure != nil {
+		return nil, failure
 	}
 	return rep, nil
 }

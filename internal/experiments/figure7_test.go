@@ -78,7 +78,7 @@ func TestFigure7ScenarioDirected(t *testing.T) {
 func checkFinalState(m *raftbase.Machine, script []string, invariant string) error {
 	cur := m.Init()[0]
 	for _, want := range script {
-		for _, su := range m.Next(cur) {
+		for _, su := range m.AppendNext(cur, nil) {
 			if s := su.Event.String(); s == want || strings.HasPrefix(s, want) {
 				cur = su.State
 				break

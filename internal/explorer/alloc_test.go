@@ -175,7 +175,7 @@ func TestAllocsPerSuccessor(t *testing.T) {
 		cur := m.Init()[0]
 		for d := 0; d < 30; d++ {
 			parents = append(parents, cur)
-			next := m.Next(cur)
+			next := m.AppendNext(cur, nil)
 			if len(next) == 0 {
 				break
 			}

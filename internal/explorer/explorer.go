@@ -574,11 +574,13 @@ func (c *Checker) Run() *Result {
 	}
 	defer memctl.close(c.visited)
 
-	// spare recycles the previous level's frontier backing as the next
+	// spare recycles the previous level's in-RAM backing as the next
 	// level's accumulation buffer (double buffering): after warm-up, level
-	// turnover allocates nothing. (Levels that spill to disk opt out of the
-	// recycling; they are dominated by I/O anyway.)
+	// turnover allocates nothing. blockBuf is the one block the cursor
+	// hands to the workers at a time.
 	var spare []frontierEntry
+	const block = 1 << 14
+	blockBuf := make([]frontierEntry, 0, block)
 
 	stop := ""
 	for g.frontier > 0 {
@@ -612,7 +614,6 @@ func (c *Checker) Run() *Result {
 		// block's successors at a time. Deduplication (solo) or candidate
 		// buffering (cluster) happens inside the workers; the serial part of
 		// a block is only folding their output and counters.
-		const block = 1 << 14
 		next := spare[:0]
 		var levelViolations []*Violation
 		sink := memctl.newSink()
@@ -655,40 +656,28 @@ func (c *Checker) Run() *Result {
 			return c.canceled()
 		}
 
-		if lf.inRAM() {
-			mem := lf.mem
-			for lo := 0; lo < len(mem); lo += block {
-				hi := min(lo+block, len(mem))
-				if stopLevel = processBlock(mem[lo:hi]); stopLevel {
+		// Read the level back in global fingerprint order, one block at a
+		// time: the in-RAM tail merged with any sorted runs it spilled.
+		var rerr error
+		var cur *frontierCursor
+		if cur, rerr = lf.cursor(c.m); rerr == nil {
+			for {
+				if blockBuf, rerr = cur.nextBlock(blockBuf[:0], block); rerr != nil || len(blockBuf) == 0 {
+					break
+				}
+				if stopLevel = processBlock(blockBuf); stopLevel {
 					break
 				}
 			}
-		} else {
-			// Disk-backed level: merge-read the sorted runs (plus the
-			// in-RAM tail) back in global fingerprint order, one block at
-			// a time — exactly the sequence the in-RAM path would expand.
-			var rerr error
-			var cur *frontierCursor
-			if cur, rerr = lf.cursor(c.m); rerr == nil {
-				buf := make([]frontierEntry, 0, block)
-				for {
-					if buf, rerr = cur.nextBlock(buf[:0], block); rerr != nil || len(buf) == 0 {
-						break
-					}
-					if stopLevel = processBlock(buf); stopLevel {
-						break
-					}
-				}
-				cur.close()
-			}
-			if rerr != nil {
-				sortViolations(levelViolations)
-				own = append(own, levelViolations...)
-				res.Err = fmt.Errorf("frontier spill: %w", rerr)
-				stop = "spill-error"
-				lf.discard()
-				break
-			}
+			cur.close()
+		}
+		if rerr != nil {
+			sortViolations(levelViolations)
+			own = append(own, levelViolations...)
+			res.Err = fmt.Errorf("frontier spill: %w", rerr)
+			stop = "spill-error"
+			lf.discard()
+			break
 		}
 		partialLevel := stopLevel && consumed < lf.size()
 
@@ -708,12 +697,8 @@ func (c *Checker) Run() *Result {
 		// stop decision above — is identical across runs and worker counts.
 		// (A spilled level merge-reads back in the same sorted order.)
 		sortFrontier(next)
-		if lf.inRAM() {
-			spare = lf.mem[:0]
-		} else {
-			spare = nil
-			lf.discard()
-		}
+		spare = lf.mem[:0]
+		lf.discard()
 		lf = sink.finish(next)
 
 		// Level boundary: the frontier is well-defined and workers are

@@ -219,7 +219,7 @@ func TestSimulationWalkReplays(t *testing.T) {
 		}
 		cur := m.Init()[0]
 		for i, step := range w.Trace.Steps {
-			succs := m.Next(cur)
+			succs := m.AppendNext(cur, nil)
 			k := slices.IndexFunc(succs, func(su spec.Succ) bool { return su.Event.Matches(step.Event) })
 			if k < 0 {
 				t.Fatalf("%s: step %d (%s) is not enabled in a replay", m.Name(), i, step.Event)

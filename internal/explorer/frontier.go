@@ -50,9 +50,6 @@ func newMemFrontier(entries []frontierEntry) *levelFrontier {
 // size is the number of states in the level.
 func (lf *levelFrontier) size() int { return lf.total }
 
-// inRAM reports whether the whole level is resident.
-func (lf *levelFrontier) inRAM() bool { return len(lf.runs) == 0 }
-
 // discard deletes the level's spill files (no-op for in-RAM levels).
 func (lf *levelFrontier) discard() {
 	for _, r := range lf.runs {
@@ -223,8 +220,8 @@ type frontierCursor struct {
 	mi   int
 }
 
-// cursor opens the level for merged sequential reading. Callers must close
-// it. In-RAM levels do not need a cursor (iterate lf.mem directly).
+// cursor opens the level for merged sequential reading; every level, in RAM
+// or not, is read through one. Callers must close it.
 func (lf *levelFrontier) cursor(codec spec.StateCodec) (*frontierCursor, error) {
 	c := &frontierCursor{mem: lf.mem}
 	for _, r := range lf.runs {
@@ -245,7 +242,9 @@ func (c *frontierCursor) close() {
 }
 
 // nextBlock fills buf with up to n entries in global fingerprint order; an
-// empty result means the level is exhausted.
+// empty result means the level is exhausted. An entry taken from the in-RAM
+// tail leaves its slot without a state, so the level's states are freed
+// block by block as they are expanded.
 func (c *frontierCursor) nextBlock(buf []frontierEntry, n int) ([]frontierEntry, error) {
 	for len(buf) < n {
 		best := -1
@@ -258,6 +257,7 @@ func (c *frontierCursor) nextBlock(buf []frontierEntry, n int) ([]frontierEntry,
 		}
 		if c.mi < len(c.mem) && (best == -1 || c.mem[c.mi].fp < bestFP) {
 			buf = append(buf, c.mem[c.mi])
+			c.mem[c.mi].state = nil
 			c.mi++
 			continue
 		}

@@ -105,7 +105,7 @@ func FuzzParseDeltaPayload(f *testing.F) {
 func FuzzFrontierRecords(f *testing.F) {
 	m := newToy(3, false)
 	var entries []frontierEntry
-	for _, su := range m.Next(m.Init()[0]) {
+	for _, su := range m.AppendNext(m.Init()[0], nil) {
 		entries = append(entries, frontierEntry{state: su.State, fp: su.State.Fingerprint()})
 	}
 	var seed bytes.Buffer

@@ -143,7 +143,7 @@ func oracleBFS(m spec.Machine, symmetry bool, maxDepth int) oracleResult {
 		slices.SortFunc(level, func(a, b node) int { return cmp.Compare(a.fp, b.fp) })
 		l := oracleLevel{depth: depth + 1, frontier: len(level), violations: -len(res.violations), dedup: -res.dedup}
 		for _, n := range level {
-			for _, su := range m.Next(n.s) {
+			for _, su := range m.AppendNext(n.s, nil) {
 				l.transitions++
 				a := res.actions[su.Event.Action]
 				a[0]++

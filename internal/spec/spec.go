@@ -15,9 +15,11 @@
 // simulation (random walk) modes.
 //
 // There is one contract, Machine. The engine calls AppendNext,
-// OrbitFingerprint, Actions and the codec; Next, Permute and State.Fingerprint
-// are the slow, obviously-right definitions those are held to by
-// spectest.AssertContract.
+// OrbitFingerprint, Actions and the codec; AppendNext into a nil buffer,
+// Permute and State.Fingerprint are the slow, obviously-right definitions
+// those are held to by spectest.AssertContract. Symmetry reduction is the
+// checker's, as in TLC: a family supplies its state's sub-digests (Orbit),
+// and this package derives the canonical fingerprint from them (OrbitMin).
 package spec
 
 import (
@@ -30,9 +32,9 @@ import (
 )
 
 // State is one specification-level system state. Implementations must be
-// treated as immutable once returned from Init or Next: actions clone the
-// state, mutate the clone, and return it. (A successor handed out through a
-// reused AppendNext buffer lives only as long as its slot: see
+// treated as immutable once returned from Init or AppendNext: actions clone
+// the state, mutate the clone, and return it. (A successor handed out
+// through a reused AppendNext buffer lives only as long as its slot: see
 // BufferedMachine.)
 type State interface {
 	// Fingerprint returns a canonical 64-bit digest of the state. Equal
@@ -69,8 +71,9 @@ type Machine interface {
 	Name() string
 	// Init returns the initial states.
 	Init() []State
-	// Next is AppendNext(s, nil): the allocating definition of the successor
-	// relation, called only by tests.
+	// Next is AppendNext(s, nil). Nothing in this module calls it; it stays
+	// in the contract because benchmark/probe's tests call it through
+	// Machine.
 	Next(s State) []Succ
 	// Invariants returns the safety properties checked on every state.
 	Invariants() []Invariant
@@ -108,6 +111,18 @@ func Keep(buf []Succ, i int) State {
 	return s
 }
 
+// Dead is the machine's half of the ownership rule that Keep is the caller's
+// half of: it returns the dead state in the slot the next append to out
+// fills, for the machine to build that successor in, or S's zero value when
+// out has no slack or the slot holds anything but an S.
+func Dead[S State](out []Succ) S {
+	var dead S
+	if len(out) < cap(out) {
+		dead, _ = out[:len(out)+1][len(out)].State.(S)
+	}
+	return dead
+}
+
 // Symmetric is the node-permutation action symmetry reduction rests on
 // (§3.3: "permuting the nodes and workload values does not change whether an
 // action satisfies an invariant"). NumNodes() <= 1 means there is nothing to
@@ -122,11 +137,10 @@ type Symmetric interface {
 	Permute(s State, perm []int) State
 }
 
-// OrbitHasher is the canonical fingerprint under symmetry: the machine
-// decomposes the state into node-id-free sub-digests hashed once (per node,
-// per ordered node pair, plus a global residue) and derives each
-// permutation's fingerprint by recombining them — O(|state| + P!·P²)
-// instead of O(P!·|state|). The contract is exact equality with
+// OrbitHasher is the canonical fingerprint under symmetry. Every in-tree
+// family implements it as one call to OrbitMin on its Orbit state, which
+// hashes the node-id-free sub-digests once and derives each permutation's
+// fingerprint by recombining them. The contract is exact equality with
 //
 //	min over all perms of Permute(s, perm).Fingerprint()
 //
@@ -140,8 +154,9 @@ type OrbitHasher interface {
 
 // FastSymmetric is not part of Machine and nothing in the product calls it:
 // PermutedFingerprint(s, perm) == Permute(s, perm).Fingerprint() without
-// materialising the state, kept as a second oracle for the orbit
-// decomposition and because benchmark/probe still names it.
+// materialising the state. The function PermutedFingerprint is the same for
+// any Orbit state; the interface stays only because benchmark/probe names
+// it, and raftbase alone implements it.
 type FastSymmetric interface {
 	Symmetric
 	PermutedFingerprint(s State, perm []int) uint64
@@ -311,15 +326,29 @@ func (c *Counters) Vars(m map[string]string) {
 	m["counters"] = string(b)
 }
 
-// CanTimeout etc. report whether the corresponding budget still has room.
-func (c *Counters) CanTimeout(b Budget) bool   { return int(c.Timeouts) < b.MaxTimeouts }
-func (c *Counters) CanCrash(b Budget) bool     { return int(c.Crashes) < b.MaxCrashes }
-func (c *Counters) CanRestart(b Budget) bool   { return int(c.Restarts) < b.MaxRestarts }
-func (c *Counters) CanRequest(b Budget) bool   { return int(c.Requests) < b.MaxRequests }
+// CanTimeout reports whether another timeout fits the budget.
+func (c *Counters) CanTimeout(b Budget) bool { return int(c.Timeouts) < b.MaxTimeouts }
+
+// CanCrash reports whether another crash fits the budget.
+func (c *Counters) CanCrash(b Budget) bool { return int(c.Crashes) < b.MaxCrashes }
+
+// CanRestart reports whether another restart fits the budget.
+func (c *Counters) CanRestart(b Budget) bool { return int(c.Restarts) < b.MaxRestarts }
+
+// CanRequest reports whether another client request fits the budget.
+func (c *Counters) CanRequest(b Budget) bool { return int(c.Requests) < b.MaxRequests }
+
+// CanPartition reports whether another partition fits the budget.
 func (c *Counters) CanPartition(b Budget) bool { return int(c.Partitions) < b.MaxPartitions }
-func (c *Counters) CanDrop(b Budget) bool      { return int(c.Drops) < b.MaxDrops }
+
+// CanDrop reports whether another message drop fits the budget.
+func (c *Counters) CanDrop(b Budget) bool { return int(c.Drops) < b.MaxDrops }
+
+// CanDuplicate reports whether another message duplication fits the budget.
 func (c *Counters) CanDuplicate(b Budget) bool { return int(c.Duplicates) < b.MaxDuplicates }
-func (c *Counters) CanCompact(b Budget) bool   { return int(c.Compactions) < b.MaxCompactions }
+
+// CanCompact reports whether another log compaction fits the budget.
+func (c *Counters) CanCompact(b Budget) bool { return int(c.Compactions) < b.MaxCompactions }
 
 // CanDirtyCrash reports whether another crash-consistency fault fits the
 // budget (dirty crashes also consume the ordinary crash budget, so a spec

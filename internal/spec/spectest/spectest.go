@@ -1,8 +1,9 @@
 // Package spectest holds the laws of the spec.Machine contract as property
 // tests over seeded random walks. The engine calls only the fast methods
-// (AppendNext, OrbitFingerprint, the codec); each law holds one of them to its
-// slow, obviously-right definition — Next, Permute followed by
-// State.Fingerprint — which nothing but these tests calls. AssertContract
+// (AppendNext through a reused buffer, OrbitFingerprint, the codec); each law
+// holds one of them to its slow, obviously-right definition — AppendNext into
+// a nil buffer, Permute followed by State.Fingerprint — which nothing but
+// these tests calls. AssertContract
 // runs them all; a spec package's test suite calls it once per machine
 // variant.
 package spectest
@@ -63,7 +64,7 @@ func Walk(m spec.Machine, walks, depth int, seed int64, visit func(s spec.State,
 			if !visit(cur, d) {
 				return
 			}
-			succs := m.Next(cur)
+			succs := m.AppendNext(cur, nil)
 			if len(succs) == 0 {
 				break
 			}
@@ -74,8 +75,9 @@ func Walk(m spec.Machine, walks, depth int, seed int64, visit func(s spec.State,
 
 // BFS calls visit with every state of a breadth-first search of m from its
 // initial states, deduplicated by plain fingerprint, until maxStates have
-// been visited. It is built from Next and State.Fingerprint alone, for laws
-// that should hold at every reachable state rather than along sampled walks.
+// been visited. It is built from AppendNext(s, nil) and State.Fingerprint
+// alone, for laws that should hold at every reachable state rather than
+// along sampled walks.
 func BFS(m spec.Machine, maxStates int, visit func(spec.State)) {
 	seen := make(map[uint64]bool)
 	var queue []spec.State
@@ -92,7 +94,7 @@ func BFS(m spec.Machine, maxStates int, visit func(spec.State)) {
 		s := queue[0]
 		queue = queue[1:]
 		visit(s)
-		for _, su := range m.Next(s) {
+		for _, su := range m.AppendNext(s, nil) {
 			push(su.State)
 		}
 	}
@@ -136,23 +138,24 @@ func (g goalMachine) Invariants() []spec.Invariant {
 //   - OrbitFingerprint's minimum equals the oracle's min over the whole
 //     orbit (identity included), and its reduced flag equals
 //     "a non-identity permutation strictly beat the plain fingerprint";
-//   - when m also implements spec.FastSymmetric, PermutedFingerprint
-//     agrees with the oracle for every permutation individually;
+//   - when the state implements spec.Orbit, spec.PermutedFingerprint
+//     agrees with the oracle for every permutation individually, so a wrong
+//     combine under a permutation that never wins the minimum still fails;
 //
 // while reusing one scratch across all calls (the explorer's per-worker
 // usage pattern, which also catches stale-scratch bugs).
 func AssertOrbitEquiv(t *testing.T, m spec.Machine, walks, depth int, seed int64) {
 	t.Helper()
 	pt := spec.PermTableFor(m.NumNodes())
-	fast, _ := m.(spec.FastSymmetric)
 	scratch := fp.NewOrbitScratch()
 	Walk(m, walks, depth, seed, func(cur spec.State, _ int) bool {
 		plain := cur.Fingerprint()
 		wantMin := plain
+		orbit, _ := cur.(spec.Orbit)
 		for _, p := range pt.NonIdentity {
 			ref := m.Permute(cur, p).Fingerprint()
-			if fast != nil {
-				if got := fast.PermutedFingerprint(cur, p); got != ref {
+			if orbit != nil {
+				if got := spec.PermutedFingerprint(orbit, p); got != ref {
 					t.Fatalf("%s: PermutedFingerprint(%v) = %#x, oracle Permute+Fingerprint = %#x",
 						m.Name(), p, got, ref)
 				}
@@ -310,7 +313,7 @@ func AssertCodecRoundTrip(t *testing.T, m spec.Machine, walks, depth int, seed i
 	t.Helper()
 	succFPs := func(s spec.State) []uint64 {
 		var fps []uint64
-		for _, su := range m.Next(s) {
+		for _, su := range m.AppendNext(s, nil) {
 			fps = append(fps, su.State.Fingerprint())
 		}
 		slices.Sort(fps)
@@ -426,10 +429,10 @@ func hashEveryWay(m spec.Machine, s spec.State) {
 	s.Fingerprint()
 	pt := spec.PermTableFor(m.NumNodes())
 	m.OrbitFingerprint(s, pt, fp.NewOrbitScratch())
-	fast, _ := m.(spec.FastSymmetric)
+	orbit, _ := s.(spec.Orbit)
 	for _, p := range pt.NonIdentity {
-		if fast != nil {
-			fast.PermutedFingerprint(s, p)
+		if orbit != nil {
+			spec.PermutedFingerprint(orbit, p)
 		}
 		m.Permute(s, p).Fingerprint()
 	}
@@ -474,8 +477,8 @@ func (a *Asymmetry) String() string {
 // or nil when the walks find none. This is the law symmetry reduction
 // assumes: the explorer stores one member of each orbit and expands only it,
 // which reaches every orbit only if all members have the same successors up
-// to permutation. Both sides are built from the oracles alone (Next, Permute,
-// State.Fingerprint).
+// to permutation. Both sides are built from the oracles alone (AppendNext
+// into a nil buffer, Permute, State.Fingerprint).
 func FindNextAsymmetry(m spec.Machine, walks, depth int, seed int64) *Asymmetry {
 	type key struct {
 		action string
@@ -483,9 +486,9 @@ func FindNextAsymmetry(m spec.Machine, walks, depth int, seed int64) *Asymmetry 
 	}
 	var found *Asymmetry
 	Walk(m, walks, depth, seed, func(s spec.State, d int) bool {
-		succs := m.Next(s)
+		succs := m.AppendNext(s, nil)
 		for _, p := range spec.PermTableFor(m.NumNodes()).NonIdentity {
-			direct := m.Next(m.Permute(s, p))
+			direct := m.AppendNext(m.Permute(s, p), nil)
 			images := make([]key, len(succs))
 			balance := make(map[key]int)
 			for i, su := range succs {

@@ -46,7 +46,7 @@ func codecMachines() map[string]*Machine {
 
 // succFPs returns the sorted successor fingerprints of s under m.
 func succFPs(m *Machine, s spec.State) []uint64 {
-	succs := m.Next(s)
+	succs := m.AppendNext(s, nil)
 	fps := make([]uint64, len(succs))
 	for i, sc := range succs {
 		fps[i] = sc.State.Fingerprint()
@@ -122,7 +122,7 @@ func TestCodecRoundTrip(t *testing.T) {
 					}
 					checked++
 				}
-				for _, sc := range m.Next(s) {
+				for _, sc := range m.AppendNext(s, nil) {
 					if fp := sc.State.Fingerprint(); !seen[fp] {
 						seen[fp] = true
 						queue = append(queue, sc.State)
@@ -155,7 +155,7 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestCodecBatch(t *testing.T) {
 	m := codecMachines()["gosyncobj"]
 	states := m.Init()
-	for _, sc := range m.Next(states[0]) {
+	for _, sc := range m.AppendNext(states[0], nil) {
 		states = append(states, sc.State)
 		if len(states) >= 5 {
 			break

@@ -18,7 +18,7 @@ func TestFingerprintPastPermTableMax(t *testing.T) {
 	}
 	node, edge := make([]uint64, 9), make([]uint64, 81)
 	id := spec.PermTableFor(9).Identity
-	if got, want := s.Fingerprint(), s.orbitCombine(node, edge, s.orbitDigests(node, edge), id, id); got != want {
+	if got, want := s.Fingerprint(), s.OrbitCombine(node, edge, s.OrbitDigests(node, edge), id, id); got != want {
 		t.Errorf("Fingerprint = %#x, want %#x from the 9-node table's identity", got, want)
 	}
 }

@@ -109,13 +109,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	// clone copies s into the state the next append would overwrite. A
 	// successor add drops for overflow leaves its slot, so the next one
 	// recycles it.
-	clone := func() *State {
-		var dead *State
-		if len(out) < cap(out) {
-			dead, _ = out[:len(out)+1][len(out)].State.(*State)
-		}
-		return s.cloneInto(dead)
-	}
+	clone := func() *State { return s.cloneInto(spec.Dead[*State](out)) }
 	add := func(ev trace.Event, n *State) {
 		if m.overflows(n) {
 			return

@@ -5,10 +5,11 @@ import (
 	"github.com/sandtable-go/sandtable/internal/spec"
 )
 
-// Incremental orbit canonicalization (spec.OrbitHasher).
+// Incremental orbit canonicalization: State implements spec.Orbit, and
+// spec.OrbitMin derives the canonical fingerprint from its sub-digests.
 //
 // The state is decomposed into sub-digests that are invariant under node
-// renaming, hashed ONCE per state by orbitDigests:
+// renaming, hashed ONCE per state by OrbitDigests:
 //
 //   - node[i]: node i's local component — role, term, log, commit index,
 //     snapshot boundary, liveness, durable mirrors, and the row *shapes*
@@ -21,30 +22,22 @@ import (
 //   - a global digest: state shared by all nodes (the committed ghost log,
 //     flags, KV read ghosts, budget counters, violation flag).
 //
-// orbitCombine then derives the fingerprint of the state permuted by any
+// OrbitCombine then derives the fingerprint of the state permuted by any
 // perm without touching the state again, except for the handful of
 // node-id-VALUED fields that cannot live in invariant sub-digests
 // (VotedFor, DurVote, LastReadNode): it writes node digests in permuted
 // slot order, edge digests in permuted pair order, then the id residue
 // mapped through perm — exactly the data a materialised Permute would
-// produce. State.Fingerprint is orbitCombine under the identity, so
+// produce. State.Fingerprint is OrbitCombine under the identity, so
 //
-//	orbitCombine(perm) == Permute(s, perm).Fingerprint()
+//	OrbitCombine(perm) == Permute(s, perm).Fingerprint()
 //
 // holds by construction (slot j of the permuted state is original node
-// inv[j]), and the min-of-orbit canonical fingerprint costs one full
-// digest pass plus P! cheap recombines instead of P! full passes.
-// raftbase_test.go property-tests the equality against the materialising
-// reference for every permutation.
+// inv[j]). spectest.AssertOrbitEquiv property-tests the equality against
+// the materialising reference for every permutation.
 
-// orbitMaxNodes bounds the stack-allocated digest buffers used by
-// Fingerprint and PermutedFingerprint; larger configurations fall back to
-// heap buffers. (Symmetry configurations in the paper use 2–3 nodes.)
-const orbitMaxNodes = 8
-
-// orbitDigests fills node (len n) and edge (len n*n, row-major) with the
-// state's id-free sub-digests and returns the global digest.
-func (s *State) orbitDigests(node, edge []uint64) uint64 {
+// OrbitDigests implements spec.Orbit.
+func (s *State) OrbitDigests(node, edge []uint64) uint64 {
 	n := s.n
 	var h fp.Hasher
 	for i := 0; i < n; i++ {
@@ -128,11 +121,8 @@ func (s *State) orbitDigests(node, edge []uint64) uint64 {
 	return h.Sum()
 }
 
-// orbitCombine folds the sub-digests into the fingerprint of the state
-// permuted by perm (inv is perm's inverse: slot j of the permuted state
-// holds original node inv[j]). Under the identity permutation this IS
-// State.Fingerprint.
-func (s *State) orbitCombine(node, edge []uint64, global uint64, perm, inv []int) uint64 {
+// OrbitCombine implements spec.Orbit.
+func (s *State) OrbitCombine(node, edge []uint64, global uint64, perm, inv []int) uint64 {
 	n := s.n
 	var h fp.Hasher
 	h.Reset()
@@ -169,28 +159,13 @@ func (s *State) orbitCombine(node, edge []uint64, global uint64, perm, inv []int
 	return h.Sum()
 }
 
-// orbitBuffers returns digest buffers for an n-node state: views of the
-// caller's stack arrays when the arity fits, heap slices otherwise.
-func orbitBuffers(n int, nodeBuf *[orbitMaxNodes]uint64, edgeBuf *[orbitMaxNodes * orbitMaxNodes]uint64) (node, edge []uint64) {
-	if n <= orbitMaxNodes {
-		return nodeBuf[:n], edgeBuf[:n*n]
-	}
-	return make([]uint64, n), make([]uint64, n*n)
+// OrbitFingerprint implements spec.OrbitHasher.
+func (m *Machine) OrbitFingerprint(st spec.State, perms *spec.PermTable, scratch *fp.OrbitScratch) (uint64, bool) {
+	return spec.OrbitMin(st.(*State), perms, scratch)
 }
 
-// OrbitFingerprint implements spec.OrbitHasher: the minimum fingerprint
-// over all node permutations (and whether a non-identity permutation
-// produced it), from one digest pass plus cheap per-permutation combines.
-func (m *Machine) OrbitFingerprint(st spec.State, perms *spec.PermTable, scratch *fp.OrbitScratch) (uint64, bool) {
-	s := st.(*State)
-	scratch.Reset(s.n)
-	g := s.orbitDigests(scratch.Node, scratch.Edge)
-	plain := s.orbitCombine(scratch.Node, scratch.Edge, g, perms.Identity, perms.Identity)
-	min := plain
-	for k, p := range perms.NonIdentity {
-		if f := s.orbitCombine(scratch.Node, scratch.Edge, g, p, perms.NonIdentityInv[k]); f < min {
-			min = f
-		}
-	}
-	return min, min != plain
+// PermutedFingerprint implements spec.FastSymmetric, which benchmark/probe
+// requires of the machines it wraps.
+func (m *Machine) PermutedFingerprint(st spec.State, perm []int) uint64 {
+	return spec.PermutedFingerprint(st.(*State), perm)
 }

@@ -136,7 +136,7 @@ func TestPermuteRoundTrip(t *testing.T) {
 		if round.Fingerprint() != fp {
 			t.Fatalf("step %d: permute round trip changed fingerprint", step)
 		}
-		succs := m.Next(cur)
+		succs := m.AppendNext(cur, nil)
 		if len(succs) == 0 {
 			break
 		}

@@ -15,8 +15,8 @@ func TestFingerprintPastPermTableMax(t *testing.T) {
 		t.Errorf("9-node Fingerprint: %v allocations, want at most the digest buffer", n)
 	}
 	node := make([]uint64, 9)
-	s.orbitDigests(node)
-	if got, want := s.Fingerprint(), s.orbitCombine(node, spec.PermTableFor(9).Identity); got != want {
+	id := spec.PermTableFor(9).Identity
+	if got, want := s.Fingerprint(), s.OrbitCombine(node, nil, s.OrbitDigests(node, nil), id, id); got != want {
 		t.Errorf("Fingerprint = %#x, want %#x from the 9-node table's identity", got, want)
 	}
 }

@@ -38,31 +38,20 @@ type LostUpdateState struct {
 }
 
 // Fingerprint implements spec.State: the identity-permutation combine of
-// the orbit decomposition (see orbitDigests), so the flat hash and the
+// the orbit decomposition (see OrbitDigests), so the flat hash and the
 // incremental min-of-orbit share one layout by construction.
 func (s *LostUpdateState) Fingerprint() uint64 {
-	var nodeBuf [orbitMaxNodes]uint64
-	node := orbitNodeBuffer(len(s.PC), &nodeBuf)
-	s.orbitDigests(node)
+	var buf spec.DigestBuf
+	node, edge := buf.Slices(len(s.PC))
 	id := spec.IdentityPerm(len(s.PC))
-	return s.orbitCombine(node, id)
+	return s.OrbitCombine(node, edge, s.OrbitDigests(node, edge), id, id)
 }
 
-// orbitMaxNodes bounds the stack-allocated digest buffer used by
-// Fingerprint (heap fallback above it).
-const orbitMaxNodes = 8
-
-func orbitNodeBuffer(n int, buf *[orbitMaxNodes]uint64) []uint64 {
-	if n <= orbitMaxNodes {
-		return buf[:n]
-	}
-	return make([]uint64, n)
-}
-
-// orbitDigests hashes each process's local component (register, pc) into
-// node — the model has no per-pair state and no node-id-valued fields, so
-// the decomposition is nodes plus the shared counter.
-func (s *LostUpdateState) orbitDigests(node []uint64) {
+// OrbitDigests implements spec.Orbit: each process's local component
+// (register, pc) goes into node. The model has no per-pair state, no
+// node-id-valued fields and one shared variable, which OrbitCombine writes
+// itself, so edge is untouched and the global digest is zero.
+func (s *LostUpdateState) OrbitDigests(node, edge []uint64) uint64 {
 	var h fp.Hasher
 	for i := range node {
 		h.Reset()
@@ -70,12 +59,12 @@ func (s *LostUpdateState) orbitDigests(node []uint64) {
 		h.WriteInt(s.PC[i])
 		node[i] = h.Sum()
 	}
+	return 0
 }
 
-// orbitCombine folds the node digests in permuted slot order (inv[j] = the
-// original process in slot j) plus the shared counter. Under the identity
-// this IS Fingerprint.
-func (s *LostUpdateState) orbitCombine(node []uint64, inv []int) uint64 {
+// OrbitCombine implements spec.Orbit: the node digests in permuted slot
+// order (inv[j] = the original process in slot j) plus the shared counter.
+func (s *LostUpdateState) OrbitCombine(node, edge []uint64, global uint64, perm, inv []int) uint64 {
 	var h fp.Hasher
 	h.Reset()
 	for j := range node {
@@ -142,13 +131,7 @@ func (m *LostUpdate) Next(st spec.State) []spec.Succ {
 func (m *LostUpdate) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	s := st.(*LostUpdateState)
 	out := buf
-	clone := func() *LostUpdateState {
-		var dead *LostUpdateState
-		if len(out) < cap(out) {
-			dead, _ = out[:len(out)+1][len(out)].State.(*LostUpdateState)
-		}
-		return s.cloneInto(dead)
-	}
+	clone := func() *LostUpdateState { return s.cloneInto(spec.Dead[*LostUpdateState](out)) }
 	for i := 0; i < m.N; i++ {
 		switch s.PC[i] {
 		case pcIdle:
@@ -224,40 +207,9 @@ func (m *LostUpdate) Permute(st spec.State, perm []int) spec.State {
 	return n
 }
 
-// PermutedFingerprint implements spec.FastSymmetric: one digest pass plus
-// one combine under perm, equal to Permute(st, perm).Fingerprint().
-func (m *LostUpdate) PermutedFingerprint(st spec.State, perm []int) uint64 {
-	s := st.(*LostUpdateState)
-	var nodeBuf [orbitMaxNodes]uint64
-	node := orbitNodeBuffer(m.N, &nodeBuf)
-	s.orbitDigests(node)
-	var invBuf [orbitMaxNodes]int
-	inv := invBuf[:]
-	if m.N > orbitMaxNodes {
-		inv = make([]int, m.N)
-	} else {
-		inv = invBuf[:m.N]
-	}
-	for i, p := range perm {
-		inv[p] = i
-	}
-	return s.orbitCombine(node, inv)
-}
-
-// OrbitFingerprint implements spec.OrbitHasher: the minimum fingerprint
-// over all process permutations from one digest pass plus cheap combines.
+// OrbitFingerprint implements spec.OrbitHasher.
 func (m *LostUpdate) OrbitFingerprint(st spec.State, perms *spec.PermTable, scratch *fp.OrbitScratch) (uint64, bool) {
-	s := st.(*LostUpdateState)
-	scratch.Reset(m.N)
-	s.orbitDigests(scratch.Node)
-	plain := s.orbitCombine(scratch.Node, perms.Identity)
-	min := plain
-	for k := range perms.NonIdentity {
-		if f := s.orbitCombine(scratch.Node, perms.NonIdentityInv[k]); f < min {
-			min = f
-		}
-	}
-	return min, min != plain
+	return spec.OrbitMin(st.(*LostUpdateState), perms, scratch)
 }
 
 // AppendState implements spec.StateCodec: Mem then the per-process Local and

@@ -30,7 +30,7 @@ func TestVoteTotalOrderDoesNotAllocate(t *testing.T) {
 	m := New(spec.DefaultConfig(), spec.Budget{MaxTimeouts: 2, MaxBuffer: 4}, bugdb.NoBugs())
 	s := m.Init()[0]
 	for i := 0; i < 3; i++ { // every node LOOKING with a vote in hand
-		s = m.Next(s)[0].State
+		s = m.AppendNext(s, nil)[0].State
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if err := m.voteTotalOrder(s); err != nil {

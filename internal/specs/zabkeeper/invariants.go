@@ -30,11 +30,11 @@ func (m *Machine) Invariants() []spec.Invariant {
 // never settle (ZOOKEEPER-1419).
 func (m *Machine) voteTotalOrder(st spec.State) error {
 	s := st.(*State)
-	// At most two votes per node. The lists live on the stack up to the
-	// arity the orbit buffers assume (append moves them to the heap beyond
-	// it): this runs once per fresh state.
-	var voteBuf [2 * orbitMaxNodes]Vote
-	var ownerBuf [2 * orbitMaxNodes]int
+	// At most two votes per node. The lists live on the stack up to
+	// spec.PermTableMax nodes (append moves them to the heap beyond it):
+	// this runs once per fresh state.
+	var voteBuf [2 * spec.PermTableMax]Vote
+	var ownerBuf [2 * spec.PermTableMax]int
 	votes, owner := voteBuf[:0], ownerBuf[:0]
 	for i := 0; i < s.n; i++ {
 		if !s.Up.Has(i) {

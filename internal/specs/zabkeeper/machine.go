@@ -80,13 +80,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	// clone copies s into the dead state the next append would overwrite
 	// (see spec.BufferedMachine); a successor add drops leaves its slot, so
 	// the next one recycles it.
-	clone := func() *State {
-		var dead *State
-		if len(out) < cap(out) {
-			dead, _ = out[:len(out)+1][len(out)].State.(*State)
-		}
-		return s.cloneInto(dead)
-	}
+	clone := func() *State { return s.cloneInto(spec.Dead[*State](out)) }
 	add := func(ev trace.Event, n *State) {
 		if m.budget.MaxBuffer > 0 {
 			for i := 0; i < m.n; i++ {

@@ -5,26 +5,22 @@ import (
 	"github.com/sandtable-go/sandtable/internal/spec"
 )
 
-// Incremental orbit canonicalization (spec.OrbitHasher), mirroring
-// raftbase/orbit.go: the state is decomposed once into node-id-free
-// sub-digests (per node, per ordered pair, global), and each permutation's
-// fingerprint is derived by recombining the digests in permuted slot order
-// plus a node-id residue read straight from the state. Zab is heavier on
-// ids than Raft — votes carry their proposed leader — so the residue
-// covers Vote[i].Leader, LeaderID[i], every Recv[i][j].Leader, and the
-// Vote.Leader of every in-flight notification message; everything else in
-// those structures (epochs, counters, histories) is id-free and hashed
-// once. The contract orbitCombine(perm) == Permute(s, perm).Fingerprint()
-// holds by construction; zabkeeper_test.go property-tests it against the
+// Incremental orbit canonicalization: State implements spec.Orbit, and
+// spec.OrbitMin derives the canonical fingerprint, as in raftbase/orbit.go.
+// The state is decomposed once into node-id-free sub-digests (per node, per
+// ordered pair, global), and each permutation's fingerprint is derived by
+// recombining the digests in permuted slot order plus a node-id residue
+// read straight from the state. Zab is heavier on ids than Raft — votes
+// carry their proposed leader — so the residue covers Vote[i].Leader,
+// LeaderID[i], every Recv[i][j].Leader, and the Vote.Leader of every
+// in-flight notification message; everything else in those structures
+// (epochs, counters, histories) is id-free and hashed once. The contract
+// OrbitCombine(perm) == Permute(s, perm).Fingerprint() holds by
+// construction; spectest.AssertOrbitEquiv property-tests it against the
 // materialising reference.
 
-// orbitMaxNodes bounds the stack-allocated digest buffers used by
-// Fingerprint and PermutedFingerprint (heap fallback above it).
-const orbitMaxNodes = 8
-
-// orbitDigests fills node (len n) and edge (len n*n, row-major) with the
-// state's id-free sub-digests and returns the global digest.
-func (s *State) orbitDigests(node, edge []uint64) uint64 {
+// OrbitDigests implements spec.Orbit.
+func (s *State) OrbitDigests(node, edge []uint64) uint64 {
 	n := s.n
 	var h fp.Hasher
 	for i := 0; i < n; i++ {
@@ -89,10 +85,8 @@ func (s *State) orbitDigests(node, edge []uint64) uint64 {
 	return h.Sum()
 }
 
-// orbitCombine folds the sub-digests into the fingerprint of the state
-// permuted by perm (inv is perm's inverse). Under the identity permutation
-// this IS State.Fingerprint.
-func (s *State) orbitCombine(node, edge []uint64, global uint64, perm, inv []int) uint64 {
+// OrbitCombine implements spec.Orbit.
+func (s *State) OrbitCombine(node, edge []uint64, global uint64, perm, inv []int) uint64 {
 	n := s.n
 	var h fp.Hasher
 	h.Reset()
@@ -143,28 +137,7 @@ func (s *State) orbitCombine(node, edge []uint64, global uint64, perm, inv []int
 	return h.Sum()
 }
 
-// orbitBuffers returns digest buffers for an n-node state: views of the
-// caller's stack arrays when the arity fits, heap slices otherwise.
-func orbitBuffers(n int, nodeBuf *[orbitMaxNodes]uint64, edgeBuf *[orbitMaxNodes * orbitMaxNodes]uint64) (node, edge []uint64) {
-	if n <= orbitMaxNodes {
-		return nodeBuf[:n], edgeBuf[:n*n]
-	}
-	return make([]uint64, n), make([]uint64, n*n)
-}
-
-// OrbitFingerprint implements spec.OrbitHasher: the minimum fingerprint
-// over all node permutations (and whether a non-identity permutation
-// produced it), from one digest pass plus cheap per-permutation combines.
+// OrbitFingerprint implements spec.OrbitHasher.
 func (m *Machine) OrbitFingerprint(st spec.State, perms *spec.PermTable, scratch *fp.OrbitScratch) (uint64, bool) {
-	s := st.(*State)
-	scratch.Reset(s.n)
-	g := s.orbitDigests(scratch.Node, scratch.Edge)
-	plain := s.orbitCombine(scratch.Node, scratch.Edge, g, perms.Identity, perms.Identity)
-	min := plain
-	for k, p := range perms.NonIdentity {
-		if f := s.orbitCombine(scratch.Node, scratch.Edge, g, p, perms.NonIdentityInv[k]); f < min {
-			min = f
-		}
-	}
-	return min, min != plain
+	return spec.OrbitMin(st.(*State), perms, scratch)
 }

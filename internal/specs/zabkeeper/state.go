@@ -303,12 +303,10 @@ func (s *State) cloneInto(dst *State) *State {
 // permuted hash, and the incremental min-of-orbit share one layout by
 // construction.
 func (s *State) Fingerprint() uint64 {
-	var nodeBuf [orbitMaxNodes]uint64
-	var edgeBuf [orbitMaxNodes * orbitMaxNodes]uint64
-	node, edge := orbitBuffers(s.n, &nodeBuf, &edgeBuf)
-	g := s.orbitDigests(node, edge)
+	var buf spec.DigestBuf
+	node, edge := buf.Slices(s.n)
 	id := spec.IdentityPerm(s.n)
-	return s.orbitCombine(node, edge, g, id, id)
+	return s.OrbitCombine(node, edge, s.OrbitDigests(node, edge), id, id)
 }
 
 // lastZxid returns node i's last logged zxid.

@@ -112,7 +112,7 @@ func TestPermuteRoundTripPreservesFingerprint(t *testing.T) {
 		if cv["state[0]"] != pv["state[2]"] {
 			t.Fatalf("step %d: permuted state[2]=%s, original state[0]=%s", step, pv["state[2]"], cv["state[0]"])
 		}
-		succs := m.Next(cur)
+		succs := m.AppendNext(cur, nil)
 		if len(succs) == 0 {
 			break
 		}

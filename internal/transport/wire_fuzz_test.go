@@ -33,7 +33,7 @@ func FuzzDecodeWireBlock(f *testing.F) {
 		var cands []Candidate
 		spectest.BFS(m, 300, func(s spec.State) {
 			parent := s.Fingerprint()
-			for _, su := range m.Next(s) {
+			for _, su := range m.AppendNext(s, nil) {
 				cands = append(cands, Candidate{
 					FP:     su.State.Fingerprint(),
 					Parent: parent,

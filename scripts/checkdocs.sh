@@ -7,7 +7,8 @@
 #   - an exported identifier in the audited packages (internal/fpset,
 #     internal/explorer, internal/ranking, internal/scenario,
 #     internal/shrink, internal/conformance, internal/transport,
-#     internal/serve, internal/sandtable, internal/trace, internal/obs)
+#     internal/serve, internal/sandtable, internal/trace, internal/obs,
+#     internal/spec, internal/spec/spectest, internal/fp)
 #     lacks a doc comment, or an audited package lacks a package doc
 #     comment,
 #   - a required operator document (README.md, ARCHITECTURE.md,

@@ -42,6 +42,9 @@ var auditedPackages = []string{
 	"internal/sandtable",
 	"internal/trace",
 	"internal/obs",
+	"internal/spec",
+	"internal/spec/spectest",
+	"internal/fp",
 }
 
 // requiredDocs are the operator-facing documents that must exist at the
