@@ -20,13 +20,16 @@ race:
 # repeated -race runs of the pool's equivalence and verdict tests, so a
 # scheduling-dependent regression in the first-discrepancy-wins protocol
 # fails CI even when the full-suite race pass happens to interleave benignly.
-# The gosyncobj rounds run two workers over the process-global Vars key
-# tables (filled on first use, while both walk) and each cluster's lazily
-# seeded streams and observation tables; the engine rows hold the reused
-# observation map and the pinned fault streams.
+# The gosyncobj rounds run two workers over the process-global slot tables
+# and schema cache (filled on first use, while both walk) and each cluster's
+# lazily seeded streams and field-to-slot table; the engine rows hold the
+# reused slot vectors and the pinned fault streams; the integrations row
+# holds every system's lock-step round to the two-phase reference at
+# W = 1, 2 and 4 (about 40 s under -race on two CPUs, so it runs twice).
 race-conform:
 	$(GO) test -race -count 4 -run 'TestParallelMatchesSerial|TestResourceCheck|TestEventsCheckedPinned|TestParallelRoundHoldsOnlyWalksInFlight|TestConformAllocsPerEvent' ./internal/conformance/
-	$(GO) test -race -count 4 -run 'TestObserveIntoReusedMapMatchesFreshObserve|TestFaultStreamsPinned' ./internal/engine/
+	$(GO) test -race -count 4 -run 'TestObserveSlotsReusedMatchesFresh|TestFaultStreamsPinned' ./internal/engine/
+	$(GO) test -race -count 2 -run 'TestLockStepMatchesTwoPhase' ./internal/integrations/
 
 # race-cluster does the same for the cluster's candidate path: each expand
 # worker's private repeat table and encoding slab, and seal's serial
@@ -53,7 +56,8 @@ race-cluster:
 # state codecs themselves, whose DecodeState runs on every record read back
 # from a spill run, a checkpoint or a peer — over the wire block a peer
 # sends at every level barrier, the hello a TCP peer sends before it is known,
-# and the JobSpec body `sandtable serve` accepts; and draws deployment shapes
+# the explorer's hello summary (run identity and checkpoint flags) at the first
+# barrier, and the JobSpec body `sandtable serve` accepts; and draws deployment shapes
 # beyond the seed corpus of the shape-differential harness.
 FUZZTIME ?= 10s
 fuzz:
@@ -62,6 +66,7 @@ fuzz:
 	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzParseDeltaPayload$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzFrontierRecords$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzClusterHello$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/specs/raftbase/ -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/specs/zabkeeper/ -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzDecodeWireBlock$$' -fuzztime $(FUZZTIME)

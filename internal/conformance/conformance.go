@@ -1,8 +1,8 @@
 // Package conformance implements SandTable's iterative conformance checking
-// (§3.2): it randomly explores the specification state space, replays each
-// trace against the implementation under the deterministic execution
-// engine, and compares the specification variables with the implementation
-// state after every event. Any discrepancy — a diverging variable, a
+// (§3.2): it randomly explores the specification state space and, in
+// lock-step with each walk, applies every event to the implementation under
+// the deterministic execution engine and compares the specification
+// variables with the implementation state. Any discrepancy — a diverging variable, a
 // non-executable command, or an implementation crash — is reported with the
 // event prefix that produced it, so the user can fix the specification (or
 // discover a by-product implementation bug) and rerun until a full round
@@ -33,7 +33,9 @@ type Target struct {
 	// (stateless initialisation, as the paper's engine does per trace).
 	NewCluster func(seed int64) (*engine.Cluster, error)
 	// Observe overrides implementation state collection (defaults to
-	// Cluster.ObserveInto: node APIs plus the proxy's network variables).
+	// Cluster.ObserveSlots: node APIs plus the proxy's network variables).
+	// Its map goes into slots through the comparison's schema, so a key
+	// outside it is not compared.
 	Observe func(*engine.Cluster) (map[string]string, error)
 	// ResourceCheck, when set, runs after every event and can flag
 	// general correctness bugs (e.g. the CRaft#6 buffer leak).
@@ -75,7 +77,8 @@ type Options struct {
 	// vnet.* counters accumulate across walks).
 	Metrics *obs.Registry
 	// Tracer, when set, records every engine/vnet/replay event of every
-	// replayed walk, separated by "walk-start" markers.
+	// walk, separated by "walk-start" markers; a walk's depth is in its
+	// replay-layer verdict ("conform" or "diverge").
 	Tracer *obs.Tracer
 }
 
@@ -108,9 +111,9 @@ type Report struct {
 // Passed reports whether the round found no discrepancies.
 func (r *Report) Passed() bool { return r.Discrepancy == nil }
 
-// Run performs one conformance round: Walks random traces, each replayed
-// from a fresh cluster by a pool of Options.Workers workers, stopping at the
-// first discrepancy. The report is the same at every worker count (see
+// Run performs one conformance round: Walks random walks, each checked in
+// lock-step against a fresh cluster by a pool of Options.Workers workers,
+// stopping at the first discrepancy. The report is the same at every worker count (see
 // Options.Workers).
 func Run(t *Target, opts Options) (*Report, error) {
 	return RunContext(context.Background(), t, opts)
@@ -127,6 +130,8 @@ func RunContext(ctx context.Context, t *Target, opts Options) (*Report, error) {
 	expired := func() bool {
 		return ctx.Err() != nil || opts.Timeout > 0 && time.Since(start) > opts.Timeout
 	}
+	// The simulator only regenerates a diverging walk's trace: it takes the
+	// walk the workers' Walkers took, recording every state's variables.
 	sim := explorer.NewSimulator(t.Machine, explorer.SimOptions{
 		MaxDepth:   opts.WalkDepth,
 		Seed:       opts.Seed,
@@ -152,9 +157,8 @@ func RunContext(ctx context.Context, t *Target, opts Options) (*Report, error) {
 }
 
 // walkResult is one walk's outcome, filled in by whichever worker claimed
-// the walk. Only a diverging walk keeps its trace (the report carries it); a
-// passing one is dropped as soon as it has replayed, so a round holds no
-// more than the walks in flight.
+// the walk. Only a diverging walk has a trace (the report carries it); a
+// passing one never builds one.
 type walkResult struct {
 	steps int
 	div   *replay.StepResult
@@ -162,7 +166,7 @@ type walkResult struct {
 	err   error
 }
 
-// runWalks replays walks on opts.Workers goroutines, one or more.
+// runWalks checks walks on opts.Workers goroutines, one or more.
 // Determinism scheme: an atomic counter hands out walk indices in order; a
 // worker never abandons a claimed walk (except when the walk index is
 // already past the lowest known discrepancy, which an in-order replay would
@@ -242,6 +246,7 @@ func runWalks(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opts O
 		go func(worker int) {
 			defer wg.Done()
 			workerCtr := opts.Metrics.Counter(fmt.Sprintf("conformance.worker[%d].walks", worker))
+			l := &lockStep{t: t, sim: sim, walker: explorer.NewWalker(t.Machine, opts.WalkDepth), ropts: replayOptions(t, opts)}
 			for {
 				w := int(next.Add(1) - 1)
 				if w >= opts.Walks || int64(w) > found.Load() {
@@ -250,31 +255,9 @@ func runWalks(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opts O
 				if expired() {
 					return
 				}
-				seed := opts.Seed + int64(w)
-				walk := sim.Walk(seed)
-				cluster, err := t.NewCluster(seed)
-				if err != nil {
-					finish(w, walkResult{err: fmt.Errorf("conformance: boot cluster: %w", err)})
-					continue
-				}
-				if opts.Tracer != nil {
-					opts.Tracer.Emit(obs.Event{
-						Layer: "conformance", Kind: "walk-start", Node: -1,
-						Detail: map[string]string{
-							"walk": strconv.Itoa(w), "seed": strconv.FormatInt(seed, 10),
-							"depth": strconv.Itoa(walk.Stats.Depth), "worker": strconv.Itoa(worker),
-						},
-					})
-				}
-				res, err := runOne(t, walk.Trace, cluster, opts.Tracer, opts.Metrics)
-				if err != nil {
-					finish(w, walkResult{err: err})
-					continue
-				}
-				workerCtr.Inc()
-				r := walkResult{steps: res.Steps}
-				if res.Divergence != nil {
-					r.div, r.tr = res.Divergence, walk.Trace
+				r := l.walk(w, opts.Seed+int64(w), worker)
+				if r.err == nil {
+					workerCtr.Inc()
 				}
 				finish(w, r)
 			}
@@ -287,22 +270,109 @@ func runWalks(t *Target, sim *explorer.Simulator, reporter *obs.Reporter, opts O
 	return rep, nil
 }
 
-func runOne(t *Target, tr *trace.Trace, c *engine.Cluster, tracer *obs.Tracer, metrics *obs.Registry) (*replay.Result, error) {
-	opts := replay.Options{
+// replayOptions are the options of every walk's replay.Checker.
+func replayOptions(t *Target, opts Options) replay.Options {
+	ropts := replay.Options{
 		CompareEachStep: true,
 		IgnoreVars:      t.IgnoreVars,
 		Observe:         t.Observe,
-		Tracer:          tracer,
-		Metrics:         metrics,
+		Tracer:          opts.Tracer,
+		Metrics:         opts.Metrics,
 	}
 	if t.ResourceCheck != nil {
 		// The check runs after every executed event via the replay-layer
-		// hook, so the walk stays a single replay: exactly one verdict
-		// event, step indices relative to the walk trace, and replay.steps
-		// metrics identical to runs without a resource check.
-		opts.AfterStep = func(step int, c *engine.Cluster) error {
+		// hook, so the walk stays one replay: exactly one verdict event,
+		// step indices relative to the walk, and replay.steps metrics
+		// identical to runs without a resource check.
+		ropts.AfterStep = func(step int, c *engine.Cluster) error {
 			return t.ResourceCheck(c)
 		}
 	}
-	return replay.Run(tr, c, opts)
+	return ropts
+}
+
+// lockStep is one worker's walk loop: it takes each specification step with
+// the draws Simulator.Walk makes, applies it to the implementation, and
+// compares the two renderings in slots at once, so a passing walk builds no
+// trace and no map. A diverging walk regenerates its trace from the seed,
+// specification only.
+type lockStep struct {
+	t      *Target
+	sim    *explorer.Simulator // regenerates a diverging walk's trace
+	walker *explorer.Walker
+	ropts  replay.Options
+
+	// The comparison, built for the first walk and kept while the
+	// specification's and the cluster's vocabularies stay the same.
+	chk       *replay.Checker
+	slotted   bool     // the specification renders slots (spec.Slotted)
+	specSlots []string // its rendering of the current state
+}
+
+// bind makes l compare cur with c: in the specification's schema extended
+// by the cluster's fields when the machine is spec.Slotted (and of the
+// cluster's arity), else in the cluster's schema, into which each state's
+// Vars map goes (a key the implementation never renders cannot diverge).
+func (l *lockStep) bind(cur spec.State, c *engine.Cluster) {
+	s := c.Schema()
+	ss, slotted := cur.(spec.Slotted)
+	if slotted = slotted && ss.Schema().N() == c.N(); slotted {
+		s = ss.Schema().With(c.Fields())
+	}
+	if l.chk == nil || l.chk.Schema() != s || l.slotted != slotted {
+		l.chk, l.slotted, l.specSlots = replay.NewChecker(s, l.ropts), slotted, s.Clear(nil)
+	}
+}
+
+// walk checks walk w, seeded seed, on a fresh cluster.
+func (l *lockStep) walk(w int, seed int64, worker int) walkResult {
+	cur := l.walker.Reset(seed)
+	cluster, err := l.t.NewCluster(seed)
+	if err != nil {
+		return walkResult{err: fmt.Errorf("conformance: boot cluster: %w", err)}
+	}
+	if tracer := l.ropts.Tracer; tracer != nil {
+		tracer.Emit(obs.Event{
+			Layer: "conformance", Kind: "walk-start", Node: -1,
+			Detail: map[string]string{
+				"walk": strconv.Itoa(w), "seed": strconv.FormatInt(seed, 10), "worker": strconv.Itoa(worker),
+			},
+		})
+	}
+	l.bind(cur, cluster)
+	l.chk.Attach(cluster)
+	res := &replay.Result{}
+	for i := 0; ; i++ {
+		ev, ok := l.walker.Step()
+		if !ok {
+			break
+		}
+		if _, ok := replay.Convert(ev); !ok {
+			continue
+		}
+		res.Steps++
+		var vars map[string]string
+		if l.slotted {
+			l.walker.State().(spec.Slotted).VarSlots(l.specSlots)
+		} else {
+			vars = l.walker.State().Vars()
+			l.specSlots = l.chk.Schema().Slots(l.specSlots, vars)
+		}
+		sr, err := l.chk.Step(i, ev, l.specSlots, vars)
+		if err != nil {
+			return walkResult{err: err}
+		}
+		if sr != nil {
+			res.Divergence = sr
+			break
+		}
+	}
+	r := walkResult{steps: res.Steps, div: res.Divergence}
+	depth := l.walker.Depth()
+	if r.div != nil {
+		walk := l.sim.Walk(seed)
+		r.tr, depth = walk.Trace, walk.Stats.Depth
+	}
+	l.chk.Verdict(res, map[string]string{"depth": strconv.Itoa(depth)})
+	return r
 }

@@ -115,9 +115,8 @@ func (p *counterProcess) ClientRequest(string) {
 		p.val++
 	}
 }
-func (p *counterProcess) Observe() map[string]string {
-	return map[string]string{"count": strconv.Itoa(p.val)}
-}
+func (p *counterProcess) Fields() []string     { return []string{"count"} }
+func (p *counterProcess) Observe(dst []string) { dst[0] = strconv.Itoa(p.val) }
 
 func target(n int, skew bool, resource func(*engine.Cluster) error) *Target {
 	return &Target{

@@ -153,13 +153,14 @@ type Cluster struct {
 	simCost time.Duration
 	history []Command
 
-	// The observation key tables (see ObserveInto), shared read-only from
-	// trace's cache: netKeys[src][dst] = "net[src->dst]", statusKeys[i] =
-	// "status[i]", and varKeys[name][i] = "name[i]" for every variable name
-	// a node has reported so far.
-	netKeys    [][]string
-	statusKeys []string
-	varKeys    map[string][]string
+	// Observation (see ObserveSlots): the cluster's schema, the processes'
+	// Fields, one node's Observe buffer, and the slot of each of the
+	// schema's fields in the schema last observed into (-1 = not there).
+	schema     *trace.Schema
+	fields     []string
+	obsBuf     []string
+	slotSchema *trace.Schema
+	slotOf     []int
 
 	tracer  *obs.Tracer // structured event sink (nil-safe)
 	metrics *obs.Registry
@@ -183,9 +184,6 @@ func NewCluster(cfg Config, factory func(id int) vos.Process) (*Cluster, error) 
 		up:           make([]bool, cfg.Nodes),
 		partitions:   make(map[[2]int]bool),
 		autoRestarts: make([]int, cfg.Nodes),
-		netKeys:      trace.NetKeys(cfg.Nodes),
-		statusKeys:   trace.NodeKeys("status", cfg.Nodes),
-		varKeys:      make(map[string][]string),
 	}
 	c.simCost += cfg.Cost.ClusterInit
 	for i := 0; i < cfg.Nodes; i++ {
@@ -200,6 +198,9 @@ func NewCluster(cfg Config, factory func(id int) vos.Process) (*Cluster, error) 
 			return nil, err
 		}
 	}
+	c.fields = c.procs[0].Fields()
+	c.obsBuf = make([]string, len(c.fields))
+	c.schema = trace.NewSchema(cfg.Nodes, append([]string{"status"}, c.fields...), nil)
 	return c, nil
 }
 

@@ -64,12 +64,10 @@ func (p *pingNode) ClientRequest(payload string) {
 	}
 }
 
-func (p *pingNode) Observe() map[string]string {
-	return map[string]string{
-		"pings": strconv.Itoa(p.pings),
-		"pongs": strconv.Itoa(p.pongs),
-		"ticks": strconv.Itoa(p.ticks),
-	}
+func (p *pingNode) Fields() []string { return []string{"pings", "pongs", "ticks"} }
+
+func (p *pingNode) Observe(dst []string) {
+	dst[0], dst[1], dst[2] = strconv.Itoa(p.pings), strconv.Itoa(p.pongs), strconv.Itoa(p.ticks)
 }
 
 func newTestCluster(t *testing.T, nodes int) *Cluster {

@@ -9,8 +9,8 @@ import (
 )
 
 // Observe renders node i's state variables via the process's observation
-// API (the paper's first state-retrieval method, §A.4). Crashed nodes
-// report only their status.
+// API (the paper's first state-retrieval method, §A.4), keyed by field name.
+// Crashed nodes report only their status.
 func (c *Cluster) Observe(i int) (map[string]string, error) {
 	if err := c.guard(i); err != nil {
 		return nil, err
@@ -18,66 +18,103 @@ func (c *Cluster) Observe(i int) (map[string]string, error) {
 	if !c.up[i] {
 		return map[string]string{"status": "crashed"}, nil
 	}
-	vars := c.procs[i].Observe()
-	if vars == nil {
-		vars = make(map[string]string)
+	buf := c.observeNode(i)
+	vars := make(map[string]string, len(buf)+1)
+	for f, v := range buf {
+		if v != trace.Absent {
+			vars[c.fields[f]] = v
+		}
 	}
 	vars["status"] = "up"
 	return vars, nil
 }
 
-// ObserveAll collects every node's variables under "var[i]" keys, plus the
-// network environment (message counts per channel) which the engine manages
-// itself and can compare directly (§3.2). It is ObserveInto a fresh map.
-func (c *Cluster) ObserveAll() (map[string]string, error) {
-	out := make(map[string]string)
-	c.ObserveInto(out)
-	return out, nil
+// observeNode fills the cluster's observation buffer from up node i.
+func (c *Cluster) observeNode(i int) []string {
+	buf := c.obsBuf
+	for f := range buf {
+		buf[f] = trace.Absent
+	}
+	c.procs[i].Observe(buf)
+	return buf
 }
 
-// ObserveInto clears m and fills it with what ObserveAll returns: node i's
-// variable v under "v[i]" (with "status[i]" "up" or "crashed"; a crashed
-// node reports nothing else) and the network variables. Conformance
-// checking observes after every replayed event, so a caller keeps one map
-// for a whole replay, and the keys come from the cluster's tables: a step
-// renders no key and allocates no map of its own.
-func (c *Cluster) ObserveInto(m map[string]string) {
-	clear(m)
+// Fields lists the per-node variables the cluster renders: "status" ("up"
+// or "crashed"), then the processes' Fields.
+func (c *Cluster) Fields() []string { return c.schema.Fields() }
+
+// Schema is the cluster's own slot vocabulary: Fields per node, then the
+// network variables.
+func (c *Cluster) Schema() *trace.Schema { return c.schema }
+
+// ObserveSlots renders the implementation state into dst, a slot vector of
+// schema s (of the cluster's arity): node i's variable v into slot v[i] —
+// "status[i]" is "up" or "crashed", and a crashed node's other variables are
+// Absent — and the network environment (message counts per channel), which
+// the engine manages itself and can compare directly (§3.2). A field s
+// lacks is not rendered; slots that are not the cluster's are left as they
+// are. Conformance checking observes after every replayed event, so the
+// field-to-slot table is built once per cluster and schema, and a step
+// builds no map.
+func (c *Cluster) ObserveSlots(s *trace.Schema, dst []string) {
+	if c.slotSchema != s {
+		c.slotSchema = s
+		c.slotOf = c.slotOf[:0]
+		for _, f := range c.schema.Fields() {
+			c.slotOf = append(c.slotOf, s.Field(f))
+		}
+	}
+	status, fields := c.slotOf[0], c.slotOf[1:]
 	for i := 0; i < c.cfg.Nodes; i++ {
 		if !c.up[i] {
-			m[c.statusKeys[i]] = "crashed"
+			if status >= 0 {
+				dst[status+i] = "crashed"
+			}
+			for _, base := range fields {
+				if base >= 0 {
+					dst[base+i] = trace.Absent
+				}
+			}
 			continue
 		}
-		for k, v := range c.procs[i].Observe() {
-			keys, ok := c.varKeys[k]
-			if !ok {
-				keys = trace.NodeKeys(k, c.cfg.Nodes)
-				c.varKeys[k] = keys
+		buf := c.observeNode(i)
+		for f, base := range fields {
+			if base >= 0 {
+				dst[base+i] = buf[f]
 			}
-			m[keys[i]] = v
 		}
-		m[c.statusKeys[i]] = "up"
+		if status >= 0 {
+			dst[status+i] = "up"
+		}
 	}
-	c.networkVars(m)
+	for src := 0; src < c.cfg.Nodes; src++ {
+		for d := 0; d < c.cfg.Nodes; d++ {
+			if src != d {
+				dst[s.Net(src, d)] = strconv.Itoa(c.net.Len(src, d))
+			}
+		}
+	}
+}
+
+// ObserveAll is the map ObserveSlots renders in the cluster's own schema:
+// every node's variables under "var[i]" keys, plus the network variables.
+func (c *Cluster) ObserveAll() (map[string]string, error) {
+	dst := c.schema.Clear(nil)
+	c.ObserveSlots(c.schema, dst)
+	return c.schema.Map(dst), nil
 }
 
 // NetworkVars renders the proxy state: per-channel buffered message counts.
 func (c *Cluster) NetworkVars() map[string]string {
 	out := make(map[string]string, c.cfg.Nodes*(c.cfg.Nodes-1))
-	c.networkVars(out)
-	return out
-}
-
-func (c *Cluster) networkVars(out map[string]string) {
 	for src := 0; src < c.cfg.Nodes; src++ {
-		keys := c.netKeys[src]
-		for dst := 0; dst < c.cfg.Nodes; dst++ {
-			if src == dst {
-				continue
+		for d := 0; d < c.cfg.Nodes; d++ {
+			if src != d {
+				out[c.schema.Key(c.schema.Net(src, d))] = strconv.Itoa(c.net.Len(src, d))
 			}
-			out[keys[dst]] = strconv.Itoa(c.net.Len(src, dst))
 		}
 	}
+	return out
 }
 
 // LogObserver extracts state variables from captured debug logs using

@@ -220,16 +220,9 @@ func (cl *clusterCtx) hello(man *manifest, manErr error) (*manifest, *fatal) {
 			if q == cl.self {
 				continue
 			}
-			var h clusterHello
-			if err := json.Unmarshal(raw, &h); err != nil {
-				return nil, &fatal{"config-error", fmt.Errorf("cluster hello from peer %d: %w", q, err)}
-			}
-			if h.runIdentity != cl.c.ident {
-				return nil, &fatal{"config-error", fmt.Errorf("cluster: peer %d runs an incompatible model or configuration", q)}
-			}
-			if h.Checkpoint != me.Checkpoint || h.Resume != me.Resume {
-				return nil, &fatal{"config-error", fmt.Errorf("cluster: peer %d has checkpoint dir=%v resume=%v, this peer dir=%v resume=%v (every peer needs the same checkpoint flags)",
-					q, h.Checkpoint, h.Resume, me.Checkpoint, me.Resume)}
+			h, f := peerHello(q, raw, me)
+			if f != nil {
+				return nil, f
 			}
 			if q == 0 {
 				coord = h
@@ -247,6 +240,23 @@ func (cl *clusterCtx) hello(man *manifest, manErr error) (*manifest, *fatal) {
 		return nil, &fatal{"checkpoint-error", fmt.Errorf("resume: %w", manErr)}
 	}
 	return man, nil
+}
+
+// peerHello parses peer q's hello summary and holds it to this peer's, me:
+// the same run identity and the same checkpoint flags, or a config-error.
+func peerHello(q int, raw []byte, me clusterHello) (clusterHello, *fatal) {
+	var h clusterHello
+	if err := json.Unmarshal(raw, &h); err != nil {
+		return h, &fatal{"config-error", fmt.Errorf("cluster hello from peer %d: %w", q, err)}
+	}
+	if h.runIdentity != me.runIdentity {
+		return h, &fatal{"config-error", fmt.Errorf("cluster: peer %d runs an incompatible model or configuration", q)}
+	}
+	if h.Checkpoint != me.Checkpoint || h.Resume != me.Resume {
+		return h, &fatal{"config-error", fmt.Errorf("cluster: peer %d has checkpoint dir=%v resume=%v, this peer dir=%v resume=%v (every peer needs the same checkpoint flags)",
+			q, h.Checkpoint, h.Resume, me.Checkpoint, me.Resume)}
+	}
+	return h, nil
 }
 
 // seal turns the level's candidates into this peer's share of the next

@@ -3,6 +3,7 @@ package explorer
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -164,6 +165,43 @@ func FuzzReadManifest(f *testing.F) {
 					t.Fatalf("accepted chain position %+v", p)
 				}
 			}
+		}
+	})
+}
+
+// FuzzClusterHello feeds a peer's hello summary — the first barrier's, parsed
+// before any exploration — to the per-peer check. No input may panic;
+// whatever it accepts carries this peer's run identity and checkpoint
+// flags, and everything else ends in config-error.
+func FuzzClusterHello(f *testing.F) {
+	me := clusterHello{runIdentity: runIdentity{Label: "toy/n3", Machine: "toy", Symmetry: true, InitDigest: 42, Peers: 2, Partition: 1}}
+	for _, h := range []clusterHello{
+		me,
+		{runIdentity: me.runIdentity, Checkpoint: true, Resume: true, Manifest: []byte(`{"depth":3}`)},
+		{runIdentity: me.runIdentity, Checkpoint: true, Resume: true, ResumeErr: "no manifest"},
+		{runIdentity: runIdentity{Machine: "toy", InitDigest: 43, Peers: 2, Partition: 1}},
+	} {
+		raw, err := json.Marshal(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw, h.Checkpoint, h.Resume)
+	}
+	f.Add([]byte(`{"machine":"toy","symmetry":"yes"}`), false, false)
+	f.Add([]byte(`null`), false, false)
+	f.Add([]byte(`[`), true, false)
+	f.Fuzz(func(t *testing.T, raw []byte, checkpoint, resume bool) {
+		me := me
+		me.Checkpoint, me.Resume = checkpoint, resume
+		h, bad := peerHello(1, raw, me)
+		if bad != nil {
+			if bad.reason != "config-error" || bad.err == nil {
+				t.Fatalf("rejected with %q: %v", bad.reason, bad.err)
+			}
+			return
+		}
+		if h.runIdentity != me.runIdentity || h.Checkpoint != me.Checkpoint || h.Resume != me.Resume {
+			t.Fatalf("accepted %+v, this peer %+v", h, me)
 		}
 	})
 }

@@ -127,14 +127,75 @@ func (s *Simulator) Distinct() int64 {
 	return s.distinct.Len()
 }
 
+// Walker takes one seeded random walk a step at a time: the draws Walk
+// makes, in the order it makes them, so that conformance checking can check
+// each step against the implementation as it is taken (lock-step) instead
+// of generating the whole walk first. A Walker is for one goroutine; Reset
+// starts its next walk on the same random source and successor buffer.
+type Walker struct {
+	m        spec.Machine
+	maxDepth int
+	rng      *rand.Rand
+	buf      []spec.Succ
+	cur      spec.State
+	depth    int
+	terminal string
+}
+
+// NewWalker returns a walker over m whose walks stop after maxDepth steps
+// (0 = when no transition is enabled).
+func NewWalker(m spec.Machine, maxDepth int) *Walker {
+	return &Walker{m: m, maxDepth: maxDepth}
+}
+
+// Reset starts the walk of seed and returns its initial state.
+func (w *Walker) Reset(seed int64) spec.State {
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(seed))
+	} else {
+		w.rng.Seed(seed) // the stream rand.NewSource(seed) starts
+	}
+	inits := w.m.Init()
+	w.cur, w.depth, w.terminal = inits[w.rng.Intn(len(inits))], 0, ""
+	return w.cur
+}
+
+// Step takes the walk's next step and returns its event; the state it
+// reached is State. It returns false, and takes no step, once the walk is
+// over (Terminal says why).
+func (w *Walker) Step() (trace.Event, bool) {
+	if w.maxDepth > 0 && w.depth >= w.maxDepth {
+		w.terminal = "max-depth"
+		return trace.Event{}, false
+	}
+	w.buf = w.m.AppendNext(w.cur, w.buf[:0])
+	if len(w.buf) == 0 {
+		w.terminal = "deadlock"
+		return trace.Event{}, false
+	}
+	i := w.rng.Intn(len(w.buf))
+	ev := w.buf[i].Event
+	w.cur = spec.Keep(w.buf, i) // the next parent must not sit in the slack
+	w.depth++
+	return ev, true
+}
+
+// State is the state the walk is in.
+func (w *Walker) State() spec.State { return w.cur }
+
+// Depth is the number of steps taken.
+func (w *Walker) Depth() int { return w.depth }
+
+// Terminal is why the walk ended — "deadlock" (no enabled transition) or
+// "max-depth" — or "" while it goes on.
+func (w *Walker) Terminal() string { return w.terminal }
+
 // Walk performs a single random walk with the given seed.
 func (s *Simulator) Walk(seed int64) *WalkResult {
 	start := time.Now()
-	rng := rand.New(rand.NewSource(seed))
 	invs := s.m.Invariants()
-
-	inits := s.m.Init()
-	cur := inits[rng.Intn(len(inits))]
+	w := NewWalker(s.m, s.opts.MaxDepth)
+	cur := w.Reset(seed)
 
 	res := &WalkResult{
 		Trace: &trace.Trace{System: s.m.Name()},
@@ -158,29 +219,23 @@ func (s *Simulator) Walk(seed int64) *WalkResult {
 		wc = obs.NewWorkerCover()
 	}
 
-	// buf is walk-local (Walk must stay goroutine-safe) but reused across
-	// the walk's steps, so successor enumeration allocates per step only
-	// while the buffer is still growing to the walk's fan-out high-water.
-	var buf []spec.Succ
-	for depth := 0; s.opts.MaxDepth == 0 || depth < s.opts.MaxDepth; depth++ {
-		buf = s.m.AppendNext(cur, buf[:0])
-		if len(buf) == 0 {
-			res.Stats.Terminal = "deadlock"
+	for {
+		ev, ok := w.Step()
+		if !ok {
+			res.Stats.Terminal = w.Terminal()
 			break
 		}
-		i := rng.Intn(len(buf))
-		pick := buf[i]
-		cur = spec.Keep(buf, i) // the next parent must not sit in the slack
+		cur = w.State()
 		res.Stats.Depth++
-		res.Stats.Actions[pick.Event.Action]++
-		res.Stats.EventTypes[pick.Event.Type]++
+		res.Stats.Actions[ev.Action]++
+		res.Stats.EventTypes[ev.Type]++
 
 		fresh := s.distinct != nil && s.distinct.Insert(cur.Fingerprint(), 0, int32(res.Stats.Depth))
 		if fresh {
 			res.Stats.FreshStates++
 		}
-		wc.Observe(pick.Event.Action, res.Stats.Depth, fresh)
-		step := trace.Step{Event: pick.Event, Fingerprint: cur.Fingerprint()}
+		wc.Observe(ev.Action, res.Stats.Depth, fresh)
+		step := trace.Step{Event: ev, Fingerprint: cur.Fingerprint()}
 		if s.opts.RecordVars {
 			step.Vars = cur.Vars()
 		}
@@ -194,9 +249,6 @@ func (s *Simulator) Walk(seed int64) *WalkResult {
 				break
 			}
 		}
-	}
-	if res.Stats.Terminal == "" {
-		res.Stats.Terminal = "max-depth"
 	}
 	if s.cover != nil {
 		s.coverMu.Lock()

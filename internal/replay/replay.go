@@ -7,7 +7,6 @@ package replay
 
 import (
 	"fmt"
-	"maps"
 	"strconv"
 	"strings"
 
@@ -80,15 +79,17 @@ type Options struct {
 	// (conformance mode). When false only command execution errors are
 	// detected (fast confirmation mode still compares the final state).
 	CompareEachStep bool
-	// IgnoreVars excludes variable keys from comparison.
+	// IgnoreVars excludes variable keys from comparison (a slot mask, built
+	// once per schema).
 	IgnoreVars []string
 	// Observe overrides how implementation variables are collected
-	// (defaults to Cluster.ObserveInto one map per run).
+	// (defaults to Cluster.ObserveSlots). Its map goes into slots through
+	// the comparison's schema: a key outside the schema is not compared.
 	Observe func(*engine.Cluster) (map[string]string, error)
 	// Tracer, when set, is installed on the cluster for the duration of
-	// the replay (engine + vnet events) and additionally receives
-	// replay-layer events: one "step" per converted event and a final
-	// "conform" or "diverge" verdict with the diffing variables.
+	// the replay (engine + vnet events) and additionally receives a final
+	// replay-layer "conform" or "diverge" verdict with the diffing
+	// variables.
 	Tracer *obs.Tracer
 	// Metrics, when set, is installed on the cluster and receives
 	// replay.steps / replay.divergences counters.
@@ -101,46 +102,134 @@ type Options struct {
 	AfterStep func(step int, c *engine.Cluster) error
 }
 
-// Run replays a trace against the cluster.
+// Checker is the per-event half of a replay, shared by the two ways events
+// reach it: Run feeds it a recorded trace, and conformance feeds it a
+// specification walk in lock-step, one step as it is taken. For each event
+// it applies the command, observes the implementation into slots of one
+// schema, compares them with the specification's slots (Schema.Diff), and
+// runs AfterStep. A passing step builds no map: only a divergence renders
+// the two sides' maps.
+type Checker struct {
+	opts   Options
+	c      *engine.Cluster
+	schema *trace.Schema
+	mask   []bool   // IgnoreVars
+	impl   []string // the implementation's slots, refilled at every compare
+
+	steps, divergences *obs.Counter
+}
+
+// NewChecker returns a checker that compares in schema s, which must hold
+// every key the cluster renders (Cluster.Fields and the network variables):
+// the cluster's own Schema, or the specification's extended With its
+// Fields.
+func NewChecker(s *trace.Schema, opts Options) *Checker {
+	return &Checker{
+		opts:        opts,
+		schema:      s,
+		mask:        s.Mask(opts.IgnoreVars),
+		impl:        s.Clear(nil),
+		steps:       opts.Metrics.Counter("replay.steps"),
+		divergences: opts.Metrics.Counter("replay.divergences"),
+	}
+}
+
+// Schema is the schema the checker compares in.
+func (k *Checker) Schema() *trace.Schema { return k.schema }
+
+// Attach makes c the cluster the next steps run on, and installs the
+// checker's tracer and metrics on it.
+func (k *Checker) Attach(c *engine.Cluster) {
+	k.c = c
+	if k.opts.Tracer != nil {
+		c.SetTracer(k.opts.Tracer)
+	}
+	if k.opts.Metrics != nil {
+		c.SetMetrics(k.opts.Metrics)
+	}
+}
+
+// Step executes event ev, step i of its trace, which must convert to a
+// command, on the attached cluster. With spec non-nil (the specification's slots after the event)
+// it then compares; specVars, when the specification side came as a map,
+// is what a divergence reports instead of the map its slots render. The
+// result is nil when the step conforms; the error is an observation
+// failure.
+func (k *Checker) Step(i int, ev trace.Event, spec []string, specVars map[string]string) (*StepResult, error) {
+	c := k.c
+	cmd, _ := Convert(ev)
+	k.steps.Inc()
+	if err := c.Apply(cmd); err != nil {
+		return k.diverge(&StepResult{Step: i, Event: ev, Err: err}), nil
+	}
+	if spec != nil {
+		var implVars map[string]string
+		if k.opts.Observe != nil {
+			m, err := k.opts.Observe(c)
+			if err != nil {
+				return nil, fmt.Errorf("replay: observe after step %d: %w", i+1, err)
+			}
+			k.impl, implVars = k.schema.Slots(k.impl, m), m
+		} else {
+			c.ObserveSlots(k.schema, k.impl)
+		}
+		if diff := k.schema.Diff(spec, k.impl, k.mask); len(diff) > 0 {
+			if specVars == nil {
+				specVars = k.schema.Map(spec)
+			}
+			if implVars == nil {
+				implVars = k.schema.Map(k.impl)
+			}
+			return k.diverge(&StepResult{Step: i, Event: ev, DiffKeys: diff, SpecVars: specVars, ImplVars: implVars}), nil
+		}
+	}
+	if k.opts.AfterStep != nil {
+		if err := k.opts.AfterStep(i, c); err != nil {
+			return k.diverge(&StepResult{Step: i, Event: ev, Err: err}), nil
+		}
+	}
+	return nil, nil
+}
+
+func (k *Checker) diverge(sr *StepResult) *StepResult {
+	k.divergences.Inc()
+	return sr
+}
+
+// Verdict emits the replay's verdict event to the tracer: "diverge" with
+// the divergence's step, event, error and diverging keys, or "conform" with
+// the steps executed. detail adds entries (conformance adds the walk's
+// depth).
+func (k *Checker) Verdict(res *Result, detail map[string]string) {
+	if k.opts.Tracer == nil {
+		return
+	}
+	if detail == nil {
+		detail = make(map[string]string)
+	}
+	kind, node := "conform", -1
+	if sr := res.Divergence; sr != nil {
+		kind, node = "diverge", sr.Event.Node
+		detail["step"] = strconv.Itoa(sr.Step + 1)
+		detail["event"] = sr.Event.String()
+		if sr.Err != nil {
+			detail["error"] = sr.Err.Error()
+		}
+		if len(sr.DiffKeys) > 0 {
+			detail["diff_keys"] = strings.Join(sr.DiffKeys, ",")
+		}
+	} else {
+		detail["steps"] = strconv.Itoa(res.Steps)
+	}
+	k.opts.Tracer.Emit(obs.Event{Layer: "replay", Kind: kind, Node: node, Detail: detail})
+}
+
+// Run replays a trace against the cluster, comparing in the cluster's
+// schema: each step's rendered variables go into slots through it (a key
+// the implementation never renders cannot diverge).
 func Run(t *trace.Trace, c *engine.Cluster, opts Options) (*Result, error) {
-	observe := opts.Observe
-	if observe == nil {
-		// One map per run, refilled at every compare and sized like the
-		// specification rendering it is compared with. It never leaves Run:
-		// a diverging step keeps a copy.
-		scratch := make(map[string]string, len(t.Init))
-		observe = func(c *engine.Cluster) (map[string]string, error) {
-			c.ObserveInto(scratch)
-			return scratch, nil
-		}
-	}
-	if opts.Tracer != nil {
-		c.SetTracer(opts.Tracer)
-	}
-	if opts.Metrics != nil {
-		c.SetMetrics(opts.Metrics)
-	}
-	steps := opts.Metrics.Counter("replay.steps")
-	divergences := opts.Metrics.Counter("replay.divergences")
-	ignored := make(map[string]bool, len(opts.IgnoreVars))
-	for _, k := range opts.IgnoreVars {
-		ignored[k] = true
-	}
-	res := &Result{}
-	diverge := func(sr *StepResult) {
-		res.Divergence = sr
-		divergences.Inc()
-		if opts.Tracer != nil {
-			detail := map[string]string{"step": strconv.Itoa(sr.Step + 1), "event": sr.Event.String()}
-			if sr.Err != nil {
-				detail["error"] = sr.Err.Error()
-			}
-			if len(sr.DiffKeys) > 0 {
-				detail["diff_keys"] = strings.Join(sr.DiffKeys, ",")
-			}
-			opts.Tracer.Emit(obs.Event{Layer: "replay", Kind: "diverge", Node: sr.Event.Node, Detail: detail})
-		}
-	}
+	k := NewChecker(c.Schema(), opts)
+	k.Attach(c)
 	// The final-state comparison of fast confirmation mode anchors on the
 	// last *convertible* step: a trace may end in EvInternal events (spec
 	// bookkeeping with no implementation command), and comparing only at the
@@ -151,51 +240,28 @@ func Run(t *trace.Trace, c *engine.Cluster, opts Options) (*Result, error) {
 			last = i
 		}
 	}
+	res := &Result{}
+	var spec []string
 	for i, step := range t.Steps {
-		cmd, ok := Convert(step.Event)
-		if !ok {
+		if _, ok := Convert(step.Event); !ok {
 			continue
 		}
 		res.Steps++
-		steps.Inc()
-		sr := &StepResult{Step: i, Event: step.Event}
-		if err := c.Apply(cmd); err != nil {
-			sr.Err = err
-			diverge(sr)
-			return res, nil
+		var slots []string
+		if (opts.CompareEachStep || i == last) && step.Vars != nil {
+			spec = k.schema.Slots(spec, step.Vars)
+			slots = spec
 		}
-		compare := opts.CompareEachStep || i == last
-		if compare && step.Vars != nil {
-			impl, err := observe(c)
-			if err != nil {
-				return nil, fmt.Errorf("replay: observe after step %d: %w", i+1, err)
-			}
-			diff := diffIntersection(step.Vars, impl, ignored)
-			if len(diff) > 0 {
-				sr.DiffKeys = diff
-				sr.SpecVars = step.Vars
-				sr.ImplVars = impl
-				if opts.Observe == nil {
-					sr.ImplVars = maps.Clone(impl)
-				}
-				diverge(sr)
-				return res, nil
-			}
+		sr, err := k.Step(i, step.Event, slots, step.Vars)
+		if err != nil {
+			return nil, err
 		}
-		if opts.AfterStep != nil {
-			if err := opts.AfterStep(i, c); err != nil {
-				sr.Err = err
-				diverge(sr)
-				return res, nil
-			}
+		if sr != nil {
+			res.Divergence = sr
+			break
 		}
 	}
-	if opts.Tracer != nil {
-		opts.Tracer.Emit(obs.Event{
-			Layer: "replay", Kind: "conform", Node: -1,
-			Detail: map[string]string{"steps": strconv.Itoa(res.Steps)},
-		})
-	}
+	k.Verdict(res, nil)
 	return res, nil
 }
 
@@ -211,18 +277,4 @@ func ConfirmBug(t *trace.Trace, c *engine.Cluster, opts Options) (*Result, error
 	}
 	res.Confirmed = res.Divergence == nil
 	return res, nil
-}
-
-// diffIntersection returns the keys present in both maps (minus ignored)
-// whose values differ — SandTable compares the specification variables with
-// their implementation counterparts (§3.2).
-func diffIntersection(spec, impl map[string]string, ignored map[string]bool) []string {
-	keys := trace.DiffVars(spec, impl)
-	out := keys[:0]
-	for _, k := range keys {
-		if !ignored[k] {
-			out = append(out, k)
-		}
-	}
-	return out
 }

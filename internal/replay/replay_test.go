@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,9 +21,8 @@ func (p *countProc) Start(vos.Env)        { p.val = 0 }
 func (p *countProc) Receive(int, []byte)  {}
 func (p *countProc) Tick()                {}
 func (p *countProc) ClientRequest(string) { p.val++ }
-func (p *countProc) Observe() map[string]string {
-	return map[string]string{"count": strconv.Itoa(p.val)}
-}
+func (p *countProc) Fields() []string     { return []string{"count"} }
+func (p *countProc) Observe(dst []string) { dst[0] = strconv.Itoa(p.val) }
 
 func countCluster(t *testing.T, nodes int) *engine.Cluster {
 	t.Helper()
@@ -169,5 +169,66 @@ func TestStepResultDescribe(t *testing.T) {
 	}
 	if (&StepResult{}).Divergent() {
 		t.Error("empty step result must not be divergent")
+	}
+}
+
+// TestObserveOverrideThroughSchema: an Observe override's map goes into
+// slots through the comparison's schema. Its keys in the schema are
+// compared, a key outside it is not (even when the trace renders it too),
+// and a divergence reports the override's map as the implementation side.
+func TestObserveOverrideThroughSchema(t *testing.T) {
+	observed := map[string]string{"count[0]": "7", "status[0]": "up", "extra[0]": "impl"}
+	override := func(*engine.Cluster) (map[string]string, error) { return observed, nil }
+	step := trace.Step{
+		Event: trace.Event{Type: trace.EvRequest, Action: "Increment", Node: 0, Payload: "inc"},
+		Vars:  map[string]string{"count[0]": "1", "extra[0]": "spec"},
+	}
+	res, err := Run(&trace.Trace{Steps: []trace.Step{step}}, countCluster(t, 1), Options{CompareEachStep: true, Observe: override})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := res.Divergence
+	if d == nil || fmt.Sprint(d.DiffKeys) != "[count[0]]" {
+		t.Fatalf("divergence = %+v, want count[0] only", d)
+	}
+	if !maps.Equal(d.ImplVars, observed) || !maps.Equal(d.SpecVars, step.Vars) {
+		t.Errorf("reported maps spec %v impl %v, want the trace's and the override's", d.SpecVars, d.ImplVars)
+	}
+
+	observed["count[0]"] = "1"
+	if res, err = Run(&trace.Trace{Steps: []trace.Step{step}}, countCluster(t, 1), Options{CompareEachStep: true, Observe: override}); err != nil || res.Divergence != nil {
+		t.Fatalf("a key outside the schema was compared: %v %+v", err, res.Divergence)
+	}
+}
+
+// TestIgnoreVarsMask: IgnoreVars is a slot mask of the checker's schema —
+// the cluster's own in Run, the specification's extended by the cluster's
+// fields under conformance — and a masked key never diverges.
+func TestIgnoreVarsMask(t *testing.T) {
+	inc := trace.Event{Type: trace.EvRequest, Action: "Increment", Node: 1, Payload: "inc"}
+	tr := &trace.Trace{Steps: []trace.Step{{Event: inc, Vars: map[string]string{"count[0]": "5", "count[1]": "9", "net[0->1]": "0"}}}}
+	res, err := Run(tr, countCluster(t, 2), Options{CompareEachStep: true, IgnoreVars: []string{"count[1]"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Divergence; d == nil || fmt.Sprint(d.DiffKeys) != "[count[0]]" {
+		t.Fatalf("divergence = %+v, want count[0] only", d)
+	}
+
+	c := countCluster(t, 2)
+	s := trace.NewSchema(2, []string{"count"}, []string{"spec only"}).With(c.Fields())
+	k := NewChecker(s, Options{IgnoreVars: []string{"count[0]", "count[1]"}})
+	k.Attach(c)
+	spec := s.Slots(nil, map[string]string{"count[0]": "5", "count[1]": "9", "spec only": "x"})
+	sr, err := k.Step(0, inc, spec, nil)
+	if err != nil || sr != nil {
+		t.Fatalf("masked keys diverged: %v %+v", err, sr)
+	}
+	spec[s.Field("status")] = "crashed"
+	if sr, _ = k.Step(1, inc, spec, nil); sr == nil || fmt.Sprint(sr.DiffKeys) != "[status[0]]" {
+		t.Fatalf("divergence = %+v, want status[0]", sr)
+	}
+	if sr.SpecVars["spec only"] != "x" || sr.ImplVars["count[1]"] != "2" || len(sr.ImplVars) != 6 {
+		t.Errorf("maps rendered from the slots: spec %v impl %v", sr.SpecVars, sr.ImplVars)
 	}
 }

@@ -34,11 +34,12 @@ func toySystem() *sandtable.System {
 
 type nopProcess struct{}
 
-func (nopProcess) Start(vos.Env)              {}
-func (nopProcess) Receive(int, []byte)        {}
-func (nopProcess) Tick()                      {}
-func (nopProcess) ClientRequest(string)       {}
-func (nopProcess) Observe() map[string]string { return map[string]string{} }
+func (nopProcess) Start(vos.Env)        {}
+func (nopProcess) Receive(int, []byte)  {}
+func (nopProcess) Tick()                {}
+func (nopProcess) ClientRequest(string) {}
+func (nopProcess) Fields() []string     { return nil }
+func (nopProcess) Observe([]string)     {}
 
 func TestCheckFindsAndFixValidates(t *testing.T) {
 	st := sandtable.New(toySystem(), spec.Config{Name: "n2", Nodes: 2}, spec.Budget{}, bugdb.Set{"toy.race": true})

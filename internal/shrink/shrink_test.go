@@ -346,9 +346,8 @@ func (p *incProc) ClientRequest(string) {
 		p.val++
 	}
 }
-func (p *incProc) Observe() map[string]string {
-	return map[string]string{"count": strconv.Itoa(p.val)}
-}
+func (p *incProc) Fields() []string     { return []string{"count"} }
+func (p *incProc) Observe(dst []string) { dst[0] = strconv.Itoa(p.val) }
 
 func newIncCluster(nodes, skewAfter int) func(seed int64) (*engine.Cluster, error) {
 	return func(seed int64) (*engine.Cluster, error) {

@@ -44,8 +44,31 @@ type State interface {
 	Fingerprint() uint64
 	// Vars renders every specification variable to a canonical string,
 	// keyed by variable name (per-node variables use "var[i]" keys). The
-	// conformance checker compares these against implementation state.
+	// conformance checker compares these against implementation state; a
+	// Slotted state renders them into slots instead, and its Vars is VarsOf.
 	Vars() map[string]string
+}
+
+// Slotted is a State that renders its variables into the slots of a
+// trace.Schema. Conformance compares slot vectors, so a passing step of a
+// Slotted machine builds no map; every in-tree family is Slotted.
+type Slotted interface {
+	State
+	// Schema is the state's slot vocabulary, the same for every state of a
+	// machine (each family caches one per arity and dialect).
+	Schema() *trace.Schema
+	// VarSlots writes every slot of Schema() into dst[:Schema().Len()]: the
+	// rendered value, or trace.Absent for a key the state does not hold.
+	VarSlots(dst []string)
+}
+
+// VarsOf is Vars for a Slotted state: the map its slots render. It is what
+// a trace that is written out carries.
+func VarsOf(s Slotted) map[string]string {
+	sc := s.Schema()
+	dst := make([]string, sc.Len())
+	s.VarSlots(dst)
+	return sc.Map(dst)
 }
 
 // Succ is one enabled transition out of a state: the node-level event that
@@ -307,9 +330,9 @@ func (c *Counters) Hash(h *fp.Hasher) {
 	h.WriteInt(int(c.DirtyCrashes))
 }
 
-// Vars renders the counters for conformance output:
+// String renders the counters, the "counters" variable of a state:
 // "timeouts=T crashes=C restarts=R requests=Q partitions=P drops=D dups=U dirty=Y".
-func (c *Counters) Vars(m map[string]string) {
+func (c *Counters) String() string {
 	var buf [96]byte
 	b := buf[:0]
 	for _, f := range [...]struct {
@@ -323,7 +346,7 @@ func (c *Counters) Vars(m map[string]string) {
 		b = append(b, f.label...)
 		b = strconv.AppendInt(b, int64(f.v), 10)
 	}
-	m["counters"] = string(b)
+	return string(b)
 }
 
 // CanTimeout reports whether another timeout fits the budget.

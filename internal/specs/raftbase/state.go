@@ -359,99 +359,131 @@ func (s *State) Fingerprint() uint64 {
 	return s.OrbitCombine(node, edge, s.OrbitDigests(node, edge), id, id)
 }
 
-// Vars implements spec.State; the rendering matches the implementations'
-// Observe output and the engine's network variables so conformance can
-// compare them key by key. A conformance walk renders every state it steps
-// to, so keys come from the arity's table and values are strconv appends.
-func (s *State) Vars() map[string]string {
-	k := varKeysFor(s.n)
-	up := s.Up.Count()
-	size := s.n*s.n + 3 + 8*up // net and status, lastRead, counters, violation, and the up nodes' rows
-	if s.durability {
-		size += 3 * s.n
-	}
-	if s.snapshots {
-		size += up
-	}
-	m := make(map[string]string, size)
+// Vars implements spec.State: the map VarSlots renders.
+func (s *State) Vars() map[string]string { return spec.VarsOf(s) }
+
+// Schema implements spec.Slotted.
+func (s *State) Schema() *trace.Schema { return s.slots().schema }
+
+// VarSlots implements spec.Slotted; the rendering matches the
+// implementations' Observe output and the engine's network variables so
+// conformance can compare them slot by slot. A conformance walk renders
+// every state it steps to, so values are strconv appends into the arity's
+// and dialect's slot table.
+func (s *State) VarSlots(dst []string) {
+	t := s.slots()
 	for i := 0; i < s.n; i++ {
 		if s.durability {
 			// Durable-storage view (rendered for crashed nodes too — it is
 			// exactly what a restart would recover).
-			m[k.durTerm[i]] = strconv.Itoa(s.DurTerm[i])
-			m[k.durVote[i]] = strconv.Itoa(s.DurVote[i])
-			m[k.durLog[i]] = trace.Log(s.DurLog[i])
+			dst[t.durTerm+i] = strconv.Itoa(s.DurTerm[i])
+			dst[t.durVote+i] = strconv.Itoa(s.DurVote[i])
+			dst[t.durLog+i] = trace.Log(s.DurLog[i])
+		}
+		if s.kv {
+			dst[t.lastRead+i] = trace.Absent
 		}
 		if !s.Up.Has(i) {
-			m[k.status[i]] = "crashed"
+			dst[t.status+i] = "crashed"
+			for _, f := range t.upOnly {
+				dst[f+i] = trace.Absent
+			}
 			continue
 		}
-		m[k.status[i]] = "up"
-		m[k.role[i]] = roleString(s.Role[i])
-		m[k.term[i]] = strconv.Itoa(s.Term[i])
-		m[k.votedFor[i]] = strconv.Itoa(s.VotedFor[i])
-		m[k.log[i]] = trace.Log(s.Log[i])
-		m[k.commit[i]] = strconv.Itoa(s.Commit[i])
+		dst[t.status+i] = "up"
+		dst[t.role+i] = roleString(s.Role[i])
+		dst[t.term+i] = strconv.Itoa(s.Term[i])
+		dst[t.votedFor+i] = strconv.Itoa(s.VotedFor[i])
+		dst[t.log+i] = trace.Log(s.Log[i])
+		dst[t.commit+i] = strconv.Itoa(s.Commit[i])
 		if s.snapshots {
-			m[k.snapshot[i]] = strconv.Itoa(s.SnapIdx[i]) + "@" + strconv.Itoa(s.SnapTerm[i])
+			dst[t.snapshot+i] = strconv.Itoa(s.SnapIdx[i]) + "@" + strconv.Itoa(s.SnapTerm[i])
 		}
 		if s.Role[i] == Leader {
-			m[k.next[i]] = trace.PeerRow(s.Next[i], i)
-			m[k.match[i]] = trace.PeerRow(s.Match[i], i)
+			dst[t.next+i] = trace.PeerRow(s.Next[i], i)
+			dst[t.match+i] = trace.PeerRow(s.Match[i], i)
 		} else {
-			m[k.next[i]] = "-"
-			m[k.match[i]] = "-"
+			dst[t.next+i] = "-"
+			dst[t.match+i] = "-"
 		}
 		if s.Role[i] == Candidate {
-			m[k.votes[i]] = s.Votes[i].String()
+			dst[t.votes+i] = s.Votes[i].String()
 		} else {
-			m[k.votes[i]] = "-"
+			dst[t.votes+i] = "-"
 		}
 	}
 	for src := 0; src < s.n; src++ {
-		for dst := 0; dst < s.n; dst++ {
-			if src == dst {
-				continue
+		for d := 0; d < s.n; d++ {
+			if src != d {
+				dst[t.schema.Net(src, d)] = strconv.Itoa(len(s.Chan[src][d]))
 			}
-			m[k.net[src][dst]] = strconv.Itoa(len(s.Chan[src][dst]))
 		}
 	}
 	if lr := s.lastRead(); s.kv && lr.Key != "" && s.Up.Has(lr.Node) {
-		m[k.lastRead[lr.Node]] = lr.Key + "=" + lr.Val
+		dst[t.lastRead+lr.Node] = lr.Key + "=" + lr.Val
 	}
-	s.Counters.Vars(m)
-	m["violation"] = s.Viol.Flag
-	return m
+	dst[t.counters] = s.Counters.String()
+	dst[t.violation] = s.Viol.Flag
 }
 
-// varKeys are the keys Vars renders at one arity: status[i] is "status[i]"
-// and so on (trace.NodeKeys, trace.NetKeys).
-type varKeys struct {
-	durTerm, durVote, durLog, status, role, term, votedFor, log, commit,
-	snapshot, next, match, votes, lastRead []string
-	net [][]string
+// slotTable is the schema VarSlots renders at one arity and dialect, and
+// the slot of each field's node 0 in it (-1 for a field the dialect lacks).
+type slotTable struct {
+	schema *trace.Schema
+	status, role, term, votedFor, log, commit, next, match, votes,
+	snapshot, lastRead, durTerm, durVote, durLog, counters, violation int
+	upOnly []int // the fields a crashed node does not render
 }
 
-var varKeyTables [spec.MaxNodes + 1]struct {
+// slotTables caches one table per arity and dialect: bit 0 durability, bit
+// 1 snapshots, bit 2 the KV read ghost.
+var slotTables [spec.MaxNodes + 1][8]struct {
 	once sync.Once
-	keys *varKeys
+	t    *slotTable
 }
 
-// varKeysFor returns the (cached, shared, read-only) key table for n nodes,
-// built on first use the way spec.PermTableFor builds permutations.
-func varKeysFor(n int) *varKeys {
-	e := &varKeyTables[n]
+// slots returns the state's (cached, shared, read-only) slot table, built
+// on first use the way spec.PermTableFor builds permutations.
+func (s *State) slots() *slotTable {
+	dialect := 0
+	if s.durability {
+		dialect |= 1
+	}
+	if s.snapshots {
+		dialect |= 2
+	}
+	if s.kv {
+		dialect |= 4
+	}
+	e := &slotTables[s.n][dialect]
 	e.once.Do(func() {
-		k := func(name string) []string { return trace.NodeKeys(name, n) }
-		e.keys = &varKeys{
-			durTerm: k("durTerm"), durVote: k("durVote"), durLog: k("durLog"),
-			status: k("status"), role: k("role"), term: k("term"), votedFor: k("votedFor"),
-			log: k("log"), commit: k("commit"), snapshot: k("snapshot"),
-			next: k("next"), match: k("match"), votes: k("votes"), lastRead: k("lastRead"),
-			net: trace.NetKeys(n),
+		fields := []string{"status", "role", "term", "votedFor", "log", "commit", "next", "match", "votes"}
+		if s.snapshots {
+			fields = append(fields, "snapshot")
 		}
+		if s.kv {
+			fields = append(fields, "lastRead")
+		}
+		if s.durability {
+			fields = append(fields, "durTerm", "durVote", "durLog")
+		}
+		sc := trace.NewSchema(s.n, fields, []string{"counters", "violation"})
+		t := &slotTable{schema: sc,
+			status: sc.Field("status"), role: sc.Field("role"), term: sc.Field("term"),
+			votedFor: sc.Field("votedFor"), log: sc.Field("log"), commit: sc.Field("commit"),
+			next: sc.Field("next"), match: sc.Field("match"), votes: sc.Field("votes"),
+			snapshot: sc.Field("snapshot"), lastRead: sc.Field("lastRead"),
+			durTerm: sc.Field("durTerm"), durVote: sc.Field("durVote"), durLog: sc.Field("durLog"),
+		}
+		t.counters, _ = sc.Slot("counters")
+		t.violation, _ = sc.Slot("violation")
+		t.upOnly = []int{t.role, t.term, t.votedFor, t.log, t.commit, t.next, t.match, t.votes}
+		if s.snapshots {
+			t.upOnly = append(t.upOnly, t.snapshot)
+		}
+		e.t = t
 	})
-	return e.keys
+	return e.t
 }
 
 // Log helpers (absolute indexing, snapshot-aware).

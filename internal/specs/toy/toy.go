@@ -14,6 +14,7 @@ package toy
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"github.com/sandtable-go/sandtable/internal/fp"
 	"github.com/sandtable-go/sandtable/internal/spec"
@@ -74,14 +75,32 @@ func (s *LostUpdateState) OrbitCombine(node, edge []uint64, global uint64, perm,
 	return h.Sum()
 }
 
-// Vars implements spec.State.
-func (s *LostUpdateState) Vars() map[string]string {
-	m := map[string]string{"mem": fmt.Sprint(s.Mem)}
+// Vars implements spec.State: the map VarSlots renders.
+func (s *LostUpdateState) Vars() map[string]string { return spec.VarsOf(s) }
+
+// Schema implements spec.Slotted: pc and local per process, and mem.
+func (s *LostUpdateState) Schema() *trace.Schema {
+	return trace.NewSchema(len(s.PC), []string{"pc", "local"}, []string{"mem"})
+}
+
+// VarSlots implements spec.Slotted. The processes exchange no messages, so
+// the channel slots stay Absent.
+func (s *LostUpdateState) VarSlots(dst []string) {
+	sc := s.Schema()
+	pc, local := sc.Field("pc"), sc.Field("local")
 	for i := range s.PC {
-		m[fmt.Sprintf("pc[%d]", i)] = fmt.Sprint(s.PC[i])
-		m[fmt.Sprintf("local[%d]", i)] = fmt.Sprint(s.Local[i])
+		dst[pc+i] = strconv.Itoa(s.PC[i])
+		dst[local+i] = strconv.Itoa(s.Local[i])
 	}
-	return m
+	for src := range s.PC {
+		for d := range s.PC {
+			if src != d {
+				dst[sc.Net(src, d)] = trace.Absent
+			}
+		}
+	}
+	mem, _ := sc.Slot("mem")
+	dst[mem] = strconv.Itoa(s.Mem)
 }
 
 // cloneInto copies s into dst, reusing dst's array, and returns dst; a nil

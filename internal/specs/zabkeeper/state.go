@@ -318,72 +318,84 @@ func (s *State) lastZxid(i int) (epoch, counter int) {
 	return t.Epoch, t.Counter
 }
 
-// Vars implements spec.State; rendering matches the implementation's
-// Observe output. As in raftbase, keys come from the arity's table and
+// Vars implements spec.State: the map VarSlots renders.
+func (s *State) Vars() map[string]string { return spec.VarsOf(s) }
+
+// Schema implements spec.Slotted.
+func (s *State) Schema() *trace.Schema { return slotsFor(s.n).schema }
+
+// VarSlots implements spec.Slotted; rendering matches the implementation's
+// Observe output. As in raftbase, slots come from the arity's table and
 // values are strconv appends: a conformance walk renders every state.
-func (s *State) Vars() map[string]string {
-	k := varKeysFor(s.n)
-	// net and status, counters, violation, and the up nodes' rows
-	m := make(map[string]string, s.n*s.n+2+9*s.Up.Count())
+func (s *State) VarSlots(dst []string) {
+	t := slotsFor(s.n)
 	for i := 0; i < s.n; i++ {
 		if !s.Up.Has(i) {
-			m[k.status[i]] = "crashed"
+			dst[t.status+i] = "crashed"
+			for _, f := range t.upOnly {
+				dst[f+i] = trace.Absent
+			}
 			continue
 		}
-		m[k.status[i]] = "up"
-		m[k.state[i]] = stateString(s.ZState[i])
-		m[k.round[i]] = strconv.Itoa(s.Round[i])
-		m[k.vote[i]] = s.Vote[i].String()
-		m[k.epoch[i]] = strconv.Itoa(s.Epoch[i])
-		m[k.history[i]] = trace.History(s.History[i])
-		m[k.committed[i]] = strconv.Itoa(s.Commit[i])
-		m[k.leader[i]] = strconv.Itoa(s.LeaderID[i])
+		dst[t.status+i] = "up"
+		dst[t.state+i] = stateString(s.ZState[i])
+		dst[t.round+i] = strconv.Itoa(s.Round[i])
+		dst[t.vote+i] = s.Vote[i].String()
+		dst[t.epoch+i] = strconv.Itoa(s.Epoch[i])
+		dst[t.history+i] = trace.History(s.History[i])
+		dst[t.committed+i] = strconv.Itoa(s.Commit[i])
+		dst[t.leader+i] = strconv.Itoa(s.LeaderID[i])
 		if s.ZState[i] == Leading {
-			m[k.synced[i]] = s.Synced[i].String()
-			m[k.acked[i]] = trace.PeerRow(s.Acked[i], i)
+			dst[t.synced+i] = s.Synced[i].String()
+			dst[t.acked+i] = trace.PeerRow(s.Acked[i], i)
 		} else {
-			m[k.synced[i]] = "-"
-			m[k.acked[i]] = "-"
+			dst[t.synced+i] = "-"
+			dst[t.acked+i] = "-"
 		}
 	}
 	for src := 0; src < s.n; src++ {
-		for dst := 0; dst < s.n; dst++ {
-			if src == dst {
-				continue
+		for d := 0; d < s.n; d++ {
+			if src != d {
+				dst[t.schema.Net(src, d)] = strconv.Itoa(len(s.Chan[src][d]))
 			}
-			m[k.net[src][dst]] = strconv.Itoa(len(s.Chan[src][dst]))
 		}
 	}
-	s.Counters.Vars(m)
-	m["violation"] = s.Viol.Flag
-	return m
+	dst[t.counters] = s.Counters.String()
+	dst[t.violation] = s.Viol.Flag
 }
 
-// varKeys are the keys Vars renders at one arity (trace.NodeKeys,
-// trace.NetKeys).
-type varKeys struct {
-	status, state, round, vote, epoch, history, committed, leader, synced, acked []string
-	net                                                                          [][]string
+// slotTable is the schema VarSlots renders at one arity and the slot of
+// each field's node 0 in it.
+type slotTable struct {
+	schema *trace.Schema
+	status, state, round, vote, epoch, history, committed, leader, synced, acked,
+	counters, violation int
+	upOnly []int // the fields a crashed node does not render
 }
 
-var varKeyTables [spec.MaxNodes + 1]struct {
+var slotTables [spec.MaxNodes + 1]struct {
 	once sync.Once
-	keys *varKeys
+	t    *slotTable
 }
 
-// varKeysFor returns the (cached, shared, read-only) key table for n nodes.
-func varKeysFor(n int) *varKeys {
-	e := &varKeyTables[n]
+// slotsFor returns the (cached, shared, read-only) slot table for n nodes.
+func slotsFor(n int) *slotTable {
+	e := &slotTables[n]
 	e.once.Do(func() {
-		k := func(name string) []string { return trace.NodeKeys(name, n) }
-		e.keys = &varKeys{
-			status: k("status"), state: k("state"), round: k("round"), vote: k("vote"),
-			epoch: k("epoch"), history: k("history"), committed: k("committed"),
-			leader: k("leader"), synced: k("synced"), acked: k("acked"),
-			net: trace.NetKeys(n),
+		sc := trace.NewSchema(n, []string{"status", "state", "round", "vote", "epoch", "history",
+			"committed", "leader", "synced", "acked"}, []string{"counters", "violation"})
+		t := &slotTable{schema: sc,
+			status: sc.Field("status"), state: sc.Field("state"), round: sc.Field("round"),
+			vote: sc.Field("vote"), epoch: sc.Field("epoch"), history: sc.Field("history"),
+			committed: sc.Field("committed"), leader: sc.Field("leader"),
+			synced: sc.Field("synced"), acked: sc.Field("acked"),
 		}
+		t.counters, _ = sc.Slot("counters")
+		t.violation, _ = sc.Slot("violation")
+		t.upOnly = []int{t.state, t.round, t.vote, t.epoch, t.history, t.committed, t.leader, t.synced, t.acked}
+		e.t = t
 	})
-	return e.keys
+	return e.t
 }
 
 // permute returns the node-permuted state (symmetry reduction).

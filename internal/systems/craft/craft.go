@@ -631,27 +631,29 @@ func (n *Node) advanceCommit() {
 	}
 }
 
+// fields are the variables Observe renders, in the order it writes them.
+var fields = []string{"role", "term", "votedFor", "log", "commit", "snapshot", "next", "match", "votes"}
+
+// Fields implements vos.Process.
+func (n *Node) Fields() []string { return fields }
+
 // Observe implements vos.Process.
-func (n *Node) Observe() map[string]string {
-	m := map[string]string{
-		"role":     n.role.String(),
-		"term":     strconv.Itoa(n.term),
-		"votedFor": strconv.Itoa(n.votedFor),
-		"log":      trace.Log(n.log),
-		"commit":   strconv.Itoa(n.commit),
-		"snapshot": strconv.Itoa(n.snapIdx) + "@" + strconv.Itoa(n.snapTerm),
-	}
+func (n *Node) Observe(dst []string) {
+	dst[0] = n.role.String()
+	dst[1] = strconv.Itoa(n.term)
+	dst[2] = strconv.Itoa(n.votedFor)
+	dst[3] = trace.Log(n.log)
+	dst[4] = strconv.Itoa(n.commit)
+	dst[5] = strconv.Itoa(n.snapIdx) + "@" + strconv.Itoa(n.snapTerm)
 	if n.role == Leader {
-		m["next"] = trace.PeerRow(n.next, n.env.ID())
-		m["match"] = trace.PeerRow(n.match, n.env.ID())
+		dst[6] = trace.PeerRow(n.next, n.env.ID())
+		dst[7] = trace.PeerRow(n.match, n.env.ID())
 	} else {
-		m["next"] = "-"
-		m["match"] = "-"
+		dst[6], dst[7] = "-", "-"
 	}
 	if n.role == Candidate {
-		m["votes"] = trace.IDSet(trace.MapIDs(n.votes))
+		dst[8] = trace.IDSet(trace.MapIDs(n.votes))
 	} else {
-		m["votes"] = "-"
+		dst[8] = "-"
 	}
-	return m
 }

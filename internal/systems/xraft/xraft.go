@@ -481,26 +481,28 @@ func (n *Node) applyCommitted() {
 	}
 }
 
+// fields are the variables Observe renders, in the order it writes them.
+var fields = []string{"role", "term", "votedFor", "log", "commit", "next", "match", "votes"}
+
+// Fields implements vos.Process.
+func (n *Node) Fields() []string { return fields }
+
 // Observe implements vos.Process.
-func (n *Node) Observe() map[string]string {
-	m := map[string]string{
-		"role":     n.role.String(),
-		"term":     strconv.Itoa(n.term),
-		"votedFor": strconv.Itoa(n.votedFor),
-		"log":      trace.Log(n.log),
-		"commit":   strconv.Itoa(n.commit),
-	}
+func (n *Node) Observe(dst []string) {
+	dst[0] = n.role.String()
+	dst[1] = strconv.Itoa(n.term)
+	dst[2] = strconv.Itoa(n.votedFor)
+	dst[3] = trace.Log(n.log)
+	dst[4] = strconv.Itoa(n.commit)
 	if n.role == Leader {
-		m["next"] = trace.PeerRow(n.next, n.env.ID())
-		m["match"] = trace.PeerRow(n.match, n.env.ID())
+		dst[5] = trace.PeerRow(n.next, n.env.ID())
+		dst[6] = trace.PeerRow(n.match, n.env.ID())
 	} else {
-		m["next"] = "-"
-		m["match"] = "-"
+		dst[5], dst[6] = "-", "-"
 	}
 	if n.role == Candidate {
-		m["votes"] = trace.IDSet(trace.MapIDs(n.votes))
+		dst[7] = trace.IDSet(trace.MapIDs(n.votes))
 	} else {
-		m["votes"] = "-"
+		dst[7] = "-"
 	}
-	return m
 }

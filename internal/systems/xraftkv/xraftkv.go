@@ -12,6 +12,7 @@
 package xraftkv
 
 import (
+	"slices"
 	"strings"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
@@ -98,15 +99,24 @@ func (s *Store) get(key string) {
 	s.env.Logf("get %s -> %q", key, val)
 }
 
+// nodeFields is the length of the embedded xraft node's Fields, and fields
+// those followed by the store's own.
+var (
+	nodeFields = len((*xraft.Node)(nil).Fields())
+	fields     = slices.Concat((*xraft.Node)(nil).Fields(), []string{"lastRead", "kv"})
+)
+
+// Fields implements vos.Process.
+func (s *Store) Fields() []string { return fields }
+
 // Observe implements vos.Process: the xraft variables plus the KV read
 // result compared against the specification's ghost.
-func (s *Store) Observe() map[string]string {
-	m := s.Node.Observe()
+func (s *Store) Observe(dst []string) {
+	s.Node.Observe(dst[:nodeFields])
 	if s.lastRead != "" {
-		m["lastRead"] = s.lastRead
+		dst[nodeFields] = s.lastRead
 	}
-	m["kv"] = formatData(s.data)
-	return m
+	dst[nodeFields+1] = formatData(s.data)
 }
 
 func formatData(data map[string]string) string {

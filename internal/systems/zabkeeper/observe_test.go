@@ -1,0 +1,14 @@
+package zabkeeper_test
+
+import (
+	"testing"
+
+	"github.com/sandtable-go/sandtable/internal/systems/systemstest"
+	"github.com/sandtable-go/sandtable/internal/systems/zabkeeper"
+)
+
+// TestObserveMatchesReference holds the slot rendering to the map rendering
+// it replaced on every state of replayed walks, crashed nodes included.
+func TestObserveMatchesReference(t *testing.T) {
+	systemstest.AssertObserveMatches(t, "zabkeeper", zabkeeper.ObserveReference)
+}

@@ -501,23 +501,25 @@ func (n *Node) handleCommit(from int, m Message) {
 	}
 }
 
+// fields are the variables Observe renders, in the order it writes them.
+var fields = []string{"state", "round", "vote", "epoch", "history", "committed", "leader", "synced", "acked"}
+
+// Fields implements vos.Process.
+func (n *Node) Fields() []string { return fields }
+
 // Observe implements vos.Process.
-func (n *Node) Observe() map[string]string {
-	m := map[string]string{
-		"state":     n.state.String(),
-		"round":     strconv.Itoa(n.round),
-		"vote":      n.vote.String(),
-		"epoch":     strconv.Itoa(n.epoch),
-		"history":   trace.History(n.history),
-		"committed": strconv.Itoa(n.commit),
-		"leader":    strconv.Itoa(n.leaderID),
-	}
+func (n *Node) Observe(dst []string) {
+	dst[0] = n.state.String()
+	dst[1] = strconv.Itoa(n.round)
+	dst[2] = n.vote.String()
+	dst[3] = strconv.Itoa(n.epoch)
+	dst[4] = trace.History(n.history)
+	dst[5] = strconv.Itoa(n.commit)
+	dst[6] = strconv.Itoa(n.leaderID)
 	if n.state == Leading {
-		m["synced"] = trace.IDSet(trace.BoolIDs(n.synced))
-		m["acked"] = trace.PeerRow(n.acked, n.env.ID())
+		dst[7] = trace.IDSet(trace.BoolIDs(n.synced))
+		dst[8] = trace.PeerRow(n.acked, n.env.ID())
 	} else {
-		m["synced"] = "-"
-		m["acked"] = "-"
+		dst[7], dst[8] = "-", "-"
 	}
-	return m
 }

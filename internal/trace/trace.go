@@ -158,18 +158,6 @@ func (t *Trace) Format(showVars bool) string {
 	return b.String()
 }
 
-// DiffVars returns the keys at which two variable maps differ, sorted.
-func DiffVars(a, b map[string]string) []string {
-	var keys []string
-	for k, va := range a {
-		if vb, ok := b[k]; ok && va != vb {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 func sortedKeys(m map[string]string) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

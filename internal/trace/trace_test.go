@@ -68,15 +68,6 @@ func TestFormatShowsChangedVars(t *testing.T) {
 	}
 }
 
-func TestDiffVars(t *testing.T) {
-	a := map[string]string{"x": "1", "y": "2", "z": "3"}
-	b := map[string]string{"x": "1", "y": "9", "w": "0"}
-	diff := DiffVars(a, b)
-	if len(diff) != 1 || diff[0] != "y" {
-		t.Errorf("diff = %v, want [y]", diff)
-	}
-}
-
 func TestDiagramRendersArrowsAndLocalEvents(t *testing.T) {
 	d := sample().Diagram(2, nil)
 	if !strings.Contains(d, "n0") || !strings.Contains(d, "n1") {

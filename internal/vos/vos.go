@@ -306,9 +306,15 @@ type Process interface {
 	Tick()
 	// ClientRequest submits one client operation (write value, etc.).
 	ClientRequest(payload string)
+	// Fields names the state variables Observe renders, in the order it
+	// writes them: the same list for every node of a system and every call
+	// (the engine reads it once per cluster).
+	Fields() []string
 	// Observe renders the node's state variables for conformance checking
-	// (the paper's "query the system's APIs" observation path).
-	Observe() map[string]string
+	// (the paper's "query the system's APIs" observation path): dst[f] is
+	// Fields()[f]. The engine hands dst in with every slot trace.Absent, so a
+	// variable the node does not hold at the moment is left as it is.
+	Observe(dst []string)
 }
 
 // LogBuffer captures a node's log output for the log-parsing observation
