@@ -456,7 +456,9 @@ func (c *Cluster) restart(node int) error {
 	if c.up[node] {
 		return fmt.Errorf("engine: node %d is already running", node)
 	}
-	c.net.RestartNode(node, func(a, b int) bool { return c.partitioned(a, b) })
+	// A pair stays severed while a partition separates it or its other end
+	// is down (heal's rule, and the specifications' restart).
+	c.net.RestartNode(node, func(a, b int) bool { return c.partitioned(a, b) || !c.up[b] })
 	return c.startNode(node)
 }
 

@@ -178,6 +178,26 @@ func TestRestartRespectsActivePartition(t *testing.T) {
 	}
 }
 
+// TestRestartLeavesDownPeerSevered: a restarting node reconnects only to
+// peers that are up, as the specifications' restart does; the pair is
+// reconnected when the other end restarts in turn.
+func TestRestartLeavesDownPeerSevered(t *testing.T) {
+	c := newTestCluster(t, 3)
+	apply(t, c, Command{Type: trace.EvCrash, Node: 1})
+	apply(t, c, Command{Type: trace.EvCrash, Node: 2})
+	apply(t, c, Command{Type: trace.EvRestart, Node: 1})
+	if !c.Network().Connected(0, 1) || !c.Network().Connected(1, 0) {
+		t.Error("restart should reconnect to the running node 0")
+	}
+	if c.Network().Connected(1, 2) || c.Network().Connected(2, 1) {
+		t.Error("restart must not reconnect to the down node 2")
+	}
+	apply(t, c, Command{Type: trace.EvRestart, Node: 2})
+	if !c.Network().Connected(1, 2) || !c.Network().Connected(2, 1) {
+		t.Error("restarting node 2 should reconnect it to node 1")
+	}
+}
+
 func TestPanicBecomesCrashError(t *testing.T) {
 	c := newTestCluster(t, 2)
 	apply(t, c, Command{Type: trace.EvRequest, Node: 0, Payload: "boom"})

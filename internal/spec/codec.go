@@ -103,6 +103,20 @@ func (d *Decoder) Row(what string, n int) bool {
 	return d.Err == nil && code != 0
 }
 
+// AppendBool appends b as the one byte Bool reads back.
+func AppendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+// AppendStr appends s length-prefixed, as Str reads it back.
+func AppendStr(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
 // AppendNodeSetRow appends s the way the nil-able row of n booleans it stands
 // in for was encoded (see NodeSet.RowLen): a 0 marker for the empty set, else
 // n+1 and one boolean byte per node.
@@ -112,11 +126,7 @@ func AppendNodeSetRow(dst []byte, s NodeSet, n int) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(n)+1)
 	for j := 0; j < n; j++ {
-		if s.Has(j) {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = AppendBool(dst, s.Has(j))
 	}
 	return dst
 }

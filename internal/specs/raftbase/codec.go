@@ -29,24 +29,9 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 	s := st.(*State)
 	n := s.n
 	vi := func(v int) { dst = binary.AppendVarint(dst, int64(v)) }
-	vb := func(b bool) {
-		if b {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-	}
-	vs := func(str string) {
-		dst = binary.AppendUvarint(dst, uint64(len(str)))
-		dst = append(dst, str...)
-	}
-	entries := func(es []Entry) {
-		dst = binary.AppendUvarint(dst, uint64(len(es)))
-		for _, e := range es {
-			vi(e.Term)
-			vs(e.Value)
-		}
-	}
+	vb := func(b bool) { dst = spec.AppendBool(dst, b) }
+	vs := func(str string) { dst = spec.AppendStr(dst, str) }
+	entries := func(es []Entry) { dst = appendEntries(dst, es) }
 	intRow := func(row []int) {
 		if row == nil {
 			dst = append(dst, 0)
@@ -77,34 +62,7 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 		intRow(s.Next[i])
 		intRow(s.Match[i])
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			vb(s.Cut[i].Has(j))
-			vb(s.Part[i].Has(j))
-			q := s.Chan[i][j]
-			dst = binary.AppendUvarint(dst, uint64(len(q)))
-			for k := range q {
-				// The wire carries the wide message, every field in Msg
-				// order, as it did before queues stored them packed.
-				msg := q[k].unpack()
-				dst = append(dst, q[k].kind)
-				vi(msg.Term)
-				vi(msg.LastIndex)
-				vi(msg.LastTerm)
-				vb(msg.Pre)
-				vb(msg.Granted)
-				vi(msg.PrevIndex)
-				vi(msg.PrevTerm)
-				entries(msg.Entries)
-				vi(msg.Commit)
-				vb(msg.Flag)
-				vi(msg.NextIndex)
-				vb(msg.Retry)
-				vi(msg.SnapIndex)
-				vi(msg.SnapTerm)
-			}
-		}
-	}
+	dst = s.AppendChannels(dst)
 	entries(s.Committed)
 	vb(s.SnapConflictInstall)
 	lr := s.lastRead()
@@ -115,6 +73,15 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 	vb(lr.Bad)
 	dst = s.Counters.AppendTo(dst)
 	vs(s.Viol.Flag)
+	return dst
+}
+
+func appendEntries(dst []byte, es []Entry) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(es)))
+	for _, e := range es {
+		dst = binary.AppendVarint(dst, int64(e.Term))
+		dst = spec.AppendStr(dst, e.Value)
+	}
 	return dst
 }
 
@@ -179,52 +146,7 @@ func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 		s.Next[i] = decodeIntRow(d, "next", n)
 		s.Match[i] = decodeIntRow(d, "match", n)
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if d.Bool("cut") {
-				s.Cut[i].Add(j)
-			}
-			if d.Bool("part") {
-				s.Part[i].Add(j)
-			}
-			qn := d.Len("chan")
-			if qn == 0 {
-				continue
-			}
-			q := make([]packedMsg, qn)
-			for k := range q {
-				var msg Msg
-				code := d.Byte("msg type")
-				if int(code) >= len(msgTypes) {
-					d.Failf("unknown message type code %d", code)
-					break
-				}
-				msg.Type = msgTypes[code]
-				msg.Term = d.Int("msg term")
-				msg.LastIndex = d.Int("msg lastIndex")
-				msg.LastTerm = d.Int("msg lastTerm")
-				msg.Pre = d.Bool("msg pre")
-				msg.Granted = d.Bool("msg granted")
-				msg.PrevIndex = d.Int("msg prevIndex")
-				msg.PrevTerm = d.Int("msg prevTerm")
-				msg.Entries = decodeEntries(d, "msg entries")
-				msg.Commit = d.Int("msg commit")
-				msg.Flag = d.Bool("msg flag")
-				msg.NextIndex = d.Int("msg nextIndex")
-				msg.Retry = d.Bool("msg retry")
-				msg.SnapIndex = d.Int("msg snapIndex")
-				msg.SnapTerm = d.Int("msg snapTerm")
-				// A queue stores a message packed; one that packing would
-				// alter (a field its kind does not carry, an integer beyond
-				// 32 bits) is refused, not narrowed into another message.
-				var ok bool
-				if q[k], ok = pack(msg); !ok && d.Err == nil {
-					d.Failf("%s message carries a field outside its kind or beyond 32 bits", msg.Type)
-				}
-			}
-			s.Chan[i][j] = q
-		}
-	}
+	s.DecodeChannels(d)
 	s.Committed = decodeEntries(d, "committed")
 	s.SnapConflictInstall = d.Bool("snapConflictInstall")
 	var lr kvRead

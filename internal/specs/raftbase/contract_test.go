@@ -73,7 +73,7 @@ func TestContract(t *testing.T) {
 // TestStoredMessagesLossless is the store/load law at every message of every
 // channel of every state of a bounded BFS, over the fixed and the all-defects
 // build of each of the seven systems: what a queue stores of a message loads
-// back to the message that was sent. (send panics on a message that would not,
+// back to the message that was sent. (mustPack panics on a message that would not,
 // so a handler that set an operand outside its kind's set fails this search
 // rather than losing the operand.)
 func TestStoredMessagesLossless(t *testing.T) {

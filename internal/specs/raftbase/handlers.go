@@ -51,7 +51,7 @@ func (m *Machine) startPreVote(s *State, i int) {
 		if p == i {
 			continue
 		}
-		s.send(i, p, Msg{Type: "rv", Term: s.Term[i] + 1, Pre: true, LastIndex: s.lastIndex(i), LastTerm: s.logTerm(i, s.lastIndex(i))})
+		s.Send(i, p, mustPack(Msg{Type: "rv", Term: s.Term[i] + 1, Pre: true, LastIndex: s.lastIndex(i), LastTerm: s.logTerm(i, s.lastIndex(i))}))
 	}
 	m.maybeWinPreVote(s, i)
 }
@@ -67,7 +67,7 @@ func (m *Machine) startElection(s *State, i int) {
 		if p == i {
 			continue
 		}
-		s.send(i, p, Msg{Type: "rv", Term: s.Term[i], LastIndex: s.lastIndex(i), LastTerm: s.logTerm(i, s.lastIndex(i))})
+		s.Send(i, p, mustPack(Msg{Type: "rv", Term: s.Term[i], LastIndex: s.lastIndex(i), LastTerm: s.logTerm(i, s.lastIndex(i))}))
 	}
 	m.maybeWinElection(s, i)
 }
@@ -150,10 +150,10 @@ func (m *Machine) sendAppend(s *State, i, p int, retry bool) {
 			// assertion would (§3.1: properties come from code assertions
 			// too), so model checking flags the send.
 			s.Viol.Set("AppendEntries sent where snapshot transfer is required (leader %d, follower %d, next=%d, snapshot=%d)", i, p, ni, s.SnapIdx[i])
-			s.send(i, p, Msg{Type: "ae", Term: s.Term[i], PrevIndex: ni - 1, PrevTerm: s.logTerm(i, ni-1), Entries: nil, Commit: s.Commit[i], Retry: retry})
+			s.Send(i, p, mustPack(Msg{Type: "ae", Term: s.Term[i], PrevIndex: ni - 1, PrevTerm: s.logTerm(i, ni-1), Entries: nil, Commit: s.Commit[i], Retry: retry}))
 			return
 		}
-		s.send(i, p, Msg{Type: "snap", Term: s.Term[i], SnapIndex: s.SnapIdx[i], SnapTerm: s.SnapTerm[i]})
+		s.Send(i, p, mustPack(Msg{Type: "snap", Term: s.Term[i], SnapIndex: s.SnapIdx[i], SnapTerm: s.SnapTerm[i]}))
 		s.Next[i][p] = s.SnapIdx[i] + 1
 		return
 	}
@@ -166,7 +166,7 @@ func (m *Machine) sendAppend(s *State, i, p int, retry bool) {
 		// "retrying requests must not contain an empty log" flags it.
 		s.Viol.Set("retry message includes empty log (leader %d -> follower %d, next=%d)", i, p, ni)
 	}
-	s.send(i, p, Msg{Type: "ae", Term: s.Term[i], PrevIndex: prev, PrevTerm: s.logTerm(i, prev), Entries: entries, Commit: s.Commit[i], Retry: retry})
+	s.Send(i, p, mustPack(Msg{Type: "ae", Term: s.Term[i], PrevIndex: prev, PrevTerm: s.logTerm(i, prev), Entries: entries, Commit: s.Commit[i], Retry: retry}))
 	if m.opt.Profile == GoSyncObj {
 		// Aggressive next-index advance (PySyncObj optimisation).
 		s.Next[i][p] = s.lastIndex(i) + 1
@@ -293,7 +293,7 @@ func (m *Machine) handleRequestVote(s *State, dst, src int, msg Msg) {
 		s.VotedFor[dst] = src
 		m.syncDurable(s, dst) // the vote is persisted before it is answered
 	}
-	s.send(dst, src, Msg{Type: "rvr", Term: s.Term[dst], Granted: granted})
+	s.Send(dst, src, mustPack(Msg{Type: "rvr", Term: s.Term[dst], Granted: granted}))
 }
 
 func (m *Machine) handlePreVoteRequest(s *State, dst, src int, msg Msg) {
@@ -312,7 +312,7 @@ func (m *Machine) handlePreVoteRequest(s *State, dst, src int, msg Msg) {
 			granted = false
 		}
 	}
-	s.send(dst, src, Msg{Type: "rvr", Term: s.Term[dst], Pre: true, Granted: granted})
+	s.Send(dst, src, mustPack(Msg{Type: "rvr", Term: s.Term[dst], Pre: true, Granted: granted}))
 }
 
 func (m *Machine) handleRequestVoteResponse(s *State, dst, src int, msg Msg) {
@@ -348,7 +348,7 @@ func (m *Machine) handleRequestVoteResponse(s *State, dst, src int, msg Msg) {
 
 func (m *Machine) handleAppendEntries(s *State, dst, src int, msg Msg) {
 	if msg.Term < s.Term[dst] {
-		s.send(dst, src, Msg{Type: "aer", Term: s.Term[dst], Flag: false, NextIndex: s.lastIndex(dst) + 1})
+		s.Send(dst, src, mustPack(Msg{Type: "aer", Term: s.Term[dst], Flag: false, NextIndex: s.lastIndex(dst) + 1}))
 		return
 	}
 	if msg.Term > s.Term[dst] {
@@ -360,7 +360,7 @@ func (m *Machine) handleAppendEntries(s *State, dst, src int, msg Msg) {
 	if msg.PrevIndex > s.lastIndex(dst) ||
 		(msg.PrevIndex >= 1 && msg.PrevIndex > s.SnapIdx[dst] && s.logTerm(dst, msg.PrevIndex) != msg.PrevTerm) {
 		if !(msg.PrevIndex == 0 && m.bug(bugdb.CRaftFirstEntryAppend)) {
-			s.send(dst, src, Msg{Type: "aer", Term: s.Term[dst], Flag: false, NextIndex: s.lastIndex(dst) + 1})
+			s.Send(dst, src, mustPack(Msg{Type: "aer", Term: s.Term[dst], Flag: false, NextIndex: s.lastIndex(dst) + 1}))
 			return
 		}
 	}
@@ -430,7 +430,7 @@ func (m *Machine) handleAppendEntries(s *State, dst, src int, msg Msg) {
 		// instead of past it.
 		inext--
 	}
-	s.send(dst, src, Msg{Type: "aer", Term: s.Term[dst], Flag: true, NextIndex: inext})
+	s.Send(dst, src, mustPack(Msg{Type: "aer", Term: s.Term[dst], Flag: true, NextIndex: inext}))
 }
 
 func (m *Machine) handleAppendEntriesResponse(s *State, dst, src int, msg Msg) {
@@ -513,7 +513,7 @@ func (m *Machine) handleAppendEntriesResponse(s *State, dst, src int, msg Msg) {
 
 func (m *Machine) handleSnapshot(s *State, dst, src int, msg Msg) {
 	if msg.Term < s.Term[dst] {
-		s.send(dst, src, Msg{Type: "aer", Term: s.Term[dst], Flag: false, NextIndex: s.lastIndex(dst) + 1})
+		s.Send(dst, src, mustPack(Msg{Type: "aer", Term: s.Term[dst], Flag: false, NextIndex: s.lastIndex(dst) + 1}))
 		return
 	}
 	if msg.Term > s.Term[dst] {
@@ -536,7 +536,7 @@ func (m *Machine) handleSnapshot(s *State, dst, src int, msg Msg) {
 			m.extendCommitted(s, dst)
 		}
 	}
-	s.send(dst, src, Msg{Type: "aer", Term: s.Term[dst], Flag: true, NextIndex: s.lastIndex(dst) + 1})
+	s.Send(dst, src, mustPack(Msg{Type: "aer", Term: s.Term[dst], Flag: true, NextIndex: s.lastIndex(dst) + 1}))
 }
 
 // advanceCommit recomputes the leader's commit index.

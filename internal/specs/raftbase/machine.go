@@ -111,7 +111,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	// recycles it.
 	clone := func() *State { return s.cloneInto(spec.Dead[*State](out)) }
 	add := func(ev trace.Event, n *State) {
-		if m.overflows(n) {
+		if n.Overflows(m.opt.Budget.MaxBuffer) {
 			return
 		}
 		out = append(out, spec.Succ{Event: ev, State: n})
@@ -186,106 +186,16 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 			add(trace.Event{Type: trace.EvCrashDirty, Action: "NodeCrashDirty", Node: i, Payload: "lose-unsynced"}, n)
 		}
 	}
-	// Node restart.
-	for i := 0; i < m.n; i++ {
-		if s.Up.Has(i) || !s.Counters.CanRestart(b) {
-			continue
-		}
+	// Restarts, deliveries, UDP drops and duplicates, TCP partitions and
+	// recoveries.
+	s.Events(&s.Counters, b, m.opt.Transport, func(ev trace.Event) {
 		n := clone()
-		n.Counters.Restarts++
-		m.restart(n, i)
-		add(trace.Event{Type: trace.EvRestart, Action: "NodeStart", Node: i}, n)
-	}
-
-	// Message deliveries and UDP manipulations.
-	for src := 0; src < m.n; src++ {
-		for dst := 0; dst < m.n; dst++ {
-			q := s.Chan[src][dst]
-			if src == dst || len(q) == 0 || !s.Up.Has(dst) {
-				continue
-			}
-			limit := 1 // TCP: head only
-			if m.opt.Transport == vnet.UDP {
-				limit = len(q)
-			}
-			for k := 0; k < limit; k++ {
-				n := clone()
-				msg := n.takeMsg(src, dst, k)
-				action := m.dispatch(n, src, dst, msg)
-				add(trace.Event{Type: trace.EvDeliver, Action: action, Node: dst, Peer: src, Index: k}, n)
-			}
-			if m.opt.Transport == vnet.UDP {
-				for k := 0; k < len(q); k++ {
-					if s.Counters.CanDrop(b) {
-						n := clone()
-						n.Counters.Drops++
-						n.takeMsg(src, dst, k)
-						add(trace.Event{Type: trace.EvDrop, Action: "DropMessage", Node: dst, Peer: src, Index: k}, n)
-					}
-					if s.Counters.CanDuplicate(b) {
-						n := clone()
-						n.Counters.Duplicates++
-						n.Chan[src][dst] = append(n.Chan[src][dst], n.Chan[src][dst][k])
-						add(trace.Event{Type: trace.EvDuplicate, Action: "DuplicateMessage", Node: dst, Peer: src, Index: k}, n)
-					}
-				}
-			}
+		if msg, ok := n.Apply(ev, &n.Counters); ok {
+			ev.Action = m.dispatch(n, ev.Peer, ev.Node, msg.unpack())
 		}
-	}
-
-	// Network partitions and recovery (TCP failure model).
-	if m.opt.Transport == vnet.TCP {
-		for a := 0; a < m.n; a++ {
-			for bn := a + 1; bn < m.n; bn++ {
-				if !s.Part[a].Has(bn) && s.Counters.CanPartition(b) {
-					n := clone()
-					n.Counters.Partitions++
-					m.partition(n, a, bn)
-					add(trace.Event{Type: trace.EvPartition, Action: "NetworkPartition", Node: a, Peer: bn}, n)
-				}
-				if s.Part[a].Has(bn) {
-					n := clone()
-					m.heal(n, a, bn)
-					add(trace.Event{Type: trace.EvRecover, Action: "NetworkRecover", Node: a, Peer: bn}, n)
-				}
-			}
-		}
-	}
+		add(ev, n)
+	})
 	return out
-}
-
-// overflows enforces the MaxBuffer budget: transitions that would leave any
-// channel over the bound are not enumerated.
-func (m *Machine) overflows(s *State) bool {
-	if m.opt.Budget.MaxBuffer <= 0 {
-		return false
-	}
-	for i := 0; i < m.n; i++ {
-		for j := 0; j < m.n; j++ {
-			if len(s.Chan[i][j]) > m.opt.Budget.MaxBuffer {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// takeMsg removes and returns message k of channel src→dst, closing the gap
-// in place: s is a successor under construction, and its queues are its own.
-func (s *State) takeMsg(src, dst, k int) Msg {
-	q := s.Chan[src][dst]
-	msg := q[k].unpack()
-	s.Chan[src][dst] = q[:k+copy(q[k:], q[k+1:])]
-	return msg
-}
-
-// send appends a message to a channel unless the connection is severed
-// (mirrors vnet.Send dropping across cut pairs).
-func (s *State) send(src, dst int, msg Msg) {
-	if src == dst || s.Cut[src].Has(dst) {
-		return
-	}
-	s.Chan[src][dst] = append(s.Chan[src][dst], mustPack(msg))
 }
 
 // dispatch routes a delivered message to its handler and returns the action
@@ -312,19 +222,10 @@ func (m *Machine) dispatch(s *State, src, dst int, msg Msg) string {
 	}
 }
 
-// Environment actions.
-
+// crash is the protocol half of node i crashing (spec.Net.Crash is the
+// network half).
 func (m *Machine) crash(s *State, i int) {
-	s.Up.Del(i)
-	for j := 0; j < m.n; j++ {
-		if j == i {
-			continue
-		}
-		s.Chan[i][j] = nil
-		s.Chan[j][i] = nil
-		s.Cut[i].Add(j)
-		s.Cut[j].Add(i)
-	}
+	s.Crash(i)
 	// Volatile state is lost; we clear it eagerly so fingerprints do not
 	// distinguish dead states by unreachable data. Durable state (term,
 	// votedFor, log, snapshot) survives.
@@ -347,38 +248,6 @@ func (m *Machine) crashDirty(s *State, i int) {
 		s.Log[i] = append([]Entry(nil), s.DurLog[i]...)
 	}
 	m.crash(s, i)
-}
-
-func (m *Machine) restart(s *State, i int) {
-	s.Up.Add(i)
-	for j := 0; j < m.n; j++ {
-		if j == i || !s.Up.Has(j) {
-			continue
-		}
-		if s.Part[i].Has(j) || s.Part[j].Has(i) {
-			continue
-		}
-		s.Cut[i].Del(j)
-		s.Cut[j].Del(i)
-	}
-}
-
-func (m *Machine) partition(s *State, a, b int) {
-	s.Part[a].Add(b)
-	s.Part[b].Add(a)
-	s.Cut[a].Add(b)
-	s.Cut[b].Add(a)
-	s.Chan[a][b] = nil
-	s.Chan[b][a] = nil
-}
-
-func (m *Machine) heal(s *State, a, b int) {
-	s.Part[a].Del(b)
-	s.Part[b].Del(a)
-	if s.Up.Has(a) && s.Up.Has(b) {
-		s.Cut[a].Del(b)
-		s.Cut[b].Del(a)
-	}
 }
 
 // Actions lists the specification's action names (Table 1's #Act): the

@@ -28,7 +28,7 @@ func TestPackIsLossless(t *testing.T) {
 }
 
 // TestPackRefusesWhatItWouldAlter sets each field of Msg alone on a message
-// of each kind: pack either keeps it or says it cannot, and send panics on a
+// of each kind: pack either keeps it or says it cannot, and mustPack panics on a
 // message pack refuses — a handler that puts Commit on an "rv" fails loudly
 // instead of having it dropped. An integer beyond 32 bits is always refused.
 func TestPackRefusesWhatItWouldAlter(t *testing.T) {
@@ -43,10 +43,10 @@ func TestPackRefusesWhatItWouldAlter(t *testing.T) {
 		}
 		defer func() {
 			if recover() == nil {
-				t.Errorf("send stored %+v, which pack refuses", m)
+				t.Errorf("mustPack stored %+v, which pack refuses", m)
 			}
 		}()
-		newState(2).send(0, 1, m)
+		newState(2).Send(0, 1, mustPack(m))
 		return false
 	}
 	rt := reflect.TypeOf(Msg{})
@@ -88,7 +88,7 @@ func TestCodecRejectsUnknownMessageKind(t *testing.T) {
 	m := codecMachines()["gosyncobj"]
 	enc := func(msg Msg) []byte {
 		s := m.Init()[0].(*State).cloneInto(nil)
-		s.send(0, 1, msg)
+		s.Send(0, 1, mustPack(msg))
 		return m.AppendState(nil, s)
 	}
 	bad, other := enc(Msg{Type: "rv", Term: 1}), enc(Msg{Type: "rvr", Term: 1})

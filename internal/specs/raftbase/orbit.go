@@ -17,8 +17,9 @@ import (
 //   - edge[a*n+b]: the ordered-pair component — a's per-peer matrix cells
 //     for peer b (Votes/PreVotes/Next/Match, written only when the row is
 //     materialised; the row length in node[a] pins the structure), and for
-//     a != b the a→b channel queue and Cut/Part flags. raftbase messages
-//     carry no node ids, so whole queues are permutation-invariant.
+//     a != b the network's half (spec.Net.HashEdge: the a→b channel queue
+//     and Cut/Part flags). raftbase messages carry no node ids, so whole
+//     queues are permutation-invariant.
 //   - a global digest: state shared by all nodes (the committed ghost log,
 //     flags, KV read ghosts, budget counters, violation flag).
 //
@@ -93,13 +94,7 @@ func (s *State) OrbitDigests(node, edge []uint64) uint64 {
 				h.WriteInt(match[b])
 			}
 			if a != b {
-				q := s.Chan[a][b]
-				h.WriteInt(len(q))
-				for k := range q {
-					q[k].hash(&h)
-				}
-				h.WriteBool(s.Cut[a].Has(b))
-				h.WriteBool(s.Part[a].Has(b))
+				s.HashEdge(&h, a, b)
 			}
 			edge[a*n+b] = h.Sum()
 		}

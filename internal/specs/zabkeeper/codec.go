@@ -26,30 +26,14 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 	s := st.(*State)
 	n := s.n
 	vi := func(v int) { dst = binary.AppendVarint(dst, int64(v)) }
-	vb := func(b bool) {
-		if b {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-	}
-	vs := func(str string) {
-		dst = binary.AppendUvarint(dst, uint64(len(str)))
-		dst = append(dst, str...)
-	}
+	vb := func(b bool) { dst = spec.AppendBool(dst, b) }
+	vs := func(str string) { dst = spec.AppendStr(dst, str) }
 	vote := func(v Vote) {
 		vi(v.Leader)
 		vi(v.Epoch)
 		vi(v.Counter)
 	}
-	txns := func(ts []Txn) {
-		dst = binary.AppendUvarint(dst, uint64(len(ts)))
-		for _, t := range ts {
-			vi(t.Epoch)
-			vi(t.Counter)
-			vs(t.Value)
-		}
-	}
+	txns := func(ts []Txn) { dst = appendTxns(dst, ts) }
 
 	for i := 0; i < n; i++ {
 		vi(s.ZState[i])
@@ -76,33 +60,20 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			vb(s.Cut[i].Has(j))
-			vb(s.Part[i].Has(j))
-			q := s.Chan[i][j]
-			dst = binary.AppendUvarint(dst, uint64(len(q)))
-			for k := range q {
-				// The wire carries the wide message, every field in Msg
-				// order, as it did before queues stored them packed.
-				msg := q[k].unpack()
-				dst = append(dst, q[k].kind)
-				vi(msg.Round)
-				vi(msg.State)
-				vote(msg.Vote)
-				vi(msg.Epoch)
-				vi(msg.Counter)
-				vi(msg.NewEpoch)
-				txns(msg.History)
-				vi(msg.Committed)
-				vs(msg.Value)
-				vi(msg.Index)
-			}
-		}
-	}
+	dst = s.AppendChannels(dst)
 	txns(s.Committed)
 	dst = s.Counters.AppendTo(dst)
 	vs(s.Viol.Flag)
+	return dst
+}
+
+func appendTxns(dst []byte, ts []Txn) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ts)))
+	for _, t := range ts {
+		dst = binary.AppendVarint(dst, int64(t.Epoch))
+		dst = binary.AppendVarint(dst, int64(t.Counter))
+		dst = spec.AppendStr(dst, t.Value)
+	}
 	return dst
 }
 
@@ -155,49 +126,7 @@ func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if d.Bool("cut") {
-				s.Cut[i].Add(j)
-			}
-			if d.Bool("part") {
-				s.Part[i].Add(j)
-			}
-			qn := d.Len("chan")
-			if qn == 0 {
-				continue
-			}
-			q := make([]packedMsg, qn)
-			for k := range q {
-				var msg Msg
-				code := d.Byte("msg type")
-				if int(code) >= len(msgTypes) {
-					d.Failf("unknown message type code %d", code)
-					break
-				}
-				msg.Type = msgTypes[code]
-				msg.Round = d.Int("msg round")
-				msg.State = d.Int("msg state")
-				msg.Vote = decodeVote(d, "msg vote", n)
-				msg.Epoch = d.Int("msg epoch")
-				msg.Counter = d.Int("msg counter")
-				msg.NewEpoch = d.Int("msg newEpoch")
-				msg.History = decodeTxns(d, "msg history")
-				msg.Committed = d.Int("msg committed")
-				msg.Value = d.Str("msg value")
-				msg.Index = d.Int("msg index")
-				// A queue stores a message packed; one that packing would
-				// alter (a field its kind does not carry, an integer beyond
-				// its stored width) is refused, not narrowed into another
-				// message.
-				var ok bool
-				if q[k], ok = pack(msg); !ok && d.Err == nil {
-					d.Failf("%s message carries a field outside its kind or beyond its stored width", msg.Type)
-				}
-			}
-			s.Chan[i][j] = q
-		}
-	}
+	s.DecodeChannels(d)
 	s.Committed = decodeTxns(d, "committed")
 	s.Counters.Decode(d)
 	s.Viol.Flag = d.Str("violation")

@@ -6,6 +6,7 @@ import (
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/trace"
+	"github.com/sandtable-go/sandtable/internal/vnet"
 )
 
 // Machine is the zabkeeper specification.
@@ -82,14 +83,8 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	// the next one recycles it.
 	clone := func() *State { return s.cloneInto(spec.Dead[*State](out)) }
 	add := func(ev trace.Event, n *State) {
-		if m.budget.MaxBuffer > 0 {
-			for i := 0; i < m.n; i++ {
-				for j := 0; j < m.n; j++ {
-					if len(n.Chan[i][j]) > m.budget.MaxBuffer {
-						return
-					}
-				}
-			}
+		if n.Overflows(m.budget.MaxBuffer) {
+			return
 		}
 		out = append(out, spec.Succ{Event: ev, State: n})
 	}
@@ -123,64 +118,16 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 			add(trace.Event{Type: trace.EvCrash, Action: "NodeCrash", Node: i}, n)
 		}
 	}
-	for i := 0; i < m.n; i++ {
-		if s.Up.Has(i) || !s.Counters.CanRestart(b) {
-			continue
-		}
+	// Restarts, deliveries (TCP: the head of each channel), partitions and
+	// recoveries.
+	s.Events(&s.Counters, b, vnet.TCP, func(ev trace.Event) {
 		n := clone()
-		n.Counters.Restarts++
-		m.restart(n, i)
-		add(trace.Event{Type: trace.EvRestart, Action: "NodeStart", Node: i}, n)
-	}
-
-	// Message deliveries (TCP: head of each channel).
-	for src := 0; src < m.n; src++ {
-		for dst := 0; dst < m.n; dst++ {
-			if src == dst || len(s.Chan[src][dst]) == 0 || !s.Up.Has(dst) {
-				continue
-			}
-			n := clone()
-			q := n.Chan[src][dst]
-			msg := q[0].unpack()
-			n.Chan[src][dst] = q[1:]
-			action := m.dispatch(n, src, dst, msg)
-			add(trace.Event{Type: trace.EvDeliver, Action: action, Node: dst, Peer: src}, n)
+		if msg, ok := n.Apply(ev, &n.Counters); ok {
+			ev.Action = m.dispatch(n, ev.Peer, ev.Node, msg.unpack())
 		}
-	}
-
-	// Partitions and recovery.
-	for a := 0; a < m.n; a++ {
-		for bn := a + 1; bn < m.n; bn++ {
-			if !s.Part[a].Has(bn) && s.Counters.CanPartition(b) {
-				n := clone()
-				n.Counters.Partitions++
-				n.Part[a].Add(bn)
-				n.Part[bn].Add(a)
-				n.Cut[a].Add(bn)
-				n.Cut[bn].Add(a)
-				n.Chan[a][bn], n.Chan[bn][a] = nil, nil
-				add(trace.Event{Type: trace.EvPartition, Action: "NetworkPartition", Node: a, Peer: bn}, n)
-			}
-			if s.Part[a].Has(bn) {
-				n := clone()
-				n.Part[a].Del(bn)
-				n.Part[bn].Del(a)
-				if n.Up.Has(a) && n.Up.Has(bn) {
-					n.Cut[a].Del(bn)
-					n.Cut[bn].Del(a)
-				}
-				add(trace.Event{Type: trace.EvRecover, Action: "NetworkRecover", Node: a, Peer: bn}, n)
-			}
-		}
-	}
+		add(ev, n)
+	})
 	return out
-}
-
-func (s *State) send(src, dst int, msg Msg) {
-	if src == dst || s.Cut[src].Has(dst) {
-		return
-	}
-	s.Chan[src][dst] = append(s.Chan[src][dst], mustPack(msg))
 }
 
 func (m *Machine) dispatch(s *State, src, dst int, msg Msg) string {
@@ -232,7 +179,7 @@ func (m *Machine) broadcastNotif(s *State, i int) {
 		if p == i {
 			continue
 		}
-		s.send(i, p, Msg{Type: "notif", Round: s.Round[i], State: s.ZState[i], Vote: s.Vote[i]})
+		s.Send(i, p, mustPack(Msg{Type: "notif", Round: s.Round[i], State: s.ZState[i], Vote: s.Vote[i]}))
 	}
 }
 
@@ -241,7 +188,7 @@ func (m *Machine) handleNotification(s *State, dst, src int, msg Msg) {
 		// A settled node answers LOOKING peers with its current view so the
 		// newcomer can join the established ensemble (Figure 3's handler).
 		if msg.State == Looking {
-			s.send(dst, src, Msg{Type: "notif", Round: s.Round[dst], State: s.ZState[dst], Vote: s.Vote[dst]})
+			s.Send(dst, src, mustPack(Msg{Type: "notif", Round: s.Round[dst], State: s.ZState[dst], Vote: s.Vote[dst]}))
 		}
 		return
 	}
@@ -255,7 +202,7 @@ func (m *Machine) handleNotification(s *State, dst, src int, msg Msg) {
 			}
 			m.broadcastNotif(s, dst)
 		case msg.Round < s.Round[dst]:
-			s.send(dst, src, Msg{Type: "notif", Round: s.Round[dst], State: s.ZState[dst], Vote: s.Vote[dst]})
+			s.Send(dst, src, mustPack(Msg{Type: "notif", Round: s.Round[dst], State: s.ZState[dst], Vote: s.Vote[dst]}))
 			return
 		default:
 			if m.Supersedes(msg.Vote, s.Vote[dst]) {
@@ -319,7 +266,7 @@ func (m *Machine) follow(s *State, i, leader int) {
 	s.Acked[i] = nil
 	s.Activated.Del(i)
 	e, c := s.lastZxid(i)
-	s.send(i, leader, Msg{Type: "finfo", Epoch: s.Epoch[i], Counter: c, NewEpoch: e})
+	s.Send(i, leader, mustPack(Msg{Type: "finfo", Epoch: s.Epoch[i], Counter: c, NewEpoch: e}))
 }
 
 func (m *Machine) handleFollowerInfo(s *State, dst, src int, msg Msg) {
@@ -328,7 +275,7 @@ func (m *Machine) handleFollowerInfo(s *State, dst, src int, msg Msg) {
 	}
 	// Compressed discovery+sync: answer with the new epoch and the leader's
 	// full history (a DIFF/SNAP collapsed to SNAP).
-	s.send(dst, src, Msg{Type: "sync", NewEpoch: s.PendEpoch[dst], History: append([]Txn(nil), s.History[dst]...), Committed: s.Commit[dst]})
+	s.Send(dst, src, mustPack(Msg{Type: "sync", NewEpoch: s.PendEpoch[dst], History: append([]Txn(nil), s.History[dst]...), Committed: s.Commit[dst]}))
 }
 
 func (m *Machine) handleSync(s *State, dst, src int, msg Msg) {
@@ -348,7 +295,7 @@ func (m *Machine) handleSync(s *State, dst, src int, msg Msg) {
 		m.extendCommitted(s, dst)
 	}
 	e, c := s.lastZxid(dst)
-	s.send(dst, src, Msg{Type: "ackld", Epoch: e, Counter: c})
+	s.Send(dst, src, mustPack(Msg{Type: "ackld", Epoch: e, Counter: c}))
 }
 
 func (m *Machine) handleAckLeader(s *State, dst, src int, msg Msg) {
@@ -363,7 +310,7 @@ func (m *Machine) handleAckLeader(s *State, dst, src int, msg Msg) {
 	s.Acked[dst][src] = idx
 	for k := idx; k < len(s.History[dst]); k++ {
 		t := s.History[dst][k]
-		s.send(dst, src, Msg{Type: "prop", Epoch: t.Epoch, Counter: t.Counter, Value: t.Value})
+		s.Send(dst, src, mustPack(Msg{Type: "prop", Epoch: t.Epoch, Counter: t.Counter, Value: t.Value}))
 	}
 	if s.Synced[dst].Count() >= m.quorum() && !s.Activated.Has(dst) {
 		// Epoch established: the leader activates and adopts the new epoch.
@@ -393,7 +340,7 @@ func (m *Machine) clientRequest(s *State, i int, v string) {
 		if p == i || !s.Synced[i].Has(p) {
 			continue
 		}
-		s.send(i, p, Msg{Type: "prop", Epoch: txn.Epoch, Counter: txn.Counter, Value: v})
+		s.Send(i, p, mustPack(Msg{Type: "prop", Epoch: txn.Epoch, Counter: txn.Counter, Value: v}))
 	}
 }
 
@@ -406,10 +353,10 @@ func (m *Machine) handleProposal(s *State, dst, src int, msg Msg) {
 	case (msg.Epoch == e && msg.Counter == c+1) || (msg.Epoch > e && msg.Counter == 1):
 		// The proposal directly extends the history: append and ack.
 		s.History[dst] = append(s.History[dst], Txn{Epoch: msg.Epoch, Counter: msg.Counter, Value: msg.Value})
-		s.send(dst, src, Msg{Type: "ack", Epoch: msg.Epoch, Counter: msg.Counter})
+		s.Send(dst, src, mustPack(Msg{Type: "ack", Epoch: msg.Epoch, Counter: msg.Counter}))
 	case msg.Epoch < e || (msg.Epoch == e && msg.Counter <= c):
 		// Already held (a retransmission after catch-up): ack idempotently.
-		s.send(dst, src, Msg{Type: "ack", Epoch: msg.Epoch, Counter: msg.Counter})
+		s.Send(dst, src, mustPack(Msg{Type: "ack", Epoch: msg.Epoch, Counter: msg.Counter}))
 	default:
 		// A gap (the connection was cut in between): do not append — the
 		// follower will re-synchronise through the next election round.
@@ -463,7 +410,7 @@ func (m *Machine) advanceCommit(s *State, i int) {
 			if p == i || !s.Synced[i].Has(p) {
 				continue
 			}
-			s.send(i, p, Msg{Type: "commit", Index: s.Commit[i]})
+			s.Send(i, p, mustPack(Msg{Type: "commit", Index: s.Commit[i]}))
 		}
 	}
 }
@@ -488,17 +435,10 @@ func (m *Machine) extendCommitted(s *State, i int) {
 	}
 }
 
+// crash is the protocol half of node i crashing (spec.Net.Crash is the
+// network half).
 func (m *Machine) crash(s *State, i int) {
-	s.Up.Del(i)
-	for j := 0; j < m.n; j++ {
-		if j == i {
-			continue
-		}
-		s.Chan[i][j] = nil
-		s.Chan[j][i] = nil
-		s.Cut[i].Add(j)
-		s.Cut[j].Add(i)
-	}
+	s.Crash(i)
 	// Volatile state resets (history and epoch are durable).
 	s.ZState[i] = Looking
 	s.Round[i] = 0
@@ -513,20 +453,6 @@ func (m *Machine) crash(s *State, i int) {
 	s.Acked[i] = nil
 	s.Activated.Del(i)
 	s.Counter[i] = 0
-}
-
-func (m *Machine) restart(s *State, i int) {
-	s.Up.Add(i)
-	for j := 0; j < m.n; j++ {
-		if j == i || !s.Up.Has(j) {
-			continue
-		}
-		if s.Part[i].Has(j) || s.Part[j].Has(i) {
-			continue
-		}
-		s.Cut[i].Del(j)
-		s.Cut[j].Del(i)
-	}
 }
 
 // Actions lists the specification's action names (Table 1's #Act).

@@ -33,7 +33,7 @@ func TestPackIsLossless(t *testing.T) {
 }
 
 // TestPackRefusesWhatItWouldAlter sets each integer of Msg alone on a message
-// of each kind: pack either keeps it or says it cannot, and send panics on a
+// of each kind: pack either keeps it or says it cannot, and mustPack panics on a
 // message pack refuses, so a handler that sets an operand its kind does not
 // carry fails loudly. An integer beyond its stored width is always refused.
 func TestPackRefusesWhatItWouldAlter(t *testing.T) {
@@ -48,10 +48,10 @@ func TestPackRefusesWhatItWouldAlter(t *testing.T) {
 		}
 		defer func() {
 			if recover() == nil {
-				t.Errorf("send stored %+v, which pack refuses", m)
+				t.Errorf("mustPack stored %+v, which pack refuses", m)
 			}
 		}()
-		newState(2).send(0, 1, m)
+		newState(2).Send(0, 1, mustPack(m))
 		return false
 	}
 	ints := func(m *Msg) map[string]*int {
@@ -100,7 +100,7 @@ func TestCodecRejectsUnknownMessageKind(t *testing.T) {
 	m := New(spec.Config{Name: "n2", Nodes: 2}, spec.Budget{}, bugdb.NoBugs())
 	enc := func(typ string) []byte {
 		s := newState(2)
-		s.send(0, 1, Msg{Type: typ, Epoch: 1, Counter: 1})
+		s.Send(0, 1, mustPack(Msg{Type: typ, Epoch: 1, Counter: 1}))
 		return m.AppendState(nil, s)
 	}
 	bad, other := enc("ack"), enc("ackld")

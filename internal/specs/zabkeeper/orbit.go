@@ -62,13 +62,7 @@ func (s *State) OrbitDigests(node, edge []uint64) uint64 {
 				h.WriteInt(acked[b])
 			}
 			if a != b {
-				q := s.Chan[a][b]
-				h.WriteInt(len(q))
-				for k := range q {
-					q[k].hashIDFree(&h)
-				}
-				h.WriteBool(s.Cut[a].Has(b))
-				h.WriteBool(s.Part[a].Has(b))
+				s.HashEdge(&h, a, b)
 			}
 			edge[a*n+b] = h.Sum()
 		}

@@ -297,14 +297,15 @@ func (nw *Network) CrashNode(node int) {
 	nw.emit("crash-node", -1, node, 0, nil)
 }
 
-// RestartNode re-establishes the node's connections except those severed by
-// an active partition involving other nodes (a rejoining node reconnects).
-func (nw *Network) RestartNode(node int, partitioned func(a, b int) bool) {
+// RestartNode re-establishes the node's connections except those to an other
+// for which stay(node, other) holds: an active partition between the two, or
+// an other that is down (a rejoining node reconnects to the running rest).
+func (nw *Network) RestartNode(node int, stay func(node, other int) bool) {
 	for other := 0; other < nw.n; other++ {
 		if other == node {
 			continue
 		}
-		if partitioned != nil && partitioned(node, other) {
+		if stay != nil && stay(node, other) {
 			continue
 		}
 		delete(nw.cut, pair{node, other})
