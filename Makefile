@@ -48,7 +48,11 @@ race-cluster:
 	$(GO) test -race -count 4 ./internal/transport/
 
 # fuzz runs a short coverage-guided smoke over the virtual network's queue
-# operations (send/deliver/drop/duplicate against a model oracle) and over
+# operations (send/deliver/drop/duplicate against a model oracle), over the
+# specifications' network environment (spec.Net: send/take/dup, faults and
+# listed events, each applied to a clone in a recycled Net, against a model,
+# with the parent untouched, the codec section round-tripping and equal nets
+# hashing equally) and over
 # the decoders of checkpoint bytes: the snapshot envelope reader, the
 # delta-block payload parser, the frontier-record reader (no panic, no
 # allocation sized from a count the input cannot back) and the manifest
@@ -62,6 +66,7 @@ race-cluster:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/vnet/ -fuzz FuzzQueueOps -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/spec/ -run '^$$' -fuzz '^FuzzNetOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzParseDeltaPayload$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzFrontierRecords$$' -fuzztime $(FUZZTIME)

@@ -305,23 +305,22 @@ type lockStep struct {
 	// The comparison, built for the first walk and kept while the
 	// specification's and the cluster's vocabularies stay the same.
 	chk       *replay.Checker
-	slotted   bool     // the specification renders slots (spec.Slotted)
-	specSlots []string // its rendering of the current state
+	specSlots []string // the specification's rendering of the current state
 }
 
-// bind makes l compare cur with c: in the specification's schema extended
-// by the cluster's fields when the machine is spec.Slotted (and of the
-// cluster's arity), else in the cluster's schema, into which each state's
-// Vars map goes (a key the implementation never renders cannot diverge).
-func (l *lockStep) bind(cur spec.State, c *engine.Cluster) {
-	s := c.Schema()
-	ss, slotted := cur.(spec.Slotted)
-	if slotted = slotted && ss.Schema().N() == c.N(); slotted {
-		s = ss.Schema().With(c.Fields())
+// bind makes l compare cur with c, in the specification's schema extended
+// by the cluster's fields. A specification of another arity than the
+// cluster's is an error: its slots would name other nodes' variables.
+func (l *lockStep) bind(cur spec.State, c *engine.Cluster) error {
+	sc := cur.Schema()
+	if sc.N() != c.N() {
+		return fmt.Errorf("conformance: the specification renders %d nodes, the cluster runs %d", sc.N(), c.N())
 	}
-	if l.chk == nil || l.chk.Schema() != s || l.slotted != slotted {
-		l.chk, l.slotted, l.specSlots = replay.NewChecker(s, l.ropts), slotted, s.Clear(nil)
+	s := sc.With(c.Fields())
+	if l.chk == nil || l.chk.Schema() != s {
+		l.chk, l.specSlots = replay.NewChecker(s, l.ropts), s.Clear(nil)
 	}
+	return nil
 }
 
 // walk checks walk w, seeded seed, on a fresh cluster.
@@ -339,7 +338,9 @@ func (l *lockStep) walk(w int, seed int64, worker int) walkResult {
 			},
 		})
 	}
-	l.bind(cur, cluster)
+	if err := l.bind(cur, cluster); err != nil {
+		return walkResult{err: err}
+	}
 	l.chk.Attach(cluster)
 	res := &replay.Result{}
 	for i := 0; ; i++ {
@@ -351,14 +352,8 @@ func (l *lockStep) walk(w int, seed int64, worker int) walkResult {
 			continue
 		}
 		res.Steps++
-		var vars map[string]string
-		if l.slotted {
-			l.walker.State().(spec.Slotted).VarSlots(l.specSlots)
-		} else {
-			vars = l.walker.State().Vars()
-			l.specSlots = l.chk.Schema().Slots(l.specSlots, vars)
-		}
-		sr, err := l.chk.Step(i, ev, l.specSlots, vars)
+		l.walker.State().VarSlots(l.specSlots)
+		sr, err := l.chk.Step(i, ev, l.specSlots, nil)
 		if err != nil {
 			return walkResult{err: err}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,12 +32,16 @@ func (s *counterState) Fingerprint() uint64 {
 	return h.Sum()
 }
 
-func (s *counterState) Vars() map[string]string {
-	m := map[string]string{}
+func (s *counterState) Schema() *trace.Schema {
+	return trace.NewSchema(len(s.vals), []string{"count"}, nil)
+}
+
+// VarSlots renders count[i]; the channels are not the specification's.
+func (s *counterState) VarSlots(dst []string) {
+	s.Schema().Clear(dst)
 	for i, v := range s.vals {
-		m[fmt.Sprintf("count[%d]", i)] = strconv.Itoa(v)
+		dst[i] = strconv.Itoa(v)
 	}
-	return m
 }
 
 type counterMachine struct {
@@ -144,6 +149,18 @@ func TestConformingPairPasses(t *testing.T) {
 	}
 	if rep.Walks != 30 || rep.EventsChecked == 0 {
 		t.Errorf("report = %+v", rep)
+	}
+}
+
+// TestArityMismatchIsAnError: a specification whose states render another
+// number of nodes than the cluster runs is refused; its slots would name
+// other nodes' variables.
+func TestArityMismatchIsAnError(t *testing.T) {
+	tg := target(3, false, nil)
+	tg.Machine = &counterMachine{n: 2, budget: spec.Budget{MaxRequests: 5}}
+	rep, err := Run(tg, Options{Walks: 3, WalkDepth: 5, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "renders 2 nodes, the cluster runs 3") {
+		t.Fatalf("Run = %+v, %v; want the arity error", rep, err)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"github.com/sandtable-go/sandtable/internal/integrations"
 	"github.com/sandtable-go/sandtable/internal/replay"
 	"github.com/sandtable-go/sandtable/internal/sandtable"
-	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/trace"
 )
 
@@ -76,7 +75,7 @@ func TestObserveSlotsReusedMatchesFresh(t *testing.T) {
 					t.Fatal(err)
 				}
 				own := c.Schema()
-				wide := m.Init()[0].(spec.Slotted).Schema().With(c.Fields())
+				wide := m.Init()[0].Schema().With(c.Fields())
 				ownSlots, wideSlots := own.Clear(nil), wide.Clear(nil)
 				for i, step := range walk.Trace.Steps {
 					cmd, ok := replay.Convert(step.Event)

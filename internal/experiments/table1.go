@@ -84,7 +84,7 @@ func Table1() ([]Table1Row, error) {
 // "role[2]" are one variable, "role").
 func countVars(s spec.State) int {
 	names := make(map[string]struct{})
-	for k := range s.Vars() {
+	for k := range spec.VarsOf(s) {
 		if i := strings.IndexByte(k, '['); i >= 0 {
 			k = k[:i]
 		}

@@ -51,7 +51,7 @@ func (c *Checker) reconstruct(v *Violation) *trace.Trace {
 
 	t := &trace.Trace{System: c.m.Name()}
 	if c.opts.RecordVars {
-		t.Init = cur.Vars()
+		t.Init = spec.VarsOf(cur)
 	}
 	var buf []spec.Succ
 	for _, want := range chain[1:] {
@@ -63,7 +63,7 @@ func (c *Checker) reconstruct(v *Violation) *trace.Trace {
 		cur = spec.Keep(buf, i) // the next parent must not sit in the slack
 		step := trace.Step{Event: buf[i].Event, Fingerprint: want}
 		if c.opts.RecordVars {
-			step.Vars = cur.Vars()
+			step.Vars = spec.VarsOf(cur)
 		}
 		t.Steps = append(t.Steps, step)
 	}

@@ -205,7 +205,7 @@ func (s *Simulator) Walk(seed int64) *WalkResult {
 		},
 	}
 	if s.opts.RecordVars {
-		res.Trace.Init = cur.Vars()
+		res.Trace.Init = spec.VarsOf(cur)
 	}
 	if s.distinct != nil && s.distinct.Insert(cur.Fingerprint(), 0, 0) {
 		res.Stats.FreshStates++
@@ -237,7 +237,7 @@ func (s *Simulator) Walk(seed int64) *WalkResult {
 		wc.Observe(ev.Action, res.Stats.Depth, fresh)
 		step := trace.Step{Event: ev, Fingerprint: cur.Fingerprint()}
 		if s.opts.RecordVars {
-			step.Vars = cur.Vars()
+			step.Vars = spec.VarsOf(cur)
 		}
 		res.Trace.Steps = append(res.Trace.Steps, step)
 

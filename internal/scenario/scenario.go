@@ -25,7 +25,7 @@ func Run(m spec.Machine, script []string) (*trace.Trace, error) {
 		return nil, fmt.Errorf("scenario: machine has %d initial states, want 1", len(inits))
 	}
 	cur := inits[0]
-	t := &trace.Trace{System: m.Name(), Init: cur.Vars()}
+	t := &trace.Trace{System: m.Name(), Init: spec.VarsOf(cur)}
 	var succs []spec.Succ
 	for i, want := range script {
 		succs = m.AppendNext(cur, succs[:0])
@@ -44,7 +44,7 @@ func Run(m spec.Machine, script []string) (*trace.Trace, error) {
 			cur = spec.Keep(succs, match)
 			t.Steps = append(t.Steps, trace.Step{
 				Event:       succs[match].Event,
-				Vars:        cur.Vars(),
+				Vars:        spec.VarsOf(cur),
 				Fingerprint: cur.Fingerprint(),
 			})
 		case 0:

@@ -257,7 +257,7 @@ func Replay(m spec.Machine, init map[string]string, events []trace.Event, record
 		Init:  cur,
 	}
 	if recordVars {
-		cand.Trace.Init = cur.Vars()
+		cand.Trace.Init = spec.VarsOf(cur)
 	}
 	var succs []spec.Succ
 	for _, ev := range events {
@@ -271,7 +271,7 @@ func Replay(m spec.Machine, init map[string]string, events []trace.Event, record
 		cur = spec.Keep(succs, i)
 		step := trace.Step{Event: succs[i].Event, Fingerprint: cur.Fingerprint()}
 		if recordVars {
-			step.Vars = cur.Vars()
+			step.Vars = spec.VarsOf(cur)
 		}
 		cand.Trace.Steps = append(cand.Trace.Steps, step)
 		cand.States = append(cand.States, cur)
@@ -290,7 +290,7 @@ func initialState(m spec.Machine, init map[string]string) spec.State {
 		return inits[0]
 	}
 	for _, s := range inits {
-		if sameVars(s.Vars(), init) {
+		if sameVars(spec.VarsOf(s), init) {
 			return s
 		}
 	}

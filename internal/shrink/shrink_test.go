@@ -36,12 +36,16 @@ func (s *incState) Fingerprint() uint64 {
 	return h.Sum()
 }
 
-func (s *incState) Vars() map[string]string {
-	m := map[string]string{}
+func (s *incState) Schema() *trace.Schema {
+	return trace.NewSchema(len(s.vals), []string{"count"}, nil)
+}
+
+// VarSlots renders count[i]; the channels are not the specification's.
+func (s *incState) VarSlots(dst []string) {
+	s.Schema().Clear(dst)
 	for i, v := range s.vals {
-		m[fmt.Sprintf("count[%d]", i)] = strconv.Itoa(v)
+		dst[i] = strconv.Itoa(v)
 	}
-	return m
 }
 
 func (s *incState) clone() *incState {

@@ -42,29 +42,21 @@ type State interface {
 	// states with colliding fingerprints as identical (the same engineering
 	// tradeoff TLC makes).
 	Fingerprint() uint64
-	// Vars renders every specification variable to a canonical string,
-	// keyed by variable name (per-node variables use "var[i]" keys). The
-	// conformance checker compares these against implementation state; a
-	// Slotted state renders them into slots instead, and its Vars is VarsOf.
-	Vars() map[string]string
-}
-
-// Slotted is a State that renders its variables into the slots of a
-// trace.Schema. Conformance compares slot vectors, so a passing step of a
-// Slotted machine builds no map; every in-tree family is Slotted.
-type Slotted interface {
-	State
 	// Schema is the state's slot vocabulary, the same for every state of a
-	// machine (each family caches one per arity and dialect).
+	// machine (each family caches one per arity and dialect): per-node
+	// variables for each node, net[src->dst], then the globals.
 	Schema() *trace.Schema
-	// VarSlots writes every slot of Schema() into dst[:Schema().Len()]: the
-	// rendered value, or trace.Absent for a key the state does not hold.
+	// VarSlots renders every specification variable to a canonical string
+	// in dst[:Schema().Len()], or trace.Absent for a key the state does not
+	// hold. The conformance checker compares these slots with the
+	// implementation's, so a passing step builds no map.
 	VarSlots(dst []string)
 }
 
-// VarsOf is Vars for a Slotted state: the map its slots render. It is what
-// a trace that is written out carries.
-func VarsOf(s Slotted) map[string]string {
+// VarsOf renders s's variables as the map its slots hold, keyed by variable
+// name (per-node variables use "var[i]" keys). It is what a trace that is
+// written out carries.
+func VarsOf(s State) map[string]string {
 	sc := s.Schema()
 	dst := make([]string, sc.Len())
 	s.VarSlots(dst)
@@ -200,7 +192,7 @@ type ActionLister interface {
 
 // StateCodec round-trips states through a compact binary encoding — what the
 // explorer's frontier spill, its checkpoints, and the exchange between
-// cluster peers move. (Vars() is for humans, not round-trips.) The contract
+// cluster peers move. (VarsOf is for humans, not round-trips.) The contract
 // is
 //
 //	DecodeState(AppendState(nil, s)).Fingerprint() == s.Fingerprint()

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/sandtable-go/sandtable/internal/fp"
+	"github.com/sandtable-go/sandtable/internal/trace"
 )
 
 func TestBudgetDoubleDoublesEveryBound(t *testing.T) {
@@ -72,8 +73,9 @@ func TestViolationInvariant(t *testing.T) {
 
 type fakeState struct{ flag string }
 
-func (f fakeState) Fingerprint() uint64     { return 0 }
-func (f fakeState) Vars() map[string]string { return nil }
+func (f fakeState) Fingerprint() uint64   { return 0 }
+func (f fakeState) Schema() *trace.Schema { return trace.NewSchema(0, nil, []string{"flag"}) }
+func (f fakeState) VarSlots(dst []string) { dst[0] = f.flag }
 
 func TestPermutationsCountAndUniqueness(t *testing.T) {
 	fact := []int{1, 1, 2, 6, 24, 120}

@@ -22,6 +22,7 @@ import (
 
 	"github.com/sandtable-go/sandtable/internal/fp"
 	"github.com/sandtable-go/sandtable/internal/spec"
+	"github.com/sandtable-go/sandtable/internal/trace"
 )
 
 // AssertContract asserts every law of the spec.Machine contract at every
@@ -262,8 +263,9 @@ func AssertBufferedEquiv(t *testing.T, m spec.Machine, walks, depth int, seed in
 // mistake for its own.
 type alien struct{}
 
-func (alien) Fingerprint() uint64     { return 0 }
-func (alien) Vars() map[string]string { return nil }
+func (alien) Fingerprint() uint64   { return 0 }
+func (alien) Schema() *trace.Schema { return trace.NewSchema(0, nil, nil) }
+func (alien) VarSlots(dst []string) {}
 
 // compareSuccs asserts got[skip:] matches want element-wise: event
 // rendering, successor fingerprint (the explorer's notion of state identity)
@@ -335,7 +337,7 @@ func AssertCodecRoundTrip(t *testing.T, m spec.Machine, walks, depth int, seed i
 		if again := m.AppendState(nil, dec); !bytes.Equal(again, enc) {
 			t.Fatalf("%s: a decoded state encodes to %x, the state it was decoded from to %x", m.Name(), again, enc)
 		}
-		if got, want := dec.Vars(), cur.Vars(); !maps.Equal(got, want) {
+		if got, want := spec.VarsOf(dec), spec.VarsOf(cur); !maps.Equal(got, want) {
 			t.Fatalf("%s: Vars differ after round trip:\n got %v\nwant %v", m.Name(), got, want)
 		}
 		if got, want := succFPs(dec), succFPs(cur); !slices.Equal(got, want) {
@@ -418,7 +420,7 @@ func FuzzDecodeState(f *testing.F, m spec.Machine, walks, depth int, seed int64)
 			t.Fatalf("%s: DecodeState returned %d remaining bytes of %d", m.Name(), len(rest), len(enc))
 		}
 		hashEveryWay(m, s)
-		s.Vars()
+		spec.VarsOf(s)
 		m.AppendState(nil, s)
 	})
 }
@@ -460,7 +462,7 @@ func (a *Asymmetry) String() string {
 		}
 		return strings.Join(out, "; ")
 	}
-	vars := a.State.Vars()
+	vars := spec.VarsOf(a.State)
 	var b strings.Builder
 	fmt.Fprintf(&b, "π = %v at depth %d\n  transitions of s with no image among Next(π·s): %s\n  transitions of π·s with no preimage in Next(s): %s\n  s:",
 		a.Perm, a.Depth, events(a.Lost), events(a.Gained))

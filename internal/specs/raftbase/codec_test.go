@@ -103,7 +103,7 @@ func TestCodecRoundTrip(t *testing.T) {
 				if got, want := ds.Fingerprint(), s.Fingerprint(); got != want {
 					t.Fatalf("state %d: fingerprint %#x after round trip, want %#x", i, got, want)
 				}
-				if !reflect.DeepEqual(ds.Vars(), s.Vars()) {
+				if !reflect.DeepEqual(spec.VarsOf(ds), spec.VarsOf(s)) {
 					t.Fatalf("state %d: Vars differ after round trip", i)
 				}
 				if err := sameNilness(s, ds); err != nil {

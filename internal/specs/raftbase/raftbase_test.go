@@ -147,7 +147,7 @@ func TestPermuteRoundTrip(t *testing.T) {
 func TestVarsRenderingStable(t *testing.T) {
 	m := sgso.New(cfg2(), budget(), bugdb.NoBugs())
 	s := m.Init()[0]
-	vars := s.Vars()
+	vars := spec.VarsOf(s)
 	for _, key := range []string{"role[0]", "term[0]", "votedFor[0]", "log[0]", "commit[0]", "net[0->1]", "status[1]"} {
 		if _, ok := vars[key]; !ok {
 			t.Errorf("missing rendered variable %s", key)

@@ -42,7 +42,7 @@ func TestVarsMatchReference(t *testing.T) {
 				seen := map[string]bool{}
 				spectest.Walk(m, 120, 30, 11, func(s spec.State, _ int) bool {
 					states++
-					got, want := s.Vars(), raftbase.VarsReference(s)
+					got, want := spec.VarsOf(s), raftbase.VarsReference(s)
 					if !maps.Equal(got, want) {
 						t.Fatalf("state %d: Vars differs from the reference:\n got %v\nwant %v", states, got, want)
 					}

@@ -75,15 +75,12 @@ func (s *LostUpdateState) OrbitCombine(node, edge []uint64, global uint64, perm,
 	return h.Sum()
 }
 
-// Vars implements spec.State: the map VarSlots renders.
-func (s *LostUpdateState) Vars() map[string]string { return spec.VarsOf(s) }
-
-// Schema implements spec.Slotted: pc and local per process, and mem.
+// Schema implements spec.State: pc and local per process, and mem.
 func (s *LostUpdateState) Schema() *trace.Schema {
 	return trace.NewSchema(len(s.PC), []string{"pc", "local"}, []string{"mem"})
 }
 
-// VarSlots implements spec.Slotted. The processes exchange no messages, so
+// VarSlots implements spec.State. The processes exchange no messages, so
 // the channel slots stay Absent.
 func (s *LostUpdateState) VarSlots(dst []string) {
 	sc := s.Schema()

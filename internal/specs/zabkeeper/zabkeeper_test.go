@@ -107,8 +107,8 @@ func TestPermuteRoundTripPreservesFingerprint(t *testing.T) {
 			t.Fatalf("step %d: permute round trip changed fingerprint", step)
 		}
 		// Permuted states must render permuted variables consistently.
-		pv := m.Permute(cur, perm).Vars()
-		cv := cur.Vars()
+		pv := spec.VarsOf(m.Permute(cur, perm))
+		cv := spec.VarsOf(cur)
 		if cv["state[0]"] != pv["state[2]"] {
 			t.Fatalf("step %d: permuted state[2]=%s, original state[0]=%s", step, pv["state[2]"], cv["state[0]"])
 		}
