@@ -1,20 +1,15 @@
 package explorer
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/fp"
@@ -33,9 +28,10 @@ import (
 // due: every Interval of wall-clock time and/or every EveryStates newly
 // discovered distinct states, whichever fires first (both zero with a Dir
 // set defaults to a 60-second interval). It holds the run's counters, the
-// frontier as codec-encoded states, and the fingerprint set — a base
-// snapshot, then delta blocks beside it (delta.go) — and commits through one
-// manifest, for solo and distributed runs alike ("The commit protocol").
+// frontier as codec-encoded states, and the fingerprint set — one block
+// appended to the peer's chain log (delta.go), the first block of a log
+// holding the whole set — and commits through one manifest, for solo and
+// distributed runs alike ("The commit protocol").
 //
 // Resume reloads the frontier states as written — no part of the explored
 // interior is re-expanded — and proves the checkpoint self-consistent before
@@ -103,19 +99,17 @@ func (cd *cadence) restart(distinct int) {
 	cd.last, cd.lastStates = cd.now(), distinct
 }
 
-// snapMagic and snapVersion identify the checkpoint format, whose version
-// snapshots, delta blocks and manifests carry. It bumps whenever the bytes,
-// the files or the commit protocol change; other versions are rejected.
-// Version 3 commits every peer's chain through one manifest; version 2 had a
-// commit record per directory and full per-peer cluster snapshots; version 1
-// rebuilt the frontier by replay.
-const (
-	snapMagic   = "SNDTBLCK"
-	snapVersion = 3
-)
+// snapVersion identifies the checkpoint format, which every block header and
+// manifest carries. It bumps whenever the bytes, the files or the commit
+// protocol change; other versions are rejected. Version 4 keeps a chain as
+// one log of blocks; version 3 kept a base snapshot and a delta log beside
+// it; version 2 had a commit record per directory and full per-peer cluster
+// snapshots; version 1 rebuilt the frontier by replay.
+const snapVersion = 4
 
 // runIdentity is what has to match for persisted or remote state to belong
-// to this run: snapshots, manifests and peers' hello messages all carry one.
+// to this run: checkpoint blocks, manifests and peers' hello messages all
+// carry one.
 type runIdentity struct {
 	Label      string `json:"label,omitempty"`
 	Machine    string `json:"machine"`
@@ -165,12 +159,12 @@ func (c *Checker) checkIdentity(path string, got runIdentity) error {
 	return nil
 }
 
-// snapshotHeader is the JSON head of a snapshot or delta block: the run
-// identity plus every Result counter needed to continue.
-type snapshotHeader struct {
+// blockHeader is the JSON head of a checkpoint block: the run identity plus
+// every Result counter needed to continue.
+type blockHeader struct {
 	Version int `json:"version"`
 	runIdentity
-	// PeerID is the writing peer's index (cluster snapshots; Peers > 0).
+	// PeerID is the writing peer's index (cluster checkpoints; Peers > 0).
 	PeerID         int             `json:"peer_id,omitempty"`
 	Depth          int             `json:"depth"`
 	DistinctStates int             `json:"distinct_states"`
@@ -182,7 +176,7 @@ type snapshotHeader struct {
 	Violations     []snapViolation `json:"violations,omitempty"`
 }
 
-// snapViolation is a violation in transit: persisted in snapshots (only
+// snapViolation is a violation in transit: persisted in checkpoints (only
 // relevant with StopAtFirstViolation off) and exchanged between cluster
 // peers. The error survives as text.
 type snapViolation struct {
@@ -192,7 +186,7 @@ type snapViolation struct {
 	FP        uint64 `json:"fp"`
 }
 
-// snapViolationsOf converts a run's violation list for a snapshot header or a
+// snapViolationsOf converts a run's violation list for a block header or a
 // barrier summary.
 func snapViolationsOf(vs []*Violation) []snapViolation {
 	out := make([]snapViolation, len(vs))
@@ -206,11 +200,11 @@ func (v snapViolation) violation() *Violation {
 	return &Violation{Invariant: v.Invariant, Err: errors.New(v.Error), Depth: v.Depth, fp: v.FP}
 }
 
-// header assembles the snapshot header for the level boundary at depth.
-// own are the violations to persist: all of them in a single-process run,
-// this peer's share in a cluster.
-func (c *Checker) header(res *Result, depth int, elapsed time.Duration, own []*Violation) snapshotHeader {
-	hdr := snapshotHeader{
+// header assembles the block header for the level boundary at depth. own
+// are the violations to persist: all of them in a single-process run, this
+// peer's share in a cluster.
+func (c *Checker) header(res *Result, depth int, elapsed time.Duration, own []*Violation) blockHeader {
+	hdr := blockHeader{
 		Version:        snapVersion,
 		runIdentity:    c.ident,
 		Depth:          depth,
@@ -228,10 +222,10 @@ func (c *Checker) header(res *Result, depth int, elapsed time.Duration, own []*V
 	return hdr
 }
 
-// restoreInto seeds a resumed run's result with the counters the snapshot
+// restoreInto seeds a resumed run's result with the counters the checkpoint
 // recorded. Violations stay with the caller: a cluster peer restores only
 // its own share.
-func (h *snapshotHeader) restoreInto(res *Result, cover *obs.Cover) {
+func (h *blockHeader) restoreInto(res *Result, cover *obs.Cover) {
 	res.Resumed = true
 	res.DistinctStates = h.DistinctStates
 	res.Transitions = h.Transitions
@@ -239,33 +233,19 @@ func (h *snapshotHeader) restoreInto(res *Result, cover *obs.Cover) {
 	res.MaxQueueLen = h.MaxQueueLen
 	res.MaxDepth = h.MaxDepth
 	if cover != nil {
-		// Levels before the snapshot were profiled by the interrupted
+		// Levels before the checkpoint were profiled by the interrupted
 		// session; this profile covers the continuation only.
 		cover.ResumedAtDepth = h.Depth
 	}
 }
 
-// snapshot is a parsed snapshot file. Its frontier section stays encoded, as
-// a delta block's does: a resume folds the committed delta chain into header
-// and section first, and restoreFrontier then decodes whichever frontier
-// survived — once.
-type snapshot struct {
-	header        snapshotHeader
-	frontierCount uint64
-	frontierRecs  []byte
-	// frontier is the decoded, verified level (set by restoreFrontier).
-	frontier []frontierEntry
-	set      *fpset.Set
-	// size is the file's length, which the chain compares its log against.
-	size int64
-}
-
-// ckWriterWrap wraps every writer of the prepare phase (base snapshot, delta
-// append). Production leaves it as the identity; fault-injection tests swap
-// it to simulate ENOSPC/partial writes.
+// ckWriterWrap wraps the file a chain block (the prepare phase) or a
+// frontier spill run is written through. Production leaves it as the
+// identity; fault-injection tests swap it to simulate ENOSPC, short writes
+// and I/O errors.
 var ckWriterWrap = func(w io.Writer) io.Writer { return w }
 
-// atomicWrite produces path via temp file + fsync + rename, then
+// atomicWrite produces path (the manifest) via temp file + fsync + rename, then
 // best-effort fsyncs the directory so the rename itself is durable: a crash
 // or failed write never leaves a torn file under the final name.
 func atomicWrite(path string, write func(w io.Writer) error) error {
@@ -305,8 +285,8 @@ func syncDir(dir string) {
 	}
 }
 
-// countingWriter tracks bytes written so the snapshot writer can report the
-// file size without a Stat round trip.
+// countingWriter tracks bytes written so the block writer can report the
+// payload length without a Stat round trip.
 type countingWriter struct {
 	w io.Writer
 	n int64
@@ -318,117 +298,29 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeSnapshot is the one snapshot writer: it serialises the level boundary
-// described by hdr — lf is the frontier awaiting expansion — into path
-// atomically, returning the file size. Layout:
-//
-//	magic[8] version[u32] headerLen[u32] headerJSON
-//	frontierCount[u64] frontier records (see frontier.go)
-//	fpset stream (see fpset.WriteTo)
-//	crc32[u32] of everything prior (IEEE)
-func (c *Checker) writeSnapshot(path string, hdr snapshotHeader, lf *levelFrontier) (size int64, err error) {
-	hb, err := json.Marshal(hdr)
-	if err != nil {
-		return 0, err
-	}
-	err = atomicWrite(path, func(f io.Writer) error {
-		dst := ckWriterWrap(f)
-		crc := crc32.NewIEEE()
-		cw := &countingWriter{w: io.MultiWriter(dst, crc)}
-		bw := bufio.NewWriterSize(cw, 1<<16)
-		head := append([]byte(nil), snapMagic...)
-		head = binary.LittleEndian.AppendUint32(head, snapVersion)
-		head = binary.LittleEndian.AppendUint32(head, uint32(len(hb)))
-		head = append(head, hb...)
-		head = binary.LittleEndian.AppendUint64(head, uint64(lf.size()))
-		if _, err := bw.Write(head); err != nil {
-			return err
-		}
-		if err := lf.writeRecords(bw, c.m); err != nil {
-			return err
-		}
-		if _, err := c.visited.WriteTo(bw); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		_, err := dst.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
-		size = cw.n + 4
-		return err
-	})
-	return size, err
-}
-
-// readSnapshot is the one snapshot reader: it checks the envelope (length,
-// checksum, magic, version), then the header against this run's identity,
-// and only then delimits the frontier section and decodes the fingerprint
-// set — a snapshot of a different model is refused by name, not by a codec
-// error. raw is hostile: every count and length is bounded by the bytes that
-// remain before anything is sized from it.
-func (c *Checker) readSnapshot(path string, raw []byte) (*snapshot, error) {
-	const fixed = len(snapMagic) + 4 + 4 // up to the header
-	if len(raw) < fixed+8+4 {
-		return nil, fmt.Errorf("%s: truncated snapshot (%d bytes)", path, len(raw))
-	}
-	body := raw[:len(raw)-4]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(raw[len(raw)-4:]) {
-		return nil, fmt.Errorf("%s: checksum mismatch (snapshot corrupt)", path)
-	}
-	if string(body[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("%s: not a sandtable checkpoint", path)
-	}
-	if v := binary.LittleEndian.Uint32(body[len(snapMagic):]); v != snapVersion {
-		return nil, fmt.Errorf("%s: checkpoint format version %d, this build reads %d", path, v, snapVersion)
-	}
-	hlen := int64(binary.LittleEndian.Uint32(body[len(snapMagic)+4:]))
-	body = body[fixed:]
-	if hlen+8 > int64(len(body)) {
-		return nil, fmt.Errorf("%s: truncated header", path)
-	}
-	snap := &snapshot{size: int64(len(raw))}
-	if err := json.Unmarshal(body[:hlen], &snap.header); err != nil {
-		return nil, fmt.Errorf("%s: header: %w", path, err)
-	}
-	if err := c.checkIdentity(path, snap.header.runIdentity); err != nil {
-		return nil, err
-	}
-	snap.frontierCount = binary.LittleEndian.Uint64(body[hlen:])
-	recs, rest, err := splitFrontierRecords(body[hlen+8:], snap.frontierCount)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	snap.frontierRecs = recs
-	if snap.set, err = fpset.Read(bytes.NewReader(rest), 0); err != nil {
-		return nil, fmt.Errorf("%s: fingerprint set: %w", path, err)
-	}
-	return snap, nil
-}
-
-// restoreFrontier decodes the snapshot's frontier section, puts it into level
-// order and proves it is the level boundary the header claims, against the
+// restoreFrontier decodes blk's frontier section, puts it into level order
+// and proves it is the level boundary the header claims, against the
 // installed fingerprint set: every state canonicalizes to its recorded
 // fingerprint and was discovered at the header's depth, no fingerprint
-// repeats, and the set holds nothing else at that depth. A snapshot that
-// passes its checksum but fails here would otherwise resume into a silently
-// wrong search.
-func (c *Checker) restoreFrontier(snap *snapshot) error {
-	frontier, err := readFrontier(snap.frontierRecs, snap.frontierCount, c.m)
+// repeats, and the set holds nothing else at that depth. A block that passes
+// its checksum but fails here would otherwise resume into a silently wrong
+// search.
+func (c *Checker) restoreFrontier(blk *ckBlock) ([]frontierEntry, error) {
+	frontier, err := readFrontier(blk.frontierRecs, blk.frontierCount, c.m)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	snap.frontierRecs = nil // release the file bytes
-	depth := snap.header.Depth
+	depth := blk.header.Depth
 	sortFrontier(frontier)
 	for i, fe := range frontier {
 		if i > 0 && fe.fp == frontier[i-1].fp {
-			return fmt.Errorf("frontier repeats state %#x", fe.fp)
+			return nil, fmt.Errorf("frontier repeats state %#x", fe.fp)
 		}
 		if got := c.canonicalFP(fe.state); got != fe.fp {
-			return fmt.Errorf("frontier state recorded as %#x canonicalizes to %#x", fe.fp, got)
+			return nil, fmt.Errorf("frontier state recorded as %#x canonicalizes to %#x", fe.fp, got)
 		}
 		if e, ok := c.visited.Lookup(fe.fp); !ok || int(e.Depth) != depth {
-			return fmt.Errorf("frontier state %#x is not in the fingerprint set at depth %d", fe.fp, depth)
+			return nil, fmt.Errorf("frontier state %#x is not in the fingerprint set at depth %d", fe.fp, depth)
 		}
 	}
 	c.countCanon(int64(len(frontier)))
@@ -437,30 +329,29 @@ func (c *Checker) restoreFrontier(snap *snapshot) error {
 		atDepth++
 		return true
 	}); err != nil {
-		return err
+		return nil, err
 	}
 	if atDepth != len(frontier) {
-		return fmt.Errorf("fingerprint set holds %d states at depth %d, frontier has %d", atDepth, depth, len(frontier))
+		return nil, fmt.Errorf("fingerprint set holds %d states at depth %d, frontier has %d", atDepth, depth, len(frontier))
 	}
-	snap.frontier = frontier
-	return nil
+	return frontier, nil
 }
 
 // The commit protocol, one for every run: a solo run is a one-peer cluster
 // acting as its own coordinator. Each peer keeps one chain in its directory
-// (Dir, or Dir/peer-<id>): a base snapshot and the delta log beside it. A
-// checkpoint is prepared — every peer writes a new base (it has none, or its
-// log outgrew the base) or appends a block, and fsyncs it — then committed:
+// (Dir, or Dir/peer-<id>): one log of blocks (delta.go). A checkpoint is
+// prepared — every peer appends a block to its log, or starts a new log with
+// a first block (it has none, or its later blocks outgrew the first), and
+// fsyncs it, and the directory too when the log is new — then committed:
 // once resolve shows every peer prepared, the coordinator renames one
 // manifest into Dir naming the depth and each peer's chain position.
 // Garbage is any chain file the manifest does not name (a superseded or
-// uncommitted base, an uncommitted block, an earlier run's chain); a peer
-// deletes it after each commit it learns of and at resume. A base is never
-// rewritten (its name carries its depth and the run's nonce) and a log only
-// grows past its committed length, so a crash anywhere leaves the last
-// manifest and every byte it names intact. Resume runs backwards: the
-// coordinator reads the manifest, hello hands it to every peer, and each
-// loads its own entry.
+// uncommitted log, an earlier run's chain); a peer deletes it after each
+// commit it learns of and at resume. A log's name carries its first block's
+// depth and the run's nonce, and a log only grows past its committed length,
+// so a crash anywhere leaves the last manifest and every byte it names
+// intact. Resume runs backwards: the coordinator reads the manifest, hello
+// hands it to every peer, and each loads its own entry.
 
 // ManifestFile is the commit record in CheckpointOptions.Dir: a directory
 // holds a resumable checkpoint exactly when it holds this file.
@@ -476,27 +367,22 @@ type manifest struct {
 	Chains []chainPos `json:"chains"`
 }
 
-// chainPos is one peer's committed chain: its base snapshot, and how much of
-// the delta log beside it.
+// chainPos is one peer's committed chain: its log, and how many bytes and
+// blocks of it.
 type chainPos struct {
-	Base       string `json:"base"`
-	DeltaBytes int64  `json:"delta_bytes"`
-	Deltas     int    `json:"deltas"`
+	Log    string `json:"log"`
+	Bytes  int64  `json:"bytes"`
+	Blocks int    `json:"blocks"`
 }
 
-// chainFile matches the names of chain files, the only files a peer ever
-// deletes: chain-<depth>-<run nonce>.snap for a base, .delta for its log.
-var chainFile = regexp.MustCompile(`^chain-[0-9]+-[0-9a-f]{16}\.(snap|delta)$`)
-
-// deltaName is the delta log beside base.
-func deltaName(base string) string {
-	return strings.TrimSuffix(base, ".snap") + ".delta"
-}
+// chainFile matches the names of chain logs, the only files a peer ever
+// deletes: chain-<first block's depth>-<run nonce>.log.
+var chainFile = regexp.MustCompile(`^chain-[0-9]+-[0-9a-f]{16}\.log$`)
 
 // parseManifest is the one manifest reader, for the coordinator's file and
 // for the copy every other peer receives at hello. raw is hostile: the
 // manifest must be this version and this run's, with one position per peer,
-// each naming a base by plain file name and no negative length or count.
+// each naming a log by plain file name and at least one block.
 func (c *Checker) parseManifest(path string, raw []byte) (*manifest, error) {
 	var m manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
@@ -512,7 +398,7 @@ func (c *Checker) parseManifest(path string, raw []byte) (*manifest, error) {
 		return nil, fmt.Errorf("%s: %d chain positions for %d peers", path, len(m.Chains), want)
 	}
 	for i, p := range m.Chains {
-		if !chainFile.MatchString(p.Base) || !strings.HasSuffix(p.Base, ".snap") || p.DeltaBytes < 0 || p.Deltas < 0 {
+		if !chainFile.MatchString(p.Log) || p.Bytes <= 0 || p.Blocks <= 0 {
 			return nil, fmt.Errorf("%s: peer %d: bad chain position %+v", path, i, p)
 		}
 	}
@@ -553,9 +439,10 @@ func (c *Checker) writeManifest(depth int, chains []chainPos) error {
 // and its commit it runs one checkpoint ahead of the manifest.
 type ckChain struct {
 	chainPos
-	baseBytes int64
-	// depth is the level the chain's last write covers; the next delta
-	// carries fingerprint-set entries with Depth in (depth, new depth].
+	// first is the length of the log's first block.
+	first int64
+	// depth is the level the log's last block covers; the next block carries
+	// fingerprint-set entries with Depth in (depth, new depth].
 	depth int
 }
 
@@ -566,7 +453,7 @@ type checkpointer struct {
 	// index in the manifest.
 	dir  string
 	peer int
-	// nonce makes this run's base names unlike any earlier run's.
+	// nonce makes this run's log names unlike any earlier run's.
 	nonce   string
 	cadence *cadence
 	// warn is the run's user-facing progress reporter; checkpoint failures
@@ -574,7 +461,8 @@ type checkpointer struct {
 	warn    *obs.Reporter
 	metrics *runMetrics
 	tracer  *obs.Tracer
-	// chain is nil until a base has been written or a resume adopted one.
+	// chain is nil until a first block has been written or a resume adopted
+	// a log.
 	chain *ckChain
 	// commit is the depth of the last commit this peer has acted on.
 	commit int
@@ -594,30 +482,48 @@ func (c *Checker) newCheckpointer(warn *obs.Reporter, metrics *runMetrics) *chec
 	return ck
 }
 
-// due reports whether the cadence asks for a snapshot at a global distinct
+// due reports whether the cadence asks for a checkpoint at a global distinct
 // count of distinct.
 func (ck *checkpointer) due(distinct int) bool {
 	return ck.dir != "" && ck.cadence.due(distinct)
 }
 
-// write prepares this peer's checkpoint of the level boundary at depth — a
-// new base when there is no chain yet or the delta log has outgrown the base
-// (compaction), a delta block otherwise — and returns the failure text (""
-// on success). Failures do not abort the exploration: the committed
-// checkpoint stays valid, the error is recorded as a trace event plus a
-// checkpoint.errors tick, and a warning reaches the progress reporter.
+// write prepares this peer's checkpoint of the level boundary at depth — the
+// first block of a new log when there is no chain yet or the log's later
+// blocks have outgrown its first (compaction), the next block of the log
+// otherwise — and returns the failure text ("" on success). Failures do not
+// abort the exploration: the committed checkpoint stays valid, the error is
+// recorded as a trace event plus a checkpoint.errors tick, and a warning
+// reaches the progress reporter. A new log stays on disk beside the one it
+// replaces until a manifest naming it commits.
 func (ck *checkpointer) write(c *Checker, res *Result, depth int, lf *levelFrontier, own []*Violation, elapsed time.Duration) string {
 	stop := c.opts.Metrics.StartPhase("checkpoint")
-	hdr := c.header(res, depth, elapsed, own)
-	kind := "full"
-	var err error
-	if ch := ck.chain; ch == nil || ch.DeltaBytes > ch.baseBytes {
-		err = ck.writeBase(c, hdr, lf)
+	ch := ck.chain
+	full := ch == nil || ch.Bytes-ch.first > ch.first
+	next, minDepth, kind := ckChain{}, -1, "full"
+	if full {
+		next.Log = fmt.Sprintf("chain-%06d-%s.log", depth, ck.nonce)
 	} else {
-		kind = "delta"
-		err = ck.appendDelta(c, hdr, lf)
+		next, minDepth, kind = *ch, ch.depth, "delta"
 	}
+	n, err := c.writeBlock(filepath.Join(ck.dir, next.Log), next.Bytes, c.header(res, depth, elapsed, own), lf, minDepth)
 	stop()
+	if err == nil {
+		if full {
+			next.first = n
+		}
+		next.Bytes += n
+		next.Blocks++
+		next.depth = depth
+		ck.chain = &next
+		switch m := ck.metrics; {
+		case m != nil && !full:
+			m.ckDeltas.Inc()
+			m.ckDeltaBytes.Add(n)
+		case m != nil && ch != nil:
+			m.ckCompactions.Inc()
+		}
+	}
 	detail := map[string]string{
 		"kind":     kind,
 		"depth":    fmt.Sprint(depth),
@@ -640,22 +546,6 @@ func (ck *checkpointer) failed(err error) {
 		ck.metrics.ckErrors.Inc()
 	}
 	ck.warn.Warnf("checkpoint failed (previous checkpoint still valid): %v", err)
-}
-
-// writeBase starts a new chain at hdr.Depth with a full snapshot under a
-// fresh name. The chain it replaces stays on disk until a manifest naming
-// the new one commits.
-func (ck *checkpointer) writeBase(c *Checker, hdr snapshotHeader, lf *levelFrontier) error {
-	base := fmt.Sprintf("chain-%06d-%s.snap", hdr.Depth, ck.nonce)
-	size, err := c.writeSnapshot(filepath.Join(ck.dir, base), hdr, lf)
-	if err != nil {
-		return err
-	}
-	if ck.chain != nil && ck.metrics != nil {
-		ck.metrics.ckCompactions.Inc()
-	}
-	ck.chain = &ckChain{chainPos: chainPos{Base: base}, baseBytes: size, depth: hdr.Depth}
-	return nil
 }
 
 // settle closes a checkpoint attempt once the level is resolved. If every
@@ -689,69 +579,70 @@ func (ck *checkpointer) settle(c *Checker, res *Result, depth int, g levelView) 
 func (ck *checkpointer) committed(depth int) {
 	if ch := ck.chain; ch != nil && depth > ck.commit && ch.depth == depth {
 		ck.commit = depth
-		collect(ck.dir, ch.Base)
+		collect(ck.dir, ch.Log)
 	}
 }
 
-// collect deletes every chain file in dir except base and its log. Nothing
-// outside the chain-file pattern is touched (the manifest, temp files, spill
+// collect deletes every chain file in dir except log. Nothing outside the
+// chain-file pattern is touched (the manifest, temp files, spill
 // directories). Best-effort: a leftover is wasted disk, never a wrong resume.
-func collect(dir, base string) {
+func collect(dir, log string) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range ents {
-		if n := e.Name(); e.Type().IsRegular() && chainFile.MatchString(n) && n != base && n != deltaName(base) {
+		if n := e.Name(); e.Type().IsRegular() && chainFile.MatchString(n) && n != log {
 			os.Remove(filepath.Join(dir, n))
 		}
 	}
 }
 
-// load resumes this peer from its position in the committed manifest m: the
-// named base, the delta log beside it cut to the committed bytes, exactly
-// the committed blocks folded in — each adds the fingerprints discovered
-// since the previous checkpoint and replaces the header and frontier with its
-// own — and the frontier left standing decoded and verified, so a resume
-// costs O(that frontier) state decodes however long the chain. The
-// checkpointer adopts the chain and keeps appending to it; every other chain
-// file goes.
-func (ck *checkpointer) load(c *Checker, m *manifest) (*snapshot, error) {
+// load resumes this peer from its position in the committed manifest m, in
+// one loop over its log: the log is cut to the committed bytes, every block
+// is checked and its fingerprint-set records inserted (readLog), and the
+// last block — which must be the manifest's depth — has its frontier decoded
+// and verified, so a resume costs O(that frontier) state decodes however
+// long the log. The checkpointer adopts the log and keeps appending to it;
+// every other chain file goes.
+func (ck *checkpointer) load(c *Checker, m *manifest) (*blockHeader, []frontierEntry, error) {
 	pos := m.Chains[ck.peer]
-	path := filepath.Join(ck.dir, pos.Base)
+	path := filepath.Join(ck.dir, pos.Log)
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	snap, err := c.readSnapshot(path, raw)
+	// Bytes past the committed length — a torn append, a block never
+	// committed — go, so later appends start clean; committed bytes that are
+	// missing or fail validation fail the resume loudly rather than silently
+	// losing progress.
+	if int64(len(raw)) < pos.Bytes {
+		return nil, nil, fmt.Errorf("%s: %d bytes committed, the log holds %d (log truncated)", path, pos.Bytes, len(raw))
+	}
+	if int64(len(raw)) > pos.Bytes {
+		if err := os.Truncate(path, pos.Bytes); err != nil {
+			return nil, nil, fmt.Errorf("%s: truncating uncommitted tail: %w", path, err)
+		}
+		raw = raw[:pos.Bytes]
+	}
+	blocks, err := c.readLog(path, raw, ck.peer)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if snap.header.PeerID != ck.peer {
-		return nil, fmt.Errorf("%s: snapshot belongs to peer %d, this is peer %d", path, snap.header.PeerID, ck.peer)
+	if len(blocks) != pos.Blocks {
+		return nil, nil, fmt.Errorf("%s: %d blocks committed, %d found", path, pos.Blocks, len(blocks))
 	}
-	c.visited = snap.set
-	logPath := filepath.Join(ck.dir, deltaName(pos.Base))
-	blocks, err := readDeltaLog(logPath, pos)
+	last := &blocks[len(blocks)-1]
+	if last.header.Depth != m.Depth {
+		return nil, nil, fmt.Errorf("%s: checkpoint at depth %d, manifest committed %d", path, last.header.Depth, m.Depth)
+	}
+	frontier, err := c.restoreFrontier(last)
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	for i := range blocks {
-		snap.set.InsertRecords(blocks[i].recs)
-	}
-	if n := len(blocks); n > 0 {
-		last := blocks[n-1]
-		snap.header, snap.frontierCount, snap.frontierRecs = last.header, last.frontierCount, last.frontierRecs
-		path = logPath
-	}
-	if snap.header.Depth != m.Depth {
-		return nil, fmt.Errorf("%s: checkpoint at depth %d, manifest committed %d", path, snap.header.Depth, m.Depth)
-	}
-	if err := c.restoreFrontier(snap); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	ck.chain = &ckChain{chainPos: pos, baseBytes: snap.size, depth: m.Depth}
+	ck.chain = &ckChain{chainPos: pos, first: blocks[0].size, depth: m.Depth}
 	ck.commit = m.Depth
-	collect(ck.dir, pos.Base)
-	return snap, nil
+	collect(ck.dir, pos.Log)
+	hdr := last.header // a copy: the blocks, and the log bytes they slice, go
+	return &hdr, frontier, nil
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"github.com/sandtable-go/sandtable/internal/obs"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/specs/toy"
+	"github.com/sandtable-go/sandtable/internal/transport"
 )
 
 // interrupt runs the machine with checkpointing on and a depth bound that
@@ -62,11 +64,26 @@ func peerDir(dir string, peer, peers int) string {
 	return filepath.Join(dir, fmt.Sprintf("peer-%d", peer))
 }
 
-// committedBase is the path of the base snapshot the manifest in dir names
-// for the solo run that wrote it.
-func committedBase(t testing.TB, dir string) string {
+// committedLog is the path of the chain log the manifest in dir names for
+// the solo run that wrote it.
+func committedLog(t testing.TB, dir string) string {
 	t.Helper()
-	return filepath.Join(dir, committed(t, dir).Chains[0].Base)
+	return filepath.Join(dir, committed(t, dir).Chains[0].Log)
+}
+
+// sealBlocks gives every block of log whose payload length fits what
+// remains a valid checksum, in place, so that edits reach the block reader.
+func sealBlocks(log []byte) {
+	le := binary.LittleEndian
+	for off := 0; off+blockHead <= len(log); {
+		plen := le.Uint64(log[off+8:])
+		if plen > uint64(len(log)-off-blockHead) {
+			return
+		}
+		end := off + blockHead + int(plen)
+		le.PutUint32(log[off+16:], crc32.ChecksumIEEE(log[off+blockHead:end]))
+		off = end
+	}
 }
 
 // TestResumeFindsSameCounterexample checks the other half of the resume
@@ -135,40 +152,49 @@ func TestResumeFailsLoudly(t *testing.T) {
 		resumeErr(t, t.TempDir(), Options{})
 	})
 
-	t.Run("corrupt", func(t *testing.T) {
-		dir := t.TempDir()
+	// The log's first block: one flipped byte in its payload, then the log
+	// cut short inside it. Each fails by name.
+	firstBlock := func(t *testing.T, dir string) (path string, log []byte, end int) {
+		t.Helper()
 		interrupt(t, dir, 2, true, Options{})
-		path := committedBase(t, dir)
-		raw, err := os.ReadFile(path)
+		path = committedLog(t, dir)
+		log, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw[len(raw)/2] ^= 0xff
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
+		return path, log, blockHead + int(binary.LittleEndian.Uint64(log[8:]))
+	}
+
+	t.Run("corrupt", func(t *testing.T) {
+		dir := t.TempDir()
+		path, log, end := firstBlock(t, dir)
+		log[end/2] ^= 0xff
+		if err := os.WriteFile(path, log, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := resumeErr(t, dir, Options{}); !strings.Contains(err.Error(), "checksum") {
-			t.Errorf("corrupt snapshot error = %v, want checksum mismatch", err)
+		if err := resumeErr(t, dir, Options{}); !strings.Contains(err.Error(), "block 0 at offset 0: checksum mismatch") {
+			t.Errorf("corrupt first block error = %v, want its checksum mismatch", err)
 		}
 	})
 
 	t.Run("truncated", func(t *testing.T) {
 		dir := t.TempDir()
-		interrupt(t, dir, 2, true, Options{})
-		if err := os.WriteFile(committedBase(t, dir), []byte("short"), 0o644); err != nil {
+		path, log, end := firstBlock(t, dir)
+		if err := os.WriteFile(path, log[:end/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := resumeErr(t, dir, Options{}); !strings.Contains(err.Error(), "truncated snapshot") {
-			t.Errorf("truncated snapshot error = %v", err)
+		want := fmt.Sprintf("%d bytes committed, the log holds %d", committed(t, dir).Chains[0].Bytes, end/2)
+		if err := resumeErr(t, dir, Options{}); !strings.Contains(err.Error(), want) {
+			t.Errorf("truncated first block error = %v, want %q", err, want)
 		}
 	})
 
-	// A directory written in the previous format — a base snapshot under a
-	// fixed name, committed by a record of its own — has no manifest: the
-	// resume names the format instead of starting over.
+	// A directory written before the checkpoint manifest existed — a
+	// snapshot under a fixed name, committed by a record of its own — has no
+	// manifest: the resume names the format instead of starting over.
 	t.Run("earlier-format", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "checkpoint.snap"), []byte(snapMagic+"\x02\x00\x00\x00"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "checkpoint.snap"), []byte("version 2 snapshot"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := resumeErr(t, dir, Options{}); !strings.Contains(err.Error(), fmt.Sprintf("checkpoint format version %d", snapVersion)) {
@@ -206,6 +232,129 @@ func TestResumeFailsLoudly(t *testing.T) {
 	})
 }
 
+// TestResumeRefusesVersion3 resumes a directory as the previous format left
+// it — a version-3 manifest naming each peer's base snapshot and the delta
+// log beside it — solo and as two peers: every peer stops with a
+// checkpoint-error naming the format, and no file of the old chain is
+// touched.
+func TestResumeRefusesVersion3(t *testing.T) {
+	for _, peers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("peers=%d", peers), func(t *testing.T) {
+			dir := t.TempDir()
+			ident := NewChecker(eqMachine(), Options{}).identity()
+			if peers > 1 {
+				ident.Peers, ident.Partition = peers, transport.PartitionVersion
+			}
+			type v3Pos struct {
+				Base       string `json:"base"`
+				DeltaBytes int64  `json:"delta_bytes"`
+				Deltas     int    `json:"deltas"`
+			}
+			man := struct {
+				Version int `json:"version"`
+				runIdentity
+				Depth  int     `json:"depth"`
+				Chains []v3Pos `json:"chains"`
+			}{Version: 3, runIdentity: ident, Depth: 2}
+			var files []string
+			for p := 0; p < peers; p++ {
+				man.Chains = append(man.Chains, v3Pos{Base: "chain-000001-0123456789abcdef.snap", DeltaBytes: 5, Deltas: 1})
+				for _, ext := range []string{".snap", ".delta"} {
+					files = append(files, filepath.Join(peerDir(dir, p, peers), "chain-000001-0123456789abcdef"+ext))
+				}
+			}
+			raw, err := json.Marshal(man)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, filepath.Join(dir, ManifestFile))
+			for _, path := range files {
+				content := []byte("old")
+				if filepath.Base(path) == ManifestFile {
+					content = raw
+				}
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, content, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			opts := func(int) Options {
+				return Options{Workers: 1, Checkpoint: CheckpointOptions{Dir: dir, Resume: true}}
+			}
+			results := []*Result{nil}
+			if peers == 1 {
+				results[0] = NewChecker(eqMachine(), opts(0)).Run()
+			} else {
+				results = runClusterPeers(peers, opts, nil)
+			}
+			const want = "checkpoint format version 3, this build reads 4"
+			for i, res := range results {
+				if res.StopReason != "checkpoint-error" || res.Err == nil || !strings.Contains(res.Err.Error(), want) {
+					t.Errorf("peer %d: stop=%s err=%v, want checkpoint-error naming %q", i, res.StopReason, res.Err, want)
+				}
+			}
+			for _, path := range files {
+				if _, err := os.Stat(path); err != nil {
+					t.Errorf("refused resume touched %s: %v", path, err)
+				}
+			}
+		})
+	}
+}
+
+// TestReadLogChecksEveryBlock: a later block's header is held to the run
+// identity, the peer and an increasing depth just as the first block's is;
+// and since a block's fingerprint records run to the end of its payload,
+// their byte count must be a whole number of records — a first block sealed
+// with five bytes cut off its end, checksum and length valid, is refused by
+// name.
+func TestReadLogChecksEveryBlock(t *testing.T) {
+	blocksOf := func(label string) [][]byte {
+		dir := t.TempDir()
+		interrupt(t, dir, 3, true, Options{Checkpoint: CheckpointOptions{Label: label}})
+		raw, err := os.ReadFile(committedLog(t, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var blocks [][]byte
+		for len(raw) > 0 {
+			n := blockHead + int(binary.LittleEndian.Uint64(raw[8:]))
+			blocks, raw = append(blocks, raw[:n]), raw[n:]
+		}
+		if len(blocks) < 2 {
+			t.Fatalf("want a log of several blocks, got %d", len(blocks))
+		}
+		return blocks
+	}
+	mine, other := blocksOf("toy"), blocksOf("other")
+	cut := slices.Clone(mine[0][:len(mine[0])-5])
+	binary.LittleEndian.PutUint64(cut[8:], uint64(len(cut)-blockHead))
+	sealBlocks(cut)
+	for _, tc := range []struct {
+		name string
+		log  []byte
+		peer int
+		want string
+	}{
+		{"intact", slices.Concat(mine...), 0, ""},
+		{"other-peer", slices.Concat(mine...), 1, "block 0 at offset 0: written by peer 0, this is peer 1"},
+		{"other-run", slices.Concat(mine[0], other[1]), 0, `checkpoint label "other", this run is "toy"`},
+		{"repeated-depth", slices.Concat(mine[0], mine[1], mine[1]), 0, "does not follow the previous block's"},
+		{"partial-record", cut, 0, "not a whole number of 20-byte records"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewChecker(newToy(3, true), Options{Checkpoint: CheckpointOptions{Label: "toy"}})
+			c.ident = c.identity()
+			_, err := c.readLog("log", tc.log, tc.peer)
+			if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+				t.Errorf("err=%v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestResumeDoesNotReexplore pins what a resume costs: restoring a depth-d
 // snapshot and stopping at MaxDepth d generates no transitions at all and
 // canonicalizes each frontier state exactly once (the load-time proof that
@@ -217,8 +366,8 @@ func TestResumeDoesNotReexplore(t *testing.T) {
 	first := interrupt(t, dir, d, true, Options{Symmetry: true, Cover: true})
 	frontier := first.Cover.Levels[d].Fresh
 
-	if m := committed(t, dir); m.Chains[0].Deltas == 0 {
-		t.Fatalf("want a delta chain on disk, so the base frontier is one resume must skip: %+v", m)
+	if m := committed(t, dir); m.Chains[0].Blocks < 2 {
+		t.Fatalf("want a log of several blocks on disk, so the first block's frontier is one resume must skip: %+v", m)
 	}
 
 	reg := obs.NewRegistry()
@@ -253,28 +402,30 @@ func (m *decodeCounter) DecodeState(src []byte) (spec.State, []byte, error) {
 	return m.LostUpdate.DecodeState(src)
 }
 
-// TestResumeRejectsForgedFrontier: a snapshot whose checksum is valid but
+// TestResumeRejectsForgedFrontier: a block whose checksum is valid but
 // whose frontier lies — a record's state does not hash to the fingerprint
 // recorded beside it — must fail the resume, never seed a wrong search. The
-// run stops after its first checkpoint, so the base's frontier is the one a
-// resume restores.
+// run stops after its first checkpoint, so the first block's frontier is the
+// one a resume restores.
 func TestResumeRejectsForgedFrontier(t *testing.T) {
 	dir := t.TempDir()
 	interrupt(t, dir, 1, true, Options{})
-	path := committedBase(t, dir)
+	if m := committed(t, dir); m.Chains[0].Blocks != 1 {
+		t.Fatalf("want a one-block log: %+v", m)
+	}
+	path := committedLog(t, dir)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First frontier record: past magic, version, header length, header and
+	// First frontier record: past the block head, header length, header and
 	// frontier count, then fp[8] encLen[4]. The toy encoding opens with Mem
 	// as a one-byte varint; flipping a value bit yields another decodable
 	// state.
-	hlen := int(binary.LittleEndian.Uint32(raw[len(snapMagic)+4:]))
-	state := len(snapMagic) + 4 + 4 + hlen + 8 + frontierRecHeader
+	hlen := int(binary.LittleEndian.Uint32(raw[blockHead:]))
+	state := blockHead + 4 + hlen + 8 + frontierRecHeader
 	raw[state] ^= 0x02
-	body := raw[:len(raw)-4]
-	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(body))
+	sealBlocks(raw)
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -382,19 +533,15 @@ func TestCheckpointSkipsPartialLevels(t *testing.T) {
 	}
 }
 
-// TestCollectKeepsNonChainFiles: garbage collection deletes chain files the
-// committed base does not name — and nothing else: not the manifest, not a
-// temp file, not a spill directory, not a file that only resembles a chain
-// file.
+// TestCollectKeepsNonChainFiles: garbage collection deletes chain logs the
+// manifest does not name — and nothing else: not the manifest, not a temp
+// file, not a spill directory, not a file that only resembles a chain log.
 func TestCollectKeepsNonChainFiles(t *testing.T) {
-	const base = "chain-000004-0123456789abcdef.snap"
-	garbage := []string{
-		"chain-000002-0123456789abcdef.snap", "chain-000002-0123456789abcdef.delta",
-		"chain-000007-fedcba9876543210.snap", "chain-000007-fedcba9876543210.delta",
-	}
+	const log = "chain-000004-0123456789abcdef.log"
+	garbage := []string{"chain-000002-0123456789abcdef.log", "chain-000007-fedcba9876543210.log"}
 	kept := []string{
-		base, deltaName(base), ManifestFile, "ck-123.tmp", "checkpoint.snap", "notes.txt",
-		"chain-000002-0123456789abcdef.snap.bak", "chain-2-XYZ.snap", "chain-000002-0123456789abcde.delta",
+		log, ManifestFile, "ck-123.tmp", "checkpoint.snap", "notes.txt", "chain-000002-0123456789abcdef.snap",
+		"chain-000002-0123456789abcdef.log.bak", "chain-2-XYZ.log", "chain-000002-0123456789abcde.log",
 	}
 	dir := t.TempDir()
 	for _, name := range append(garbage, kept...) {
@@ -402,11 +549,11 @@ func TestCollectKeepsNonChainFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	spill := filepath.Join(dir, "chain-000001-0123456789abcdef.snap") // a directory, not a chain file
+	spill := filepath.Join(dir, "chain-000001-0123456789abcdef.log") // a directory, not a chain log
 	if err := os.Mkdir(spill, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	collect(dir, base)
+	collect(dir, log)
 	for _, name := range garbage {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Errorf("garbage %s survived: %v", name, err)

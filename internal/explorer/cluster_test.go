@@ -386,7 +386,7 @@ func TestSoloSeamsAreIdentity(t *testing.T) {
 	if f != nil || !due || len(gotNext) != 2 || &gotNext[0] != &next[0] || len(gotViols) != 1 || gotViols[0] != viols[0] {
 		t.Errorf("seal changed its input: next=%v viols=%v due=%v fatal=%v", gotNext, gotViols, due, f)
 	}
-	local := levelView{distinct: 7, frontier: 3, violations: 1, deadline: true, canceled: true, ckErr: "disk full", chains: []chainPos{{Base: "b"}}}
+	local := levelView{distinct: 7, frontier: 3, violations: 1, deadline: true, canceled: true, ckErr: "disk full", chains: []chainPos{{Log: "b"}}}
 	if g, f := cl.resolve(1, viols, local); f != nil || !reflect.DeepEqual(g, local) {
 		t.Errorf("resolve = %+v (fatal %v), want the local view %+v", g, f, local)
 	}

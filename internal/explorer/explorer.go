@@ -340,8 +340,9 @@ type runMetrics struct {
 	fpsetSpillBytes, fpsetDiskProbes                        *obs.Gauge
 	heapInuse, memBudget                                    *obs.Gauge
 	frontierSpillBytes, frontierSpilledEntries              *obs.Counter
-	// Checkpoint-chain counters (see delta.go): full snapshots are counted
-	// by checkpoints, incremental deltas and compactions separately.
+	// Checkpoint-chain counters (see delta.go): checkpoints counts every
+	// committed one; the blocks after a log's first (deltas), their bytes,
+	// and the new logs compaction starts are counted separately.
 	checkpoints, ckDeltas, ckDeltaBytes, ckCompactions, ckErrors *obs.Counter
 }
 
@@ -482,29 +483,28 @@ func (c *Checker) Run() *Result {
 	if f != nil {
 		return fail(f)
 	}
-	var snap *snapshot
+	var hdr *blockHeader
+	var frontier []frontierEntry
 	if man != nil {
 		var err error
-		if snap, err = ck.load(c, man); err != nil {
+		if hdr, frontier, err = ck.load(c, man); err != nil {
 			return fail(&fatal{"checkpoint-error", fmt.Errorf("resume: %w", err)})
 		}
 	}
 
 	depth := 0
-	var frontier []frontierEntry
 	var restoredElapsed time.Duration
 	// own is every violation found by this process, in (depth, fp) order: all
 	// of them in a solo run, this peer's share in a cluster.
 	var own []*Violation
-	if snap != nil {
+	if hdr != nil {
 		// Counters, depth and the verified frontier replace init seeding.
-		hdr := &snap.header
 		hdr.restoreInto(res, c.cover)
 		for _, v := range hdr.Violations {
 			own = append(own, v.violation())
 		}
 		restoredElapsed = time.Duration(hdr.ElapsedNs)
-		depth, frontier = hdr.Depth, snap.frontier
+		depth = hdr.Depth
 	} else {
 		// Every peer canonicalises every initial state (they are few) and
 		// keeps the ones it owns; a duplicate is a dedup hit at its owner, so

@@ -27,9 +27,9 @@ import (
 //
 //	fp[u64] encLen[u32] encoded-state bytes
 //
-// shared by spill runs, base snapshots and delta blocks (see checkpoint.go):
-// one writer, one reader, and a disk-backed level is checkpointed by copying
-// its run files verbatim.
+// shared by spill runs and checkpoint blocks (see delta.go): one writer, one
+// reader, and a disk-backed level is checkpointed by copying its run files
+// verbatim.
 
 // frontierRecHeader is the fixed part of a frontier record.
 const frontierRecHeader = 12
@@ -191,13 +191,14 @@ type frontierRun struct {
 	bytes int64
 }
 
-// writeFrontierRun writes sorted entries as a new run file.
+// writeFrontierRun writes sorted entries as a new run file, through
+// ckWriterWrap. On error the file is removed.
 func writeFrontierRun(path string, entries []frontierEntry, codec spec.StateCodec) (*frontierRun, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
+	bw := bufio.NewWriterSize(ckWriterWrap(f), 1<<16)
 	total, err := writeFrontierRecords(bw, entries, codec)
 	if err == nil {
 		err = bw.Flush()

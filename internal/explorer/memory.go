@@ -28,13 +28,16 @@ type memController struct {
 	// spill; 0 means frontier spilling was disabled after a write failure.
 	frontierChunk int
 	frontierSeq   int
+	// setSpillFailed disables fingerprint-set spilling after a write
+	// failure, as frontierChunk = 0 does for the frontier: a retry would
+	// collect and sort every frozen entry again only to fail again.
+	setSpillFailed bool
 
 	m        *runMetrics
 	reporter *obs.Reporter
 	tracer   *obs.Tracer
 
-	lastHeap    time.Time
-	spillWarned bool
+	lastHeap time.Time
 }
 
 // frontierChunkFloor keeps spill runs from degenerating into thousands of
@@ -108,7 +111,8 @@ func (mc *memController) newSink() *frontierSink {
 
 // blockTick runs the budget checks at an expansion block boundary: spill
 // frozen fingerprints if the set is over budget, and refresh the heap gauge
-// at most twice a second.
+// at most twice a second. A failed spill keeps the set in RAM for the rest
+// of the run.
 func (mc *memController) blockTick(c *Checker, depth int) {
 	if mc == nil {
 		return
@@ -116,8 +120,11 @@ func (mc *memController) blockTick(c *Checker, depth int) {
 	// Only entries at depths the BFS has completed are frozen (their edges
 	// can no longer change); the level currently being inserted must stay
 	// in RAM so the equal-depth tie-break keeps working.
-	if _, err := c.visited.MaybeSpill(int32(depth - 1)); err != nil {
-		mc.warnf("fingerprint-set spill failed, continuing in RAM: %v", err)
+	if !mc.setSpillFailed {
+		if _, err := c.visited.MaybeSpill(int32(depth - 1)); err != nil {
+			mc.setSpillFailed = true
+			mc.warnf("fingerprint-set spill failed, keeping the set in RAM: %v", err)
+		}
 	}
 	if mc.m != nil && time.Since(mc.lastHeap) > 500*time.Millisecond {
 		mc.lastHeap = time.Now()
@@ -127,18 +134,16 @@ func (mc *memController) blockTick(c *Checker, depth int) {
 	}
 }
 
-// warnf surfaces a degradation through the progress reporter (once per run)
-// and the structured trace (every occurrence).
+// warnf surfaces a degradation through the progress reporter and the
+// structured trace. Each spill path degrades at most once per run, so a run
+// warns at most twice.
 func (mc *memController) warnf(format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	mc.tracer.Emit(obs.Event{
 		Layer: "spec", Kind: "spill-error", Node: -1,
 		Detail: map[string]string{"error": msg},
 	})
-	if !mc.spillWarned {
-		mc.spillWarned = true
-		mc.reporter.Warnf("%s", msg)
-	}
+	mc.reporter.Warnf("%s", msg)
 }
 
 // close releases the fingerprint set's run files and deletes the spill

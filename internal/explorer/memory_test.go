@@ -12,8 +12,10 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 
+	"github.com/sandtable-go/sandtable/internal/fpset"
 	"github.com/sandtable-go/sandtable/internal/obs"
 )
 
@@ -62,9 +64,10 @@ func TestParseByteSize(t *testing.T) {
 }
 
 // TestDeltaCheckpointChain asserts the incremental path engages: with a
-// per-level cadence the first checkpoint is a full snapshot and later ones
-// append delta blocks, the manifest names the log's exact length, and a
-// resume over base+deltas matches the uninterrupted run exactly.
+// per-level cadence the first checkpoint is a log's first block, holding the
+// whole fingerprint set, and later ones append delta blocks; the manifest
+// names the log's exact length, and a resume over the log matches the
+// uninterrupted run exactly.
 func TestDeltaCheckpointChain(t *testing.T) {
 	full := NewChecker(newToy(3, true), Options{}).Run()
 
@@ -84,11 +87,14 @@ func TestDeltaCheckpointChain(t *testing.T) {
 		t.Fatalf("no delta blocks written (all checkpoints were full rewrites): %v", snap)
 	}
 	pos := committed(t, dir).Chains[0]
-	if pos.Deltas == 0 {
+	if pos.Blocks < 2 {
 		t.Fatalf("manifest commits no delta block: %+v", pos)
 	}
-	if st, err := os.Stat(filepath.Join(dir, deltaName(pos.Base))); err != nil || st.Size() != pos.DeltaBytes {
-		t.Errorf("manifest names %d delta bytes, log: %v %v", pos.DeltaBytes, st, err)
+	if st, err := os.Stat(filepath.Join(dir, pos.Log)); err != nil || st.Size() != pos.Bytes {
+		t.Errorf("manifest names %d log bytes, log: %v %v", pos.Bytes, st, err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 2 {
+		t.Errorf("want the manifest and one chain log, the directory holds %v (%v)", ents, err)
 	}
 
 	resumed := NewChecker(newToy(3, true), Options{
@@ -236,7 +242,7 @@ func fileSize(t *testing.T, path string) int64 {
 // TestDeltaCrashWindows drives resume through each crash window of the
 // commit protocol, for a solo run and for a 3-peer mesh: a torn tail beyond
 // the committed length (crash mid-append), a block appended but never
-// committed, and a base a compaction wrote but never committed (crash
+// committed, and a new log a compaction started but never committed (crash
 // between prepare and commit). Each resumes cleanly to the uninterrupted
 // result with the uncommitted bytes gone; committed bytes that fail their CRC
 // fail loudly. The mesh adds a checkpoint that failed on one peer while
@@ -273,20 +279,20 @@ func TestDeltaCrashWindows(t *testing.T) {
 			dir := writeTree(t, full.trees[d])
 			m := committed(t, dir)
 			for p, pos := range m.Chains {
-				f, err := os.OpenFile(filepath.Join(peerDir(dir, p, peers), deltaName(pos.Base)), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+				f, err := os.OpenFile(filepath.Join(peerDir(dir, p, peers), pos.Log), os.O_APPEND|os.O_WRONLY, 0o644)
 				if err != nil {
 					t.Fatal(err)
 				}
 				// Half a block header: magic then garbage, cut mid-payload.
-				if _, err := f.Write(append([]byte(deltaMagic), 0xde, 0xad, 0xbe)); err != nil {
+				if _, err := f.Write(append([]byte(blockMagic), 0xde, 0xad, 0xbe)); err != nil {
 					t.Fatal(err)
 				}
 				f.Close()
 			}
 			resumeShape(t, peers, dir, m.Depth) // loads, then stops at once
 			for p, pos := range m.Chains {
-				if got := fileSize(t, filepath.Join(peerDir(dir, p, peers), deltaName(pos.Base))); got != pos.DeltaBytes {
-					t.Errorf("peer %d: log holds %d bytes after resume, manifest commits %d", p, got, pos.DeltaBytes)
+				if got := fileSize(t, filepath.Join(peerDir(dir, p, peers), pos.Log)); got != pos.Bytes {
+					t.Errorf("peer %d: log holds %d bytes after resume, manifest commits %d", p, got, pos.Bytes)
 				}
 			}
 			finish(t, peers, dir)
@@ -302,13 +308,13 @@ func TestDeltaCrashWindows(t *testing.T) {
 			dir := writeTree(t, full.crashBefore(d))
 			m := committed(t, dir)
 			pos := m.Chains[p]
-			log := filepath.Join(peerDir(dir, p, peers), deltaName(pos.Base))
-			if got := fileSize(t, log); got <= pos.DeltaBytes {
-				t.Fatalf("peer %d: log holds %d bytes, want the uncommitted block at depth %d past %d", p, got, d, pos.DeltaBytes)
+			log := filepath.Join(peerDir(dir, p, peers), pos.Log)
+			if got := fileSize(t, log); got <= pos.Bytes {
+				t.Fatalf("peer %d: log holds %d bytes, want the uncommitted block at depth %d past %d", p, got, d, pos.Bytes)
 			}
 			resumeShape(t, peers, dir, m.Depth)
-			if got := fileSize(t, log); got != pos.DeltaBytes {
-				t.Errorf("peer %d: uncommitted block kept: log holds %d bytes, manifest commits %d", p, got, pos.DeltaBytes)
+			if got := fileSize(t, log); got != pos.Bytes {
+				t.Errorf("peer %d: uncommitted block kept: log holds %d bytes, manifest commits %d", p, got, pos.Bytes)
 			}
 			finish(t, peers, dir)
 		})
@@ -327,16 +333,16 @@ func TestDeltaCrashWindows(t *testing.T) {
 			dir := writeTree(t, full.crashBefore(d))
 			m := committed(t, dir)
 			pdir := peerDir(dir, p, peers)
-			stale, old := filepath.Join(pdir, next.Chains[p].Base), filepath.Join(pdir, m.Chains[p].Base)
+			stale, old := filepath.Join(pdir, next.Chains[p].Log), filepath.Join(pdir, m.Chains[p].Log)
 			if _, err := os.Stat(stale); err != nil {
-				t.Fatalf("peer %d: the uncommitted base of the compaction at depth %d: %v", p, d, err)
+				t.Fatalf("peer %d: the uncommitted log of the compaction at depth %d: %v", p, d, err)
 			}
 			resumeShape(t, peers, dir, m.Depth)
 			if _, err := os.Stat(stale); !os.IsNotExist(err) {
-				t.Errorf("peer %d: uncommitted base %s not collected: %v", p, stale, err)
+				t.Errorf("peer %d: uncommitted log %s not collected: %v", p, stale, err)
 			}
 			if _, err := os.Stat(old); err != nil {
-				t.Errorf("peer %d: committed base gone: %v", p, err)
+				t.Errorf("peer %d: committed log gone: %v", p, err)
 			}
 			finish(t, peers, dir)
 		})
@@ -344,7 +350,7 @@ func TestDeltaCrashWindows(t *testing.T) {
 
 	t.Run("committed-corruption-fails-loudly", func(t *testing.T) {
 		forShapes(t, func(t *testing.T, peers int, full *ckRun) {
-			// The deepest checkpoint with a committed block on some peer.
+			// The deepest checkpoint with a committed delta block on some peer.
 			var dir string
 			p := -1
 			for d := len(full.trees); d > 0 && p < 0; d-- { // trees holds depths 1..len
@@ -353,7 +359,7 @@ func TestDeltaCrashWindows(t *testing.T) {
 					continue
 				}
 				for q, pos := range m.Chains {
-					if pos.Deltas > 0 {
+					if pos.Blocks > 1 {
 						dir, p = writeTree(t, full.trees[d]), q
 						break
 					}
@@ -362,7 +368,7 @@ func TestDeltaCrashWindows(t *testing.T) {
 			if p < 0 {
 				t.Fatal("no committed delta block to corrupt")
 			}
-			log := filepath.Join(peerDir(dir, p, peers), deltaName(committed(t, dir).Chains[p].Base))
+			log := filepath.Join(peerDir(dir, p, peers), committed(t, dir).Chains[p].Log)
 			raw, err := os.ReadFile(log)
 			if err != nil {
 				t.Fatal(err)
@@ -372,7 +378,7 @@ func TestDeltaCrashWindows(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := runShape(peers, dir, 0, true, false)
-			if res := r.results[p]; res.StopReason != "checkpoint-error" || res.Err == nil || !strings.Contains(res.Err.Error(), ".delta") {
+			if res := r.results[p]; res.StopReason != "checkpoint-error" || res.Err == nil || !strings.Contains(res.Err.Error(), ".log") {
 				t.Errorf("peer %d: resume over corrupt committed delta: stop=%s err=%v, want checkpoint-error naming the log", p, res.StopReason, res.Err)
 			}
 			for q, res := range r.results {
@@ -384,8 +390,8 @@ func TestDeltaCrashWindows(t *testing.T) {
 	})
 
 	// ckWriterWrap fails peer 2's checkpoint at a depth where peer 1 compacts:
-	// that checkpoint does not commit, and the next one names a base of the
-	// new depth for peer 1 and an older one for peer 2. Compaction depends on
+	// that checkpoint does not commit, and the next one names a log started
+	// at the new depth for peer 1 and an older one for peer 2. Compaction depends on
 	// byte counts that move with a header's elapsed-time digits, so a run
 	// whose peer 1 happened not to compact where the survey said is retried.
 	t.Run("failed-write-beside-compaction", func(t *testing.T) {
@@ -439,12 +445,12 @@ func TestDeltaCrashWindows(t *testing.T) {
 			baseDepth := func(p int) int {
 				var bd int
 				var nonce string
-				fmt.Sscanf(m.Chains[p].Base, "chain-%d-%16s", &bd, &nonce)
+				fmt.Sscanf(m.Chains[p].Log, "chain-%d-%16s", &bd, &nonce)
 				return bd
 			}
 			if m.Depth != next || baseDepth(1) != d || baseDepth(2) == d {
-				t.Fatalf("manifest at depth %d names peer 1 base %s, peer 2 base %s; want depth %d, peer 1 based at %d and peer 2 not",
-					m.Depth, m.Chains[1].Base, m.Chains[2].Base, next, d)
+				t.Fatalf("manifest at depth %d names peer 1 log %s, peer 2 log %s; want depth %d, peer 1's log started at %d and peer 2's not",
+					m.Depth, m.Chains[1].Log, m.Chains[2].Log, next, d)
 			}
 			finish(t, 3, dir)
 			return
@@ -479,7 +485,7 @@ func (fw *faultWriter) Write(p []byte) (int, error) {
 // surface as a checkpoint.errors tick plus a reporter warning, and the last
 // successfully committed checkpoint must still resume.
 func TestCheckpointENOSPC(t *testing.T) {
-	// Let the first checkpoint (full base snapshot) through intact, then
+	// Let the first checkpoint (a log's first block) through intact, then
 	// every later checkpoint write dies after a 16-byte partial write.
 	wraps := 0
 	orig := ckWriterWrap
@@ -536,5 +542,107 @@ func TestCheckpointENOSPC(t *testing.T) {
 	}
 	if resumed.DistinctStates != full.DistinctStates {
 		t.Errorf("resumed distinct=%d, want %d", resumed.DistinctStates, full.DistinctStates)
+	}
+}
+
+// diskFault is how a faulted spill write fails once ok bytes are through:
+// ENOSPC after a partial write, a short write with no error, or EIO with
+// nothing written.
+type diskFault struct {
+	name string
+	ok   int
+}
+
+var diskFaults = []diskFault{{"enospc", 10}, {"short-write", 10}, {"eio", 10}}
+
+// faultingWriter lets f.ok bytes through w and then fails as f says.
+type faultingWriter struct {
+	w    io.Writer
+	f    diskFault
+	left int
+}
+
+func (fw *faultingWriter) Write(p []byte) (int, error) {
+	if len(p) <= fw.left {
+		fw.left -= len(p)
+		return fw.w.Write(p)
+	}
+	n, _ := fw.w.Write(p[:fw.left])
+	fw.left = 0
+	switch fw.f.name {
+	case "enospc":
+		return n, syscall.ENOSPC
+	case "short-write":
+		return n, nil
+	}
+	return n, syscall.EIO
+}
+
+// TestSpillWriteFaults fails one spill write partway through a spilled
+// level — the second frontier run, or the fingerprint set's second run —
+// with ENOSPC, a short write and EIO, at one and two workers. The run keeps
+// the level (or the set) in RAM and finishes with the unbudgeted run's
+// counts, violations and traces; the failure surfaces as exactly one
+// reporter warning and one spill-error trace event, the failed run file is
+// gone by then, and the failed writer is never retried.
+func TestSpillWriteFaults(t *testing.T) {
+	opts := Options{StopAtFirstViolation: true, RecordVars: true}
+	ref := NewChecker(bugMachine(), opts).Run()
+	want := clusterSig(ref, false) + traceSig(ref)
+	if len(ref.Violations) == 0 {
+		t.Fatal("reference run found no violation")
+	}
+	origCk, origSet := ckWriterWrap, fpset.RunWriterWrap
+	t.Cleanup(func() { ckWriterWrap, fpset.RunWriterWrap = origCk, origSet })
+	for _, workers := range []int{1, 2} {
+		for _, fault := range diskFaults {
+			for _, target := range []string{"frontier", "fpset"} {
+				t.Run(fmt.Sprintf("w%d/%s/%s", workers, target, fault.name), func(t *testing.T) {
+					var calls int
+					var failed string
+					wrap := func(w io.Writer) io.Writer {
+						if calls++; calls != 2 {
+							return w
+						}
+						failed = w.(*os.File).Name()
+						return &faultingWriter{w: w, f: fault, left: fault.ok}
+					}
+					ckWriterWrap, fpset.RunWriterWrap = origCk, origSet
+					if target == "frontier" {
+						ckWriterWrap = wrap
+					} else {
+						fpset.RunWriterWrap = wrap
+					}
+					var warnings, events []string
+					tr := obs.NewTracer(io.Discard)
+					tr.Tee(func(e obs.Event) {
+						if e.Kind != "spill-error" {
+							return
+						}
+						events = append(events, e.Detail["error"])
+						if _, err := os.Stat(failed); !os.IsNotExist(err) {
+							t.Errorf("partial run file %s left in the spill directory: %v", failed, err)
+						}
+					})
+					o := opts
+					o.Workers, o.MemBudget, o.SpillDir, o.Tracer = workers, 64<<10, t.TempDir(), tr
+					o.Progress = func(p obs.Progress) {
+						if p.Warning != "" {
+							warnings = append(warnings, p.Warning)
+						}
+					}
+					res := NewChecker(bugMachine(), o).Run()
+					if got := clusterSig(res, false) + traceSig(res); got != want {
+						t.Errorf("faulted run differs:\n%s\nwant:\n%s", got, want)
+					}
+					if failed == "" || calls != 2 {
+						t.Fatalf("%d %s run writes, want the faulted second one and no retry (%s; events %q)", calls, target, failed, events)
+					}
+					if len(warnings) != 1 || len(events) != 1 {
+						t.Errorf("warnings %q, spill-error events %q; want one of each", warnings, events)
+					}
+				})
+			}
+		}
 	}
 }

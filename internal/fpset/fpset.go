@@ -30,9 +30,9 @@
 // set extends that convention to the reserved empty-slot key (fingerprint
 // zero is remapped to a fixed constant on the way in).
 //
-// Snapshot returns a serialisable copy of the set used by the explorer's
-// checkpoint files; see the explorer package for the checkpoint/resume
-// protocol built on top.
+// WriteRecords streams the set's entries as fixed-size records for the
+// explorer's checkpoint blocks, and InsertRecords reads them back; see the
+// explorer package for the checkpoint/resume protocol built on top.
 package fpset
 
 import (
@@ -65,7 +65,7 @@ const (
 // metadata. The zero value is not usable; call New.
 //
 // Concurrency: Insert and Lookup may be called from any number of
-// goroutines. Len, Stats, Range, and Snapshot take all shard locks
+// goroutines. Len, Stats, Range, and WriteRecords take all shard locks
 // shard-by-shard and are intended for block/level boundaries and
 // checkpointing, not hot loops.
 type Set struct {

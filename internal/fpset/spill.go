@@ -261,9 +261,10 @@ func (s *Set) SpillFrozen(maxDepth int32) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Pass 2: the run is durable; drop the spilled entries from RAM and
-	// shrink each touched shard's table to the smallest power of two that
-	// holds the remainder under the load factor.
+	// Pass 2: the run is written (never fsynced: runs are session scratch,
+	// not checkpoints); drop the spilled entries from RAM and shrink each
+	// touched shard's table to the smallest power of two that holds the
+	// remainder under the load factor.
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -325,6 +326,12 @@ type runWriter struct {
 	buf []byte
 }
 
+// RunWriterWrap wraps the file every spill run is written through (a
+// SpillFrozen run and a merge alike). Production leaves it as the identity;
+// fault-injection tests swap it to simulate ENOSPC, short writes and I/O
+// errors.
+var RunWriterWrap = func(w io.Writer) io.Writer { return w }
+
 // createRun opens the next run file for count records and writes its header.
 func (sp *spillState) createRun(count int64) (*runWriter, error) {
 	sp.seq++
@@ -339,7 +346,7 @@ func (sp *spillState) createRun(count int64) (*runWriter, error) {
 			bytes:  runHeaderSize + count*RecordSize,
 			filter: newBloom(count),
 		},
-		bw: bufio.NewWriterSize(f, 1<<16),
+		bw: bufio.NewWriterSize(RunWriterWrap(f), 1<<16),
 	}
 	w.bw.Write(binary.LittleEndian.AppendUint64([]byte(runMagic), uint64(count)))
 	return w, nil

@@ -2,7 +2,10 @@ package fpset
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -105,8 +108,9 @@ func TestSpillMergeCompactsRuns(t *testing.T) {
 	}
 }
 
-// TestSpillSnapshotRoundTrip serialises a half-spilled set and reads it
-// back, asserting the deserialised (all-RAM) set is entry-for-entry equal.
+// TestSpillSnapshotRoundTrip streams a half-spilled set's records and
+// inserts them into a fresh set, asserting the copy (all-RAM) is
+// entry-for-entry equal.
 func TestSpillSnapshotRoundTrip(t *testing.T) {
 	s := spillSet(t, 0)
 	rng := rand.New(rand.NewSource(3))
@@ -117,13 +121,11 @@ func TestSpillSnapshotRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	if n, err := s.WriteRecords(&buf, -1); err != nil || n != s.Len() {
+		t.Fatalf("wrote %d records of %d: %v", n, s.Len(), err)
 	}
-	back, err := Read(&buf, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := New(8)
+	back.InsertRecords(buf.Bytes())
 	if back.Len() != s.Len() {
 		t.Fatalf("round trip Len %d != %d", back.Len(), s.Len())
 	}
@@ -194,6 +196,87 @@ func TestRangeNewerFiltersByDepth(t *testing.T) {
 	for _, fp := range old {
 		if got[norm(fp)] {
 			t.Fatalf("old fp %#x in delta", fp)
+		}
+	}
+}
+
+// failAfter lets limit bytes through its writer, then fails every write.
+type failAfter struct {
+	w     io.Writer
+	limit int
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.limit {
+		n, _ := f.w.Write(p[:f.limit])
+		f.limit = 0
+		return n, errors.New("injected: no space left on device")
+	}
+	f.limit -= len(p)
+	return f.w.Write(p)
+}
+
+// TestSpillWriteFailureLosesNothing fails a run write partway, first for a
+// spill and then for the merge a later spill triggers: the set keeps every
+// entry with its edge, and no partial run file is left in the spill
+// directory.
+func TestSpillWriteFailureLosesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s := New(4)
+	if err := s.EnableSpill(SpillConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.CloseSpill)
+	orig := RunWriterWrap
+	t.Cleanup(func() { RunWriterWrap = orig })
+	fail := func(w io.Writer) io.Writer { return &failAfter{w: w, limit: 1000} }
+	runFiles := func() int {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+
+	rng := rand.New(rand.NewSource(6))
+	all := fill(s, rng, 3000, 1)
+	RunWriterWrap = fail
+	if n, err := s.SpillFrozen(1); err == nil || n != 0 {
+		t.Fatalf("failed spill: moved %d, err %v", n, err)
+	}
+	if got := runFiles(); got != 0 || s.Stats().SpillRuns != 0 {
+		t.Fatalf("failed spill left %d files, %d runs", got, s.Stats().SpillRuns)
+	}
+
+	RunWriterWrap = orig
+	for d := int32(1); d <= maxRuns; d++ {
+		if d > 1 {
+			all = append(all, fill(s, rng, 1000, d)...)
+		}
+		if _, err := s.SpillFrozen(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all = append(all, fill(s, rng, 1000, maxRuns+1)...)
+	calls := 0
+	RunWriterWrap = func(w io.Writer) io.Writer {
+		if calls++; calls == 1 {
+			return w // the spill's own run
+		}
+		return fail(w)
+	}
+	if _, err := s.SpillFrozen(maxRuns + 1); err == nil {
+		t.Fatal("the merge past maxRuns did not fail")
+	}
+	if got, st := runFiles(), s.Stats(); got != maxRuns+1 || st.SpillRuns != maxRuns+1 || st.SpillMerges != 0 {
+		t.Fatalf("failed merge: %d files, stats %+v; want the %d unmerged runs", got, st, maxRuns+1)
+	}
+	if s.Len() != int64(len(all)) {
+		t.Fatalf("Len %d, want %d", s.Len(), len(all))
+	}
+	for _, fp := range all {
+		if _, ok := s.Lookup(fp); !ok {
+			t.Fatalf("fp %#x lost to a failed run write", fp)
 		}
 	}
 }

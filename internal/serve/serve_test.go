@@ -393,10 +393,10 @@ func TestCancelLeavesResumableCheckpoint(t *testing.T) {
 	}
 }
 
-// TestResumeFromBaseOnlyCheckpoint: a job whose last checkpoint was a full
-// snapshot has no delta log beside its base (none exists before the first
-// delta) and must still be resumable. The budget stops the job right after
-// its first checkpoint, so the outcome is deterministic.
+// TestResumeFromBaseOnlyCheckpoint: a job whose only checkpoint is the first
+// block of its chain log — the whole fingerprint set, no delta block after
+// it — must be resumable. The budget stops the job right after its first
+// checkpoint, so the outcome is deterministic.
 func TestResumeFromBaseOnlyCheckpoint(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
 	spec := mediumSpec()
@@ -408,17 +408,17 @@ func TestResumeFromBaseOnlyCheckpoint(t *testing.T) {
 	if fin.State != StateDone || fin.Result["checkpoints"] != float64(1) {
 		t.Fatalf("first job: state %s, checkpoints %v, want done with exactly 1", fin.State, fin.Result["checkpoints"])
 	}
-	var bases, logs int
+	var logs, others int
 	for _, a := range fin.Artifacts {
 		switch {
-		case strings.HasPrefix(a, CheckpointDir+"/chain-") && strings.HasSuffix(a, ".snap"):
-			bases++
-		case strings.HasSuffix(a, ".delta"):
+		case strings.HasPrefix(a, CheckpointDir+"/chain-") && strings.HasSuffix(a, ".log"):
 			logs++
+		case strings.HasPrefix(a, CheckpointDir+"/") && a != CheckpointDir+"/"+explorer.ManifestFile:
+			others++
 		}
 	}
-	if !slices.Contains(fin.Artifacts, CheckpointDir+"/"+explorer.ManifestFile) || bases != 1 || logs != 0 {
-		t.Fatalf("want a manifest, one base snapshot and no delta log, got %v", fin.Artifacts)
+	if !slices.Contains(fin.Artifacts, CheckpointDir+"/"+explorer.ManifestFile) || logs != 1 || others != 0 {
+		t.Fatalf("want a manifest and one chain log, got %v", fin.Artifacts)
 	}
 
 	res := spec
