@@ -23,12 +23,15 @@ race:
 # The gosyncobj rounds run two workers over the process-global slot tables
 # and schema cache (filled on first use, while both walk) and each cluster's
 # lazily seeded streams and field-to-slot table; the engine rows hold the
-# reused slot vectors and the pinned fault streams; the integrations row
+# reused slot vectors and the pinned fault streams, and the network row the
+# vnet.* metrics a reader polls while the command goroutine counts into
+# them; the integrations row
 # holds every system's lock-step round to the two-phase reference at
 # W = 1, 2 and 4 (about 40 s under -race on two CPUs, so it runs twice).
 race-conform:
 	$(GO) test -race -count 4 -run 'TestParallelMatchesSerial|TestResourceCheck|TestEventsCheckedPinned|TestParallelRoundHoldsOnlyWalksInFlight|TestConformAllocsPerEvent' ./internal/conformance/
 	$(GO) test -race -count 4 -run 'TestObserveSlotsReusedMatchesFresh|TestFaultStreamsPinned' ./internal/engine/
+	$(GO) test -race -count 4 -run 'TestStatsMirrorConcurrentReads' ./internal/vnet/
 	$(GO) test -race -count 2 -run 'TestLockStepMatchesTwoPhase' ./internal/integrations/
 
 # race-cluster does the same for the cluster's candidate path: each expand
@@ -47,12 +50,15 @@ race-cluster:
 	$(GO) test -race -count 2 -run 'FuzzShapeMatchesOracle' ./internal/integrations/
 	$(GO) test -race -count 4 ./internal/transport/
 
-# fuzz runs a short coverage-guided smoke over the virtual network's queue
-# operations (send/deliver/drop/duplicate against a model oracle), over the
-# specifications' network environment (spec.Net: send/take/dup, faults and
-# listed events, each applied to a clone in a recycled Net, against a model,
-# with the parent untouched, the codec section round-tripping and equal nets
-# hashing equally) and over
+# fuzz runs a short coverage-guided smoke over the network environment, on
+# both levels: the engine's (a 3-node cluster under TCP and UDP taking hostile
+# commands — any node, peer and index, out-of-range, non-head and to down
+# nodes — where a refused command changes no rendered slot and no vnet.*
+# value, sent + duplicated = delivered + dropped + buffered, and a down node
+# has no queued frame and no open link) and the specifications' (spec.Net:
+# send/take/dup, faults and listed events, each applied to a clone in a
+# recycled Net, against a model, with the parent untouched, the codec section
+# round-tripping and equal nets hashing equally); and over
 # the decoders of checkpoint bytes: the chain-log block reader on whole logs,
 # on a first block's payload and on a later block's payload (whatever it
 # accepts goes through resume's frontier verification), the frontier-record
@@ -67,7 +73,7 @@ race-cluster:
 # beyond the seed corpus of the shape-differential harness.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test ./internal/vnet/ -fuzz FuzzQueueOps -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/vnet/ -run '^$$' -fuzz '^FuzzQueueOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/spec/ -run '^$$' -fuzz '^FuzzNetOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzReadLog$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/obs"
+	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/trace"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
 
@@ -19,7 +19,7 @@ func newBufferedCluster(t *testing.T, nodes int, seed int64) *Cluster {
 	t.Helper()
 	c, err := NewCluster(Config{
 		Nodes:     nodes,
-		Semantics: vnet.TCP,
+		Semantics: spec.TCP,
 		Seed:      seed,
 		Timeouts:  map[string]time.Duration{"election": 200 * time.Millisecond},
 		Buffered:  true,

@@ -1,7 +1,7 @@
 // Package engine is the implementation-level deterministic execution engine
 // (§4.1 and Appendix A of the paper). It runs a cluster of node processes on
 // a single machine with full control over every source of nondeterminism:
-// message delivery order (via the vnet proxy), time (via per-node virtual
+// message delivery order (via the network proxy), time (via per-node virtual
 // clocks), failures (crash, restart, partition, UDP loss/duplication), and
 // client requests.
 //
@@ -21,8 +21,8 @@ import (
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/obs"
+	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/trace"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
 
@@ -69,7 +69,7 @@ func (m CostModel) Cost(c Command) time.Duration {
 // Config describes a cluster under test.
 type Config struct {
 	Nodes     int
-	Semantics vnet.Semantics
+	Semantics spec.Semantics
 	Seed      int64
 	// Timeouts maps a timeout kind (the payload of EvTimeout events) to the
 	// virtual-clock advance that fires it. The paper requires users to
@@ -123,20 +123,21 @@ type Cluster struct {
 	cfg     Config
 	factory func(id int) vos.Process
 
-	net    *vnet.Network
+	// net is the network (see net.go): which nodes are up, the links and
+	// partitions, and the frames in flight. seq numbers the frames enqueued.
+	net spec.Net[frame]
+	seq int
+
 	clocks []*vos.Clock
 	stores []*vos.Store
 	logs   []*vos.LogBuffer
 	procs  []vos.Process
-	up     []bool
 
 	// rngs are the per-node streams behind Env.Rand, seeded cfg.Seed +
 	// i*7919. Seeding a math/rand source costs more than booting a node, and
 	// most clusters never draw, so each is seeded on its first draw (nil
 	// until then): the stream is the same whenever that happens.
 	rngs []*rand.Rand
-
-	partitions map[[2]int]bool
 
 	// faultRng is the dedicated deterministic stream for fault-injection
 	// choices (torn-batch cut points), seeded on first draw like rngs (see
@@ -165,6 +166,7 @@ type Cluster struct {
 	tracer  *obs.Tracer // structured event sink (nil-safe)
 	metrics *obs.Registry
 	cmds    *obs.Counter // commands executed, mirrored into metrics
+	vm      netMetrics
 }
 
 // NewCluster boots a cluster: every node is constructed and started.
@@ -172,19 +174,20 @@ func NewCluster(cfg Config, factory func(id int) vos.Process) (*Cluster, error) 
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("engine: need at least one node")
 	}
+	if cfg.Nodes > spec.MaxNodes {
+		return nil, fmt.Errorf("engine: %d nodes, more than the %d a network holds", cfg.Nodes, spec.MaxNodes)
+	}
 	c := &Cluster{
 		cfg:          cfg,
 		factory:      factory,
-		net:          vnet.New(cfg.Nodes, cfg.Semantics),
 		clocks:       make([]*vos.Clock, cfg.Nodes),
 		stores:       make([]*vos.Store, cfg.Nodes),
 		logs:         make([]*vos.LogBuffer, cfg.Nodes),
 		rngs:         make([]*rand.Rand, cfg.Nodes),
 		procs:        make([]vos.Process, cfg.Nodes),
-		up:           make([]bool, cfg.Nodes),
-		partitions:   make(map[[2]int]bool),
 		autoRestarts: make([]int, cfg.Nodes),
 	}
+	c.net.Shape(cfg.Nodes, 0)
 	c.simCost += cfg.Cost.ClusterInit
 	for i := 0; i < cfg.Nodes; i++ {
 		c.clocks[i] = vos.NewClock()
@@ -197,6 +200,7 @@ func NewCluster(cfg Config, factory func(id int) vos.Process) (*Cluster, error) 
 		if err := c.startNode(i); err != nil {
 			return nil, err
 		}
+		c.net.Up.Add(i)
 	}
 	c.fields = c.procs[0].Fields()
 	c.obsBuf = make([]string, len(c.fields))
@@ -213,7 +217,6 @@ func (c *Cluster) startNode(i int) (err error) {
 	p := c.factory(i)
 	p.Start(&nodeEnv{c: c, id: i})
 	c.procs[i] = p
-	c.up[i] = true
 	return nil
 }
 
@@ -221,16 +224,13 @@ func (c *Cluster) startNode(i int) (err error) {
 func (c *Cluster) N() int { return c.cfg.Nodes }
 
 // Up reports whether node i is running.
-func (c *Cluster) Up(i int) bool { return c.up[i] }
+func (c *Cluster) Up(i int) bool { return c.net.Up.Has(i) }
 
 // Events returns the number of commands executed.
 func (c *Cluster) Events() int { return c.events }
 
 // SimulatedCost returns the accumulated cost-model time.
 func (c *Cluster) SimulatedCost() time.Duration { return c.simCost }
-
-// Network exposes the proxy for assertions and conformance.
-func (c *Cluster) Network() *vnet.Network { return c.net }
 
 // History returns the executed command sequence.
 func (c *Cluster) History() []Command { return append([]Command(nil), c.history...) }
@@ -240,23 +240,21 @@ func (c *Cluster) History() []Command { return append([]Command(nil), c.history.
 // and network send/deliver/drop is emitted as one JSONL event, leaving a
 // replayable, diffable record of what the implementation run actually did.
 // A nil tracer disables tracing.
-func (c *Cluster) SetTracer(t *obs.Tracer) {
-	c.tracer = t
-	c.net.SetTracer(t)
-}
+func (c *Cluster) SetTracer(t *obs.Tracer) { c.tracer = t }
 
-// SetMetrics mirrors cluster and network counters into the registry
-// (engine.commands plus the vnet.* family). A nil registry uninstalls.
+// SetMetrics counts cluster and network activity into the registry
+// (engine.commands, the vnet.* counters and the vnet.buffered gauge, from
+// zero). A nil registry uninstalls.
 func (c *Cluster) SetMetrics(reg *obs.Registry) {
 	c.metrics = reg
 	c.cmds = reg.Counter("engine.commands")
-	c.net.SetMetrics(reg)
+	c.vm = newNetMetrics(reg)
 }
 
 // Process returns the running process for node i (nil when crashed); used
 // by system-specific observers.
 func (c *Cluster) Process(i int) vos.Process {
-	if !c.up[i] {
+	if !c.Up(i) {
 		return nil
 	}
 	return c.procs[i]
@@ -302,9 +300,9 @@ func (c *Cluster) Apply(cmd Command) error {
 	case trace.EvRecover:
 		return c.heal(cmd.Node, cmd.Peer)
 	case trace.EvDrop:
-		return c.net.Drop(cmd.Peer, cmd.Node, cmd.Index)
+		return c.drop(cmd.Peer, cmd.Node, cmd.Index)
 	case trace.EvDuplicate:
-		return c.net.Duplicate(cmd.Peer, cmd.Node, cmd.Index)
+		return c.duplicate(cmd.Peer, cmd.Node, cmd.Index)
 	case trace.EvInternal:
 		return nil
 	default:
@@ -326,19 +324,15 @@ func (c *Cluster) deliver(cmd Command) error {
 	if err := c.guard(cmd.Peer); err != nil {
 		return err
 	}
-	if !c.up[cmd.Node] {
+	if !c.Up(cmd.Node) {
 		return fmt.Errorf("engine: deliver to crashed node %d", cmd.Node)
 	}
-	f, err := c.net.Deliver(cmd.Peer, cmd.Node, cmd.Index)
+	f, err := c.take(cmd.Peer, cmd.Node, cmd.Index)
 	if err != nil {
 		return err
 	}
-	payloads, rest := vnet.DecodeStream(f.Payload)
-	if len(rest) != 0 || len(payloads) != 1 {
-		return fmt.Errorf("engine: malformed frame %d->%d", cmd.Peer, cmd.Node)
-	}
 	return c.invoke(cmd, cmd.Node, func(p vos.Process) {
-		p.Receive(cmd.Peer, payloads[0])
+		p.Receive(cmd.Peer, f.payload)
 	})
 }
 
@@ -346,7 +340,7 @@ func (c *Cluster) timeout(cmd Command) error {
 	if err := c.guard(cmd.Node); err != nil {
 		return err
 	}
-	if !c.up[cmd.Node] {
+	if !c.Up(cmd.Node) {
 		return fmt.Errorf("engine: timeout on crashed node %d", cmd.Node)
 	}
 	d, ok := c.cfg.Timeouts[cmd.Payload]
@@ -367,7 +361,7 @@ func (c *Cluster) request(cmd Command) error {
 	if err := c.guard(cmd.Node); err != nil {
 		return err
 	}
-	if !c.up[cmd.Node] {
+	if !c.Up(cmd.Node) {
 		return fmt.Errorf("engine: request to crashed node %d", cmd.Node)
 	}
 	return c.invoke(cmd, cmd.Node, func(p vos.Process) { p.ClientRequest(cmd.Payload) })
@@ -377,7 +371,7 @@ func (c *Cluster) crash(node int) error {
 	if err := c.guard(node); err != nil {
 		return err
 	}
-	if !c.up[node] {
+	if !c.Up(node) {
 		return fmt.Errorf("engine: node %d already crashed", node)
 	}
 	// Legacy atomic-durability semantics: everything the node persisted
@@ -397,7 +391,7 @@ func (c *Cluster) crashDirty(cmd Command) error {
 	if err := c.guard(node); err != nil {
 		return err
 	}
-	if !c.up[node] {
+	if !c.Up(node) {
 		return fmt.Errorf("engine: node %d already crashed", node)
 	}
 	mode := vos.CrashMode(cmd.Payload)
@@ -440,28 +434,42 @@ func (c *Cluster) faults() *rand.Rand {
 	return c.faultRng
 }
 
-// downNode takes a running node off the cluster with SIGQUIT semantics: no
-// cleanup runs; volatile state is lost, durable store and captured logs
-// survive; all connections break.
+// downNode takes a node off the cluster with SIGQUIT semantics: no cleanup
+// runs; volatile state is lost, durable store and captured logs survive; the
+// network crashes it (spec.Net.Crash: every link severed and emptied).
 func (c *Cluster) downNode(node int) {
 	c.procs[node] = nil
-	c.up[node] = false
-	c.net.CrashNode(node)
+	n := 0
+	for j := 0; j < c.cfg.Nodes; j++ {
+		n += c.queued(node, j)
+	}
+	c.net.Crash(node)
+	c.lost(n)
+	c.emit("crash-node", -1, node, 0, nil)
 }
 
+// restart brings a down node back: the network restarts it
+// (spec.Net.Restart: up, and reconnected to every running node no partition
+// separates it from), then its process starts. A start that panics leaves
+// the node down and severed.
 func (c *Cluster) restart(node int) error {
 	if err := c.guard(node); err != nil {
 		return err
 	}
-	if c.up[node] {
+	if c.Up(node) {
 		return fmt.Errorf("engine: node %d is already running", node)
 	}
-	// A pair stays severed while a partition separates it or its other end
-	// is down (heal's rule, and the specifications' restart).
-	c.net.RestartNode(node, func(a, b int) bool { return c.partitioned(a, b) || !c.up[b] })
-	return c.startNode(node)
+	c.net.Restart(node)
+	c.emit("restart-node", -1, node, 0, nil)
+	if err := c.startNode(node); err != nil {
+		c.downNode(node)
+		return err
+	}
+	return nil
 }
 
+// partition severs and empties both directions between a and b until heal
+// (§A.3).
 func (c *Cluster) partition(a, b int) error {
 	if err := c.guard(a); err != nil {
 		return err
@@ -469,11 +477,15 @@ func (c *Cluster) partition(a, b int) error {
 	if err := c.guard(b); err != nil {
 		return err
 	}
-	c.partitions[pairKey(a, b)] = true
+	n := c.queued(a, b)
 	c.net.Partition(a, b)
+	c.lost(n)
+	c.emit("partition", a, b, 0, nil)
 	return nil
 }
 
+// heal ends the partition between a and b; the pair reconnects if both are
+// up.
 func (c *Cluster) heal(a, b int) error {
 	if err := c.guard(a); err != nil {
 		return err
@@ -481,21 +493,11 @@ func (c *Cluster) heal(a, b int) error {
 	if err := c.guard(b); err != nil {
 		return err
 	}
-	delete(c.partitions, pairKey(a, b))
-	// Do not reconnect pairs where one side is down.
-	if c.up[a] && c.up[b] {
-		c.net.Heal(a, b)
+	c.net.Heal(a, b)
+	if c.Up(a) && c.Up(b) {
+		c.emit("heal", a, b, 0, nil)
 	}
 	return nil
-}
-
-func (c *Cluster) partitioned(a, b int) bool { return c.partitions[pairKey(a, b)] }
-
-func pairKey(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
 }
 
 // invoke runs fn on the node's process, converting panics into CrashError
@@ -609,16 +611,14 @@ func (e *nodeEnv) Send(to int, msg []byte) {
 	if to < 0 || to >= e.c.cfg.Nodes || to == e.id {
 		return
 	}
-	// Frame the payload the way the paper's interceptor marks message
-	// boundaries before handing the stream to the proxy.
-	e.c.net.Send(e.id, to, vnet.Encode(msg))
+	e.c.send(e.id, to, msg)
 }
 
 func (e *nodeEnv) Connected(to int) bool {
 	if to < 0 || to >= e.c.cfg.Nodes || to == e.id {
 		return false
 	}
-	return e.c.net.Connected(e.id, to)
+	return !e.c.net.Cut[e.id].Has(to)
 }
 
 func (e *nodeEnv) Persist(key string, value []byte) { e.c.stores[e.id].Persist(key, value) }

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/trace"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
 
@@ -74,7 +74,7 @@ func newTestCluster(t *testing.T, nodes int) *Cluster {
 	t.Helper()
 	c, err := NewCluster(Config{
 		Nodes:     nodes,
-		Semantics: vnet.TCP,
+		Semantics: spec.TCP,
 		Seed:      1,
 		Timeouts:  map[string]time.Duration{"election": 200 * time.Millisecond},
 	}, func(id int) vos.Process { return &pingNode{} })
@@ -258,7 +258,7 @@ func TestLogObserverValidation(t *testing.T) {
 func TestCostModelAccumulates(t *testing.T) {
 	c, err := NewCluster(Config{
 		Nodes:     1,
-		Semantics: vnet.TCP,
+		Semantics: spec.TCP,
 		Timeouts:  map[string]time.Duration{"election": time.Second},
 		Cost: CostModel{
 			ClusterInit: 2 * time.Second,

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"regexp"
-	"strconv"
 
 	"github.com/sandtable-go/sandtable/internal/trace"
 )
@@ -15,7 +14,7 @@ func (c *Cluster) Observe(i int) (map[string]string, error) {
 	if err := c.guard(i); err != nil {
 		return nil, err
 	}
-	if !c.up[i] {
+	if !c.Up(i) {
 		return map[string]string{"status": "crashed"}, nil
 	}
 	buf := c.observeNode(i)
@@ -50,8 +49,9 @@ func (c *Cluster) Schema() *trace.Schema { return c.schema }
 // ObserveSlots renders the implementation state into dst, a slot vector of
 // schema s (of the cluster's arity): node i's variable v into slot v[i] —
 // "status[i]" is "up" or "crashed", and a crashed node's other variables are
-// Absent — and the network environment (message counts per channel), which
-// the engine manages itself and can compare directly (§3.2). A field s
+// Absent — and the network environment (message counts per channel, by
+// spec.Net.NetSlots, the renderer a spec state's channels use), which the
+// engine manages itself and can compare directly (§3.2). A field s
 // lacks is not rendered; slots that are not the cluster's are left as they
 // are. Conformance checking observes after every replayed event, so the
 // field-to-slot table is built once per cluster and schema, and a step
@@ -66,7 +66,7 @@ func (c *Cluster) ObserveSlots(s *trace.Schema, dst []string) {
 	}
 	status, fields := c.slotOf[0], c.slotOf[1:]
 	for i := 0; i < c.cfg.Nodes; i++ {
-		if !c.up[i] {
+		if !c.Up(i) {
 			if status >= 0 {
 				dst[status+i] = "crashed"
 			}
@@ -87,13 +87,7 @@ func (c *Cluster) ObserveSlots(s *trace.Schema, dst []string) {
 			dst[status+i] = "up"
 		}
 	}
-	for src := 0; src < c.cfg.Nodes; src++ {
-		for d := 0; d < c.cfg.Nodes; d++ {
-			if src != d {
-				dst[s.Net(src, d)] = strconv.Itoa(c.net.Len(src, d))
-			}
-		}
-	}
+	c.net.NetSlots(dst, s)
 }
 
 // ObserveAll is the map ObserveSlots renders in the cluster's own schema:
@@ -102,19 +96,6 @@ func (c *Cluster) ObserveAll() (map[string]string, error) {
 	dst := c.schema.Clear(nil)
 	c.ObserveSlots(c.schema, dst)
 	return c.schema.Map(dst), nil
-}
-
-// NetworkVars renders the proxy state: per-channel buffered message counts.
-func (c *Cluster) NetworkVars() map[string]string {
-	out := make(map[string]string, c.cfg.Nodes*(c.cfg.Nodes-1))
-	for src := 0; src < c.cfg.Nodes; src++ {
-		for d := 0; d < c.cfg.Nodes; d++ {
-			if src != d {
-				out[c.schema.Key(c.schema.Net(src, d))] = strconv.Itoa(c.net.Len(src, d))
-			}
-		}
-	}
-	return out
 }
 
 // LogObserver extracts state variables from captured debug logs using

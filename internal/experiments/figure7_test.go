@@ -8,7 +8,6 @@ import (
 	"github.com/sandtable-go/sandtable/internal/scenario"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/specs/raftbase"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 )
 
 // TestFigure7ScenarioDirected drives the exact Figure 7 event chain through
@@ -20,7 +19,7 @@ func TestFigure7ScenarioDirected(t *testing.T) {
 	m := raftbase.New(raftbase.Options{
 		System:    "craft",
 		Profile:   raftbase.CRaft,
-		Transport: vnet.UDP,
+		Transport: spec.UDP,
 		Snapshots: true,
 		Bugs:      bugdb.NoBugs().With(bugdb.CRaftFirstEntryAppend, bugdb.CRaftAEInsteadOfSnapshot),
 		Config:    cfgW1(3),

@@ -7,7 +7,6 @@ import (
 	"github.com/sandtable-go/sandtable/internal/scenario"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/specs/raftbase"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 )
 
 // Figure6 reproduces the paper's Figure 6: the space-time diagram of the
@@ -61,7 +60,7 @@ func Figure7(o Options) (string, error) {
 	m := raftbase.New(raftbase.Options{
 		System:    "craft",
 		Profile:   raftbase.CRaft,
-		Transport: vnet.UDP,
+		Transport: spec.UDP,
 		Snapshots: true,
 		Bugs:      bugs,
 		Config:    cfgW1(3),

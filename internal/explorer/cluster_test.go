@@ -18,7 +18,6 @@ import (
 	"github.com/sandtable-go/sandtable/internal/specs/raftbase"
 	"github.com/sandtable-go/sandtable/internal/specs/zabkeeper"
 	"github.com/sandtable-go/sandtable/internal/transport"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 )
 
 // The distributed explorer's headline property: a cluster run is
@@ -32,7 +31,7 @@ import (
 // over 15 levels, no violations.
 func eqMachine() *raftbase.Machine {
 	return raftbase.New(raftbase.Options{
-		System: "gosyncobj", Profile: raftbase.GoSyncObj, Transport: vnet.TCP,
+		System: "gosyncobj", Profile: raftbase.GoSyncObj, Transport: spec.TCP,
 		Config: spec.Config{Name: "n2w1", Nodes: 2, Workload: []string{"v1"}},
 		Budget: spec.Budget{Name: "eq", MaxTimeouts: 3, MaxRequests: 2, MaxBuffer: 3},
 	})
@@ -42,7 +41,7 @@ func eqMachine() *raftbase.Machine {
 // depth 7 (18 violating states at that level).
 func bugMachine() *raftbase.Machine {
 	return raftbase.New(raftbase.Options{
-		System: "craft", Profile: raftbase.CRaft, Transport: vnet.UDP, Snapshots: true,
+		System: "craft", Profile: raftbase.CRaft, Transport: spec.UDP, Snapshots: true,
 		Bugs:   bugdb.VerificationBugs("craft"),
 		Config: spec.Config{Name: "n3w1", Nodes: 3, Workload: []string{"v1"}},
 		Budget: spec.Budget{Name: "eq", MaxTimeouts: 2, MaxRequests: 1, MaxBuffer: 2, MaxCompactions: 1},

@@ -9,7 +9,6 @@ import (
 	"github.com/sandtable-go/sandtable/internal/spec"
 	specgso "github.com/sandtable-go/sandtable/internal/specs/gosyncobj"
 	sysgso "github.com/sandtable-go/sandtable/internal/systems/gosyncobj"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
 
@@ -24,7 +23,7 @@ func init() {
 		NewCluster: func(cfg spec.Config, bugs bugdb.Set, seed int64) (*engine.Cluster, error) {
 			return engine.NewCluster(engine.Config{
 				Nodes:     cfg.Nodes,
-				Semantics: vnet.TCP,
+				Semantics: spec.TCP,
 				Seed:      seed,
 				Timeouts:  raftTimeouts(),
 				// Table 4: PySyncObj averaged ~1.8 s per replayed trace with

@@ -18,7 +18,6 @@ import (
 	syscraft "github.com/sandtable-go/sandtable/internal/systems/craft"
 	sysxraft "github.com/sandtable-go/sandtable/internal/systems/xraft"
 	sysxkv "github.com/sandtable-go/sandtable/internal/systems/xraftkv"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
 
@@ -37,7 +36,7 @@ func craftLeakCheck(c *engine.Cluster) error {
 	return nil
 }
 
-func craftCluster(semantics vnet.Semantics, preVote bool, init, perEvent time.Duration) func(cfg spec.Config, bugs bugdb.Set, seed int64) (*engine.Cluster, error) {
+func craftCluster(semantics spec.Semantics, preVote bool, init, perEvent time.Duration) func(cfg spec.Config, bugs bugdb.Set, seed int64) (*engine.Cluster, error) {
 	return func(cfg spec.Config, bugs bugdb.Set, seed int64) (*engine.Cluster, error) {
 		return engine.NewCluster(engine.Config{
 			Nodes:     cfg.Nodes,
@@ -61,7 +60,7 @@ func init() {
 		NewMachine: func(cfg spec.Config, b spec.Budget, bugs bugdb.Set) spec.Machine {
 			return speccraft.New(cfg, b, bugs)
 		},
-		NewCluster:    craftCluster(vnet.UDP, false, 2250*time.Millisecond, 5*time.Millisecond),
+		NewCluster:    craftCluster(spec.UDP, false, 2250*time.Millisecond, 5*time.Millisecond),
 		ResourceCheck: craftLeakCheck,
 	})
 
@@ -74,7 +73,7 @@ func init() {
 		NewMachine: func(cfg spec.Config, b spec.Budget, bugs bugdb.Set) spec.Machine {
 			return specredis.New(cfg, b, bugs)
 		},
-		NewCluster:    craftCluster(vnet.TCP, true, 1580*time.Millisecond, 5*time.Millisecond),
+		NewCluster:    craftCluster(spec.TCP, true, 1580*time.Millisecond, 5*time.Millisecond),
 		ResourceCheck: craftLeakCheck,
 	})
 
@@ -87,7 +86,7 @@ func init() {
 		NewMachine: func(cfg spec.Config, b spec.Budget, bugs bugdb.Set) spec.Machine {
 			return specdaos.New(cfg, b, bugs)
 		},
-		NewCluster:    craftCluster(vnet.TCP, true, 1875*time.Millisecond, 5*time.Millisecond),
+		NewCluster:    craftCluster(spec.TCP, true, 1875*time.Millisecond, 5*time.Millisecond),
 		ResourceCheck: craftLeakCheck,
 	})
 
@@ -104,7 +103,7 @@ func init() {
 		NewCluster: func(cfg spec.Config, bugs bugdb.Set, seed int64) (*engine.Cluster, error) {
 			return engine.NewCluster(engine.Config{
 				Nodes:     cfg.Nodes,
-				Semantics: vnet.UDP,
+				Semantics: spec.UDP,
 				Seed:      seed,
 				Timeouts:  raftTimeouts(),
 				Cost:      costModel(1700*time.Millisecond, 100*time.Millisecond),
@@ -124,7 +123,7 @@ func init() {
 		NewCluster: func(cfg spec.Config, bugs bugdb.Set, seed int64) (*engine.Cluster, error) {
 			return engine.NewCluster(engine.Config{
 				Nodes:     cfg.Nodes,
-				Semantics: vnet.TCP,
+				Semantics: spec.TCP,
 				Seed:      seed,
 				Timeouts:  raftTimeouts(),
 				Cost:      costModel(16700*time.Millisecond, 200*time.Millisecond),
@@ -145,7 +144,7 @@ func init() {
 		NewCluster: func(cfg spec.Config, bugs bugdb.Set, seed int64) (*engine.Cluster, error) {
 			return engine.NewCluster(engine.Config{
 				Nodes:     cfg.Nodes,
-				Semantics: vnet.TCP,
+				Semantics: spec.TCP,
 				Seed:      seed,
 				Timeouts:  raftTimeouts(),
 				Cost:      costModel(17000*time.Millisecond, 200*time.Millisecond),

@@ -9,7 +9,6 @@ import (
 	"github.com/sandtable-go/sandtable/internal/spec"
 	speczab "github.com/sandtable-go/sandtable/internal/specs/zabkeeper"
 	syszab "github.com/sandtable-go/sandtable/internal/systems/zabkeeper"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
 
@@ -28,7 +27,7 @@ func init() {
 		NewCluster: func(cfg spec.Config, bugs bugdb.Set, seed int64) (*engine.Cluster, error) {
 			return engine.NewCluster(engine.Config{
 				Nodes:     cfg.Nodes,
-				Semantics: vnet.TCP,
+				Semantics: spec.TCP,
 				Seed:      seed,
 				Timeouts:  map[string]time.Duration{"election": 200 * time.Millisecond},
 				// Table 4: ZooKeeper averaged ~28 s per replayed trace (JVM

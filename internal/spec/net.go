@@ -6,12 +6,32 @@ import (
 
 	"github.com/sandtable-go/sandtable/internal/fp"
 	"github.com/sandtable-go/sandtable/internal/trace"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 )
 
-// Message is what a spec family's queued message supplies to Net: its half
-// of the edge digest, of the codec and of the permuted copy. Everything else
-// a channel does is Net's.
+// Semantics is the transport failure model of the environment (§3.1).
+type Semantics int
+
+// Transport semantics. Under TCP a channel is a FIFO that loses, duplicates
+// and reorders nothing, and the one network failure is a partition, which
+// breaks the connection, empties it and blocks it until healed (§A.3). Under
+// UDP a channel is a multiset: any message can be delivered, dropped or
+// duplicated.
+const (
+	TCP Semantics = iota
+	UDP
+)
+
+// String returns "tcp" or "udp".
+func (s Semantics) String() string {
+	if s == TCP {
+		return "tcp"
+	}
+	return "udp"
+}
+
+// Message is what a spec family's queued message supplies to Net's digest,
+// codec and permutation (HashEdge, AppendChannels, DecodeChannels and
+// PermuteInto): its half of each. Everything else a channel does is Net's.
 type Message[M any] interface {
 	// Hash returns h with the message's content mixed in, leaving out any
 	// field whose value is a node id (those belong in the family's orbit
@@ -31,17 +51,18 @@ type Message[M any] interface {
 	Permuted(perm []int) M
 }
 
-// Net is the environment a specification runs in, the one the engine's proxy
-// (internal/vnet) implements: per ordered pair a FIFO (TCP) or multiset (UDP)
-// channel, crashes that sever a node's links and empty its channels,
-// partitions, and UDP loss and duplication. A family embeds it in its State,
-// so handlers read s.Chan, s.Cut and s.Up as promoted fields.
+// Net is the environment a distributed system runs in, written once for both
+// levels: per ordered pair a FIFO (TCP) or multiset (UDP) channel, crashes
+// that sever a node's links and empty its channels, partitions, and UDP loss
+// and duplication. A spec family embeds it in its State, so handlers read
+// s.Chan, s.Cut and s.Up as promoted fields; the engine's proxy holds one of
+// frames, so the implementation runs under the rules the specs enumerate.
 //
 // The matrix and link sets are carved from arrays the Net owns through its
 // first views (Shape), and the queues from one flat message array, so that
 // CloneInto into a recycled state allocates nothing once that state has been
 // used at a size.
-type Net[M Message[M]] struct {
+type Net[M any] struct {
 	// Up holds the nodes that are running.
 	Up NodeSet
 	// Chan[src][dst] is the queue of messages in flight from src to dst.
@@ -130,13 +151,14 @@ func (net *Net[M]) CloneInto(dst *Net[M]) {
 	dst.flat = flat
 }
 
-// Send appends m to channel src→dst unless the pair is severed (vnet drops a
-// send across a cut link).
-func (net *Net[M]) Send(src, dst int, m M) {
+// Send appends m to channel src→dst unless the pair is severed (a send across
+// a cut link is lost), and reports whether it did.
+func (net *Net[M]) Send(src, dst int, m M) bool {
 	if src == dst || net.Cut[src].Has(dst) {
-		return
+		return false
 	}
 	net.Chan[src][dst] = append(net.Chan[src][dst], m)
+	return true
 }
 
 // Take removes and returns message k of channel src→dst, closing the gap in
@@ -228,7 +250,7 @@ func (net *Net[M]) Heal(a, b int) {
 // (UDP), then under UDP each message's drop and duplicate; under TCP, per
 // unordered pair, its partition or its recovery. A delivery's Action is
 // empty: the family names it when it dispatches the message.
-func (net *Net[M]) Events(c *Counters, b Budget, t vnet.Semantics, each func(trace.Event)) {
+func (net *Net[M]) Events(c *Counters, b Budget, t Semantics, each func(trace.Event)) {
 	n := len(net.Chan)
 	for i := 0; i < n; i++ {
 		if !net.Up.Has(i) && c.CanRestart(b) {
@@ -240,7 +262,7 @@ func (net *Net[M]) Events(c *Counters, b Budget, t vnet.Semantics, each func(tra
 			if src == dst || len(q) == 0 || !net.Up.Has(dst) {
 				continue
 			}
-			if t == vnet.TCP {
+			if t == TCP {
 				each(trace.Event{Type: trace.EvDeliver, Node: dst, Peer: src})
 				continue
 			}
@@ -257,7 +279,7 @@ func (net *Net[M]) Events(c *Counters, b Budget, t vnet.Semantics, each func(tra
 			}
 		}
 	}
-	for a := 0; a < n && t == vnet.TCP; a++ {
+	for a := 0; a < n && t == TCP; a++ {
 		for z := a + 1; z < n; z++ {
 			if net.Part[a].Has(z) {
 				each(trace.Event{Type: trace.EvRecover, Action: "NetworkRecover", Node: a, Peer: z})
@@ -293,11 +315,11 @@ func (net *Net[M]) Apply(ev trace.Event, c *Counters) (m M, delivered bool) {
 	return m, false
 }
 
-// HashEdge mixes the channel half of the edge digest of the ordered pair
+// HashEdge mixes the channel half of the edge digest of net's ordered pair
 // (a, b), a != b, into h: the queue's length and its messages, then whether
 // the pair is cut and whether it is partitioned. None of it names a node, so
 // it is invariant under node renaming as spec.Orbit requires.
-func (net *Net[M]) HashEdge(h *fp.Hasher, a, b int) {
+func HashEdge[M Message[M]](net *Net[M], h *fp.Hasher, a, b int) {
 	q := net.Chan[a][b]
 	h.WriteInt(len(q))
 	for k := range q {
@@ -310,7 +332,7 @@ func (net *Net[M]) HashEdge(h *fp.Hasher, a, b int) {
 // PermuteInto writes net with node identities permuted by perm (perm[i] is
 // the new identity of node i) into dst, which Shape has given the same arity
 // and zeroed. Every queue of dst is a fresh array.
-func (net *Net[M]) PermuteInto(dst *Net[M], perm []int) {
+func PermuteInto[M Message[M]](net, dst *Net[M], perm []int) {
 	dst.Up = net.Up.Permute(perm)
 	for i, row := range net.Chan {
 		pi := perm[i]
@@ -329,11 +351,11 @@ func (net *Net[M]) PermuteInto(dst *Net[M], perm []int) {
 	}
 }
 
-// AppendChannels appends the channel section of a state's encoding to dst:
-// per ordered pair, row-major, whether it is cut and whether it is
+// AppendChannels appends the channel section of a state's encoding of net to
+// dst: per ordered pair, row-major, whether it is cut and whether it is
 // partitioned (one byte each), the queue's length and its messages. (Up is
 // the family's to encode, beside the node's other variables.)
-func (net *Net[M]) AppendChannels(dst []byte) []byte {
+func AppendChannels[M Message[M]](dst []byte, net *Net[M]) []byte {
 	for i, row := range net.Chan {
 		for j, q := range row {
 			dst = AppendBool(dst, net.Cut[i].Has(j))
@@ -349,7 +371,7 @@ func (net *Net[M]) AppendChannels(dst []byte) []byte {
 
 // DecodeChannels reads what AppendChannels wrote into net, which Shape has
 // given the state's arity and zeroed. An empty queue decodes to nil.
-func (net *Net[M]) DecodeChannels(d *Decoder) {
+func DecodeChannels[M Message[M]](net *Net[M], d *Decoder) {
 	n := len(net.Chan)
 	var zero M
 	for i := 0; i < n; i++ {
@@ -374,7 +396,7 @@ func (net *Net[M]) DecodeChannels(d *Decoder) {
 }
 
 // NetSlots writes the length of every channel into its net[src->dst] slot of
-// sc, the rendering the engine gives its proxy's queues.
+// sc: the one rendering of the network, a spec's and the engine's alike.
 func (net *Net[M]) NetSlots(dst []string, sc *trace.Schema) {
 	for src, row := range net.Chan {
 		for d, q := range row {

@@ -7,7 +7,6 @@ import (
 
 	"github.com/sandtable-go/sandtable/internal/fp"
 	"github.com/sandtable-go/sandtable/internal/trace"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 )
 
 // tmsg is the test's message: one payload byte.
@@ -30,7 +29,7 @@ func newTestNet(n int) *Net[tmsg] {
 }
 
 // netBytes is net's liveness byte and its codec section.
-func netBytes(net *Net[tmsg]) []byte { return net.AppendChannels([]byte{byte(net.Up)}) }
+func netBytes(net *Net[tmsg]) []byte { return AppendChannels([]byte{byte(net.Up)}, net) }
 
 // netModel is the oracle: plain per-pair slices and booleans.
 type netModel struct {
@@ -63,9 +62,9 @@ func FuzzNetOps(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		tr := vnet.TCP
+		tr := TCP
 		if data[0]&1 == 1 {
-			tr = vnet.UDP
+			tr = UDP
 		}
 		budget := Budget{MaxRestarts: 100, MaxPartitions: 100, MaxDrops: 100, MaxDuplicates: 100}
 		var c Counters
@@ -80,7 +79,9 @@ func FuzzNetOps(f *testing.F) {
 			next := dead
 			switch op {
 			case 0: // send
-				next.Send(a, b, tmsg(arg))
+				if sent := next.Send(a, b, tmsg(arg)); sent == m.cut[a][b] {
+					t.Fatalf("send %d->%d enqueued = %v, model cut = %v", a, b, sent, m.cut[a][b])
+				}
 				if !m.cut[a][b] {
 					m.q[a][b] = append(m.q[a][b], tmsg(arg))
 				}
@@ -146,7 +147,7 @@ func FuzzNetOps(f *testing.F) {
 			enc := netBytes(next)
 			dec := newTestNet(n)
 			d := &Decoder{Src: enc[1:]}
-			dec.DecodeChannels(d)
+			DecodeChannels(dec, d)
 			dec.Up = next.Up
 			if d.Err != nil || len(d.Src) != 0 || !bytes.Equal(netBytes(dec), enc) {
 				t.Fatalf("channel section does not round-trip: err %v, %d bytes left", d.Err, len(d.Src))
@@ -159,8 +160,8 @@ func FuzzNetOps(f *testing.F) {
 					var h1, h2 fp.Hasher
 					h1.Reset()
 					h2.Reset()
-					next.HashEdge(&h1, x, y)
-					dec.HashEdge(&h2, x, y)
+					HashEdge(next, &h1, x, y)
+					HashEdge(dec, &h2, x, y)
 					if h1.Sum() != h2.Sum() {
 						t.Fatalf("equal nets hash edge %d->%d apart", x, y)
 					}
@@ -189,7 +190,7 @@ func (m *netModel) heal(a, b int) {
 
 // apply is the model's reading of an environment event, which must be one
 // the model finds enabled.
-func (m *netModel) apply(t *testing.T, ev trace.Event, msg tmsg, delivered bool, tr vnet.Semantics) {
+func (m *netModel) apply(t *testing.T, ev trace.Event, msg tmsg, delivered bool, tr Semantics) {
 	t.Helper()
 	src, dst, k := ev.Peer, ev.Node, ev.Index
 	switch ev.Type {
@@ -199,7 +200,7 @@ func (m *netModel) apply(t *testing.T, ev trace.Event, msg tmsg, delivered bool,
 		}
 		m.restart(dst)
 	case trace.EvDeliver, trace.EvDrop, trace.EvDuplicate:
-		if src == dst || !m.up[dst] || k >= len(m.q[src][dst]) || tr == vnet.TCP && (k != 0 || ev.Type != trace.EvDeliver) {
+		if src == dst || !m.up[dst] || k >= len(m.q[src][dst]) || tr == TCP && (k != 0 || ev.Type != trace.EvDeliver) {
 			t.Fatalf("%v %d->%d[%d] listed under %v, model queue %v, up %v", ev.Type, src, dst, k, tr, m.q[src][dst], m.up)
 		}
 		q := &m.q[src][dst]
@@ -212,13 +213,13 @@ func (m *netModel) apply(t *testing.T, ev trace.Event, msg tmsg, delivered bool,
 			*q = slices.Delete(slices.Clone(*q), k, k+1)
 		}
 	case trace.EvPartition:
-		if tr != vnet.TCP || m.part[dst][src] {
+		if tr != TCP || m.part[dst][src] {
 			t.Fatalf("partition %d-%d listed under %v", dst, src, tr)
 		}
 		m.setPart(dst, src, true)
 		m.sever(dst, src)
 	case trace.EvRecover:
-		if tr != vnet.TCP || !m.part[dst][src] {
+		if tr != TCP || !m.part[dst][src] {
 			t.Fatalf("recovery %d-%d listed under %v", dst, src, tr)
 		}
 		m.heal(dst, src)

@@ -6,7 +6,6 @@ import (
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/specs/raftbase"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 )
 
 // New builds the asyncraft specification machine.
@@ -14,7 +13,7 @@ func New(cfg spec.Config, b spec.Budget, bugs bugdb.Set) *raftbase.Machine {
 	return raftbase.New(raftbase.Options{
 		System:    "asyncraft",
 		Profile:   raftbase.AsyncRaft,
-		Transport: vnet.UDP,
+		Transport: spec.UDP,
 		Bugs:      bugs,
 		Config:    cfg,
 		Budget:    b,

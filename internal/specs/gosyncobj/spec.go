@@ -8,7 +8,6 @@ import (
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/specs/raftbase"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 )
 
 // New builds the gosyncobj specification machine.
@@ -16,7 +15,7 @@ func New(cfg spec.Config, b spec.Budget, bugs bugdb.Set) *raftbase.Machine {
 	return raftbase.New(raftbase.Options{
 		System:    "gosyncobj",
 		Profile:   raftbase.GoSyncObj,
-		Transport: vnet.TCP,
+		Transport: spec.TCP,
 		Bugs:      bugs,
 		Config:    cfg,
 		Budget:    b,

@@ -62,7 +62,7 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 		intRow(s.Next[i])
 		intRow(s.Match[i])
 	}
-	dst = s.AppendChannels(dst)
+	dst = spec.AppendChannels(dst, &s.Net)
 	entries(s.Committed)
 	vb(s.SnapConflictInstall)
 	lr := s.lastRead()
@@ -146,7 +146,7 @@ func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 		s.Next[i] = decodeIntRow(d, "next", n)
 		s.Match[i] = decodeIntRow(d, "match", n)
 	}
-	s.DecodeChannels(d)
+	spec.DecodeChannels(&s.Net, d)
 	s.Committed = decodeEntries(d, "committed")
 	s.SnapConflictInstall = d.Bool("snapConflictInstall")
 	var lr kvRead

@@ -9,7 +9,6 @@ import (
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/spec/spectest"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 )
 
 // codecMachines covers the codec-relevant feature axes: plain TCP, UDP with
@@ -18,23 +17,23 @@ import (
 func codecMachines() map[string]*Machine {
 	return map[string]*Machine{
 		"gosyncobj": New(Options{
-			System: "gosyncobj", Profile: GoSyncObj, Transport: vnet.TCP,
+			System: "gosyncobj", Profile: GoSyncObj, Transport: spec.TCP,
 			Config: spec.Config{Name: "n2w2", Nodes: 2, Workload: []string{"v1", "v2"}},
 			Budget: spec.Budget{Name: "codec", MaxTimeouts: 2, MaxRequests: 1, MaxBuffer: 2},
 		}),
 		"craft-dirty": New(Options{
-			System: "craft", Profile: CRaft, Transport: vnet.UDP, Snapshots: true,
+			System: "craft", Profile: CRaft, Transport: spec.UDP, Snapshots: true,
 			Config: spec.Config{Name: "n3w1", Nodes: 3, Workload: []string{"v1"}},
 			Budget: spec.Budget{Name: "codec", MaxTimeouts: 2, MaxRequests: 1, MaxDrops: 1,
 				MaxBuffer: 2, MaxCompactions: 1, MaxDirtyCrashes: 1},
 		}),
 		"xraftkv": New(Options{
-			System: "xraftkv", Profile: Xraft, Transport: vnet.TCP, KV: true, PreVote: true,
+			System: "xraftkv", Profile: Xraft, Transport: spec.TCP, KV: true, PreVote: true,
 			Config: spec.Config{Name: "n2w1", Nodes: 2, Workload: []string{"v1"}},
 			Budget: spec.Budget{Name: "codec", MaxTimeouts: 2, MaxRequests: 1, MaxBuffer: 2},
 		}),
 		"craft-buggy": New(Options{
-			System: "craft", Profile: CRaft, Transport: vnet.UDP, Snapshots: true,
+			System: "craft", Profile: CRaft, Transport: spec.UDP, Snapshots: true,
 			Bugs:             bugdb.VerificationBugs("craft"),
 			ContinuePastFlag: true,
 			Config:           spec.Config{Name: "n3w1", Nodes: 3, Workload: []string{"v1"}},

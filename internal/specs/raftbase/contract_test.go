@@ -14,7 +14,6 @@ import (
 	sredis "github.com/sandtable-go/sandtable/internal/specs/redisraft"
 	sxraft "github.com/sandtable-go/sandtable/internal/specs/xraft"
 	sxkv "github.com/sandtable-go/sandtable/internal/specs/xraftkv"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 )
 
 // TestContract runs every law of the spec.Machine contract over the raftbase
@@ -53,7 +52,7 @@ func TestContract(t *testing.T) {
 		{"xraftkv-buggy", sxkv.New(cfg3(), budget(), bugdb.AllBugs("xraftkv")), false},
 		// Exploration continues past a flag, so flagged states have successors.
 		{"craft-past-flag", raftbase.New(raftbase.Options{
-			System: "craft", Profile: raftbase.CRaft, Transport: vnet.UDP, Snapshots: true,
+			System: "craft", Profile: raftbase.CRaft, Transport: spec.UDP, Snapshots: true,
 			Bugs: bugdb.VerificationBugs("craft"), ContinuePastFlag: true,
 			Config: cfg3(), Budget: budget(),
 		}), true},

@@ -6,7 +6,6 @@ import (
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/trace"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 )
 
 // Profile selects a system dialect: the same Raft skeleton with the
@@ -30,7 +29,7 @@ const (
 type Options struct {
 	System    string
 	Profile   Profile
-	Transport vnet.Semantics
+	Transport spec.Semantics
 	PreVote   bool
 	Snapshots bool
 	KV        bool
@@ -270,7 +269,7 @@ func (m *Machine) Actions() []string {
 	if m.opt.Snapshots {
 		acts = append(acts, "CompactLog", "HandleSnapshot")
 	}
-	if m.opt.Transport == vnet.TCP {
+	if m.opt.Transport == spec.TCP {
 		acts = append(acts, "NetworkPartition", "NetworkRecover")
 	} else {
 		acts = append(acts, "DropMessage", "DuplicateMessage")

@@ -94,7 +94,7 @@ func (s *State) OrbitDigests(node, edge []uint64) uint64 {
 				h.WriteInt(match[b])
 			}
 			if a != b {
-				s.HashEdge(&h, a, b)
+				spec.HashEdge(&s.Net, &h, a, b)
 			}
 			edge[a*n+b] = h.Sum()
 		}

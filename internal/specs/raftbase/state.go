@@ -499,7 +499,7 @@ func (s *State) permute(perm []int) *State {
 			c.Match[pi] = nil
 		}
 	}
-	s.Net.PermuteInto(&c.Net, perm)
+	spec.PermuteInto(&s.Net, &c.Net, perm)
 	c.Committed = append([]Entry(nil), s.Committed...)
 	c.SnapConflictInstall = s.SnapConflictInstall
 	lr := s.lastRead()

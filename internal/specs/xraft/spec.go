@@ -6,7 +6,6 @@ import (
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/specs/raftbase"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 )
 
 // New builds the xraft specification machine.
@@ -14,7 +13,7 @@ func New(cfg spec.Config, b spec.Budget, bugs bugdb.Set) *raftbase.Machine {
 	return raftbase.New(raftbase.Options{
 		System:    "xraft",
 		Profile:   raftbase.Xraft,
-		Transport: vnet.TCP,
+		Transport: spec.TCP,
 		PreVote:   true,
 		Bugs:      bugs,
 		Config:    cfg,

@@ -7,7 +7,6 @@ import (
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/specs/raftbase"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 )
 
 // New builds the xraftkv specification machine.
@@ -15,7 +14,7 @@ func New(cfg spec.Config, b spec.Budget, bugs bugdb.Set) *raftbase.Machine {
 	return raftbase.New(raftbase.Options{
 		System:    "xraftkv",
 		Profile:   raftbase.Xraft,
-		Transport: vnet.TCP,
+		Transport: spec.TCP,
 		KV:        true,
 		Bugs:      bugs,
 		Config:    cfg,

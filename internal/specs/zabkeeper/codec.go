@@ -60,7 +60,7 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 			}
 		}
 	}
-	dst = s.AppendChannels(dst)
+	dst = spec.AppendChannels(dst, &s.Net)
 	txns(s.Committed)
 	dst = s.Counters.AppendTo(dst)
 	vs(s.Viol.Flag)
@@ -126,7 +126,7 @@ func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 			}
 		}
 	}
-	s.DecodeChannels(d)
+	spec.DecodeChannels(&s.Net, d)
 	s.Committed = decodeTxns(d, "committed")
 	s.Counters.Decode(d)
 	s.Viol.Flag = d.Str("violation")

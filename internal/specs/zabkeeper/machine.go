@@ -6,7 +6,6 @@ import (
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/trace"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 )
 
 // Machine is the zabkeeper specification.
@@ -120,7 +119,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	}
 	// Restarts, deliveries (TCP: the head of each channel), partitions and
 	// recoveries.
-	s.Events(&s.Counters, b, vnet.TCP, func(ev trace.Event) {
+	s.Events(&s.Counters, b, spec.TCP, func(ev trace.Event) {
 		n := clone()
 		if msg, ok := n.Apply(ev, &n.Counters); ok {
 			ev.Action = m.dispatch(n, ev.Peer, ev.Node, msg.unpack())

@@ -370,7 +370,7 @@ func (s *State) permute(perm []int) *State {
 		}
 		c.Counter[pi] = s.Counter[i]
 	}
-	s.Net.PermuteInto(&c.Net, perm)
+	spec.PermuteInto(&s.Net, &c.Net, perm)
 	c.Activated = s.Activated.Permute(perm)
 	c.Committed = append([]Txn(nil), s.Committed...)
 	c.Counters = s.Counters

@@ -2,14 +2,15 @@ package asyncraft_test
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/engine"
+	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/systems/asyncraft"
 	"github.com/sandtable-go/sandtable/internal/trace"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
 
@@ -17,7 +18,7 @@ func cluster(t *testing.T, n int, bugs bugdb.Set) *engine.Cluster {
 	t.Helper()
 	c, err := engine.NewCluster(engine.Config{
 		Nodes:     n,
-		Semantics: vnet.UDP,
+		Semantics: spec.UDP,
 		Seed:      1,
 		Timeouts: map[string]time.Duration{
 			"election":  200 * time.Millisecond,
@@ -28,6 +29,21 @@ func cluster(t *testing.T, n int, bugs bugdb.Set) *engine.Cluster {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// buffered is the number of messages in flight from src to dst, as the
+// cluster renders its network.
+func buffered(t *testing.T, c *engine.Cluster, src, dst int) int {
+	t.Helper()
+	all, err := c.ObserveAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := strconv.Atoi(all["net["+strconv.Itoa(src)+"->"+strconv.Itoa(dst)+"]"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func apply(t *testing.T, c *engine.Cluster, cmds ...engine.Command) {
@@ -132,8 +148,8 @@ func TestCommitLoopBreakBugBlocksProgress(t *testing.T) {
 		)
 		// Deliver the eager AE for v2 to node 0, then the fresh ack back
 		// (the ack lands at the tail of the 0->1 buffer).
-		apply(t, c, engine.Command{Type: trace.EvDeliver, Node: 0, Peer: 1, Index: c.Network().Len(1, 0) - 1})
-		apply(t, c, engine.Command{Type: trace.EvDeliver, Node: 1, Peer: 0, Index: c.Network().Len(0, 1) - 1})
+		apply(t, c, engine.Command{Type: trace.EvDeliver, Node: 0, Peer: 1, Index: buffered(t, c, 1, 0) - 1})
+		apply(t, c, engine.Command{Type: trace.EvDeliver, Node: 1, Peer: 0, Index: buffered(t, c, 0, 1) - 1})
 		v1, _ := c.Observe(1)
 		return v1["commit"]
 	}

@@ -1,14 +1,15 @@
 package craft_test
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/engine"
+	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/systems/craft"
 	"github.com/sandtable-go/sandtable/internal/trace"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
 
@@ -16,7 +17,7 @@ func cluster(t *testing.T, n int, opt craft.Options) *engine.Cluster {
 	t.Helper()
 	c, err := engine.NewCluster(engine.Config{
 		Nodes:     n,
-		Semantics: vnet.UDP,
+		Semantics: spec.UDP,
 		Seed:      1,
 		Timeouts: map[string]time.Duration{
 			"election":  200 * time.Millisecond,
@@ -27,6 +28,21 @@ func cluster(t *testing.T, n int, opt craft.Options) *engine.Cluster {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// buffered is the number of messages in flight from src to dst, as the
+// cluster renders its network.
+func buffered(t *testing.T, c *engine.Cluster, src, dst int) int {
+	t.Helper()
+	all, err := c.ObserveAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := strconv.Atoi(all["net["+strconv.Itoa(src)+"->"+strconv.Itoa(dst)+"]"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func apply(t *testing.T, c *engine.Cluster, cmds ...engine.Command) {
@@ -57,7 +73,7 @@ func TestEagerReplicationOnClientRequest(t *testing.T) {
 	apply(t, c, engine.Command{Type: trace.EvRequest, Node: 0, Payload: "v1"})
 	// The entry was broadcast immediately — the channel holds the initial
 	// (empty) AppendEntries plus the eager one.
-	if got := c.Network().Len(0, 1); got != 2 {
+	if got := buffered(t, c, 0, 1); got != 2 {
 		t.Fatalf("buffered 0->1 = %d, want 2", got)
 	}
 	apply(t, c,
@@ -180,7 +196,7 @@ func TestHeartbeatBreakBugSkipsPeers(t *testing.T) {
 			engine.Command{Type: trace.EvCrash, Node: 1},
 			engine.Command{Type: trace.EvTimeout, Node: 0, Payload: "heartbeat"},
 		)
-		return c.Network().Len(0, 2)
+		return buffered(t, c, 0, 2)
 	}
 	before := run(bugdb.NoBugs().With(bugdb.CRaftHeartbeatBreak))
 	after := run(bugdb.NoBugs())

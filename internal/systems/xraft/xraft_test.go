@@ -7,9 +7,9 @@ import (
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/engine"
+	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/systems/xraft"
 	"github.com/sandtable-go/sandtable/internal/trace"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
 
@@ -17,7 +17,7 @@ func cluster(t *testing.T, n int, opt xraft.Options) *engine.Cluster {
 	t.Helper()
 	c, err := engine.NewCluster(engine.Config{
 		Nodes:     n,
-		Semantics: vnet.TCP,
+		Semantics: spec.TCP,
 		Seed:      1,
 		Timeouts: map[string]time.Duration{
 			"election":  200 * time.Millisecond,
@@ -57,7 +57,7 @@ func TestApplyCallbackFiresOnCommit(t *testing.T) {
 	var applied []string
 	c, err := engine.NewCluster(engine.Config{
 		Nodes:     2,
-		Semantics: vnet.TCP,
+		Semantics: spec.TCP,
 		Seed:      1,
 		Timeouts:  map[string]time.Duration{"election": 200 * time.Millisecond, "heartbeat": 60 * time.Millisecond},
 	}, func(id int) vos.Process {

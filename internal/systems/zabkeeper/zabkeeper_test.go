@@ -6,9 +6,9 @@ import (
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
 	"github.com/sandtable-go/sandtable/internal/engine"
+	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/systems/zabkeeper"
 	"github.com/sandtable-go/sandtable/internal/trace"
-	"github.com/sandtable-go/sandtable/internal/vnet"
 	"github.com/sandtable-go/sandtable/internal/vos"
 )
 
@@ -16,7 +16,7 @@ func cluster(t *testing.T, n int, bugs bugdb.Set) *engine.Cluster {
 	t.Helper()
 	c, err := engine.NewCluster(engine.Config{
 		Nodes:     n,
-		Semantics: vnet.TCP,
+		Semantics: spec.TCP,
 		Seed:      1,
 		Timeouts:  map[string]time.Duration{"election": 200 * time.Millisecond},
 	}, func(id int) vos.Process { return zabkeeper.New(bugs) })
