@@ -187,7 +187,7 @@ func NewCluster(cfg Config, factory func(id int) vos.Process) (*Cluster, error) 
 		procs:        make([]vos.Process, cfg.Nodes),
 		autoRestarts: make([]int, cfg.Nodes),
 	}
-	c.net.Shape(cfg.Nodes, 0)
+	c.net.Reset(cfg.Nodes, 0)
 	c.simCost += cfg.Cost.ClusterInit
 	for i := 0; i < cfg.Nodes; i++ {
 		c.clocks[i] = vos.NewClock()
@@ -200,7 +200,7 @@ func NewCluster(cfg Config, factory func(id int) vos.Process) (*Cluster, error) 
 		if err := c.startNode(i); err != nil {
 			return nil, err
 		}
-		c.net.Up.Add(i)
+		c.net.SetUp(c.net.Up() | spec.SingleNode(i))
 	}
 	c.fields = c.procs[0].Fields()
 	c.obsBuf = make([]string, len(c.fields))
@@ -224,7 +224,7 @@ func (c *Cluster) startNode(i int) (err error) {
 func (c *Cluster) N() int { return c.cfg.Nodes }
 
 // Up reports whether node i is running.
-func (c *Cluster) Up(i int) bool { return c.net.Up.Has(i) }
+func (c *Cluster) Up(i int) bool { return c.net.Up().Has(i) }
 
 // Events returns the number of commands executed.
 func (c *Cluster) Events() int { return c.events }
@@ -618,7 +618,7 @@ func (e *nodeEnv) Connected(to int) bool {
 	if to < 0 || to >= e.c.cfg.Nodes || to == e.id {
 		return false
 	}
-	return !e.c.net.Cut[e.id].Has(to)
+	return !e.c.net.Cut(e.id).Has(to)
 }
 
 func (e *nodeEnv) Persist(key string, value []byte) { e.c.stores[e.id].Persist(key, value) }

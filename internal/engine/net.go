@@ -72,7 +72,7 @@ func (c *Cluster) send(src, dst int, payload []byte) {
 	}
 	c.seq++
 	c.vm.buffered.Add(1)
-	c.emit("send", src, dst, len(c.net.Chan[src][dst])-1, map[string]string{"seq": strconv.Itoa(c.seq), "bytes": strconv.Itoa(len(payload))})
+	c.emit("send", src, dst, c.net.QueueLen(src, dst)-1, map[string]string{"seq": strconv.Itoa(c.seq), "bytes": strconv.Itoa(len(payload))})
 }
 
 // inRange checks that channel src→dst holds a message at index; a node that
@@ -80,7 +80,7 @@ func (c *Cluster) send(src, dst int, payload []byte) {
 func (c *Cluster) inRange(src, dst, index int) error {
 	var q []frame
 	if c.guard(src) == nil && c.guard(dst) == nil {
-		q = c.net.Chan[src][dst]
+		q = c.net.Queue(src, dst)
 	}
 	if index < 0 || index >= len(q) {
 		return fmt.Errorf("vnet: no message %d->%d at index %d (buffered %d)", src, dst, index, len(q))
@@ -130,7 +130,7 @@ func (c *Cluster) duplicate(src, dst, index int) error {
 	}
 	c.net.Dup(src, dst, index)
 	c.seq++
-	q := c.net.Chan[src][dst]
+	q := c.net.Queue(src, dst)
 	q[len(q)-1] = frame{payload: append([]byte(nil), q[index].payload...), seq: c.seq}
 	c.vm.duplicated.Inc()
 	c.vm.buffered.Add(1)
@@ -146,4 +146,4 @@ func (c *Cluster) lost(n int) {
 
 // queued returns the number of frames on the links between a and b, both
 // directions, which a partition or crash empties.
-func (c *Cluster) queued(a, b int) int { return len(c.net.Chan[a][b]) + len(c.net.Chan[b][a]) }
+func (c *Cluster) queued(a, b int) int { return c.net.QueueLen(a, b) + c.net.QueueLen(b, a) }

@@ -17,10 +17,10 @@ func (c *Cluster) Network() testNet { return testNet{&c.net} }
 type testNet struct{ net *spec.Net[frame] }
 
 // Len is the number of frames in flight from src to dst.
-func (n testNet) Len(src, dst int) int { return len(n.net.Chan[src][dst]) }
+func (n testNet) Len(src, dst int) int { return n.net.QueueLen(src, dst) }
 
 // Connected reports whether the ordered pair src→dst carries traffic.
-func (n testNet) Connected(src, dst int) bool { return !n.net.Cut[src].Has(dst) }
+func (n testNet) Connected(src, dst int) bool { return !n.net.Cut(src).Has(dst) }
 
 // failingStart is a pingNode whose Start panics once armed.
 type failingStart struct {

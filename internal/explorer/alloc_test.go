@@ -50,11 +50,14 @@ func TestAllocsPerState(t *testing.T) {
 		ceiling   float64
 	}{
 		{"toy", func() spec.Machine { return newToy(4, false) }, 0, 8}, // measured 6.3
-		// Per-node boolean rows became bit masks (no row, no outer, no flat
-		// array to allocate) and zabkeeper's VoteTotalOrder invariant stopped
-		// building its vote lists on the heap: craft was 13.4, zabkeeper 22.7.
-		{"craft", craftHunt, 60000, 16},   // measured 10.9
-		{"zabkeeper", zabHunt, 60000, 21}, // measured 14.0
+		// A raftbase state became a header, one pointer-free record and one
+		// message array, and spec.Net two arrays (no matrix, no per-queue
+		// slices): craft was 10.9, zabkeeper 14.0. Before that, per-node
+		// boolean rows became bit masks and zabkeeper's VoteTotalOrder
+		// invariant stopped building its vote lists on the heap: craft was
+		// 13.4, zabkeeper 22.7.
+		{"craft", craftHunt, 60000, 5},    // measured 3.44
+		{"zabkeeper", zabHunt, 60000, 17}, // measured 11.1
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var distinct int
@@ -81,17 +84,18 @@ func TestAllocsPerState(t *testing.T) {
 // almost linearly — it is the page a fresh state first touches and the memory
 // the collector then has to mark — so a State that grows a field, a queued
 // message that grows an operand or a row that gets its own allocation shows
-// here before it shows on a clock. Before queued messages were stored packed,
-// the State slimmed and boolean rows turned into bit masks, craft measured
-// 4157 and zabkeeper 5249. Ceilings have the same ~1.5x headroom.
+// here before it shows on a clock. Before a raftbase state became a header
+// and a record, craft measured 2374 and zabkeeper 2962; before queued
+// messages were stored packed, the State slimmed and boolean rows turned into
+// bit masks, 4157 and 5249. Ceilings have the same ~1.5x headroom.
 func TestBytesPerState(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		mk      func() spec.Machine
 		ceiling float64
 	}{
-		{"craft", craftHunt, 3600},   // measured 2374
-		{"zabkeeper", zabHunt, 4400}, // measured 2962
+		{"craft", craftHunt, 1600},   // measured 1088
+		{"zabkeeper", zabHunt, 3800}, // measured 2536
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"encoding/binary"
+	"slices"
 	"strconv"
 
 	"github.com/sandtable-go/sandtable/internal/fp"
@@ -32,20 +33,23 @@ func (s Semantics) String() string {
 // Message is what a spec family's queued message supplies to Net's digest,
 // codec and permutation (HashEdge, AppendChannels, DecodeChannels and
 // PermuteInto): its half of each. Everything else a channel does is Net's.
-type Message[M any] interface {
+// C is the family's context, the state the message is queued in: a message
+// whose payload does not fit its fixed form keeps the payload there (a Raft
+// AppendEntries its entries), and reads it back through c.
+type Message[M, C any] interface {
 	// Hash returns h with the message's content mixed in, leaving out any
 	// field whose value is a node id (those belong in the family's orbit
 	// residue). The hasher goes by value: a pointer handed to a method of a
 	// type parameter escapes, and the digest loops keep theirs on the stack.
-	Hash(h fp.Hasher) fp.Hasher
+	Hash(h fp.Hasher, c C) fp.Hasher
 	// AppendTo appends the message's encoding to dst.
-	AppendTo(dst []byte) []byte
+	AppendTo(dst []byte, c C) []byte
 	// DecodeFrom decodes one message AppendTo wrote, of a state of n nodes,
-	// from the front of src and returns it with the remaining bytes; the
-	// receiver is not read. (Bytes, not a *Decoder: a pointer handed to a
+	// from the front of src into c and returns it with the remaining bytes;
+	// the receiver is not read. (Bytes, not a *Decoder: a pointer handed to a
 	// method of a type parameter escapes, and would cost every decoded state
 	// an allocation.)
-	DecodeFrom(src []byte, n int) (M, []byte, error)
+	DecodeFrom(src []byte, n int, c C) (M, []byte, error)
 	// Permuted returns the message with every node id it carries mapped
 	// through perm.
 	Permuted(perm []int) M
@@ -54,27 +58,39 @@ type Message[M any] interface {
 // Net is the environment a distributed system runs in, written once for both
 // levels: per ordered pair a FIFO (TCP) or multiset (UDP) channel, crashes
 // that sever a node's links and empty its channels, partitions, and UDP loss
-// and duplication. A spec family embeds it in its State, so handlers read
-// s.Chan, s.Cut and s.Up as promoted fields; the engine's proxy holds one of
-// frames, so the implementation runs under the rules the specs enumerate.
+// and duplication. A spec family embeds it in its State; the engine's proxy
+// holds one of frames, so the implementation runs under the rules the specs
+// enumerate.
 //
-// The matrix and link sets are carved from arrays the Net owns through its
-// first views (Shape), and the queues from one flat message array, so that
-// CloneInto into a recycled state allocates nothing once that state has been
-// used at a size.
+// A Net is two flat arrays and nothing else: the words of W and the messages
+// of Q. W starts with the network's NetWords(n) words — which nodes are up,
+// per node the set of severed and the set of partitioned peers, and per
+// ordered pair the end of its queue in Q — and a family that embeds the Net
+// keeps its own words after them, so that its whole state can be one record.
+// Q holds every message in flight, the queues back to back in (src, dst)
+// row-major order. CopyTo is therefore two copies, and a Net of a message
+// type without pointers has nothing for the collector to trace.
 type Net[M any] struct {
-	// Up holds the nodes that are running.
-	Up NodeSet
-	// Chan[src][dst] is the queue of messages in flight from src to dst.
-	Chan [][][]M
-	// Cut[a] holds the nodes b for which the ordered pair a→b is severed, by
-	// a crash or a partition.
-	Cut []NodeSet
-	// Part[a] holds the nodes a is partitioned from (kept so that a restart
-	// does not reconnect them).
-	Part []NodeSet
-	// flat is the array CloneInto carved the queues from.
-	flat []M
+	// W is the record: the network's words first, the family's after.
+	W []uint32
+	// Q is every queued message, queue by queue.
+	Q []M
+	n int
+}
+
+// NetWords is the number of words a Net of n nodes keeps at the front of W:
+// two for the running set, two per node for each of its severed and
+// partitioned sets, and one per ordered pair for the end of its queue.
+func NetWords(n int) int { return 2 + 4*n + n*n }
+
+// LoadSet reads the NodeSet stored at w[off:off+2] (low word first).
+func LoadSet(w []uint32, off int) NodeSet {
+	return NodeSet(w[off]) | NodeSet(w[off+1])<<32
+}
+
+// StoreSet stores s at w[off:off+2].
+func StoreSet(w []uint32, off int, s NodeSet) {
+	w[off], w[off+1] = uint32(s), uint32(s>>32)
 }
 
 // Sized returns a[:n], reallocating when a is too small — how a recycled
@@ -87,108 +103,144 @@ func Sized[T any](a []T, n int) []T {
 	return a[:n]
 }
 
-// Shape gives net its channel matrix and link sets for n nodes, and returns
-// extra*n more sets carved from the array Cut owns, for the family's own
-// per-node sets. A fresh Net gets zeroed storage; a recycled one keeps its
-// stale contents, which the caller overwrites.
-//
-// Cut owns the set array and Chan and Chan[0] the outers of the matrix: each
-// is carved with its array's whole capacity, so a recycled Net finds its
-// storage again by re-extending the view, and allocates when the view is too
-// short, whatever built it. Every other view is exact-capacity. None of the
-// owning views is ever appended to or reassigned, only written element-wise.
-func (net *Net[M]) Shape(n, extra int) []NodeSet {
-	sets := Sized(net.Cut[:cap(net.Cut)], (2+extra)*n)
-	net.Cut = sets[0:n]
-	net.Part = sets[n : 2*n : 2*n]
-	var rows [][]M
-	if len(net.Chan) > 0 {
-		rows = net.Chan[0][:cap(net.Chan[0])]
-	}
-	rows = Sized(rows, n*n)
-	net.Chan = Sized(net.Chan[:cap(net.Chan)], n)
-	for i := 0; i < n; i++ {
-		net.Chan[i] = rows[i*n : (i+1)*n : (i+1)*n]
-	}
-	if n > 0 {
-		net.Chan[0] = rows[0:n]
-	}
-	return sets[2*n:]
+// Reset makes net a network of n nodes, none of them running, with every
+// link joined and every queue empty, and extra zeroed words for the family
+// after the network's in W. It reuses net's arrays.
+func (net *Net[M]) Reset(n, extra int) {
+	net.n = n
+	net.W = Sized(net.W, NetWords(n)+extra)
+	clear(net.W)
+	net.Q = net.Q[:0]
 }
 
-// CloneInto copies net into dst, which Shape has given net's arity, reusing
-// dst's flat message array. A recycled array usually has room to spare,
-// which is handed out as one slot of slack after each queue while it lasts,
-// so that the first send on a channel — most successors send at most one
-// message per channel — appends in place. (A Net built from scratch is sized
-// exactly: it may be one a caller keeps.) Every queue's capacity ends where
-// its region does, so an append past the slack reallocates instead of growing
-// into a neighbour's queue.
-func (net *Net[M]) CloneInto(dst *Net[M]) {
-	n := len(net.Chan)
-	dst.Up = net.Up
-	copy(dst.Cut, net.Cut)
-	copy(dst.Part, net.Part)
-	nm := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			nm += len(net.Chan[i][j])
-		}
+// CopyTo makes dst a copy of net, reusing dst's arrays: the successor a
+// family edits in place is its parent's record copied into a dead state's.
+// An array it has to allocate gets room for a few more words and messages,
+// so that the successor, which usually logs or sends something, is built
+// without a second allocation.
+func (net *Net[M]) CopyTo(dst *Net[M]) {
+	dst.n = net.n
+	if cap(dst.W) < len(net.W) {
+		dst.W = make([]uint32, 0, len(net.W)+8)
 	}
-	flat := Sized(dst.flat, nm)
-	flat = flat[:min(cap(flat), nm+n*n)]
-	spare := len(flat) - nm
-	off := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			end := off + copy(flat[off:], net.Chan[i][j])
-			slack := min(spare, 1)
-			spare -= slack
-			dst.Chan[i][j] = flat[off : end : end+slack]
-			off = end + slack
-		}
+	if cap(dst.Q) < len(net.Q)+2 {
+		dst.Q = make([]M, 0, len(net.Q)+2)
 	}
-	dst.flat = flat
+	dst.W = append(dst.W[:0], net.W...)
+	dst.Q = append(dst.Q[:0], net.Q...)
+}
+
+// N returns the number of nodes.
+func (net *Net[M]) N() int { return net.n }
+
+// Up returns the set of running nodes.
+func (net *Net[M]) Up() NodeSet { return LoadSet(net.W, 0) }
+
+// SetUp replaces the set of running nodes (a family's initial state and its
+// decoder; a running node's links are Restart's).
+func (net *Net[M]) SetUp(s NodeSet) { StoreSet(net.W, 0, s) }
+
+// Cut returns the nodes b for which the ordered pair a→b is severed, by a
+// crash or a partition.
+func (net *Net[M]) Cut(a int) NodeSet { return LoadSet(net.W, 2+2*a) }
+
+// Part returns the nodes a is partitioned from (kept so that a restart does
+// not reconnect them).
+func (net *Net[M]) Part(a int) NodeSet { return LoadSet(net.W, 2+2*net.n+2*a) }
+
+func (net *Net[M]) setCut(a int, s NodeSet)  { StoreSet(net.W, 2+2*a, s) }
+func (net *Net[M]) setPart(a int, s NodeSet) { StoreSet(net.W, 2+2*net.n+2*a, s) }
+
+// ends returns the words that hold the end of every queue in Q.
+func (net *Net[M]) ends() []uint32 {
+	at := 2 + 4*net.n
+	return net.W[at : at+net.n*net.n]
+}
+
+// span returns the bounds in Q of the queue src→dst.
+func (net *Net[M]) span(src, dst int) (int, int) {
+	p := src*net.n + dst
+	ends := net.ends()
+	start := 0
+	if p > 0 {
+		start = int(ends[p-1])
+	}
+	return start, int(ends[p])
+}
+
+// Queue returns the messages in flight from src to dst, oldest first. The
+// view is the Net's: it is valid until the next change to net, and an
+// append to it reallocates rather than overwriting a neighbour.
+func (net *Net[M]) Queue(src, dst int) []M {
+	start, end := net.span(src, dst)
+	return net.Q[start:end:end]
+}
+
+// QueueLen returns the number of messages in flight from src to dst.
+func (net *Net[M]) QueueLen(src, dst int) int {
+	start, end := net.span(src, dst)
+	return end - start
+}
+
+// shift moves the end of every queue from pair src→dst on by d messages.
+func (net *Net[M]) shift(src, dst, d int) {
+	ends := net.ends()
+	for p := src*net.n + dst; p < len(ends); p++ {
+		ends[p] = uint32(int(ends[p]) + d)
+	}
+}
+
+// empty drops every message of the queue src→dst.
+func (net *Net[M]) empty(src, dst int) {
+	start, end := net.span(src, dst)
+	if end > start {
+		net.Q = append(net.Q[:start], net.Q[end:]...)
+		net.shift(src, dst, start-end)
+	}
 }
 
 // Send appends m to channel src→dst unless the pair is severed (a send across
 // a cut link is lost), and reports whether it did.
 func (net *Net[M]) Send(src, dst int, m M) bool {
-	if src == dst || net.Cut[src].Has(dst) {
+	if src == dst || net.Cut(src).Has(dst) {
 		return false
 	}
-	net.Chan[src][dst] = append(net.Chan[src][dst], m)
+	_, end := net.span(src, dst)
+	net.Q = slices.Insert(net.Q, end, m)
+	net.shift(src, dst, 1)
 	return true
 }
 
 // Take removes and returns message k of channel src→dst, closing the gap in
 // place: net is a successor under construction, and its queues are its own.
 func (net *Net[M]) Take(src, dst, k int) M {
-	q := net.Chan[src][dst]
-	m := q[k]
-	net.Chan[src][dst] = q[:k+copy(q[k:], q[k+1:])]
+	start, _ := net.span(src, dst)
+	m := net.Q[start+k]
+	net.Q = slices.Delete(net.Q, start+k, start+k+1)
+	net.shift(src, dst, -1)
 	return m
 }
 
 // Dup appends a copy of message k of channel src→dst to the channel.
 func (net *Net[M]) Dup(src, dst, k int) {
-	q := net.Chan[src][dst]
-	net.Chan[src][dst] = append(q, q[k])
+	start, end := net.span(src, dst)
+	net.Q = slices.Insert(net.Q, end, net.Q[start+k])
+	net.shift(src, dst, 1)
 }
 
 // Overflows reports whether a channel holds more than max messages, the
 // MaxBuffer budget: a transition that leaves one over it is not enumerated.
 // A max of zero or less bounds nothing.
 func (net *Net[M]) Overflows(max int) bool {
-	if max <= 0 {
+	if max <= 0 || len(net.Q) <= max {
 		return false
 	}
-	for _, row := range net.Chan {
-		for _, q := range row {
-			if len(q) > max {
-				return true
-			}
+	start := 0
+	for _, end := range net.ends() {
+		if int(end)-start > max {
+			return true
 		}
+		start = int(end)
 	}
 	return false
 }
@@ -197,49 +249,69 @@ func (net *Net[M]) Overflows(max int) bool {
 // to or from it is severed and emptied. The family clears the node's
 // volatile protocol state.
 func (net *Net[M]) Crash(i int) {
-	net.Up.Del(i)
-	for j := range net.Chan {
-		if j == i {
-			continue
+	up := net.Up()
+	up.Del(i)
+	net.SetUp(up)
+	for j := 0; j < net.n; j++ {
+		if j != i {
+			net.sever(i, j)
+			net.sever(j, i)
 		}
-		net.Chan[i][j] = nil
-		net.Chan[j][i] = nil
-		net.Cut[i].Add(j)
-		net.Cut[j].Add(i)
 	}
+}
+
+// sever cuts the ordered pair a→b and empties its queue.
+func (net *Net[M]) sever(a, b int) {
+	cut := net.Cut(a)
+	cut.Add(b)
+	net.setCut(a, cut)
+	net.empty(a, b)
+}
+
+// join reconnects the ordered pair a→b.
+func (net *Net[M]) join(a, b int) {
+	cut := net.Cut(a)
+	cut.Del(b)
+	net.setCut(a, cut)
 }
 
 // Restart brings node i up and reconnects it to every running node no
 // partition separates it from.
 func (net *Net[M]) Restart(i int) {
-	net.Up.Add(i)
-	for j := range net.Chan {
-		if j == i || !net.Up.Has(j) || net.Part[i].Has(j) || net.Part[j].Has(i) {
+	up := net.Up()
+	up.Add(i)
+	net.SetUp(up)
+	for j := 0; j < net.n; j++ {
+		if j == i || !up.Has(j) || net.Part(i).Has(j) || net.Part(j).Has(i) {
 			continue
 		}
-		net.Cut[i].Del(j)
-		net.Cut[j].Del(i)
+		net.join(i, j)
+		net.join(j, i)
 	}
 }
 
 // Partition separates a and b: both directions are severed and emptied until
 // Heal.
 func (net *Net[M]) Partition(a, b int) {
-	net.Part[a].Add(b)
-	net.Part[b].Add(a)
-	net.Cut[a].Add(b)
-	net.Cut[b].Add(a)
-	net.Chan[a][b] = nil
-	net.Chan[b][a] = nil
+	pa, pb := net.Part(a), net.Part(b)
+	pa.Add(b)
+	pb.Add(a)
+	net.setPart(a, pa)
+	net.setPart(b, pb)
+	net.sever(a, b)
+	net.sever(b, a)
 }
 
 // Heal ends the partition between a and b, reconnecting them if both are up.
 func (net *Net[M]) Heal(a, b int) {
-	net.Part[a].Del(b)
-	net.Part[b].Del(a)
-	if net.Up.Has(a) && net.Up.Has(b) {
-		net.Cut[a].Del(b)
-		net.Cut[b].Del(a)
+	pa, pb := net.Part(a), net.Part(b)
+	pa.Del(b)
+	pb.Del(a)
+	net.setPart(a, pa)
+	net.setPart(b, pb)
+	if up := net.Up(); up.Has(a) && up.Has(b) {
+		net.join(a, b)
+		net.join(b, a)
 	}
 }
 
@@ -251,25 +323,27 @@ func (net *Net[M]) Heal(a, b int) {
 // unordered pair, its partition or its recovery. A delivery's Action is
 // empty: the family names it when it dispatches the message.
 func (net *Net[M]) Events(c *Counters, b Budget, t Semantics, each func(trace.Event)) {
-	n := len(net.Chan)
+	n := net.n
+	up := net.Up()
 	for i := 0; i < n; i++ {
-		if !net.Up.Has(i) && c.CanRestart(b) {
+		if !up.Has(i) && c.CanRestart(b) {
 			each(trace.Event{Type: trace.EvRestart, Action: "NodeStart", Node: i})
 		}
 	}
-	for src, row := range net.Chan {
-		for dst, q := range row {
-			if src == dst || len(q) == 0 || !net.Up.Has(dst) {
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			ql := net.QueueLen(src, dst)
+			if src == dst || ql == 0 || !up.Has(dst) {
 				continue
 			}
 			if t == TCP {
 				each(trace.Event{Type: trace.EvDeliver, Node: dst, Peer: src})
 				continue
 			}
-			for k := range q {
+			for k := 0; k < ql; k++ {
 				each(trace.Event{Type: trace.EvDeliver, Node: dst, Peer: src, Index: k})
 			}
-			for k := range q {
+			for k := 0; k < ql; k++ {
 				if c.CanDrop(b) {
 					each(trace.Event{Type: trace.EvDrop, Action: "DropMessage", Node: dst, Peer: src, Index: k})
 				}
@@ -281,7 +355,7 @@ func (net *Net[M]) Events(c *Counters, b Budget, t Semantics, each func(trace.Ev
 	}
 	for a := 0; a < n && t == TCP; a++ {
 		for z := a + 1; z < n; z++ {
-			if net.Part[a].Has(z) {
+			if net.Part(a).Has(z) {
 				each(trace.Event{Type: trace.EvRecover, Action: "NetworkRecover", Node: a, Peer: z})
 			} else if c.CanPartition(b) {
 				each(trace.Event{Type: trace.EvPartition, Action: "NetworkPartition", Node: a, Peer: z})
@@ -319,34 +393,37 @@ func (net *Net[M]) Apply(ev trace.Event, c *Counters) (m M, delivered bool) {
 // (a, b), a != b, into h: the queue's length and its messages, then whether
 // the pair is cut and whether it is partitioned. None of it names a node, so
 // it is invariant under node renaming as spec.Orbit requires.
-func HashEdge[M Message[M]](net *Net[M], h *fp.Hasher, a, b int) {
-	q := net.Chan[a][b]
+func HashEdge[M Message[M, C], C any](net *Net[M], h *fp.Hasher, a, b int, c C) {
+	q := net.Queue(a, b)
 	h.WriteInt(len(q))
 	for k := range q {
-		*h = q[k].Hash(*h)
+		*h = q[k].Hash(*h, c)
 	}
-	h.WriteBool(net.Cut[a].Has(b))
-	h.WriteBool(net.Part[a].Has(b))
+	h.WriteBool(net.Cut(a).Has(b))
+	h.WriteBool(net.Part(a).Has(b))
 }
 
 // PermuteInto writes net with node identities permuted by perm (perm[i] is
-// the new identity of node i) into dst, which Shape has given the same arity
-// and zeroed. Every queue of dst is a fresh array.
-func PermuteInto[M Message[M]](net, dst *Net[M], perm []int) {
-	dst.Up = net.Up.Permute(perm)
-	for i, row := range net.Chan {
-		pi := perm[i]
-		dst.Cut[pi] = net.Cut[i].Permute(perm)
-		dst.Part[pi] = net.Part[i].Permute(perm)
-		for j, q := range row {
-			if i == j || len(q) == 0 {
-				continue
+// the new identity of node i) into dst, which Reset has given the same arity.
+func PermuteInto[M interface{ Permuted(perm []int) M }](net, dst *Net[M], perm []int) {
+	n := net.n
+	var inv [MaxNodes]int
+	for i, p := range perm {
+		inv[p] = i
+	}
+	dst.SetUp(net.Up().Permute(perm))
+	for i := 0; i < n; i++ {
+		dst.setCut(perm[i], net.Cut(i).Permute(perm))
+		dst.setPart(perm[i], net.Part(i).Permute(perm))
+	}
+	dst.Q = dst.Q[:0]
+	ends := dst.ends()
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			for _, m := range net.Queue(inv[a], inv[b]) {
+				dst.Q = append(dst.Q, m.Permuted(perm))
 			}
-			out := make([]M, len(q))
-			for k := range q {
-				out[k] = q[k].Permuted(perm)
-			}
-			dst.Chan[pi][perm[j]] = out
+			ends[a*n+b] = uint32(len(dst.Q))
 		}
 	}
 }
@@ -355,53 +432,56 @@ func PermuteInto[M Message[M]](net, dst *Net[M], perm []int) {
 // dst: per ordered pair, row-major, whether it is cut and whether it is
 // partitioned (one byte each), the queue's length and its messages. (Up is
 // the family's to encode, beside the node's other variables.)
-func AppendChannels[M Message[M]](dst []byte, net *Net[M]) []byte {
-	for i, row := range net.Chan {
-		for j, q := range row {
-			dst = AppendBool(dst, net.Cut[i].Has(j))
-			dst = AppendBool(dst, net.Part[i].Has(j))
+func AppendChannels[M Message[M, C], C any](dst []byte, net *Net[M], c C) []byte {
+	for i := 0; i < net.n; i++ {
+		for j := 0; j < net.n; j++ {
+			q := net.Queue(i, j)
+			dst = AppendBool(dst, net.Cut(i).Has(j))
+			dst = AppendBool(dst, net.Part(i).Has(j))
 			dst = binary.AppendUvarint(dst, uint64(len(q)))
 			for k := range q {
-				dst = q[k].AppendTo(dst)
+				dst = q[k].AppendTo(dst, c)
 			}
 		}
 	}
 	return dst
 }
 
-// DecodeChannels reads what AppendChannels wrote into net, which Shape has
-// given the state's arity and zeroed. An empty queue decodes to nil.
-func DecodeChannels[M Message[M]](net *Net[M], d *Decoder) {
-	n := len(net.Chan)
+// DecodeChannels reads what AppendChannels wrote into net, which Reset has
+// given the state's arity, and whose messages decode into c.
+func DecodeChannels[M Message[M, C], C any](net *Net[M], d *Decoder, c C) {
+	n := net.n
 	var zero M
+	ends := net.ends()
 	for i := 0; i < n; i++ {
+		cut, part := net.Cut(i), net.Part(i)
 		for j := 0; j < n; j++ {
 			if d.Bool("cut") {
-				net.Cut[i].Add(j)
+				cut.Add(j)
 			}
 			if d.Bool("part") {
-				net.Part[i].Add(j)
+				part.Add(j)
 			}
 			qn := d.Len("chan")
-			if qn == 0 {
-				continue
-			}
-			q := make([]M, qn)
 			for k := 0; k < qn && d.Err == nil; k++ {
-				q[k], d.Src, d.Err = zero.DecodeFrom(d.Src, n)
+				var m M
+				m, d.Src, d.Err = zero.DecodeFrom(d.Src, n, c)
+				net.Q = append(net.Q, m)
 			}
-			net.Chan[i][j] = q
+			ends[i*n+j] = uint32(len(net.Q))
 		}
+		net.setCut(i, cut)
+		net.setPart(i, part)
 	}
 }
 
 // NetSlots writes the length of every channel into its net[src->dst] slot of
 // sc: the one rendering of the network, a spec's and the engine's alike.
 func (net *Net[M]) NetSlots(dst []string, sc *trace.Schema) {
-	for src, row := range net.Chan {
-		for d, q := range row {
+	for src := 0; src < net.n; src++ {
+		for d := 0; d < net.n; d++ {
 			if src != d {
-				dst[sc.Net(src, d)] = strconv.Itoa(len(q))
+				dst[sc.Net(src, d)] = strconv.Itoa(net.QueueLen(src, d))
 			}
 		}
 	}

@@ -12,9 +12,9 @@ import (
 // tmsg is the test's message: one payload byte.
 type tmsg byte
 
-func (m tmsg) Hash(h fp.Hasher) fp.Hasher { h.WriteInt(int(m)); return h }
-func (m tmsg) AppendTo(dst []byte) []byte { return append(dst, byte(m)) }
-func (tmsg) DecodeFrom(src []byte, _ int) (tmsg, []byte, error) {
+func (m tmsg) Hash(h fp.Hasher, _ struct{}) fp.Hasher { h.WriteInt(int(m)); return h }
+func (m tmsg) AppendTo(dst []byte, _ struct{}) []byte { return append(dst, byte(m)) }
+func (tmsg) DecodeFrom(src []byte, _ int, _ struct{}) (tmsg, []byte, error) {
 	d := &Decoder{Src: src}
 	return tmsg(d.Byte("msg")), d.Src, d.Err
 }
@@ -23,13 +23,13 @@ func (m tmsg) Permuted([]int) tmsg { return m }
 // newTestNet returns an n-node Net with every node up and every link joined.
 func newTestNet(n int) *Net[tmsg] {
 	net := new(Net[tmsg])
-	net.Shape(n, 0)
-	net.Up = NodeSet(1<<n - 1)
+	net.Reset(n, 0)
+	net.SetUp(NodeSet(1<<n - 1))
 	return net
 }
 
 // netBytes is net's liveness byte and its codec section.
-func netBytes(net *Net[tmsg]) []byte { return AppendChannels([]byte{byte(net.Up)}, net) }
+func netBytes(net *Net[tmsg]) []byte { return AppendChannels([]byte{byte(net.Up())}, net, struct{}{}) }
 
 // netModel is the oracle: plain per-pair slices and booleans.
 type netModel struct {
@@ -74,8 +74,7 @@ func FuzzNetOps(f *testing.F) {
 			op, a, arg := data[i]%8, int(data[i+1])%n, int(data[i+2])
 			b := (a + 1 + arg%(n-1)) % n
 			parent := netBytes(cur)
-			dead.Shape(n, 0)
-			cur.CloneInto(dead)
+			cur.CopyTo(dead)
 			next := dead
 			switch op {
 			case 0: // send
@@ -147,8 +146,8 @@ func FuzzNetOps(f *testing.F) {
 			enc := netBytes(next)
 			dec := newTestNet(n)
 			d := &Decoder{Src: enc[1:]}
-			DecodeChannels(dec, d)
-			dec.Up = next.Up
+			DecodeChannels(dec, d, struct{}{})
+			dec.SetUp(next.Up())
 			if d.Err != nil || len(d.Src) != 0 || !bytes.Equal(netBytes(dec), enc) {
 				t.Fatalf("channel section does not round-trip: err %v, %d bytes left", d.Err, len(d.Src))
 			}
@@ -160,8 +159,8 @@ func FuzzNetOps(f *testing.F) {
 					var h1, h2 fp.Hasher
 					h1.Reset()
 					h2.Reset()
-					HashEdge(next, &h1, x, y)
-					HashEdge(dec, &h2, x, y)
+					HashEdge(next, &h1, x, y, struct{}{})
+					HashEdge(dec, &h2, x, y, struct{}{})
 					if h1.Sum() != h2.Sum() {
 						t.Fatalf("equal nets hash edge %d->%d apart", x, y)
 					}
@@ -234,18 +233,18 @@ func (m *netModel) check(t *testing.T, net *Net[tmsg]) {
 	t.Helper()
 	longest := 0
 	for a := range m.up {
-		if net.Up.Has(a) != m.up[a] {
-			t.Fatalf("node %d up = %v, model %v", a, net.Up.Has(a), m.up[a])
+		if net.Up().Has(a) != m.up[a] {
+			t.Fatalf("node %d up = %v, model %v", a, net.Up().Has(a), m.up[a])
 		}
 		for b := range m.up {
 			if a == b {
 				continue
 			}
-			if net.Cut[a].Has(b) != m.cut[a][b] || net.Part[a].Has(b) != m.part[a][b] {
-				t.Fatalf("pair %d->%d cut %v part %v, model %v %v", a, b, net.Cut[a].Has(b), net.Part[a].Has(b), m.cut[a][b], m.part[a][b])
+			if net.Cut(a).Has(b) != m.cut[a][b] || net.Part(a).Has(b) != m.part[a][b] {
+				t.Fatalf("pair %d->%d cut %v part %v, model %v %v", a, b, net.Cut(a).Has(b), net.Part(a).Has(b), m.cut[a][b], m.part[a][b])
 			}
-			if !slices.Equal(net.Chan[a][b], m.q[a][b]) {
-				t.Fatalf("queue %d->%d = %v, model %v", a, b, net.Chan[a][b], m.q[a][b])
+			if !slices.Equal(net.Queue(a, b), m.q[a][b]) {
+				t.Fatalf("queue %d->%d = %v, model %v", a, b, net.Queue(a, b), m.q[a][b])
 			}
 			longest = max(longest, len(m.q[a][b]))
 		}

@@ -15,14 +15,18 @@ import (
 // with the same Options, which is exactly the contract the explorer's
 // checkpoint/cluster compatibility digests enforce.
 //
-// The encoding preserves nil-ness of the per-node Next/Match rows (a 0 marker
-// for nil, len+1 otherwise): fingerprints and rendering treat nil and empty
-// alike, but permute branches on nil-ness, so a decoded state must round-trip
-// it exactly. Votes/PreVotes are written the same way — the state holds them
-// as sets, the empty set standing for the nil row — so the bytes are what
-// they were when these were boolean rows. Log rows, channel queues, and
-// Committed only ever exist as nil-or-nonempty (see clone), so a plain length
-// suffices.
+// The encoding is the record read field by field, in the order it had when
+// the state was a struct of slices, so the bytes did not change when it
+// became a record. The per-node Next/Match rows are written as a 0 marker
+// when the row does not exist and n+1 and the row when it does: the record
+// keeps each row's existence as a presence bit, and permute and rendering
+// branch on it, so a decoded state must round-trip it exactly. Votes/PreVotes
+// are written the same way — the state holds them as sets, the empty set
+// standing for the nil row — so the bytes are what they were when these were
+// boolean rows. Logs, channel queues and Committed are a plain length and
+// their elements; an entry is its term and its value, which decoding maps
+// back into the machine's vocabulary. Every integer the record stores in 32
+// bits is refused by DecodeState when it does not fit.
 
 // AppendState implements spec.StateCodec.
 func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
@@ -31,39 +35,34 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 	vi := func(v int) { dst = binary.AppendVarint(dst, int64(v)) }
 	vb := func(b bool) { dst = spec.AppendBool(dst, b) }
 	vs := func(str string) { dst = spec.AppendStr(dst, str) }
-	entries := func(es []Entry) { dst = appendEntries(dst, es) }
-	intRow := func(row []int) {
-		if row == nil {
+	row := func(at, i int, exists bool) {
+		if !exists {
 			dst = append(dst, 0)
 			return
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(row))+1)
-		for _, v := range row {
-			vi(v)
+		dst = binary.AppendUvarint(dst, uint64(n)+1)
+		for _, w := range s.W[s.base+at+i*n:][:n] {
+			vi(int(int32(w)))
 		}
 	}
 
+	up := s.Up()
 	for i := 0; i < n; i++ {
-		vi(s.Role[i])
-		vi(s.Term[i])
-		vi(s.VotedFor[i])
-		vi(s.Commit[i])
-		vi(s.SnapIdx[i])
-		vi(s.SnapTerm[i])
-		vi(s.DurTerm[i])
-		vi(s.DurVote[i])
-		vb(s.Up.Has(i))
+		for f := 0; f < numFields; f++ {
+			vi(s.get(f, i))
+		}
+		vb(up.Has(i))
 	}
 	for i := 0; i < n; i++ {
-		entries(s.Log[i])
-		entries(s.DurLog[i])
-		dst = spec.AppendNodeSetRow(dst, s.Votes[i], n)
-		dst = spec.AppendNodeSetRow(dst, s.PreVotes[i], n)
-		intRow(s.Next[i])
-		intRow(s.Match[i])
+		dst = s.appendEntries(dst, s.region(i))
+		dst = s.appendEntries(dst, s.region(durLog(n, i)))
+		dst = spec.AppendNodeSetRow(dst, s.votes(i), n)
+		dst = spec.AppendNodeSetRow(dst, s.preVotes(i), n)
+		row(nextAt(n), i, s.hasNext(i))
+		row(matchAt(n), i, s.hasMatch(i))
 	}
-	dst = spec.AppendChannels(dst, &s.Net)
-	entries(s.Committed)
+	dst = spec.AppendChannels(dst, &s.Net, s)
+	dst = s.appendEntries(dst, s.region(committed(n)))
 	vb(s.SnapConflictInstall)
 	lr := s.lastRead()
 	vi(lr.Node)
@@ -76,78 +75,101 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 	return dst
 }
 
-func appendEntries(dst []byte, es []Entry) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(es)))
-	for _, e := range es {
-		dst = binary.AppendVarint(dst, int64(e.Term))
-		dst = spec.AppendStr(dst, e.Value)
+// region returns the words of region r.
+func (s *State) region(r int) []uint32 {
+	a, b := s.span(r)
+	return s.W[a:b]
+}
+
+// appendEntries appends the encoding of the entries w holds (term, value
+// index, …): their count, then each one's term and value.
+func (s *State) appendEntries(dst []byte, w []uint32) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(w)/2))
+	if len(w) == 0 {
+		return dst
+	}
+	vals := s.vocab().vals
+	for k := 0; k < len(w); k += 2 {
+		dst = binary.AppendVarint(dst, int64(int32(w[k])))
+		dst = spec.AppendStr(dst, vals[w[k+1]])
 	}
 	return dst
 }
 
-// decodeEntries and decodeIntRow read the composite shapes
-// AppendState writes. Entry counts are bounded by the remaining input
-// (spec.Decoder.Len) before any slice is sized from them; a non-nil per-node
-// row must be exactly n long (spec.Decoder.Row).
-func decodeEntries(d *spec.Decoder, what string) []Entry {
+// decodeEntries reads what appendEntries wrote onto the end of region r and
+// returns the count. The count is bounded by the remaining input
+// (spec.Decoder.Len) before anything is sized from it, and a value outside
+// the machine's vocabulary is refused by name.
+func (s *State) decodeEntries(d *spec.Decoder, what string, r int) int {
 	ln := d.Len(what)
 	if ln == 0 {
-		return nil
+		return 0
 	}
-	es := make([]Entry, ln)
-	for i := range es {
-		es[i].Term = d.Int(what)
-		es[i].Value = d.Str(what)
+	voc := s.vocab()
+	for k := 0; k < ln && d.Err == nil; k++ {
+		term := d.Int32(what)
+		val := d.Str(what)
+		idx, ok := voc.idx[val]
+		if !ok && d.Err == nil {
+			d.Failf("%s value %q is not in the machine's vocabulary %q", what, val, voc.vals)
+		}
+		s.push(r, int(term), idx)
 	}
-	if d.Err != nil {
-		return nil
-	}
-	return es
+	return ln
 }
 
-func decodeIntRow(d *spec.Decoder, what string, n int) []int {
-	if !d.Row(what, n) {
-		return nil
+// node32 reads a node id, or a negative absence marker, that the record
+// stores in 32 bits.
+func node32(d *spec.Decoder, what string, n int) int {
+	v := d.Node(what, n)
+	if int(int32(v)) != v {
+		d.Failf("%s %d does not fit the 32 bits it is stored in", what, v)
+		return 0
 	}
-	row := make([]int, n)
-	for i := range row {
-		row[i] = d.Int(what)
-	}
-	return row
+	return v
 }
 
 // DecodeState implements spec.StateCodec.
 func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 	n := m.n
-	s := newState(n)
-	s.snapshots = m.opt.Snapshots
-	s.kv = m.opt.KV
-	s.durability = m.opt.Budget.MaxDirtyCrashes > 0
+	s := m.newState()
 	d := &spec.Decoder{Src: src}
 
+	var up spec.NodeSet
 	for i := 0; i < n; i++ {
-		s.Role[i] = d.Int("role")
-		s.Term[i] = d.Int("term")
-		s.VotedFor[i] = d.Node("votedFor", n)
-		s.Commit[i] = d.Int("commit")
-		s.SnapIdx[i] = d.Int("snapIdx")
-		s.SnapTerm[i] = d.Int("snapTerm")
-		s.DurTerm[i] = d.Int("durTerm")
-		s.DurVote[i] = d.Node("durVote", n)
-		if !d.Bool("up") {
-			s.Up.Del(i)
+		s.setRole(i, int(d.Int32("role")))
+		s.setTerm(i, int(d.Int32("term")))
+		s.setVotedFor(i, node32(d, "votedFor", n))
+		s.setCommit(i, int(d.Int32("commit")))
+		s.setSnapshot(i, int(d.Int32("snapIdx")), int(d.Int32("snapTerm")))
+		s.put(fDurTerm, i, int(d.Int32("durTerm")))
+		s.put(fDurVote, i, node32(d, "durVote", n))
+		if d.Bool("up") {
+			up.Add(i)
+		}
+	}
+	s.SetUp(up)
+	var next, match spec.NodeSet
+	row := func(what string, at, i int, rows *spec.NodeSet) {
+		if !d.Row(what, n) {
+			return
+		}
+		rows.Add(i)
+		for p := 0; p < n; p++ {
+			s.W[s.base+at+i*n+p] = uint32(d.Int32(what))
 		}
 	}
 	for i := 0; i < n; i++ {
-		s.Log[i] = decodeEntries(d, "log")
-		s.DurLog[i] = decodeEntries(d, "durLog")
-		s.Votes[i] = d.NodeSetRow("votes", n, i)
-		s.PreVotes[i] = d.NodeSetRow("preVotes", n, i)
-		s.Next[i] = decodeIntRow(d, "next", n)
-		s.Match[i] = decodeIntRow(d, "match", n)
+		s.decodeEntries(d, "log", i)
+		s.decodeEntries(d, "durLog", durLog(n, i))
+		s.setVotes(i, d.NodeSetRow("votes", n, i))
+		s.setPreVotes(i, d.NodeSetRow("preVotes", n, i))
+		row("next", nextAt(n), i, &next)
+		row("match", matchAt(n), i, &match)
 	}
-	spec.DecodeChannels(&s.Net, d)
-	s.Committed = decodeEntries(d, "committed")
+	s.setRowSets(next, match)
+	spec.DecodeChannels(&s.Net, d, s)
+	s.decodeEntries(d, "committed", committed(n))
 	s.SnapConflictInstall = d.Bool("snapConflictInstall")
 	var lr kvRead
 	if lr.Node = d.Node("lastReadNode", n); lr.Node < 0 {

@@ -58,16 +58,16 @@ func succFPs(m *Machine, s spec.State) []uint64 {
 // nil-vs-allocated, which permute branches on.
 func sameNilness(a, b *State) error {
 	for i := 0; i < a.n; i++ {
-		if (a.Votes[i] == 0) != (b.Votes[i] == 0) {
+		if (a.votes(i) == 0) != (b.votes(i) == 0) {
 			return fmt.Errorf("Votes[%d] nil-ness differs", i)
 		}
-		if (a.PreVotes[i] == 0) != (b.PreVotes[i] == 0) {
+		if (a.preVotes(i) == 0) != (b.preVotes(i) == 0) {
 			return fmt.Errorf("PreVotes[%d] nil-ness differs", i)
 		}
-		if (a.Next[i] == nil) != (b.Next[i] == nil) {
+		if a.hasNext(i) != b.hasNext(i) {
 			return fmt.Errorf("Next[%d] nil-ness differs", i)
 		}
-		if (a.Match[i] == nil) != (b.Match[i] == nil) {
+		if a.hasMatch(i) != b.hasMatch(i) {
 			return fmt.Errorf("Match[%d] nil-ness differs", i)
 		}
 	}
@@ -135,7 +135,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			if flagged == 0 {
 				// The BFS cutoff may sit above the first flagged state, so
 				// exercise the Viol.Flag encoding on a synthetic one.
-				s := queue[len(queue)-1].(*State).cloneInto(nil)
+				s := queue[len(queue)-1].(*State).copyTo(nil)
 				s.Viol.Flag = "synthetic-flag"
 				dec, _, err := codec.DecodeState(codec.AppendState(nil, s))
 				if err != nil {

@@ -39,12 +39,12 @@ func (m *Machine) Invariants() []spec.Invariant {
 func (m *Machine) atMostOneLeaderPerTerm(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
-		if !s.Up.Has(i) || s.Role[i] != Leader {
+		if !s.Up().Has(i) || s.role(i) != Leader {
 			continue
 		}
 		for j := i + 1; j < s.n; j++ {
-			if s.Up.Has(j) && s.Role[j] == Leader && s.Term[i] == s.Term[j] {
-				return fmt.Errorf("nodes %d and %d are both leaders in term %d", i, j, s.Term[i])
+			if s.Up().Has(j) && s.role(j) == Leader && s.term(i) == s.term(j) {
+				return fmt.Errorf("nodes %d and %d are both leaders in term %d", i, j, s.term(i))
 			}
 		}
 	}
@@ -56,16 +56,16 @@ func (m *Machine) atMostOneLeaderPerTerm(st spec.State) error {
 func (m *Machine) nextAfterMatch(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
-		if !s.Up.Has(i) || s.Role[i] != Leader {
+		if !s.Up().Has(i) || s.role(i) != Leader {
 			continue
 		}
 		for p := 0; p < s.n; p++ {
 			if p == i {
 				continue
 			}
-			if s.Next[i][p] <= s.Match[i][p] {
+			if s.next(i, p) <= s.match(i, p) {
 				return fmt.Errorf("leader %d: next index %d <= match index %d for follower %d",
-					i, s.Next[i][p], s.Match[i][p], p)
+					i, s.next(i, p), s.match(i, p), p)
 			}
 		}
 	}
@@ -77,21 +77,19 @@ func (m *Machine) nextAfterMatch(st spec.State) error {
 func (m *Machine) committedLogConsistency(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
-		if !s.Up.Has(i) {
+		if !s.Up().Has(i) {
 			continue
 		}
-		hi := s.Commit[i]
-		if hi > len(s.Committed) {
-			hi = len(s.Committed)
-		}
-		for abs := s.SnapIdx[i] + 1; abs <= hi; abs++ {
-			e, ok := s.entryAt(i, abs)
+		hi := min(s.commit(i), s.count(committed(s.n)))
+		for abs := s.snapIdx(i) + 1; abs <= hi; abs++ {
+			t, v, ok := s.entryAt(i, abs)
 			if !ok {
 				continue
 			}
-			if e != s.Committed[abs-1] {
+			if ct, cv := s.at(committed(s.n), abs-1); t != ct || v != cv {
+				vals := s.vocab().vals
 				return fmt.Errorf("node %d committed entry %d is %d:%s, cluster committed %d:%s",
-					i, abs, e.Term, e.Value, s.Committed[abs-1].Term, s.Committed[abs-1].Value)
+					i, abs, t, vals[v], ct, vals[cv])
 			}
 		}
 	}
@@ -102,20 +100,21 @@ func (m *Machine) committedLogConsistency(st spec.State) error {
 // AsyncRaft#2's erasure of matched entries).
 func (m *Machine) logDurability(st spec.State) error {
 	s := st.(*State)
-	for abs := 1; abs <= len(s.Committed); abs++ {
+	for abs := 1; abs <= s.count(committed(s.n)); abs++ {
+		ct, cv := s.at(committed(s.n), abs-1)
 		holders := 0
 		for i := 0; i < s.n; i++ {
-			if abs <= s.SnapIdx[i] {
+			if abs <= s.snapIdx(i) {
 				holders++ // compacted into the snapshot: still durable
 				continue
 			}
-			if e, ok := s.entryAt(i, abs); ok && e == s.Committed[abs-1] {
+			if t, v, ok := s.entryAt(i, abs); ok && t == ct && v == cv {
 				holders++
 			}
 		}
 		if holders < m.quorum() {
 			return fmt.Errorf("committed entry %d (%d:%s) survives on only %d/%d nodes",
-				abs, s.Committed[abs-1].Term, s.Committed[abs-1].Value, holders, s.n)
+				abs, ct, s.vocab().vals[cv], holders, s.n)
 		}
 	}
 	return nil
@@ -127,14 +126,15 @@ func (m *Machine) logMatching(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
 		for j := i + 1; j < s.n; j++ {
-			lo := maxInt(s.SnapIdx[i], s.SnapIdx[j]) + 1
+			lo := maxInt(s.snapIdx(i), s.snapIdx(j)) + 1
 			hi := minInt(s.lastIndex(i), s.lastIndex(j))
 			for abs := lo; abs <= hi; abs++ {
-				ei, _ := s.entryAt(i, abs)
-				ej, _ := s.entryAt(j, abs)
-				if ei.Term == ej.Term && ei.Value != ej.Value {
+				ti, vi, _ := s.entryAt(i, abs)
+				tj, vj, _ := s.entryAt(j, abs)
+				if ti == tj && vi != vj {
+					vals := s.vocab().vals
 					return fmt.Errorf("nodes %d and %d disagree at index %d term %d: %q vs %q",
-						i, j, abs, ei.Term, ei.Value, ej.Value)
+						i, j, abs, ti, vals[vi], vals[vj])
 				}
 			}
 		}
@@ -146,8 +146,8 @@ func (m *Machine) logMatching(st spec.State) error {
 func (m *Machine) commitWithinLog(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
-		if s.Commit[i] > s.lastIndex(i) {
-			return fmt.Errorf("node %d commit index %d exceeds last log index %d", i, s.Commit[i], s.lastIndex(i))
+		if s.commit(i) > s.lastIndex(i) {
+			return fmt.Errorf("node %d commit index %d exceeds last log index %d", i, s.commit(i), s.lastIndex(i))
 		}
 	}
 	return nil
@@ -157,8 +157,8 @@ func (m *Machine) commitWithinLog(st spec.State) error {
 func (m *Machine) leaderVotesForSelf(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
-		if s.Up.Has(i) && s.Role[i] == Leader && s.VotedFor[i] != i {
-			return fmt.Errorf("leader %d has votedFor=%d", i, s.VotedFor[i])
+		if s.Up().Has(i) && s.role(i) == Leader && s.votedFor(i) != i {
+			return fmt.Errorf("leader %d has votedFor=%d", i, s.votedFor(i))
 		}
 	}
 	return nil
@@ -168,8 +168,8 @@ func (m *Machine) leaderVotesForSelf(st spec.State) error {
 func (m *Machine) voteSelfConsistent(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
-		if s.Up.Has(i) && s.Role[i] == Candidate {
-			if !s.Votes[i].Has(i) || s.VotedFor[i] != i {
+		if s.Up().Has(i) && s.role(i) == Candidate {
+			if !s.votes(i).Has(i) || s.votedFor(i) != i {
 				return fmt.Errorf("candidate %d did not vote for itself", i)
 			}
 		}

@@ -48,6 +48,11 @@ type Options struct {
 type Machine struct {
 	opt Options
 	n   int
+	// voc is the vocabulary of entry values (see vocab), and vals the index
+	// in it of each Config.Workload value a client request logs: v, or
+	// "x=v" under KV.
+	voc  uint32
+	vals []uint32
 }
 
 // New builds the machine. The state keeps per-node sets as spec.NodeSet bit
@@ -57,7 +62,31 @@ func New(opt Options) *Machine {
 	if opt.Config.Nodes > spec.MaxNodes {
 		panic(fmt.Sprintf("raftbase: %d nodes, a state indexes at most %d", opt.Config.Nodes, spec.MaxNodes))
 	}
-	return &Machine{opt: opt, n: opt.Config.Nodes}
+	logged := opt.Config.Workload
+	if opt.KV {
+		logged = make([]string, len(opt.Config.Workload))
+		for k, v := range opt.Config.Workload {
+			logged[k] = kvKey + "=" + v
+		}
+	}
+	m := &Machine{opt: opt, n: opt.Config.Nodes, voc: internVocab(logged)}
+	voc := vocabOf(m.voc)
+	for _, v := range logged {
+		m.vals = append(m.vals, voc.idx[v])
+	}
+	return m
+}
+
+// kvKey is the one key the KV workload writes and reads.
+const kvKey = "x"
+
+// newState returns the machine's initial state.
+func (m *Machine) newState() *State {
+	s := newState(m.n, m.voc)
+	s.snapshots = m.opt.Snapshots
+	s.kv = m.opt.KV
+	s.durability = m.opt.Budget.MaxDirtyCrashes > 0
+	return s
 }
 
 // Name implements spec.Machine.
@@ -68,11 +97,7 @@ func (m *Machine) Options() Options { return m.opt }
 
 // Init implements spec.Machine.
 func (m *Machine) Init() []spec.State {
-	s := newState(m.n)
-	s.snapshots = m.opt.Snapshots
-	s.kv = m.opt.KV
-	s.durability = m.opt.Budget.MaxDirtyCrashes > 0
-	return []spec.State{s}
+	return []spec.State{m.newState()}
 }
 
 // NumNodes implements spec.Symmetric.
@@ -95,8 +120,9 @@ func (m *Machine) Next(st spec.State) []spec.Succ {
 // AppendNext implements spec.BufferedMachine: it appends every enabled
 // node-level event to buf, letting the explorer reuse one successor buffer
 // per worker instead of allocating a slice per expanded state — and, through
-// the buffer's slack, the successor states themselves: each successor is
-// cloned into the dead state its slot still holds from an earlier call.
+// the buffer's slack, the successor states themselves: each successor is its
+// parent's record copied into the dead state its slot still holds from an
+// earlier call, then edited in place.
 func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	s := st.(*State)
 	if s.Viol.Flag != "" && !m.opt.ContinuePastFlag {
@@ -108,59 +134,62 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	// clone copies s into the state the next append would overwrite. A
 	// successor add drops for overflow leaves its slot, so the next one
 	// recycles it.
-	clone := func() *State { return s.cloneInto(spec.Dead[*State](out)) }
+	clone := func() *State { return s.copyTo(spec.Dead[*State](out)) }
 	add := func(ev trace.Event, n *State) {
 		if n.Overflows(m.opt.Budget.MaxBuffer) {
 			return
 		}
+		n.tidy()
 		out = append(out, spec.Succ{Event: ev, State: n})
 	}
 
 	b := m.opt.Budget
+	up := s.Up()
 	for i := 0; i < m.n; i++ {
-		if !s.Up.Has(i) {
+		if !up.Has(i) {
 			continue
 		}
 		// Election timeout: any non-leader may time out at any moment.
-		if s.Role[i] != Leader && s.Counters.CanTimeout(b) {
+		role := s.role(i)
+		if role != Leader && s.Counters.CanTimeout(b) {
 			n := clone()
 			n.Counters.Timeouts++
 			m.electionTimeout(n, i)
 			add(trace.Event{Type: trace.EvTimeout, Action: "TimeoutElection", Node: i, Payload: "election"}, n)
 		}
 		// Heartbeat timeout: leaders replicate on their heartbeat timer.
-		if s.Role[i] == Leader && s.Counters.CanTimeout(b) {
+		if role == Leader && s.Counters.CanTimeout(b) {
 			n := clone()
 			n.Counters.Timeouts++
 			m.broadcastAppend(n, i)
 			add(trace.Event{Type: trace.EvTimeout, Action: "TimeoutHeartbeat", Node: i, Payload: "heartbeat"}, n)
 		}
 		// Client requests are served by leaders.
-		if s.Role[i] == Leader && s.Counters.CanRequest(b) {
+		if role == Leader && s.Counters.CanRequest(b) {
 			if m.opt.KV {
-				for _, v := range m.opt.Config.Workload {
+				for k, v := range m.opt.Config.Workload {
 					n := clone()
 					n.Counters.Requests++
-					m.clientPut(n, i, "x", v)
-					add(trace.Event{Type: trace.EvRequest, Action: "ClientPut", Node: i, Payload: "put x " + v}, n)
+					m.clientAppend(n, i, m.vals[k])
+					add(trace.Event{Type: trace.EvRequest, Action: "ClientPut", Node: i, Payload: "put " + kvKey + " " + v}, n)
 				}
 				if m.getEnabled(s, i) {
 					n := clone()
 					n.Counters.Requests++
-					m.clientGet(n, i, "x")
+					m.clientGet(n, i, kvKey)
 					add(trace.Event{Type: trace.EvRequest, Action: "ClientGet", Node: i, Payload: "get x"}, n)
 				}
 			} else {
-				for _, v := range m.opt.Config.Workload {
+				for k, v := range m.opt.Config.Workload {
 					n := clone()
 					n.Counters.Requests++
-					m.clientAppend(n, i, v)
+					m.clientAppend(n, i, m.vals[k])
 					add(trace.Event{Type: trace.EvRequest, Action: "ClientRequest", Node: i, Payload: v}, n)
 				}
 			}
 		}
 		// Log compaction (snapshotting systems): an internal admin action.
-		if m.opt.Snapshots && s.Role[i] == Leader && s.Commit[i] > s.SnapIdx[i] && s.Counters.CanCompact(b) {
+		if m.opt.Snapshots && role == Leader && s.commit(i) > s.snapIdx(i) && s.Counters.CanCompact(b) {
 			n := clone()
 			n.Counters.Compactions++
 			m.compactLog(n, i)
@@ -228,12 +257,11 @@ func (m *Machine) crash(s *State, i int) {
 	// Volatile state is lost; we clear it eagerly so fingerprints do not
 	// distinguish dead states by unreachable data. Durable state (term,
 	// votedFor, log, snapshot) survives.
-	s.Role[i] = Follower
-	s.Commit[i] = 0
-	s.Votes[i] = 0
-	s.PreVotes[i] = 0
-	s.Next[i] = nil
-	s.Match[i] = nil
+	s.setRole(i, Follower)
+	s.setCommit(i, 0)
+	s.setVotes(i, 0)
+	s.setPreVotes(i, 0)
+	s.setRows(i, false)
 }
 
 // crashDirty crashes node i losing its unsynced writes: the live durable
@@ -242,9 +270,9 @@ func (m *Machine) crash(s *State, i int) {
 // Without the durability model this degenerates to a clean crash.
 func (m *Machine) crashDirty(s *State, i int) {
 	if s.durability {
-		s.Term[i] = s.DurTerm[i]
-		s.VotedFor[i] = s.DurVote[i]
-		s.Log[i] = append([]Entry(nil), s.DurLog[i]...)
+		s.setTerm(i, s.durTerm(i))
+		s.setVotedFor(i, s.durVote(i))
+		s.copyRegion(i, durLog(s.n, i))
 	}
 	m.crash(s, i)
 }

@@ -3,6 +3,7 @@ package raftbase
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"github.com/sandtable-go/sandtable/internal/fp"
 	"github.com/sandtable-go/sandtable/internal/spec"
@@ -11,6 +12,13 @@ import (
 // Msg is the specification-level message: the wide form handlers build and
 // receive, by value. All kinds share one struct. A queued message is held as
 // a packedMsg: a handler sends mustPack(msg), a delivery unpacks.
+//
+// An AppendEntries' entries are not in the message: they are Ents.N entries
+// of the state's message pool, from word Ents.Off of the pool on. A handler
+// puts them there (State.poolLog) before it sends, and a delivered message's
+// entries stay readable until the successor is built (State.tidy runs
+// after the handler), so a queued message holds no pointer and a send copies
+// no slice.
 type Msg struct {
 	Type      string // "rv", "rvr", "ae", "aer", "snap"
 	Term      int
@@ -20,7 +28,7 @@ type Msg struct {
 	Granted   bool // rvr
 	PrevIndex int  // ae
 	PrevTerm  int  // ae
-	Entries   []Entry
+	Ents      ents // ae
 	Commit    int  // ae
 	Flag      bool // aer: success
 	NextIndex int  // aer: follower hint
@@ -29,7 +37,13 @@ type Msg struct {
 	SnapTerm  int  // snap
 }
 
-func (m *Msg) hash(h *fp.Hasher) {
+// ents locates a message's entries in its state's message pool.
+type ents struct{ Off, N int }
+
+// hashMsg mixes m into h, its entries read from s's pool: every field in
+// declaration order, the entries as their count and then term and value
+// each.
+func (s *State) hashMsg(h *fp.Hasher, m *Msg) {
 	h.WriteString(m.Type)
 	h.WriteInt(m.Term)
 	h.WriteInt(m.LastIndex)
@@ -38,10 +52,14 @@ func (m *Msg) hash(h *fp.Hasher) {
 	h.WriteBool(m.Granted)
 	h.WriteInt(m.PrevIndex)
 	h.WriteInt(m.PrevTerm)
-	h.WriteInt(len(m.Entries))
-	for _, e := range m.Entries {
-		h.WriteInt(e.Term)
-		h.WriteString(e.Value)
+	h.WriteInt(m.Ents.N)
+	if m.Ents.N > 0 {
+		vals := s.vocab().vals
+		w := s.msgWords(m.Ents)
+		for k := 0; k < len(w); k += 2 {
+			h.WriteInt(int(int32(w[k])))
+			h.WriteString(vals[w[k+1]])
+		}
 	}
 	h.WriteInt(m.Commit)
 	h.WriteBool(m.Flag)
@@ -49,6 +67,13 @@ func (m *Msg) hash(h *fp.Hasher) {
 	h.WriteBool(m.Retry)
 	h.WriteInt(m.SnapIndex)
 	h.WriteInt(m.SnapTerm)
+}
+
+// msgWords returns the words of the entries e locates: term, value index,
+// term, value index, ….
+func (s *State) msgWords(e ents) []uint32 {
+	a, _ := s.span(pool(s.n))
+	return s.W[a+e.Off : a+e.Off+2*e.N]
 }
 
 // msgTypes is the Msg.Type vocabulary; the index is the packed kind and the
@@ -100,9 +125,10 @@ func flagIf(f uint8, on bool) uint8 {
 // Hashing and encoding go through unpack, so both see exactly the Msg that
 // was sent.
 type packedMsg struct {
-	entries []Entry
 	term    int32
 	a, b, c int32
+	eoff    uint32 // the entries' first word in the pool
+	elen    uint16 // and their count
 	kind    uint8
 	flags   uint8
 }
@@ -115,7 +141,10 @@ func pack(m Msg) (p packedMsg, ok bool) {
 	if !ok {
 		return p, false
 	}
-	p = packedMsg{entries: m.Entries, term: int32(m.Term), kind: kind}
+	if m.Ents.Off < 0 || m.Ents.Off > math.MaxUint32 || m.Ents.N < 0 || m.Ents.N > math.MaxUint16 {
+		return p, false
+	}
+	p = packedMsg{eoff: uint32(m.Ents.Off), elen: uint16(m.Ents.N), term: int32(m.Term), kind: kind}
 	switch kind {
 	case kindRV:
 		p.a, p.b = int32(m.LastIndex), int32(m.LastTerm)
@@ -155,7 +184,7 @@ func mustPack(m Msg) packedMsg {
 
 // unpack returns the Msg p was packed from.
 func (p *packedMsg) unpack() Msg {
-	m := Msg{Type: msgTypes[p.kind], Term: int(p.term), Entries: p.entries}
+	m := Msg{Type: msgTypes[p.kind], Term: int(p.term), Ents: ents{Off: int(p.eoff), N: int(p.elen)}}
 	a, b, c := int(p.a), int(p.b), int(p.c)
 	switch p.kind {
 	case kindRV:
@@ -178,9 +207,9 @@ func (p *packedMsg) unpack() Msg {
 
 // Hash implements spec.Message: the hash of the Msg p stores (raftbase
 // messages carry no node ids).
-func (p packedMsg) Hash(h fp.Hasher) fp.Hasher {
+func (p packedMsg) Hash(h fp.Hasher, s *State) fp.Hasher {
 	m := p.unpack()
-	m.hash(&h)
+	s.hashMsg(&h, &m)
 	return h
 }
 
@@ -188,9 +217,9 @@ func (p packedMsg) Hash(h fp.Hasher) fp.Hasher {
 func (p packedMsg) Permuted([]int) packedMsg { return p }
 
 // AppendTo implements spec.Message. The wire carries the wide message, its
-// kind code and then every field in Msg order, as it did before queues
-// stored them packed.
-func (p packedMsg) AppendTo(dst []byte) []byte {
+// kind code and then every field in Msg order, the entries in place of Ents,
+// as it did before queues stored them packed.
+func (p packedMsg) AppendTo(dst []byte, s *State) []byte {
 	m := p.unpack()
 	dst = append(dst, p.kind)
 	dst = binary.AppendVarint(dst, int64(m.Term))
@@ -200,7 +229,7 @@ func (p packedMsg) AppendTo(dst []byte) []byte {
 	dst = spec.AppendBool(dst, m.Granted)
 	dst = binary.AppendVarint(dst, int64(m.PrevIndex))
 	dst = binary.AppendVarint(dst, int64(m.PrevTerm))
-	dst = appendEntries(dst, m.Entries)
+	dst = s.appendEntries(dst, s.msgWords(m.Ents))
 	dst = binary.AppendVarint(dst, int64(m.Commit))
 	dst = spec.AppendBool(dst, m.Flag)
 	dst = binary.AppendVarint(dst, int64(m.NextIndex))
@@ -209,10 +238,11 @@ func (p packedMsg) AppendTo(dst []byte) []byte {
 	return binary.AppendVarint(dst, int64(m.SnapTerm))
 }
 
-// DecodeFrom implements spec.Message. A queue stores a message packed; one
-// that packing would alter (a field its kind does not carry, an integer
-// beyond 32 bits) is refused, not narrowed into another message.
-func (packedMsg) DecodeFrom(src []byte, _ int) (packedMsg, []byte, error) {
+// DecodeFrom implements spec.Message: the entries go to the end of s's
+// message pool. A queue stores a message packed; one that packing would
+// alter (a field its kind does not carry, an integer beyond 32 bits) is
+// refused, not narrowed into another message.
+func (packedMsg) DecodeFrom(src []byte, _ int, s *State) (packedMsg, []byte, error) {
 	var msg Msg
 	d := &spec.Decoder{Src: src}
 	code := d.Byte("msg type")
@@ -228,7 +258,10 @@ func (packedMsg) DecodeFrom(src []byte, _ int) (packedMsg, []byte, error) {
 	msg.Granted = d.Bool("msg granted")
 	msg.PrevIndex = d.Int("msg prevIndex")
 	msg.PrevTerm = d.Int("msg prevTerm")
-	msg.Entries = decodeEntries(d, "msg entries")
+	a, b := s.span(pool(s.n))
+	if msg.Ents.N = s.decodeEntries(d, "msg entries", pool(s.n)); msg.Ents.N > 0 {
+		msg.Ents.Off = b - a
+	}
 	msg.Commit = d.Int("msg commit")
 	msg.Flag = d.Bool("msg flag")
 	msg.NextIndex = d.Int("msg nextIndex")

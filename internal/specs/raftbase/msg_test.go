@@ -9,11 +9,10 @@ import (
 // TestPackIsLossless: a message of each kind with every field its kind
 // carries set comes back from the stored form field for field.
 func TestPackIsLossless(t *testing.T) {
-	es := []Entry{{Term: 2, Value: "v1"}}
 	for _, m := range []Msg{
 		{Type: "rv", Term: 3, LastIndex: 4, LastTerm: 2, Pre: true},
 		{Type: "rvr", Term: 3, Pre: true, Granted: true},
-		{Type: "ae", Term: 3, PrevIndex: 4, PrevTerm: 2, Entries: es, Commit: 1, Retry: true},
+		{Type: "ae", Term: 3, PrevIndex: 4, PrevTerm: 2, Ents: ents{Off: 4, N: 1}, Commit: 1, Retry: true},
 		{Type: "aer", Term: 3, Flag: true, NextIndex: 5},
 		{Type: "snap", Term: 3, SnapIndex: 4, SnapTerm: 2},
 		{Type: "rv", Term: -1, LastIndex: 1<<31 - 1, LastTerm: -1 << 31},
@@ -46,7 +45,7 @@ func TestPackRefusesWhatItWouldAlter(t *testing.T) {
 				t.Errorf("mustPack stored %+v, which pack refuses", m)
 			}
 		}()
-		newState(2).Send(0, 1, mustPack(m))
+		newState(2, 0).Send(0, 1, mustPack(m))
 		return false
 	}
 	rt := reflect.TypeOf(Msg{})
@@ -87,7 +86,7 @@ func TestPackRefusesWhatItWouldAlter(t *testing.T) {
 func TestCodecRejectsUnknownMessageKind(t *testing.T) {
 	m := codecMachines()["gosyncobj"]
 	enc := func(msg Msg) []byte {
-		s := m.Init()[0].(*State).cloneInto(nil)
+		s := m.Init()[0].(*State).copyTo(nil)
 		s.Send(0, 1, mustPack(msg))
 		return m.AppendState(nil, s)
 	}

@@ -40,45 +40,39 @@ import (
 // OrbitDigests implements spec.Orbit.
 func (s *State) OrbitDigests(node, edge []uint64) uint64 {
 	n := s.n
+	vals := s.vocab().vals
+	up, nextRows, matchRows := s.Up(), s.nextRows(), s.matchRows()
 	var h fp.Hasher
 	for i := 0; i < n; i++ {
 		h.Reset()
-		h.WriteInt(s.Role[i])
-		h.WriteInt(s.Term[i])
+		h.WriteInt(s.role(i))
+		h.WriteInt(s.term(i))
 		h.Sep()
-		h.WriteInt(len(s.Log[i]))
-		for _, e := range s.Log[i] {
-			h.WriteInt(e.Term)
-			h.WriteString(e.Value)
-		}
-		h.WriteInt(s.Commit[i])
-		h.WriteInt(s.SnapIdx[i])
-		h.WriteInt(s.SnapTerm[i])
-		h.WriteBool(s.Up.Has(i))
+		s.hashRegion(&h, i, vals)
+		h.WriteInt(s.commit(i))
+		h.WriteInt(s.snapIdx(i))
+		h.WriteInt(s.snapTerm(i))
+		h.WriteBool(up.Has(i))
 		// Row shapes of the nil-able matrices: which of node i's per-peer
 		// rows are materialised. The cells live in the edge digests; pinning
 		// the lengths here keeps an absent row from aliasing an all-zero one.
-		h.WriteInt(s.Votes[i].RowLen(n))
-		h.WriteInt(s.PreVotes[i].RowLen(n))
-		h.WriteInt(len(s.Next[i]))
-		h.WriteInt(len(s.Match[i]))
+		h.WriteInt(s.votes(i).RowLen(n))
+		h.WriteInt(s.preVotes(i).RowLen(n))
+		h.WriteInt((nextRows & spec.SingleNode(i)).RowLen(n))
+		h.WriteInt((matchRows & spec.SingleNode(i)).RowLen(n))
 		// Durability mirrors are hashed only when the fault model is active,
 		// so instantiations without dirty crashes keep their hashing cost
 		// unchanged (DurVote is a node id: it lives in the combine residue).
 		if s.durability {
-			h.WriteInt(s.DurTerm[i])
+			h.WriteInt(s.durTerm(i))
 			h.Sep()
-			h.WriteInt(len(s.DurLog[i]))
-			for _, e := range s.DurLog[i] {
-				h.WriteInt(e.Term)
-				h.WriteString(e.Value)
-			}
+			s.hashRegion(&h, durLog(n, i), vals)
 		}
 		node[i] = h.Sum()
 	}
 	for a := 0; a < n; a++ {
-		votes, preVotes := s.Votes[a], s.PreVotes[a]
-		next, match := s.Next[a], s.Match[a]
+		votes, preVotes := s.votes(a), s.preVotes(a)
+		hasNext, hasMatch := nextRows.Has(a), matchRows.Has(a)
 		for b := 0; b < n; b++ {
 			h.Reset()
 			if votes != 0 {
@@ -87,24 +81,20 @@ func (s *State) OrbitDigests(node, edge []uint64) uint64 {
 			if preVotes != 0 {
 				h.WriteBool(preVotes.Has(b))
 			}
-			if len(next) > 0 {
-				h.WriteInt(next[b])
+			if hasNext {
+				h.WriteInt(s.next(a, b))
 			}
-			if len(match) > 0 {
-				h.WriteInt(match[b])
+			if hasMatch {
+				h.WriteInt(s.match(a, b))
 			}
 			if a != b {
-				spec.HashEdge(&s.Net, &h, a, b)
+				spec.HashEdge(&s.Net, &h, a, b, s)
 			}
 			edge[a*n+b] = h.Sum()
 		}
 	}
 	h.Reset()
-	h.WriteInt(len(s.Committed))
-	for _, e := range s.Committed {
-		h.WriteInt(e.Term)
-		h.WriteString(e.Value)
-	}
+	s.hashRegion(&h, committed(n), vals)
 	h.WriteBool(s.SnapConflictInstall)
 	lr := s.lastRead()
 	h.WriteString(lr.Key)
@@ -134,7 +124,7 @@ func (s *State) OrbitCombine(node, edge []uint64, global uint64, perm, inv []int
 	// written in permuted slot order with the ids mapped through perm.
 	h.Sep()
 	for j := 0; j < n; j++ {
-		v := s.VotedFor[inv[j]]
+		v := s.votedFor(inv[j])
 		if v >= 0 {
 			v = perm[v]
 		}
@@ -142,7 +132,7 @@ func (s *State) OrbitCombine(node, edge []uint64, global uint64, perm, inv []int
 	}
 	if s.durability {
 		for j := 0; j < n; j++ {
-			v := s.DurVote[inv[j]]
+			v := s.durVote(inv[j])
 			if v >= 0 {
 				v = perm[v]
 			}

@@ -100,9 +100,8 @@ func TestLeaderElectionReachableInAllProfiles(t *testing.T) {
 		sxkv.New(cfg3(), b, bugdb.NoBugs()),
 	}
 	hasLeader := func(st spec.State) bool {
-		s := st.(*raftbase.State)
-		for i := range s.Role {
-			if s.Role[i] == raftbase.Leader {
+		for i := 0; i < 3; i++ {
+			if raftbase.Role(st, i) == raftbase.Leader {
 				return true
 			}
 		}

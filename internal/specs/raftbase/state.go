@@ -15,9 +15,11 @@
 package raftbase
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 
+	"github.com/sandtable-go/sandtable/internal/fp"
 	"github.com/sandtable-go/sandtable/internal/spec"
 	"github.com/sandtable-go/sandtable/internal/trace"
 )
@@ -43,10 +45,11 @@ func roleString(r int) string {
 	}
 }
 
-// Entry is a replicated log entry (value-semantics; indexes are absolute and
-// implicit: the entry at slice position k of node i has absolute index
-// snapIndex[i]+k+1). Its JSON tags are the implementations' own, so that
-// every Entry shares the underlying type trace.Log renders.
+// Entry is a replicated log entry in its wide form, the one renderings and
+// error messages use. Its JSON tags are the implementations' own, so that
+// every Entry shares the underlying type trace.Log renders. The state stores
+// an entry as two words: its term, and its value's index in the machine's
+// vocabulary.
 type Entry struct {
 	Term  int    `json:"t"`
 	Value string `json:"v"`
@@ -56,20 +59,27 @@ type Entry struct {
 // network environment, the budget counters, ghost variables for history
 // properties, and the action-property violation flag.
 //
-// A frontier holds one of these per state, so the struct is kept small: the
-// bools sit together beside the 32-bit counters, the cold KV ghost is behind
-// a pointer, and the storage the slices are carved from is found through the
-// slices themselves (see shape) instead of being named a second time.
+// It is a small header and one pointer-free record, W, which the embedded
+// spec.Net shares: the network's words come first, then raftbase's (see the
+// layout below), so a successor is its parent's record copied into a dead
+// state's and edited in place, and a frontier of states gives the collector
+// nothing to trace but the header's two cold pointer fields. The messages in
+// flight are the Net's other array, Q, whose elements hold no pointer either:
+// an AppendEntries keeps its entries in the record's message pool.
 type State struct {
-	n int
+	spec.Net[packedMsg]
+
+	n    int    // nodes
+	base int    // where raftbase's words start in W (spec.NetWords(n))
+	voc  uint32 // the machine's entry-value vocabulary (vocabOf)
 	// Feature flags copied from the machine options (not part of the
 	// fingerprint; they are constants of the model instance and only steer
 	// variable rendering).
 	snapshots bool
 	kv        bool
 	// durability enables the crash-consistency fault model (set when the
-	// budget allows dirty crashes): the Dur* mirrors below are then
-	// maintained and hashed.
+	// budget allows dirty crashes): the durable mirrors are then maintained
+	// and hashed.
 	durability bool
 	// Ghost marker: set when a snapshot installation overwrote a
 	// conflicting local log — the exact situation CRaft#3's implementation
@@ -79,53 +89,57 @@ type State struct {
 
 	Counters spec.Counters
 
-	Role     []int
-	Term     []int
-	VotedFor []int
-	Log      [][]Entry
-	Commit   []int
-	SnapIdx  []int
-	SnapTerm []int
-
-	// Votes[i] is the set of nodes that granted i's (real) vote this election,
-	// PreVotes[i] its pre-vote round. A node counts its own vote first, so an
-	// empty set is "no election under way" (what used to be a nil row).
-	Votes    []spec.NodeSet
-	PreVotes []spec.NodeSet
-	Next     [][]int // leader replication state; nil rows when not leader
-	Match    [][]int
-
-	// Durability mirrors: what each node's crash-durable storage holds, as
-	// opposed to the live variables above, which may include writes still
-	// in the page cache (written but not fsynced — the implementation's
-	// buffered vos.Store journal). A dirty crash rolls the live state back
-	// to these. Maintained only when durability is set; syncDurable is the
-	// specification-level fsync. DurVote follows VotedFor's -1 convention.
-	DurTerm []int
-	DurVote []int
-	DurLog  [][]Entry
-
-	// Network: liveness, channels (messages stored packed: handlers send
-	// mustPack(msg), a delivery unpacks) and severed and partitioned pairs.
-	spec.Net[packedMsg]
-
-	// Ghost: the globally committed log prefix, extended whenever any
-	// node's commit index advances past its length. Detects inconsistent
-	// committed logs (CRaft#2) and durability loss (AsyncRaft#2), and is
-	// the linearizability reference for KV reads.
-	Committed []Entry
-
 	// KV ghost (xraftkv): the most recent read, for the linearizability
 	// invariant. nil is the zero record (no read yet). A record is never
 	// written after clientGet publishes it, so a state shares its parent's.
 	LastRead *kvRead
 
 	Viol spec.Violation
-
-	// mem is the variable-length storage cloneInto carved the rows above
-	// from (zero for a state built any other way).
-	mem arena
 }
+
+// The record's layout after the network's words, in words from s.base, for n
+// nodes. Eight per-node integer fields (fRole..fDurVote, n words each), the
+// Votes and PreVotes sets (two words a node), the sets of nodes whose Next
+// and Match rows exist (a leader's), the two n×n row blocks (a row without
+// its presence bit is zero), and the end offsets of the variable-length
+// regions, which follow in this order: every node's log, every node's
+// durable log, the ghost committed log, and the message pool. An entry is
+// two words, its term and its value index.
+//
+// The durability mirrors — what each node's crash-durable storage holds, as
+// opposed to the live variables, which may include writes still in the page
+// cache (the implementation's buffered vos.Store journal) — are fDurTerm,
+// fDurVote and the durable logs. A dirty crash rolls the live state back to
+// them; syncDurable is the specification-level fsync. fDurVote follows
+// fVotedFor's -1 convention.
+const (
+	fRole = iota
+	fTerm
+	fVotedFor
+	fCommit
+	fSnapIdx
+	fSnapTerm
+	fDurTerm
+	fDurVote
+	numFields
+)
+
+func votesAt(n int) int    { return numFields * n }
+func preVotesAt(n int) int { return (numFields + 2) * n }
+func rowsAt(n int) int     { return (numFields + 4) * n } // next presence, then match presence
+func nextAt(n int) int     { return rowsAt(n) + 4 }
+func matchAt(n int) int    { return nextAt(n) + n*n }
+func endsAt(n int) int     { return matchAt(n) + n*n }
+
+// raftWords is the number of fixed words raftbase keeps after the network's.
+func raftWords(n int) int { return endsAt(n) + numRegions(n) }
+
+// Regions: node i's log is region i, its durable log n+i, then the ghost
+// committed log and the message pool.
+func numRegions(n int) int { return 2*n + 2 }
+func durLog(n, i int) int  { return n + i }
+func committed(n int) int  { return 2 * n }
+func pool(n int) int       { return 2*n + 1 }
 
 // kvRead is one KV read and the value linearizability demanded of it.
 type kvRead struct {
@@ -142,150 +156,315 @@ func (s *State) lastRead() kvRead {
 	return *s.LastRead
 }
 
-func newState(n int) *State {
-	s := new(State)
-	s.shape(n)
+// newState returns the initial state of an n-node instance whose entry values
+// come from vocabulary voc: every node a running follower that voted for
+// nobody.
+func newState(n int, voc uint32) *State {
+	s := &State{n: n, base: spec.NetWords(n), voc: voc}
+	s.Reset(n, raftWords(n))
+	s.SetUp(spec.NodeSet(1)<<n - 1)
 	for i := 0; i < n; i++ {
-		s.VotedFor[i] = -1
-		s.DurVote[i] = -1
-		s.Up.Add(i)
+		s.setVotedFor(i, -1)
+		s.put(fDurVote, i, -1)
+	}
+	ends := s.W[s.base+endsAt(n):]
+	for r := range ends {
+		ends[r] = uint32(len(s.W))
 	}
 	return s
 }
 
-// arena is the variable-length backing storage cloneInto carves a state's
-// rows out of. It stays with the State it was allocated for, so recycling
-// that State reuses every array that is still large enough. (The fixed-shape
-// arrays need no entry here: shape finds them through their first view, and
-// the queued messages are spec.Net's.)
-type arena struct {
-	iflat []int   // non-nil Next/Match rows
-	eflat []Entry // every Log, DurLog and Committed entry
-}
-
-// shape gives c its fixed-shape fields for n nodes: the eight per-node int
-// rows carved out of one array, the network's matrix and sets with Votes and
-// PreVotes carved after them (spec.Net.Shape), and the outers of every
-// nil-able row. A fresh State gets zeroed storage; a recycled one keeps its
-// stale contents, which the caller overwrites.
-//
-// Each array is owned through its first view, which is carved with the
-// array's whole capacity (Role for the ints, Next and Log for the outers),
-// so a recycled State finds its storage again by re-extending that view — and
-// allocates when the view is too short, whatever built it: a state of fewer
-// nodes, Permute, DecodeState. Every other view is exact-capacity
-// (three-index). None of the owning views is ever appended to or reassigned,
-// only written element-wise, which is what makes them safe owners.
-func (c *State) shape(n int) {
-	c.n = n
-
-	ints := spec.Sized(c.Role[:cap(c.Role)], 8*n)
-	c.Role = ints[0*n : 1*n]
-	c.Term = ints[1*n : 2*n : 2*n]
-	c.VotedFor = ints[2*n : 3*n : 3*n]
-	c.Commit = ints[3*n : 4*n : 4*n]
-	c.SnapIdx = ints[4*n : 5*n : 5*n]
-	c.SnapTerm = ints[5*n : 6*n : 6*n]
-	c.DurTerm = ints[6*n : 7*n : 7*n]
-	c.DurVote = ints[7*n : 8*n : 8*n]
-
-	sets := c.Net.Shape(n, 2)
-	c.Votes = sets[0:n:n]
-	c.PreVotes = sets[n : 2*n : 2*n]
-
-	intRows := spec.Sized(c.Next[:cap(c.Next)], 2*n)
-	c.Next = intRows[0:n]
-	c.Match = intRows[n : 2*n : 2*n]
-	logRows := spec.Sized(c.Log[:cap(c.Log)], 2*n)
-	c.Log = logRows[0:n]
-	c.DurLog = logRows[n : 2*n : 2*n]
-}
-
-// cloneInto deep-copies s into dst, reusing dst's arena (the
-// reset-don't-reallocate discipline: cloneInto runs once per generated
-// successor and used to dominate the explorer's allocation profile), and
-// returns dst; a nil dst is replaced by a fresh State, and dst must not be s
-// (spec.BufferedMachine: a caller takes the state it steps to out of the
-// buffer's slack with spec.Keep). Related
-// slices are carved out of a handful of shared backing arrays with
-// exact-capacity (three-index) subslices instead of one allocation each.
-//
-// Safety of the shared backing rests on two facts: every row that can grow
-// is carved with its capacity ending where its own region ends (cap == len,
-// plus the slot of slack a channel queue may own), so any later append (Log,
-// DurLog, Chan queues, Committed) reallocates instead of growing into a
-// neighbour's region; and in-place writes (Next[i][j] = k, spec.Net.Take)
-// stay within the row's own disjoint region. Nothing outside dst ever points into
-// dst's arena — message payloads (Msg.Entries) are standalone arrays and the
-// KV ghost an immutable record, both shared read-only — so overwriting a dead
-// state cannot disturb a live one.
-func (s *State) cloneInto(dst *State) *State {
-	n := s.n
+// copyTo makes dst a copy of s — the header by value, the record and the
+// messages into dst's own arrays — and returns it; a nil dst is replaced by
+// a fresh State, and dst must not be s (spec.BufferedMachine: a caller takes
+// the state it steps to out of the buffer's slack with spec.Keep). Nothing
+// outside a state points into its arrays — the KV ghost is an immutable
+// record, shared — so overwriting a dead state cannot disturb a live one.
+func (s *State) copyTo(dst *State) *State {
 	if dst == nil {
 		dst = new(State)
 	}
-	c, a := dst, &dst.mem
-	c.snapshots, c.kv, c.durability = s.snapshots, s.kv, s.durability
-	c.shape(n)
-	copy(c.Role, s.Role)
-	copy(c.Term, s.Term)
-	copy(c.VotedFor, s.VotedFor)
-	copy(c.Commit, s.Commit)
-	copy(c.SnapIdx, s.SnapIdx)
-	copy(c.SnapTerm, s.SnapTerm)
-	copy(c.DurTerm, s.DurTerm)
-	copy(c.DurVote, s.DurVote)
-	s.Net.CloneInto(&c.Net)
-	copy(c.Votes, s.Votes)
-	copy(c.PreVotes, s.PreVotes)
+	net := dst.Net
+	*dst = *s
+	dst.Net = net
+	s.CopyTo(&dst.Net)
+	return dst
+}
 
-	// Next/Match: non-nil rows carved from one flat array.
-	ni := 0
-	for i := 0; i < n; i++ {
-		ni += len(s.Next[i]) + len(s.Match[i])
+// Field accessors. Every integer is stored as 32 bits (DecodeState refuses
+// wider ones).
+
+func (s *State) get(f, i int) int     { return int(int32(s.W[s.base+f*s.n+i])) }
+func (s *State) put(f, i, v int)      { s.W[s.base+f*s.n+i] = uint32(int32(v)) }
+func (s *State) role(i int) int       { return s.get(fRole, i) }
+func (s *State) setRole(i, v int)     { s.put(fRole, i, v) }
+func (s *State) term(i int) int       { return s.get(fTerm, i) }
+func (s *State) setTerm(i, v int)     { s.put(fTerm, i, v) }
+func (s *State) votedFor(i int) int   { return s.get(fVotedFor, i) }
+func (s *State) setVotedFor(i, v int) { s.put(fVotedFor, i, v) }
+func (s *State) commit(i int) int     { return s.get(fCommit, i) }
+func (s *State) setCommit(i, v int)   { s.put(fCommit, i, v) }
+func (s *State) snapIdx(i int) int    { return s.get(fSnapIdx, i) }
+func (s *State) snapTerm(i int) int   { return s.get(fSnapTerm, i) }
+func (s *State) durTerm(i int) int    { return s.get(fDurTerm, i) }
+func (s *State) durVote(i int) int    { return s.get(fDurVote, i) }
+
+// setSnapshot sets node i's snapshot boundary.
+func (s *State) setSnapshot(i, idx, term int) {
+	s.put(fSnapIdx, i, idx)
+	s.put(fSnapTerm, i, term)
+}
+
+// Votes[i] is the set of nodes that granted i's (real) vote this election,
+// PreVotes[i] its pre-vote round. A node counts its own vote first, so an
+// empty set is "no election under way" (what used to be a nil row).
+func (s *State) votes(i int) spec.NodeSet { return spec.LoadSet(s.W, s.base+votesAt(s.n)+2*i) }
+func (s *State) setVotes(i int, v spec.NodeSet) {
+	spec.StoreSet(s.W, s.base+votesAt(s.n)+2*i, v)
+}
+func (s *State) preVotes(i int) spec.NodeSet {
+	return spec.LoadSet(s.W, s.base+preVotesAt(s.n)+2*i)
+}
+func (s *State) setPreVotes(i int, v spec.NodeSet) {
+	spec.StoreSet(s.W, s.base+preVotesAt(s.n)+2*i, v)
+}
+
+// Leader replication state: node i's Next and Match rows, which exist while
+// it leads (hasNext, hasMatch) and are zero otherwise.
+func (s *State) nextRows() spec.NodeSet  { return spec.LoadSet(s.W, s.base+rowsAt(s.n)) }
+func (s *State) matchRows() spec.NodeSet { return spec.LoadSet(s.W, s.base+rowsAt(s.n)+2) }
+func (s *State) hasNext(i int) bool      { return s.nextRows().Has(i) }
+func (s *State) hasMatch(i int) bool     { return s.matchRows().Has(i) }
+func (s *State) next(i, p int) int {
+	return int(int32(s.W[s.base+nextAt(s.n)+i*s.n+p]))
+}
+func (s *State) setNext(i, p, v int) { s.W[s.base+nextAt(s.n)+i*s.n+p] = uint32(int32(v)) }
+func (s *State) match(i, p int) int {
+	return int(int32(s.W[s.base+matchAt(s.n)+i*s.n+p]))
+}
+func (s *State) setMatch(i, p, v int) { s.W[s.base+matchAt(s.n)+i*s.n+p] = uint32(int32(v)) }
+
+// setRows gives node i its Next and Match rows, zeroed, or takes them away.
+func (s *State) setRows(i int, on bool) {
+	next, match := s.nextRows(), s.matchRows()
+	if on {
+		next.Add(i)
+		match.Add(i)
+	} else {
+		next.Del(i)
+		match.Del(i)
 	}
-	iflat := spec.Sized(a.iflat, ni)[:0]
-	cloneIntRow := func(row []int) []int {
-		if row == nil {
-			return nil
+	s.setRowSets(next, match)
+	clear(s.W[s.base+nextAt(s.n)+i*s.n:][:s.n])
+	clear(s.W[s.base+matchAt(s.n)+i*s.n:][:s.n])
+}
+
+func (s *State) setRowSets(next, match spec.NodeSet) {
+	spec.StoreSet(s.W, s.base+rowsAt(s.n), next)
+	spec.StoreSet(s.W, s.base+rowsAt(s.n)+2, match)
+}
+
+// appendRow appends the n values of node i's Next (at = nextAt(n)) or Match
+// (matchAt(n)) row to dst.
+func (s *State) appendRow(dst []int, at, i int) []int {
+	for _, w := range s.W[s.base+at+i*s.n:][:s.n] {
+		dst = append(dst, int(int32(w)))
+	}
+	return dst
+}
+
+// Variable-length regions.
+
+// span returns the bounds in W of region r.
+func (s *State) span(r int) (int, int) {
+	ends := s.W[s.base+endsAt(s.n):]
+	start := s.base + raftWords(s.n)
+	if r > 0 {
+		start = int(ends[r-1])
+	}
+	return start, int(ends[r])
+}
+
+// count returns the number of entries in region r.
+func (s *State) count(r int) int {
+	a, b := s.span(r)
+	return (b - a) / 2
+}
+
+// at returns entry k of region r: its term and value index.
+func (s *State) at(r, k int) (int, uint32) {
+	a, _ := s.span(r)
+	return int(int32(s.W[a+2*k])), s.W[a+2*k+1]
+}
+
+// resize makes region r words long, keeping its first words and moving the
+// regions after it; words it adds are stale until the caller writes them.
+func (s *State) resize(r, words int) {
+	a, b := s.span(r)
+	d := words - (b - a)
+	if d == 0 {
+		return
+	}
+	end := len(s.W)
+	if d > 0 {
+		s.W = slices.Grow(s.W, d)[:end+d]
+	}
+	copy(s.W[b+d:], s.W[b:end])
+	s.W = s.W[:end+d]
+	ends := s.W[s.base+endsAt(s.n):][:numRegions(s.n)]
+	for q := r; q < len(ends); q++ {
+		ends[q] = uint32(int(ends[q]) + d)
+	}
+}
+
+// push appends an entry to region r.
+func (s *State) push(r, term int, val uint32) {
+	a, b := s.span(r)
+	s.resize(r, b-a+2)
+	s.W[b], s.W[b+1] = uint32(int32(term)), val
+}
+
+// truncate cuts region r to k entries.
+func (s *State) truncate(r, k int) { s.resize(r, 2*k) }
+
+// copyRegion makes region dst of s a copy of its region src.
+func (s *State) copyRegion(dst, src int) {
+	a, b := s.span(src)
+	s.resize(dst, b-a)
+	a, b = s.span(src)
+	d, _ := s.span(dst)
+	copy(s.W[d:], s.W[a:b])
+}
+
+// setRegion makes region r of s a copy of region r2 of o, another state.
+func (s *State) setRegion(r int, o *State, r2 int) {
+	a, b := o.span(r2)
+	s.resize(r, b-a)
+	d, _ := s.span(r)
+	copy(s.W[d:], o.W[a:b])
+}
+
+// entries appends region r's entries to dst in their wide form.
+func (s *State) entries(dst []Entry, r int) []Entry {
+	vals := s.vocab().vals
+	a, b := s.span(r)
+	for k := a; k < b; k += 2 {
+		dst = append(dst, Entry{Term: int(int32(s.W[k])), Value: vals[s.W[k+1]]})
+	}
+	return dst
+}
+
+// hashRegion writes region r's length and entries into h.
+func (s *State) hashRegion(h *fp.Hasher, r int, vals []string) {
+	a, b := s.span(r)
+	h.WriteInt((b - a) / 2)
+	for k := a; k < b; k += 2 {
+		h.WriteInt(int(int32(s.W[k])))
+		h.WriteString(vals[s.W[k+1]])
+	}
+}
+
+// dropPrefix removes the first k entries of region r.
+func (s *State) dropPrefix(r, k int) {
+	a, b := s.span(r)
+	copy(s.W[a:], s.W[a+2*k:b])
+	s.resize(r, b-a-2*k)
+}
+
+// poolLog copies the suffix of node i's log from absolute index from on
+// (entries below the snapshot boundary are unavailable) to the end of the
+// message pool, for an AppendEntries to carry.
+func (s *State) poolLog(i, from int) ents {
+	if from <= s.snapIdx(i) {
+		from = s.snapIdx(i) + 1
+	}
+	if from > s.lastIndex(i) {
+		return ents{}
+	}
+	la, lb := s.span(i)
+	la += 2 * (from - s.snapIdx(i) - 1)
+	pa, pb := s.span(pool(s.n))
+	words := lb - la
+	s.resize(pool(s.n), pb-pa+words)
+	copy(s.W[pb:], s.W[la:lb]) // the pool comes after every log, so resizing it moved none
+	return ents{Off: pb - pa, N: words / 2}
+}
+
+// msgEntry returns entry k of a message's entries: its term and value index.
+func (s *State) msgEntry(e ents, k int) (int, uint32) {
+	a, _ := s.span(pool(s.n))
+	w := s.W[a+e.Off+2*k:]
+	return int(int32(w[0])), w[1]
+}
+
+// tidy makes the message pool exactly the queued messages' entries, back to
+// back in queue order. A delivery, a drop, a crash or a partition leaves a
+// removed message's entries behind, a duplicate shares its original's, and a
+// send onto an earlier queue puts its entries after a later queue's; tidy,
+// run once a successor is built, rewrites the pool when any of that
+// happened, so a record never carries what no message reads.
+func (s *State) tidy() {
+	a, b := s.span(pool(s.n))
+	want := 0
+	canonical := true
+	for _, m := range s.Q {
+		if m.elen > 0 {
+			canonical = canonical && int(m.eoff) == want
+			want += 2 * int(m.elen)
 		}
-		start := len(iflat)
-		iflat = append(iflat, row...)
-		return iflat[start:len(iflat):len(iflat)]
 	}
-	for i := 0; i < n; i++ {
-		c.Next[i] = cloneIntRow(s.Next[i])
-		c.Match[i] = cloneIntRow(s.Match[i])
+	if canonical && want == b-a {
+		return
 	}
-	a.iflat = iflat
-
-	// Log/DurLog/Committed entries: one flat entry array for every copied
-	// entry.
-	ne := len(s.Committed)
-	for i := 0; i < n; i++ {
-		ne += len(s.Log[i]) + len(s.DurLog[i])
-	}
-	eflat := spec.Sized(a.eflat, ne)[:0]
-	cloneEntries := func(es []Entry) []Entry {
-		if len(es) == 0 {
-			return nil
+	// Build the new pool after the old one, then move it down.
+	s.W = slices.Grow(s.W, want)
+	end := len(s.W)
+	for k := range s.Q {
+		m := &s.Q[k]
+		if m.elen > 0 {
+			at := a + int(m.eoff)
+			m.eoff = uint32(len(s.W) - end)
+			s.W = append(s.W, s.W[at:at+2*int(m.elen)]...)
 		}
-		start := len(eflat)
-		eflat = append(eflat, es...)
-		return eflat[start:len(eflat):len(eflat)]
 	}
-	for i := 0; i < n; i++ {
-		c.Log[i] = cloneEntries(s.Log[i])
-		c.DurLog[i] = cloneEntries(s.DurLog[i])
-	}
-	c.Committed = cloneEntries(s.Committed)
-	a.eflat = eflat
+	copy(s.W[a:], s.W[end:])
+	s.W = s.W[:a+want]
+	s.W[s.base+endsAt(s.n)+pool(s.n)] = uint32(a + want)
+}
 
-	c.SnapConflictInstall = s.SnapConflictInstall
-	c.LastRead = s.LastRead
-	c.Counters = s.Counters
-	c.Viol = s.Viol
-	return c
+// Log helpers (absolute indexing, snapshot-aware): the entry at position k of
+// node i's log has absolute index snapIdx(i)+k+1.
+
+func (s *State) lastIndex(i int) int { return s.snapIdx(i) + s.count(i) }
+
+func (s *State) logTerm(i, abs int) int {
+	switch {
+	case abs == s.snapIdx(i):
+		return s.snapTerm(i)
+	case abs > s.snapIdx(i) && abs <= s.lastIndex(i):
+		t, _ := s.at(i, abs-s.snapIdx(i)-1)
+		return t
+	default:
+		return 0
+	}
+}
+
+// entryAt returns node i's entry at absolute index abs, as a term and a
+// value index.
+func (s *State) entryAt(i, abs int) (int, uint32, bool) {
+	if abs > s.snapIdx(i) && abs <= s.lastIndex(i) {
+		t, v := s.at(i, abs-s.snapIdx(i)-1)
+		return t, v, true
+	}
+	return 0, 0, false
+}
+
+// truncateTo cuts node i's log so lastIndex becomes abs.
+func (s *State) truncateTo(i, abs int) {
+	if abs < s.snapIdx(i) {
+		abs = s.snapIdx(i)
+	}
+	s.truncate(i, abs-s.snapIdx(i))
 }
 
 // Fingerprint implements spec.State: the identity-permutation combine of
@@ -309,18 +488,21 @@ func (s *State) Schema() *trace.Schema { return s.slots().schema }
 // and dialect's slot table.
 func (s *State) VarSlots(dst []string) {
 	t := s.slots()
+	var ebuf [32]Entry
+	var rbuf [spec.MaxNodes]int
+	up := s.Up()
 	for i := 0; i < s.n; i++ {
 		if s.durability {
 			// Durable-storage view (rendered for crashed nodes too — it is
 			// exactly what a restart would recover).
-			dst[t.durTerm+i] = strconv.Itoa(s.DurTerm[i])
-			dst[t.durVote+i] = strconv.Itoa(s.DurVote[i])
-			dst[t.durLog+i] = trace.Log(s.DurLog[i])
+			dst[t.durTerm+i] = strconv.Itoa(s.durTerm(i))
+			dst[t.durVote+i] = strconv.Itoa(s.durVote(i))
+			dst[t.durLog+i] = trace.Log(s.entries(ebuf[:0], durLog(s.n, i)))
 		}
 		if s.kv {
 			dst[t.lastRead+i] = trace.Absent
 		}
-		if !s.Up.Has(i) {
+		if !up.Has(i) {
 			dst[t.status+i] = "crashed"
 			for _, f := range t.upOnly {
 				dst[f+i] = trace.Absent
@@ -328,33 +510,42 @@ func (s *State) VarSlots(dst []string) {
 			continue
 		}
 		dst[t.status+i] = "up"
-		dst[t.role+i] = roleString(s.Role[i])
-		dst[t.term+i] = strconv.Itoa(s.Term[i])
-		dst[t.votedFor+i] = strconv.Itoa(s.VotedFor[i])
-		dst[t.log+i] = trace.Log(s.Log[i])
-		dst[t.commit+i] = strconv.Itoa(s.Commit[i])
+		dst[t.role+i] = roleString(s.role(i))
+		dst[t.term+i] = strconv.Itoa(s.term(i))
+		dst[t.votedFor+i] = strconv.Itoa(s.votedFor(i))
+		dst[t.log+i] = trace.Log(s.entries(ebuf[:0], i))
+		dst[t.commit+i] = strconv.Itoa(s.commit(i))
 		if s.snapshots {
-			dst[t.snapshot+i] = strconv.Itoa(s.SnapIdx[i]) + "@" + strconv.Itoa(s.SnapTerm[i])
+			dst[t.snapshot+i] = strconv.Itoa(s.snapIdx(i)) + "@" + strconv.Itoa(s.snapTerm(i))
 		}
-		if s.Role[i] == Leader {
-			dst[t.next+i] = trace.PeerRow(s.Next[i], i)
-			dst[t.match+i] = trace.PeerRow(s.Match[i], i)
+		if s.role(i) == Leader {
+			dst[t.next+i] = trace.PeerRow(s.rowOrNil(rbuf[:0], nextAt(s.n), i, s.hasNext(i)), i)
+			dst[t.match+i] = trace.PeerRow(s.rowOrNil(rbuf[:0], matchAt(s.n), i, s.hasMatch(i)), i)
 		} else {
 			dst[t.next+i] = "-"
 			dst[t.match+i] = "-"
 		}
-		if s.Role[i] == Candidate {
-			dst[t.votes+i] = s.Votes[i].String()
+		if s.role(i) == Candidate {
+			dst[t.votes+i] = s.votes(i).String()
 		} else {
 			dst[t.votes+i] = "-"
 		}
 	}
 	s.NetSlots(dst, t.schema)
-	if lr := s.lastRead(); s.kv && lr.Key != "" && s.Up.Has(lr.Node) {
+	if lr := s.lastRead(); s.kv && lr.Key != "" && up.Has(lr.Node) {
 		dst[t.lastRead+lr.Node] = lr.Key + "=" + lr.Val
 	}
 	dst[t.counters] = s.Counters.String()
 	dst[t.violation] = s.Viol.Flag
+}
+
+// rowOrNil is appendRow for a row that exists, and dst unchanged for one
+// that does not.
+func (s *State) rowOrNil(dst []int, at, i int, exists bool) []int {
+	if !exists {
+		return dst
+	}
+	return s.appendRow(dst, at, i)
 }
 
 // slotTable is the schema VarSlots renders at one arity and dialect, and
@@ -417,90 +608,45 @@ func (s *State) slots() *slotTable {
 	return e.t
 }
 
-// Log helpers (absolute indexing, snapshot-aware).
-
-func (s *State) lastIndex(i int) int { return s.SnapIdx[i] + len(s.Log[i]) }
-
-func (s *State) logTerm(i, abs int) int {
-	switch {
-	case abs == s.SnapIdx[i]:
-		return s.SnapTerm[i]
-	case abs > s.SnapIdx[i] && abs <= s.lastIndex(i):
-		return s.Log[i][abs-s.SnapIdx[i]-1].Term
-	default:
-		return 0
-	}
-}
-
-func (s *State) entryAt(i, abs int) (Entry, bool) {
-	if abs > s.SnapIdx[i] && abs <= s.lastIndex(i) {
-		return s.Log[i][abs-s.SnapIdx[i]-1], true
-	}
-	return Entry{}, false
-}
-
-// entriesFrom copies the suffix of node i's log starting at absolute index
-// from (entries below the snapshot boundary are unavailable).
-func (s *State) entriesFrom(i, from int) []Entry {
-	if from <= s.SnapIdx[i] {
-		from = s.SnapIdx[i] + 1
-	}
-	if from > s.lastIndex(i) {
-		return nil
-	}
-	return append([]Entry(nil), s.Log[i][from-s.SnapIdx[i]-1:]...)
-}
-
-// truncateTo cuts node i's log so lastIndex becomes abs.
-func (s *State) truncateTo(i, abs int) {
-	if abs < s.SnapIdx[i] {
-		abs = s.SnapIdx[i]
-	}
-	s.Log[i] = s.Log[i][:abs-s.SnapIdx[i]]
-}
-
-// Permute returns the state with node identities permuted (symmetry
+// permute returns the state with node identities permuted (symmetry
 // reduction support).
 func (s *State) permute(perm []int) *State {
-	c := newState(s.n)
-	c.snapshots = s.snapshots
-	c.kv = s.kv
-	c.durability = s.durability
-	for i := 0; i < s.n; i++ {
-		pi := perm[i]
-		c.Role[pi] = s.Role[i]
-		c.Term[pi] = s.Term[i]
-		if s.VotedFor[i] >= 0 {
-			c.VotedFor[pi] = perm[s.VotedFor[i]]
-		} else {
-			c.VotedFor[pi] = -1
+	n := s.n
+	c := newState(n, s.voc)
+	c.snapshots, c.kv, c.durability = s.snapshots, s.kv, s.durability
+	mapID := func(v int) int {
+		if v >= 0 {
+			return perm[v]
 		}
-		c.Log[pi] = append([]Entry(nil), s.Log[i]...)
-		c.DurTerm[pi] = s.DurTerm[i]
-		if s.DurVote[i] >= 0 {
-			c.DurVote[pi] = perm[s.DurVote[i]]
-		} else {
-			c.DurVote[pi] = -1
-		}
-		c.DurLog[pi] = append([]Entry(nil), s.DurLog[i]...)
-		c.Commit[pi] = s.Commit[i]
-		c.SnapIdx[pi] = s.SnapIdx[i]
-		c.SnapTerm[pi] = s.SnapTerm[i]
-		c.Votes[pi] = s.Votes[i].Permute(perm)
-		c.PreVotes[pi] = s.PreVotes[i].Permute(perm)
-		if s.Next[i] != nil {
-			c.Next[pi] = permuteInts(s.Next[i], perm)
-		} else {
-			c.Next[pi] = nil
-		}
-		if s.Match[i] != nil {
-			c.Match[pi] = permuteInts(s.Match[i], perm)
-		} else {
-			c.Match[pi] = nil
-		}
+		return v
 	}
+	var next, match spec.NodeSet
+	for i := 0; i < n; i++ {
+		pi := perm[i]
+		for f := 0; f < numFields; f++ {
+			c.put(f, pi, s.get(f, i))
+		}
+		c.setVotedFor(pi, mapID(s.votedFor(i)))
+		c.put(fDurVote, pi, mapID(s.durVote(i)))
+		c.setVotes(pi, s.votes(i).Permute(perm))
+		c.setPreVotes(pi, s.preVotes(i).Permute(perm))
+		if s.hasNext(i) {
+			next.Add(pi)
+		}
+		if s.hasMatch(i) {
+			match.Add(pi)
+		}
+		for j := 0; j < n; j++ {
+			c.setNext(pi, perm[j], s.next(i, j))
+			c.setMatch(pi, perm[j], s.match(i, j))
+		}
+		c.setRegion(pi, s, i)
+		c.setRegion(durLog(n, pi), s, durLog(n, i))
+	}
+	c.setRowSets(next, match)
+	c.setRegion(committed(n), s, committed(n))
+	c.setRegion(pool(n), s, pool(n))
 	spec.PermuteInto(&s.Net, &c.Net, perm)
-	c.Committed = append([]Entry(nil), s.Committed...)
 	c.SnapConflictInstall = s.SnapConflictInstall
 	lr := s.lastRead()
 	lr.Node = perm[lr.Node]
@@ -508,12 +654,4 @@ func (s *State) permute(perm []int) *State {
 	c.Counters = s.Counters
 	c.Viol = s.Viol
 	return c
-}
-
-func permuteInts(v []int, perm []int) []int {
-	out := make([]int, len(v))
-	for i, x := range v {
-		out[perm[i]] = x
-	}
-	return out
 }

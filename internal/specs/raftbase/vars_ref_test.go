@@ -15,34 +15,34 @@ func VarsReference(st spec.State) map[string]string {
 	m := make(map[string]string)
 	for i := 0; i < s.n; i++ {
 		if s.durability {
-			m[fmt.Sprintf("durTerm[%d]", i)] = strconv.Itoa(s.DurTerm[i])
-			m[fmt.Sprintf("durVote[%d]", i)] = strconv.Itoa(s.DurVote[i])
-			m[fmt.Sprintf("durLog[%d]", i)] = refFormatLog(s.DurLog[i])
+			m[fmt.Sprintf("durTerm[%d]", i)] = strconv.Itoa(s.durTerm(i))
+			m[fmt.Sprintf("durVote[%d]", i)] = strconv.Itoa(s.durVote(i))
+			m[fmt.Sprintf("durLog[%d]", i)] = refFormatLog(s.entries(nil, durLog(s.n, i)))
 		}
-		if !s.Up.Has(i) {
+		if !s.Up().Has(i) {
 			m[fmt.Sprintf("status[%d]", i)] = "crashed"
 			continue
 		}
 		m[fmt.Sprintf("status[%d]", i)] = "up"
-		m[fmt.Sprintf("role[%d]", i)] = roleString(s.Role[i])
-		m[fmt.Sprintf("term[%d]", i)] = strconv.Itoa(s.Term[i])
-		m[fmt.Sprintf("votedFor[%d]", i)] = strconv.Itoa(s.VotedFor[i])
-		m[fmt.Sprintf("log[%d]", i)] = refFormatLog(s.Log[i])
-		m[fmt.Sprintf("commit[%d]", i)] = strconv.Itoa(s.Commit[i])
+		m[fmt.Sprintf("role[%d]", i)] = roleString(s.role(i))
+		m[fmt.Sprintf("term[%d]", i)] = strconv.Itoa(s.term(i))
+		m[fmt.Sprintf("votedFor[%d]", i)] = strconv.Itoa(s.votedFor(i))
+		m[fmt.Sprintf("log[%d]", i)] = refFormatLog(s.entries(nil, i))
+		m[fmt.Sprintf("commit[%d]", i)] = strconv.Itoa(s.commit(i))
 		if s.snapshots {
-			m[fmt.Sprintf("snapshot[%d]", i)] = fmt.Sprintf("%d@%d", s.SnapIdx[i], s.SnapTerm[i])
+			m[fmt.Sprintf("snapshot[%d]", i)] = fmt.Sprintf("%d@%d", s.snapIdx(i), s.snapTerm(i))
 		}
-		if s.Role[i] == Leader {
-			m[fmt.Sprintf("next[%d]", i)] = refFormatPeerInts(s.Next[i], i)
-			m[fmt.Sprintf("match[%d]", i)] = refFormatPeerInts(s.Match[i], i)
+		if s.role(i) == Leader {
+			m[fmt.Sprintf("next[%d]", i)] = refFormatPeerInts(s.rowOrNil(nil, nextAt(s.n), i, s.hasNext(i)), i)
+			m[fmt.Sprintf("match[%d]", i)] = refFormatPeerInts(s.rowOrNil(nil, matchAt(s.n), i, s.hasMatch(i)), i)
 		} else {
 			m[fmt.Sprintf("next[%d]", i)] = "-"
 			m[fmt.Sprintf("match[%d]", i)] = "-"
 		}
-		if s.Role[i] == Candidate {
+		if s.role(i) == Candidate {
 			var ids []string
 			for j := 0; j < s.n; j++ {
-				if s.Votes[i].Has(j) {
+				if s.votes(i).Has(j) {
 					ids = append(ids, strconv.Itoa(j))
 				}
 			}
@@ -56,10 +56,10 @@ func VarsReference(st spec.State) map[string]string {
 			if src == dst {
 				continue
 			}
-			m[fmt.Sprintf("net[%d->%d]", src, dst)] = strconv.Itoa(len(s.Chan[src][dst]))
+			m[fmt.Sprintf("net[%d->%d]", src, dst)] = strconv.Itoa(s.QueueLen(src, dst))
 		}
 	}
-	if lr := s.lastRead(); s.kv && lr.Key != "" && s.Up.Has(lr.Node) {
+	if lr := s.lastRead(); s.kv && lr.Key != "" && s.Up().Has(lr.Node) {
 		m[fmt.Sprintf("lastRead[%d]", lr.Node)] = lr.Key + "=" + lr.Val
 	}
 	c := s.Counters

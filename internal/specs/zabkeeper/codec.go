@@ -45,7 +45,7 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 		vi(s.PendEpoch[i])
 		vi(s.Counter[i])
 		vb(s.Activated.Has(i))
-		vb(s.Up.Has(i))
+		vb(s.Up().Has(i))
 		txns(s.History[i])
 		for j := 0; j < n; j++ {
 			vote(s.Recv[i][j])
@@ -60,7 +60,7 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 			}
 		}
 	}
-	dst = spec.AppendChannels(dst, &s.Net)
+	dst = spec.AppendChannels(dst, &s.Net, s)
 	txns(s.Committed)
 	dst = s.Counters.AppendTo(dst)
 	vs(s.Viol.Flag)
@@ -112,7 +112,7 @@ func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 			s.Activated.Add(i)
 		}
 		if !d.Bool("up") {
-			s.Up.Del(i)
+			s.SetUp(s.Up() &^ spec.SingleNode(i))
 		}
 		s.History[i] = decodeTxns(d, "history")
 		for j := 0; j < n; j++ {
@@ -126,7 +126,7 @@ func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 			}
 		}
 	}
-	spec.DecodeChannels(&s.Net, d)
+	spec.DecodeChannels(&s.Net, d, s)
 	s.Committed = decodeTxns(d, "committed")
 	s.Counters.Decode(d)
 	s.Viol.Flag = d.Str("violation")

@@ -12,8 +12,9 @@ import (
 // accepted and give the same stored message back.
 func CheckStoredMessages(st spec.State) error {
 	s := st.(*State)
-	for i := range s.Chan {
-		for j, q := range s.Chan[i] {
+	for i := 0; i < s.n; i++ {
+		for j := 0; j < s.n; j++ {
+			q := s.Queue(i, j)
 			for k := range q {
 				m := q[k].unpack()
 				if p, ok := pack(m); !ok || !reflect.DeepEqual(p, q[k]) {

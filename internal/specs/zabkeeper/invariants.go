@@ -37,7 +37,7 @@ func (m *Machine) voteTotalOrder(st spec.State) error {
 	var ownerBuf [2 * spec.PermTableMax]int
 	votes, owner := voteBuf[:0], ownerBuf[:0]
 	for i := 0; i < s.n; i++ {
-		if !s.Up.Has(i) {
+		if !s.Up().Has(i) {
 			continue
 		}
 		if s.ZState[i] == Looking {
@@ -68,11 +68,11 @@ func (m *Machine) voteTotalOrder(st spec.State) error {
 func (m *Machine) oneLeaderPerEpoch(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
-		if !s.Up.Has(i) || s.ZState[i] != Leading || !s.Activated.Has(i) {
+		if !s.Up().Has(i) || s.ZState[i] != Leading || !s.Activated.Has(i) {
 			continue
 		}
 		for j := i + 1; j < s.n; j++ {
-			if s.Up.Has(j) && s.ZState[j] == Leading && s.Activated.Has(j) && s.PendEpoch[i] == s.PendEpoch[j] {
+			if s.Up().Has(j) && s.ZState[j] == Leading && s.Activated.Has(j) && s.PendEpoch[i] == s.PendEpoch[j] {
 				return fmt.Errorf("nodes %d and %d both lead epoch %d", i, j, s.PendEpoch[i])
 			}
 		}
@@ -85,7 +85,7 @@ func (m *Machine) oneLeaderPerEpoch(st spec.State) error {
 func (m *Machine) committedConsistency(st spec.State) error {
 	s := st.(*State)
 	for i := 0; i < s.n; i++ {
-		if !s.Up.Has(i) {
+		if !s.Up().Has(i) {
 			continue
 		}
 		hi := s.Commit[i]

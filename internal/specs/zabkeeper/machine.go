@@ -90,7 +90,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 	b := m.budget
 
 	for i := 0; i < m.n; i++ {
-		if !s.Up.Has(i) {
+		if !s.Up().Has(i) {
 			continue
 		}
 		// Election timeout: the node (re-)enters leader election.

@@ -163,7 +163,7 @@ func (p *packedMsg) unpack() Msg {
 
 // Hash implements spec.Message: every field but the vote leader, which
 // OrbitCombine writes in the node-id residue.
-func (p packedMsg) Hash(h fp.Hasher) fp.Hasher {
+func (p packedMsg) Hash(h fp.Hasher, _ *State) fp.Hasher {
 	m := p.unpack()
 	m.hashIDFree(&h)
 	return h
@@ -181,7 +181,7 @@ func (p packedMsg) Permuted(perm []int) packedMsg {
 // AppendTo implements spec.Message. The wire carries the wide message, its
 // kind code and then every field in Msg order, as it did before queues
 // stored them packed.
-func (p packedMsg) AppendTo(dst []byte) []byte {
+func (p packedMsg) AppendTo(dst []byte, _ *State) []byte {
 	m := p.unpack()
 	dst = append(dst, p.kind)
 	for _, v := range [...]int{m.Round, m.State, m.Vote.Leader, m.Vote.Epoch, m.Vote.Counter, m.Epoch, m.Counter, m.NewEpoch} {
@@ -196,7 +196,7 @@ func (p packedMsg) AppendTo(dst []byte) []byte {
 // DecodeFrom implements spec.Message. A queue stores a message packed; one
 // that packing would alter (a field its kind does not carry, an integer
 // beyond its stored width) is refused, not narrowed into another message.
-func (packedMsg) DecodeFrom(src []byte, n int) (packedMsg, []byte, error) {
+func (packedMsg) DecodeFrom(src []byte, n int, _ *State) (packedMsg, []byte, error) {
 	var msg Msg
 	d := &spec.Decoder{Src: src}
 	code := d.Byte("msg type")

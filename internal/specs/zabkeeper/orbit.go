@@ -45,7 +45,7 @@ func (s *State) OrbitDigests(node, edge []uint64) uint64 {
 		h.WriteInt(len(s.Acked[i]))
 		h.WriteBool(s.Activated.Has(i))
 		h.WriteInt(s.Counter[i])
-		h.WriteBool(s.Up.Has(i))
+		h.WriteBool(s.Up().Has(i))
 		node[i] = h.Sum()
 	}
 	for a := 0; a < n; a++ {
@@ -62,7 +62,7 @@ func (s *State) OrbitDigests(node, edge []uint64) uint64 {
 				h.WriteInt(acked[b])
 			}
 			if a != b {
-				spec.HashEdge(&s.Net, &h, a, b)
+				spec.HashEdge(&s.Net, &h, a, b, s)
 			}
 			edge[a*n+b] = h.Sum()
 		}
@@ -116,12 +116,11 @@ func (s *State) OrbitCombine(node, edge []uint64, global uint64, perm, inv []int
 		}
 	}
 	for a := 0; a < n; a++ {
-		row := s.Chan[inv[a]]
 		for b := 0; b < n; b++ {
 			if a == b {
 				continue
 			}
-			q := row[inv[b]]
+			q := s.Queue(inv[a], inv[b])
 			for k := range q {
 				h.WriteInt(mapID(int(q[k].leader)))
 			}

@@ -101,6 +101,8 @@ type State struct {
 func newState(n int) *State {
 	s := new(State)
 	s.shape(n)
+	s.Net.Reset(n, 0)
+	s.SetUp(spec.NodeSet(1)<<n - 1)
 	for i := 0; i < n; i++ {
 		for j := range s.Recv[i] {
 			s.Recv[i][j] = Vote{Leader: -1}
@@ -108,7 +110,6 @@ func newState(n int) *State {
 		s.Vote[i] = Vote{Leader: i}
 		s.Recv[i][i] = s.Vote[i]
 		s.LeaderID[i] = -1
-		s.Up.Add(i)
 	}
 	return s
 }
@@ -124,22 +125,22 @@ func emptyRecv(n int) []Vote {
 // arena is the variable-length backing storage cloneInto carves a state's
 // rows out of; it stays with its State, so recycling the State reuses the
 // arrays. (The fixed-shape arrays need no entry here: shape finds them
-// through their first view, and the queued messages are spec.Net's.)
+// through their first view, and the network is spec.Net's two arrays.)
 type arena struct {
 	aflat []int // non-nil Acked rows
 	tflat []Txn // every History and Committed transaction
 }
 
-// shape gives c its fixed-shape fields for n nodes: the seven per-node int
-// rows carved out of one array; the network's matrix and sets with Synced
-// carved after them (spec.Net.Shape); Vote and the always-square Recv matrix
-// out of a third array; and the outers of every nil-able row. A fresh State
+// shape gives c its fixed-shape fields for n nodes (the network is not one
+// of them: spec.Net.Reset and CopyTo size it): the seven per-node int rows
+// carved out of one array; the Synced sets; Vote and the always-square Recv
+// matrix out of a third array; and the outers of every nil-able row. A fresh State
 // gets zeroed storage; a recycled one keeps its stale contents, which the
 // caller overwrites.
 //
 // Each array is owned through its first view, which is carved with the
-// array's whole capacity (ZState for the ints, Vote for the votes, Recv,
-// Acked and History for the outers), so a recycled State finds its storage
+// array's whole capacity (ZState for the ints, Vote for the votes, Synced,
+// Recv, Acked and History for the outers), so a recycled State finds its storage
 // again by re-extending that view — and allocates when the view is too
 // short, whatever built it: a state of fewer nodes, Permute, DecodeState.
 // Every other view is exact-capacity. None of the owning views is ever
@@ -157,7 +158,7 @@ func (c *State) shape(n int) {
 	c.PendEpoch = ints[5*n : 6*n : 6*n]
 	c.Counter = ints[6*n : 7*n : 7*n]
 
-	c.Synced = c.Net.Shape(n, 1)[:n:n]
+	c.Synced = spec.Sized(c.Synced[:cap(c.Synced)], n)
 
 	vflat := spec.Sized(c.Vote[:cap(c.Vote)], n+n*n)
 	c.Vote = vflat[0:n]
@@ -172,10 +173,10 @@ func (c *State) shape(n int) {
 // cloneInto deep-copies s into dst, reusing dst's arena, and returns dst; a
 // nil dst is replaced by a fresh State, and dst must not be s. It follows the same
 // flat-backing discipline as raftbase: related slices are carved from a few
-// shared backing arrays. Every subslice's capacity ends where its own region
-// ends (cap == len, plus the slot of slack a channel queue may own), so later
-// appends (History, Chan queues, Committed) reallocate rather than growing
-// into a neighbour's region; in-place row writes stay within their own
+// shared backing arrays (the network copies as its two arrays). Every
+// subslice's capacity ends where its own region ends (cap == len), so later
+// appends (History, Committed) reallocate rather than growing into a
+// neighbour's region; in-place row writes stay within their own
 // disjoint region; and nothing outside dst points into its arena (Msg.History
 // payloads are standalone copies), so overwriting a dead state cannot disturb
 // a live one.
@@ -194,7 +195,7 @@ func (s *State) cloneInto(dst *State) *State {
 	copy(c.PendEpoch, s.PendEpoch)
 	copy(c.Counter, s.Counter)
 	c.Activated = s.Activated
-	s.Net.CloneInto(&c.Net)
+	s.Net.CopyTo(&c.Net)
 	copy(c.Synced, s.Synced)
 	copy(c.Vote, s.Vote)
 	for i := 0; i < n; i++ {
@@ -271,7 +272,7 @@ func (s *State) Schema() *trace.Schema { return slotsFor(s.n).schema }
 func (s *State) VarSlots(dst []string) {
 	t := slotsFor(s.n)
 	for i := 0; i < s.n; i++ {
-		if !s.Up.Has(i) {
+		if !s.Up().Has(i) {
 			dst[t.status+i] = "crashed"
 			for _, f := range t.upOnly {
 				dst[f+i] = trace.Absent

@@ -14,7 +14,7 @@ func VarsReference(st spec.State) map[string]string {
 	s := st.(*State)
 	m := make(map[string]string)
 	for i := 0; i < s.n; i++ {
-		if !s.Up.Has(i) {
+		if !s.Up().Has(i) {
 			m[fmt.Sprintf("status[%d]", i)] = "crashed"
 			continue
 		}
@@ -46,7 +46,7 @@ func VarsReference(st spec.State) map[string]string {
 			if src == dst {
 				continue
 			}
-			m[fmt.Sprintf("net[%d->%d]", src, dst)] = strconv.Itoa(len(s.Chan[src][dst]))
+			m[fmt.Sprintf("net[%d->%d]", src, dst)] = strconv.Itoa(s.QueueLen(src, dst))
 		}
 	}
 	c := s.Counters
