@@ -196,6 +196,89 @@ type clusterFinal struct {
 	Cover       *obs.Cover      `json:"cover,omitempty"`
 }
 
+// The summaries below are read from other peers, so they are hostile bytes:
+// each parser refuses what would turn into a wrong total or a wrong
+// checkpoint instead of a named stop — a negative count (a frontier summed
+// to zero ends the run as "exhausted"), a chain position that is not a chain
+// log's, or a checkpoint this peer's own settings contradict. The caller
+// names the peer; the error names the field.
+
+// parseCoord reads the coordinator's data-barrier summary at depth, on a peer
+// that checkpoints or not.
+func parseCoord(raw []byte, depth int, checkpoints bool) (clusterData, error) {
+	var d clusterData
+	if err := json.Unmarshal(raw, &d); err != nil {
+		return d, err
+	}
+	if d.Committed < 0 || d.Committed > depth {
+		return d, fmt.Errorf("committed depth %d outside 0..%d", d.Committed, depth)
+	}
+	if !checkpoints && (d.Checkpoint || d.Committed != 0) {
+		return d, fmt.Errorf("checkpoint %v, committed %d, on a run without checkpoints", d.Checkpoint, d.Committed)
+	}
+	return d, nil
+}
+
+// parseResolve reads a peer's resolve summary at a level this peer
+// checkpointed at or not; the coordinator decides for every peer, so a peer
+// that disagrees is refused.
+func parseResolve(raw []byte, checkpointed bool) (clusterResolve, error) {
+	var s clusterResolve
+	if err := json.Unmarshal(raw, &s); err != nil {
+		return s, err
+	}
+	if err := nonNegative(count{"distinct", int64(s.Distinct)}, count{"transitions", s.Transitions},
+		count{"dedup_hits", s.DedupHits}, count{"next_frontier", int64(s.NextFrontier)}); err != nil {
+		return s, err
+	}
+	if ch := s.Chain; ch != nil && (!chainFile.MatchString(ch.Log) || ch.Bytes <= 0 || ch.Blocks < 1 || s.CkErr != "") {
+		return s, fmt.Errorf("chain position %+v (ck_err %q) is not a prepared chain log's", *ch, s.CkErr)
+	}
+	if (s.Chain != nil || s.CkErr != "") != checkpointed {
+		return s, fmt.Errorf("chain %v, ck_err %q at a level this peer checkpointed = %v", s.Chain != nil, s.CkErr, checkpointed)
+	}
+	return s, violationDepths(s.Violations)
+}
+
+// parseFinal reads a peer's last-barrier summary.
+func parseFinal(raw []byte) (clusterFinal, error) {
+	var f clusterFinal
+	if err := json.Unmarshal(raw, &f); err != nil {
+		return f, err
+	}
+	if err := nonNegative(count{"distinct", int64(f.Distinct)}, count{"transitions", f.Transitions},
+		count{"dedup_hits", f.DedupHits}, count{"max_queue_len", int64(f.MaxQueueLen)}); err != nil {
+		return f, err
+	}
+	return f, violationDepths(f.Violations)
+}
+
+// count is a summary field by its JSON name.
+type count struct {
+	name string
+	v    int64
+}
+
+// nonNegative names the first count below zero.
+func nonNegative(counts ...count) error {
+	for _, c := range counts {
+		if c.v < 0 {
+			return fmt.Errorf("negative %s %d", c.name, c.v)
+		}
+	}
+	return nil
+}
+
+// violationDepths refuses a reported violation at a negative depth.
+func violationDepths(vs []snapViolation) error {
+	for _, v := range vs {
+		if v.Depth < 0 {
+			return fmt.Errorf("violation of %s at depth %d", v.Invariant, v.Depth)
+		}
+	}
+	return nil
+}
+
 // hello is the all-to-all compatibility check before any exploration —
 // identity, and the same checkpoint and resume flags — and hands every peer
 // the coordinator's manifest (man, from Checker.resumeManifest), parsed by the
@@ -305,8 +388,8 @@ func (cl *clusterCtx) seal(p *expandPool, depth int, next []frontierEntry, viols
 		return nil, nil, false, transportErr("cluster: data barrier at depth %d: %w", depth, err)
 	}
 	if cl.self != 0 {
-		if err := json.Unmarshal(sums[0], &coord); err != nil {
-			return nil, nil, false, transportErr("cluster: coordinator summary at depth %d: %w", depth, err)
+		if coord, err = parseCoord(sums[0], depth, cl.c.ck.dir != ""); err != nil {
+			return nil, nil, false, transportErr("cluster: coordinator summary from peer 0 at depth %d: %w", depth, err)
 		}
 	}
 	if next, viols, err = cl.merge(p.invs, depth, local, in, next, viols); err != nil {
@@ -364,11 +447,11 @@ func (cl *clusterCtx) resolve(depth int, own []*Violation, local levelView) (lev
 		return local, transportErr("cluster resolve at depth %d: %w", depth, err)
 	}
 	var g levelView
+	checkpointed := sum.Chain != nil || sum.CkErr != ""
 	for q := range sums {
 		s := sum
 		if q != cl.self {
-			s = clusterResolve{}
-			if err := json.Unmarshal(sums[q], &s); err != nil {
+			if s, err = parseResolve(sums[q], checkpointed); err != nil {
 				return local, transportErr("cluster: resolve summary from peer %d at depth %d: %w", q, depth, err)
 			}
 		}
@@ -410,8 +493,8 @@ func (cl *clusterCtx) final(c *Checker, res *Result, own []*Violation) *fatal {
 			if q == cl.self {
 				continue
 			}
-			var f clusterFinal
-			if err := json.Unmarshal(sums[q], &f); err != nil {
+			f, err := parseFinal(sums[q])
+			if err != nil {
 				return transportErr("cluster final summary from peer %d: %w", q, err)
 			}
 			res.DistinctStates += f.Distinct

@@ -283,3 +283,49 @@ func FuzzClusterHello(f *testing.F) {
 		}
 	})
 }
+
+// FuzzClusterSummaries feeds the per-level summaries a peer reads from the
+// others — the coordinator's data-barrier summary, a resolve summary and a
+// final summary, picked by kind — to their parsers. No input may panic, and
+// whatever a parser accepts has no negative count, a committed depth within
+// the level, and checkpoint fields this peer's own settings agree with.
+func FuzzClusterSummaries(f *testing.F) {
+	for _, s := range []any{
+		clusterData{Checkpoint: true, Committed: 2},
+		clusterResolve{Distinct: 10, Transitions: 30, DedupHits: 5, NextFrontier: 4},
+		clusterResolve{Distinct: 10, NextFrontier: 4, Chain: &chainPos{Log: "chain-3-0123456789abcdef.log", Bytes: 100, Blocks: 2}},
+		clusterResolve{Distinct: 10, NextFrontier: -4},
+		clusterFinal{Distinct: 10, Transitions: 30, MaxQueueLen: 4, Violations: []snapViolation{{Invariant: "I", Depth: 3}}},
+	} {
+		raw, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for kind := uint8(0); kind < 3; kind++ {
+			f.Add(raw, kind, true)
+		}
+	}
+	f.Add([]byte(`{"next_frontier":1e30}`), uint8(1), false)
+	f.Add([]byte(`null`), uint8(2), false)
+	f.Fuzz(func(t *testing.T, raw []byte, kind uint8, flag bool) {
+		const depth = 5
+		switch kind % 3 {
+		case 0:
+			d, err := parseCoord(raw, depth, flag)
+			if err == nil && (d.Committed < 0 || d.Committed > depth || !flag && (d.Checkpoint || d.Committed != 0)) {
+				t.Fatalf("accepted %+v (checkpoints %v)", d, flag)
+			}
+		case 1:
+			s, err := parseResolve(raw, flag)
+			if err == nil && (s.Distinct < 0 || s.Transitions < 0 || s.DedupHits < 0 || s.NextFrontier < 0 ||
+				(s.Chain != nil || s.CkErr != "") != flag || s.Chain != nil && !chainFile.MatchString(s.Chain.Log)) {
+				t.Fatalf("accepted %+v (checkpointed %v)", s, flag)
+			}
+		case 2:
+			s, err := parseFinal(raw)
+			if err == nil && (s.Distinct < 0 || s.Transitions < 0 || s.DedupHits < 0 || s.MaxQueueLen < 0) {
+				t.Fatalf("accepted %+v", s)
+			}
+		}
+	})
+}

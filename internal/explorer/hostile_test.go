@@ -3,6 +3,7 @@ package explorer
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -213,5 +214,64 @@ func TestWalksGrowsItsResult(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Errorf("canceled Walks(1<<30) allocated %d bytes", grew)
+	}
+}
+
+// negatingConn rewrites every inbound summary that carries a next_frontier
+// count so that the count is negative: a peer reporting a frontier the
+// others would sum to zero or less.
+type negatingConn struct{ transport.Conn }
+
+func (c *negatingConn) Exchange(tag uint64, blocks [][]byte, summary []byte) ([][]byte, [][]byte, error) {
+	in, sums, err := c.Conn.Exchange(tag, blocks, summary)
+	if err != nil {
+		return in, sums, err
+	}
+	for q, raw := range sums {
+		var m map[string]any
+		if json.Unmarshal(raw, &m) != nil || m == nil {
+			continue
+		}
+		if _, ok := m["next_frontier"]; ok {
+			m["next_frontier"] = -1 << 20
+			if sums[q], err = json.Marshal(m); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return in, sums, nil
+}
+
+// TestNegativeSummaryEndsInTransportError: a peer whose resolve summary
+// reports a negative next frontier used to drive the cluster's frontier to
+// zero or less, and the run then ended "exhausted" with the levels below
+// never explored. It must end in transport-error, naming the peer and the
+// field.
+func TestNegativeSummaryEndsInTransportError(t *testing.T) {
+	done := make(chan []*Result, 1)
+	go func() {
+		done <- runClusterPeers(2, func(int) Options { return Options{Workers: 1} },
+			func(i int, c transport.Conn) transport.Conn {
+				if i == 0 {
+					return &negatingConn{Conn: c}
+				}
+				return c
+			})
+	}()
+	var results []*Result
+	select {
+	case results = <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("cluster hangs on a negative summary")
+	}
+	res := results[0]
+	if res.StopReason != "transport-error" || res.Err == nil ||
+		!strings.Contains(res.Err.Error(), "peer 1") || !strings.Contains(res.Err.Error(), "negative next_frontier") {
+		t.Errorf("peer 0 stop=%s err=%v, want transport-error naming peer 1 and next_frontier", res.StopReason, res.Err)
+	}
+	for i, res := range results {
+		if res.Exhausted {
+			t.Errorf("peer %d claims exhaustion after a negative summary", i)
+		}
 	}
 }
