@@ -69,8 +69,14 @@ race-cluster:
 # from a spill run, a checkpoint or a peer — over the wire block a peer
 # sends at every level barrier, the hello a TCP peer sends before it is known,
 # the explorer's hello summary (run identity and checkpoint flags) at the first
-# barrier, and the JobSpec body `sandtable serve` accepts; and draws deployment shapes
-# beyond the seed corpus of the shape-differential harness.
+# barrier, the per-level summaries after it (the coordinator's, every peer's
+# resolve and final summary: no negative count, no chain position or
+# checkpoint flag this peer's settings contradict), and the JobSpec body
+# `sandtable serve` accepts; draws deployment shapes beyond the seed corpus of
+# the shape-differential harness; replays hostile counterexample files (a real
+# CRaft#4 trace and its edits to out-of-range nodes, peers and indexes: no
+# panic, every failure names its step and event); and checks that the orbit
+# digest combiner keeps two different splits of one byte stream apart.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/vnet/ -run '^$$' -fuzz '^FuzzQueueOps$$' -fuzztime $(FUZZTIME)
@@ -81,12 +87,15 @@ fuzz:
 	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzFrontierRecords$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzClusterHello$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/explorer/ -run '^$$' -fuzz '^FuzzClusterSummaries$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/specs/raftbase/ -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/specs/zabkeeper/ -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzDecodeWireBlock$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzHandshake$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integrations/ -run '^$$' -fuzz '^FuzzShapeMatchesOracle$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sandtable/ -run '^$$' -fuzz '^FuzzReplayTrace$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fp/ -run '^$$' -fuzz '^FuzzDigestCombiner$$' -fuzztime $(FUZZTIME)
 
 # docs is the documentation gate: gofmt cleanliness, go vet, doc comments
 # on every exported identifier in the audited packages, and unbroken

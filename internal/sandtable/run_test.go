@@ -42,7 +42,7 @@ func bigRun(op string) (string, sandtable.Settings) {
 	return "gosyncobj", set
 }
 
-func session(t *testing.T, system string, set sandtable.Settings) *sandtable.SandTable {
+func session(t testing.TB, system string, set sandtable.Settings) *sandtable.SandTable {
 	t.Helper()
 	sys, err := integrations.Get(system)
 	if err != nil {
