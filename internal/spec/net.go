@@ -130,9 +130,6 @@ func (net *Net[M]) CopyTo(dst *Net[M]) {
 	dst.Q = append(dst.Q[:0], net.Q...)
 }
 
-// N returns the number of nodes.
-func (net *Net[M]) N() int { return net.n }
-
 // Up returns the set of running nodes.
 func (net *Net[M]) Up() NodeSet { return LoadSet(net.W, 0) }
 
@@ -194,7 +191,7 @@ func (net *Net[M]) shift(src, dst, d int) {
 func (net *Net[M]) empty(src, dst int) {
 	start, end := net.span(src, dst)
 	if end > start {
-		net.Q = append(net.Q[:start], net.Q[end:]...)
+		net.Q = slices.Delete(net.Q, start, end)
 		net.shift(src, dst, start-end)
 	}
 }

@@ -15,18 +15,18 @@ import (
 // with the same Options, which is exactly the contract the explorer's
 // checkpoint/cluster compatibility digests enforce.
 //
-// The encoding is the record read field by field, in the order it had when
-// the state was a struct of slices, so the bytes did not change when it
-// became a record. The per-node Next/Match rows are written as a 0 marker
-// when the row does not exist and n+1 and the row when it does: the record
-// keeps each row's existence as a presence bit, and permute and rendering
-// branch on it, so a decoded state must round-trip it exactly. Votes/PreVotes
-// are written the same way — the state holds them as sets, the empty set
-// standing for the nil row — so the bytes are what they were when these were
-// boolean rows. Logs, channel queues and Committed are a plain length and
-// their elements; an entry is its term and its value, which decoding maps
-// back into the machine's vocabulary. Every integer the record stores in 32
-// bits is refused by DecodeState when it does not fit.
+// The encoding is the record read field by field in a fixed order, which is
+// not the record's own (a checkpoint or a peer's block written by an earlier
+// build must still decode): per node its eight integers and liveness, then
+// per node its logs, vote sets and rows, then the channels and the ghosts.
+// A Next/Match row is a 0 marker when it does not exist and n+1 and the row
+// when it does: the record keeps each row's existence as a presence bit, and
+// permute and rendering branch on it, so a decoded state must round-trip it
+// exactly. Votes/PreVotes are written the same way, the empty set standing
+// for the row that does not exist. Logs, channel queues and Committed are a
+// plain length and their elements; an entry is its term and its value, which
+// decoding maps back into the machine's vocabulary. Every integer the record
+// stores in 32 bits is refused by DecodeState when it does not fit.
 
 // AppendState implements spec.StateCodec.
 func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
@@ -41,7 +41,7 @@ func (m *Machine) AppendState(dst []byte, st spec.State) []byte {
 			return
 		}
 		dst = binary.AppendUvarint(dst, uint64(n)+1)
-		for _, w := range s.W[s.base+at+i*n:][:n] {
+		for _, w := range s.row(at, i) {
 			vi(int(int32(w)))
 		}
 	}
@@ -155,8 +155,9 @@ func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 			return
 		}
 		rows.Add(i)
-		for p := 0; p < n; p++ {
-			s.W[s.base+at+i*n+p] = uint32(d.Int32(what))
+		words := s.row(at, i)
+		for p := range words {
+			words[p] = uint32(d.Int32(what))
 		}
 	}
 	for i := 0; i < n; i++ {

@@ -19,7 +19,7 @@ func (m *Machine) syncDurable(s *State, i int) {
 	}
 	s.put(fDurTerm, i, s.term(i))
 	s.put(fDurVote, i, s.votedFor(i))
-	s.copyRegion(durLog(s.n, i), i)
+	s.setRegion(durLog(s.n, i), s, i)
 }
 
 // persistLog mirrors the implementations' log-persistence path: write the

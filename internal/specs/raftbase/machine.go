@@ -171,7 +171,7 @@ func (m *Machine) AppendNext(st spec.State, buf []spec.Succ) []spec.Succ {
 					n := clone()
 					n.Counters.Requests++
 					m.clientAppend(n, i, m.vals[k])
-					add(trace.Event{Type: trace.EvRequest, Action: "ClientPut", Node: i, Payload: "put " + kvKey + " " + v}, n)
+					add(trace.Event{Type: trace.EvRequest, Action: "ClientPut", Node: i, Payload: "put x " + v}, n)
 				}
 				if m.getEnabled(s, i) {
 					n := clone()
@@ -272,7 +272,7 @@ func (m *Machine) crashDirty(s *State, i int) {
 	if s.durability {
 		s.setTerm(i, s.durTerm(i))
 		s.setVotedFor(i, s.durVote(i))
-		s.copyRegion(i, durLog(s.n, i))
+		s.setRegion(i, s, durLog(s.n, i))
 	}
 	m.crash(s, i)
 }

@@ -22,23 +22,24 @@ import (
 type Msg struct {
 	Type      string // "rv", "rvr", "ae", "aer", "snap"
 	Term      int
-	LastIndex int  // rv
-	LastTerm  int  // rv
-	Pre       bool // rv/rvr: PreVote round
-	Granted   bool // rvr
-	PrevIndex int  // ae
-	PrevTerm  int  // ae
-	Ents      ents // ae
-	Commit    int  // ae
-	Flag      bool // aer: success
-	NextIndex int  // aer: follower hint
-	Retry     bool // ae: sent as a retry after a rejection (craft)
-	SnapIndex int  // snap
-	SnapTerm  int  // snap
+	LastIndex int        // rv
+	LastTerm  int        // rv
+	Pre       bool       // rv/rvr: PreVote round
+	Granted   bool       // rvr
+	PrevIndex int        // ae
+	PrevTerm  int        // ae
+	Ents      EntryRange // ae
+	Commit    int        // ae
+	Flag      bool       // aer: success
+	NextIndex int        // aer: follower hint
+	Retry     bool       // ae: sent as a retry after a rejection (craft)
+	SnapIndex int        // snap
+	SnapTerm  int        // snap
 }
 
-// ents locates a message's entries in its state's message pool.
-type ents struct{ Off, N int }
+// EntryRange locates a message's entries in its state's message pool: N
+// entries, from word Off of the pool on.
+type EntryRange struct{ Off, N int }
 
 // hashMsg mixes m into h, its entries read from s's pool: every field in
 // declaration order, the entries as their count and then term and value
@@ -71,7 +72,7 @@ func (s *State) hashMsg(h *fp.Hasher, m *Msg) {
 
 // msgWords returns the words of the entries e locates: term, value index,
 // term, value index, ….
-func (s *State) msgWords(e ents) []uint32 {
+func (s *State) msgWords(e EntryRange) []uint32 {
 	a, _ := s.span(pool(s.n))
 	return s.W[a+e.Off : a+e.Off+2*e.N]
 }
@@ -184,7 +185,7 @@ func mustPack(m Msg) packedMsg {
 
 // unpack returns the Msg p was packed from.
 func (p *packedMsg) unpack() Msg {
-	m := Msg{Type: msgTypes[p.kind], Term: int(p.term), Ents: ents{Off: int(p.eoff), N: int(p.elen)}}
+	m := Msg{Type: msgTypes[p.kind], Term: int(p.term), Ents: EntryRange{Off: int(p.eoff), N: int(p.elen)}}
 	a, b, c := int(p.a), int(p.b), int(p.c)
 	switch p.kind {
 	case kindRV:

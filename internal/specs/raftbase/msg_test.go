@@ -12,7 +12,7 @@ func TestPackIsLossless(t *testing.T) {
 	for _, m := range []Msg{
 		{Type: "rv", Term: 3, LastIndex: 4, LastTerm: 2, Pre: true},
 		{Type: "rvr", Term: 3, Pre: true, Granted: true},
-		{Type: "ae", Term: 3, PrevIndex: 4, PrevTerm: 2, Ents: ents{Off: 4, N: 1}, Commit: 1, Retry: true},
+		{Type: "ae", Term: 3, PrevIndex: 4, PrevTerm: 2, Ents: EntryRange{Off: 4, N: 1}, Commit: 1, Retry: true},
 		{Type: "aer", Term: 3, Flag: true, NextIndex: 5},
 		{Type: "snap", Term: 3, SnapIndex: 4, SnapTerm: 2},
 		{Type: "rv", Term: -1, LastIndex: 1<<31 - 1, LastTerm: -1 << 31},

@@ -255,19 +255,22 @@ func (s *State) setRows(i int, on bool) {
 		match.Del(i)
 	}
 	s.setRowSets(next, match)
-	clear(s.W[s.base+nextAt(s.n)+i*s.n:][:s.n])
-	clear(s.W[s.base+matchAt(s.n)+i*s.n:][:s.n])
+	clear(s.row(nextAt(s.n), i))
+	clear(s.row(matchAt(s.n), i))
 }
+
+// row returns the n words of node i's Next (at = nextAt(n)) or Match
+// (matchAt(n)) row.
+func (s *State) row(at, i int) []uint32 { return s.W[s.base+at+i*s.n:][:s.n] }
 
 func (s *State) setRowSets(next, match spec.NodeSet) {
 	spec.StoreSet(s.W, s.base+rowsAt(s.n), next)
 	spec.StoreSet(s.W, s.base+rowsAt(s.n)+2, match)
 }
 
-// appendRow appends the n values of node i's Next (at = nextAt(n)) or Match
-// (matchAt(n)) row to dst.
+// appendRow appends the values of node i's Next or Match row to dst.
 func (s *State) appendRow(dst []int, at, i int) []int {
-	for _, w := range s.W[s.base+at+i*s.n:][:s.n] {
+	for _, w := range s.row(at, i) {
 		dst = append(dst, int(int32(w)))
 	}
 	return dst
@@ -327,19 +330,12 @@ func (s *State) push(r, term int, val uint32) {
 // truncate cuts region r to k entries.
 func (s *State) truncate(r, k int) { s.resize(r, 2*k) }
 
-// copyRegion makes region dst of s a copy of its region src.
-func (s *State) copyRegion(dst, src int) {
-	a, b := s.span(src)
-	s.resize(dst, b-a)
-	a, b = s.span(src)
-	d, _ := s.span(dst)
-	copy(s.W[d:], s.W[a:b])
-}
-
-// setRegion makes region r of s a copy of region r2 of o, another state.
+// setRegion makes region r of s a copy of region r2 of o, which may be s
+// (a different region, then).
 func (s *State) setRegion(r int, o *State, r2 int) {
 	a, b := o.span(r2)
 	s.resize(r, b-a)
+	a, b = o.span(r2) // resizing r moved r2 if o is s and r2 comes after it
 	d, _ := s.span(r)
 	copy(s.W[d:], o.W[a:b])
 }
@@ -374,12 +370,12 @@ func (s *State) dropPrefix(r, k int) {
 // poolLog copies the suffix of node i's log from absolute index from on
 // (entries below the snapshot boundary are unavailable) to the end of the
 // message pool, for an AppendEntries to carry.
-func (s *State) poolLog(i, from int) ents {
+func (s *State) poolLog(i, from int) EntryRange {
 	if from <= s.snapIdx(i) {
 		from = s.snapIdx(i) + 1
 	}
 	if from > s.lastIndex(i) {
-		return ents{}
+		return EntryRange{}
 	}
 	la, lb := s.span(i)
 	la += 2 * (from - s.snapIdx(i) - 1)
@@ -387,11 +383,11 @@ func (s *State) poolLog(i, from int) ents {
 	words := lb - la
 	s.resize(pool(s.n), pb-pa+words)
 	copy(s.W[pb:], s.W[la:lb]) // the pool comes after every log, so resizing it moved none
-	return ents{Off: pb - pa, N: words / 2}
+	return EntryRange{Off: pb - pa, N: words / 2}
 }
 
 // msgEntry returns entry k of a message's entries: its term and value index.
-func (s *State) msgEntry(e ents, k int) (int, uint32) {
+func (s *State) msgEntry(e EntryRange, k int) (int, uint32) {
 	a, _ := s.span(pool(s.n))
 	w := s.W[a+e.Off+2*k:]
 	return int(int32(w[0])), w[1]

@@ -15,10 +15,12 @@ type vocab struct {
 	idx  map[string]uint32
 }
 
-// vocabs is every vocabulary in use, registered once per distinct value list;
-// a State finds its own by index (State.voc), so that its header carries no
-// pointer for it. Readers load the list without the lock: it is only ever
-// replaced by a longer copy.
+// vocabs interns every vocabulary in use, once per distinct value list, the
+// way slotTables caches one slot table per arity: machines built with the
+// same workload share an index, and no entry is ever changed or removed. A
+// State finds its vocabulary by index (State.voc), so that its header
+// carries no pointer for it. Readers load the list without the lock: it is
+// only ever replaced by a longer copy.
 var vocabs struct {
 	mu   sync.Mutex
 	list atomic.Pointer[[]*vocab]

@@ -134,14 +134,14 @@ type arena struct {
 // shape gives c its fixed-shape fields for n nodes (the network is not one
 // of them: spec.Net.Reset and CopyTo size it): the seven per-node int rows
 // carved out of one array; the Synced sets; Vote and the always-square Recv
-// matrix out of a third array; and the outers of every nil-able row. A fresh State
-// gets zeroed storage; a recycled one keeps its stale contents, which the
-// caller overwrites.
+// matrix out of a third array; and the outers of every nil-able row. A fresh
+// State gets zeroed storage; a recycled one keeps its stale contents, which
+// the caller overwrites.
 //
 // Each array is owned through its first view, which is carved with the
-// array's whole capacity (ZState for the ints, Vote for the votes, Synced,
-// Recv, Acked and History for the outers), so a recycled State finds its storage
-// again by re-extending that view — and allocates when the view is too
+// array's whole capacity (ZState for the ints, Vote for the votes, Synced for
+// the sets, Recv, Acked and History for the outers), so a recycled State
+// finds its storage again by re-extending that view — and allocates when the view is too
 // short, whatever built it: a state of fewer nodes, Permute, DecodeState.
 // Every other view is exact-capacity. None of the owning views is ever
 // appended to or reassigned (a handler that resets Recv[i] replaces a row,
