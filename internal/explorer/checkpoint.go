@@ -101,11 +101,12 @@ func (cd *cadence) restart(distinct int) {
 
 // snapVersion identifies the checkpoint format, which every block header and
 // manifest carries. It bumps whenever the bytes, the files or the commit
-// protocol change; other versions are rejected. Version 4 keeps a chain as
-// one log of blocks; version 3 kept a base snapshot and a delta log beside
-// it; version 2 had a commit record per directory and full per-peer cluster
-// snapshots; version 1 rebuilt the frontier by replay.
-const snapVersion = 4
+// protocol change; other versions are rejected. Version 5 encodes a
+// Raft-family state as its record; version 4 kept a chain as one log of
+// blocks, its states encoded field by field; version 3 kept a base snapshot
+// and a delta log beside it; version 2 had a commit record per directory and
+// full per-peer cluster snapshots; version 1 rebuilt the frontier by replay.
+const snapVersion = 5
 
 // runIdentity is what has to match for persisted or remote state to belong
 // to this run: checkpoint blocks, manifests and peers' hello messages all

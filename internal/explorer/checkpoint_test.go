@@ -202,6 +202,27 @@ func TestResumeFailsLoudly(t *testing.T) {
 		}
 	})
 
+	// A directory the previous format wrote (its manifest says version 4)
+	// is refused by the version it carries, not read with this build's
+	// state encoding.
+	t.Run("previous-version", func(t *testing.T) {
+		dir := t.TempDir()
+		interrupt(t, dir, 2, true, Options{})
+		m := committed(t, dir)
+		m.Version = snapVersion - 1
+		raw, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ManifestFile), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("checkpoint format version %d, this build reads %d", snapVersion-1, snapVersion)
+		if err := resumeErr(t, dir, Options{}); !strings.Contains(err.Error(), want) {
+			t.Errorf("previous-version error = %v, want %q", err, want)
+		}
+	})
+
 	t.Run("different-model", func(t *testing.T) {
 		dir := t.TempDir()
 		interrupt(t, dir, 2, true, Options{})
@@ -289,7 +310,7 @@ func TestResumeRefusesVersion3(t *testing.T) {
 			} else {
 				results = runClusterPeers(peers, opts, nil)
 			}
-			const want = "checkpoint format version 3, this build reads 4"
+			want := fmt.Sprintf("checkpoint format version 3, this build reads %d", snapVersion)
 			for i, res := range results {
 				if res.StopReason != "checkpoint-error" || res.Err == nil || !strings.Contains(res.Err.Error(), want) {
 					t.Errorf("peer %d: stop=%s err=%v, want checkpoint-error naming %q", i, res.StopReason, res.Err, want)

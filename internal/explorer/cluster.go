@@ -377,7 +377,7 @@ func (cl *clusterCtx) seal(p *expandPool, depth int, next []frontierEntry, viols
 	// The blocks hold copies of every encoding: the workers' level state can go.
 	for _, w := range p.ws {
 		w.seen.reset()
-		w.slab = w.slab[:0]
+		w.slab.reset()
 	}
 	coord := clusterData{}
 	if cl.coordinator() {
@@ -580,13 +580,44 @@ func (w *expandWorker) expandChunkCluster(entries []frontierEntry, depth int) {
 			if owner == cl.self {
 				cand.state = spec.Keep(w.buf, i)
 			} else {
-				at := len(w.slab)
-				w.slab = c.m.AppendState(w.slab, su.State)
-				cand.enc = w.slab[at:]
+				w.enc = c.m.AppendState(w.enc[:0], su.State)
+				cand.enc = w.slab.add(w.enc)
 			}
 			out.cands = append(out.cands, cand)
 		}
 	}
+}
+
+// slabChunk is the size of the chunks an encSlab allocates.
+const slabChunk = 64 << 10
+
+// encSlab holds a worker's outbound encodings for one level in fixed-size
+// chunks, so that an append never moves the encodings before it, which the
+// candidates hold slices of; buildBlocks copies them into the wire blocks,
+// and reset then recycles every chunk.
+type encSlab struct {
+	chunks [][]byte
+	cur    int // the chunk being filled
+}
+
+// add copies enc into the slab and returns the copy.
+func (s *encSlab) add(enc []byte) []byte {
+	for ; s.cur < len(s.chunks); s.cur++ {
+		if c := s.chunks[s.cur]; cap(c)-len(c) >= len(enc) {
+			s.chunks[s.cur] = append(c, enc...)
+			return slices.Clip(s.chunks[s.cur][len(c):])
+		}
+	}
+	s.chunks = append(s.chunks, make([]byte, 0, max(slabChunk, len(enc))))
+	return s.add(enc)
+}
+
+// reset empties every chunk for the next level.
+func (s *encSlab) reset() {
+	for i := range s.chunks {
+		s.chunks[i] = s.chunks[i][:0]
+	}
+	s.cur = 0
 }
 
 // fpSeen is a worker-private open-addressing set of fingerprints, emptied at

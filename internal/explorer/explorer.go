@@ -842,9 +842,11 @@ type expandWorker struct {
 	// Cluster strategy only, both level-scoped and reset by seal: seen holds
 	// the fingerprints this worker buffered as candidates this level, so a
 	// repeat is scored before it costs a Keep or an encoding; slab holds the
-	// encodings of its outbound candidates until seal has built the blocks.
+	// encodings of its outbound candidates until seal has built the blocks,
+	// and enc is the scratch each is encoded into first.
 	seen fpSeen
-	slab []byte
+	slab encSlab
+	enc  []byte
 }
 
 // expandJob is one frontier block broadcast to the pool. Workers claim

@@ -31,6 +31,11 @@ func (d *Decoder) Int(what string) int {
 	if d.Err != nil {
 		return 0
 	}
+	if len(d.Src) > 0 && d.Src[0] < 0x80 { // one byte: the zigzag of -64..63
+		b := int(d.Src[0])
+		d.Src = d.Src[1:]
+		return b>>1 ^ -(b & 1)
+	}
 	v, n := binary.Varint(d.Src)
 	if n <= 0 {
 		d.Failf("truncated %s", what)
@@ -52,10 +57,31 @@ func (d *Decoder) Int32(what string) int32 {
 	return int32(v)
 }
 
+// MaxInt bounds the magnitude of every term, index, round, epoch and counter
+// a decoded state may hold. Handlers add one to such a value, or add two of
+// them, and store the result in the 32 bits a queued message holds: a value
+// past MaxInt could overflow there, and no reachable state comes near it.
+const MaxInt = 1<<30 - 1
+
+// Bounded reads one signed varint whose magnitude must not exceed MaxInt.
+func (d *Decoder) Bounded(what string) int {
+	v := d.Int(what)
+	if v < -MaxInt || v > MaxInt {
+		d.Failf("%s %d is beyond ±%d", what, v, MaxInt)
+		return 0
+	}
+	return v
+}
+
 // Uvarint reads one unsigned varint.
 func (d *Decoder) Uvarint(what string) uint64 {
 	if d.Err != nil {
 		return 0
+	}
+	if len(d.Src) > 0 && d.Src[0] < 0x80 {
+		v := uint64(d.Src[0])
+		d.Src = d.Src[1:]
+		return v
 	}
 	v, n := binary.Uvarint(d.Src)
 	if n <= 0 {

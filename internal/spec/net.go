@@ -2,6 +2,7 @@ package spec
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"strconv"
 
@@ -30,18 +31,28 @@ func (s Semantics) String() string {
 	return "udp"
 }
 
-// Message is what a spec family's queued message supplies to Net's digest,
-// codec and permutation (HashEdge, AppendChannels, DecodeChannels and
-// PermuteInto): its half of each. Everything else a channel does is Net's.
-// C is the family's context, the state the message is queued in: a message
-// whose payload does not fit its fixed form keeps the payload there (a Raft
-// AppendEntries its entries), and reads it back through c.
+// Message is what a spec family's queued message supplies to Net's digest and
+// permutation (HashEdge and PermuteInto): its half of each. Everything else a
+// channel does is Net's. C is the family's context, the state the message is
+// queued in: a message whose payload does not fit its fixed form keeps the
+// payload there (a Raft AppendEntries its entries), and reads it back through
+// c.
 type Message[M, C any] interface {
 	// Hash returns h with the message's content mixed in, leaving out any
 	// field whose value is a node id (those belong in the family's orbit
 	// residue). The hasher goes by value: a pointer handed to a method of a
 	// type parameter escapes, and the digest loops keep theirs on the stack.
 	Hash(h fp.Hasher, c C) fp.Hasher
+	// Permuted returns the message with every node id it carries mapped
+	// through perm.
+	Permuted(perm []int) M
+}
+
+// CodedMessage is a Message that encodes itself, for a family whose state
+// encoding walks its channels (AppendChannels, DecodeChannels) rather than
+// writing its record whole.
+type CodedMessage[M, C any] interface {
+	Message[M, C]
 	// AppendTo appends the message's encoding to dst.
 	AppendTo(dst []byte, c C) []byte
 	// DecodeFrom decodes one message AppendTo wrote, of a state of n nodes,
@@ -50,9 +61,6 @@ type Message[M, C any] interface {
 	// method of a type parameter escapes, and would cost every decoded state
 	// an allocation.)
 	DecodeFrom(src []byte, n int, c C) (M, []byte, error)
-	// Permuted returns the message with every node id it carries mapped
-	// through perm.
-	Permuted(perm []int) M
 }
 
 // Net is the environment a distributed system runs in, written once for both
@@ -429,7 +437,7 @@ func PermuteInto[M interface{ Permuted(perm []int) M }](net, dst *Net[M], perm [
 // dst: per ordered pair, row-major, whether it is cut and whether it is
 // partitioned (one byte each), the queue's length and its messages. (Up is
 // the family's to encode, beside the node's other variables.)
-func AppendChannels[M Message[M, C], C any](dst []byte, net *Net[M], c C) []byte {
+func AppendChannels[M CodedMessage[M, C], C any](dst []byte, net *Net[M], c C) []byte {
 	for i := 0; i < net.n; i++ {
 		for j := 0; j < net.n; j++ {
 			q := net.Queue(i, j)
@@ -446,7 +454,7 @@ func AppendChannels[M Message[M, C], C any](dst []byte, net *Net[M], c C) []byte
 
 // DecodeChannels reads what AppendChannels wrote into net, which Reset has
 // given the state's arity, and whose messages decode into c.
-func DecodeChannels[M Message[M, C], C any](net *Net[M], d *Decoder, c C) {
+func DecodeChannels[M CodedMessage[M, C], C any](net *Net[M], d *Decoder, c C) {
 	n := net.n
 	var zero M
 	ends := net.ends()
@@ -470,6 +478,47 @@ func DecodeChannels[M Message[M, C], C any](net *Net[M], d *Decoder, c C) {
 		net.setCut(i, cut)
 		net.setPart(i, part)
 	}
+}
+
+// Validate reports, by name, the first of net's words that the accessors
+// cannot read or that no sequence of Net's operations writes: a running,
+// severed or partitioned set naming a node past the arity, a queue that ends
+// before the one ahead of it or past Q, a message queued from a node to
+// itself, or messages after the last queue. A family whose decoder reads its
+// record whole calls it before anything steps from the state.
+func (net *Net[M]) Validate() error {
+	n := net.n
+	if len(net.W) < NetWords(n) {
+		return fmt.Errorf("record of %d words is shorter than the network's %d", len(net.W), NetWords(n))
+	}
+	all := NodeSet(1)<<n - 1
+	if up := net.Up(); up&^all != 0 {
+		return fmt.Errorf("running set %v names a node past %d", up, n-1)
+	}
+	for a := 0; a < n; a++ {
+		if cut := net.Cut(a); cut&^all != 0 {
+			return fmt.Errorf("node %d's severed set %v names a node past %d", a, cut, n-1)
+		}
+		if part := net.Part(a); part&^all != 0 {
+			return fmt.Errorf("node %d's partitioned set %v names a node past %d", a, part, n-1)
+		}
+	}
+	start := 0
+	for p, end := range net.ends() {
+		src, dst := p/n, p%n
+		switch e := int(end); {
+		case e < start || e > len(net.Q):
+			return fmt.Errorf("queue %d->%d ends at message %d, outside [%d, %d]", src, dst, e, start, len(net.Q))
+		case src == dst && e != start:
+			return fmt.Errorf("queue %d->%d holds %d messages from a node to itself", src, dst, e-start)
+		default:
+			start = e
+		}
+	}
+	if start != len(net.Q) {
+		return fmt.Errorf("%d messages follow the last queue", len(net.Q)-start)
+	}
+	return nil
 }
 
 // NetSlots writes the length of every channel into its net[src->dst] slot of

@@ -2,8 +2,10 @@ package raftbase
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
@@ -192,9 +194,116 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestCodecRefusesCommitPastLog: a leader whose commit index lies past its
+// log cannot step under snapshots (compaction would cut entries that are not
+// there), so DecodeState refuses it by name instead of handing it to
+// AppendNext.
+func TestCodecRefusesCommitPastLog(t *testing.T) {
+	m := codecMachines()["craft-dirty"]
+	s := m.Init()[0].(*State).copyTo(nil)
+	s.setRole(0, Leader)
+	s.setRows(0, true)
+	s.setCommit(0, 5)
+	_, _, err := m.DecodeState(m.AppendState(nil, s))
+	if err == nil || !strings.Contains(err.Error(), "commit 5") {
+		t.Fatalf("decode of a leader with an empty log and commit 5: %v, want an error naming commit", err)
+	}
+}
+
+// TestCodecRefusesHostileRecords: each record below holds one word no
+// handler writes, and DecodeState names it.
+func TestCodecRefusesHostileRecords(t *testing.T) {
+	m := codecMachines()["gosyncobj"]
+	for _, tc := range []struct {
+		name string
+		edit func(s *State)
+		want string
+	}{
+		{"role", func(s *State) { s.setRole(1, 7) }, "role 7"},
+		// A timeout would send term+1, which no message can store.
+		{"term", func(s *State) { s.setTerm(0, math.MaxInt32) }, "term 2147483647"},
+		{"votedFor", func(s *State) { s.setVotedFor(0, 2) }, "votedFor 2"},
+		{"votes", func(s *State) { s.setVotes(0, spec.SingleNode(1)) }, "lacks the node itself"},
+		{"up", func(s *State) { s.SetUp(spec.SingleNode(5)) }, "running set"},
+		{"value", func(s *State) { s.push(0, 1, 9) }, "vocabulary"},
+		{"pool", func(s *State) { s.push(pool(s.n), 1, 0) }, "message pool"},
+		{"flags", func(s *State) {
+			p := mustPack(Msg{Type: "rv", Term: 1})
+			p.flags = flagSuccess
+			s.Send(0, 1, p)
+		}, "outside its kind"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := m.Init()[0].(*State).copyTo(nil)
+			tc.edit(s)
+			_, _, err := m.DecodeState(m.AppendState(nil, s))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("decode: %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // FuzzDecodeState fuzzes the Raft-family codec on the build that encodes the
 // most fields (UDP queues, snapshots, durability mirrors), seeded with
 // reachable states; see spectest.FuzzDecodeState.
 func FuzzDecodeState(f *testing.F) {
 	spectest.FuzzDecodeState(f, codecMachines()["craft-dirty"], 8, 40, 3)
+}
+
+// codecBenchStates is the first codecBenchN distinct states a breadth-first
+// search of craft reaches on its default configuration and the bug-hunting
+// budget, the input the benchmark explores.
+const codecBenchN = 20000
+
+func codecBenchStates() (*Machine, []spec.State) {
+	m := New(Options{
+		System: "craft", Profile: CRaft, Transport: spec.UDP, Snapshots: true,
+		Config: spec.Config{Name: "n2w2", Nodes: 2, Workload: []string{"v1", "v2"}},
+		Budget: spec.Budget{Name: "hunt", MaxTimeouts: 6, MaxCrashes: 1, MaxRestarts: 1,
+			MaxRequests: 2, MaxPartitions: 1, MaxDrops: 2, MaxDuplicates: 1,
+			MaxBuffer: 4, MaxCompactions: 1},
+	})
+	states := m.Init()
+	seen := map[uint64]bool{states[0].Fingerprint(): true}
+	for i := 0; i < len(states) && len(states) < codecBenchN; i++ {
+		for _, su := range m.Next(states[i]) {
+			if f := su.State.Fingerprint(); !seen[f] && len(states) < codecBenchN {
+				seen[f] = true
+				states = append(states, su.State)
+			}
+		}
+	}
+	return m, states
+}
+
+// BenchmarkCodec measures the state codec one state per op over reachable
+// craft states: AppendState into a reused buffer, and DecodeState of each
+// state's encoding. B/state is the mean encoding size.
+func BenchmarkCodec(b *testing.B) {
+	m, states := codecBenchStates()
+	encs := make([][]byte, len(states))
+	total := 0
+	for i, s := range states {
+		encs[i] = m.AppendState(nil, s)
+		total += len(encs[i])
+	}
+	perState := float64(total) / float64(len(states))
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf = m.AppendState(buf[:0], states[i%len(states)])
+		}
+		b.ReportMetric(perState, "B/state")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := m.DecodeState(encs[i%len(encs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(perState, "B/state")
+	})
 }

@@ -80,12 +80,17 @@ func New(opt Options) *Machine {
 // kvKey is the one key the KV workload writes and reads.
 const kvKey = "x"
 
+// header returns a state of the machine's instance — arity, vocabulary and
+// feature flags — with no record yet.
+func (m *Machine) header() *State {
+	return &State{n: m.n, base: spec.NetWords(m.n), voc: m.voc,
+		snapshots: m.opt.Snapshots, kv: m.opt.KV, durability: m.opt.Budget.MaxDirtyCrashes > 0}
+}
+
 // newState returns the machine's initial state.
 func (m *Machine) newState() *State {
-	s := newState(m.n, m.voc)
-	s.snapshots = m.opt.Snapshots
-	s.kv = m.opt.KV
-	s.durability = m.opt.Budget.MaxDirtyCrashes > 0
+	s := m.header()
+	s.init()
 	return s
 }
 

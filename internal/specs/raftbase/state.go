@@ -157,10 +157,17 @@ func (s *State) lastRead() kvRead {
 }
 
 // newState returns the initial state of an n-node instance whose entry values
-// come from vocabulary voc: every node a running follower that voted for
-// nobody.
+// come from vocabulary voc (see init).
 func newState(n int, voc uint32) *State {
 	s := &State{n: n, base: spec.NetWords(n), voc: voc}
+	s.init()
+	return s
+}
+
+// init gives s the initial record of its arity: every node a running
+// follower that voted for nobody.
+func (s *State) init() {
+	n := s.n
 	s.Reset(n, raftWords(n))
 	s.SetUp(spec.NodeSet(1)<<n - 1)
 	for i := 0; i < n; i++ {
@@ -171,7 +178,6 @@ func newState(n int, voc uint32) *State {
 	for r := range ends {
 		ends[r] = uint32(len(s.W))
 	}
-	return s
 }
 
 // copyTo makes dst a copy of s — the header by value, the record and the
@@ -395,10 +401,13 @@ func (s *State) msgEntry(e EntryRange, k int) (int, uint32) {
 
 // tidy makes the message pool exactly the queued messages' entries, back to
 // back in queue order. A delivery, a drop, a crash or a partition leaves a
-// removed message's entries behind, a duplicate shares its original's, and a
-// send onto an earlier queue puts its entries after a later queue's; tidy,
-// run once a successor is built, rewrites the pool when any of that
-// happened, so a record never carries what no message reads.
+// removed message's entries behind, a duplicate shares its original's, a
+// send onto an earlier queue puts its entries after a later queue's, and a
+// permutation reorders the queues; tidy, run once such a state is built,
+// rewrites the pool when any of that happened, so a record never carries what
+// no message reads, and its encoding can leave the offsets out (DecodeState
+// recomputes them). Every state the machine hands out — initial, successor,
+// permuted or decoded — is tidy.
 func (s *State) tidy() {
 	a, b := s.span(pool(s.n))
 	want := 0
@@ -649,5 +658,6 @@ func (s *State) permute(perm []int) *State {
 	c.LastRead = &lr
 	c.Counters = s.Counters
 	c.Viol = s.Viol
+	c.tidy() // the queues moved, and the encoding relies on the pool's order
 	return c
 }

@@ -77,8 +77,24 @@ func appendTxns(dst []byte, ts []Txn) []byte {
 	return dst
 }
 
-func decodeVote(d *spec.Decoder, what string, n int) Vote {
-	return Vote{Leader: d.Node(what, n), Epoch: d.Int(what), Counter: d.Int(what)}
+// decodeVote reads a vote, whose leader is a node, or -1 where the vote may
+// be absent (a row of received votes).
+func decodeVote(d *spec.Decoder, what string, n int, mayBeAbsent bool) Vote {
+	v := Vote{Leader: d.Node(what, n), Epoch: d.Bounded(what), Counter: d.Bounded(what)}
+	if d.Err == nil && (v.Leader < -1 || v.Leader == -1 && !mayBeAbsent) {
+		d.Failf("%s for node %d: not a node", what, v.Leader)
+	}
+	return v
+}
+
+// decodeZState reads a server state, refusing one that is none of the three.
+func decodeZState(d *spec.Decoder, what string) int {
+	z := d.Int(what)
+	if z < Looking || z > Leading {
+		d.Failf("%s %d is not a server state", what, z)
+		return Looking
+	}
+	return z
 }
 
 func decodeTxns(d *spec.Decoder, what string) []Txn {
@@ -88,7 +104,7 @@ func decodeTxns(d *spec.Decoder, what string) []Txn {
 	}
 	ts := make([]Txn, ln)
 	for i := range ts {
-		ts[i] = Txn{Epoch: d.Int(what), Counter: d.Int(what), Value: d.Str(what)}
+		ts[i] = Txn{Epoch: d.Bounded(what), Counter: d.Bounded(what), Value: d.Str(what)}
 	}
 	return ts
 }
@@ -100,14 +116,16 @@ func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 	d := &spec.Decoder{Src: src}
 
 	for i := 0; i < n; i++ {
-		s.ZState[i] = d.Int("zstate")
-		s.Round[i] = d.Int("round")
-		s.Vote[i] = decodeVote(d, "vote", n)
-		s.Epoch[i] = d.Int("epoch")
-		s.Commit[i] = d.Int("commit")
-		s.LeaderID[i] = d.Node("leaderID", n)
-		s.PendEpoch[i] = d.Int("pendEpoch")
-		s.Counter[i] = d.Int("counter")
+		s.ZState[i] = decodeZState(d, "zstate")
+		s.Round[i] = d.Bounded("round")
+		s.Vote[i] = decodeVote(d, "vote", n, false)
+		s.Epoch[i] = d.Bounded("epoch")
+		s.Commit[i] = d.Bounded("commit")
+		if s.LeaderID[i] = d.Node("leaderID", n); s.LeaderID[i] < -1 {
+			d.Failf("leaderID %d: not a node", s.LeaderID[i])
+		}
+		s.PendEpoch[i] = d.Bounded("pendEpoch")
+		s.Counter[i] = d.Bounded("counter")
 		if d.Bool("activated") {
 			s.Activated.Add(i)
 		}
@@ -116,14 +134,22 @@ func (m *Machine) DecodeState(src []byte) (spec.State, []byte, error) {
 		}
 		s.History[i] = decodeTxns(d, "history")
 		for j := 0; j < n; j++ {
-			s.Recv[i][j] = decodeVote(d, "recv", n)
+			s.Recv[i][j] = decodeVote(d, "recv", n, true)
 		}
 		s.Synced[i] = d.NodeSetRow("synced", n, i)
 		if d.Row("acked", n) {
 			s.Acked[i] = make([]int, n)
 			for j := range s.Acked[i] {
-				s.Acked[i][j] = d.Int("acked")
+				s.Acked[i][j] = d.Bounded("acked")
 			}
+		}
+		// What the handlers index by: a committed prefix of the history,
+		// and a leader's acked row.
+		if c := s.Commit[i]; d.Err == nil && (c < 0 || c > len(s.History[i])) {
+			d.Failf("node %d: commit %d outside its history of %d", i, c, len(s.History[i]))
+		}
+		if d.Err == nil && s.ZState[i] == Leading && s.Acked[i] == nil {
+			d.Failf("node %d: leading without an acked row", i)
 		}
 	}
 	spec.DecodeChannels(&s.Net, d, s)

@@ -178,7 +178,7 @@ func (p packedMsg) Permuted(perm []int) packedMsg {
 	return p
 }
 
-// AppendTo implements spec.Message. The wire carries the wide message, its
+// AppendTo implements spec.CodedMessage. The wire carries the wide message, its
 // kind code and then every field in Msg order, as it did before queues
 // stored them packed.
 func (p packedMsg) AppendTo(dst []byte, _ *State) []byte {
@@ -193,9 +193,12 @@ func (p packedMsg) AppendTo(dst []byte, _ *State) []byte {
 	return binary.AppendVarint(dst, int64(m.Index))
 }
 
-// DecodeFrom implements spec.Message. A queue stores a message packed; one
-// that packing would alter (a field its kind does not carry, an integer
-// beyond its stored width) is refused, not narrowed into another message.
+// DecodeFrom implements spec.CodedMessage. A queue stores a message packed;
+// one that packing would alter (a field its kind does not carry, an integer
+// beyond its stored width) is refused, not narrowed into another message, and
+// so is a sender state that is none of the three, an integer beyond
+// spec.MaxInt, which a handler answering it could not store, or a sync that
+// commits past the history it carries.
 func (packedMsg) DecodeFrom(src []byte, n int, _ *State) (packedMsg, []byte, error) {
 	var msg Msg
 	d := &spec.Decoder{Src: src}
@@ -205,16 +208,19 @@ func (packedMsg) DecodeFrom(src []byte, n int, _ *State) (packedMsg, []byte, err
 		return packedMsg{}, nil, d.Err
 	}
 	msg.Type = msgTypes[code]
-	msg.Round = d.Int("msg round")
-	msg.State = d.Int("msg state")
-	msg.Vote = decodeVote(d, "msg vote", n)
-	msg.Epoch = d.Int("msg epoch")
-	msg.Counter = d.Int("msg counter")
-	msg.NewEpoch = d.Int("msg newEpoch")
+	msg.Round = d.Bounded("msg round")
+	msg.State = decodeZState(d, "msg state")
+	msg.Vote = decodeVote(d, "msg vote", n, false)
+	msg.Epoch = d.Bounded("msg epoch")
+	msg.Counter = d.Bounded("msg counter")
+	msg.NewEpoch = d.Bounded("msg newEpoch")
 	msg.History = decodeTxns(d, "msg history")
-	msg.Committed = d.Int("msg committed")
+	msg.Committed = d.Bounded("msg committed")
 	msg.Value = d.Str("msg value")
-	msg.Index = d.Int("msg index")
+	msg.Index = d.Bounded("msg index")
+	if msg.Type == "sync" && d.Err == nil && (msg.Committed < 0 || msg.Committed > len(msg.History)) {
+		d.Failf("sync message commits %d of a history of %d", msg.Committed, len(msg.History))
+	}
 	p, ok := pack(msg)
 	if !ok && d.Err == nil {
 		d.Failf("%s message carries a field outside its kind or beyond its stored width", msg.Type)

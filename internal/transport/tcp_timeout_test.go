@@ -236,46 +236,53 @@ func TestDialFailFast(t *testing.T) {
 }
 
 // TestDialRejectsWireVersionMismatch: a peer built with another block format
-// — here one whose hello carries no wire version, as every binary from before
-// raw blocks does — is refused at the handshake, not at the first data barrier
-// where its blocks would fail to decode.
+// is refused at the handshake, not at the first data barrier where its blocks
+// would fail to decode — one whose hello carries no wire version, as every
+// binary from before raw blocks does, and one on the previous version, whose
+// blocks carry Raft-family states field by field.
 func TestDialRejectsWireVersionMismatch(t *testing.T) {
-	addrs := freeAddrs(t, 2)
-	var (
-		conn Conn
-		derr error
-		done = make(chan struct{})
-	)
-	go func() {
-		defer close(done)
-		conn, derr = DialTCP(TCPOptions{Addrs: addrs, Self: 0, Digest: 0xD1CE, Timeout: 10 * time.Second})
-	}()
-	var nc net.Conn
-	for i := 0; ; i++ {
-		var err error
-		if nc, err = net.Dial("tcp", addrs[0]); err == nil {
-			break
-		}
-		if i > 100 {
-			t.Fatalf("dial: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	defer nc.Close()
-	// Every field a parent-era peer 1 sends, and nothing else.
-	hello, _ := json.Marshal(map[string]int{"peer": 1, "peers": 2, "partition": PartitionVersion})
-	if err := writeFrame(nc, frameHello, 0xD1CE, hello); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("DialTCP still blocked 5s after a mismatched hello")
-	}
-	if conn != nil {
-		conn.Close()
-	}
-	if derr == nil || !strings.Contains(derr.Error(), "wire version mismatch") {
-		t.Fatalf("DialTCP error = %v, want a wire version mismatch", derr)
+	for name, hello := range map[string]map[string]int{
+		"unversioned": {"peer": 1, "peers": 2, "partition": PartitionVersion},
+		"previous":    {"peer": 1, "peers": 2, "partition": PartitionVersion, "wire": wireVersion - 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			addrs := freeAddrs(t, 2)
+			var (
+				conn Conn
+				derr error
+				done = make(chan struct{})
+			)
+			go func() {
+				defer close(done)
+				conn, derr = DialTCP(TCPOptions{Addrs: addrs, Self: 0, Digest: 0xD1CE, Timeout: 10 * time.Second})
+			}()
+			var nc net.Conn
+			for i := 0; ; i++ {
+				var err error
+				if nc, err = net.Dial("tcp", addrs[0]); err == nil {
+					break
+				}
+				if i > 100 {
+					t.Fatalf("dial: %v", err)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			defer nc.Close()
+			raw, _ := json.Marshal(hello)
+			if err := writeFrame(nc, frameHello, 0xD1CE, raw); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("DialTCP still blocked 5s after a mismatched hello")
+			}
+			if conn != nil {
+				conn.Close()
+			}
+			if derr == nil || !strings.Contains(derr.Error(), "wire version mismatch") {
+				t.Fatalf("DialTCP error = %v, want a wire version mismatch", derr)
+			}
+		})
 	}
 }

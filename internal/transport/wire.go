@@ -28,9 +28,10 @@ import (
 
 // wireVersion names the block format in the TCP hello, so mismatched binaries
 // fail at the handshake, not at the first data barrier (a hello from before
-// raw blocks reads as 0). It is not PartitionVersion, which also keys
-// checkpoints.
-const wireVersion = 2
+// raw blocks reads as 0; version 2 carried Raft-family states field by
+// field, version 3 as their records). It is not PartitionVersion, which also
+// keys checkpoints.
+const wireVersion = 3
 
 // Frame type bytes.
 const (
