@@ -65,8 +65,11 @@ race-cluster:
 # reader (no panic, no
 # allocation sized from a count the input cannot back) and the manifest
 # reader (nothing accepted names a file outside the chain pattern) — over the two
-# state codecs themselves, whose DecodeState runs on every record read back
-# from a spill run, a checkpoint or a peer — over the wire block a peer
+# state codecs themselves (raftbase reads a record and validates it once,
+# zabkeeper reads field by field), whose DecodeState runs on every state read
+# back from a spill run, a checkpoint or a peer: whatever they accept must
+# hash every way, render, encode, and step through AppendNext to successors
+# that hash too — over the wire block a peer
 # sends at every level barrier, the hello a TCP peer sends before it is known,
 # the explorer's hello summary (run identity and checkpoint flags) at the first
 # barrier, the per-level summaries after it (the coordinator's, every peer's
