@@ -25,11 +25,14 @@ race:
 # lazily seeded streams and field-to-slot table; the engine rows hold the
 # reused slot vectors and the pinned fault streams, and the network row the
 # vnet.* metrics a reader polls while the command goroutine counts into
-# them; the integrations row
+# them; the explorer row holds each worker's walker, which steps in place
+# (the state it leaves is recycled into its next successor), to walks that
+# keep every state; the integrations row
 # holds every system's lock-step round to the two-phase reference at
 # W = 1, 2 and 4 (about 40 s under -race on two CPUs, so it runs twice).
 race-conform:
 	$(GO) test -race -count 4 -run 'TestParallelMatchesSerial|TestResourceCheck|TestEventsCheckedPinned|TestParallelRoundHoldsOnlyWalksInFlight|TestConformAllocsPerEvent' ./internal/conformance/
+	$(GO) test -race -count 4 -run 'TestWalkerStepsInPlace' ./internal/explorer/
 	$(GO) test -race -count 4 -run 'TestObserveSlotsReusedMatchesFresh|TestFaultStreamsPinned' ./internal/engine/
 	$(GO) test -race -count 4 -run 'TestStatsMirrorConcurrentReads' ./internal/vnet/
 	$(GO) test -race -count 2 -run 'TestLockStepMatchesTwoPhase' ./internal/integrations/

@@ -4,6 +4,8 @@
 // DESIGN.md (symmetry reduction, stateful vs stateless search, BFS
 // parallelism, constraint-ranking sort orders). The other tables and
 // figures regenerate with `go run ./cmd/experiments -table N` / `-fig N`.
+// BenchmarkConformance is the conformance layer's entry point: Part 2's
+// implementation-against-specification check, alone.
 //
 // Run everything with:
 //
@@ -14,8 +16,10 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/sandtable-go/sandtable/internal/bugdb"
+	"github.com/sandtable-go/sandtable/internal/conformance"
 	"github.com/sandtable-go/sandtable/internal/experiments"
 	"github.com/sandtable-go/sandtable/internal/explorer"
 	"github.com/sandtable-go/sandtable/internal/integrations"
@@ -182,4 +186,37 @@ func BenchmarkAblationRanking(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkConformance measures one conformance round, the session `sandtable
+// conform -system gosyncobj -fixed -walks 1000 -depth 30` runs, on one
+// worker: every walk steps the specification and the implementation in lock
+// step and compares the two after each event. It reports the events checked
+// per second and the heap allocations per event, the conformance layer's
+// throughput and its allocation discipline.
+func BenchmarkConformance(b *testing.B) {
+	sys, err := integrations.Get("gosyncobj")
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := sandtable.New(sys, sys.DefaultConfig, sys.DefaultBudget, bugdb.NoBugs())
+	var events int
+	var elapsed time.Duration
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		rep, err := st.Conform(conformance.Options{Walks: 1000, WalkDepth: 30, Seed: 1, Workers: 1})
+		elapsed += time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Passed() {
+			b.Fatalf("the fixed build diverged: %v", rep.Discrepancy)
+		}
+		events += rep.EventsChecked
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(events)/elapsed.Seconds(), "events/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(events), "allocs/event")
 }

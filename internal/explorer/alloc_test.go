@@ -1,6 +1,7 @@
 package explorer
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -201,5 +202,65 @@ func TestAllocsPerSuccessor(t *testing.T) {
 	t.Logf("allocs/run=%.0f successors=%d allocs/successor=%.2f", allocs, succs, perSucc)
 	if perSucc > ceiling {
 		t.Errorf("allocations per successor = %.2f, want <= %.1f", perSucc, ceiling)
+	}
+}
+
+// TestWalkerStepsInPlace holds Walker.Step to its half of spec.Keep's
+// hand-back rule on craft. Its walks, one after another on one walker (so
+// each walk's first step recycles the previous walk's last state), equal
+// walks that keep every successor and hand nothing back — event, fingerprint
+// and encoding at every step. And once a walk has been taken, taking it again
+// allocates nothing per step: every successor is built in a state the walk
+// left behind.
+func TestWalkerStepsInPlace(t *testing.T) {
+	const depth = 40
+	m := craftHunt()
+	w := NewWalker(m, depth)
+	rng := rand.New(rand.NewSource(0))
+	var buf []spec.Succ
+	for seed := int64(1); seed <= 20; seed++ {
+		rng.Seed(seed)
+		inits := m.Init()
+		cur := inits[rng.Intn(len(inits))]
+		w.Reset(seed)
+		for d := 0; ; d++ {
+			buf = m.AppendNext(cur, buf[:0])
+			ev, ok := w.Step()
+			if ok != (len(buf) > 0 && d < depth) {
+				t.Fatalf("seed %d, step %d: walker took a step = %v with %d successors enabled", seed, d, ok, len(buf))
+			}
+			if !ok {
+				break
+			}
+			i := rng.Intn(len(buf))
+			want := buf[i].Event
+			cur = spec.Keep(buf, i, nil)
+			got := w.State()
+			if ev.String() != want.String() || got.Fingerprint() != cur.Fingerprint() ||
+				!bytes.Equal(m.AppendState(nil, got), m.AppendState(nil, cur)) {
+				t.Fatalf("seed %d, step %d: walker stepped by %s to %#x, the keeping walk by %s to %#x",
+					seed, d, ev, got.Fingerprint(), want, cur.Fingerprint())
+			}
+		}
+	}
+
+	const seed = 7
+	steps := 0
+	for w.Reset(seed); ; steps++ {
+		if _, ok := w.Step(); !ok {
+			break
+		}
+	}
+	if steps < 10 {
+		t.Fatalf("walk of %d steps proves nothing", steps)
+	}
+	w.Reset(seed)
+	allocs := testing.AllocsPerRun(steps-1, func() { // one warm-up call, then steps-1
+		if _, ok := w.Step(); !ok {
+			t.Fatal("the walk ended early the second time")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Walker.Step allocates %.2f per step once warm, want 0", allocs)
 	}
 }

@@ -578,7 +578,7 @@ func (w *expandWorker) expandChunkCluster(entries []frontierEntry, depth int) {
 			}
 			cand := clusterCand{fp: f, parent: fe.fp, action: action, owner: int32(owner)}
 			if owner == cl.self {
-				cand.state = spec.Keep(w.buf, i)
+				cand.state = spec.Keep(w.buf, i, nil)
 			} else {
 				w.enc = c.m.AppendState(w.enc[:0], su.State)
 				cand.enc = w.slab.add(w.enc)

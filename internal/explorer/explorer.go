@@ -1009,7 +1009,7 @@ func (w *expandWorker) expandChunk(p *expandPool, entries []frontierEntry, depth
 			}
 			// Keep: the frontier outlives the buffer; a duplicate stays behind
 			// in the slack, where the machine builds the next successor.
-			out.fresh = append(out.fresh, frontierEntry{state: spec.Keep(w.buf, i), fp: fp})
+			out.fresh = append(out.fresh, frontierEntry{state: spec.Keep(w.buf, i, nil), fp: fp})
 			if v := checkInvariants(p.invs, su.State, depth, fp); v != nil {
 				out.viols = append(out.viols, v)
 			}

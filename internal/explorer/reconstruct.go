@@ -54,13 +54,16 @@ func (c *Checker) reconstruct(v *Violation) *trace.Trace {
 		t.Init = spec.VarsOf(cur)
 	}
 	var buf []spec.Succ
+	var kept spec.State // cur once a step took it out of buf, never an Init state
 	for _, want := range chain[1:] {
 		buf = c.m.AppendNext(cur, buf[:0])
 		i := slices.IndexFunc(buf, func(su spec.Succ) bool { return c.canonicalFP(su.State) == want })
 		if i < 0 {
 			return nil
 		}
-		cur = spec.Keep(buf, i) // the next parent must not sit in the slack
+		// The next parent must not sit in the slack; the state left goes there.
+		cur = spec.Keep(buf, i, kept)
+		kept = cur
 		step := trace.Step{Event: buf[i].Event, Fingerprint: want}
 		if c.opts.RecordVars {
 			step.Vars = spec.VarsOf(cur)

@@ -132,12 +132,21 @@ func (s *Simulator) Distinct() int64 {
 // each step against the implementation as it is taken (lock-step) instead
 // of generating the whole walk first. A Walker is for one goroutine; Reset
 // starts its next walk on the same random source and successor buffer.
+//
+// A walk steps in place: each Step hands the state it leaves back to the
+// buffer (spec.Keep), and a later step builds a successor in it. So the
+// state Reset or State returns is valid until the next Step or Reset.
 type Walker struct {
 	m        spec.Machine
 	maxDepth int
 	rng      *rand.Rand
 	buf      []spec.Succ
 	cur      spec.State
+	// kept is the state the last Step took out of buf: cur from the walk's
+	// first step on, and before it the previous walk's last state, which
+	// Reset let go of. The next Step hands it back. An Init state is never
+	// kept: Init promises no fresh states.
+	kept     spec.State
 	depth    int
 	terminal string
 }
@@ -175,12 +184,15 @@ func (w *Walker) Step() (trace.Event, bool) {
 	}
 	i := w.rng.Intn(len(w.buf))
 	ev := w.buf[i].Event
-	w.cur = spec.Keep(w.buf, i) // the next parent must not sit in the slack
+	// The next parent must not sit in the slack; the state kept last, which
+	// the walk is leaving, goes in its place.
+	w.cur = spec.Keep(w.buf, i, w.kept)
+	w.kept = w.cur
 	w.depth++
 	return ev, true
 }
 
-// State is the state the walk is in.
+// State is the state the walk is in, valid until the next Step or Reset.
 func (w *Walker) State() spec.State { return w.cur }
 
 // Depth is the number of steps taken.

@@ -27,6 +27,7 @@ func Run(m spec.Machine, script []string) (*trace.Trace, error) {
 	cur := inits[0]
 	t := &trace.Trace{System: m.Name(), Init: spec.VarsOf(cur)}
 	var succs []spec.Succ
+	var kept spec.State // cur once a step took it out of succs, never inits[0]
 	for i, want := range script {
 		succs = m.AppendNext(cur, succs[:0])
 		match, matches := -1, 0
@@ -40,8 +41,9 @@ func Run(m spec.Machine, script []string) (*trace.Trace, error) {
 		switch matches {
 		case 1:
 			// cur is the next parent: take it out of the buffer the next
-			// AppendNext recycles.
-			cur = spec.Keep(succs, match)
+			// AppendNext recycles, and hand the state it leaves back to it.
+			cur = spec.Keep(succs, match, kept)
+			kept = cur
 			t.Steps = append(t.Steps, trace.Step{
 				Event:       succs[match].Event,
 				Vars:        spec.VarsOf(cur),

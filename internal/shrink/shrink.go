@@ -268,7 +268,7 @@ func Replay(m spec.Machine, init map[string]string, events []trace.Event, record
 		}
 		// Every step's state outlives the buffer (cand.States): take it out
 		// of the slack the next AppendNext recycles.
-		cur = spec.Keep(succs, i)
+		cur = spec.Keep(succs, i, nil)
 		step := trace.Step{Event: succs[i].Event, Fingerprint: cur.Fingerprint()}
 		if recordVars {
 			step.Vars = spec.VarsOf(cur)

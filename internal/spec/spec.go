@@ -109,8 +109,9 @@ type Machine interface {
 // successor is valid only until the next AppendNext that is handed its slot.
 // A caller that needs one for longer takes it out with Keep first; that
 // includes the common "step to a successor and enumerate from it through the
-// same buffer". Slack the machine cannot use — nil, a state of another
-// machine or another size — is replaced, never an error.
+// same buffer"; Keep may leave a dead state of the caller's in the slot it
+// empties, to be recycled like any other. Slack the machine cannot use — nil,
+// a state of another machine or another size — is replaced, never an error.
 type BufferedMachine interface {
 	// AppendNext appends every enabled transition from s to buf and returns
 	// the extended slice. The successors must already satisfy the machine's
@@ -119,10 +120,16 @@ type BufferedMachine interface {
 }
 
 // Keep takes successor i's state out of buf: it returns buf[i].State and
-// clears the slot, so that no later AppendNext on buf can recycle the state.
-func Keep(buf []Succ, i int) State {
+// stores dead in the slot, so that no later AppendNext on buf can recycle the
+// returned state. dead is nil, or a state handed back for a later AppendNext
+// to build a successor in instead of allocating one: a walk hands back the
+// state it leaves. Only a state the caller took out of a buffer with Keep and
+// no longer reads may be handed back, never one Init returned (Init promises
+// no fresh states). A caller that keeps every state it steps to (a search's
+// frontier, a replayed candidate) passes nil.
+func Keep(buf []Succ, i int, dead State) State {
 	s := buf[i].State
-	buf[i].State = nil
+	buf[i].State = dead
 	return s
 }
 

@@ -190,6 +190,11 @@ func AssertOrbitEquiv(t *testing.T, m spec.Machine, walks, depth int, seed int64
 //   - so does every state Keep took earlier, in this walk or a previous one,
 //     however many calls ago.
 //
+// Every other walk steps in place, the way the simulator's walks do: it hands
+// the state it leaves back to the buffer (spec.Keep(buf, i, s)), so the
+// machine builds later successors in a state it filled itself, and the
+// states the other walks kept must still not move.
+//
 // It also asserts that slack the machine cannot use as it stands is replaced
 // rather than tripped over — nil slots and states of no machine to begin
 // with, and before each walk the successors one of the donors enumerates
@@ -222,6 +227,7 @@ func AssertBufferedEquiv(t *testing.T, m spec.Machine, walks, depth int, seed in
 		}
 		inits := m.Init()
 		cur := inits[rng.Intn(len(inits))]
+		var dead spec.State // a stepping-in-place walk's cur after its first step
 		for d := 0; d <= depth; d++ {
 			before := m.AppendState(nil, cur)
 			want := m.AppendNext(cur, nil)
@@ -238,7 +244,12 @@ func AssertBufferedEquiv(t *testing.T, m spec.Machine, walks, depth int, seed in
 			if len(buf) == 0 {
 				break
 			}
-			cur = spec.Keep(buf, rng.Intn(len(buf)))
+			if w%2 == 1 {
+				cur = spec.Keep(buf, rng.Intn(len(buf)), dead)
+				dead = cur
+				continue
+			}
+			cur = spec.Keep(buf, rng.Intn(len(buf)), nil)
 			keeps = append(keeps, kept{cur, m.AppendState(nil, cur)})
 		}
 	}
